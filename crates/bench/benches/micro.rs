@@ -152,6 +152,90 @@ fn bench_reductions(c: &mut Criterion) {
     g.finish();
 }
 
+/// The regime the end-to-end `causal_noel` number comes from: 16 ranks,
+/// no Event Logger, so nothing ever turns stable and every store holds
+/// the whole history (here 51,200 determinants, 3,200 per creator).
+/// Measured per technique: integrating a 100-determinant piggyback the
+/// store already holds (what most of a no-EL piggyback is), a build on a
+/// channel whose sent-cache is warm (one new event to emit), and a
+/// build→integrate round trip between two such stores relaying fresh
+/// third-party events.
+/// `scripts/verify.sh` gates on this group being present.
+fn bench_causality_store(c: &mut Criterion) {
+    const RANKS: usize = 16;
+    const PER_CREATOR: usize = 3_200;
+    let history = dets(RANKS * PER_CREATOR, RANKS);
+    let loaded = |t: Technique| {
+        let mut red = make_reduction(t, RANKS);
+        red.integrate(1, 0, &history);
+        assert!(red.retained_count() >= 50_000);
+        red
+    };
+    let local = |receiver: usize, clock: u64| Determinant {
+        receiver,
+        clock,
+        sender: (receiver + 1) % RANKS,
+        ssn: clock,
+        cause: clock - 1,
+    };
+    let mut g = c.benchmark_group("causality_store");
+    for t in [Technique::Vcausal, Technique::Manetho, Technique::LogOn] {
+        // The newest 25 events of four creators, in emission order.
+        let mut dup = history[history.len() - 25 * RANKS..].to_vec();
+        dup.retain(|d| d.receiver < 4);
+        dup.sort_by_key(|d| (d.receiver, d.clock));
+        assert_eq!(dup.len(), 100);
+        let mut red = loaded(t);
+        g.bench_function(
+            BenchmarkId::new(format!("{}_integrate_dup", t.label()), 100),
+            |b| b.iter(|| red.integrate(2, PER_CREATOR as u64, &dup)),
+        );
+
+        let mut red = loaded(t);
+        let mut clock = PER_CREATOR as u64;
+        red.build(3, clock);
+        g.bench_function(
+            BenchmarkId::new(format!("{}_build_warm", t.label()), 1),
+            |b| {
+                b.iter(|| {
+                    clock += 1;
+                    red.add_local(local(0, clock));
+                    red.build(3, clock)
+                })
+            },
+        );
+
+        // Each trip: `ping` hears 16 fresh third-party events, forwards
+        // them to `pong` with its own, and `pong` answers.
+        let (mut ping, mut pong) = (loaded(t), loaded(t));
+        let (mut ping_clock, mut pong_clock) = (PER_CREATOR as u64, PER_CREATOR as u64);
+        let mut news: Vec<Determinant> = (0..16).map(|i| local(2 + i / 4, 0)).collect();
+        let mut news_clock = PER_CREATOR as u64;
+        let mut trip = || {
+            for (i, d) in news.iter_mut().enumerate() {
+                d.clock = news_clock + 1 + i as u64 % 4;
+            }
+            news_clock += 4;
+            ping.integrate(2, news_clock, &news);
+            let (pb, _) = ping.build(1, ping_clock);
+            pong.integrate(0, ping_clock, &pb);
+            pong_clock += 1;
+            pong.add_local(local(1, pong_clock));
+            let (pb, _) = pong.build(0, pong_clock);
+            ping.integrate(1, pong_clock, &pb);
+            ping_clock += 1;
+            ping.add_local(local(0, ping_clock));
+            pb.len()
+        };
+        trip(); // the first exchange ships the whole history: not the steady state
+        g.bench_function(
+            BenchmarkId::new(format!("{}_round_trip", t.label()), 16),
+            |b| b.iter(&mut trip),
+        );
+    }
+    g.finish();
+}
+
 fn bench_sender_log(c: &mut Criterion) {
     let mut g = c.benchmark_group("sender_log");
     g.bench_function("insert_1k", |b| {
@@ -427,6 +511,7 @@ criterion_group!(
     bench_pb_compact,
     bench_graph,
     bench_reductions,
+    bench_causality_store,
     bench_sender_log,
     bench_calendar,
     bench_sharded_stats,

@@ -26,6 +26,7 @@
 
 use vlog_vmpi::{RClock, Rank};
 
+use crate::detseq::runs;
 use crate::event::Determinant;
 use crate::graph::AGraph;
 use crate::reduction::{Reduction, Technique, Work};
@@ -38,6 +39,13 @@ pub struct GraphRed {
     /// `known[peer][creator]`: clock up to which `peer` provably holds
     /// `creator`'s events (sent-to or received-from knowledge).
     known: Vec<Vec<RClock>>,
+    /// Scratch reused by every `build` (meaningless between calls): the
+    /// receiver bound, the traversal stack, and LogOn's per-creator
+    /// emission cursors and emitted-up-to clocks.
+    bound: Vec<RClock>,
+    stack: Vec<(Rank, RClock)>,
+    cursor: Vec<usize>,
+    emitted: Vec<RClock>,
 }
 
 impl GraphRed {
@@ -48,6 +56,10 @@ impl GraphRed {
             n,
             graph: AGraph::new(n),
             known: vec![vec![0; n]; n],
+            bound: Vec::with_capacity(n),
+            stack: Vec::new(),
+            cursor: Vec::with_capacity(n),
+            emitted: Vec::with_capacity(n),
         }
     }
 
@@ -55,75 +67,70 @@ impl GraphRed {
         &self.graph
     }
 
-    /// The per-creator bound of what `dst` already knows: its own events,
-    /// the causal past of its last event we know of, our sent cache and
-    /// global stability. The traversal is incremental: it never re-walks
-    /// the region already covered by the sent cache (what Manetho's
-    /// per-peer bookkeeping buys).
-    fn receiver_bound(&self, dst: Rank) -> (Vec<RClock>, u64) {
+    /// Fills `self.bound` with the per-creator bound of what `dst`
+    /// already knows: its own events, the causal past of its last event
+    /// we know of, our sent cache and global stability. The traversal is
+    /// incremental: it never re-walks the region already covered by the
+    /// sent cache (what Manetho's per-peer bookkeeping buys). Returns the
+    /// vertices visited.
+    fn receiver_bound(&mut self, dst: Rank) -> u64 {
         // The floor on dst's own range is the dst-head at the previous
         // build on this channel (`known[dst][dst]`): older dst events
         // were walked then and their pasts are below the cache bound
         // anyway. Everything newer — including a first-ever send, where
         // the floor is zero — is walked to discover the receiver's past.
-        let floor: Vec<RClock> = (0..self.n)
-            .map(|c| self.known[dst][c].max(self.graph.stable(c)))
-            .collect();
-        let (mut bound, visits) = self
-            .graph
-            .causal_past_from(&[(dst, self.graph.head(dst))], &floor);
-        bound[dst] = RClock::MAX;
-        (bound, visits)
+        let known = &self.known[dst];
+        self.bound.clear();
+        self.bound
+            .extend((0..self.n).map(|c| known[c].max(self.graph.stable(c))));
+        self.stack.clear();
+        self.stack.push((dst, self.graph.head(dst)));
+        let visits = self.graph.extend_past(&mut self.bound, &mut self.stack);
+        self.bound[dst] = RClock::MAX;
+        visits
     }
 
-    fn collect_above(&self, bound: &[RClock]) -> Vec<Determinant> {
-        let mut out = Vec::new();
-        for c in 0..self.n {
-            if bound[c] == RClock::MAX {
-                continue;
-            }
-            out.extend(self.graph.above(c, bound[c]).copied());
+    /// Emits everything above `self.bound` in a valid partial order: no
+    /// element is in the causal past of a *later* element (ancestors
+    /// first). Kahn-style repeated passes, one cursor per creator walking
+    /// the store's own ascending sequence — no copy, no sort.
+    fn logon_emit(&mut self) -> Vec<Determinant> {
+        let GraphRed {
+            graph,
+            bound,
+            cursor,
+            emitted,
+            ..
+        } = self;
+        let store = graph.store();
+        cursor.clear();
+        emitted.clear();
+        let mut total = 0;
+        for (c, &b) in bound.iter().enumerate() {
+            let start = store.seq(c).through(b);
+            total += store.seq(c).len() - start;
+            cursor.push(start);
+            emitted.push(if b == RClock::MAX { 0 } else { b });
         }
-        out
-    }
-
-    /// Emits `set` in a valid partial order: no element is in the causal
-    /// past of a *later* element (ancestors first). Kahn-style repeated
-    /// passes over per-creator ascending queues.
-    fn logon_order(&self, mut set: Vec<Determinant>, bound: &[RClock]) -> Vec<Determinant> {
-        set.sort_by_key(|d| (d.receiver, d.clock));
-        // Per-creator cursors into the sorted set.
-        let mut queues: Vec<Vec<Determinant>> = vec![Vec::new(); self.n];
-        for d in set {
-            queues[d.receiver].push(d);
-        }
-        let mut cursor = vec![0usize; self.n];
-        let mut emitted_up_to: Vec<RClock> = bound
-            .iter()
-            .map(|&b| if b == RClock::MAX { 0 } else { b })
-            .collect();
-        let total: usize = queues.iter().map(|q| q.len()).sum();
         let mut out = Vec::with_capacity(total);
         while out.len() < total {
             let mut progressed = false;
-            for c in 0..self.n {
-                while cursor[c] < queues[c].len() {
-                    let d = queues[c][cursor[c]];
+            for c in 0..bound.len() {
+                while let Some(d) = store.seq(c).at(cursor[c]) {
                     let cause_ok = match d.cause_id() {
                         None => true,
                         Some(id) => {
-                            id.creator == d.receiver // program-order handled per queue
-                                || id.clock <= emitted_up_to[id.creator]
-                                || id.clock <= self.graph.stable(id.creator)
-                                || bound[id.creator] == RClock::MAX
+                            id.creator == c // program order: the cursor itself
+                                || id.clock <= emitted[id.creator]
+                                || id.clock <= store.stable(id.creator)
                                 || id.clock <= bound[id.creator]
                         }
                     };
                     if !cause_ok {
                         break;
                     }
-                    emitted_up_to[c] = d.clock;
-                    out.push(d);
+                    emitted[c] = d.clock;
+                    out.push(*d);
                     cursor[c] += 1;
                     progressed = true;
                 }
@@ -132,22 +139,13 @@ impl GraphRed {
                 // A cause refers to an event we never held (it was pruned
                 // before we learned of it): flush remaining in creator
                 // order — still a valid order for everything we can know.
-                for c in 0..self.n {
-                    out.extend(queues[c][cursor[c]..].iter().copied());
-                    cursor[c] = queues[c].len();
+                for (c, at) in cursor.iter_mut().enumerate() {
+                    out.extend(store.seq(c).iter().skip(*at));
+                    *at = store.seq(c).len();
                 }
             }
         }
         out
-    }
-
-    fn note_peer_knowledge(&mut self, from: Rank, sender_clock: RClock, dets: &[Determinant]) {
-        for det in dets {
-            let k = &mut self.known[from][det.receiver];
-            *k = (*k).max(det.clock);
-        }
-        let k = &mut self.known[from][from];
-        *k = (*k).max(sender_clock);
     }
 }
 
@@ -162,13 +160,16 @@ impl Reduction for GraphRed {
     }
 
     fn integrate(&mut self, from: Rank, sender_clock: RClock, dets: &[Determinant]) -> Work {
+        // One pass: each run of a creator's consecutive clocks is deduped
+        // against the graph at once and raises what `from` provably holds.
+        let known = &mut self.known[from];
         let mut inserts = 0;
-        for det in dets {
-            if self.graph.insert(*det) {
-                inserts += 1;
-            }
+        for run in runs(dets) {
+            inserts += self.graph.insert_run(run) as u64;
+            let last = run[run.len() - 1];
+            known[last.receiver] = known[last.receiver].max(last.clock);
         }
-        self.note_peer_knowledge(from, sender_clock, dets);
+        known[from] = known[from].max(sender_clock);
         // Manetho pays a second pass generating edges after insertion;
         // LogOn's partial order lets it link in the same crossing.
         let visits = match self.kind {
@@ -184,9 +185,13 @@ impl Reduction for GraphRed {
         }
     }
 
-    fn build(&mut self, dst: Rank, my_clock: RClock) -> (Vec<Determinant>, Work) {
-        let (bound, past_visits) = self.receiver_bound(dst);
-        let out = self.collect_above(&bound);
+    fn build(&mut self, dst: Rank, _my_clock: RClock) -> (Vec<Determinant>, Work) {
+        let past_visits = self.receiver_bound(dst);
+        let out = match self.kind {
+            Technique::LogOn => self.logon_emit(),
+            // (creator, clock) ascending: maximal factoring
+            _ => self.graph.store().collect_above(&self.bound),
+        };
         let visits = match self.kind {
             // Manetho crosses the receiver's past from its last known
             // reception: the traversal itself is the dominant cost.
@@ -195,17 +200,10 @@ impl Reduction for GraphRed {
             // touching only the region it will emit.
             _ => out.len() as u64 + 1,
         };
-        let out = match self.kind {
-            Technique::LogOn => self.logon_order(out, &bound),
-            _ => out, // already (creator, clock) ascending: maximal factoring
-        };
         // Everything we hold is now known to dst.
-        for c in 0..self.n {
-            let head = self.graph.head(c);
-            let k = &mut self.known[dst][c];
-            *k = (*k).max(head);
+        for (c, k) in self.known[dst].iter_mut().enumerate() {
+            *k = (*k).max(self.graph.head(c));
         }
-        let _ = my_clock;
         (out, Work::visits(visits))
     }
 
@@ -219,14 +217,18 @@ impl Reduction for GraphRed {
         // vector, so it folds into the per-channel `known` floor. The
         // traversal in `receiver_bound` starts above that floor, making
         // GC notices also *cheapen* fresh-channel sends.
-        for c in 0..self.n {
-            let k = &mut self.known[peer][c];
-            *k = (*k).max(stable[c]);
+        for (k, &s) in self.known[peer].iter_mut().zip(stable) {
+            *k = (*k).max(s);
         }
     }
 
     fn retained(&self) -> Vec<Determinant> {
         self.graph.retained()
+    }
+
+    fn retained_of(&self, creator: Rank, above: RClock) -> Vec<Determinant> {
+        let (a, b) = self.graph.store().seq(creator).above_slices(above);
+        [a, b].concat()
     }
 
     fn retained_count(&self) -> usize {
@@ -415,6 +417,25 @@ mod tests {
             );
             // The local store is untouched: peer stability is not global.
             assert!(reds[3].retained_count() > 0);
+        }
+    }
+
+    #[test]
+    fn peer_stability_at_the_clock_maximum_does_not_overflow() {
+        for kind in [Technique::Manetho, Technique::LogOn] {
+            let mut reds: Vec<Box<dyn Reduction>> =
+                (0..4).map(|_| make_reduction(kind, 4)).collect();
+            let mut clocks = vec![0; 4];
+            for (from, to) in [(1, 0), (0, 1), (1, 2), (2, 1), (1, 3)] {
+                exchange(&mut reds, &mut clocks, from, to);
+            }
+            // A GC notice may carry any u64 (the compact codec does).
+            reds[3].note_peer_stable(2, &[RClock::MAX, 0, RClock::MAX, 0]);
+            let (pb, _) = reds[3].build(2, clocks[3]);
+            assert!(pb.iter().all(|d| d.receiver == 1 || d.receiver == 3));
+            reds[3].apply_stable(&[RClock::MAX; 4]);
+            assert_eq!(reds[3].retained_count(), 0);
+            assert!(reds[3].build(0, clocks[3]).0.is_empty());
         }
     }
 

@@ -29,6 +29,7 @@ use vlog_vmpi::{
 };
 
 use crate::costs::CausalCosts;
+use crate::detseq::DetSeq;
 use crate::el::{el_batch_bytes, ElBatcher, ElMsg, ElReply};
 use crate::event::Determinant;
 use crate::piggyback::{watermarks_len, PbBody, PbFormat};
@@ -92,8 +93,8 @@ struct Recovery {
     started: SimTime,
     /// Reception clock covered by the restored image.
     wm: RClock,
-    /// Determinants to replay, keyed by clock.
-    collected: BTreeMap<RClock, Determinant>,
+    /// Determinants to replay, in clock order.
+    collected: DetSeq,
     /// Buffered message arrivals keyed by (sender, ssn).
     supply: BTreeMap<(Rank, Ssn), SupplyMsg>,
     /// Next clock to replay.
@@ -263,17 +264,15 @@ impl CausalProtocol {
                 seq = seq
             ));
         }
-        let mut handoff: BTreeMap<RClock, Determinant> = BTreeMap::new();
+        let mut handoff = DetSeq::new();
         for det in self.batcher.take_unacked() {
-            handoff.insert(det.clock, det);
+            handoff.insert(det);
         }
-        for det in self.red.retained() {
-            if det.receiver == self.rank && det.clock > self.stable[self.rank] {
-                handoff.insert(det.clock, det);
-            }
+        for det in self.red.retained_of(self.rank, self.stable[self.rank]) {
+            handoff.insert(det);
         }
-        for (_, det) in handoff {
-            if let Some(batch) = self.batcher.offer(det) {
+        for det in handoff.iter() {
+            if let Some(batch) = self.batcher.offer(*det) {
                 self.send_batch(ctx, batch);
             }
         }
@@ -397,7 +396,7 @@ impl CausalProtocol {
         let rec = self.rec.as_mut().unwrap();
         if rec.collecting {
             rec.collecting = false;
-            rec.max_clock = rec.collected.keys().next_back().copied().unwrap_or(rec.wm);
+            rec.max_clock = rec.collected.last().map_or(rec.wm, |d| d.clock);
             let dt = now.saturating_since(rec.started);
             self.stats.local().recovery_collect.push(dt);
         }
@@ -416,7 +415,7 @@ impl CausalProtocol {
                 if rec.collecting {
                     return;
                 }
-                match rec.collected.get(&rec.next).copied() {
+                match rec.collected.get(rec.next).copied() {
                     // No determinant at `next`: either replay is complete
                     // or a gap means the tail was lost consistently with
                     // the rest of the system — both end the replay.
@@ -549,7 +548,7 @@ impl CausalProtocol {
                 if let Some(rec) = self.rec.as_mut() {
                     for d in &dets {
                         if d.receiver == self.rank && d.clock > rec.wm {
-                            rec.collected.insert(d.clock, *d);
+                            rec.collected.insert(*d);
                             vlog_sim::event!("det-replay" { rank = self.rank, clock = d.clock }
                                 caused_by "reclaim-resp" { victim = self.rank, from = from });
                         }
@@ -605,7 +604,7 @@ impl CausalProtocol {
                     for d in &dets {
                         debug_assert_eq!(d.receiver, self.rank);
                         if d.clock > rec.wm {
-                            rec.collected.insert(d.clock, *d);
+                            rec.collected.insert(*d);
                             vlog_sim::event!("det-replay" { rank = self.rank, clock = d.clock }
                                 caused_by "el-query-resp" { victim = self.rank });
                         }
@@ -707,8 +706,13 @@ impl VProtocol for CausalProtocol {
             ssn: msg.ssn,
             cause: sender_clock,
         };
-        let w_add = self.red.add_local(det);
-        let w_int = self.red.integrate(msg.src, sender_clock, &dets);
+        let (w_add, w_int) = {
+            let _codec = profiler::scope(profiler::Phase::Codec);
+            (
+                self.red.add_local(det),
+                self.red.integrate(msg.src, sender_clock, &dets),
+            )
+        };
         self.ship_to_el(ctx, det);
         // The Figure 8 "receive" metric is the piggyback-management part
         // only: integrating the piggybacked determinants into the store.
@@ -832,7 +836,7 @@ impl VProtocol for CausalProtocol {
         self.rec = Some(Recovery {
             started: ctx.sim.now(),
             wm,
-            collected: BTreeMap::new(),
+            collected: DetSeq::new(),
             supply: BTreeMap::new(),
             next: wm + 1,
             resp_from: BTreeSet::new(),

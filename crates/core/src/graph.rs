@@ -12,84 +12,77 @@
 //! Stable vertices (acknowledged by the Event Logger) are pruned — the
 //! paper notes the graphs "lose some vertices and incident edges" when
 //! the EL acknowledges.
-
-use std::collections::BTreeMap;
+//!
+//! Vertices live in a [`DetStore`]: one dense clock-indexed sequence per
+//! creator, so a program-order range is a pair of slices and following a
+//! cause edge is an O(1) index computation. Edges are not materialised;
+//! they are the `cause` fields of the stored determinants.
 
 use vlog_vmpi::{RClock, Rank};
 
+use crate::detseq::DetStore;
 use crate::event::Determinant;
 
 /// One process's view of the antecedence graph.
 #[derive(Clone)]
 pub struct AGraph {
-    n: usize,
-    /// Unstable vertices per creator, keyed by clock.
-    verts: Vec<BTreeMap<RClock, Determinant>>,
-    /// Highest clock ever seen per creator (survives pruning).
-    heads: Vec<RClock>,
-    /// Stability watermarks (vertices at or below are pruned).
-    stable: Vec<RClock>,
+    store: DetStore,
 }
 
 impl AGraph {
     pub fn new(n: usize) -> Self {
         AGraph {
-            n,
-            verts: vec![BTreeMap::new(); n],
-            heads: vec![0; n],
-            stable: vec![0; n],
+            store: DetStore::new(n),
         }
     }
 
     pub fn n(&self) -> usize {
-        self.n
+        self.store.n()
+    }
+
+    /// The vertex store (unstable determinants per creator).
+    pub fn store(&self) -> &DetStore {
+        &self.store
     }
 
     /// Highest known clock of `creator` (its last event we know of).
     pub fn head(&self, creator: Rank) -> RClock {
-        self.heads[creator]
+        self.store.head(creator)
     }
 
     pub fn stable(&self, creator: Rank) -> RClock {
-        self.stable[creator]
+        self.store.stable(creator)
     }
 
     /// Inserts a vertex; returns false when it was already present or
     /// already stable.
     pub fn insert(&mut self, det: Determinant) -> bool {
-        let c = det.receiver;
-        self.heads[c] = self.heads[c].max(det.clock);
-        if det.clock <= self.stable[c] {
-            return false;
-        }
-        self.verts[c].insert(det.clock, det).is_none()
+        self.store.insert(det)
+    }
+
+    /// Inserts a run of one creator's consecutive clocks (see
+    /// [`crate::detseq::runs`]); returns how many vertices were new.
+    pub fn insert_run(&mut self, run: &[Determinant]) -> usize {
+        self.store.insert_run(run)
     }
 
     /// Number of retained (unstable) vertices.
     pub fn len(&self) -> usize {
-        self.verts.iter().map(|m| m.len()).sum()
+        self.store.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.store.is_empty()
     }
 
     /// Applies stability watermarks, pruning covered vertices.
     pub fn apply_stable(&mut self, stable: &[RClock]) {
-        for c in 0..self.n {
-            if stable[c] > self.stable[c] {
-                self.stable[c] = stable[c];
-                self.verts[c] = self.verts[c].split_off(&(stable[c] + 1));
-            }
-        }
+        self.store.apply_stable(stable);
     }
 
     /// All retained determinants, ordered by (creator, clock).
     pub fn retained(&self) -> Vec<Determinant> {
-        self.verts
-            .iter()
-            .flat_map(|m| m.values().copied())
-            .collect()
+        self.store.retained()
     }
 
     /// Computes the causal past of `roots` as per-creator prefixes:
@@ -99,7 +92,7 @@ impl AGraph {
     /// vertices visited (the traversal cost the paper charges Manetho and
     /// LogOn for).
     pub fn causal_past(&self, roots: &[(Rank, RClock)]) -> (Vec<RClock>, u64) {
-        self.causal_past_from(roots, &vec![0; self.n])
+        self.causal_past_from(roots, &vec![0; self.n()])
     }
 
     /// [`AGraph::causal_past`] with a per-creator floor: regions at or
@@ -113,35 +106,41 @@ impl AGraph {
         floor: &[RClock],
     ) -> (Vec<RClock>, u64) {
         let mut past = floor.to_vec();
+        let visits = self.extend_past(&mut past, &mut roots.to_vec());
+        (past, visits)
+    }
+
+    /// [`AGraph::causal_past_from`] in place, for callers that keep their
+    /// buffers: `past` enters holding the floor and leaves holding the
+    /// prefixes, `stack` enters holding the roots and leaves empty.
+    pub fn extend_past(&self, past: &mut [RClock], stack: &mut Vec<(Rank, RClock)>) -> u64 {
         let mut visits = 0u64;
-        let mut stack: Vec<(Rank, RClock)> = roots.to_vec();
         while let Some((c, k)) = stack.pop() {
-            let k = k.min(self.heads[c]);
+            let k = k.min(self.head(c));
             if k <= past[c] {
                 continue;
             }
-            let lo = past[c].max(self.stable[c]);
+            // Stable vertices are globally known and the program-order
+            // chain below `past[c]` is already covered: walk only the
+            // newly covered range, following cause edges.
+            let lo = past[c].max(self.stable(c));
             past[c] = k;
-            if lo >= k {
-                continue; // the whole range is stable: globally known
-            }
-            // Walk the newly covered range following cause edges. The
-            // program-order chain below `lo` is already covered (or
-            // stable).
-            for (_, det) in self.verts[c].range(lo + 1..=k) {
-                visits += 1;
+            let (a, b) = self.store.seq(c).range_slices(lo, k);
+            visits += (a.len() + b.len()) as u64;
+            for det in a.iter().chain(b) {
                 if let Some(cause) = det.cause_id() {
                     stack.push((cause.creator, cause.clock));
                 }
             }
         }
-        (past, visits)
+        visits
     }
 
     /// Retained determinants of `creator` with clock strictly above `lo`,
     /// ascending.
     pub fn above(&self, creator: Rank, lo: RClock) -> impl Iterator<Item = &Determinant> + '_ {
-        self.verts[creator].range(lo + 1..).map(|(_, d)| d)
+        let (a, b) = self.store.seq(creator).above_slices(lo);
+        a.iter().chain(b)
     }
 }
 
@@ -214,6 +213,24 @@ mod tests {
         }
         let clocks: Vec<RClock> = g.above(0, 2).map(|d| d.clock).collect();
         assert_eq!(clocks, vec![3, 4, 5]);
+    }
+
+    #[test]
+    fn watermarks_at_the_clock_maximum_do_not_overflow() {
+        let mut g = diamond();
+        assert_eq!(g.above(3, RClock::MAX).count(), 0);
+        let (past, visits) = g.causal_past_from(&[(3, RClock::MAX)], &[0, 0, 0, RClock::MAX]);
+        assert_eq!((past[3], visits), (RClock::MAX, 0));
+        // A root beyond the head is clamped to it; a floor at the
+        // maximum on another creator is simply never exceeded.
+        let (past, visits) = g.causal_past_from(&[(3, RClock::MAX)], &[RClock::MAX, 0, 0, 0]);
+        assert_eq!(past, vec![RClock::MAX, 1, 1, 2]);
+        assert_eq!(visits, 4);
+        g.apply_stable(&[RClock::MAX, 0, 0, RClock::MAX]);
+        assert_eq!(g.len(), 2);
+        assert!(!g.insert(det(3, RClock::MAX, 0, 0)));
+        assert_eq!(g.head(3), RClock::MAX);
+        assert_eq!(g.causal_past(&[(3, RClock::MAX)]).1, 0);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!   [`vcausal::VcausalRed`] (sequences + channel watermarks),
 //!   Manetho and LogOn ([`agred::GraphRed`] over the antecedence
 //!   graph [`graph::AGraph`]) — each runnable **with or without** the
-//!   [`el::EventLogger`].
+//!   [`el::EventLogger`]. Both kinds of store keep their determinants in
+//!   the dense clock-indexed sequences of [`detseq`].
 //! * **Sender-based payload logging** ([`sender_log::SenderLog`]) and
 //!   full crash **recovery**: determinant collection from the EL and from
 //!   every alive rank, payload reclaim from the senders' volatile logs,
@@ -38,6 +39,7 @@ pub mod causal;
 pub mod codec;
 pub mod coordinated;
 pub mod costs;
+pub mod detseq;
 pub mod el;
 pub mod el_multi;
 pub mod event;
@@ -53,6 +55,7 @@ pub use bytes::Bytes;
 pub use causal::{CausalCtl, CausalProtocol};
 pub use coordinated::CoordinatedProtocol;
 pub use costs::CausalCosts;
+pub use detseq::{DetSeq, DetStore};
 pub use el::{
     el_batch_bytes, shard_ack_key, shard_queue_key, ElBatcher, ElMsg, ElReply, EventLogger,
     EL_RECORD_BYTES,

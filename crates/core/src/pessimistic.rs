@@ -22,6 +22,7 @@ use vlog_vmpi::{
 
 use crate::causal::CausalCtl;
 use crate::costs::CausalCosts;
+use crate::detseq::DetSeq;
 use crate::el::{el_batch_bytes, ElBatcher, ElMsg, ElReply};
 use crate::event::Determinant;
 use crate::sender_log::SenderLog;
@@ -42,7 +43,7 @@ struct SupplyMsg {
 struct Recovery {
     started: SimTime,
     wm: RClock,
-    collected: BTreeMap<RClock, Determinant>,
+    collected: DetSeq,
     supply: BTreeMap<(Rank, Ssn), SupplyMsg>,
     next: RClock,
     resp_el: bool,
@@ -236,7 +237,7 @@ impl PessimisticProtocol {
             let rec = self.rec.as_mut().unwrap();
             if rec.collecting {
                 rec.collecting = false;
-                rec.max_clock = rec.collected.keys().next_back().copied().unwrap_or(rec.wm);
+                rec.max_clock = rec.collected.last().map_or(rec.wm, |d| d.clock);
                 let dt = now.saturating_since(rec.started);
                 self.stats.local().recovery_collect.push(dt);
             }
@@ -256,7 +257,7 @@ impl PessimisticProtocol {
                 if rec.collecting {
                     return;
                 }
-                match rec.collected.get(&rec.next).copied() {
+                match rec.collected.get(rec.next).copied() {
                     None => {
                         if rec.next > rec.max_clock {
                             Step::Done
@@ -427,7 +428,7 @@ impl VProtocol for PessimisticProtocol {
                         if let Some(rec) = self.rec.as_mut() {
                             for d in &dets {
                                 if d.clock > rec.wm {
-                                    rec.collected.insert(d.clock, *d);
+                                    rec.collected.insert(*d);
                                     vlog_sim::event!(
                                         "det-replay" { rank = self.rank, clock = d.clock }
                                         caused_by "el-query-resp" { victim = self.rank });
@@ -589,7 +590,7 @@ impl VProtocol for PessimisticProtocol {
         self.rec = Some(Recovery {
             started: ctx.sim.now(),
             wm,
-            collected: BTreeMap::new(),
+            collected: DetSeq::new(),
             supply: BTreeMap::new(),
             next: wm + 1,
             resp_el: false,

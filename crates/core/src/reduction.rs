@@ -124,7 +124,18 @@ pub trait Reduction: Send + Sync {
     /// recovery reclaim responses).
     fn retained(&self) -> Vec<Determinant>;
 
-    /// Number of retained determinants (memory pressure metric).
+    /// The retained determinants of one `creator` with clock strictly
+    /// above `above`, ascending — what a caller interested in a single
+    /// rank's unstable events needs, without copying the whole store.
+    fn retained_of(&self, creator: Rank, above: RClock) -> Vec<Determinant> {
+        let mut dets = self.retained();
+        dets.retain(|d| d.receiver == creator && d.clock > above);
+        dets
+    }
+
+    /// Number of retained determinants (memory pressure metric; O(1) —
+    /// the protocol reads it on every message for the cache-penalty
+    /// model).
     fn retained_count(&self) -> usize;
 
     /// Deep clone for checkpoint images.

@@ -18,54 +18,49 @@
 //! both by traversing the receiver's causal past, which is exactly why
 //! Vcausal piggybacks 2-3× more than Manetho without an Event Logger,
 //! and why it depends so strongly on one.
-
-use std::collections::VecDeque;
+//!
+//! The sequences are a [`DetStore`] — the same dense clock-indexed
+//! container that holds the antecedence graph's vertices — used
+//! append-only: a sequence never learns anything at or below its head.
 
 use vlog_vmpi::{RClock, Rank};
 
+use crate::detseq::DetStore;
 use crate::event::Determinant;
 use crate::reduction::{Reduction, Technique, Work};
 
 #[derive(Clone)]
 pub struct VcausalRed {
-    n: usize,
-    /// Retained determinants per creator, ascending clock.
-    seqs: Vec<VecDeque<Determinant>>,
-    /// Highest clock ever seen per creator (survives GC).
-    heads: Vec<RClock>,
+    /// The paper's "one sequence of events per process", with the highest
+    /// clock ever seen per creator and the EL stability watermarks.
+    store: DetStore,
     /// `sent[peer][creator]`: highest clock of `creator`'s events this
     /// node has piggybacked to `peer` (send-side watermark only — the
     /// paper's Vcausal cannot infer what a peer learned elsewhere).
     sent: Vec<Vec<RClock>>,
-    /// EL stability watermarks.
-    stable: Vec<RClock>,
     /// `peer_stable[peer][creator]`: stability `peer` itself reported
     /// (via GC notices). Send-side pruning floor for that channel only —
     /// the peer already knows these events are safely logged, so they
     /// never need to reach it again.
     peer_stable: Vec<Vec<RClock>>,
+    /// Scratch reused by every `build`: the per-creator channel watermark.
+    bound: Vec<RClock>,
 }
 
 impl VcausalRed {
     pub fn new(n: usize) -> Self {
         VcausalRed {
-            n,
-            seqs: vec![VecDeque::new(); n],
-            heads: vec![0; n],
+            store: DetStore::new(n),
             sent: vec![vec![0; n]; n],
-            stable: vec![0; n],
             peer_stable: vec![vec![0; n]; n],
+            bound: Vec::with_capacity(n),
         }
     }
 
+    /// Sequences only ever grow at the end: anything at or below the
+    /// creator's head is taken as already known (or already stable).
     fn push(&mut self, det: Determinant) -> bool {
-        let c = det.receiver;
-        if det.clock <= self.heads[c] || det.clock <= self.stable[c] {
-            return false; // already known or already stable
-        }
-        self.heads[c] = det.clock;
-        self.seqs[c].push_back(det);
-        true
+        det.clock > self.store.head(det.receiver) && self.store.insert(det)
     }
 }
 
@@ -85,9 +80,7 @@ impl Reduction for VcausalRed {
         // sequences cannot represent peer knowledge.
         let mut inserts = 0;
         for det in dets {
-            if self.push(*det) {
-                inserts += 1;
-            }
+            inserts += self.push(*det) as u64;
         }
         Work {
             visits: dets.len() as u64,
@@ -105,51 +98,41 @@ impl Reduction for VcausalRed {
     }
 
     fn build(&mut self, dst: Rank, _my_clock: RClock) -> (Vec<Determinant>, Work) {
-        let mut out = Vec::new();
-        let mut visits = 0u64;
-        for c in 0..self.n {
-            let wm = self.sent[dst][c]
-                .max(self.stable[c])
-                .max(self.peer_stable[dst][c]);
-            // Sequences are ascending: walk back from the newest entry.
-            let seq = &self.seqs[c];
-            let mut start = seq.len();
-            while start > 0 && seq[start - 1].clock > wm {
-                start -= 1;
-                visits += 1;
-            }
-            out.extend(seq.iter().skip(start).copied());
-            self.sent[dst][c] = self.heads[c].max(self.sent[dst][c]);
+        let (sent, peer_stable) = (&mut self.sent[dst], &self.peer_stable[dst]);
+        self.bound.clear();
+        self.bound.extend(
+            (0..self.store.n()).map(|c| sent[c].max(self.store.stable(c)).max(peer_stable[c])),
+        );
+        let out = self.store.collect_above(&self.bound);
+        for (c, s) in sent.iter_mut().enumerate() {
+            *s = (*s).max(self.store.head(c));
         }
+        // Every emitted entry was walked back from the newest one.
+        let visits = out.len() as u64;
         (out, Work::visits(visits))
     }
 
     fn apply_stable(&mut self, stable: &[RClock]) {
-        for c in 0..self.n {
-            if stable[c] > self.stable[c] {
-                self.stable[c] = stable[c];
-                while self.seqs[c]
-                    .front()
-                    .is_some_and(|d| d.clock <= self.stable[c])
-                {
-                    self.seqs[c].pop_front();
-                }
-            }
-        }
+        self.store.apply_stable(stable);
     }
 
     fn note_peer_stable(&mut self, peer: Rank, stable: &[RClock]) {
-        for c in 0..self.n {
-            self.peer_stable[peer][c] = self.peer_stable[peer][c].max(stable[c]);
+        for (k, &s) in self.peer_stable[peer].iter_mut().zip(stable) {
+            *k = (*k).max(s);
         }
     }
 
     fn retained(&self) -> Vec<Determinant> {
-        self.seqs.iter().flatten().copied().collect()
+        self.store.retained()
+    }
+
+    fn retained_of(&self, creator: Rank, above: RClock) -> Vec<Determinant> {
+        let (a, b) = self.store.seq(creator).above_slices(above);
+        [a, b].concat()
     }
 
     fn retained_count(&self) -> usize {
-        self.seqs.iter().map(|s| s.len()).sum()
+        self.store.len()
     }
 
     fn clone_box(&self) -> Box<dyn Reduction> {

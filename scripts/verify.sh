@@ -33,7 +33,9 @@ grep -q "el_batching/" BENCH_micro.json || {
     echo "BENCH_micro.json is missing the el_batching group" >&2; exit 1; }
 grep -q "pb_compact/" BENCH_micro.json || {
     echo "BENCH_micro.json is missing the pb_compact group" >&2; exit 1; }
-echo "    BENCH_micro.json: ok (event_calendar + sharded_stats + el_batching + pb_compact groups present)"
+grep -q "causality_store/" BENCH_micro.json || {
+    echo "BENCH_micro.json is missing the causality_store group" >&2; exit 1; }
+echo "    BENCH_micro.json: ok (event_calendar + sharded_stats + el_batching + pb_compact + causality_store groups present)"
 
 echo "==> throughput-regression gate (vs committed BENCH_micro.json, VLOG_GATE_TOLERANCE=${VLOG_GATE_TOLERANCE:-40}%)"
 if git cat-file -e HEAD:BENCH_micro.json 2>/dev/null; then
@@ -97,6 +99,14 @@ VLOG_EXPLORE_SEED="${VLOG_EXPLORE_SEED:-0x19052005}" \
 
 echo "==> sweep driver smoke (--threads 2: parallel path must match sequential)"
 cargo run -q --release --offline --example sweep_smoke -- --threads 2
+
+echo "==> end-to-end benchmark crate (build + unit tests + quick run: the BENCHMARK.json pipeline gates on it)"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+# The quick run's own correctness gate: equal tallies and fingerprints
+# across iterations, zero failed operations — else a non-zero exit.
+benchmark/run.sh --quick >/dev/null
+echo "    benchmark/: ok (six workloads, end to end and traced, zero failed operations)"
 
 echo "==> examples (smoke, quick scale)"
 for ex in quickstart protocol_comparison recovery_anatomy fault_tolerant_stencil; do

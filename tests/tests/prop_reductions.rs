@@ -7,6 +7,15 @@
 //! all three reduction techniques against a brute-force set-based oracle
 //! over randomly generated executions, alongside the no-resend-per-channel
 //! guarantee and the codec roundtrips.
+//!
+//! The second half is model-based: the production stores (dense
+//! clock-indexed sequences) against the pre-change `BTreeMap` stores kept
+//! in `oracle/`, driven by the same random 16-rank executions — every
+//! piggyback (order included), `Work` counter and retained set must be
+//! identical, with and without stability, peer stability, mid-run
+//! `absorb` and a restart that re-creates lost clocks.
+
+mod oracle;
 
 use std::collections::BTreeSet;
 
@@ -17,10 +26,17 @@ use vlog_core::{
 };
 
 const N: usize = 4;
+/// Rank count of the old-vs-new equivalence executions (the paper's and
+/// the end-to-end benchmark's job size).
+const WIDE: usize = 16;
 
 /// A randomly generated execution: a sequence of (from, to) messages.
 fn exec_strategy(max_len: usize) -> impl Strategy<Value = Vec<(usize, usize)>> {
-    prop::collection::vec((0..N, 0..N - 1), 1..max_len).prop_map(|pairs| {
+    exec_among(N, max_len)
+}
+
+fn exec_among(n: usize, max_len: usize) -> impl Strategy<Value = Vec<(usize, usize)>> {
+    prop::collection::vec((0..n, 0..n - 1), 1..max_len).prop_map(|pairs| {
         pairs
             .into_iter()
             .map(|(from, to_raw)| {
@@ -94,6 +110,118 @@ fn run_checked(technique: Technique, msgs: &[(usize, usize)]) {
                 "{technique:?}: receiver {to} missing event {needed:?} from the \
                  causal past of a message it received"
             );
+        }
+    }
+}
+
+/// What happens between messages of an equivalence execution.
+#[derive(Debug, Clone, Copy)]
+enum Between {
+    Nothing,
+    /// Every 5th message the receiver and sender learn EL stability.
+    ApplyStable,
+    /// Every 5th message the receiver hears the sender's GC notice.
+    PeerStable,
+    /// Every 9th message the receiver absorbs the sender's whole store,
+    /// as a recovering rank does with a reclaim response.
+    Absorb,
+    /// Every 13th message the receiver restarts from nothing, absorbs two
+    /// peers' stores and resumes from the last own event they held — the
+    /// clocks it lost are then re-created with different content.
+    Restart,
+}
+
+/// Drives the production reduction and the pre-change one through the
+/// same execution and compares every observable.
+fn run_equivalent(technique: Technique, between: Between, msgs: &[(usize, usize)]) {
+    let n = WIDE;
+    let mut new: Vec<Box<dyn Reduction>> = (0..n).map(|_| make_reduction(technique, n)).collect();
+    let mut old: Vec<Box<dyn Reduction>> = (0..n)
+        .map(|_| oracle::make_old_reduction(technique, n))
+        .collect();
+    let mut clocks = vec![0u64; n];
+    for (step, &(from, to)) in msgs.iter().enumerate() {
+        let ctx = format!("{technique:?}/{between:?} step {step} {from}->{to}");
+        let built = new[from].build(to, clocks[from]);
+        assert_eq!(built, old[from].build(to, clocks[from]), "build {ctx}");
+        let (pb, _) = built;
+        assert_eq!(
+            new[to].integrate(from, clocks[from], &pb),
+            old[to].integrate(from, clocks[from], &pb),
+            "integrate {ctx}"
+        );
+        clocks[to] += 1;
+        let det = Determinant {
+            receiver: to,
+            clock: clocks[to],
+            sender: from,
+            ssn: step as u64,
+            cause: clocks[from],
+        };
+        assert_eq!(
+            new[to].add_local(det),
+            old[to].add_local(det),
+            "add_local {ctx}"
+        );
+        match between {
+            Between::ApplyStable if step % 5 == 4 => {
+                let stable: Vec<u64> = clocks.iter().map(|k| k * 3 / 4).collect();
+                for r in [from, to] {
+                    new[r].apply_stable(&stable);
+                    old[r].apply_stable(&stable);
+                }
+            }
+            Between::PeerStable if step % 5 == 4 => {
+                let stable: Vec<u64> = clocks.iter().map(|k| k / 2).collect();
+                new[to].note_peer_stable(from, &stable);
+                old[to].note_peer_stable(from, &stable);
+            }
+            Between::Absorb if step % 9 == 8 => {
+                let dets = old[from].retained();
+                new[to].absorb(&dets);
+                old[to].absorb(&dets);
+            }
+            Between::Restart if step % 13 == 12 => {
+                new[to] = make_reduction(technique, n);
+                old[to] = oracle::make_old_reduction(technique, n);
+                clocks[to] = 0;
+                for peer in [from, (to + 1) % n] {
+                    let dets = old[peer].retained();
+                    new[to].absorb(&dets);
+                    old[to].absorb(&dets);
+                    let own = dets.iter().filter(|d| d.receiver == to).map(|d| d.clock);
+                    clocks[to] = clocks[to].max(own.max().unwrap_or(0));
+                }
+            }
+            _ => {}
+        }
+        for r in [from, to] {
+            assert_eq!(new[r].retained(), old[r].retained(), "retained({r}) {ctx}");
+            assert_eq!(new[r].retained_count(), old[r].retained_count(), "{ctx}");
+            assert_eq!(new[r].retained_count(), new[r].retained().len(), "{ctx}");
+            let half = clocks[r] / 2;
+            let mut own = old[r].retained();
+            own.retain(|d| d.receiver == r && d.clock > half);
+            assert_eq!(new[r].retained_of(r, half), own, "retained_of({r}) {ctx}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn stores_match_the_pre_change_stores(msgs in exec_among(WIDE, 260)) {
+        for t in [Technique::Vcausal, Technique::Manetho, Technique::LogOn] {
+            for between in [
+                Between::Nothing,
+                Between::ApplyStable,
+                Between::PeerStable,
+                Between::Absorb,
+                Between::Restart,
+            ] {
+                run_equivalent(t, between, &msgs);
+            }
         }
     }
 }
