@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use vlog_bench::{banner, fmt3, Scale, Stack, Table};
-use vlog_core::{CausalSuite, EventLogger, Technique};
+use vlog_core::{install_distributed_el, CausalSuite, Technique};
 use vlog_sim::{NodeId, Sim, SimDuration};
 use vlog_vmpi::{
     CkptScheduler, ClusterConfig, FaultPlan, RecoveryStyle, SharedRankStats, Suite, Topology,
@@ -34,8 +34,7 @@ impl Suite for SharedNodeSuite {
 
     fn install(&self, sim: &mut Sim, topo: &Topology, stable_nodes: &[NodeId]) {
         // One stable machine for everything.
-        let el = EventLogger::install(sim, stable_nodes[1], topo.n_ranks());
-        topo.set_el(el, stable_nodes[1]);
+        install_distributed_el(sim, topo, stable_nodes[1], 1, self.inner.el_gossip);
         CkptScheduler::install(sim, stable_nodes[1], topo.clone(), self.inner.scheduler);
     }
 

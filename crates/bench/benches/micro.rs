@@ -10,7 +10,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 
 use vlog_core::{
     decode_factored, decode_flat, encode_factored, encode_flat, make_reduction, AGraph,
-    Determinant, ElBatcher, PbEncoder, SenderLog, Technique,
+    Determinant, ElBatcher, SenderLog, Technique,
 };
 use vlog_sim::{profiler, EventCalendar, SimDuration, SimTime};
 use vlog_vmpi::{Payload, PayloadArena, RankStatCell, RankStats};
@@ -38,17 +38,6 @@ fn bench_codecs(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("encode_flat", n), &input, |b, d| {
             b.iter(|| encode_flat(d).unwrap())
         });
-        let mut enc = PbEncoder::new();
-        g.bench_with_input(
-            BenchmarkId::new("encode_factored_batched", n),
-            &input,
-            |b, d| b.iter(|| enc.encode_factored(d).unwrap()),
-        );
-        g.bench_with_input(
-            BenchmarkId::new("encode_flat_batched", n),
-            &input,
-            |b, d| b.iter(|| enc.encode_flat(d).unwrap()),
-        );
         let enc_f = encode_factored(&input).unwrap();
         let enc_l = encode_flat(&input).unwrap();
         g.bench_with_input(BenchmarkId::new("decode_factored", n), &enc_f, |b, d| {
@@ -62,8 +51,7 @@ fn bench_codecs(c: &mut Criterion) {
 }
 
 /// The compact wire format against the fixed-width codecs it must beat:
-/// encode (one-shot and batched through `PbEncoder`) and decode at the
-/// same determinant counts as `piggyback_codecs`. `scripts/verify.sh`
+/// encode and decode at the same determinant counts as `piggyback_codecs`. `scripts/verify.sh`
 /// gates on this group being present in `BENCH_micro.json`.
 fn bench_pb_compact(c: &mut Criterion) {
     use vlog_core::{compact_len, decode_compact, encode_compact, flat_len};
@@ -82,12 +70,6 @@ fn bench_pb_compact(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("encode_compact", n), &input, |b, d| {
             b.iter(|| encode_compact(d))
         });
-        let mut enc = PbEncoder::new();
-        g.bench_with_input(
-            BenchmarkId::new("encode_compact_batched", n),
-            &input,
-            |b, d| b.iter(|| enc.encode_compact(d).unwrap()),
-        );
         let wire = encode_compact(&input);
         g.bench_with_input(BenchmarkId::new("decode_compact", n), &wire, |b, d| {
             b.iter(|| decode_compact(d.clone()).unwrap())

@@ -1,4 +1,5 @@
-//! The Event Logger (paper §IV-B.4).
+//! The Event Logger protocol (paper §IV-B.4): messages, wire sizes,
+//! saturation gauges and the client-side record batcher.
 //!
 //! *"The Event Logger is a component specific to the message logging
 //! protocols we developed. It acts as a reliable storage for all
@@ -8,14 +9,15 @@
 //! process. The Event Logger is a single thread server based on a select
 //! loop to handle non blocking asynchronous communications."*
 //!
-//! The server below is exactly that: a single actor on a stable node
-//! whose CPU and NIC are ordinary simulated resources — under high event
-//! rates (LU class A on 16 nodes) it saturates, and the paper's observed
+//! The server itself is [`ElShard`](crate::el_multi::ElShard) — the
+//! paper's single Event Logger is its one-shard installation. Its CPU
+//! and NIC are ordinary simulated resources — under high event rates (LU
+//! class A on 16 nodes) it saturates, and the paper's observed
 //! "acknowledgements arrive too late to trim piggybacks" behaviour
 //! emerges from the model rather than being scripted.
 
-use vlog_sim::{Actor, ActorId, Delivery, NodeId, Sim, SimDuration, WireSize};
-use vlog_vmpi::{DaemonMsg, RClock, Rank};
+use vlog_sim::{ActorId, Sim, SimDuration};
+use vlog_vmpi::{RClock, Rank};
 
 use crate::event::Determinant;
 
@@ -68,12 +70,10 @@ pub enum ElReply {
 }
 
 /// Per-record service cost of the single-threaded select-loop server
-/// (shared with the distributed shards in [`el_multi`](crate::el_multi)
-/// so the queue-depth gauge in [`record_el_saturation`] always divides
-/// by the same cost the servers charge).
+/// (defined next to [`record_el_saturation`] so its queue-depth gauge
+/// always divides by the same cost the shards in
+/// [`el_multi`](crate::el_multi) charge).
 pub(crate) const EL_SERVICE_NS: u64 = 2_300;
-/// Per-determinant cost of building a recovery response.
-const EL_RESP_NS_PER_DET: u64 = 120;
 
 /// Per-shard peak-queue-depth counter keys; shards beyond the table fold
 /// into the last slot (`el_count` in practice stays small). The single
@@ -115,9 +115,8 @@ pub fn shard_ack_key(index: usize) -> &'static str {
 /// Records the server-side saturation gauges for one stored (or
 /// duplicate) batch of `batch_len` event records on EL shard `index`:
 /// the CPU queue depth the batch saw at arrival (its own service time
-/// subtracted out) and its arrival-to-ack-send latency. Shared by the
-/// single [`EventLogger`] and the distributed shards in
-/// [`el_multi`](crate::el_multi). The complementary *creator*-side
+/// subtracted out) and its arrival-to-ack-send latency. The
+/// complementary *creator*-side
 /// gauge — the un-acked event window that decides whether acks arrive
 /// in time to trim piggybacks — is recorded by the protocols at ship
 /// time (see [`record_el_outstanding`]).
@@ -217,143 +216,9 @@ impl ElBatcher {
     }
 }
 
-/// The Event Logger server actor.
-pub struct EventLogger {
-    node: NodeId,
-    n: usize,
-    /// Stored determinants per creator, in clock order.
-    stored: Vec<Vec<Determinant>>,
-    /// Highest contiguous stored clock per creator.
-    stable: Vec<RClock>,
-}
-
-impl EventLogger {
-    pub fn new(node: NodeId, n: usize) -> Self {
-        EventLogger {
-            node,
-            n,
-            stored: vec![Vec::new(); n],
-            stable: vec![0; n],
-        }
-    }
-
-    /// Installs the Event Logger on a stable node.
-    pub fn install(sim: &mut Sim, node: NodeId, n: usize) -> ActorId {
-        sim.add_actor(node, Box::new(EventLogger::new(node, n)))
-    }
-}
-
-impl Actor for EventLogger {
-    fn on_deliver(&mut self, sim: &mut Sim, _me: ActorId, msg: Delivery) {
-        let Ok(el_msg) = msg.body.downcast::<ElMsg>() else {
-            return;
-        };
-        match *el_msg {
-            ElMsg::Record {
-                from,
-                dets,
-                reply_to,
-            } => {
-                let batch_len = dets.len();
-                sim.stats_mut().bump("el_batches");
-                for det in dets {
-                    debug_assert_eq!(det.receiver, from);
-                    let seq = &mut self.stored[from];
-                    // Records arrive in clock order per creator (FIFO
-                    // channel); replay re-ships may duplicate.
-                    let is_new = seq.last().is_none_or(|last| last.clock < det.clock);
-                    if is_new {
-                        seq.push(det);
-                        self.stable[from] = det.clock;
-                        sim.stats_mut().bump("el_records");
-                    } else {
-                        sim.stats_mut().bump("el_duplicate_records");
-                    }
-                }
-                let arrived = sim.now();
-                let end = sim.charge_cpu(
-                    self.node,
-                    SimDuration::from_nanos(EL_SERVICE_NS * batch_len.max(1) as u64),
-                );
-                record_el_saturation(sim, 0, end.saturating_since(arrived), batch_len);
-                let stable = self.stable.clone();
-                let node = self.node;
-                let n = self.n;
-                sim.schedule_at(
-                    end,
-                    vlog_sim::Event::closure(move |sim| {
-                        let body = Box::new(DaemonMsg::Proto(Box::new(ElReply::Ack { stable })));
-                        let size = WireSize::control(el_ack_bytes(n));
-                        if sim.actor_node(reply_to) == node {
-                            sim.local_send(
-                                node,
-                                reply_to,
-                                size,
-                                body,
-                                SimDuration::from_micros(15),
-                            );
-                        } else {
-                            sim.net_send(node, reply_to, size, body);
-                        }
-                    }),
-                );
-            }
-            ElMsg::Query {
-                victim,
-                from,
-                reply_to,
-            } => {
-                let dets: Vec<Determinant> = self.stored[victim]
-                    .iter()
-                    .filter(|d| d.clock > from)
-                    .copied()
-                    .collect();
-                let cost =
-                    SimDuration::from_nanos(EL_SERVICE_NS + EL_RESP_NS_PER_DET * dets.len() as u64);
-                let end = sim.charge_cpu(self.node, cost);
-                let bytes = el_resp_bytes(dets.len(), self.n);
-                let stable = self.stable.clone();
-                let node = self.node;
-                sim.stats_mut().bump("el_queries");
-                sim.schedule_at(
-                    end,
-                    vlog_sim::Event::closure(move |sim| {
-                        let body = Box::new(DaemonMsg::Proto(Box::new(ElReply::QueryResp {
-                            dets,
-                            stable,
-                        })));
-                        vlog_vmpi::daemon::stream_control(sim, node, reply_to, bytes, body);
-                    }),
-                );
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Arc, Mutex};
-
-    struct Probe {
-        acks: Arc<Mutex<Vec<Vec<RClock>>>>,
-        resps: Arc<Mutex<Vec<(usize, Vec<RClock>)>>>,
-    }
-
-    impl Actor for Probe {
-        fn on_deliver(&mut self, _sim: &mut Sim, _me: ActorId, msg: Delivery) {
-            let Ok(dm) = msg.body.downcast::<DaemonMsg>() else {
-                return;
-            };
-            let DaemonMsg::Proto(p) = *dm else { return };
-            match *p.downcast::<ElReply>().unwrap() {
-                ElReply::Ack { stable } => self.acks.lock().unwrap().push(stable),
-                ElReply::QueryResp { dets, stable } => {
-                    self.resps.lock().unwrap().push((dets.len(), stable))
-                }
-            }
-        }
-    }
 
     fn det(creator: Rank, clock: RClock) -> Determinant {
         Determinant {
@@ -363,148 +228,6 @@ mod tests {
             ssn: clock,
             cause: 0,
         }
-    }
-
-    fn setup() -> (
-        Sim,
-        ActorId,
-        ActorId,
-        Arc<Mutex<Vec<Vec<RClock>>>>,
-        Arc<Mutex<Vec<(usize, Vec<RClock>)>>>,
-    ) {
-        let mut sim = Sim::new(9);
-        let el_node = sim.add_node();
-        let client_node = sim.add_node();
-        let el = EventLogger::install(&mut sim, el_node, 3);
-        let acks = Arc::new(Mutex::new(Vec::new()));
-        let resps = Arc::new(Mutex::new(Vec::new()));
-        let probe = sim.add_actor(
-            client_node,
-            Box::new(Probe {
-                acks: acks.clone(),
-                resps: resps.clone(),
-            }),
-        );
-        (sim, el, probe, acks, resps)
-    }
-
-    #[test]
-    fn records_are_acked_with_stable_vector() {
-        let (mut sim, el, probe, acks, _) = setup();
-        for clock in 1..=3 {
-            sim.net_send(
-                1,
-                el,
-                WireSize::control(EL_RECORD_BYTES),
-                Box::new(ElMsg::Record {
-                    from: 1,
-                    dets: vec![det(1, clock)],
-                    reply_to: probe,
-                }),
-            );
-        }
-        sim.run();
-        let acks = acks.lock().unwrap();
-        assert_eq!(acks.len(), 3);
-        assert_eq!(acks.last().unwrap(), &vec![0, 3, 0]);
-        assert_eq!(sim.stats().get("el_records"), 3);
-    }
-
-    #[test]
-    fn duplicate_records_are_detected() {
-        let (mut sim, el, probe, acks, _) = setup();
-        for _ in 0..2 {
-            sim.net_send(
-                1,
-                el,
-                WireSize::control(EL_RECORD_BYTES),
-                Box::new(ElMsg::Record {
-                    from: 2,
-                    dets: vec![det(2, 1)],
-                    reply_to: probe,
-                }),
-            );
-        }
-        sim.run();
-        assert_eq!(sim.stats().get("el_records"), 1);
-        assert_eq!(sim.stats().get("el_duplicate_records"), 1);
-        assert_eq!(acks.lock().unwrap().len(), 2); // both still acknowledged
-    }
-
-    #[test]
-    fn query_returns_suffix_after_watermark() {
-        let (mut sim, el, probe, _, resps) = setup();
-        for clock in 1..=5 {
-            sim.net_send(
-                1,
-                el,
-                WireSize::control(EL_RECORD_BYTES),
-                Box::new(ElMsg::Record {
-                    from: 0,
-                    dets: vec![det(0, clock)],
-                    reply_to: probe,
-                }),
-            );
-        }
-        sim.after(SimDuration::from_millis(10), move |sim| {
-            sim.net_send(
-                1,
-                el,
-                WireSize::control(16),
-                Box::new(ElMsg::Query {
-                    victim: 0,
-                    from: 2,
-                    reply_to: probe,
-                }),
-            );
-        });
-        sim.run();
-        let resps = resps.lock().unwrap();
-        assert_eq!(resps.len(), 1);
-        assert_eq!(resps[0].0, 3); // clocks 3, 4, 5
-        assert_eq!(resps[0].1, vec![5, 0, 0]);
-    }
-
-    #[test]
-    fn saturation_gauges_track_a_busy_server() {
-        let mut sim = Sim::new(9);
-        let el_node = sim.add_node();
-        let client_node = sim.add_node();
-        let el = EventLogger::install(&mut sim, el_node, 3);
-        let acks = Arc::new(Mutex::new(Vec::new()));
-        let probe = sim.add_actor(
-            client_node,
-            Box::new(Probe {
-                acks: acks.clone(),
-                resps: Arc::new(Mutex::new(Vec::new())),
-            }),
-        );
-        // Occupy the EL's CPU the way a long recovery query does; the
-        // record arriving meanwhile must wait behind the backlog, and
-        // the gauges must see both the queue and the inflated latency.
-        sim.charge_cpu(el_node, SimDuration::from_micros(200));
-        sim.net_send(
-            client_node,
-            el,
-            WireSize::control(EL_RECORD_BYTES),
-            Box::new(ElMsg::Record {
-                from: 1,
-                dets: vec![det(1, 1)],
-                reply_to: probe,
-            }),
-        );
-        sim.run();
-        assert_eq!(acks.lock().unwrap().len(), 1);
-        let stats = sim.stats();
-        // >100 µs of backlog at 2.3 µs per record is a deep queue.
-        assert!(
-            stats.get("el_peak_queue") >= 10,
-            "record never queued: peak depth {}",
-            stats.get("el_peak_queue")
-        );
-        assert_eq!(stats.get("el_peak_queue"), stats.get(shard_queue_key(0)));
-        assert!(stats.get_time("el_ack_latency") > SimDuration::from_micros(100));
-        assert!(stats.get("el_ack_latency_peak_ns") >= 100_000);
     }
 
     #[test]
@@ -573,27 +296,5 @@ mod tests {
         // A stale ack (from the dead shard) with records in flight only
         // rotates the accounting — no record is lost or duplicated.
         assert_eq!(b.acked(), None);
-    }
-
-    #[test]
-    fn batched_records_get_one_coalesced_ack() {
-        let (mut sim, el, probe, acks, _) = setup();
-        sim.net_send(
-            1,
-            el,
-            WireSize::control(el_batch_bytes(3)),
-            Box::new(ElMsg::Record {
-                from: 1,
-                dets: vec![det(1, 1), det(1, 2), det(1, 3)],
-                reply_to: probe,
-            }),
-        );
-        sim.run();
-        let acks = acks.lock().unwrap();
-        assert_eq!(acks.len(), 1, "a batch is acknowledged exactly once");
-        assert_eq!(acks[0], vec![0, 3, 0]);
-        assert_eq!(sim.stats().get("el_records"), 3);
-        assert_eq!(sim.stats().get("el_batches"), 1);
-        assert_eq!(sim.stats().get("el_ack_samples"), 1);
     }
 }

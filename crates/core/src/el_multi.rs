@@ -1,4 +1,5 @@
-//! Distributed Event Loggers — the paper's future work, implemented.
+//! The Event Logger server — single (the paper's configuration) or
+//! sharded (the paper's future work, implemented).
 //!
 //! Conclusion of the paper: *"Using only one Event Logger for consistency
 //! purpose will lead to a bottleneck as the number of processes grows. It
@@ -15,12 +16,16 @@
 //! `r mod k`; each EL multicasts its stable-clock vector to its peers
 //! every `gossip` interval; acknowledgements carry the *merged* global
 //! vector, so every process can garbage-collect events of ranks served by
-//! other loggers — at the freshness cost of one gossip period.
+//! other loggers — at the freshness cost of one gossip period. With
+//! `k = 1` there are no peers: no gossip timer is armed, the merged
+//! vector is the local one, and the shard *is* the paper's single
+//! select-loop Event Logger (§IV-B.4) — every suite installs its EL
+//! through [`install_distributed_el`], whatever the shard count.
 
 use std::sync::{Arc, Mutex};
 
 use vlog_sim::{Actor, ActorId, Delivery, NodeId, Sim, SimDuration, TimerHandle, WireSize};
-use vlog_vmpi::{DaemonMsg, RClock, Rank, Topology};
+use vlog_vmpi::{DaemonMsg, RClock, Topology};
 
 use crate::el::{el_ack_bytes, el_resp_bytes, record_el_saturation, ElMsg, ElReply, EL_SERVICE_NS};
 use crate::event::Determinant;
@@ -34,7 +39,8 @@ pub struct ElGossip {
 /// Per-determinant cost of building a recovery response.
 const EL_RESP_NS_PER_DET: u64 = 120;
 
-/// One instance of a distributed Event Logger.
+/// One Event Logger server instance: the only one of a single-EL
+/// configuration, or one shard of a distributed one.
 pub struct ElShard {
     index: usize,
     node: NodeId,
@@ -104,6 +110,9 @@ impl Actor for ElShard {
                         sim.stats_mut().bump("el_batches");
                         for det in dets {
                             let seq = &mut self.stored[from];
+                            // Records arrive in clock order per creator
+                            // (FIFO channel); replay re-ships may
+                            // duplicate.
                             if seq.last().is_none_or(|last| last.clock < det.clock) {
                                 seq.push(det);
                                 self.local_stable[from] = det.clock;
@@ -250,99 +259,196 @@ pub fn install_distributed_el(
     els
 }
 
-/// The rank-to-shard assignment used by clients: routed through the
-/// epoch-published shard map of the topology view, so it keeps agreeing
-/// with the servers after a re-shard (the historical `rank % k` hash
-/// silently diverged from any rebalanced map).
-pub fn shard_of(view: &vlog_vmpi::TopoView, rank: Rank) -> Option<usize> {
-    view.shard_of(rank)
-}
-
-/// The epoch-0 static assignment the published map is seeded with.
-pub fn shard_hash(rank: Rank, k: usize) -> usize {
-    rank % k
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::el::{el_batch_bytes, shard_queue_key};
+    use vlog_sim::SimTime;
+    use vlog_vmpi::Rank;
 
-    #[test]
-    fn shard_hash_is_round_robin() {
-        assert_eq!(shard_hash(0, 4), 0);
-        assert_eq!(shard_hash(5, 4), 1);
-        assert_eq!(shard_hash(7, 2), 1);
+    #[derive(Default)]
+    struct Replies {
+        acks: Vec<Vec<RClock>>,
+        resps: Vec<(usize, Vec<RClock>)>,
     }
 
-    #[test]
-    fn map_and_hash_agree_at_epoch_zero() {
-        // The epoch-0 published map must be exactly the static hash; a
-        // disagreement would route client records to a shard that never
-        // gossips their stability.
-        let mut sim = Sim::new(3);
-        let topo = Topology::new();
-        let daemons: Vec<_> = (0..6)
-            .map(|_| {
-                let node = sim.add_node();
-                struct Nop;
-                impl Actor for Nop {
-                    fn on_deliver(&mut self, _: &mut Sim, _: ActorId, _: Delivery) {}
-                }
-                (sim.add_actor(node, Box::new(Nop)), node)
-            })
-            .collect();
-        topo.set_ranks(
-            daemons.iter().map(|d| d.0).collect(),
-            daemons.iter().map(|d| d.1).collect(),
-        );
-        let stable = sim.add_node();
-        let els = install_distributed_el(&mut sim, &topo, stable, 3, SimDuration::from_millis(20));
-        let view = topo.view();
-        for rank in 0..6 {
-            assert_eq!(shard_of(&view, rank), Some(shard_hash(rank, 3)));
-            assert_eq!(view.el_for(rank), Some(els[shard_hash(rank, 3)]));
+    struct Probe(Arc<Mutex<Replies>>);
+
+    impl Actor for Probe {
+        fn on_deliver(&mut self, _sim: &mut Sim, _me: ActorId, msg: Delivery) {
+            let Ok(dm) = msg.body.downcast::<DaemonMsg>() else {
+                return;
+            };
+            let DaemonMsg::Proto(p) = *dm else { return };
+            let mut seen = self.0.lock().unwrap();
+            match *p.downcast::<ElReply>().unwrap() {
+                ElReply::Ack { stable } => seen.acks.push(stable),
+                ElReply::QueryResp { dets, stable } => seen.resps.push((dets.len(), stable)),
+            }
         }
     }
 
-    #[test]
-    fn rebalance_reroutes_only_orphaned_ranks() {
-        let mut sim = Sim::new(3);
-        let topo = Topology::new();
-        let daemons: Vec<_> = (0..6)
-            .map(|_| {
-                let node = sim.add_node();
-                struct Nop;
-                impl Actor for Nop {
-                    fn on_deliver(&mut self, _: &mut Sim, _: ActorId, _: Delivery) {}
-                }
-                (sim.add_actor(node, Box::new(Nop)), node)
-            })
-            .collect();
-        topo.set_ranks(
-            daemons.iter().map(|d| d.0).collect(),
-            daemons.iter().map(|d| d.1).collect(),
-        );
-        let stable = sim.add_node();
-        install_distributed_el(&mut sim, &topo, stable, 3, SimDuration::from_millis(20));
-        let before = topo.epoch();
-        let epoch = topo.rebalance_after_el_failure(1).expect("survivors exist");
-        assert!(epoch > before);
-        let view = topo.view();
-        // Ranks on live shards keep their assignment; shard-1 ranks
-        // (1, 4) respread over the survivors {0, 2} deterministically.
-        assert_eq!(shard_of(&view, 0), Some(0));
-        assert_eq!(shard_of(&view, 2), Some(2));
-        assert_eq!(shard_of(&view, 3), Some(0));
-        assert_eq!(shard_of(&view, 5), Some(2));
-        assert_eq!(shard_of(&view, 1), Some(2)); // survivors[1 % 2]
-        assert_eq!(shard_of(&view, 4), Some(0)); // survivors[4 % 2]
-                                                 // Killing the survivors one by one: last shard takes everything,
-                                                 // then total loss reports None.
-        assert!(topo.rebalance_after_el_failure(0).is_some());
-        let view = topo.view();
-        for rank in 0..6 {
-            assert_eq!(shard_of(&view, rank), Some(2));
+    fn det(creator: Rank, clock: RClock) -> Determinant {
+        Determinant {
+            receiver: creator,
+            clock,
+            sender: 0,
+            ssn: clock,
+            cause: 0,
         }
-        assert!(topo.rebalance_after_el_failure(2).is_none());
+    }
+
+    /// A 3-rank job whose ranks all live in one probe actor, logging to
+    /// the paper's single Event Logger: the 1-shard install.
+    struct Rig {
+        sim: Sim,
+        el: ActorId,
+        el_node: NodeId,
+        client_node: NodeId,
+        probe: ActorId,
+        seen: Arc<Mutex<Replies>>,
+    }
+
+    fn setup() -> Rig {
+        let mut sim = Sim::new(9);
+        let el_node = sim.add_node();
+        let client_node = sim.add_node();
+        let seen = Arc::new(Mutex::new(Replies::default()));
+        let probe = sim.add_actor(client_node, Box::new(Probe(seen.clone())));
+        let topo = Topology::new();
+        topo.set_ranks(vec![probe; 3], vec![client_node; 3]);
+        let els = install_distributed_el(&mut sim, &topo, el_node, 1, SimDuration::from_millis(20));
+        assert_eq!(topo.el(), Some(els[0]));
+        Rig {
+            sim,
+            el: els[0].0,
+            el_node,
+            client_node,
+            probe,
+            seen,
+        }
+    }
+
+    fn record(rig: &mut Rig, from: Rank, dets: Vec<Determinant>) {
+        rig.sim.net_send(
+            rig.client_node,
+            rig.el,
+            WireSize::control(el_batch_bytes(dets.len())),
+            Box::new(ElMsg::Record {
+                from,
+                dets,
+                reply_to: rig.probe,
+            }),
+        );
+    }
+
+    #[test]
+    fn records_are_acked_with_stable_vector() {
+        let mut rig = setup();
+        for clock in 1..=3 {
+            record(&mut rig, 1, vec![det(1, clock)]);
+        }
+        rig.sim.run();
+        let seen = rig.seen.lock().unwrap();
+        assert_eq!(seen.acks.len(), 3);
+        assert_eq!(seen.acks.last().unwrap(), &vec![0, 3, 0]);
+        assert_eq!(rig.sim.stats().get("el_records"), 3);
+    }
+
+    #[test]
+    fn a_single_shard_never_gossips_and_arms_no_timer() {
+        let mut rig = setup();
+        record(&mut rig, 1, vec![det(1, 1)]);
+        // A gossip timer re-arms itself forever; a calendar that drains
+        // before a far deadline proves none was armed.
+        let drained = rig
+            .sim
+            .run_until(SimTime::ZERO + SimDuration::from_secs(10));
+        assert!(drained, "a 1-shard Event Logger armed a gossip timer");
+        assert_eq!(rig.sim.stats().get("el_gossip_msgs"), 0);
+        assert_eq!(rig.seen.lock().unwrap().acks.len(), 1);
+        // The control: two shards do gossip, and keep the calendar busy.
+        let mut sim = Sim::new(9);
+        let node = sim.add_node();
+        let topo = Topology::new();
+        install_distributed_el(&mut sim, &topo, node, 2, SimDuration::from_millis(20));
+        assert!(!sim.run_until(SimTime::ZERO + SimDuration::from_secs(1)));
+        assert!(sim.stats().get("el_gossip_msgs") > 0);
+    }
+
+    #[test]
+    fn duplicate_records_are_detected() {
+        let mut rig = setup();
+        for _ in 0..2 {
+            record(&mut rig, 2, vec![det(2, 1)]);
+        }
+        rig.sim.run();
+        assert_eq!(rig.sim.stats().get("el_records"), 1);
+        assert_eq!(rig.sim.stats().get("el_duplicate_records"), 1);
+        assert_eq!(rig.seen.lock().unwrap().acks.len(), 2); // both still acknowledged
+    }
+
+    #[test]
+    fn query_returns_suffix_after_watermark() {
+        let mut rig = setup();
+        for clock in 1..=5 {
+            record(&mut rig, 0, vec![det(0, clock)]);
+        }
+        let (el, probe, client_node) = (rig.el, rig.probe, rig.client_node);
+        rig.sim.after(SimDuration::from_millis(10), move |sim| {
+            sim.net_send(
+                client_node,
+                el,
+                WireSize::control(16),
+                Box::new(ElMsg::Query {
+                    victim: 0,
+                    from: 2,
+                    reply_to: probe,
+                }),
+            );
+        });
+        rig.sim.run();
+        let seen = rig.seen.lock().unwrap();
+        assert_eq!(seen.resps.len(), 1);
+        assert_eq!(seen.resps[0].0, 3); // clocks 3, 4, 5
+        assert_eq!(seen.resps[0].1, vec![5, 0, 0]);
+        assert_eq!(rig.sim.stats().get("el_queries"), 1);
+    }
+
+    #[test]
+    fn saturation_gauges_track_a_busy_server() {
+        let mut rig = setup();
+        // Occupy the EL's CPU the way a long recovery query does; the
+        // record arriving meanwhile must wait behind the backlog, and
+        // the gauges must see both the queue and the inflated latency.
+        rig.sim
+            .charge_cpu(rig.el_node, SimDuration::from_micros(200));
+        record(&mut rig, 1, vec![det(1, 1)]);
+        rig.sim.run();
+        assert_eq!(rig.seen.lock().unwrap().acks.len(), 1);
+        let stats = rig.sim.stats();
+        // >100 µs of backlog at 2.3 µs per record is a deep queue.
+        assert!(
+            stats.get("el_peak_queue") >= 10,
+            "record never queued: peak depth {}",
+            stats.get("el_peak_queue")
+        );
+        // The single Event Logger reports as shard 0.
+        assert_eq!(stats.get("el_peak_queue"), stats.get(shard_queue_key(0)));
+        assert!(stats.get_time("el_ack_latency") > SimDuration::from_micros(100));
+        assert!(stats.get("el_ack_latency_peak_ns") >= 100_000);
+    }
+
+    #[test]
+    fn batched_records_get_one_coalesced_ack() {
+        let mut rig = setup();
+        record(&mut rig, 1, vec![det(1, 1), det(1, 2), det(1, 3)]);
+        rig.sim.run();
+        let seen = rig.seen.lock().unwrap();
+        assert_eq!(seen.acks.len(), 1, "a batch is acknowledged exactly once");
+        assert_eq!(seen.acks[0], vec![0, 3, 0]);
+        assert_eq!(rig.sim.stats().get("el_records"), 3);
+        assert_eq!(rig.sim.stats().get("el_batches"), 1);
+        assert_eq!(rig.sim.stats().get("el_ack_samples"), 1);
     }
 }

@@ -9,7 +9,7 @@
 //! before the emission).
 
 use crate::codec; // byte-level encode/decode helpers
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use vlog_vmpi::{RClock, Rank, Ssn};
 
 /// Identifier of a reception event: its creator and reception clock.
@@ -57,22 +57,7 @@ impl Determinant {
     /// formats: clock (u32), sender (u16), ssn (u32), cause (u32).
     pub const BODY_BYTES: u64 = 14;
 
-    /// Checked: a field beyond its wire width is reported as a
-    /// [`PbCodecError`](crate::piggyback::PbCodecError) instead of being
-    /// silently truncated (`as u16`/`as u32` wrapped before).
-    pub(crate) fn encode_body(
-        &self,
-        out: &mut BytesMut,
-    ) -> Result<(), crate::piggyback::PbCodecError> {
-        use crate::piggyback::{wire_u16, wire_u32};
-        codec::put_u32(out, wire_u32("clock", self.clock)?);
-        codec::put_u16(out, wire_u16("sender", self.sender as u64)?);
-        codec::put_u32(out, wire_u32("ssn", self.ssn)?);
-        codec::put_u32(out, wire_u32("cause", self.cause)?);
-        Ok(())
-    }
-
-    /// Checked like the encode side: a buffer ending mid-body is a
+    /// Checked: a buffer ending mid-body is a
     /// [`PbCodecError`](crate::piggyback::PbCodecError), not a panic.
     pub(crate) fn decode_body(
         receiver: Rank,
@@ -116,35 +101,31 @@ mod tests {
         );
     }
 
+    /// The 14-byte wire body of `(clock 123456, sender 3, ssn 42, cause
+    /// 99)`: u32, u16, u32, u32, little endian.
+    const BODY: [u8; 14] = [0x40, 0xE2, 0x01, 0x00, 3, 0, 42, 0, 0, 0, 99, 0, 0, 0];
+
     #[test]
-    fn body_roundtrip() {
-        let d = Determinant {
-            receiver: 7,
-            clock: 123_456,
-            sender: 3,
-            ssn: 42,
-            cause: 99,
-        };
-        let mut out = BytesMut::new();
-        d.encode_body(&mut out).unwrap();
-        assert_eq!(out.len() as u64, Determinant::BODY_BYTES);
-        let mut buf = out.freeze();
+    fn body_decodes_from_its_fixed_wire_bytes() {
+        assert_eq!(BODY.len() as u64, Determinant::BODY_BYTES);
+        let mut buf = Bytes::copy_from_slice(&BODY);
         let back = Determinant::decode_body(7, &mut buf).unwrap();
-        assert_eq!(back, d);
+        assert_eq!(
+            back,
+            Determinant {
+                receiver: 7,
+                clock: 123_456,
+                sender: 3,
+                ssn: 42,
+                cause: 99,
+            }
+        );
+        assert!(buf.is_empty());
     }
 
     #[test]
     fn truncated_body_is_an_error_not_a_panic() {
-        let d = Determinant {
-            receiver: 7,
-            clock: 123_456,
-            sender: 3,
-            ssn: 42,
-            cause: 99,
-        };
-        let mut out = BytesMut::new();
-        d.encode_body(&mut out).unwrap();
-        let mut short = out.freeze().slice(..8);
+        let mut short = Bytes::copy_from_slice(&BODY[..8]);
         assert_eq!(
             Determinant::decode_body(7, &mut short).unwrap_err().field(),
             "ssn"

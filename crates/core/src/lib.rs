@@ -9,12 +9,22 @@
 //!   [`vcausal::VcausalRed`] (sequences + channel watermarks),
 //!   Manetho and LogOn ([`agred::GraphRed`] over the antecedence
 //!   graph [`graph::AGraph`]) — each runnable **with or without** the
-//!   [`el::EventLogger`]. Both kinds of store keep their determinants in
-//!   the dense clock-indexed sequences of [`detseq`].
+//!   Event Logger. Both kinds of store keep their determinants in the
+//!   dense clock-indexed sequences of [`detseq`].
+//! * **One Event Logger** ([`el_multi::ElShard`]): the paper's single EL
+//!   is the one-shard installation of the sharded server, through the
+//!   same [`install_distributed_el`] call; [`el`] holds its messages,
+//!   wire sizes, gauges and the client-side [`ElBatcher`].
+//! * **One log-protocol core** ([`logcore::LogCore`]) shared by causal
+//!   and pessimistic logging: the EL client (batching, ack pairing,
+//!   re-shard handoff), the sender log, checkpoint GC notices and the
+//!   whole collect → replay → re-accept recovery engine. The protocols
+//!   keep only what the paper says differs — piggybacking for causal,
+//!   the send gate for pessimistic.
 //! * **Sender-based payload logging** ([`sender_log::SenderLog`]) and
-//!   full crash **recovery**: determinant collection from the EL and from
-//!   every alive rank, payload reclaim from the senders' volatile logs,
-//!   ordered replay, duplicate-send suppression.
+//!   full crash **recovery** (in the core): determinant collection from
+//!   the EL and from every alive rank, payload reclaim from the senders'
+//!   volatile logs, ordered replay, duplicate-send suppression.
 //! * The two Figure 1 baselines: sender-based **pessimistic** logging
 //!   ([`pessimistic::PessimisticProtocol`], MPICH-V2 style) and
 //!   **coordinated checkpointing** with global rollback
@@ -44,6 +54,7 @@ pub mod el;
 pub mod el_multi;
 pub mod event;
 pub mod graph;
+pub mod logcore;
 pub mod pessimistic;
 pub mod piggyback;
 pub mod reduction;
@@ -52,17 +63,17 @@ pub mod suite;
 pub mod vcausal;
 
 pub use bytes::Bytes;
-pub use causal::{CausalCtl, CausalProtocol};
+pub use causal::CausalProtocol;
 pub use coordinated::CoordinatedProtocol;
 pub use costs::CausalCosts;
 pub use detseq::{DetSeq, DetStore};
 pub use el::{
-    el_batch_bytes, shard_ack_key, shard_queue_key, ElBatcher, ElMsg, ElReply, EventLogger,
-    EL_RECORD_BYTES,
+    el_batch_bytes, shard_ack_key, shard_queue_key, ElBatcher, ElMsg, ElReply, EL_RECORD_BYTES,
 };
-pub use el_multi::{install_distributed_el, shard_hash, shard_of, ElShard};
+pub use el_multi::{install_distributed_el, ElShard};
 pub use event::{Determinant, EventId};
 pub use graph::AGraph;
+pub use logcore::CausalCtl;
 pub use pessimistic::PessimisticProtocol;
 pub use piggyback::{
     compact_len, decode_compact, decode_factored, decode_flat, decode_watermarks, encode_compact,

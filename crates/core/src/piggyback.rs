@@ -265,22 +265,7 @@ pub fn flat_len(dets: &[Determinant]) -> u64 {
 /// receiver share one group header; the encoder emits groups in input
 /// order, preserving the caller's (creator, clock) sorting.
 pub fn encode_factored(dets: &[Determinant]) -> Result<Bytes, PbCodecError> {
-    let mut out = BytesMut::with_capacity(factored_len(dets) as usize);
-    let mut i = 0;
-    while i < dets.len() {
-        let rid = dets[i].receiver;
-        let mut j = i;
-        while j < dets.len() && dets[j].receiver == rid && j - i < GROUP_MAX_EVENTS {
-            j += 1;
-        }
-        codec::put_u16(&mut out, wire_u16("receiver", rid as u64)?);
-        codec::put_u16(&mut out, (j - i) as u16);
-        for d in &dets[i..j] {
-            d.encode_body(&mut out)?;
-        }
-        i = j;
-    }
-    Ok(out.freeze())
+    PbEncoder::new().encode_factored(dets)
 }
 
 /// Decodes the factored format.
@@ -298,12 +283,7 @@ pub fn decode_factored(mut buf: Bytes) -> Result<Vec<Determinant>, PbCodecError>
 
 /// Encodes the flat (LogOn) format: order-preserving, one rid per event.
 pub fn encode_flat(dets: &[Determinant]) -> Result<Bytes, PbCodecError> {
-    let mut out = BytesMut::with_capacity(flat_len(dets) as usize);
-    for d in dets {
-        codec::put_u16(&mut out, wire_u16("receiver", d.receiver as u64)?);
-        d.encode_body(&mut out)?;
-    }
-    Ok(out.freeze())
+    PbEncoder::new().encode_flat(dets)
 }
 
 /// Decodes the flat format, preserving order.
@@ -371,8 +351,8 @@ pub fn compact_len(dets: &[Determinant]) -> u64 {
 /// Infallible: varints carry any u64, so there are no wire limits to
 /// overflow.
 pub fn encode_compact(dets: &[Determinant]) -> Bytes {
-    let mut enc = PbEncoder::new();
-    enc.encode_compact(dets)
+    PbEncoder::new()
+        .encode_compact(dets)
         .expect("compact encode is infallible")
 }
 
@@ -472,10 +452,8 @@ pub fn decode_watermarks(mut buf: Bytes) -> Result<Vec<RClock>, PbCodecError> {
 }
 
 /// One validation sweep over every wire field, in encode order
-/// (receiver, clock, sender, ssn, cause per event). Reports the same
-/// first error as the incremental encoders, which check the receiver at
-/// each group header / flat prefix and then the body fields in this
-/// order.
+/// (receiver, clock, sender, ssn, cause per event): the first field of
+/// the first event that overflows is the one reported.
 fn validate(dets: &[Determinant]) -> Result<(), PbCodecError> {
     for d in dets {
         wire_u16("receiver", d.receiver as u64)?;
@@ -500,11 +478,10 @@ fn body_bytes(d: &Determinant) -> [u8; EVENT_BODY_BYTES as usize] {
     b
 }
 
-/// Reusable batched encoder for every piggyback format.
-///
-/// Produces byte-identical output to [`encode_factored`] /
-/// [`encode_flat`] / [`encode_compact`] (golden-tested) but restructures
-/// the work for the per-ship hot path:
+/// Reusable encoder for every piggyback format — the one encoder per
+/// format; the free functions [`encode_factored`] / [`encode_flat`] /
+/// [`encode_compact`] are one-shot conveniences over it. Structured for
+/// the per-ship hot path:
 ///
 /// * field validation is hoisted into one up-front sweep, so the
 ///   group/event loops carry no `Result` plumbing;
@@ -550,8 +527,8 @@ impl PbEncoder {
         PbEncoder::default()
     }
 
-    /// Batched factored `{rid, nb, events}` encode. Same bytes and same
-    /// error reporting as [`encode_factored`].
+    /// Factored `{rid, nb, events}` encode; runs longer than
+    /// [`GROUP_MAX_EVENTS`] split into several maximal groups.
     pub fn encode_factored(&mut self, dets: &[Determinant]) -> Result<Bytes, PbCodecError> {
         validate(dets)?;
         self.scratch.clear();
@@ -574,8 +551,7 @@ impl PbEncoder {
         Ok(Bytes::copy_from_slice(&self.scratch))
     }
 
-    /// Batched flat (LogOn) encode. Same bytes and same error reporting
-    /// as [`encode_flat`].
+    /// Flat (LogOn) encode: order-preserving, one rid per event.
     pub fn encode_flat(&mut self, dets: &[Determinant]) -> Result<Bytes, PbCodecError> {
         validate(dets)?;
         self.scratch.clear();
@@ -589,8 +565,8 @@ impl PbEncoder {
         Ok(Bytes::copy_from_slice(&self.scratch))
     }
 
-    /// Batched compact encode. Same bytes as [`encode_compact`];
-    /// infallible like it, but keeps the shared `Result` surface.
+    /// Compact varint/delta encode (see [`PbFormat::Compact`]);
+    /// infallible, but keeps the shared `Result` surface.
     ///
     /// Each event's four varints are staged in a fixed stack buffer and
     /// flushed with a single `extend_from_slice`, so the per-wire-byte
@@ -636,7 +612,7 @@ impl PbEncoder {
         Ok(Bytes::copy_from_slice(&self.scratch))
     }
 
-    /// Batched encode in the given format.
+    /// Encodes in the given format.
     pub fn encode(
         &mut self,
         format: PbFormat,
@@ -879,84 +855,181 @@ mod tests {
         assert!(err.to_string().contains("clock"), "{err}");
     }
 
+    /// The golden input: a two-event run, then a run whose receiver and
+    /// fields expose every byte's position (little endian) and whose
+    /// second event steps *backwards* (negative compact deltas).
+    fn golden_dets() -> Vec<Determinant> {
+        vec![
+            det(0, 1, 1),
+            det(0, 2, 2),
+            Determinant {
+                receiver: 0x0102,
+                clock: 0x0102_0304,
+                sender: 0x0506,
+                ssn: 0x0708_090A,
+                cause: 0x0B0C_0D0E,
+            },
+            Determinant {
+                receiver: 0x0102,
+                clock: 5,
+                sender: 1,
+                ssn: 3,
+                cause: 0,
+            },
+        ]
+    }
+
+    /// `rid u16` + body per event.
+    const GOLDEN_FLAT: [u8; 64] = [
+        0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x0a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x02, 0x00, 0x14, 0x00, 0x00, 0x00, 0x01, 0x00,
+        0x00, 0x00, 0x02, 0x01, 0x04, 0x03, 0x02, 0x01, 0x06, 0x05, 0x0a, 0x09, 0x08, 0x07, 0x0e,
+        0x0d, 0x0c, 0x0b, 0x02, 0x01, 0x05, 0x00, 0x00, 0x00, 0x01, 0x00, 0x03, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00,
+    ];
+    /// `{rid u16, nb u16}` + bodies per run.
+    const GOLDEN_FACTORED: [u8; 64] = [
+        0x00, 0x00, 0x02, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x0a, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x02, 0x00, 0x14, 0x00, 0x00, 0x00, 0x01, 0x00,
+        0x00, 0x00, 0x02, 0x01, 0x02, 0x00, 0x04, 0x03, 0x02, 0x01, 0x06, 0x05, 0x0a, 0x09, 0x08,
+        0x07, 0x0e, 0x0d, 0x0c, 0x0b, 0x05, 0x00, 0x00, 0x00, 0x01, 0x00, 0x03, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00,
+    ];
+    /// `uvarint rid, uvarint nb` + four zigzag/delta varints per event.
+    const GOLDEN_COMPACT: [u8; 42] = [
+        0x00, 0x02, 0x02, 0x01, 0x14, 0x00, 0x02, 0x02, 0x14, 0x02, 0x82, 0x02, 0x02, 0x88, 0x8c,
+        0x90, 0x10, 0x86, 0x0a, 0x94, 0xa4, 0xc0, 0x70, 0x9c, 0xb4, 0xe0, 0xb0, 0x01, 0xfd, 0x8b,
+        0x90, 0x10, 0x01, 0x8d, 0xa4, 0xc0, 0x70, 0x9b, 0xb4, 0xe0, 0xb0, 0x01,
+    ];
+
     #[test]
-    fn batched_encoder_is_byte_identical_to_the_incremental_one() {
-        // Golden equality over every interesting shape: empty, single
-        // event, factoring-friendly runs, interleaved receivers,
-        // boundary values, and a run long enough to split groups.
-        let shapes: Vec<Vec<Determinant>> = vec![
-            vec![],
-            vec![det(0, 1, 1)],
-            vec![det(0, 1, 1), det(0, 2, 2), det(1, 1, 0), det(2, 5, 0)],
-            vec![det(2, 9, 0), det(0, 1, 1), det(2, 8, 1), det(1, 3, 2)],
-            vec![det(u16::MAX as Rank, 3, u16::MAX as Rank)],
-            (0..GROUP_MAX_EVENTS + 3)
-                .map(|i| det(7, i as u64 + 1, 1))
-                .collect(),
+    fn every_format_encodes_to_its_fixed_wire_bytes() {
+        // The expectations were computed independently of this crate
+        // (struct.pack / LEB128 by hand), so they pin the wire, not the
+        // encoder's agreement with itself.
+        let dets = golden_dets();
+        let golden: [(PbFormat, &[u8]); 3] = [
+            (PbFormat::Flat, &GOLDEN_FLAT),
+            (PbFormat::Factored, &GOLDEN_FACTORED),
+            (PbFormat::Compact, &GOLDEN_COMPACT),
         ];
         let mut enc = PbEncoder::new();
-        for dets in &shapes {
-            let golden_f = encode_factored(dets).unwrap();
-            let batched_f = enc.encode_factored(dets).unwrap();
+        for (format, bytes) in golden {
+            assert_eq!(&format.encode(&dets).unwrap()[..], bytes, "{format:?}");
+            assert_eq!(format.wire_len(&dets), bytes.len() as u64, "{format:?}");
             assert_eq!(
-                &batched_f[..],
-                &golden_f[..],
-                "factored, {} dets",
-                dets.len()
+                format.decode(Bytes::copy_from_slice(bytes)).unwrap(),
+                dets,
+                "{format:?}"
             );
-            let golden_l = encode_flat(dets).unwrap();
-            let batched_l = enc.encode_flat(dets).unwrap();
-            assert_eq!(&batched_l[..], &golden_l[..], "flat, {} dets", dets.len());
-            let golden_c = encode_compact(dets);
-            let batched_c = enc.encode_compact(dets).unwrap();
-            assert_eq!(
-                &batched_c[..],
-                &golden_c[..],
-                "compact, {} dets",
-                dets.len()
-            );
+            // Scratch reuse must not leak bytes from a larger earlier
+            // encode into a smaller later one.
+            let big: Vec<Determinant> = (1..200).map(|c| det(3, c, 1)).collect();
+            enc.encode(format, &big).unwrap();
+            assert_eq!(&enc.encode(format, &dets).unwrap()[..], bytes, "{format:?}");
+            assert!(enc.encode(format, &[]).unwrap().is_empty(), "{format:?}");
         }
-        // Scratch reuse across calls must not leak bytes from a larger
-        // earlier encode into a smaller later one (exercised above by
-        // iterating big-after-small and small-after-big shapes).
-        let small = vec![det(1, 2, 3)];
-        assert_eq!(
-            &enc.encode_flat(&small).unwrap()[..],
-            &encode_flat(&small).unwrap()[..]
-        );
-        assert_eq!(
-            &enc.encode(PbFormat::Compact, &small).unwrap()[..],
-            &encode_compact(&small)[..]
-        );
     }
 
     #[test]
-    fn batched_encoder_reports_the_same_errors() {
-        let mut enc = PbEncoder::new();
-        let cases: Vec<(Vec<Determinant>, &str)> = vec![
-            (vec![det(u16::MAX as Rank + 1, 3, 0)], "receiver"),
-            (vec![det(0, 3, u16::MAX as Rank + 1)], "sender"),
+    fn a_run_past_group_max_events_splits_at_fixed_offsets() {
+        let n = GROUP_MAX_EVENTS + 3;
+        let long: Vec<Determinant> = (0..n).map(|i| det(7, i as u64 + 1, 1)).collect();
+        let enc = encode_factored(&long).unwrap();
+        let group = GROUP_HEADER_BYTES as usize;
+        let body = EVENT_BODY_BYTES as usize;
+        let second = group + GROUP_MAX_EVENTS * body;
+        assert_eq!(enc.len(), 2 * group + n * body);
+        // First header: rid 7, nb 0xffff; its first body starts clock 1.
+        assert_eq!(&enc[..group + 6], &[7, 0, 0xff, 0xff, 1, 0, 0, 0, 1, 0]);
+        // Second header, exactly one maximal group later: rid 7, nb 3,
+        // continuing at clock 65 536 = 0x0001_0000.
+        assert_eq!(
+            &enc[second..second + group + 6],
+            &[7, 0, 3, 0, 0, 0, 1, 0, 1, 0]
+        );
+        // The flat layout has no groups to split.
+        assert_eq!(encode_flat(&long).unwrap().len() as u64, flat_len(&long));
+    }
+
+    #[test]
+    fn each_wire_field_overflows_to_its_own_error() {
+        let ok = det(0, 1, 1);
+        let over16 = u16::MAX as u64 + 1;
+        let over32 = u32::MAX as u64 + 1;
+        let cases: [(Determinant, &str, u64, u32); 5] = [
             (
-                vec![Determinant {
-                    clock: u32::MAX as u64 + 1,
-                    ..det(0, 1, 1)
-                }],
-                "clock",
+                Determinant {
+                    receiver: over16 as Rank,
+                    ..ok
+                },
+                "receiver",
+                over16,
+                16,
             ),
             (
-                vec![Determinant {
-                    ssn: u32::MAX as u64 + 1,
-                    ..det(0, 1, 1)
-                }],
-                "ssn",
+                Determinant {
+                    clock: over32,
+                    ..ok
+                },
+                "clock",
+                over32,
+                32,
+            ),
+            (
+                Determinant {
+                    sender: over16 as Rank,
+                    ..ok
+                },
+                "sender",
+                over16,
+                16,
+            ),
+            (Determinant { ssn: over32, ..ok }, "ssn", over32, 32),
+            (
+                Determinant {
+                    cause: over32,
+                    ..ok
+                },
+                "cause",
+                over32,
+                32,
             ),
         ];
-        for (dets, field) in &cases {
-            assert_eq!(encode_factored(dets).unwrap_err().field(), *field);
-            assert_eq!(enc.encode_factored(dets).unwrap_err().field(), *field);
-            assert_eq!(encode_flat(dets).unwrap_err().field(), *field);
-            assert_eq!(enc.encode_flat(dets).unwrap_err().field(), *field);
+        for (bad, field, value, wire_bits) in cases {
+            let expected = PbCodecError::Overflow {
+                field,
+                value,
+                wire_bits,
+            };
+            // Behind a good event, so the sweep has to reach it.
+            let dets = [ok, bad];
+            assert_eq!(encode_factored(&dets).unwrap_err(), expected);
+            assert_eq!(encode_flat(&dets).unwrap_err(), expected);
+            // Compact carries it.
+            assert_eq!(decode_compact(encode_compact(&dets)).unwrap(), dets);
         }
+        // Error order: the first overflowing field in encode order
+        // (receiver, clock, sender, ssn, cause) of the first bad event.
+        let all_bad = Determinant {
+            receiver: over16 as Rank,
+            clock: over32,
+            sender: over16 as Rank,
+            ssn: over32,
+            cause: over32,
+        };
+        let late_fields = Determinant {
+            ssn: over32,
+            cause: over32,
+            ..ok
+        };
+        assert_eq!(encode_flat(&[all_bad]).unwrap_err().field(), "receiver");
+        assert_eq!(
+            encode_factored(&[late_fields, all_bad])
+                .unwrap_err()
+                .field(),
+            "ssn"
+        );
     }
 
     #[test]

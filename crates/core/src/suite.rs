@@ -9,7 +9,7 @@ use vlog_vmpi::{
 use crate::causal::CausalProtocol;
 use crate::coordinated::CoordinatedProtocol;
 use crate::costs::CausalCosts;
-use crate::el::EventLogger;
+use crate::el_multi::install_distributed_el;
 use crate::pessimistic::PessimisticProtocol;
 use crate::piggyback::PbFormat;
 use crate::reduction::Technique;
@@ -95,18 +95,13 @@ impl Suite for CausalSuite {
 
     fn install(&self, sim: &mut Sim, topo: &Topology, stable_nodes: &[NodeId]) {
         if self.el {
-            if self.el_count <= 1 {
-                let el = EventLogger::install(sim, stable_nodes[0], topo.n_ranks());
-                topo.set_el(el, stable_nodes[0]);
-            } else {
-                crate::el_multi::install_distributed_el(
-                    sim,
-                    topo,
-                    stable_nodes[0],
-                    self.el_count,
-                    self.el_gossip,
-                );
-            }
+            install_distributed_el(
+                sim,
+                topo,
+                stable_nodes[0],
+                self.el_count.max(1),
+                self.el_gossip,
+            );
         }
         CkptScheduler::install(sim, stable_nodes[1], topo.clone(), self.scheduler);
     }
@@ -166,8 +161,8 @@ impl Suite for PessimisticSuite {
     }
 
     fn install(&self, sim: &mut Sim, topo: &Topology, stable_nodes: &[NodeId]) {
-        let el = EventLogger::install(sim, stable_nodes[0], topo.n_ranks());
-        topo.set_el(el, stable_nodes[0]);
+        // One shard never gossips, so the period is moot.
+        install_distributed_el(sim, topo, stable_nodes[0], 1, SimDuration::ZERO);
         CkptScheduler::install(sim, stable_nodes[1], topo.clone(), self.scheduler);
     }
 

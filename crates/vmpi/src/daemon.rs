@@ -556,6 +556,13 @@ impl Vdaemon {
         }
     }
 
+    /// The generic core, for building a [`Ctx`] by hand: the seam that
+    /// lets a protocol component be unit-tested against a daemon that is
+    /// not registered with a kernel.
+    pub fn core_mut(&mut self) -> &mut DaemonCore {
+        &mut self.core
+    }
+
     fn boot(&mut self, sim: &mut Sim) {
         match self.boot {
             BootMode::Fresh => {

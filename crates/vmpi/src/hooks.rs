@@ -107,13 +107,9 @@ impl Topology {
         self.bump();
     }
 
-    pub fn set_el(&self, actor: ActorId, node: NodeId) {
-        self.set_els(vec![(actor, node)]);
-    }
-
-    /// Registers the Event Logger shards and publishes the epoch-0
-    /// rank→shard map (round-robin over the shard count — the historical
-    /// static assignment; see `vlog-core::el_multi`).
+    /// Registers the Event Logger shards (one for the paper's single EL)
+    /// and publishes the epoch-0 rank→shard map: round-robin over the
+    /// shard count, the historical static assignment.
     pub fn set_els(&self, els: Vec<(ActorId, NodeId)>) {
         {
             let mut t = self.inner.lock().unwrap();
@@ -685,4 +681,76 @@ pub enum SchedulerCmd {
     TakeCheckpoint,
     /// Begin global snapshot `id` (coordinated checkpointing).
     GlobalSnapshot { id: u64 },
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vlog_sim::{Actor, Delivery};
+
+    struct Nop;
+    impl Actor for Nop {
+        fn on_deliver(&mut self, _: &mut Sim, _: ActorId, _: Delivery) {}
+    }
+
+    /// Six ranks logging to three Event Logger shards.
+    fn six_ranks_three_shards() -> (Topology, Vec<(ActorId, NodeId)>) {
+        let mut sim = Sim::new(3);
+        let mut place = |n: usize| -> Vec<(ActorId, NodeId)> {
+            (0..n)
+                .map(|_| {
+                    let node = sim.add_node();
+                    (sim.add_actor(node, Box::new(Nop)), node)
+                })
+                .collect()
+        };
+        let daemons = place(6);
+        let els = place(3);
+        let topo = Topology::new();
+        topo.set_ranks(
+            daemons.iter().map(|d| d.0).collect(),
+            daemons.iter().map(|d| d.1).collect(),
+        );
+        topo.set_els(els.clone());
+        (topo, els)
+    }
+
+    #[test]
+    fn map_and_hash_agree_at_epoch_zero() {
+        // The epoch-0 published map must be exactly the static
+        // round-robin hash; a disagreement would route client records to
+        // a shard that never gossips their stability.
+        let (topo, els) = six_ranks_three_shards();
+        let view = topo.view();
+        for rank in 0..6 {
+            assert_eq!(view.shard_of(rank), Some(rank % 3));
+            assert_eq!(view.el_for(rank), Some(els[rank % 3]));
+            assert_eq!(topo.el_for(rank), Some(els[rank % 3]));
+        }
+    }
+
+    #[test]
+    fn rebalance_reroutes_only_orphaned_ranks() {
+        let (topo, _) = six_ranks_three_shards();
+        let before = topo.epoch();
+        let epoch = topo.rebalance_after_el_failure(1).expect("survivors exist");
+        assert!(epoch > before);
+        let view = topo.view();
+        // Ranks on live shards keep their assignment; shard-1 ranks
+        // (1, 4) respread over the survivors {0, 2} deterministically.
+        assert_eq!(view.shard_of(0), Some(0));
+        assert_eq!(view.shard_of(2), Some(2));
+        assert_eq!(view.shard_of(3), Some(0));
+        assert_eq!(view.shard_of(5), Some(2));
+        assert_eq!(view.shard_of(1), Some(2)); // survivors[1 % 2]
+        assert_eq!(view.shard_of(4), Some(0)); // survivors[4 % 2]
+                                               // Killing the survivors one by one: last shard takes everything,
+                                               // then total loss reports None.
+        assert!(topo.rebalance_after_el_failure(0).is_some());
+        let view = topo.view();
+        for rank in 0..6 {
+            assert_eq!(view.shard_of(rank), Some(2));
+        }
+        assert!(topo.rebalance_after_el_failure(2).is_none());
+    }
 }

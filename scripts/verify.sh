@@ -4,11 +4,16 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
+# Warnings are errors in every target (lib, tests, benches, examples,
+# benchmark/): an import, helper or constant orphaned by a deletion fails
+# the gate instead of lingering. Exported once so every cargo call below
+# shares one flag set, hence one build cache.
+export RUSTFLAGS="-D warnings"
 
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo build --release"
+echo "==> cargo build --release (RUSTFLAGS=-D warnings from here on)"
 cargo build --release --offline
 
 echo "==> cargo test -q"

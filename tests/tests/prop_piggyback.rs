@@ -4,9 +4,9 @@
 //! place in the codebase where a clever encoding could silently corrupt
 //! causality information, so it gets the adversarial treatment: full
 //! u64-range round trips (the deltas wrap), cross-format semantic
-//! agreement on wire-range inputs, length-function exactness, batched
-//! encoder equivalence, watermark-vector round trips, and
-//! truncation-never-panics over every prefix of a valid encoding.
+//! agreement on wire-range inputs, length-function exactness, encoder
+//! reuse, fixed wire bytes per format, watermark-vector round trips,
+//! and truncation-never-panics over every prefix of a valid encoding.
 
 use proptest::prelude::*;
 use vlog_core::{
@@ -106,23 +106,19 @@ proptest! {
         }
     }
 
-    /// The batched `PbEncoder` is byte-identical to the one-shot
-    /// encoders for every format, and stays correct when reused across
-    /// many encodes (its internal buffer must fully reset).
+    /// A `PbEncoder` reused across many encodes stays exact for every
+    /// format: its scratch buffer must fully reset, so each output has
+    /// the advertised length and decodes back to its own input.
     #[test]
-    fn batched_encoder_matches_one_shot(batches in prop::collection::vec(wire_range_dets(), 1..5)) {
+    fn reused_encoder_fully_resets(batches in prop::collection::vec(wire_range_dets(), 1..5)) {
         let mut enc = PbEncoder::new();
         for dets in &batches {
             let mut dets = dets.clone();
             dets.sort_by_key(|d| (d.receiver, d.clock));
             for format in [PbFormat::Flat, PbFormat::Factored, PbFormat::Compact] {
-                let batched = enc.encode(format, &dets).unwrap();
-                let oneshot = format.encode(&dets).unwrap();
-                prop_assert_eq!(
-                    batched.as_ref(),
-                    oneshot.as_ref(),
-                    "batched {:?} encode diverged from one-shot", format
-                );
+                let buf = enc.encode(format, &dets).unwrap();
+                prop_assert_eq!(buf.len() as u64, format.wire_len(&dets), "{:?}", format);
+                prop_assert_eq!(format.decode(buf).unwrap(), dets.clone(), "{:?}", format);
             }
         }
     }
@@ -188,6 +184,14 @@ fn empty_and_singleton_boundaries() {
         }];
         let buf = format.encode(&one).unwrap();
         assert_eq!(buf.len() as u64, format.wire_len(&one));
+        // The fixed wire bytes (little-endian fields; compact zigzags
+        // its deltas from 0: 7 -> 14, 3 -> 6, 5 -> 10).
+        let wire: &[u8] = match format {
+            PbFormat::Flat => &[2, 0, 7, 0, 0, 0, 1, 0, 3, 0, 0, 0, 5, 0, 0, 0],
+            PbFormat::Factored => &[2, 0, 1, 0, 7, 0, 0, 0, 1, 0, 3, 0, 0, 0, 5, 0, 0, 0],
+            PbFormat::Compact => &[2, 1, 14, 1, 6, 10],
+        };
+        assert_eq!(buf.as_ref(), wire, "{format:?}");
         assert_eq!(format.decode(buf).unwrap(), one);
     }
 }
