@@ -72,7 +72,7 @@ fn run(t: Technique) -> (String, usize, u64) {
     let (pb, _) = w.reds[3].build(2, w.clocks[3]);
     let mut labels: Vec<char> = pb.iter().map(|d| w.name_of(d)).collect();
     labels.sort_unstable();
-    let bytes = t.wire_len(&pb);
+    let bytes = t.default_format().wire_len(&pb);
     (labels.iter().collect(), pb.len(), bytes)
 }
 

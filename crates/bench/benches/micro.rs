@@ -9,8 +9,8 @@ use std::sync::{Arc, Mutex};
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 
 use vlog_core::{
-    decode_factored, decode_flat, encode_factored, encode_flat, make_reduction, AGraph,
-    Determinant, ElBatcher, SenderLog, Technique,
+    decode_factored, decode_flat, make_reduction, AGraph, Determinant, ElBatcher, PbFormat,
+    SenderLog, Technique,
 };
 use vlog_sim::{profiler, EventCalendar, SimDuration, SimTime};
 use vlog_vmpi::{Payload, PayloadArena, RankStatCell, RankStats};
@@ -33,13 +33,13 @@ fn bench_codecs(c: &mut Criterion) {
         let mut input = dets(n, 4);
         input.sort_by_key(|d| (d.receiver, d.clock));
         g.bench_with_input(BenchmarkId::new("encode_factored", n), &input, |b, d| {
-            b.iter(|| encode_factored(d).unwrap())
+            b.iter(|| PbFormat::Factored.encode(d).unwrap())
         });
         g.bench_with_input(BenchmarkId::new("encode_flat", n), &input, |b, d| {
-            b.iter(|| encode_flat(d).unwrap())
+            b.iter(|| PbFormat::Flat.encode(d).unwrap())
         });
-        let enc_f = encode_factored(&input).unwrap();
-        let enc_l = encode_flat(&input).unwrap();
+        let enc_f = PbFormat::Factored.encode(&input).unwrap();
+        let enc_l = PbFormat::Flat.encode(&input).unwrap();
         g.bench_with_input(BenchmarkId::new("decode_factored", n), &enc_f, |b, d| {
             b.iter(|| decode_factored(d.clone()).unwrap())
         });
@@ -54,7 +54,7 @@ fn bench_codecs(c: &mut Criterion) {
 /// encode and decode at the same determinant counts as `piggyback_codecs`. `scripts/verify.sh`
 /// gates on this group being present in `BENCH_micro.json`.
 fn bench_pb_compact(c: &mut Criterion) {
-    use vlog_core::{compact_len, decode_compact, encode_compact, flat_len};
+    use vlog_core::decode_compact;
     let mut g = c.benchmark_group("pb_compact");
     for &n in &[1usize, 16, 256] {
         let mut input = dets(n, 4);
@@ -63,14 +63,14 @@ fn bench_pb_compact(c: &mut Criterion) {
         // throughput is measured: >= 2x smaller than flat at 256.
         if n == 256 {
             assert!(
-                compact_len(&input) * 2 <= flat_len(&input),
+                PbFormat::Compact.wire_len(&input) * 2 <= PbFormat::Flat.wire_len(&input),
                 "compact lost its 2x wire margin at n=256"
             );
         }
         g.bench_with_input(BenchmarkId::new("encode_compact", n), &input, |b, d| {
-            b.iter(|| encode_compact(d))
+            b.iter(|| PbFormat::Compact.encode(d).unwrap())
         });
-        let wire = encode_compact(&input);
+        let wire = PbFormat::Compact.encode(&input).unwrap();
         g.bench_with_input(BenchmarkId::new("decode_compact", n), &wire, |b, d| {
             b.iter(|| decode_compact(d.clone()).unwrap())
         });

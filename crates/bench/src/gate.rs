@@ -16,7 +16,7 @@
 //! one-line ops/sec delta; it only *fails* when the geomean regresses
 //! beyond the tolerance.
 
-use crate::report::{JsonValue, Scanner};
+use crate::report::{field, parse_results};
 
 /// One benchmark of a `BENCH_*.json` report, reduced to what the gate
 /// compares.
@@ -34,45 +34,18 @@ pub struct BenchEntry {
 /// like `BENCH_regimes.json`) are an error: the gate only compares
 /// timing reports.
 pub fn parse_bench_json(src: &str) -> Result<Vec<BenchEntry>, String> {
-    let start = src
-        .find("\"results\"")
-        .ok_or("document has no \"results\" field")?;
-    let mut sc = Scanner::new(src);
-    sc.pos = start + "\"results\"".len();
-    sc.expect(b':')?;
-    sc.expect(b'[')?;
     let mut entries = Vec::new();
-    if sc.peek() == Some(b']') {
-        return Ok(entries);
-    }
-    loop {
-        let fields = sc.flat_object()?;
-        let get = |key: &str| -> Result<&JsonValue, String> {
-            fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("result object is missing field {key:?}"))
-        };
-        let name = get("name")?.as_str("name")?.to_string();
-        let mean_ns = get("mean_ns")?.as_f64("mean_ns")?;
+    for fields in parse_results(src)? {
+        let name = field(&fields, "name")?.as_str("name")?.to_string();
+        let mean_ns = field(&fields, "mean_ns")?.as_f64("mean_ns")?;
         if !(mean_ns > 0.0) {
             return Err(format!(
                 "benchmark {name:?} has non-positive mean_ns {mean_ns}"
             ));
         }
         entries.push(BenchEntry { name, mean_ns });
-        match sc.peek() {
-            Some(b',') => sc.pos += 1,
-            Some(b']') => return Ok(entries),
-            other => {
-                return Err(format!(
-                    "expected ',' or ']' after result object, found {:?}",
-                    other.map(|c| c as char)
-                ))
-            }
-        }
     }
+    Ok(entries)
 }
 
 /// Result of comparing a current bench report against a baseline.

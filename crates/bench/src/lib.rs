@@ -16,7 +16,7 @@
 //! | `ablations`         | design-choice probes beyond the paper           |
 //! | `micro` (Criterion) | real ns/op of codecs, graph ops, reductions     |
 //!
-//! Scale control: `VLOG_SCALE=quick|default|full` (or `VLOG_FULL=1`).
+//! Scale control: `VLOG_SCALE=quick|default|full`.
 //! Reduced scales preserve every qualitative shape; see DESIGN.md §2.
 
 #![deny(missing_docs)]
@@ -24,7 +24,7 @@
 use std::sync::Arc;
 
 use vlog_core::{CausalSuite, CoordinatedSuite, PessimisticSuite, Technique};
-use vlog_sim::{NetProfile, SimDuration};
+use vlog_sim::{env_knob, NetProfile, SimDuration};
 use vlog_vmpi::{ClusterConfig, Suite, VdummySuite};
 use vlog_workloads::netpipe::{self, NetpipePoint};
 
@@ -192,14 +192,13 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads the scale from `VLOG_SCALE` / `VLOG_FULL` / `VLOG_QUICK`
-    /// (default scale when unset or unrecognized).
+    /// Reads the scale from `VLOG_SCALE` (`quick|default|full`) with the
+    /// workspace's warn-and-fallback contract: unset silently uses the
+    /// default scale, an unknown value warns on stderr and falls back.
     pub fn from_env() -> Scale {
-        match std::env::var("VLOG_SCALE").as_deref() {
-            Ok("quick") => Scale::Quick,
-            Ok("full") => Scale::Full,
-            _ if std::env::var("VLOG_FULL").is_ok() => Scale::Full,
-            _ if std::env::var("VLOG_QUICK").is_ok() => Scale::Quick,
+        match env_knob::one_of("VLOG_SCALE", &["quick", "default", "full"], "default") {
+            Some("quick") => Scale::Quick,
+            Some("full") => Scale::Full,
             _ => Scale::Default,
         }
     }

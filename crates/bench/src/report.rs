@@ -28,7 +28,7 @@ use criterion::json_escape;
 /// One `(workload, suite)` cell of the scaled-regime sweep: the shared
 /// workload metrics of the fault-free run plus the makespan of the
 /// hub-failure rerun of the same configuration.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RegimeRow {
     /// Workload family slug (`"nas"`, `"netpipe"`, `"bursty"`, `"halo"`,
     /// `"fft"`).
@@ -136,57 +136,72 @@ impl RegimeRow {
     }
 }
 
+/// One JSON-carried field of a [`RegimeRow`], by type. Floats name the
+/// decimals they print with.
+enum Slot<'a> {
+    Str(&'a mut String),
+    U64(&'a mut u64),
+    Bool(&'a mut bool),
+    F64(&'a mut f64, usize),
+}
+use Slot::{Bool, Str, F64, U64};
+
+/// The `BENCH_regimes.json` schema of a results object, after its
+/// leading derived `"name"`: key, field, type and print precision, in
+/// document order. [`write_json`] and [`parse_json`] both walk this
+/// table, so a field is added (or its precision changed) in one place.
+const SCHEMA: [(&str, fn(&mut RegimeRow) -> Slot<'_>); 27] = [
+    ("family", |r| Str(&mut r.family)),
+    ("label", |r| Str(&mut r.label)),
+    ("suite", |r| Str(&mut r.suite)),
+    ("np", |r| U64(&mut r.np)),
+    ("causal", |r| Bool(&mut r.causal)),
+    ("el", |r| Bool(&mut r.el)),
+    ("completed", |r| Bool(&mut r.completed)),
+    ("makespan_s", |r| F64(&mut r.makespan_s, 6)),
+    ("faulted_makespan_s", |r| F64(&mut r.faulted_makespan_s, 6)),
+    ("hub_rank", |r| U64(&mut r.hub_rank)),
+    ("pb_percent", |r| F64(&mut r.pb_percent, 4)),
+    ("pb_send_us", |r| F64(&mut r.pb_send_us, 1)),
+    ("pb_recv_us", |r| F64(&mut r.pb_recv_us, 1)),
+    ("messages", |r| U64(&mut r.messages)),
+    ("total_bytes", |r| U64(&mut r.total_bytes)),
+    ("max_msg_bucket", |r| U64(&mut r.max_msg_bucket)),
+    ("el_peak_queue", |r| U64(&mut r.el_peak_queue)),
+    ("el_peak_queue_faulted", |r| {
+        U64(&mut r.el_peak_queue_faulted)
+    }),
+    ("el_peak_outstanding", |r| U64(&mut r.el_peak_outstanding)),
+    ("el_ack_mean_us", |r| F64(&mut r.el_ack_mean_us, 3)),
+    ("el_records", |r| U64(&mut r.el_records)),
+    ("profile", |r| Str(&mut r.profile)),
+    ("el_count", |r| U64(&mut r.el_count)),
+    ("el_shard_queues", |r| Str(&mut r.el_shard_queues)),
+    ("el_ack_peak_us", |r| F64(&mut r.el_ack_peak_us, 3)),
+    ("pb_bytes_per_msg", |r| F64(&mut r.pb_bytes_per_msg, 3)),
+    ("pb_bytes_total", |r| U64(&mut r.pb_bytes_total)),
+];
+
 /// Serializes the rows to the `BENCH_regimes.json` document (the same
 /// `{"target": ..., "results": [...]}` shape every other bench report
 /// uses).
 pub fn write_json(rows: &[RegimeRow]) -> String {
-    let mut json = String::new();
-    json.push_str("{\n  \"target\": \"regimes\",\n  \"results\": [\n");
+    let mut json = String::from("{\n  \"target\": \"regimes\",\n  \"results\": [\n");
     for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"name\": \"{}\", \"family\": \"{}\", \"label\": \"{}\", \
-             \"suite\": \"{}\", \"np\": {}, \"causal\": {}, \"el\": {}, \
-             \"completed\": {}, \"makespan_s\": {:.6}, \
-             \"faulted_makespan_s\": {:.6}, \"hub_rank\": {}, \
-             \"pb_percent\": {:.4}, \"pb_send_us\": {:.1}, \
-             \"pb_recv_us\": {:.1}, \"messages\": {}, \"total_bytes\": {}, \
-             \"max_msg_bucket\": {}, \"el_peak_queue\": {}, \
-             \"el_peak_queue_faulted\": {}, \
-             \"el_peak_outstanding\": {}, \"el_ack_mean_us\": {:.3}, \
-             \"el_records\": {}, \"profile\": \"{}\", \"el_count\": {}, \
-             \"el_shard_queues\": \"{}\", \"el_ack_peak_us\": {:.3}, \
-             \"pb_bytes_per_msg\": {:.3}, \"pb_bytes_total\": {}}}{}\n",
-            json_escape(&r.name()),
-            json_escape(&r.family),
-            json_escape(&r.label),
-            json_escape(&r.suite),
-            r.np,
-            r.causal,
-            r.el,
-            r.completed,
-            r.makespan_s,
-            r.faulted_makespan_s,
-            r.hub_rank,
-            r.pb_percent,
-            r.pb_send_us,
-            r.pb_recv_us,
-            r.messages,
-            r.total_bytes,
-            r.max_msg_bucket,
-            r.el_peak_queue,
-            r.el_peak_queue_faulted,
-            r.el_peak_outstanding,
-            r.el_ack_mean_us,
-            r.el_records,
-            json_escape(&r.profile),
-            r.el_count,
-            json_escape(&r.el_shard_queues),
-            r.el_ack_peak_us,
-            r.pb_bytes_per_msg,
-            r.pb_bytes_total,
-            if i + 1 == rows.len() { "" } else { "," },
-        );
+        let _ = write!(json, "    {{\"name\": \"{}\"", json_escape(&r.name()));
+        // The schema's accessors hand out `&mut` slots (the reader fills
+        // them); the writer reads them off a scratch copy.
+        let mut r = r.clone();
+        for (key, slot) in SCHEMA {
+            let _ = write!(json, ", \"{key}\": ");
+            let _ = match slot(&mut r) {
+                Slot::Str(s) => write!(json, "\"{}\"", json_escape(s)),
+                Slot::U64(x) => write!(json, "{x}"),
+                Slot::Bool(b) => write!(json, "{b}"),
+                Slot::F64(x, decimals) => write!(json, "{x:.decimals$}"),
+            };
+        }
+        json.push_str(if i + 1 == rows.len() { "}\n" } else { "},\n" });
     }
     json.push_str("  ]\n}\n");
     json
@@ -219,9 +234,19 @@ impl JsonValue {
         }
     }
 
+    /// Numbers travel as `f64`, which carries integers exactly only
+    /// below 2^53: a negative, fractional or larger value is an error,
+    /// not a silently different `u64`.
     fn as_u64(&self, key: &str) -> Result<u64, String> {
+        const EXACT: f64 = (1u64 << 53) as f64;
         let x = self.as_f64(key)?;
-        Ok(x as u64)
+        if x >= 0.0 && x < EXACT && x.fract() == 0.0 {
+            Ok(x as u64)
+        } else {
+            Err(format!(
+                "field {key:?} is not an unsigned integer below 2^53: {x}"
+            ))
+        }
     }
 
     fn as_bool(&self, key: &str) -> Result<bool, String> {
@@ -233,13 +258,13 @@ impl JsonValue {
 }
 
 /// Character-level cursor over the JSON text.
-pub(crate) struct Scanner<'a> {
-    pub(crate) src: &'a [u8],
-    pub(crate) pos: usize,
+struct Scanner<'a> {
+    src: &'a [u8],
+    pos: usize,
 }
 
 impl<'a> Scanner<'a> {
-    pub(crate) fn new(src: &'a str) -> Self {
+    fn new(src: &'a str) -> Self {
         Scanner {
             src: src.as_bytes(),
             pos: 0,
@@ -256,12 +281,12 @@ impl<'a> Scanner<'a> {
         }
     }
 
-    pub(crate) fn peek(&mut self) -> Option<u8> {
+    fn peek(&mut self) -> Option<u8> {
         self.skip_ws();
         self.src.get(self.pos).copied()
     }
 
-    pub(crate) fn expect(&mut self, b: u8) -> Result<(), String> {
+    fn expect(&mut self, b: u8) -> Result<(), String> {
         match self.peek() {
             Some(c) if c == b => {
                 self.pos += 1;
@@ -353,105 +378,100 @@ impl<'a> Scanner<'a> {
         }
     }
 
-    /// One flat `{"key": scalar, ...}` object.
-    pub(crate) fn flat_object(&mut self) -> Result<Vec<(String, JsonValue)>, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
+    /// `open item, item, ... close` (possibly empty), one `item` call
+    /// per element.
+    fn list(
+        &mut self,
+        (open, close): (u8, u8),
+        mut item: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.expect(open)?;
+        if self.peek() == Some(close) {
             self.pos += 1;
-            return Ok(fields);
+            return Ok(());
         }
         loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
+            item(self)?;
             match self.peek() {
                 Some(b',') => self.pos += 1,
-                Some(b'}') => {
+                Some(c) if c == close => {
                     self.pos += 1;
-                    return Ok(fields);
+                    return Ok(());
                 }
                 other => {
                     return Err(format!(
-                        "expected ',' or '}}' in object, found {:?}",
+                        "expected ',' or {:?} at byte {}, found {:?}",
+                        close as char,
+                        self.pos,
                         other.map(|c| c as char)
                     ))
                 }
             }
         }
     }
+
+    /// One flat `{"key": scalar, ...}` object.
+    fn flat_object(&mut self) -> Result<Fields, String> {
+        let mut fields = Fields::new();
+        self.list((b'{', b'}'), |sc| {
+            let key = sc.string()?;
+            sc.expect(b':')?;
+            fields.push((key, sc.value()?));
+            Ok(())
+        })?;
+        Ok(fields)
+    }
 }
 
-/// Parses a `BENCH_regimes.json` document (the exact flat shape
-/// [`write_json`] emits) back into rows. Unknown fields are ignored so
-/// the format can grow; missing fields are an error.
-pub fn parse_json(src: &str) -> Result<Vec<RegimeRow>, String> {
+/// The scalar fields of one flat results object, in document order.
+pub(crate) type Fields = Vec<(String, JsonValue)>;
+
+/// The value of `key` in `fields`; a missing field is an error.
+pub(crate) fn field<'a>(fields: &'a Fields, key: &str) -> Result<&'a JsonValue, String> {
+    fields
+        .iter()
+        .find(|(k, _)| k == key)
+        .map(|(_, v)| v)
+        .ok_or_else(|| format!("result object is missing field {key:?}"))
+}
+
+/// The result objects of a `{"target": ..., "results": [...]}` document
+/// (the shape every bench target emits), in order — the one reader
+/// behind [`parse_json`] and the bench gate.
+pub(crate) fn parse_results(src: &str) -> Result<Vec<Fields>, String> {
     let start = src
         .find("\"results\"")
         .ok_or("document has no \"results\" field")?;
     let mut sc = Scanner::new(src);
     sc.pos = start + "\"results\"".len();
     sc.expect(b':')?;
-    sc.expect(b'[')?;
-    let mut rows = Vec::new();
-    if sc.peek() == Some(b']') {
-        return Ok(rows);
-    }
-    loop {
-        let fields = sc.flat_object()?;
-        rows.push(row_from_fields(&fields)?);
-        match sc.peek() {
-            Some(b',') => sc.pos += 1,
-            Some(b']') => return Ok(rows),
-            other => {
-                return Err(format!(
-                    "expected ',' or ']' after result object, found {:?}",
-                    other.map(|c| c as char)
-                ))
-            }
-        }
-    }
+    let mut results = Vec::new();
+    sc.list((b'[', b']'), |sc| {
+        results.push(sc.flat_object()?);
+        Ok(())
+    })?;
+    Ok(results)
 }
 
-fn row_from_fields(fields: &[(String, JsonValue)]) -> Result<RegimeRow, String> {
-    let get = |key: &str| -> Result<&JsonValue, String> {
-        fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("result object is missing field {key:?}"))
-    };
-    Ok(RegimeRow {
-        family: get("family")?.as_str("family")?.to_string(),
-        label: get("label")?.as_str("label")?.to_string(),
-        suite: get("suite")?.as_str("suite")?.to_string(),
-        np: get("np")?.as_u64("np")?,
-        causal: get("causal")?.as_bool("causal")?,
-        el: get("el")?.as_bool("el")?,
-        completed: get("completed")?.as_bool("completed")?,
-        makespan_s: get("makespan_s")?.as_f64("makespan_s")?,
-        faulted_makespan_s: get("faulted_makespan_s")?.as_f64("faulted_makespan_s")?,
-        hub_rank: get("hub_rank")?.as_u64("hub_rank")?,
-        pb_percent: get("pb_percent")?.as_f64("pb_percent")?,
-        pb_send_us: get("pb_send_us")?.as_f64("pb_send_us")?,
-        pb_recv_us: get("pb_recv_us")?.as_f64("pb_recv_us")?,
-        messages: get("messages")?.as_u64("messages")?,
-        total_bytes: get("total_bytes")?.as_u64("total_bytes")?,
-        max_msg_bucket: get("max_msg_bucket")?.as_u64("max_msg_bucket")?,
-        el_peak_queue: get("el_peak_queue")?.as_u64("el_peak_queue")?,
-        el_peak_queue_faulted: get("el_peak_queue_faulted")?.as_u64("el_peak_queue_faulted")?,
-        el_peak_outstanding: get("el_peak_outstanding")?.as_u64("el_peak_outstanding")?,
-        el_ack_mean_us: get("el_ack_mean_us")?.as_f64("el_ack_mean_us")?,
-        el_records: get("el_records")?.as_u64("el_records")?,
-        profile: get("profile")?.as_str("profile")?.to_string(),
-        el_count: get("el_count")?.as_u64("el_count")?,
-        el_shard_queues: get("el_shard_queues")?
-            .as_str("el_shard_queues")?
-            .to_string(),
-        el_ack_peak_us: get("el_ack_peak_us")?.as_f64("el_ack_peak_us")?,
-        pb_bytes_per_msg: get("pb_bytes_per_msg")?.as_f64("pb_bytes_per_msg")?,
-        pb_bytes_total: get("pb_bytes_total")?.as_u64("pb_bytes_total")?,
-    })
+/// Parses a `BENCH_regimes.json` document (the exact flat shape
+/// [`write_json`] emits) back into rows. Unknown fields are ignored so
+/// the format can grow; missing fields are an error.
+pub fn parse_json(src: &str) -> Result<Vec<RegimeRow>, String> {
+    parse_results(src)?.iter().map(row_from_fields).collect()
+}
+
+fn row_from_fields(fields: &Fields) -> Result<RegimeRow, String> {
+    let mut row = RegimeRow::default();
+    for (key, slot) in SCHEMA {
+        let value = field(fields, key)?;
+        match slot(&mut row) {
+            Slot::Str(s) => *s = value.as_str(key)?.to_string(),
+            Slot::U64(x) => *x = value.as_u64(key)?,
+            Slot::Bool(b) => *b = value.as_bool(key)?,
+            Slot::F64(x, _) => *x = value.as_f64(key)?,
+        }
+    }
+    Ok(row)
 }
 
 // ---------------------------------------------------------------------
@@ -1022,6 +1042,26 @@ mod tests {
         let json = r#"{"target": "regimes", "results": [{"name": "x"}]}"#;
         let err = parse_json(json).unwrap_err();
         assert!(err.contains("missing field"), "{err}");
+    }
+
+    #[test]
+    fn parser_rejects_numbers_a_u64_field_cannot_carry() {
+        // `x as u64` used to turn these into 0, 1 and a rounded
+        // neighbour; each is now the same `Err(String)` shape as a
+        // missing field.
+        let good = write_json(&sample_rows()[..1]);
+        assert!(good.contains("\"np\": 24,"), "{good}");
+        for bad in ["-1", "1.5", "9007199254740993", "1e300"] {
+            let json = good.replace("\"np\": 24,", &format!("\"np\": {bad},"));
+            let err = parse_json(&json).unwrap_err();
+            assert!(
+                err.contains("\"np\"") && err.contains("unsigned integer"),
+                "{bad}: {err}"
+            );
+        }
+        // The largest integer an f64 carries exactly still parses.
+        let json = good.replace("\"np\": 24,", "\"np\": 9007199254740991,");
+        assert_eq!(parse_json(&json).unwrap()[0].np, (1 << 53) - 1);
     }
 
     #[test]

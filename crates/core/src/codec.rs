@@ -1,6 +1,11 @@
 //! Minimal byte-level encoding helpers (little endian). Hand-rolled to
 //! keep wire sizes explicit and dependencies minimal.
 //!
+//! Writes go through a crate-private `Sink`: every wire layout in
+//! [`crate::piggyback`] is one function generic over it, run on a `u64`
+//! byte counter for the modeled length and on a `Vec<u8>` for the
+//! bytes, so a length can never disagree with its encoding.
+//!
 //! The fixed-width getters are *checked*: a short buffer is reported as
 //! [`PbCodecError::Truncated`] naming the field being decoded, mirroring
 //! the encode-side overflow checks, instead of panicking mid-decode deep
@@ -8,23 +13,31 @@
 //! piggyback format: unsigned varints plus the zigzag mapping that makes
 //! small signed deltas cost one byte.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes};
 
 use crate::piggyback::PbCodecError;
 
 /// Longest LEB128 encoding of a `u64` (ten 7-bit groups cover 64 bits).
 pub const MAX_UVARINT_BYTES: usize = 10;
 
-pub fn put_u16(out: &mut BytesMut, v: u16) {
-    out.put_u16_le(v);
+/// Where a wire layout's bytes go, in wire order.
+pub(crate) trait Sink {
+    fn put(&mut self, bytes: &[u8]);
 }
 
-pub fn put_u32(out: &mut BytesMut, v: u32) {
-    out.put_u32_le(v);
+/// The sink that keeps only the length: a byte counter.
+impl Sink for u64 {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        *self += bytes.len() as u64;
+    }
 }
 
-pub fn put_u64(out: &mut BytesMut, v: u64) {
-    out.put_u64_le(v);
+impl Sink for Vec<u8> {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
 }
 
 fn need(buf: &Bytes, field: &'static str, bytes: usize) -> Result<(), PbCodecError> {
@@ -49,26 +62,19 @@ pub fn get_u32(buf: &mut Bytes, field: &'static str) -> Result<u32, PbCodecError
     Ok(buf.get_u32_le())
 }
 
-pub fn get_u64(buf: &mut Bytes, field: &'static str) -> Result<u64, PbCodecError> {
-    need(buf, field, 8)?;
-    Ok(buf.get_u64_le())
-}
-
-/// Appends `v` as an unsigned LEB128 varint (7 value bits per byte, high
-/// bit set on every byte but the last).
-pub fn put_uvarint(out: &mut BytesMut, mut v: u64) {
+/// Writes `v` as an unsigned LEB128 varint (7 value bits per byte, high
+/// bit set on every byte but the last) — the one varint writer.
+#[inline]
+pub(crate) fn put_uvarint<S: Sink>(out: &mut S, mut v: u64) {
+    let mut buf = [0u8; MAX_UVARINT_BYTES];
+    let mut n = 0;
     while v >= 0x80 {
-        out.put_u8((v as u8 & 0x7f) | 0x80);
+        buf[n] = (v as u8 & 0x7f) | 0x80;
         v >>= 7;
+        n += 1;
     }
-    out.put_u8(v as u8);
-}
-
-/// Exact encoded length of [`put_uvarint`] for `v`.
-pub fn uvarint_len(v: u64) -> u64 {
-    // 1 byte per started 7-bit group; zero still takes one byte.
-    let bits = 64 - v.leading_zeros() as u64;
-    1 + bits.saturating_sub(1) / 7
+    buf[n] = v as u8;
+    out.put(&buf[..n + 1]);
 }
 
 /// Reads one unsigned LEB128 varint. A buffer that ends mid-varint is
@@ -117,15 +123,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn roundtrip_all_widths() {
-        let mut out = BytesMut::new();
-        put_u16(&mut out, 0xBEEF);
-        put_u32(&mut out, 0xDEAD_BEEF);
-        put_u64(&mut out, 0x0123_4567_89AB_CDEF);
-        let mut b = out.freeze();
+    fn fixed_width_getters_read_little_endian() {
+        let mut b = Bytes::copy_from_slice(&[0xEF, 0xBE, 0xEF, 0xBE, 0xAD, 0xDE]);
         assert_eq!(get_u16(&mut b, "a").unwrap(), 0xBEEF);
         assert_eq!(get_u32(&mut b, "b").unwrap(), 0xDEAD_BEEF);
-        assert_eq!(get_u64(&mut b, "c").unwrap(), 0x0123_4567_89AB_CDEF);
         assert!(b.is_empty());
     }
 
@@ -140,8 +141,7 @@ mod tests {
                 have: 1,
             })
         );
-        assert_eq!(get_u16(&mut b.clone(), "rid").unwrap_err().field(), "rid");
-        assert!(get_u64(&mut b, "ssn").is_err());
+        assert_eq!(get_u16(&mut b, "rid").unwrap_err().field(), "rid");
         let mut empty = Bytes::new();
         assert!(get_u16(&mut empty, "rid").is_err());
     }
@@ -154,15 +154,18 @@ mod tests {
             cases.push((1 << shift) - 1);
         }
         for v in cases {
-            let mut out = BytesMut::new();
+            // Both sinks run the one writer: same length, and the bytes
+            // decode back.
+            let (mut out, mut len) = (Vec::new(), 0u64);
             put_uvarint(&mut out, v);
-            assert_eq!(out.len() as u64, uvarint_len(v), "len of {v:#x}");
-            let mut b = out.freeze();
+            put_uvarint(&mut len, v);
+            assert_eq!(out.len() as u64, len, "len of {v:#x}");
+            let started_groups = (64 - v.leading_zeros() as usize).max(1).div_ceil(7);
+            assert_eq!(out.len(), started_groups, "len of {v:#x}");
+            let mut b = Bytes::from(out);
             assert_eq!(get_uvarint(&mut b, "v").unwrap(), v, "{v:#x}");
             assert!(b.is_empty());
         }
-        assert_eq!(uvarint_len(0), 1);
-        assert_eq!(uvarint_len(u64::MAX), MAX_UVARINT_BYTES as u64);
     }
 
     #[test]
@@ -202,6 +205,6 @@ mod tests {
         assert_eq!(zigzag(-1), 1);
         assert_eq!(zigzag(1), 2);
         // Deltas of ±63 or less fit a single varint byte.
-        assert!(uvarint_len(zigzag(63)) == 1 && uvarint_len(zigzag(-63)) == 1);
+        assert!(zigzag(63) < 0x80 && zigzag(-63) < 0x80);
     }
 }

@@ -222,7 +222,7 @@ pub fn install_distributed_el(
     gossip: SimDuration,
 ) -> Vec<(ActorId, NodeId)> {
     assert!(k >= 1);
-    let n = topo.n_ranks();
+    let n = topo.view().n_ranks();
     let peers: Arc<Mutex<Vec<(ActorId, NodeId)>>> = Arc::new(Mutex::new(Vec::new()));
     let mut els = Vec::with_capacity(k);
     for index in 0..k {
@@ -318,7 +318,7 @@ mod tests {
         let topo = Topology::new();
         topo.set_ranks(vec![probe; 3], vec![client_node; 3]);
         let els = install_distributed_el(&mut sim, &topo, el_node, 1, SimDuration::from_millis(20));
-        assert_eq!(topo.el(), Some(els[0]));
+        assert_eq!(topo.view().el_at(0), Some(els[0]));
         Rig {
             sim,
             el: els[0].0,

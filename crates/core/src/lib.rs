@@ -33,7 +33,10 @@
 //!   `{rid, nb, events}` format shared by Vcausal and Manetho, the flat
 //!   order-preserving LogOn format, and the varint/delta `compact`
 //!   format ([`piggyback::PbFormat`]) that drops the O(rank-count) field
-//!   widths.
+//!   widths. Each layout is written once, generic over a byte sink:
+//!   [`PbFormat::wire_len`] — every piggyback byte the simulation
+//!   charges — is the encoder run on a counting sink, so the modeled
+//!   wire cannot drift from the real one.
 //!
 //! Ready-made [`suite`]s bundle each protocol with its auxiliary stable
 //! components for the cluster builder:
@@ -76,9 +79,8 @@ pub use graph::AGraph;
 pub use logcore::CausalCtl;
 pub use pessimistic::PessimisticProtocol;
 pub use piggyback::{
-    compact_len, decode_compact, decode_factored, decode_flat, decode_watermarks, encode_compact,
-    encode_factored, encode_flat, encode_watermarks, factored_len, flat_len, watermarks_len,
-    PbBody, PbCodecError, PbEncoder, PbFormat,
+    decode_compact, decode_factored, decode_flat, decode_watermarks, encode_watermarks,
+    watermarks_len, PbBody, PbCodecError, PbFormat,
 };
 pub use reduction::{make_reduction, Reduction, Technique, Work};
 pub use sender_log::SenderLog;

@@ -10,14 +10,22 @@
 //! actual size in bytes of data added to the message is higher for
 //! LogOn."*
 //!
-//! The codecs are implemented byte-for-byte: the simulation charges the
-//! exact encoded length on the wire, the flat codec preserves the partial
-//! order LogOn relies on, and Criterion micro-benches measure the real
-//! encode/decode cost of each. Three formats are selectable per suite
-//! ([`PbFormat`]): the paper's two historical layouts, kept byte-identical
-//! as baselines, plus the `compact` format that breaks their O(rank-count)
-//! field widths with LEB128 varints and per-run delta encoding — see the
-//! [`PbFormat::Compact`] docs for the layout.
+//! The codecs are implemented byte-for-byte, and **each wire layout is
+//! defined exactly once**: a function generic over a small byte sink
+//! (`codec::Sink`) with two implementations, a `u64` byte counter and
+//! `Vec<u8>`. [`PbFormat::wire_len`] — the length the simulation charges
+//! on every causal send — is that function run on the counter;
+//! [`PbFormat::encode`] is field validation plus the same function run on
+//! a `Vec`. There is no separate length formula to keep in step with an
+//! encoder, so the modeled wire equals the real wire by construction (the
+//! watermark vector of GC notices follows the same rule). The flat codec
+//! preserves the partial order LogOn relies on, and the micro-benches
+//! measure the real encode/decode cost of each. Three formats are
+//! selectable per suite ([`PbFormat`]): the paper's two historical
+//! layouts, kept byte-identical as baselines, plus the `compact` format
+//! that breaks their O(rank-count) field widths with LEB128 varints and
+//! per-run delta encoding — see the [`PbFormat::Compact`] docs for the
+//! layout.
 //!
 //! # Wire limits
 //!
@@ -36,10 +44,10 @@
 
 use std::fmt;
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use vlog_vmpi::{RClock, Rank};
 
-use crate::codec;
+use crate::codec::{self, Sink};
 use crate::event::Determinant;
 
 /// Per-group header of the factored format: rid (u16) + nb (u16).
@@ -108,25 +116,9 @@ impl fmt::Display for PbCodecError {
 
 impl std::error::Error for PbCodecError {}
 
-pub(crate) fn wire_u16(field: &'static str, v: u64) -> Result<u16, PbCodecError> {
-    u16::try_from(v).map_err(|_| PbCodecError::Overflow {
-        field,
-        value: v,
-        wire_bits: 16,
-    })
-}
-
-pub(crate) fn wire_u32(field: &'static str, v: u64) -> Result<u32, PbCodecError> {
-    u32::try_from(v).map_err(|_| PbCodecError::Overflow {
-        field,
-        value: v,
-        wire_bits: 32,
-    })
-}
-
 /// Structured piggyback attached to a message by a causal protocol.
-/// Travels structured through the simulated wire; `wire_len_*` gives the
-/// exact length the codec would produce.
+/// Travels structured through the simulated wire; [`PbFormat::wire_len`]
+/// is the exact length its encoding has.
 #[derive(Debug, Clone, Default)]
 pub struct PbBody {
     /// The sender's reception clock at emission (the antecedence edge for
@@ -161,7 +153,7 @@ pub enum PbFormat {
 }
 
 impl PbFormat {
-    /// Stable lowercase name, the `VLOG_PB_FORMAT` vocabulary.
+    /// Stable lowercase name (suite names and report keys carry it).
     pub fn label(&self) -> &'static str {
         match self {
             PbFormat::Flat => "flat",
@@ -170,55 +162,35 @@ impl PbFormat {
         }
     }
 
-    /// Inverse of [`PbFormat::label`].
-    pub fn parse(name: &str) -> Option<PbFormat> {
-        match name {
-            "flat" => Some(PbFormat::Flat),
-            "factored" => Some(PbFormat::Factored),
-            "compact" => Some(PbFormat::Compact),
-            _ => None,
+    /// The single definition of this format's wire layout: every byte of
+    /// `dets` goes to `out`, in wire order. [`PbFormat::wire_len`] and
+    /// [`PbFormat::encode`] are this function on the two sinks.
+    fn layout<S: Sink>(&self, dets: &[Determinant], out: &mut S) {
+        match self {
+            PbFormat::Flat => flat_layout(dets, out),
+            PbFormat::Factored => factored_layout(dets, out),
+            PbFormat::Compact => compact_layout(dets, out),
         }
     }
 
-    /// Resolves the `VLOG_PB_FORMAT` env knob with the workspace's
-    /// warn-and-fallback contract: unset uses `default` silently, an
-    /// unknown name falls back to `default` with a stderr warning.
-    pub fn from_env_or(default: PbFormat) -> PbFormat {
-        match std::env::var("VLOG_PB_FORMAT") {
-            Err(_) => default,
-            Ok(raw) => match PbFormat::parse(raw.trim()) {
-                Some(f) => f,
-                None => {
-                    eprintln!(
-                        "warning: ignoring VLOG_PB_FORMAT={raw:?} (unknown format; \
-                         known: [\"flat\", \"factored\", \"compact\"]); \
-                         falling back to {}",
-                        default.label()
-                    );
-                    default
-                }
-            },
-        }
-    }
-
-    /// Exact wire length of `dets` in this format.
+    /// Exact wire length of `dets` in this format: the layout run on the
+    /// counting sink, unvalidated (a length has no field to overflow).
     pub fn wire_len(&self, dets: &[Determinant]) -> u64 {
-        match self {
-            PbFormat::Flat => flat_len(dets),
-            PbFormat::Factored => factored_len(dets),
-            PbFormat::Compact => compact_len(dets),
-        }
+        let mut len = 0;
+        self.layout(dets, &mut len);
+        len
     }
 
-    /// Encodes `dets` in this format (compact never fails — it has no
-    /// wire limits — but shares the `Result` surface of the fixed-width
-    /// encoders).
+    /// Encodes `dets` in this format: one validation sweep for the
+    /// fixed-width formats (compact has no wire limits and never fails),
+    /// then the layout run on a buffer the counter sized.
     pub fn encode(&self, dets: &[Determinant]) -> Result<Bytes, PbCodecError> {
-        match self {
-            PbFormat::Flat => encode_flat(dets),
-            PbFormat::Factored => encode_factored(dets),
-            PbFormat::Compact => Ok(encode_compact(dets)),
+        if *self != PbFormat::Compact {
+            validate(dets)?;
         }
+        let mut out = Vec::with_capacity(self.wire_len(dets) as usize);
+        self.layout(dets, &mut out);
+        Ok(Bytes::from(out))
     }
 
     /// Decodes a buffer produced by [`PbFormat::encode`] of the same
@@ -232,40 +204,45 @@ impl PbFormat {
     }
 }
 
-/// Exact wire length of the factored format for `dets` (grouped by
-/// consecutive runs of equal receiver, which is how the encoder factors;
-/// runs longer than [`GROUP_MAX_EVENTS`] cost one extra header per
-/// split).
-pub fn factored_len(dets: &[Determinant]) -> u64 {
-    let mut groups = 0u64;
-    let mut run = 0usize;
-    let mut last: Option<Rank> = None;
-    for d in dets {
-        if last != Some(d.receiver) {
-            groups += 1;
-            run = 1;
-            last = Some(d.receiver);
-        } else {
-            run += 1;
-            if run > GROUP_MAX_EVENTS {
-                groups += 1;
-                run = 1;
-            }
-        }
+/// End of the run of equal-receiver events starting at `i`, cut at `max`
+/// events — how both grouped layouts factor their input.
+fn run_end(dets: &[Determinant], i: usize, max: usize) -> usize {
+    let rid = dets[i].receiver;
+    let mut j = i;
+    while j < dets.len() && dets[j].receiver == rid && j - i < max {
+        j += 1;
     }
-    groups * GROUP_HEADER_BYTES + dets.len() as u64 * EVENT_BODY_BYTES
+    j
 }
 
-/// Exact wire length of the flat format.
-pub fn flat_len(dets: &[Determinant]) -> u64 {
-    dets.len() as u64 * FLAT_EVENT_BYTES
+/// The 14-byte event body (clock u32, sender u16, ssn u32, cause u32 —
+/// all little endian). The `as` casts cannot wrap on the encode path,
+/// which has run [`validate`]; on the counting path only the width counts.
+#[inline]
+fn body_bytes(d: &Determinant) -> [u8; EVENT_BODY_BYTES as usize] {
+    let mut b = [0u8; EVENT_BODY_BYTES as usize];
+    b[0..4].copy_from_slice(&(d.clock as u32).to_le_bytes());
+    b[4..6].copy_from_slice(&(d.sender as u16).to_le_bytes());
+    b[6..10].copy_from_slice(&(d.ssn as u32).to_le_bytes());
+    b[10..14].copy_from_slice(&(d.cause as u32).to_le_bytes());
+    b
 }
 
-/// Encodes the factored `{rid, nb, events}` format. Runs of equal
-/// receiver share one group header; the encoder emits groups in input
-/// order, preserving the caller's (creator, clock) sorting.
-pub fn encode_factored(dets: &[Determinant]) -> Result<Bytes, PbCodecError> {
-    PbEncoder::new().encode_factored(dets)
+/// The factored `{rid, nb, events}` layout. Runs of equal receiver share
+/// one group header, in input order (the caller's (creator, clock)
+/// sorting survives); runs longer than [`GROUP_MAX_EVENTS`] split into
+/// several maximal groups, one extra header per split.
+fn factored_layout<S: Sink>(dets: &[Determinant], out: &mut S) {
+    let mut i = 0;
+    while i < dets.len() {
+        let j = run_end(dets, i, GROUP_MAX_EVENTS);
+        out.put(&(dets[i].receiver as u16).to_le_bytes());
+        out.put(&((j - i) as u16).to_le_bytes());
+        for d in &dets[i..j] {
+            out.put(&body_bytes(d));
+        }
+        i = j;
+    }
 }
 
 /// Decodes the factored format.
@@ -281,9 +258,14 @@ pub fn decode_factored(mut buf: Bytes) -> Result<Vec<Determinant>, PbCodecError>
     Ok(dets)
 }
 
-/// Encodes the flat (LogOn) format: order-preserving, one rid per event.
-pub fn encode_flat(dets: &[Determinant]) -> Result<Bytes, PbCodecError> {
-    PbEncoder::new().encode_flat(dets)
+/// The flat (LogOn) layout: order-preserving, one rid per event.
+fn flat_layout<S: Sink>(dets: &[Determinant], out: &mut S) {
+    for d in dets {
+        let mut e = [0u8; FLAT_EVENT_BYTES as usize];
+        e[0..2].copy_from_slice(&(d.receiver as u16).to_le_bytes());
+        e[2..].copy_from_slice(&body_bytes(d));
+        out.put(&e);
+    }
 }
 
 /// Decodes the flat format, preserving order.
@@ -324,36 +306,30 @@ impl CompactRunState {
     }
 }
 
-/// Exact wire length of the compact format (mirrors [`encode_compact`]
-/// varint for varint).
-pub fn compact_len(dets: &[Determinant]) -> u64 {
-    let mut len = 0u64;
+/// The compact varint/delta layout (see [`PbFormat::Compact`]): one
+/// `uvarint(rid), uvarint(nb)` header per maximal run, no group cap.
+fn compact_layout<S: Sink>(dets: &[Determinant], out: &mut S) {
     let mut i = 0;
     while i < dets.len() {
-        let rid = dets[i].receiver;
-        let mut j = i;
-        while j < dets.len() && dets[j].receiver == rid {
-            j += 1;
-        }
-        len += codec::uvarint_len(rid as u64) + codec::uvarint_len((j - i) as u64);
+        let j = run_end(dets, i, usize::MAX);
+        codec::put_uvarint(out, dets[i].receiver as u64);
+        codec::put_uvarint(out, (j - i) as u64);
         let mut st = CompactRunState::default();
         for d in &dets[i..j] {
-            for v in st.deltas(d) {
-                len += codec::uvarint_len(v);
+            let vs = st.deltas(d);
+            if (vs[0] | vs[1] | vs[2] | vs[3]) < 0x80 {
+                // Steady-state clustered piggyback: all four varints are
+                // single-byte, so they go out as one fixed-size store
+                // (and count as a constant 4) instead of four loops.
+                out.put(&[vs[0] as u8, vs[1] as u8, vs[2] as u8, vs[3] as u8]);
+            } else {
+                for v in vs {
+                    codec::put_uvarint(out, v);
+                }
             }
         }
         i = j;
     }
-    len
-}
-
-/// Encodes the compact varint/delta format (see [`PbFormat::Compact`]).
-/// Infallible: varints carry any u64, so there are no wire limits to
-/// overflow.
-pub fn encode_compact(dets: &[Determinant]) -> Bytes {
-    PbEncoder::new()
-        .encode_compact(dets)
-        .expect("compact encode is infallible")
 }
 
 /// Decodes the compact format, preserving order.
@@ -384,9 +360,13 @@ pub fn decode_compact(mut buf: Bytes) -> Result<Vec<Determinant>, PbCodecError> 
     Ok(dets)
 }
 
-/// Exact wire length of [`encode_watermarks`] for `wm`.
-pub fn watermarks_len(wm: &[RClock]) -> u64 {
-    let mut len = codec::uvarint_len(wm.len() as u64);
+/// The watermark-vector layout, run-length + delta style: `uvarint(n)`,
+/// then `(uvarint(run_len), uvarint(zigzag(Δvalue)))` per maximal run of
+/// equal values. Stability vectors are long and mostly flat (many ranks
+/// share a watermark), so this is a handful of bytes where the raw
+/// vector is `8n`.
+fn watermarks_layout<S: Sink>(wm: &[RClock], out: &mut S) {
+    codec::put_uvarint(out, wm.len() as u64);
     let mut prev = 0u64;
     let mut i = 0;
     while i < wm.len() {
@@ -394,38 +374,26 @@ pub fn watermarks_len(wm: &[RClock]) -> u64 {
         while j < wm.len() && wm[j] == wm[i] {
             j += 1;
         }
-        len += codec::uvarint_len((j - i) as u64);
-        len += codec::uvarint_len(codec::zigzag((wm[i] as i64).wrapping_sub(prev as i64)));
+        codec::put_uvarint(out, (j - i) as u64);
+        codec::put_uvarint(out, codec::zigzag((wm[i] as i64).wrapping_sub(prev as i64)));
         prev = wm[i];
         i = j;
     }
+}
+
+/// Exact wire length of [`encode_watermarks`] for `wm`: the same layout
+/// on the counting sink.
+pub fn watermarks_len(wm: &[RClock]) -> u64 {
+    let mut len = 0;
+    watermarks_layout(wm, &mut len);
     len
 }
 
-/// Encodes a per-rank watermark vector run-length + delta style:
-/// `uvarint(n)`, then `(uvarint(run_len), uvarint(zigzag(Δvalue)))` per
-/// maximal run of equal values. Stability vectors are long and mostly
-/// flat (many ranks share a watermark), so this is a handful of bytes
-/// where the raw vector is `8n`.
+/// Encodes a per-rank watermark vector (layout: `watermarks_layout`).
 pub fn encode_watermarks(wm: &[RClock]) -> Bytes {
-    let mut out = BytesMut::with_capacity(watermarks_len(wm) as usize);
-    codec::put_uvarint(&mut out, wm.len() as u64);
-    let mut prev = 0u64;
-    let mut i = 0;
-    while i < wm.len() {
-        let mut j = i;
-        while j < wm.len() && wm[j] == wm[i] {
-            j += 1;
-        }
-        codec::put_uvarint(&mut out, (j - i) as u64);
-        codec::put_uvarint(
-            &mut out,
-            codec::zigzag((wm[i] as i64).wrapping_sub(prev as i64)),
-        );
-        prev = wm[i];
-        i = j;
-    }
-    out.freeze()
+    let mut out = Vec::with_capacity(watermarks_len(wm) as usize);
+    watermarks_layout(wm, &mut out);
+    Bytes::from(out)
 }
 
 /// Decodes an [`encode_watermarks`] vector. Runs that overshoot the
@@ -455,179 +423,27 @@ pub fn decode_watermarks(mut buf: Bytes) -> Result<Vec<RClock>, PbCodecError> {
 /// (receiver, clock, sender, ssn, cause per event): the first field of
 /// the first event that overflows is the one reported.
 fn validate(dets: &[Determinant]) -> Result<(), PbCodecError> {
+    let fits = |field, value: u64, wire_bits: u32| match value >> wire_bits {
+        0 => Ok(()),
+        _ => Err(PbCodecError::Overflow {
+            field,
+            value,
+            wire_bits,
+        }),
+    };
     for d in dets {
-        wire_u16("receiver", d.receiver as u64)?;
-        wire_u32("clock", d.clock)?;
-        wire_u16("sender", d.sender as u64)?;
-        wire_u32("ssn", d.ssn)?;
-        wire_u32("cause", d.cause)?;
+        fits("receiver", d.receiver as u64, 16)?;
+        fits("clock", d.clock, 32)?;
+        fits("sender", d.sender as u64, 16)?;
+        fits("ssn", d.ssn, 32)?;
+        fits("cause", d.cause, 32)?;
     }
     Ok(())
 }
 
-/// The 14-byte event body as a stack array (clock u32, sender u16,
-/// ssn u32, cause u32 — all little endian). Callers must have validated
-/// the fields; the `as` casts here cannot wrap after [`validate`].
-#[inline]
-fn body_bytes(d: &Determinant) -> [u8; EVENT_BODY_BYTES as usize] {
-    let mut b = [0u8; EVENT_BODY_BYTES as usize];
-    b[0..4].copy_from_slice(&(d.clock as u32).to_le_bytes());
-    b[4..6].copy_from_slice(&(d.sender as u16).to_le_bytes());
-    b[6..10].copy_from_slice(&(d.ssn as u32).to_le_bytes());
-    b[10..14].copy_from_slice(&(d.cause as u32).to_le_bytes());
-    b
-}
-
-/// Reusable encoder for every piggyback format — the one encoder per
-/// format; the free functions [`encode_factored`] / [`encode_flat`] /
-/// [`encode_compact`] are one-shot conveniences over it. Structured for
-/// the per-ship hot path:
-///
-/// * field validation is hoisted into one up-front sweep, so the
-///   group/event loops carry no `Result` plumbing;
-/// * each fixed-width event body is assembled in a fixed stack array and
-///   appended with a single `extend_from_slice` instead of four checked
-///   per-field writes;
-/// * the accumulation buffer is owned by the encoder and reused across
-///   calls, so steady-state encoding performs exactly one allocation
-///   (the final shared [`Bytes`]) regardless of piggyback size.
-#[derive(Debug, Default)]
-pub struct PbEncoder {
-    scratch: Vec<u8>,
-}
-
-/// Appends one LEB128 varint to a plain byte vector (the scratch-buffer
-/// twin of [`codec::put_uvarint`]).
-#[inline]
-fn push_uvarint(out: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        out.push((v as u8 & 0x7f) | 0x80);
-        v >>= 7;
-    }
-    out.push(v as u8);
-}
-
-/// Writes one LEB128 varint into a fixed event staging buffer at
-/// offset `n`, returning the new offset. The buffer is sized so four
-/// maximal 10-byte varints fit exactly (4 × 10 = 40), which keeps the
-/// bounds check a compare against a constant.
-#[inline]
-fn stage_uvarint(buf: &mut [u8; 40], mut n: usize, mut v: u64) -> usize {
-    while v >= 0x80 {
-        buf[n] = (v as u8 & 0x7f) | 0x80;
-        v >>= 7;
-        n += 1;
-    }
-    buf[n] = v as u8;
-    n + 1
-}
-
-impl PbEncoder {
-    pub fn new() -> PbEncoder {
-        PbEncoder::default()
-    }
-
-    /// Factored `{rid, nb, events}` encode; runs longer than
-    /// [`GROUP_MAX_EVENTS`] split into several maximal groups.
-    pub fn encode_factored(&mut self, dets: &[Determinant]) -> Result<Bytes, PbCodecError> {
-        validate(dets)?;
-        self.scratch.clear();
-        self.scratch.reserve(factored_len(dets) as usize);
-        let mut i = 0;
-        while i < dets.len() {
-            let rid = dets[i].receiver;
-            let mut j = i;
-            while j < dets.len() && dets[j].receiver == rid && j - i < GROUP_MAX_EVENTS {
-                j += 1;
-            }
-            self.scratch.extend_from_slice(&(rid as u16).to_le_bytes());
-            self.scratch
-                .extend_from_slice(&((j - i) as u16).to_le_bytes());
-            for d in &dets[i..j] {
-                self.scratch.extend_from_slice(&body_bytes(d));
-            }
-            i = j;
-        }
-        Ok(Bytes::copy_from_slice(&self.scratch))
-    }
-
-    /// Flat (LogOn) encode: order-preserving, one rid per event.
-    pub fn encode_flat(&mut self, dets: &[Determinant]) -> Result<Bytes, PbCodecError> {
-        validate(dets)?;
-        self.scratch.clear();
-        self.scratch.reserve(flat_len(dets) as usize);
-        for d in dets {
-            let mut e = [0u8; FLAT_EVENT_BYTES as usize];
-            e[0..2].copy_from_slice(&(d.receiver as u16).to_le_bytes());
-            e[2..].copy_from_slice(&body_bytes(d));
-            self.scratch.extend_from_slice(&e);
-        }
-        Ok(Bytes::copy_from_slice(&self.scratch))
-    }
-
-    /// Compact varint/delta encode (see [`PbFormat::Compact`]);
-    /// infallible, but keeps the shared `Result` surface.
-    ///
-    /// Each event's four varints are staged in a fixed stack buffer and
-    /// flushed with a single `extend_from_slice`, so the per-wire-byte
-    /// cost is one store rather than one capacity-checked `push` —
-    /// this is what keeps compact encode competitive with the
-    /// fixed-width formats on the send hot path.
-    pub fn encode_compact(&mut self, dets: &[Determinant]) -> Result<Bytes, PbCodecError> {
-        self.scratch.clear();
-        let mut i = 0;
-        while i < dets.len() {
-            let rid = dets[i].receiver;
-            let mut j = i;
-            while j < dets.len() && dets[j].receiver == rid {
-                j += 1;
-            }
-            push_uvarint(&mut self.scratch, rid as u64);
-            push_uvarint(&mut self.scratch, (j - i) as u64);
-            let mut st = CompactRunState::default();
-            for d in &dets[i..j] {
-                let vs = st.deltas(d);
-                if (vs[0] | vs[1] | vs[2] | vs[3]) < 0x80 {
-                    // Steady-state clustered piggyback: all four varints
-                    // are single-byte, so emit them as one fixed-size
-                    // store — the same branch-free shape as the flat
-                    // encoder's per-event copy.
-                    self.scratch.extend_from_slice(&[
-                        vs[0] as u8,
-                        vs[1] as u8,
-                        vs[2] as u8,
-                        vs[3] as u8,
-                    ]);
-                } else {
-                    let mut ev = [0u8; 40];
-                    let mut n = 0;
-                    for v in vs {
-                        n = stage_uvarint(&mut ev, n, v);
-                    }
-                    self.scratch.extend_from_slice(&ev[..n]);
-                }
-            }
-            i = j;
-        }
-        Ok(Bytes::copy_from_slice(&self.scratch))
-    }
-
-    /// Encodes in the given format.
-    pub fn encode(
-        &mut self,
-        format: PbFormat,
-        dets: &[Determinant],
-    ) -> Result<Bytes, PbCodecError> {
-        match format {
-            PbFormat::Flat => self.encode_flat(dets),
-            PbFormat::Factored => self.encode_factored(dets),
-            PbFormat::Compact => self.encode_compact(dets),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use super::PbFormat::{Compact, Factored, Flat};
     use super::*;
 
     fn det(receiver: Rank, clock: RClock, sender: Rank) -> Determinant {
@@ -643,10 +459,10 @@ mod tests {
     #[test]
     fn factored_roundtrip_and_length() {
         let dets = vec![det(0, 1, 1), det(0, 2, 2), det(1, 1, 0), det(2, 5, 0)];
-        let enc = encode_factored(&dets).unwrap();
-        assert_eq!(enc.len() as u64, factored_len(&dets));
+        let enc = Factored.encode(&dets).unwrap();
+        assert_eq!(enc.len() as u64, Factored.wire_len(&dets));
         assert_eq!(
-            factored_len(&dets),
+            Factored.wire_len(&dets),
             3 * GROUP_HEADER_BYTES + 4 * EVENT_BODY_BYTES
         );
         assert_eq!(decode_factored(enc).unwrap(), dets);
@@ -657,8 +473,8 @@ mod tests {
         // Deliberately interleaved receivers: flat keeps the order, which
         // is what LogOn's partial-order decode relies on.
         let dets = vec![det(2, 9, 0), det(0, 1, 1), det(2, 8, 1), det(1, 3, 2)];
-        let enc = encode_flat(&dets).unwrap();
-        assert_eq!(enc.len() as u64, flat_len(&dets));
+        let enc = Flat.encode(&dets).unwrap();
+        assert_eq!(enc.len() as u64, Flat.wire_len(&dets));
         assert_eq!(decode_flat(enc).unwrap(), dets);
     }
 
@@ -674,12 +490,12 @@ mod tests {
             det(0, 2, 0),
             det(1, 3, 2),
         ];
-        let enc = encode_compact(&dets);
-        assert_eq!(enc.len() as u64, compact_len(&dets));
+        let enc = Compact.encode(&dets).unwrap();
+        assert_eq!(enc.len() as u64, Compact.wire_len(&dets));
         assert_eq!(decode_compact(enc).unwrap(), dets);
         // Empty input is zero bytes like the other formats.
-        assert_eq!(compact_len(&[]), 0);
-        assert!(encode_compact(&[]).is_empty());
+        assert_eq!(Compact.wire_len(&[]), 0);
+        assert!(Compact.encode(&[]).unwrap().is_empty());
         assert_eq!(decode_compact(Bytes::new()).unwrap(), Vec::new());
     }
 
@@ -696,10 +512,10 @@ mod tests {
                 cause: 0,
             },
         ];
-        assert!(encode_factored(&dets).is_err());
-        assert!(encode_flat(&dets).is_err());
-        let enc = encode_compact(&dets);
-        assert_eq!(enc.len() as u64, compact_len(&dets));
+        assert!(Factored.encode(&dets).is_err());
+        assert!(Flat.encode(&dets).is_err());
+        let enc = Compact.encode(&dets).unwrap();
+        assert_eq!(enc.len() as u64, Compact.wire_len(&dets));
         assert_eq!(decode_compact(enc).unwrap(), dets);
     }
 
@@ -719,33 +535,36 @@ mod tests {
             })
             .collect();
         dets.sort_by_key(|d| (d.receiver, d.clock));
-        let compact = compact_len(&dets);
+        let compact = Compact.wire_len(&dets);
         assert!(
-            2 * compact <= flat_len(&dets),
+            2 * compact <= Flat.wire_len(&dets),
             "compact {compact} B vs flat {} B: less than 2x win",
-            flat_len(&dets)
+            Flat.wire_len(&dets)
         );
         assert!(
-            2 * compact <= factored_len(&dets),
+            2 * compact <= Factored.wire_len(&dets),
             "compact {compact} B vs factored {} B: less than 2x win",
-            factored_len(&dets)
+            Factored.wire_len(&dets)
         );
-        assert_eq!(decode_compact(encode_compact(&dets)).unwrap(), dets);
+        assert_eq!(
+            decode_compact(Compact.encode(&dets).unwrap()).unwrap(),
+            dets
+        );
     }
 
     #[test]
     fn truncated_buffers_are_errors_not_panics() {
         let dets = vec![det(0, 1, 1), det(0, 2, 2), det(1, 1, 0)];
-        let fac = encode_factored(&dets).unwrap();
+        let fac = Factored.encode(&dets).unwrap();
         assert!(decode_factored(fac.slice(..fac.len() - 3)).is_err());
         assert_eq!(
             decode_factored(fac.slice(..3)).unwrap_err().field(),
             "nb",
             "a clipped group header names the field it died in"
         );
-        let flat = encode_flat(&dets).unwrap();
+        let flat = Flat.encode(&dets).unwrap();
         assert!(decode_flat(flat.slice(..flat.len() - 1)).is_err());
-        let comp = encode_compact(&dets);
+        let comp = Compact.encode(&dets).unwrap();
         assert!(decode_compact(comp.slice(..comp.len() - 1)).is_err());
     }
 
@@ -768,12 +587,12 @@ mod tests {
         // Truncation and a lying run length are both checked errors.
         let enc = encode_watermarks(&[5, 5, 9]);
         assert!(decode_watermarks(enc.slice(..enc.len() - 1)).is_err());
-        let mut lying = BytesMut::new();
+        let mut lying = Vec::new();
         codec::put_uvarint(&mut lying, 2); // n = 2
         codec::put_uvarint(&mut lying, 3); // run of 3 > n
         codec::put_uvarint(&mut lying, 0);
         assert!(matches!(
-            decode_watermarks(lying.freeze()),
+            decode_watermarks(Bytes::from(lying)),
             Err(PbCodecError::Overflow {
                 field: "wm_run",
                 ..
@@ -782,47 +601,43 @@ mod tests {
     }
 
     #[test]
-    fn format_labels_and_dispatch_agree_with_the_free_functions() {
-        for f in [PbFormat::Flat, PbFormat::Factored, PbFormat::Compact] {
-            assert_eq!(PbFormat::parse(f.label()), Some(f));
-        }
-        assert_eq!(PbFormat::parse("gzip"), None);
+    fn every_format_roundtrips_through_the_dispatch() {
         let dets = vec![det(0, 1, 1), det(0, 2, 2), det(1, 1, 0)];
-        for f in [PbFormat::Flat, PbFormat::Factored, PbFormat::Compact] {
+        for f in [Flat, Factored, Compact] {
             let enc = f.encode(&dets).unwrap();
             assert_eq!(enc.len() as u64, f.wire_len(&dets), "{}", f.label());
             assert_eq!(f.decode(enc).unwrap(), dets, "{}", f.label());
         }
-        assert!(compact_len(&dets) < factored_len(&dets).min(flat_len(&dets)));
+        assert!(Compact.wire_len(&dets) < Factored.wire_len(&dets).min(Flat.wire_len(&dets)));
     }
 
     #[test]
     fn flat_is_bigger_per_event_once_factoring_helps() {
         // Two events of one receiver break even; three or more win.
         let two = vec![det(0, 1, 1), det(0, 2, 1)];
-        assert!(factored_len(&two) <= flat_len(&two));
+        assert!(Factored.wire_len(&two) <= Flat.wire_len(&two));
         let three = vec![det(0, 1, 1), det(0, 2, 1), det(0, 3, 1)];
-        assert!(factored_len(&three) < flat_len(&three));
+        assert!(Factored.wire_len(&three) < Flat.wire_len(&three));
         // One event: factored pays a header for a single event and loses
         // (the paper's "LU on four nodes" case where nothing factors).
         let single = vec![det(0, 1, 1)];
-        assert!(factored_len(&single) > flat_len(&single));
+        assert!(Factored.wire_len(&single) > Flat.wire_len(&single));
     }
 
     #[test]
     fn empty_piggyback_is_zero_bytes() {
-        assert_eq!(factored_len(&[]), 0);
-        assert_eq!(flat_len(&[]), 0);
-        assert!(encode_factored(&[]).unwrap().is_empty());
-        assert!(encode_flat(&[]).unwrap().is_empty());
+        assert_eq!(Factored.wire_len(&[]), 0);
+        assert_eq!(Flat.wire_len(&[]), 0);
+        assert!(Factored.encode(&[]).unwrap().is_empty());
+        assert!(Flat.encode(&[]).unwrap().is_empty());
     }
 
     #[test]
     fn rank_at_the_u16_boundary_roundtrips() {
         let dets = vec![det(u16::MAX as Rank, 3, u16::MAX as Rank)];
-        let enc = encode_factored(&dets).unwrap();
+        let enc = Factored.encode(&dets).unwrap();
         assert_eq!(decode_factored(enc).unwrap(), dets);
-        let enc = encode_flat(&dets).unwrap();
+        let enc = Flat.encode(&dets).unwrap();
         assert_eq!(decode_flat(enc).unwrap(), dets);
     }
 
@@ -831,7 +646,7 @@ mod tests {
         // Regression: `as u16` used to silently encode rank 65 536 as
         // rank 0, corrupting the determinant stream for large clusters.
         let oversized = vec![det(u16::MAX as Rank + 1, 3, 0)];
-        let err = encode_factored(&oversized).unwrap_err();
+        let err = Factored.encode(&oversized).unwrap_err();
         assert_eq!(
             err,
             PbCodecError::Overflow {
@@ -840,18 +655,18 @@ mod tests {
                 wire_bits: 16,
             }
         );
-        assert!(encode_flat(&oversized).is_err());
+        assert!(Flat.encode(&oversized).is_err());
         // Same for the sender field inside the shared event body.
         let bad_sender = vec![det(0, 3, u16::MAX as Rank + 1)];
-        assert_eq!(encode_factored(&bad_sender).unwrap_err().field(), "sender");
-        assert_eq!(encode_flat(&bad_sender).unwrap_err().field(), "sender");
+        assert_eq!(Factored.encode(&bad_sender).unwrap_err().field(), "sender");
+        assert_eq!(Flat.encode(&bad_sender).unwrap_err().field(), "sender");
         // And for the u32 body fields.
         let bad_clock = vec![Determinant {
             clock: u32::MAX as u64 + 1,
             ..det(0, 1, 1)
         }];
-        assert_eq!(encode_flat(&bad_clock).unwrap_err().field(), "clock");
-        let err = encode_flat(&bad_clock).unwrap_err();
+        assert_eq!(Flat.encode(&bad_clock).unwrap_err().field(), "clock");
+        let err = Flat.encode(&bad_clock).unwrap_err();
         assert!(err.to_string().contains("clock"), "{err}");
     }
 
@@ -909,11 +724,10 @@ mod tests {
         // encoder's agreement with itself.
         let dets = golden_dets();
         let golden: [(PbFormat, &[u8]); 3] = [
-            (PbFormat::Flat, &GOLDEN_FLAT),
-            (PbFormat::Factored, &GOLDEN_FACTORED),
-            (PbFormat::Compact, &GOLDEN_COMPACT),
+            (Flat, &GOLDEN_FLAT),
+            (Factored, &GOLDEN_FACTORED),
+            (Compact, &GOLDEN_COMPACT),
         ];
-        let mut enc = PbEncoder::new();
         for (format, bytes) in golden {
             assert_eq!(&format.encode(&dets).unwrap()[..], bytes, "{format:?}");
             assert_eq!(format.wire_len(&dets), bytes.len() as u64, "{format:?}");
@@ -922,12 +736,90 @@ mod tests {
                 dets,
                 "{format:?}"
             );
-            // Scratch reuse must not leak bytes from a larger earlier
-            // encode into a smaller later one.
+            // Consecutive encodes are independent: a larger one in
+            // between leaves nothing behind.
             let big: Vec<Determinant> = (1..200).map(|c| det(3, c, 1)).collect();
-            enc.encode(format, &big).unwrap();
-            assert_eq!(&enc.encode(format, &dets).unwrap()[..], bytes, "{format:?}");
-            assert!(enc.encode(format, &[]).unwrap().is_empty(), "{format:?}");
+            assert_eq!(
+                format.encode(&big).unwrap().len() as u64,
+                format.wire_len(&big)
+            );
+            assert_eq!(&format.encode(&dets).unwrap()[..], bytes, "{format:?}");
+            assert!(format.encode(&[]).unwrap().is_empty(), "{format:?}");
+        }
+    }
+
+    /// `format`'s layout, unvalidated, on the counter and on a `Vec`.
+    fn on_both_sinks(format: PbFormat, dets: &[Determinant]) -> (u64, Vec<u8>) {
+        let (mut len, mut out) = (0, Vec::new());
+        format.layout(dets, &mut len);
+        format.layout(dets, &mut out);
+        (len, out)
+    }
+
+    #[test]
+    fn the_counter_and_the_vec_sink_agree_on_every_layout() {
+        // One compact run alternating the all-single-byte fast path with
+        // multi-byte varints: two clocks step by one, the third jumps to
+        // the top of the u64 range (and the next delta wraps back).
+        let mixed: Vec<Determinant> = (0..64u64)
+            .map(|i| Determinant {
+                receiver: 5,
+                clock: if i % 3 == 2 { u64::MAX - i } else { i + 1 },
+                sender: (i % 4) as Rank,
+                ssn: i,
+                cause: i,
+            })
+            .collect();
+        let (len, out) = on_both_sinks(Compact, &mixed);
+        assert_eq!(&out[..6], &[5, 64, 2, 0, 0, 0], "first event is fast-path");
+        assert!(len > 2 + 4 * 64, "some events carry multi-byte varints");
+        assert_eq!(decode_compact(Bytes::from(out)).unwrap(), mixed);
+
+        // A factored run one past the group cap (the split costs a
+        // second header), and values no fixed-width field can hold (the
+        // counter does not validate: it charges the field widths).
+        let split: Vec<Determinant> = (0..=GROUP_MAX_EVENTS)
+            .map(|i| det(7, i as u64 + 1, 1))
+            .collect();
+        let wild = vec![
+            Determinant {
+                receiver: u16::MAX as Rank + 7,
+                clock: u64::MAX,
+                sender: u16::MAX as Rank + 1,
+                ssn: u64::MAX - 1,
+                cause: 1 << 40,
+            },
+            det(u16::MAX as Rank + 7, 3, 0),
+        ];
+        for dets in [&golden_dets(), &mixed, &split, &wild, &Vec::new()] {
+            for format in [Flat, Factored, Compact] {
+                let (len, out) = on_both_sinks(format, dets);
+                assert_eq!(len, out.len() as u64, "{format:?}");
+                assert_eq!(format.wire_len(dets), len, "{format:?}");
+                if let Ok(enc) = format.encode(dets) {
+                    assert_eq!(enc, out, "{format:?}");
+                }
+            }
+        }
+        assert_eq!(
+            Factored.wire_len(&split),
+            2 * GROUP_HEADER_BYTES + split.len() as u64 * EVENT_BODY_BYTES
+        );
+
+        let vectors: [&[RClock]; 5] = [
+            &[],
+            &[0],
+            &[7; 32],
+            &[u64::MAX, 0, 0, u64::MAX, 1 << 35],
+            &[5, 5, 5, 0, 0, 9, 9, 9, 9, 8],
+        ];
+        for wm in vectors {
+            let (mut len, mut out) = (0u64, Vec::new());
+            watermarks_layout(wm, &mut len);
+            watermarks_layout(wm, &mut out);
+            assert_eq!(len, out.len() as u64, "{wm:?}");
+            assert_eq!(watermarks_len(wm), len, "{wm:?}");
+            assert_eq!(encode_watermarks(wm), out, "{wm:?}");
         }
     }
 
@@ -935,7 +827,7 @@ mod tests {
     fn a_run_past_group_max_events_splits_at_fixed_offsets() {
         let n = GROUP_MAX_EVENTS + 3;
         let long: Vec<Determinant> = (0..n).map(|i| det(7, i as u64 + 1, 1)).collect();
-        let enc = encode_factored(&long).unwrap();
+        let enc = Factored.encode(&long).unwrap();
         let group = GROUP_HEADER_BYTES as usize;
         let body = EVENT_BODY_BYTES as usize;
         let second = group + GROUP_MAX_EVENTS * body;
@@ -949,7 +841,10 @@ mod tests {
             &[7, 0, 3, 0, 0, 0, 1, 0, 1, 0]
         );
         // The flat layout has no groups to split.
-        assert_eq!(encode_flat(&long).unwrap().len() as u64, flat_len(&long));
+        assert_eq!(
+            Flat.encode(&long).unwrap().len() as u64,
+            Flat.wire_len(&long)
+        );
     }
 
     #[test]
@@ -1004,10 +899,13 @@ mod tests {
             };
             // Behind a good event, so the sweep has to reach it.
             let dets = [ok, bad];
-            assert_eq!(encode_factored(&dets).unwrap_err(), expected);
-            assert_eq!(encode_flat(&dets).unwrap_err(), expected);
+            assert_eq!(Factored.encode(&dets).unwrap_err(), expected);
+            assert_eq!(Flat.encode(&dets).unwrap_err(), expected);
             // Compact carries it.
-            assert_eq!(decode_compact(encode_compact(&dets)).unwrap(), dets);
+            assert_eq!(
+                decode_compact(Compact.encode(&dets).unwrap()).unwrap(),
+                dets
+            );
         }
         // Error order: the first overflowing field in encode order
         // (receiver, clock, sender, ssn, cause) of the first bad event.
@@ -1023,9 +921,10 @@ mod tests {
             cause: over32,
             ..ok
         };
-        assert_eq!(encode_flat(&[all_bad]).unwrap_err().field(), "receiver");
+        assert_eq!(Flat.encode(&[all_bad]).unwrap_err().field(), "receiver");
         assert_eq!(
-            encode_factored(&[late_fields, all_bad])
+            Factored
+                .encode(&[late_fields, all_bad])
                 .unwrap_err()
                 .field(),
             "ssn"
@@ -1040,8 +939,8 @@ mod tests {
         let n = GROUP_MAX_EVENTS + 3;
         let long: Vec<Determinant> = (0..n).map(|i| det(7, i as u64 + 1, 1)).collect();
         let expected_len = 2 * GROUP_HEADER_BYTES + n as u64 * EVENT_BODY_BYTES;
-        assert_eq!(factored_len(&long), expected_len);
-        let enc = encode_factored(&long).unwrap();
+        assert_eq!(Factored.wire_len(&long), expected_len);
+        let enc = Factored.encode(&long).unwrap();
         assert_eq!(enc.len() as u64, expected_len);
         assert_eq!(decode_factored(enc).unwrap(), long);
         // A run of exactly the maximum stays a single group.
@@ -1049,16 +948,16 @@ mod tests {
             .map(|i| det(7, i as u64 + 1, 1))
             .collect();
         assert_eq!(
-            factored_len(&exact),
+            Factored.wire_len(&exact),
             GROUP_HEADER_BYTES + GROUP_MAX_EVENTS as u64 * EVENT_BODY_BYTES
         );
         assert_eq!(
-            decode_factored(encode_factored(&exact).unwrap()).unwrap(),
+            decode_factored(Factored.encode(&exact).unwrap()).unwrap(),
             exact
         );
         // Compact has no group cap: one run header for the whole thing.
-        let comp = encode_compact(&long);
-        assert_eq!(comp.len() as u64, compact_len(&long));
+        let comp = Compact.encode(&long).unwrap();
+        assert_eq!(comp.len() as u64, Compact.wire_len(&long));
         assert_eq!(decode_compact(comp).unwrap(), long);
     }
 }

@@ -47,11 +47,6 @@ impl Technique {
             Technique::LogOn => piggyback::PbFormat::Flat,
         }
     }
-
-    /// Wire length of a piggyback under this technique's default format.
-    pub fn wire_len(&self, dets: &[Determinant]) -> u64 {
-        self.default_format().wire_len(dets)
-    }
 }
 
 /// Work performed by a reduction operation, in structural operations. The

@@ -27,10 +27,9 @@ pub struct CausalSuite {
     pub el_count: usize,
     /// Stable-clock gossip period between distributed EL shards.
     pub el_gossip: SimDuration,
-    /// Piggyback wire format. `None` resolves per rank at install time:
-    /// the `VLOG_PB_FORMAT` environment knob if set, else the
-    /// technique's historical format ([`Technique::default_format`]).
-    pub pb_format: Option<PbFormat>,
+    /// Piggyback wire format; starts as the technique's historical
+    /// format ([`Technique::default_format`]).
+    pub pb_format: PbFormat,
 }
 
 impl CausalSuite {
@@ -42,21 +41,14 @@ impl CausalSuite {
             costs: CausalCosts::default(),
             el_count: 1,
             el_gossip: SimDuration::from_millis(20),
-            pb_format: None,
+            pb_format: technique.default_format(),
         }
     }
 
-    /// Pins the piggyback wire format (overrides both the technique
-    /// default and the `VLOG_PB_FORMAT` environment knob).
+    /// Pins the piggyback wire format (overrides the technique default).
     pub fn with_pb_format(mut self, format: PbFormat) -> Self {
-        self.pb_format = Some(format);
+        self.pb_format = format;
         self
-    }
-
-    /// The format this suite resolves to for its protocol instances.
-    fn resolved_format(&self) -> PbFormat {
-        self.pb_format
-            .unwrap_or_else(|| PbFormat::from_env_or(self.technique.default_format()))
     }
 
     /// Enables uncoordinated round-robin checkpoints every `period`.
@@ -78,12 +70,13 @@ impl CausalSuite {
 
 impl Suite for CausalSuite {
     fn name(&self) -> String {
-        // The format shows up only when explicitly pinned to something
-        // other than the technique's historical default, so baseline
-        // suite names (and every report keyed on them) are unchanged.
-        let fmt = match self.pb_format {
-            Some(f) if f != self.technique.default_format() => format!(", {}", f.label()),
-            _ => String::new(),
+        // The format shows up only when it differs from the technique's
+        // historical default, so baseline suite names (and every report
+        // keyed on them) are unchanged.
+        let fmt = if self.pb_format != self.technique.default_format() {
+            format!(", {}", self.pb_format.label())
+        } else {
+            String::new()
         };
         format!(
             "MPICH-Vcausal ({}{}{})",
@@ -114,10 +107,10 @@ impl Suite for CausalSuite {
     ) -> Box<dyn VProtocol> {
         Box::new(CausalProtocol::new(
             self.technique,
-            self.resolved_format(),
+            self.pb_format,
             self.el,
             rank,
-            topo.n_ranks(),
+            topo.view().n_ranks(),
             self.costs.clone(),
             stats,
         ))
@@ -174,7 +167,7 @@ impl Suite for PessimisticSuite {
     ) -> Box<dyn VProtocol> {
         Box::new(PessimisticProtocol::new(
             rank,
-            topo.n_ranks(),
+            topo.view().n_ranks(),
             self.costs.clone(),
             stats,
         ))
@@ -233,7 +226,7 @@ impl Suite for CoordinatedSuite {
         topo: &Topology,
         _stats: SharedRankStats,
     ) -> Box<dyn VProtocol> {
-        let proto = CoordinatedProtocol::new(rank, topo.n_ranks());
+        let proto = CoordinatedProtocol::new(rank, topo.view().n_ranks());
         let proto = if self.storm_bug {
             proto.with_storm_bug()
         } else {

@@ -95,6 +95,21 @@ pub fn any_u64(name: &str, default: u64) -> u64 {
     knob(name, parse_any, |n| n, || default)
 }
 
+/// Reads env knob `name` as one of the `known` names with
+/// warn-and-fallback: `None` when unset (silently) or unknown (after a
+/// stderr warning naming `fallback`, what the caller uses instead).
+pub fn one_of<'a>(name: &str, known: &[&'a str], fallback: &str) -> Option<&'a str> {
+    let raw = std::env::var(name).ok()?;
+    let found = known.iter().copied().find(|k| *k == raw.trim());
+    if found.is_none() {
+        eprintln!(
+            "warning: ignoring {name}={raw:?} (unknown name; known: {known:?}); \
+             falling back to {fallback}"
+        );
+    }
+    found
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,6 +164,10 @@ mod tests {
         // An env var that no harness sets: the silent-default path.
         assert_eq!(positive_u64("VLOG_TEST_KNOB_THAT_IS_NEVER_SET", 7), 7);
         assert_eq!(any_u64("VLOG_TEST_KNOB_THAT_IS_NEVER_SET", 0), 0);
+        assert_eq!(
+            one_of("VLOG_TEST_KNOB_THAT_IS_NEVER_SET", &["a"], "a"),
+            None
+        );
         assert_eq!(
             positive_usize_or_else("VLOG_TEST_KNOB_THAT_IS_NEVER_SET", || 3),
             3

@@ -241,21 +241,10 @@ impl NetProfile {
     /// warn-and-fallback contract: unset silently uses `default`, an
     /// unknown name warns on stderr and falls back.
     pub fn from_env_or(default: NetProfile) -> NetProfile {
-        match std::env::var("VLOG_NET_PROFILE") {
-            Err(_) => default,
-            Ok(raw) => match NetProfile::by_name(raw.trim()) {
-                Some(p) => p,
-                None => {
-                    let known: Vec<&str> = NetProfile::all().iter().map(|p| p.name).collect();
-                    eprintln!(
-                        "warning: ignoring VLOG_NET_PROFILE={raw:?} (unknown profile; \
-                         known: {known:?}); falling back to {}",
-                        default.name
-                    );
-                    default
-                }
-            },
-        }
+        let known: Vec<&str> = NetProfile::all().iter().map(|p| p.name).collect();
+        crate::env_knob::one_of("VLOG_NET_PROFILE", &known, default.name)
+            .and_then(NetProfile::by_name)
+            .unwrap_or(default)
     }
 
     /// Pins a [`SERVICE_BOUNDARY`] heterogeneous split to the actual

@@ -456,12 +456,13 @@ impl ClusterRun {
             let rank_stats = rank_stats.clone();
             let program = program.clone();
             Arc::new(move |sim: &mut Sim, rank: Rank, mode: BootMode| {
-                let me = topo.daemon(rank);
+                let view = topo.view();
+                let me = view.daemon(rank);
                 let proto = suite.make_protocol(rank, &topo, rank_stats[rank].clone());
                 let daemon = Vdaemon::new(
                     rank,
-                    topo.n_ranks(),
-                    topo.node(rank),
+                    view.n_ranks(),
+                    view.node(rank),
                     me,
                     topo.clone(),
                     profile.clone(),
@@ -510,7 +511,7 @@ impl ClusterRun {
         for &(t, shard) in &faults.el_faults {
             let topo_crash = topo.clone();
             sim.after(t, move |sim| {
-                if let Some((_, node)) = topo_crash.el_at(shard) {
+                if let Some((_, node)) = topo_crash.view().el_at(shard) {
                     sim.crash_node(node);
                     sim.stats_mut().bump("el_shard_crashes");
                 }

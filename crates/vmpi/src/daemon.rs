@@ -197,10 +197,6 @@ impl DaemonCore {
         self.me
     }
 
-    pub fn topo(&self) -> &Topology {
-        &self.topo
-    }
-
     /// Current lock-free topology snapshot (epoch-validated; re-captured
     /// only when the topology mutated, which never happens mid-run).
     pub fn topo_view(&self) -> Arc<TopoView> {

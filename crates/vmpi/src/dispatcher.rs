@@ -81,12 +81,13 @@ impl Dispatcher {
                 self.done.clear();
                 // Ask the checkpoint server which snapshot is complete on
                 // every rank, then roll everyone back to it.
-                let Some((server, _)) = self.topo.ckpt_server() else {
+                let view = self.topo.view();
+                let Some((server, _)) = view.ckpt_server() else {
                     // No checkpoints at all: restart the whole job.
                     self.rollback_all(sim, 0);
                     return;
                 };
-                let me_actor = self.topo.dispatcher().expect("dispatcher registered").0;
+                let me_actor = view.dispatcher().expect("dispatcher registered").0;
                 let req = CkptRequest::QueryComplete {
                     n: self.n,
                     reply_to: me_actor,
@@ -117,7 +118,7 @@ impl Dispatcher {
             // Kill the surviving incarnation (app task + daemon) so stale
             // in-flight traffic is dropped by the generation check, then
             // relaunch from the snapshot.
-            let node = self.topo.node(rank);
+            let node = self.topo.view().node(rank);
             sim.crash_node(node);
             (self.relaunch)(
                 sim,

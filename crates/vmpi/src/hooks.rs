@@ -30,25 +30,127 @@ use crate::types::{AppMsg, Payload, PiggybackBlob, Rank, Ssn};
 /// Where everything lives. Filled by the cluster builder before the
 /// simulation starts; shared read-only with every component.
 ///
-/// Every mutator bumps an epoch counter; steady-state consumers hold a
-/// [`TopoCache`] and route through an immutable [`TopoView`] snapshot,
-/// re-captured only when the epoch moved — one relaxed atomic load per
-/// access instead of a mutex lock.
+/// The state is one published [`TopoView`]. Reads go through
+/// [`Topology::view`] (one `Arc` clone) or, on steady-state paths, a
+/// [`TopoCache`] that re-captures the view only when the epoch moved —
+/// one relaxed atomic load per access instead of a mutex lock. Every
+/// mutator edits the published view copy-on-write and bumps the epoch,
+/// so a view captured earlier keeps describing the topology it saw.
 #[derive(Clone, Default)]
 pub struct Topology {
-    inner: Arc<Mutex<TopoInner>>,
+    published: Arc<Mutex<Arc<TopoView>>>,
     epoch: Arc<AtomicU64>,
 }
 
-#[derive(Default)]
-struct TopoInner {
+impl Topology {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Applies `edit` to the published state (copied first if a captured
+    /// view still shares it) and invalidates every outstanding
+    /// [`TopoCache`]. Relaxed ordering suffices for the epoch because a
+    /// cluster run is single-threaded and cross-thread hand-off of the
+    /// topology is already synchronized by the `Arc`s that carry it.
+    fn mutate(&self, edit: impl FnOnce(&mut TopoView)) {
+        let mut published = self.published.lock().expect("topology lock poisoned");
+        edit(Arc::make_mut(&mut published));
+        self.epoch.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Current mutation epoch (see [`TopoCache`]).
+    pub fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::Relaxed)
+    }
+
+    /// The currently published state: lock-free reads through the
+    /// returned view, which later mutations never change.
+    pub fn view(&self) -> Arc<TopoView> {
+        self.published
+            .lock()
+            .expect("topology lock poisoned")
+            .clone()
+    }
+
+    pub fn set_ranks(&self, daemons: Vec<ActorId>, nodes: Vec<NodeId>) {
+        self.mutate(|t| {
+            t.daemons = daemons;
+            t.nodes = nodes;
+        });
+    }
+
+    /// Registers the Event Logger shards (one for the paper's single EL)
+    /// and publishes the epoch-0 rank→shard map: round-robin over the
+    /// shard count, the historical static assignment.
+    pub fn set_els(&self, els: Vec<(ActorId, NodeId)>) {
+        self.mutate(|t| {
+            let k = els.len();
+            t.shard_map = if k == 0 {
+                Vec::new()
+            } else {
+                (0..t.daemons.len()).map(|r| r % k).collect()
+            };
+            t.el_dead = vec![false; k];
+            t.els = els;
+        });
+    }
+
+    /// Marks shard `dead` as crashed and republishes the rank→shard map
+    /// over the surviving shards (each orphaned rank is reassigned
+    /// round-robin over the survivors; ranks on live shards keep their
+    /// assignment). Returns the new epoch, or `None` when no shard
+    /// survives (total EL loss — nothing to rebalance onto).
+    pub fn rebalance_after_el_failure(&self, dead: usize) -> Option<u64> {
+        let mut published = self.published.lock().expect("topology lock poisoned");
+        let t = Arc::make_mut(&mut published);
+        if dead >= t.els.len() {
+            return None;
+        }
+        t.el_dead[dead] = true;
+        let survivors: Vec<usize> = (0..t.els.len()).filter(|i| !t.el_dead[*i]).collect();
+        if survivors.is_empty() {
+            return None;
+        }
+        for (rank, shard) in t.shard_map.iter_mut().enumerate() {
+            if t.el_dead[*shard] {
+                *shard = survivors[rank % survivors.len()];
+            }
+        }
+        Some(self.epoch.fetch_add(1, Ordering::Relaxed) + 1)
+    }
+
+    pub fn set_ckpt_server(&self, actor: ActorId, node: NodeId) {
+        self.mutate(|t| t.ckpt_server = Some((actor, node)));
+    }
+
+    pub fn set_dispatcher(&self, actor: ActorId, node: NodeId) {
+        self.mutate(|t| t.dispatcher = Some((actor, node)));
+    }
+
+    /// Arms phase-triggered fault injection (cluster builder only).
+    pub fn set_phase_faults(&self, arm: Arc<PhaseFaultArmature>) {
+        self.mutate(|t| t.phase_faults = Some(arm));
+    }
+
+    /// Enables the restart-window test bug (cluster builder only).
+    pub fn set_buggy_restart_window(&self, on: bool) {
+        self.mutate(|t| t.buggy_restart_window = on);
+    }
+}
+
+/// The topology's state, published by [`Topology`] and captured
+/// immutably by [`Topology::view`]. All accessors are lock-free; see
+/// [`TopoCache`] for the epoch-validated caching pattern the daemons and
+/// protocols use.
+#[derive(Clone, Default)]
+pub struct TopoView {
     daemons: Vec<ActorId>,
     nodes: Vec<NodeId>,
     /// Event Logger instances (one or several; ranks are assigned
     /// through `shard_map`).
     els: Vec<(ActorId, NodeId)>,
-    /// Epoch-published rank→shard map: `shard_map[rank]` indexes `els`.
-    /// Seeded round-robin by [`Topology::set_els`]; rewritten by
+    /// Rank→shard map: `shard_map[rank]` indexes `els`. Seeded
+    /// round-robin by [`Topology::set_els`]; rewritten by
     /// [`Topology::rebalance_after_el_failure`] when a shard dies.
     shard_map: Vec<usize>,
     /// Shards that have crashed (parallel to `els`).
@@ -61,188 +163,6 @@ struct TopoInner {
     phase_faults: Option<Arc<PhaseFaultArmature>>,
     /// Test hook: re-introduces the PR-5 restart-window bug (see
     /// [`crate::ClusterConfig::buggy_restart_window`]).
-    buggy_restart_window: bool,
-}
-
-impl Topology {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Invalidates every outstanding [`TopoCache`]. Called by all
-    /// mutators; relaxed ordering suffices because a cluster run is
-    /// single-threaded and cross-thread hand-off of the topology is
-    /// already synchronized by the `Arc`s that carry it.
-    fn bump(&self) {
-        self.epoch.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Current mutation epoch (see [`TopoCache`]).
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Relaxed)
-    }
-
-    /// Captures an immutable snapshot of the topology: one lock, then
-    /// lock-free reads through the returned view.
-    pub fn view(&self) -> Arc<TopoView> {
-        let t = self.inner.lock().unwrap();
-        Arc::new(TopoView {
-            daemons: t.daemons.clone(),
-            nodes: t.nodes.clone(),
-            els: t.els.clone(),
-            shard_map: t.shard_map.clone(),
-            ckpt_server: t.ckpt_server,
-            dispatcher: t.dispatcher,
-            phase_faults: t.phase_faults.clone(),
-            buggy_restart_window: t.buggy_restart_window,
-        })
-    }
-
-    pub fn set_ranks(&self, daemons: Vec<ActorId>, nodes: Vec<NodeId>) {
-        {
-            let mut t = self.inner.lock().unwrap();
-            t.daemons = daemons;
-            t.nodes = nodes;
-        }
-        self.bump();
-    }
-
-    /// Registers the Event Logger shards (one for the paper's single EL)
-    /// and publishes the epoch-0 rank→shard map: round-robin over the
-    /// shard count, the historical static assignment.
-    pub fn set_els(&self, els: Vec<(ActorId, NodeId)>) {
-        {
-            let mut t = self.inner.lock().unwrap();
-            let k = els.len();
-            t.shard_map = if k == 0 {
-                Vec::new()
-            } else {
-                (0..t.daemons.len()).map(|r| r % k).collect()
-            };
-            t.el_dead = vec![false; k];
-            t.els = els;
-        }
-        self.bump();
-    }
-
-    /// The Event Logger serving `rank`, routed through the published
-    /// shard map (round-robin fallback for ranks beyond the map — the
-    /// map is sized at publication time).
-    pub fn el_for(&self, rank: Rank) -> Option<(ActorId, NodeId)> {
-        let t = self.inner.lock().unwrap();
-        if t.els.is_empty() {
-            None
-        } else {
-            let shard = t.shard_map.get(rank).copied().unwrap_or(rank % t.els.len());
-            Some(t.els[shard])
-        }
-    }
-
-    /// The Event Logger shard at `index` (dead or alive).
-    pub fn el_at(&self, index: usize) -> Option<(ActorId, NodeId)> {
-        self.inner.lock().unwrap().els.get(index).copied()
-    }
-
-    /// Marks shard `dead` as crashed and republishes the rank→shard map
-    /// over the surviving shards (each orphaned rank is reassigned
-    /// round-robin over the survivors; ranks on live shards keep their
-    /// assignment). Returns the new epoch, or `None` when no shard
-    /// survives (total EL loss — nothing to rebalance onto).
-    pub fn rebalance_after_el_failure(&self, dead: usize) -> Option<u64> {
-        {
-            let mut t = self.inner.lock().unwrap();
-            if dead >= t.els.len() {
-                return None;
-            }
-            t.el_dead[dead] = true;
-            let survivors: Vec<usize> = (0..t.els.len()).filter(|i| !t.el_dead[*i]).collect();
-            if survivors.is_empty() {
-                return None;
-            }
-            let el_dead = t.el_dead.clone();
-            for (rank, shard) in t.shard_map.iter_mut().enumerate() {
-                if el_dead[*shard] {
-                    *shard = survivors[rank % survivors.len()];
-                }
-            }
-        }
-        self.bump();
-        Some(self.epoch())
-    }
-
-    /// Number of Event Logger instances.
-    pub fn el_count(&self) -> usize {
-        self.inner.lock().unwrap().els.len()
-    }
-
-    pub fn set_ckpt_server(&self, actor: ActorId, node: NodeId) {
-        self.inner.lock().unwrap().ckpt_server = Some((actor, node));
-        self.bump();
-    }
-
-    pub fn set_dispatcher(&self, actor: ActorId, node: NodeId) {
-        self.inner.lock().unwrap().dispatcher = Some((actor, node));
-        self.bump();
-    }
-
-    pub fn n_ranks(&self) -> usize {
-        self.inner.lock().unwrap().daemons.len()
-    }
-
-    pub fn daemon(&self, rank: Rank) -> ActorId {
-        self.inner.lock().unwrap().daemons[rank]
-    }
-
-    pub fn node(&self, rank: Rank) -> NodeId {
-        self.inner.lock().unwrap().nodes[rank]
-    }
-
-    pub fn el(&self) -> Option<(ActorId, NodeId)> {
-        self.inner.lock().unwrap().els.first().copied()
-    }
-
-    pub fn ckpt_server(&self) -> Option<(ActorId, NodeId)> {
-        self.inner.lock().unwrap().ckpt_server
-    }
-
-    pub fn dispatcher(&self) -> Option<(ActorId, NodeId)> {
-        self.inner.lock().unwrap().dispatcher
-    }
-
-    /// Arms phase-triggered fault injection (cluster builder only).
-    pub fn set_phase_faults(&self, arm: Arc<PhaseFaultArmature>) {
-        self.inner.lock().unwrap().phase_faults = Some(arm);
-        self.bump();
-    }
-
-    /// The armed phase-fault armature, if any.
-    pub fn phase_faults(&self) -> Option<Arc<PhaseFaultArmature>> {
-        self.inner.lock().unwrap().phase_faults.clone()
-    }
-
-    /// Enables the restart-window test bug (cluster builder only).
-    pub fn set_buggy_restart_window(&self, on: bool) {
-        self.inner.lock().unwrap().buggy_restart_window = on;
-        self.bump();
-    }
-
-    /// Whether the restart-window test bug is enabled.
-    pub fn buggy_restart_window(&self) -> bool {
-        self.inner.lock().unwrap().buggy_restart_window
-    }
-}
-
-/// Immutable snapshot of a [`Topology`], captured by [`Topology::view`].
-/// All accessors are lock-free; see [`TopoCache`] for the epoch-validated
-/// caching pattern the daemons and protocols use.
-pub struct TopoView {
-    daemons: Vec<ActorId>,
-    nodes: Vec<NodeId>,
-    els: Vec<(ActorId, NodeId)>,
-    shard_map: Vec<usize>,
-    ckpt_server: Option<(ActorId, NodeId)>,
-    dispatcher: Option<(ActorId, NodeId)>,
-    phase_faults: Option<Arc<PhaseFaultArmature>>,
     buggy_restart_window: bool,
 }
 
@@ -273,11 +193,6 @@ impl TopoView {
         self.els.get(index).copied()
     }
 
-    /// Number of Event Logger instances.
-    pub fn el_count(&self) -> usize {
-        self.els.len()
-    }
-
     pub fn n_ranks(&self) -> usize {
         self.daemons.len()
     }
@@ -288,10 +203,6 @@ impl TopoView {
 
     pub fn node(&self, rank: Rank) -> NodeId {
         self.nodes[rank]
-    }
-
-    pub fn el(&self) -> Option<(ActorId, NodeId)> {
-        self.els.first().copied()
     }
 
     pub fn ckpt_server(&self) -> Option<(ActorId, NodeId)> {
@@ -725,8 +636,28 @@ mod tests {
         for rank in 0..6 {
             assert_eq!(view.shard_of(rank), Some(rank % 3));
             assert_eq!(view.el_for(rank), Some(els[rank % 3]));
-            assert_eq!(topo.el_for(rank), Some(els[rank % 3]));
         }
+    }
+
+    #[test]
+    fn a_captured_view_keeps_the_map_it_saw() {
+        let (topo, els) = six_ranks_three_shards();
+        let before = topo.view();
+        topo.rebalance_after_el_failure(1).expect("survivors exist");
+        let after = topo.view();
+        // Rank 1 logged to shard 1; the old view still says so (dead
+        // shards stay addressable), the published one moved it.
+        assert_eq!(before.shard_of(1), Some(1));
+        assert_eq!(before.el_for(1), Some(els[1]));
+        assert_eq!(after.shard_of(1), Some(2));
+        assert_eq!(after.el_for(1), Some(els[2]));
+        // An epoch-validated cache follows the published view.
+        let mut cache = TopoCache::new();
+        assert_eq!(cache.view(&topo).el_for(1), Some(els[2]));
+        topo.rebalance_after_el_failure(2)
+            .expect("shard 0 survives");
+        assert_eq!(after.el_for(1), Some(els[2]));
+        assert_eq!(cache.view(&topo).el_for(1), Some(els[0]));
     }
 
     #[test]

@@ -48,7 +48,7 @@ impl CkptScheduler {
     pub fn new(node: NodeId, topo: Topology, policy: SchedulerPolicy) -> Self {
         let slots = match policy {
             SchedulerPolicy::Disabled => 0,
-            SchedulerPolicy::RoundRobin { .. } => topo.n_ranks(),
+            SchedulerPolicy::RoundRobin { .. } => topo.view().n_ranks(),
             SchedulerPolicy::Random { .. } | SchedulerPolicy::Coordinated { .. } => 1,
         };
         CkptScheduler {
@@ -77,19 +77,21 @@ impl CkptScheduler {
         policy: SchedulerPolicy,
     ) -> ActorId {
         sim.add_actor_with(node, |sim, id| {
-            let mut scheduler = CkptScheduler::new(node, topo.clone(), policy);
+            let n_ranks = topo.view().n_ranks();
+            let mut scheduler = CkptScheduler::new(node, topo, policy);
             match policy {
                 SchedulerPolicy::Disabled => {}
                 SchedulerPolicy::RoundRobin { period } => {
-                    let n = topo.n_ranks() as u64;
-                    for r in 0..topo.n_ranks() {
-                        let first = SimDuration::from_nanos(period.as_nanos() * (r as u64 + 1) / n);
+                    for r in 0..n_ranks {
+                        let first = SimDuration::from_nanos(
+                            period.as_nanos() * (r as u64 + 1) / n_ranks as u64,
+                        );
                         let h = sim.set_timer(id, first, r as u64);
                         scheduler.register(r as u64, h);
                     }
                 }
                 SchedulerPolicy::Random { period } => {
-                    let slice = SimDuration::from_nanos(period.as_nanos() / topo.n_ranks() as u64);
+                    let slice = SimDuration::from_nanos(period.as_nanos() / n_ranks as u64);
                     let h = sim.set_timer(id, slice, u64::MAX);
                     scheduler.register(u64::MAX, h);
                 }
@@ -103,7 +105,7 @@ impl CkptScheduler {
     }
 
     fn command(&self, sim: &mut Sim, rank: usize, cmd: SchedulerCmd) {
-        let daemon = self.topo.daemon(rank);
+        let daemon = self.topo.view().daemon(rank);
         let body = Box::new(DaemonMsg::Proto(Box::new(cmd)));
         let size = vlog_sim::WireSize::control(8);
         if sim.actor_node(daemon) == self.node {
@@ -127,7 +129,7 @@ impl Actor for CkptScheduler {
                 self.register(token, h);
             }
             SchedulerPolicy::Random { period } => {
-                let n = self.topo.n_ranks();
+                let n = self.topo.view().n_ranks();
                 let rank = sim.rng().random_range(0..n);
                 self.command(sim, rank, SchedulerCmd::TakeCheckpoint);
                 let slice = SimDuration::from_nanos(period.as_nanos() / n as u64);
@@ -136,7 +138,7 @@ impl Actor for CkptScheduler {
             }
             SchedulerPolicy::Coordinated { period } => {
                 self.snapshot_id += 1;
-                for rank in 0..self.topo.n_ranks() {
+                for rank in 0..self.topo.view().n_ranks() {
                     self.command(
                         sim,
                         rank,

@@ -13,6 +13,19 @@ export RUSTFLAGS="-D warnings"
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> knob inventory (every VLOG_* name in non-test source under crates/ is in README)"
+# Non-test source: no tests/ directory, and each file only up to its
+# first #[cfg(test)] module.
+knobs=$(find crates -path '*/tests' -prune -o -name '*.rs' -print0 |
+    xargs -0 awk 'FNR == 1 { live = 1 } /^#\[cfg\(test\)\]/ { live = 0 } live' |
+    grep -oE 'VLOG_[A-Z_]+' | sort -u)
+for knob in $knobs; do
+    grep -qw "$knob" README.md || {
+        echo "env knob $knob is read or named under crates/ but README.md does not document it" >&2
+        exit 1; }
+done
+echo "    knob inventory: ok ($(echo "$knobs" | wc -w) names, all documented)"
+
 echo "==> cargo build --release (RUSTFLAGS=-D warnings from here on)"
 cargo build --release --offline
 

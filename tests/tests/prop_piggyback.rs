@@ -4,17 +4,60 @@
 //! place in the codebase where a clever encoding could silently corrupt
 //! causality information, so it gets the adversarial treatment: full
 //! u64-range round trips (the deltas wrap), cross-format semantic
-//! agreement on wire-range inputs, length-function exactness, encoder
-//! reuse, fixed wire bytes per format, watermark-vector round trips,
-//! and truncation-never-panics over every prefix of a valid encoding.
+//! agreement on wire-range inputs, sink agreement (`wire_len` is the
+//! encoder on a counting sink, `encode` the same code on a `Vec`),
+//! independence of consecutive encodes, fixed wire bytes per format,
+//! watermark-vector round trips, and truncation-never-panics over every
+//! prefix of a valid encoding.
 
 use proptest::prelude::*;
+use vlog_core::piggyback::GROUP_MAX_EVENTS;
 use vlog_core::{
-    compact_len, decode_compact, decode_watermarks, encode_compact, encode_watermarks,
-    watermarks_len, Determinant, PbEncoder, PbFormat,
+    decode_compact, decode_watermarks, encode_watermarks, watermarks_len, Determinant, PbFormat,
 };
 
 const N: usize = 4;
+const FORMATS: [PbFormat; 3] = [PbFormat::Flat, PbFormat::Factored, PbFormat::Compact];
+
+/// The compact encoding (infallible: no wire limits).
+fn encode_compact(dets: &[Determinant]) -> vlog_core::Bytes {
+    PbFormat::Compact.encode(dets).unwrap()
+}
+
+/// `dets` with every field cut to the fixed formats' wire width — what
+/// those encoders accept, and what their unvalidated layouts write.
+fn wire_width(dets: &[Determinant]) -> Vec<Determinant> {
+    dets.iter()
+        .map(|d| Determinant {
+            receiver: d.receiver as u16 as usize,
+            clock: d.clock as u32 as u64,
+            sender: d.sender as u16 as usize,
+            ssn: d.ssn as u32 as u64,
+            cause: d.cause as u32 as u64,
+        })
+        .collect()
+}
+
+/// Sink agreement for one input: each format's counter (`wire_len`, which
+/// never validates) reports the length its `Vec` sink (`encode`) writes —
+/// for the fixed-width formats, of the same events at wire width.
+fn assert_sinks_agree(dets: &[Determinant]) {
+    let fixed = wire_width(dets);
+    for format in FORMATS {
+        let carried = if format == PbFormat::Compact {
+            dets
+        } else {
+            &fixed[..]
+        };
+        let buf = format.encode(carried).unwrap();
+        assert_eq!(buf.len() as u64, format.wire_len(dets), "{format:?}");
+        assert_eq!(format.decode(buf).unwrap(), carried, "{format:?}");
+    }
+    let wm: Vec<u64> = dets.iter().map(|d| d.clock).collect();
+    let buf = encode_watermarks(&wm);
+    assert_eq!(buf.len() as u64, watermarks_len(&wm));
+    assert_eq!(decode_watermarks(buf).unwrap(), wm);
+}
 
 /// Determinants restricted to the flat/factored wire ranges (receiver
 /// and sender u16, clock/ssn/cause u32), so all three formats can carry
@@ -72,31 +115,31 @@ fn extreme_dets() -> impl Strategy<Value = Vec<Determinant>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Compact round-trips any determinant sequence, in order, at the
-    /// exact length `compact_len` predicts — including clock/ssn/cause
-    /// values at the u64 extremes, where the deltas wrap.
+    /// The counter and the `Vec` sink agree for all three formats and
+    /// the watermark vector on any determinant sequence — including
+    /// clock/ssn/cause values at the u64 extremes, where compact's deltas
+    /// wrap and the fixed formats' counter charges plain field widths.
+    /// Compact round-trips the sequence in order.
     #[test]
-    fn compact_round_trips_extreme_determinants(dets in extreme_dets()) {
-        let buf = encode_compact(&dets);
-        prop_assert_eq!(buf.len() as u64, compact_len(&dets));
-        prop_assert_eq!(decode_compact(buf).unwrap(), dets);
+    fn sinks_agree_on_extreme_determinants(dets in extreme_dets()) {
+        assert_sinks_agree(&dets);
     }
 
     /// All three formats agree semantically on wire-range input: each
-    /// decodes back to exactly what it encoded, through both the free
-    /// functions and the `PbFormat` dispatch, at the advertised
-    /// `wire_len`. (Factored requires its canonical receiver-grouped
-    /// order; sorting first puts all three on the same sequence.)
+    /// decodes back to exactly what it encoded, at the length its
+    /// counting sink reports. (Factored requires its canonical
+    /// receiver-grouped order; sorting first puts all three on the same
+    /// sequence.)
     #[test]
     fn formats_agree_on_wire_range_input(dets in wire_range_dets()) {
         let mut dets = dets;
         dets.sort_by_key(|d| (d.receiver, d.clock));
-        for format in [PbFormat::Flat, PbFormat::Factored, PbFormat::Compact] {
+        for format in FORMATS {
             let buf = format.encode(&dets).unwrap();
             prop_assert_eq!(
                 buf.len() as u64,
                 format.wire_len(&dets),
-                "wire_len lied for {:?}", format
+                "sinks disagree for {:?}", format
             );
             prop_assert_eq!(
                 format.decode(buf).unwrap(),
@@ -106,20 +149,19 @@ proptest! {
         }
     }
 
-    /// A `PbEncoder` reused across many encodes stays exact for every
-    /// format: its scratch buffer must fully reset, so each output has
-    /// the advertised length and decodes back to its own input.
+    /// Two consecutive `encode` calls of different sizes are
+    /// independent: encoding `b` between two encodes of `a` changes
+    /// neither, and each buffer decodes back to its own input.
     #[test]
-    fn reused_encoder_fully_resets(batches in prop::collection::vec(wire_range_dets(), 1..5)) {
-        let mut enc = PbEncoder::new();
-        for dets in &batches {
-            let mut dets = dets.clone();
-            dets.sort_by_key(|d| (d.receiver, d.clock));
-            for format in [PbFormat::Flat, PbFormat::Factored, PbFormat::Compact] {
-                let buf = enc.encode(format, &dets).unwrap();
-                prop_assert_eq!(buf.len() as u64, format.wire_len(&dets), "{:?}", format);
-                prop_assert_eq!(format.decode(buf).unwrap(), dets.clone(), "{:?}", format);
-            }
+    fn consecutive_encodes_are_independent(a in wire_range_dets(), b in wire_range_dets()) {
+        let sorted = |mut d: Vec<Determinant>| { d.sort_by_key(|d| (d.receiver, d.clock)); d };
+        let (a, b) = (sorted(a), sorted(b));
+        for format in FORMATS {
+            let first = format.encode(&a).unwrap();
+            let other = format.encode(&b).unwrap();
+            prop_assert_eq!(&format.encode(&a).unwrap(), &first, "{:?}", format);
+            prop_assert_eq!(format.decode(first).unwrap(), a.clone(), "{:?}", format);
+            prop_assert_eq!(format.decode(other).unwrap(), b.clone(), "{:?}", format);
         }
     }
 
@@ -169,8 +211,52 @@ proptest! {
 }
 
 #[test]
+fn sinks_agree_across_the_fast_path_and_the_group_split() {
+    // One receiver's run whose events alternate compact's all-single-byte
+    // fast path with multi-byte varints (every third clock jumps to the
+    // top of the u64 range, so the next delta wraps back down).
+    let mixed: Vec<Determinant> = (0..64u64)
+        .map(|i| Determinant {
+            receiver: 5,
+            clock: if i % 3 == 2 { u64::MAX - i } else { i + 1 },
+            sender: (i % 4) as usize,
+            ssn: i,
+            cause: i,
+        })
+        .collect();
+    let compact = encode_compact(&mixed);
+    assert_eq!(
+        &compact[..6],
+        &[5, 64, 2, 0, 0, 0],
+        "first event is fast-path"
+    );
+    assert!(
+        compact.len() > 2 + 4 * mixed.len(),
+        "multi-byte events exist"
+    );
+    assert_sinks_agree(&mixed);
+
+    // A factored run one past the group cap: the split's second header
+    // is counted and written.
+    let split: Vec<Determinant> = (0..=GROUP_MAX_EVENTS)
+        .map(|i| Determinant {
+            receiver: 7,
+            clock: i as u64 + 1,
+            sender: 1,
+            ssn: i as u64,
+            cause: i as u64,
+        })
+        .collect();
+    assert_eq!(
+        PbFormat::Factored.wire_len(&split),
+        2 * 4 + 14 * split.len() as u64
+    );
+    assert_sinks_agree(&split);
+}
+
+#[test]
 fn empty_and_singleton_boundaries() {
-    for format in [PbFormat::Flat, PbFormat::Factored, PbFormat::Compact] {
+    for format in FORMATS {
         let empty = format.encode(&[]).unwrap();
         assert_eq!(empty.len() as u64, format.wire_len(&[]));
         assert_eq!(format.decode(empty).unwrap(), Vec::new());

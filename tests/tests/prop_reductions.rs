@@ -21,8 +21,7 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use vlog_core::{
-    decode_factored, decode_flat, encode_factored, encode_flat, factored_len, flat_len,
-    make_reduction, Determinant, Reduction, Technique,
+    decode_factored, decode_flat, make_reduction, Determinant, PbFormat, Reduction, Technique,
 };
 
 const N: usize = 4;
@@ -310,13 +309,14 @@ proptest! {
             .collect();
         // Flat preserves arbitrary order. All generated fields are in
         // wire range, so encoding cannot fail.
-        let flat = encode_flat(&dets).expect("in-range determinants encode");
-        prop_assert_eq!(flat.len() as u64, flat_len(&dets));
+        let flat = PbFormat::Flat.encode(&dets).expect("in-range determinants encode");
+        // Sink agreement: the counter ran the code that wrote the bytes.
+        prop_assert_eq!(flat.len() as u64, PbFormat::Flat.wire_len(&dets));
         prop_assert_eq!(decode_flat(flat).unwrap(), dets.clone());
         // Factored groups runs of equal receiver; canonicalize first.
         dets.sort_by_key(|d| (d.receiver, d.clock));
-        let fac = encode_factored(&dets).expect("in-range determinants encode");
-        prop_assert_eq!(fac.len() as u64, factored_len(&dets));
+        let fac = PbFormat::Factored.encode(&dets).expect("in-range determinants encode");
+        prop_assert_eq!(fac.len() as u64, PbFormat::Factored.wire_len(&dets));
         prop_assert_eq!(decode_factored(fac).unwrap(), dets);
     }
 
