@@ -487,8 +487,94 @@ fn bench_el_batching(c: &mut Criterion) {
     g.finish();
 }
 
+/// The run loop itself, in ns per dispatched event (one iteration is
+/// one event), on three rungs of the stack the end-to-end `kernel_floor`
+/// workload runs through: a poke-only actor that re-arms itself
+/// (calendar pop + dispatch, nothing staged, no task ready); two tasks
+/// alternating through `sleep` (stage → inbox flush → `OpCell` → ready
+/// queue → poll under the task waker); and a 16-rank eager ring under
+/// `Vdummy` (pipe, daemon, deferred sends, network model on top).
+/// `scripts/verify.sh` gates on this group being present.
+fn bench_kernel_loop(c: &mut Criterion) {
+    use std::time::{Duration, Instant};
+    use vlog_sim::{Actor, ActorId, Delivery, Event, Sim};
+    use vlog_vmpi::{app, ClusterConfig, ClusterRun, FaultPlan, RecvSelector, VdummySuite};
+
+    const TICK: SimDuration = SimDuration::from_micros(1);
+    // Exactly one event is due per tick in the two kernel-only benches.
+    fn one_event(sim: &mut Sim) -> u64 {
+        let before = sim.events_processed();
+        sim.run_until(sim.now() + TICK);
+        sim.events_processed() - before
+    }
+
+    let mut g = c.benchmark_group("kernel_loop");
+
+    struct Metronome;
+    impl Actor for Metronome {
+        fn on_deliver(&mut self, _: &mut Sim, _: ActorId, _: Delivery) {}
+        fn on_poke(&mut self, sim: &mut Sim, me: ActorId, token: u64) {
+            sim.schedule(TICK, Event::Poke { actor: me, token });
+        }
+    }
+    let mut sim = Sim::new(1);
+    let node = sim.add_node();
+    let actor = sim.add_actor(node, Box::new(Metronome));
+    sim.schedule(TICK, Event::Poke { actor, token: 0 });
+    assert_eq!(one_event(&mut sim), 1);
+    g.bench_function("poke_rearm", |b| b.iter(|| one_event(&mut sim)));
+
+    let mut sim = Sim::new(1);
+    for offset_us in [1, 2] {
+        let h = sim.exec();
+        sim.spawn_detached(async move {
+            h.sleep(SimDuration::from_micros(offset_us)).await;
+            loop {
+                h.sleep(SimDuration::from_micros(2)).await;
+            }
+        });
+    }
+    assert_eq!((one_event(&mut sim), one_event(&mut sim)), (1, 1));
+    g.bench_function("task_sleep_pingpong", |b| b.iter(|| one_event(&mut sim)));
+
+    const RANKS: usize = 16;
+    let ring = app(|mpi| async move {
+        let (me, n) = (mpi.rank(), mpi.size());
+        for _ in 0..100 {
+            mpi.send_synth((me + 1) % n, 7, 256).await;
+            mpi.recv(RecvSelector::of((me + n - 1) % n, 7)).await;
+        }
+    });
+    let build = || {
+        ClusterRun::build(
+            &ClusterConfig::new(RANKS),
+            Arc::new(VdummySuite),
+            ring.clone(),
+            &FaultPlan::none(),
+        )
+    };
+    let events = build().run().events;
+    g.bench_function(BenchmarkId::new("vdummy_eager_ring", RANKS), |b| {
+        // Whole runs (built off the clock), charged per event.
+        b.iter_custom(|iters| {
+            let runs = iters.div_ceil(events);
+            let mut took = Duration::ZERO;
+            for _ in 0..runs {
+                let run = build();
+                let start = Instant::now();
+                let report = run.run();
+                took += start.elapsed();
+                assert!(report.completed && report.events == events);
+            }
+            took.mul_f64(iters as f64 / (runs * events) as f64)
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
+    bench_kernel_loop,
     bench_codecs,
     bench_pb_compact,
     bench_graph,

@@ -26,6 +26,7 @@
 
 use std::sync::Arc;
 
+use vlog_sim::causality::{self, Edge};
 use vlog_sim::SimDuration;
 use vlog_vmpi::{
     AppMsg, Ctx, Payload, ProtoBlob, ProtoPhase, Rank, RecvGate, SchedulerCmd, Ssn, Tag, VProtocol,
@@ -121,10 +122,11 @@ impl CoordinatedProtocol {
             // Once-only by design: a second production of the same
             // (rank, id) key is exactly the marker-storm bug, and the
             // causality log's duplicate detector names it.
-            vlog_sim::causality::produced_unique(
-                vlog_sim::ckey!("snapshot-close-finished", rank = self.rank, id = id),
-                None,
-            );
+            causality::record(|| Edge::Produced {
+                key: vlog_sim::ckey!("snapshot-close-finished", rank = self.rank, id = id),
+                caused_by: None,
+                unique: true,
+            });
             self.send_markers(ctx, id);
         }
     }
@@ -174,10 +176,10 @@ impl CoordinatedProtocol {
     }
 
     fn on_marker(&mut self, ctx: &mut Ctx<'_>, m: MarkerCtl) {
-        vlog_sim::causality::consume(
-            vlog_sim::ckey!("marker", from = m.from, to = self.rank, id = m.id),
-            vlog_sim::ckey!("marker-handled", rank = self.rank),
-        );
+        causality::record(|| Edge::Consume {
+            cause: vlog_sim::ckey!("marker", from = m.from, to = self.rank, id = m.id),
+            by: vlog_sim::ckey!("marker-handled", rank = self.rank),
+        });
         if let Some(phase) = self.phase.as_ref() {
             if phase.id == m.id {
                 self.phase.as_mut().unwrap().upto[m.from] = Some(m.upto_ssn);
@@ -261,11 +263,11 @@ impl VProtocol for CoordinatedProtocol {
         // sender shows up as the dangling cause of a stuck snapshot.
         for src in 0..self.n {
             if src != self.rank {
-                vlog_sim::causality::expect(
-                    vlog_sim::ckey!("marker", from = src, to = self.rank, id = id),
-                    vlog_sim::ckey!("snapshot-taken", rank = self.rank, id = id),
-                    self.rank as u64,
-                );
+                causality::record(|| Edge::Expect {
+                    cause: vlog_sim::ckey!("marker", from = src, to = self.rank, id = id),
+                    waiter: vlog_sim::ckey!("snapshot-taken", rank = self.rank, id = id),
+                    owner: self.rank as u64,
+                });
             }
         }
         self.send_markers(ctx, id);

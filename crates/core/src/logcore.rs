@@ -24,7 +24,7 @@
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use vlog_sim::causality::{self, Key};
+use vlog_sim::causality::{self, Edge, Key};
 use vlog_sim::{ActorId, SimDuration, SimTime, TimerHandle};
 use vlog_vmpi::{
     AppMsg, Ctx, ElReshard, Payload, PiggybackBlob, ProtoPhase, RClock, Rank, RankStatCell,
@@ -164,7 +164,7 @@ impl LogCore {
     /// The Event Logger shard serving this rank, routed through the
     /// epoch-cached topology view (zero locks on the per-reception ship
     /// path), so the protocol follows a re-shard automatically.
-    fn el_actor(&self, ctx: &Ctx<'_>) -> Option<ActorId> {
+    fn el_actor(&self, ctx: &mut Ctx<'_>) -> Option<ActorId> {
         if self.el {
             ctx.core.topo_view().el_for(self.rank).map(|(a, _)| a)
         } else {
@@ -227,11 +227,11 @@ impl LogCore {
         let seq = self.batches_sent;
         self.el_outstanding.push_back(seq);
         vlog_sim::event!("det-batch-shipped" { rank = self.rank, seq = seq });
-        causality::expect(
-            vlog_sim::ckey!("det-batch-acked", rank = self.rank, seq = seq),
-            vlog_sim::ckey!("det-batch-shipped", rank = self.rank, seq = seq),
-            self.rank as u64,
-        );
+        causality::record(|| Edge::Expect {
+            cause: vlog_sim::ckey!("det-batch-acked", rank = self.rank, seq = seq),
+            waiter: vlog_sim::ckey!("det-batch-shipped", rank = self.rank, seq = seq),
+            owner: self.rank as u64,
+        });
         let me = ctx.core.actor();
         ctx.core.control_to_actor(
             ctx.sim,
@@ -286,11 +286,9 @@ impl LogCore {
         // are re-offered to the replacement shard below under fresh
         // batch seqs.
         for seq in self.el_outstanding.drain(..) {
-            causality::cancel(vlog_sim::ckey!(
-                "det-batch-acked",
-                rank = self.rank,
-                seq = seq
-            ));
+            causality::record(|| Edge::Cancel {
+                cause: vlog_sim::ckey!("det-batch-acked", rank = self.rank, seq = seq),
+            });
         }
         let mut handoff = DetSeq::new();
         for det in self.batcher.take_unacked().into_iter().chain(retained) {
@@ -371,10 +369,10 @@ impl LogCore {
     /// Peer `from` committed an image covering `received`: prune the
     /// payloads logged for it.
     pub(crate) fn on_gc_notice(&mut self, from: Rank, received: &[Ssn]) {
-        causality::consume(
-            vlog_sim::ckey!("gc-notice", from = from, to = self.rank),
-            vlog_sim::ckey!("gc-handle", rank = self.rank),
-        );
+        causality::record(|| Edge::Consume {
+            cause: vlog_sim::ckey!("gc-notice", from = from, to = self.rank),
+            by: vlog_sim::ckey!("gc-handle", rank = self.rank),
+        });
         self.slog.prune_below(from, received[self.rank]);
     }
 
@@ -474,11 +472,11 @@ impl LogCore {
             if peer == self.rank || rec.resp_from.contains(&peer) {
                 continue;
             }
-            causality::expect(
-                vlog_sim::ckey!("reclaim-resp", victim = self.rank, from = peer),
-                vlog_sim::ckey!("recovery-started", rank = self.rank),
-                self.rank as u64,
-            );
+            causality::record(|| Edge::Expect {
+                cause: vlog_sim::ckey!("reclaim-resp", victim = self.rank, from = peer),
+                waiter: vlog_sim::ckey!("recovery-started", rank = self.rank),
+                owner: self.rank as u64,
+            });
             ctx.core.control_to_rank(
                 ctx.sim,
                 peer,
@@ -491,11 +489,11 @@ impl LogCore {
             );
         }
         if need_el {
-            causality::expect(
-                vlog_sim::ckey!("el-query-resp", victim = self.rank),
-                vlog_sim::ckey!("recovery-started", rank = self.rank),
-                self.rank as u64,
-            );
+            causality::record(|| Edge::Expect {
+                cause: vlog_sim::ckey!("el-query-resp", victim = self.rank),
+                waiter: vlog_sim::ckey!("recovery-started", rank = self.rank),
+                owner: self.rank as u64,
+            });
             if let Some(el) = self.el_actor(ctx) {
                 let me = ctx.core.actor();
                 ctx.core.control_to_actor(
@@ -515,7 +513,8 @@ impl LogCore {
     /// Peer `from` answered the reclaim with the determinants it holds.
     /// The caller follows up with [`LogCore::try_replay`].
     pub(crate) fn on_reclaim_resp(&mut self, ctx: &mut Ctx<'_>, from: Rank, dets: &[Determinant]) {
-        let cause = vlog_sim::ckey!("reclaim-resp", victim = self.rank, from = from);
+        let victim = self.rank;
+        let cause = move || vlog_sim::ckey!("reclaim-resp", victim = victim, from = from);
         self.collect(ctx, dets, cause, |rec| {
             rec.resp_from.insert(from);
         });
@@ -524,7 +523,8 @@ impl LogCore {
     /// The Event Logger answered the recovery query. The caller follows
     /// up with [`LogCore::try_replay`].
     pub(crate) fn on_query_resp(&mut self, ctx: &mut Ctx<'_>, dets: &[Determinant]) {
-        let cause = vlog_sim::ckey!("el-query-resp", victim = self.rank);
+        let victim = self.rank;
+        let cause = move || vlog_sim::ckey!("el-query-resp", victim = victim);
         self.collect(ctx, dets, cause, |rec| rec.resp_el = true);
     }
 
@@ -536,19 +536,24 @@ impl LogCore {
         &mut self,
         ctx: &mut Ctx<'_>,
         dets: &[Determinant],
-        cause: Key,
+        cause: impl Fn() -> Key,
         answered: impl FnOnce(&mut Recovery),
     ) {
-        causality::produced(cause, None);
+        causality::record(|| Edge::Produced {
+            key: cause(),
+            caused_by: None,
+            unique: false,
+        });
         let Some(rec) = self.rec.as_mut() else { return };
         answered(rec);
         for d in dets {
             if d.receiver == self.rank && d.clock > rec.wm {
                 rec.collected.insert(*d);
-                causality::produced(
-                    vlog_sim::ckey!("det-replay", rank = self.rank, clock = d.clock),
-                    Some(cause),
-                );
+                causality::record(|| Edge::Produced {
+                    key: vlog_sim::ckey!("det-replay", rank = self.rank, clock = d.clock),
+                    caused_by: Some(cause()),
+                    unique: false,
+                });
             }
         }
         if rec.resp_from.len() != self.n - 1 || (self.el && !rec.resp_el) {
@@ -612,27 +617,27 @@ impl LogCore {
                 if rec.next > rec.max_clock {
                     return self.finish_replay(ctx, finish);
                 }
-                causality::expect(
-                    vlog_sim::ckey!("det-replay", rank = self.rank, clock = rec.next),
-                    vlog_sim::ckey!("recovery-started", rank = self.rank),
-                    self.rank as u64,
-                );
+                causality::record(|| Edge::Expect {
+                    cause: vlog_sim::ckey!("det-replay", rank = self.rank, clock = rec.next),
+                    waiter: vlog_sim::ckey!("recovery-started", rank = self.rank),
+                    owner: self.rank as u64,
+                });
                 return;
             };
             let Some(supply) = rec.supply.remove(&(det.sender, det.ssn)) else {
                 // Stalled on the payload re-send: the next determinant
                 // is known but its message has not been re-supplied by
                 // the sender's log.
-                causality::expect(
-                    vlog_sim::ckey!(
+                causality::record(|| Edge::Expect {
+                    cause: vlog_sim::ckey!(
                         "replay-supply",
                         rank = self.rank,
                         sender = det.sender,
                         ssn = det.ssn
                     ),
-                    vlog_sim::ckey!("det-replay", rank = self.rank, clock = det.clock),
-                    self.rank as u64,
-                );
+                    waiter: vlog_sim::ckey!("det-replay", rank = self.rank, clock = det.clock),
+                    owner: self.rank as u64,
+                });
                 return;
             };
             rec.next += 1;

@@ -20,9 +20,12 @@
 //!   finished rank answering the same snapshot id over and over).
 //!
 //! Like the kernel profiler ([`crate::profiler`]), collection is **off
-//! by default**, costs one relaxed atomic load per record site when
-//! disabled, and its readings never enter a run report or the
-//! determinism fingerprint unless a harness explicitly exports them.
+//! by default** and its readings never enter a run report or the
+//! determinism fingerprint unless a harness explicitly exports them. A
+//! disabled record site costs the [`enabled`] check and nothing else:
+//! every site — the [`crate::event!`] macro and direct [`record`] calls
+//! alike — hands its [`Edge`] over as a closure, so no [`Key`] is built
+//! and no key argument evaluated unless the log is on.
 //! All detectors run at analysis time only, so the verdict is
 //! insensitive to the order in which edges were recorded — producing
 //! after consuming is as well-formed as the reverse.
@@ -157,14 +160,44 @@ macro_rules! ckey {
 macro_rules! event {
     ($kind:literal { $($n:ident = $v:expr),* $(,)? }
      caused_by $ck:literal { $($cn:ident = $cv:expr),* $(,)? }) => {
-        $crate::causality::produced(
-            $crate::ckey!($kind $(, $n = $v)*),
-            Some($crate::ckey!($ck $(, $cn = $cv)*)),
-        )
+        $crate::causality::record(|| $crate::causality::Edge::Produced {
+            key: $crate::ckey!($kind $(, $n = $v)*),
+            caused_by: Some($crate::ckey!($ck $(, $cn = $cv)*)),
+            unique: false,
+        })
     };
     ($kind:literal { $($n:ident = $v:expr),* $(,)? }) => {
-        $crate::causality::produced($crate::ckey!($kind $(, $n = $v)*), None)
+        $crate::causality::record(|| $crate::causality::Edge::Produced {
+            key: $crate::ckey!($kind $(, $n = $v)*),
+            caused_by: None,
+            unique: false,
+        })
     };
+}
+
+/// One record for the log; see the function of the same name as each
+/// variant ([`produced`], [`produced_unique`], [`expect`], [`consume`],
+/// [`cancel`]) for what it means.
+#[derive(Debug, Clone, Copy)]
+pub enum Edge {
+    Produced {
+        key: Key,
+        caused_by: Option<Key>,
+        /// Once-per-key contract ([`produced_unique`]).
+        unique: bool,
+    },
+    Expect {
+        cause: Key,
+        waiter: Key,
+        owner: u64,
+    },
+    Consume {
+        cause: Key,
+        by: Key,
+    },
+    Cancel {
+        cause: Key,
+    },
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -231,39 +264,74 @@ pub fn set_thread_enabled(on: bool) {
     RUN_LOCAL.with(|c| c.set(on));
 }
 
+/// The record site: builds the edge — evaluating its key arguments —
+/// and logs it only when collection is on. Instrumented code calls this
+/// (or [`crate::event!`], which expands to it); the by-value functions
+/// below serve callers that hold their keys already.
+#[inline]
+pub fn record(edge: impl FnOnce() -> Edge) {
+    if enabled() {
+        log_edge(edge());
+    }
+}
+
+#[cold]
+fn log_edge(edge: Edge) {
+    LOG.with(|l| {
+        let mut log = l.borrow_mut();
+        match edge {
+            Edge::Produced {
+                key,
+                caused_by,
+                unique,
+            } => {
+                log.produced_events += 1;
+                let entry = log.produced.entry(key).or_insert(ProducedEntry {
+                    caused_by: None,
+                    count: 0,
+                    unique,
+                });
+                entry.count += 1;
+                entry.unique |= unique;
+                if entry.caused_by.is_none() {
+                    entry.caused_by = caused_by;
+                }
+            }
+            Edge::Expect {
+                cause,
+                waiter,
+                owner,
+            } => {
+                log.expects.insert(cause, ExpectEntry { waiter, owner });
+            }
+            Edge::Consume { cause, by } => {
+                log.consumed.entry(cause).or_insert(by);
+            }
+            Edge::Cancel { cause } => {
+                log.expects.remove(&cause);
+            }
+        }
+    });
+}
+
 /// Records that `key` fired, optionally naming its cause. Repeat
 /// productions of the same key bump a count; the first recorded cause
 /// edge wins. Prefer the [`crate::event!`] macro.
 pub fn produced(key: Key, caused_by: Option<Key>) {
-    if !enabled() {
-        return;
-    }
-    record(key, caused_by, false);
+    record(|| Edge::Produced {
+        key,
+        caused_by,
+        unique: false,
+    });
 }
 
 /// [`produced`] plus a once-per-key contract: producing the same key
 /// twice is reported as a duplicate (the marker-storm detector).
 pub fn produced_unique(key: Key, caused_by: Option<Key>) {
-    if !enabled() {
-        return;
-    }
-    record(key, caused_by, true);
-}
-
-fn record(key: Key, caused_by: Option<Key>, unique: bool) {
-    LOG.with(|l| {
-        let mut log = l.borrow_mut();
-        log.produced_events += 1;
-        let entry = log.produced.entry(key).or_insert(ProducedEntry {
-            caused_by: None,
-            count: 0,
-            unique,
-        });
-        entry.count += 1;
-        entry.unique |= unique;
-        if entry.caused_by.is_none() {
-            entry.caused_by = caused_by;
-        }
+    record(|| Edge::Produced {
+        key,
+        caused_by,
+        unique: true,
     });
 }
 
@@ -272,37 +340,24 @@ fn record(key: Key, caused_by: Option<Key>, unique: bool) {
 /// time — by any production of the exact same key; cleared early by
 /// [`cancel`] or [`cancel_owner`] when the expectation becomes moot.
 pub fn expect(cause: Key, waiter: Key, owner: u64) {
-    if !enabled() {
-        return;
-    }
-    LOG.with(|l| {
-        l.borrow_mut()
-            .expects
-            .insert(cause, ExpectEntry { waiter, owner });
+    record(|| Edge::Expect {
+        cause,
+        waiter,
+        owner,
     });
 }
 
 /// Records that `by` consumed `cause`. A consumed cause with no
 /// producer anywhere in the run is reported as absent.
 pub fn consume(cause: Key, by: Key) {
-    if !enabled() {
-        return;
-    }
-    LOG.with(|l| {
-        l.borrow_mut().consumed.entry(cause).or_insert(by);
-    });
+    record(|| Edge::Consume { cause, by });
 }
 
 /// Withdraws a single pending expectation (the awaited event became
 /// moot — e.g. an Event-Logger shard died and its in-flight batch will
 /// be re-offered to the replacement).
 pub fn cancel(cause: Key) {
-    if !enabled() {
-        return;
-    }
-    LOG.with(|l| {
-        l.borrow_mut().expects.remove(&cause);
-    });
+    record(|| Edge::Cancel { cause });
 }
 
 /// Withdraws every pending expectation owned by `owner`. Called when a
@@ -697,6 +752,39 @@ mod tests {
             assert_eq!(r.duplicates[0].count, 3);
             assert!(render("unit", &r).contains("close{rank=2, id=3} produced 3 times"));
         });
+    }
+
+    #[test]
+    fn a_disabled_log_evaluates_no_key_argument() {
+        let evaluated = Cell::new(0u32);
+        let arg = || {
+            evaluated.set(evaluated.get() + 1);
+            1u64
+        };
+        let sites = || {
+            event!("x" { a = arg() } caused_by "y" { b = arg() });
+            event!("x" { a = arg() });
+            record(|| Edge::Expect {
+                cause: ckey!("y", b = arg()),
+                waiter: ckey!("x", a = arg()),
+                owner: arg(),
+            });
+            record(|| Edge::Consume {
+                cause: ckey!("y", b = arg()),
+                by: ckey!("x", a = arg()),
+            });
+            record(|| Edge::Cancel {
+                cause: ckey!("y", b = arg()),
+            });
+        };
+        set_thread_enabled(false);
+        // Skip when the env knob or a concurrent force-enable is live.
+        if !enabled() {
+            sites();
+            assert_eq!(evaluated.get(), 0);
+        }
+        with_log(sites);
+        assert_eq!(evaluated.get(), 9);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! ordinary `async` blocks. Every blocking operation — send, receive,
 //! compute, checkpoint — is an [`OpCell`] that the *kernel side* (actors,
 //! scheduled closures) completes at the right virtual time. The executor
-//! never blocks an OS thread and never needs real wakers: when a cell
-//! completes, the waiting task is pushed onto a ready queue that the
+//! never blocks an OS thread and never needs real wake-ups: completing a
+//! cell hands the waiting task to the kernel's ready queue, which the
 //! simulation loop drains after every event dispatch.
 //!
 //! Killing a simulated process is simply dropping its future, which is the
@@ -13,7 +13,7 @@
 //! operations are abandoned, and completions racing with the kill are
 //! discarded thanks to per-task generation counters.
 //!
-//! Task code must not touch the [`Sim`](crate::kernel::Sim) directly — it
+//! Task code must not touch the [`Sim`] directly — it
 //! would be mutably borrowed by the run loop. Instead tasks *stage* events
 //! through the [`ExecHandle`]; the run loop flushes staged events into the
 //! real queue between polls. This mirrors the paper's architecture where
@@ -23,21 +23,28 @@
 //!
 //! Tasks and actors live in arena slots owned by the kernel and are
 //! addressed by index+generation handles ([`TaskId`],
-//! [`ActorId`](crate::kernel::ActorId)). The only genuinely shared state
-//! is `ExecShared` (kernel ↔ task futures) and the one-shot [`OpCell`]s
-//! (kernel ↔ one waiting task); both are `Arc<Mutex<…>>` so a whole
-//! simulation — futures included — is `Send` and independent cluster runs
-//! can be sharded across worker threads. Each run stays single-threaded,
-//! so the mutexes are never contended.
+//! [`ActorId`](crate::kernel::ActorId)). The kernel also owns everything
+//! only it touches: the ready queue (a plain `VecDeque<TaskId>`), the
+//! clock, and the identity of the task being polled, which rides in the
+//! data pointer of the [`Waker`] handed to each poll.
+//!
+//! What is genuinely shared is small: the *staging inbox* of `ExecShared`
+//! (task futures → kernel: staged events and the stop request, behind a
+//! mutex the run loop takes only when the `pending` flag says something
+//! was staged, plus a relaxed atomic mirror of the clock) and the
+//! one-shot [`OpCell`]s (kernel ↔ one waiting task). Both are `Arc`-held
+//! so a whole simulation — futures included — is `Send`, a `Sim` paused
+//! by `run_until` can move to another thread, and independent cluster
+//! runs can be sharded across worker threads.
 
-use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 
-use crate::kernel::Event;
-use crate::time::SimDuration;
+use crate::kernel::{Event, Sim};
+use crate::time::{SimDuration, SimTime};
 
 /// Identifier of a spawned task. The generation distinguishes incarnations
 /// of a restarted process occupying the same slot.
@@ -48,31 +55,63 @@ pub struct TaskId {
 }
 
 /// Shared handle on [`ExecShared`].
-pub(crate) type SharedExec = Arc<Mutex<ExecShared>>;
+pub(crate) type SharedExec = Arc<ExecShared>;
 
-/// State shared between the kernel, task handles and operation cells.
+/// The task → kernel inbox: what task context may hand to the run loop.
 pub(crate) struct ExecShared {
-    /// Tasks ready to be polled.
-    pub(crate) ready: VecDeque<TaskId>,
-    /// Task currently being polled, if any.
-    pub(crate) current: Option<TaskId>,
+    /// Mirror of the kernel clock, readable from task context. Relaxed:
+    /// it publishes no other data, and a run never leaves its thread
+    /// without a synchronizing hand-off of the whole `Sim`.
+    now: AtomicU64,
+    /// "The inbox holds something the kernel has not taken yet." Every
+    /// write happens with the inbox mutex held, so the flag can never be
+    /// cleared past a concurrent `stage`; the kernel's unlocked relaxed
+    /// load is only the cue to take the mutex at all.
+    pending: AtomicBool,
+    inbox: Mutex<Inbox>,
+}
+
+#[derive(Default)]
+struct Inbox {
     /// Events staged from task context, flushed by the run loop.
-    pub(crate) staged: Vec<(SimDuration, Event)>,
+    staged: Vec<(SimDuration, Event)>,
     /// Set from task context to stop the simulation loop.
-    pub(crate) stop: bool,
-    /// Mirror of the kernel clock, readable from task context.
-    pub(crate) now: crate::time::SimTime,
+    stop: bool,
 }
 
 impl ExecShared {
     pub(crate) fn new() -> SharedExec {
-        Arc::new(Mutex::new(ExecShared {
-            ready: VecDeque::new(),
-            current: None,
-            staged: Vec::new(),
-            stop: false,
-            now: crate::time::SimTime::ZERO,
-        }))
+        Arc::new(ExecShared {
+            now: AtomicU64::new(SimTime::ZERO.as_nanos()),
+            pending: AtomicBool::new(false),
+            inbox: Mutex::new(Inbox::default()),
+        })
+    }
+
+    pub(crate) fn set_now(&self, now: SimTime) {
+        self.now.store(now.as_nanos(), Ordering::Relaxed);
+    }
+
+    /// Runs `f` on the inbox and raises `pending`.
+    fn post(&self, f: impl FnOnce(&mut Inbox)) {
+        let mut inbox = self.inbox.lock().expect("exec inbox poisoned");
+        f(&mut inbox);
+        self.pending.store(true, Ordering::Relaxed);
+    }
+
+    /// Kernel side: `None` — and no locked instruction — when nothing was
+    /// posted since the last call. Otherwise swaps the staged events into
+    /// `out` (which must be empty; its buffer becomes the next staging
+    /// buffer) and returns whether a stop was requested.
+    pub(crate) fn take_pending(&self, out: &mut Vec<(SimDuration, Event)>) -> Option<bool> {
+        if !self.pending.load(Ordering::Relaxed) {
+            return None;
+        }
+        debug_assert!(out.is_empty());
+        let mut inbox = self.inbox.lock().expect("exec inbox poisoned");
+        self.pending.store(false, Ordering::Relaxed);
+        std::mem::swap(&mut inbox.staged, out);
+        Some(inbox.stop)
     }
 }
 
@@ -83,13 +122,12 @@ pub struct ExecHandle {
 }
 
 impl ExecHandle {
-    /// Creates a fresh operation cell bound to this executor.
+    /// Creates a fresh operation cell.
     pub fn new_op<T: Send + 'static>(&self) -> OpCell<T> {
         OpCell {
             inner: Arc::new(Mutex::new(OpInner {
                 result: None,
                 waiter: None,
-                exec: self.shared.clone(),
             })),
         }
     }
@@ -97,7 +135,7 @@ impl ExecHandle {
     /// Stages an event to fire `delay` after the current virtual time.
     /// Callable from task context; the run loop flushes it.
     pub fn stage(&self, delay: SimDuration, ev: Event) {
-        self.shared.lock().unwrap().staged.push((delay, ev));
+        self.shared.post(|inbox| inbox.staged.push((delay, ev)));
     }
 
     /// Stages an actor poke (used by pipes between processes and daemons).
@@ -107,37 +145,27 @@ impl ExecHandle {
 
     /// Requests the simulation loop to stop at the next opportunity.
     pub fn stage_stop(&self) {
-        self.shared.lock().unwrap().stop = true;
+        self.shared.post(|inbox| inbox.stop = true);
     }
 
     /// Suspends the calling task for `dur` of virtual time.
     pub fn sleep(&self, dur: SimDuration) -> OpFuture<()> {
         let cell = self.new_op::<()>();
         let done = cell.clone();
-        self.stage(dur, Event::closure(move |_| done.complete(())));
+        self.stage(dur, Event::closure(move |sim| done.complete(sim, ())));
         cell.wait()
-    }
-
-    /// The task being polled right now. Panics outside task context.
-    pub fn current_task(&self) -> TaskId {
-        self.shared
-            .lock()
-            .unwrap()
-            .current
-            .expect("current_task() called outside task context")
     }
 
     /// Current virtual time, readable from task context. Applications use
     /// this through `Mpi::time()` for in-program measurements.
-    pub fn now(&self) -> crate::time::SimTime {
-        self.shared.lock().unwrap().now
+    pub fn now(&self) -> SimTime {
+        SimTime::from_nanos(self.shared.now.load(Ordering::Relaxed))
     }
 }
 
 struct OpInner<T> {
     result: Option<T>,
     waiter: Option<TaskId>,
-    exec: SharedExec,
 }
 
 /// A one-shot completion cell: the kernel side calls [`OpCell::complete`],
@@ -155,22 +183,27 @@ impl<T> Clone for OpCell<T> {
 }
 
 impl<T: Send + 'static> OpCell<T> {
-    /// Completes the operation. If a task is waiting it becomes ready.
+    /// Completes the operation from kernel context. If a task is waiting
+    /// it joins `sim`'s ready queue.
     ///
     /// Panics if the cell was already completed: operations are one-shot,
     /// a double completion is a kernel bug.
-    pub fn complete(&self, value: T) {
-        let mut inner = self.inner.lock().unwrap();
+    pub fn complete(&self, sim: &mut Sim, value: T) {
+        let mut inner = self.inner.lock().expect("op cell poisoned");
         assert!(inner.result.is_none(), "OpCell completed twice");
         inner.result = Some(value);
         if let Some(t) = inner.waiter.take() {
-            inner.exec.lock().unwrap().ready.push_back(t);
+            sim.wake(t);
         }
     }
 
     /// True once `complete` has been called and the value not yet consumed.
     pub fn is_done(&self) -> bool {
-        self.inner.lock().unwrap().result.is_some()
+        self.inner
+            .lock()
+            .expect("op cell poisoned")
+            .result
+            .is_some()
     }
 
     /// Returns the future resolving to the completed value.
@@ -189,18 +222,13 @@ pub struct OpFuture<T> {
 impl<T: Send + 'static> Future for OpFuture<T> {
     type Output = T;
 
-    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<T> {
-        let mut inner = self.inner.lock().unwrap();
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<T> {
+        let mut inner = self.inner.lock().expect("op cell poisoned");
         if let Some(v) = inner.result.take() {
             Poll::Ready(v)
         } else {
-            let current = inner
-                .exec
-                .lock()
-                .unwrap()
-                .current
-                .expect("OpFuture polled outside task context");
-            inner.waiter = Some(current);
+            inner.waiter =
+                Some(polled_task(cx.waker()).expect("OpFuture polled outside task context"));
             Poll::Pending
         }
     }
@@ -214,17 +242,39 @@ pub(crate) struct TaskSlot {
     pub(crate) on_exit: Option<Box<dyn FnOnce(&mut crate::kernel::Sim) + Send>>,
 }
 
-/// A waker that does nothing: readiness is signalled through the executor's
-/// ready queue by [`OpCell::complete`], never through `Waker::wake`.
-pub(crate) fn noop_waker() -> Waker {
-    const VTABLE: RawWakerVTable = RawWakerVTable::new(
-        |_| RawWaker::new(std::ptr::null(), &VTABLE),
-        |_| {},
-        |_| {},
-        |_| {},
-    );
-    // SAFETY: all vtable functions are no-ops; the data pointer is unused.
-    unsafe { Waker::from_raw(RawWaker::new(std::ptr::null(), &VTABLE)) }
+// The kernel's wakers carry a whole `TaskId` in the data pointer.
+const _: () = assert!(usize::BITS >= 64, "TaskId must fit a pointer");
+
+/// Readiness is signalled through the kernel's ready queue by
+/// [`OpCell::complete`], never through `Waker::wake`, so every vtable
+/// entry is a no-op; the data pointer is never dereferenced.
+static TASK_WAKER_VTABLE: RawWakerVTable = RawWakerVTable::new(
+    |data| RawWaker::new(data, &TASK_WAKER_VTABLE),
+    |_| {},
+    |_| {},
+    |_| {},
+);
+
+/// The waker the kernel polls task `id` under: it does nothing when
+/// woken, and tells [`OpFuture::poll`] which task is waiting.
+pub(crate) fn task_waker(id: TaskId) -> Waker {
+    let packed = ((id.gen as u64) << 32 | id.idx as u64) as usize;
+    let data = std::ptr::without_provenance::<()>(packed);
+    // SAFETY: all vtable functions are no-ops (clone copies the pointer
+    // value); the data pointer is an integer, never dereferenced.
+    unsafe { Waker::from_raw(RawWaker::new(data, &TASK_WAKER_VTABLE)) }
+}
+
+/// The task a kernel-made waker was built for; `None` for any other
+/// executor's waker.
+fn polled_task(waker: &Waker) -> Option<TaskId> {
+    std::ptr::eq(waker.vtable(), &TASK_WAKER_VTABLE).then(|| {
+        let packed = waker.data().addr() as u64;
+        TaskId {
+            idx: packed as u32,
+            gen: (packed >> 32) as u32,
+        }
+    })
 }
 
 #[cfg(test)]
@@ -236,7 +286,7 @@ mod tests {
     fn op_cell_completes_before_wait() {
         let mut sim = Sim::new(1);
         let cell = sim.exec().new_op::<u32>();
-        cell.complete(5);
+        cell.complete(&mut sim, 5);
         assert!(cell.is_done());
         sim.spawn_detached({
             let cell = cell.clone();
@@ -250,10 +300,68 @@ mod tests {
     #[test]
     #[should_panic(expected = "OpCell completed twice")]
     fn double_complete_panics() {
-        let sim = Sim::new(1);
+        let mut sim = Sim::new(1);
         let cell = sim.exec().new_op::<u32>();
-        cell.complete(1);
-        cell.complete(2);
+        cell.complete(&mut sim, 1);
+        cell.complete(&mut sim, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "OpFuture polled outside task context")]
+    fn op_future_under_a_foreign_waker_panics() {
+        let sim = Sim::new(1);
+        let mut fut = sim.exec().new_op::<u32>().wait();
+        let mut cx = Context::from_waker(Waker::noop());
+        let _ = Pin::new(&mut fut).poll(&mut cx);
+    }
+
+    #[test]
+    fn waker_round_trips_the_task_id_through_clones() {
+        for id in [
+            TaskId { idx: 0, gen: 0 },
+            TaskId {
+                idx: u32::MAX,
+                gen: 7,
+            },
+            TaskId {
+                idx: 3,
+                gen: u32::MAX,
+            },
+        ] {
+            let waker = task_waker(id);
+            assert_eq!(polled_task(&waker), Some(id));
+            assert_eq!(polled_task(&waker.clone()), Some(id));
+            waker.wake();
+        }
+        assert_eq!(polled_task(Waker::noop()), None);
+    }
+
+    #[test]
+    fn now_in_task_context_is_the_kernel_clock_at_that_poll() {
+        let mut sim = Sim::new(1);
+        let h = sim.exec();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let s = seen.clone();
+        sim.spawn_detached(async move {
+            s.lock().unwrap().push(h.now());
+            for us in [10, 5] {
+                h.sleep(SimDuration::from_micros(us)).await;
+                s.lock().unwrap().push(h.now());
+            }
+        });
+        // An unrelated later event: the clock has moved past every poll
+        // by the end of the run, so equality below is per poll.
+        sim.after(SimDuration::from_micros(40), |_| {});
+        let mut at_poll = Vec::new();
+        for deadline_us in [0, 10, 15] {
+            sim.run_until(SimTime::from_nanos(deadline_us * 1_000));
+            assert_eq!(sim.exec().now(), sim.now());
+            at_poll.push(sim.now());
+        }
+        assert_eq!(*seen.lock().unwrap(), at_poll);
+        sim.run();
+        assert_eq!(sim.exec().now(), sim.now());
+        assert_eq!(sim.now().as_nanos(), 40_000);
     }
 
     #[test]

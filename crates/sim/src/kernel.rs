@@ -9,6 +9,15 @@
 //! [`SmallRng`]. Two runs with the same seed and the same program produce
 //! bit-identical statistics.
 //!
+//! # The run loop takes no locks
+//!
+//! The kernel owns the ready queue, the clock and the tasks outright, and
+//! tells each poll which task it is through the waker it fabricates
+//! ([`crate::exec`]). The one structure task context shares with it is
+//! the staging inbox, and the loop reaches for that mutex only when the
+//! inbox's `pending` flag is up — so an event that readies no task and
+//! stages nothing executes no locked instruction in this module.
+//!
 //! # Actors and generations
 //!
 //! Services (communication daemons, the Event Logger, the checkpoint
@@ -35,12 +44,13 @@
 //! argument.
 
 use std::any::Any;
+use std::collections::VecDeque;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::calendar::{EventCalendar, EventKey};
-use crate::exec::{noop_waker, ExecHandle, ExecShared, SharedExec, TaskId, TaskSlot};
+use crate::exec::{task_waker, ExecHandle, ExecShared, SharedExec, TaskId, TaskSlot};
 use crate::net::{NetProfile, Network, WireSize};
 use crate::profiler;
 use crate::schedule::{EventInfo, EventKind, PopDecision, SchedulePolicy};
@@ -79,6 +89,13 @@ pub enum Event {
         actor: ActorId,
         gen: u32,
         msg: Delivery,
+    },
+    /// A deferred [`Sim::net_send`] (see [`Sim::net_send_at`]).
+    NetSend {
+        src_node: NodeId,
+        dst_actor: ActorId,
+        size: WireSize,
+        body: Box<dyn Any + Send>,
     },
 }
 
@@ -159,7 +176,13 @@ pub struct Sim {
     calendar: EventCalendar<Event>,
     actors: Vec<ActorSlot>,
     tasks: Vec<TaskSlot>,
+    /// Tasks ready to be polled, FIFO.
+    ready: VecDeque<TaskId>,
+    /// The task → kernel staging inbox (see [`crate::exec`]).
     exec: SharedExec,
+    /// Flush buffer swapped with the inbox's staged `Vec`, so staging
+    /// reuses two allocations for the whole run.
+    staged_scratch: Vec<(SimDuration, Event)>,
     net: Network,
     /// Per-node sequential service-CPU resource (daemon work, servers).
     cpu_free: Vec<SimTime>,
@@ -188,7 +211,9 @@ impl Sim {
             calendar: EventCalendar::new(),
             actors: Vec::new(),
             tasks: Vec::new(),
+            ready: VecDeque::new(),
             exec: ExecShared::new(),
+            staged_scratch: Vec::new(),
             net: Network::new(cfg.net),
             cpu_free: Vec::new(),
             nodes: 0,
@@ -439,6 +464,29 @@ impl Sim {
         );
     }
 
+    /// [`Sim::net_send`] deferred to the instant `at` (typically the end of
+    /// the sender's CPU work): NIC booking, statistics and the target's
+    /// generation are all taken then, not now. A [`SchedulePolicy`] sees
+    /// the pending send as [`EventKind::Closure`].
+    pub fn net_send_at(
+        &mut self,
+        at: SimTime,
+        src_node: NodeId,
+        dst_actor: ActorId,
+        size: WireSize,
+        body: Box<dyn Any + Send>,
+    ) {
+        self.schedule_at(
+            at,
+            Event::NetSend {
+                src_node,
+                dst_actor,
+                size,
+                body,
+            },
+        );
+    }
+
     /// Delivers a message to an actor on the *same* node through loopback:
     /// no NIC time, fixed small delay.
     pub fn local_send(
@@ -539,8 +587,14 @@ impl Sim {
             idx: idx as u32,
             gen,
         };
-        self.exec.lock().unwrap().ready.push_back(id);
+        self.ready.push_back(id);
         id
+    }
+
+    /// Queues a task for polling (an [`crate::OpCell`] it waits on
+    /// completed). Wake-ups for dead incarnations are dropped at poll.
+    pub(crate) fn wake(&mut self, id: TaskId) {
+        self.ready.push_back(id);
     }
 
     /// Drops a task's future (fail-stop kill). Its exit callback does not
@@ -614,8 +668,7 @@ impl Sim {
                 return true;
             };
             if head_time > deadline {
-                self.now = deadline;
-                self.exec.lock().unwrap().now = deadline;
+                self.set_now(deadline);
                 return false;
             }
             let (time, seq, key, event) = {
@@ -664,8 +717,7 @@ impl Sim {
                 }
                 other => other,
             };
-            self.now = time;
-            self.exec.lock().unwrap().now = time;
+            self.set_now(time);
             // A detached event (None payload) still advances the clock
             // and the event counter: it occupies the dispatch slot a
             // dead incarnation's timer would have burned anyway.
@@ -686,9 +738,21 @@ impl Sim {
         }
     }
 
+    /// Advances the clock and its task-readable mirror.
+    fn set_now(&mut self, now: SimTime) {
+        self.now = now;
+        self.exec.set_now(now);
+    }
+
     fn dispatch(&mut self, key: EventKey, event: Event) {
         match event {
             Event::Closure(f) => f(self),
+            Event::NetSend {
+                src_node,
+                dst_actor,
+                size,
+                body,
+            } => self.net_send(src_node, dst_actor, size, body),
             Event::Poke { actor, token } => {
                 self.with_actor(actor, None, |a, sim, me| a.on_poke(sim, me, token));
             }
@@ -736,29 +800,30 @@ impl Sim {
         true
     }
 
-    /// Polls ready tasks until quiescent, flushing staged events between
-    /// polls. Called by the run loop after every event dispatch.
+    /// Polls ready tasks until quiescent, flushing staged events before
+    /// every poll and after the last. Called by the run loop after every
+    /// event dispatch.
     fn drain_tasks(&mut self) {
         loop {
             self.flush_staged();
-            let next = self.exec.lock().unwrap().ready.pop_front();
-            let Some(tid) = next else { break };
+            let Some(tid) = self.ready.pop_front() else {
+                break;
+            };
             self.poll_task(tid);
         }
-        self.flush_staged();
     }
 
+    /// Moves what task context staged into the calendar, in staging order.
     fn flush_staged(&mut self) {
-        let (staged, stop) = {
-            let mut ex = self.exec.lock().unwrap();
-            (std::mem::take(&mut ex.staged), ex.stop)
+        let Some(stop) = self.exec.take_pending(&mut self.staged_scratch) else {
+            return;
         };
-        if stop {
-            self.stop = true;
-        }
-        for (delay, ev) in staged {
+        self.stop |= stop;
+        let mut staged = std::mem::take(&mut self.staged_scratch);
+        for (delay, ev) in staged.drain(..) {
             self.schedule(delay, ev);
         }
+        self.staged_scratch = staged;
     }
 
     fn poll_task(&mut self, id: TaskId) {
@@ -770,11 +835,9 @@ impl Sim {
             }
         }
         let mut fut = self.tasks[idx].fut.take().unwrap();
-        self.exec.lock().unwrap().current = Some(id);
-        let waker = noop_waker();
+        let waker = task_waker(id);
         let mut cx = std::task::Context::from_waker(&waker);
         let poll = fut.as_mut().poll(&mut cx);
-        self.exec.lock().unwrap().current = None;
         let slot = &mut self.tasks[idx];
         match poll {
             std::task::Poll::Pending => {
@@ -1014,6 +1077,164 @@ mod tests {
         assert_eq!(*count.lock().unwrap(), 3);
         sim.run();
         assert_eq!(*count.lock().unwrap(), 10);
+    }
+
+    /// Two echoing actors, two tasks ping-ponging through an `OpCell`
+    /// and sleeps, deferred sends: every kernel path a paused run must
+    /// carry across a thread boundary.
+    fn busy_sim() -> Sim {
+        struct Bounce(ActorId);
+        impl Actor for Bounce {
+            fn on_deliver(&mut self, sim: &mut Sim, me: ActorId, msg: Delivery) {
+                let hops = *msg.body.downcast::<u64>().unwrap();
+                if hops > 0 {
+                    let (at, node) = (sim.now() + SimDuration::from_micros(3), sim.actor_node(me));
+                    sim.net_send_at(at, node, self.0, small(64), Box::new(hops - 1));
+                }
+            }
+        }
+        let mut sim = Sim::new(11);
+        let (n0, n1) = (sim.add_node(), sim.add_node());
+        // `a` bounces to the slot `b` is about to take, `b` back to `a`.
+        let a = sim.add_actor(n0, Box::new(Bounce(1)));
+        let b = sim.add_actor(n1, Box::new(Bounce(a)));
+        assert_eq!(b, 1);
+        sim.net_send(n0, b, small(64), Box::new(40u64));
+        let h = sim.exec();
+        let ball = h.new_op::<u32>();
+        let (tx, rx, h2) = (ball.clone(), ball, h.clone());
+        sim.spawn(Some(n0), async move {
+            for _ in 0..20 {
+                h.sleep(SimDuration::from_micros(7)).await;
+            }
+            h.stage(
+                SimDuration::from_micros(2),
+                Event::closure(move |sim| tx.complete(sim, 9)),
+            );
+        });
+        sim.spawn(Some(n1), async move {
+            let v = rx.wait().await;
+            h2.sleep(SimDuration::from_micros(v as u64)).await;
+        });
+        sim
+    }
+
+    #[test]
+    fn a_paused_sim_resumes_identically_on_another_thread() {
+        let outcome = |sim: &Sim| {
+            (
+                sim.events_processed(),
+                sim.now(),
+                format!("{:?}", sim.stats()),
+            )
+        };
+        let pause = SimTime::from_nanos(60_000);
+        let mut twin = busy_sim();
+        assert!(!twin.run_until(pause));
+        twin.run();
+
+        let mut moved = busy_sim();
+        assert!(!moved.run_until(pause));
+        assert!(moved.events_processed() > 0);
+        let moved = std::thread::spawn(move || {
+            moved.run();
+            moved
+        })
+        .join()
+        .expect("resumed run panicked");
+        assert_eq!(outcome(&moved), outcome(&twin));
+        assert!(moved.now() > pause);
+    }
+
+    /// Fire times of events staged (a) by the last poll of a drain and
+    /// (b) from outside between two `run_until` calls. Both must reach
+    /// the calendar before its next pop: were the inbox's `pending` flag
+    /// lost, they would be flushed only after the decoy event at +5us
+    /// dispatched, and fire 1us after *that*.
+    #[test]
+    fn staged_events_reach_the_calendar_before_its_next_pop() {
+        let mut sim = Sim::new(7);
+        let fired = Arc::new(Mutex::new(Vec::new()));
+        let mark = |fired: &Arc<Mutex<Vec<u64>>>| {
+            let fired = fired.clone();
+            Event::closure(move |sim| fired.lock().unwrap().push(sim.now().as_nanos()))
+        };
+        let us = SimDuration::from_micros;
+        // (a) The task's only poll stages and finishes: nothing is
+        // polled after it in that drain.
+        let h = sim.exec();
+        let ev = mark(&fired);
+        sim.spawn_detached(async move { h.stage(us(1), ev) });
+        sim.after(us(5), |_| {});
+        assert!(!sim.run_until(SimTime::from_nanos(3_000)));
+        assert_eq!(*fired.lock().unwrap(), [1_000]);
+        // (b) Paused at 3us with the decoy still pending at 5us.
+        sim.exec().stage(us(1), mark(&fired));
+        sim.run();
+        assert_eq!(*fired.lock().unwrap(), [1_000, 4_000]);
+        assert_eq!(sim.events_processed(), 3);
+    }
+
+    #[test]
+    fn stage_stop_from_outside_stops_the_next_run() {
+        let mut sim = Sim::new(7);
+        sim.after(SimDuration::from_micros(1), |_| {});
+        sim.exec().stage_stop();
+        assert!(sim.run_until(SimTime::MAX));
+        assert_eq!(sim.events_processed(), 0);
+    }
+
+    #[test]
+    fn crash_between_complete_and_poll_drops_the_stale_wakeup() {
+        let mut sim = Sim::new(7);
+        let n0 = sim.add_node();
+        let cell = sim.exec().new_op::<()>();
+        let resumed = Arc::new(Mutex::new(Vec::new()));
+        let (rx, r) = (cell.clone(), resumed.clone());
+        let old = sim.spawn(Some(n0), async move {
+            rx.wait().await;
+            r.lock().unwrap().push("old");
+        });
+        let r = resumed.clone();
+        sim.after(SimDuration::from_micros(5), move |sim| {
+            // The wake-up is queued, then its task dies, then a new
+            // incarnation takes the same slot before anything is polled.
+            cell.complete(sim, ());
+            sim.crash_node(n0);
+            let new = sim.spawn(Some(n0), async move { r.lock().unwrap().push("new") });
+            assert_eq!(new.idx, old.idx);
+            assert_ne!(new.gen, old.gen);
+        });
+        sim.run();
+        assert_eq!(*resumed.lock().unwrap(), ["new"]);
+        assert!(!sim.task_alive(old));
+    }
+
+    #[test]
+    fn net_send_at_is_net_send_in_a_closure() {
+        let run = |deferred: bool| {
+            let mut sim = Sim::new(7);
+            let (n0, n1) = (sim.add_node(), sim.add_node());
+            let got = Arc::new(Mutex::new(Vec::new()));
+            let a = sim.add_actor(n1, Box::new(Echo { got: got.clone() }));
+            let at = SimTime::from_nanos(2_000);
+            if deferred {
+                sim.net_send_at(at, n0, a, small(100), Box::new(42u64));
+            } else {
+                sim.schedule_at(
+                    at,
+                    Event::closure(move |sim| sim.net_send(n0, a, small(100), Box::new(42u64))),
+                );
+            }
+            sim.run();
+            assert_eq!(&*got.lock().unwrap(), &[(n0, 42u64)]);
+            (
+                sim.now(),
+                sim.events_processed(),
+                format!("{:?}", sim.stats()),
+            )
+        };
+        assert_eq!(run(true), run(false));
     }
 
     #[test]

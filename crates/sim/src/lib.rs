@@ -14,7 +14,10 @@
 //! * a single-threaded **async process model**: simulated application
 //!   processes are `async` tasks whose blocking operations are completed by
 //!   the kernel ([`exec`]). Killing a process is dropping its future, which
-//!   gives fail-stop semantics for free,
+//!   gives fail-stop semantics for free. The kernel owns the ready queue,
+//!   the clock and the identity of the task it is polling; tasks share
+//!   with it only a staging inbox and one-shot [`OpCell`]s, so the run
+//!   loop takes no lock unless a task staged something,
 //! * a **switched-Ethernet network model** with full-duplex per-NIC
 //!   contention and cut-through frame pipelining ([`net`]),
 //! * **fault injection** (node crash / restart events),
@@ -43,8 +46,10 @@
 //! let mut sim = Sim::new(42);
 //! let cell = sim.exec().new_op::<u32>();
 //! let done = cell.clone();
-//! sim.after(SimDuration::from_micros(5), move |_| {
-//!     done.complete(7);
+//! // Kernel context completes the cell: the waiting task joins the
+//! // kernel's ready queue and is polled right after this event.
+//! sim.after(SimDuration::from_micros(5), move |sim| {
+//!     done.complete(sim, 7);
 //! });
 //! let h = sim.exec();
 //! sim.spawn_detached(async move {

@@ -21,13 +21,13 @@
 //! sender-based payload logs, replay — lives behind those hooks.
 
 use std::any::Any;
-use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::Arc;
 
 use bytes::Bytes;
+use vlog_sim::causality::Edge;
 use vlog_sim::{
     Actor, ActorId, Delivery, Event, NodeId, OpCell, Sim, SimDuration, SimTime, TaskId,
     TimerHandle, WireSize,
@@ -138,14 +138,15 @@ pub struct DaemonCore {
     me: ActorId,
     topo: Topology,
     /// Epoch-validated topology snapshot: steady-state routing reads it
-    /// lock-free. `RefCell` keeps the `&self` accessor signatures (the
-    /// daemon is single-threaded actor state).
-    topo_cache: RefCell<TopoCache>,
+    /// by reference, one relaxed epoch load per access.
+    topo_cache: TopoCache,
     profile: Arc<StackProfile>,
     stats: RankStatCell,
     app_spec: AppSpec,
 
     pipe: SharedPipe,
+    /// Requests taken off `pipe`, being handled (empty between pokes).
+    pipe_batch: VecDeque<AppRequest>,
     app_task: Option<TaskId>,
 
     next_ssn: Vec<Ssn>,
@@ -197,10 +198,10 @@ impl DaemonCore {
         self.me
     }
 
-    /// Current lock-free topology snapshot (epoch-validated; re-captured
-    /// only when the topology mutated, which never happens mid-run).
-    pub fn topo_view(&self) -> Arc<TopoView> {
-        self.topo_cache.borrow_mut().view(&self.topo).clone()
+    /// Current topology snapshot (epoch-validated; re-captured only when
+    /// the topology mutated — an EL re-shard, never in steady state).
+    pub fn topo_view(&mut self) -> &TopoView {
+        self.topo_cache.view(&self.topo)
     }
 
     pub fn profile(&self) -> &StackProfile {
@@ -237,7 +238,13 @@ impl DaemonCore {
     }
 
     /// Sends a protocol control message to the daemon of another rank.
-    pub fn control_to_rank(&self, sim: &mut Sim, dst: Rank, bytes: u64, body: Box<dyn Any + Send>) {
+    pub fn control_to_rank(
+        &mut self,
+        sim: &mut Sim,
+        dst: Rank,
+        bytes: u64,
+        body: Box<dyn Any + Send>,
+    ) {
         let actor = self.topo_view().daemon(dst);
         self.control_to_actor(sim, actor, bytes, body_as_daemon(body));
     }
@@ -270,7 +277,7 @@ impl DaemonCore {
         // application's send.
         if let Some(p) = self.pending_rdv.remove(&(dst, ssn)) {
             if let Some(done) = p.done {
-                done.complete(());
+                done.complete(sim, ());
             }
         }
         let cost = self.profile.msg_cost(payload.len());
@@ -285,14 +292,8 @@ impl DaemonCore {
             replayed: true,
         };
         let target = self.topo_view().daemon(dst);
-        let src_node = self.node;
-        sim.schedule_at(
-            end,
-            Event::closure(move |sim| {
-                let size = msg.wire_size();
-                sim.net_send(src_node, target, size, Box::new(DaemonMsg::App(msg)));
-            }),
-        );
+        let size = msg.wire_size();
+        sim.net_send_at(end, self.node, target, size, Box::new(DaemonMsg::App(msg)));
     }
 
     /// Queues a replay-ordered delivery (bypasses the protocol hooks).
@@ -376,9 +377,8 @@ impl DaemonCore {
     /// Reports that this rank crossed a protocol-phase boundary; a
     /// matching armed [`crate::PhaseFault`] crashes the rank here. No-op
     /// (one relaxed epoch load) when no armature is armed.
-    pub fn phase_boundary(&self, sim: &mut Sim, phase: ProtoPhase) {
-        let view = self.topo_view();
-        if let Some(arm) = view.phase_faults() {
+    pub fn phase_boundary(&mut self, sim: &mut Sim, phase: ProtoPhase) {
+        if let Some(arm) = self.topo_view().phase_faults().cloned() {
             arm.crossed(sim, self.rank, phase);
         }
     }
@@ -433,7 +433,7 @@ impl DaemonCore {
             let p = self.posted.remove(pos).unwrap();
             let at = ready_at + self.profile.pipe_cost(payload.len());
             let msg = RecvMsg { src, tag, payload };
-            sim.schedule_at(at, Event::closure(move |_| p.cell.complete(msg)));
+            sim.schedule_at(at, Event::closure(move |sim| p.cell.complete(sim, msg)));
         } else {
             self.unexpected.push_back(StoredMsg { src, tag, payload });
         }
@@ -524,11 +524,12 @@ impl Vdaemon {
                 node,
                 me,
                 topo,
-                topo_cache: RefCell::new(TopoCache::new()),
+                topo_cache: TopoCache::new(),
                 profile,
                 stats: RankStatCell::new(stats),
                 app_spec,
                 pipe: PipeBox::new(),
+                pipe_batch: VecDeque::new(),
                 app_task: None,
                 next_ssn: vec![0; n],
                 expected_ssn: vec![0; n],
@@ -572,11 +573,11 @@ impl Vdaemon {
                 // cannot progress until its checkpoint image arrives.
                 vlog_sim::causality::cancel_owner(self.core.rank as u64);
                 vlog_sim::event!("restart-boot" { rank = self.core.rank });
-                vlog_sim::causality::expect(
-                    vlog_sim::ckey!("image-fetched", rank = self.core.rank),
-                    vlog_sim::ckey!("restart-boot", rank = self.core.rank),
-                    self.core.rank as u64,
-                );
+                vlog_sim::causality::record(|| Edge::Expect {
+                    cause: vlog_sim::ckey!("image-fetched", rank = self.core.rank),
+                    waiter: vlog_sim::ckey!("restart-boot", rank = self.core.rank),
+                    owner: self.core.rank as u64,
+                });
                 let Some((server, _)) = self.core.topo_view().ckpt_server() else {
                     // No checkpoint infrastructure: restart from scratch.
                     self.finish_restart(sim, None);
@@ -642,9 +643,14 @@ impl Vdaemon {
     }
 
     fn drain_pipe(&mut self, sim: &mut Sim) {
-        loop {
-            let req = self.core.pipe.lock().unwrap().queue.pop_front();
-            let Some(req) = req else { break };
+        // One lock for the whole batch (nothing can push meanwhile: the
+        // application task only runs between event dispatches); swapping
+        // keeps both buffers allocated.
+        std::mem::swap(
+            &mut self.core.pipe.lock().expect("app pipe poisoned").queue,
+            &mut self.core.pipe_batch,
+        );
+        while let Some(req) = self.core.pipe_batch.pop_front() {
             match req {
                 AppRequest::Send {
                     dst,
@@ -682,7 +688,7 @@ impl Vdaemon {
             SendGate::Go { cost } => {
                 // Eager sends complete for the application at acceptance.
                 let done = if eager {
-                    done.complete(());
+                    done.complete(sim, ());
                     None
                 } else {
                     Some(done)
@@ -691,7 +697,7 @@ impl Vdaemon {
             }
             SendGate::Hold => {
                 let done = if eager {
-                    done.complete(());
+                    done.complete(sim, ());
                     None
                 } else {
                     Some(done)
@@ -734,13 +740,8 @@ impl Vdaemon {
                 len: self.core.pending_rdv[&(dst, ssn)].payload.len(),
             };
             let target = self.core.topo_view().daemon(dst);
-            let src_node = self.core.node;
-            sim.schedule_at(
-                end,
-                Event::closure(move |sim| {
-                    sim.net_send(src_node, target, WireSize::control(16), Box::new(rts));
-                }),
-            );
+            let node = self.core.node;
+            sim.net_send_at(end, node, target, WireSize::control(16), Box::new(rts));
         }
     }
 
@@ -783,16 +784,22 @@ impl Vdaemon {
         };
         let target = self.core.topo_view().daemon(dst);
         let src_node = self.core.node;
-        sim.schedule_at(
-            end,
-            Event::closure(move |sim| {
-                let size = msg.wire_size();
-                sim.net_send(src_node, target, size, Box::new(DaemonMsg::App(msg)));
-                if let Some(done) = done {
-                    done.complete(());
-                }
-            }),
-        );
+        let size = msg.wire_size();
+        let body = Box::new(DaemonMsg::App(msg));
+        match done {
+            None => sim.net_send_at(end, src_node, target, size, body),
+            // A rendezvous send completes for the application when the
+            // data leaves.
+            Some(done) => {
+                sim.schedule_at(
+                    end,
+                    Event::closure(move |sim| {
+                        sim.net_send(src_node, target, size, body);
+                        done.complete(sim, ());
+                    }),
+                );
+            }
+        }
     }
 
     fn handle_app_recv(&mut self, sim: &mut Sim, sel: RecvSelector, cell: OpCell<RecvMsg>) {
@@ -806,12 +813,15 @@ impl Vdaemon {
             let delay = self.core.profile.pipe_cost(m.payload.len());
             sim.schedule(
                 delay,
-                Event::closure(move |_| {
-                    cell.complete(RecvMsg {
-                        src: m.src,
-                        tag: m.tag,
-                        payload: m.payload,
-                    })
+                Event::closure(move |sim| {
+                    cell.complete(
+                        sim,
+                        RecvMsg {
+                            src: m.src,
+                            tag: m.tag,
+                            payload: m.payload,
+                        },
+                    )
                 }),
             );
         } else {
@@ -826,7 +836,7 @@ impl Vdaemon {
             // state with a half-replayed protocol state; a later restart
             // from it could stall forever. The application offers again
             // at its next checkpoint point.
-            done.complete(false);
+            done.complete(sim, false);
             return;
         }
         let due = {
@@ -837,7 +847,7 @@ impl Vdaemon {
             self.proto.checkpoint_due(&mut ctx)
         };
         if !due {
-            done.complete(false);
+            done.complete(sim, false);
             return;
         }
         let version = {
@@ -859,7 +869,7 @@ impl Vdaemon {
         // Local snapshot cost (fork + copy-on-write in the real system).
         let cost = SimDuration::from_nanos((state_bytes as f64 * SNAPSHOT_NS_PER_BYTE) as u64);
         let end = sim.charge_cpu(self.core.node, cost);
-        sim.schedule_at(end, Event::closure(move |_| done.complete(true)));
+        sim.schedule_at(end, Event::closure(move |sim| done.complete(sim, true)));
         let mut ctx = Ctx {
             sim,
             core: &mut self.core,
@@ -991,13 +1001,8 @@ impl Vdaemon {
                     ssn,
                 };
                 let target = self.core.topo_view().daemon(src);
-                let src_node = self.core.node;
-                sim.schedule_at(
-                    end,
-                    Event::closure(move |sim| {
-                        sim.net_send(src_node, target, WireSize::control(16), Box::new(cts));
-                    }),
-                );
+                let node = self.core.node;
+                sim.net_send_at(end, node, target, WireSize::control(16), Box::new(cts));
             }
             DaemonMsg::Cts { dst, ssn } => {
                 if let Some(p) = self.core.pending_rdv.remove(&(dst, ssn)) {

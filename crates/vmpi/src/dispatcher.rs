@@ -19,7 +19,7 @@ use vlog_sim::{Actor, ActorId, Delivery, NodeId, Sim};
 
 use crate::ckpt::{CkptReply, CkptRequest};
 use crate::daemon::BootMode;
-use crate::hooks::{RecoveryStyle, Topology};
+use crate::hooks::{RecoveryStyle, TopoCache, Topology};
 use crate::types::Rank;
 
 /// Performs the actual relaunch of a rank: replaces the daemon actor in
@@ -39,6 +39,7 @@ pub struct Dispatcher {
     node: NodeId,
     n: usize,
     topo: Topology,
+    topo_cache: TopoCache,
     relaunch: RelaunchFn,
     style: RecoveryStyle,
     stop_on_completion: bool,
@@ -61,6 +62,7 @@ impl Dispatcher {
             node,
             n,
             topo,
+            topo_cache: TopoCache::new(),
             relaunch,
             style,
             stop_on_completion,
@@ -81,7 +83,7 @@ impl Dispatcher {
                 self.done.clear();
                 // Ask the checkpoint server which snapshot is complete on
                 // every rank, then roll everyone back to it.
-                let view = self.topo.view();
+                let view = self.topo_cache.view(&self.topo);
                 let Some((server, _)) = view.ckpt_server() else {
                     // No checkpoints at all: restart the whole job.
                     self.rollback_all(sim, 0);
@@ -118,7 +120,7 @@ impl Dispatcher {
             // Kill the surviving incarnation (app task + daemon) so stale
             // in-flight traffic is dropped by the generation check, then
             // relaunch from the snapshot.
-            let node = self.topo.view().node(rank);
+            let node = self.topo_cache.view(&self.topo).node(rank);
             sim.crash_node(node);
             (self.relaunch)(
                 sim,

@@ -239,7 +239,7 @@ impl TopoCache {
     }
 
     /// The current view of `topo`, re-captured only if its epoch moved.
-    pub fn view(&mut self, topo: &Topology) -> &Arc<TopoView> {
+    pub fn view(&mut self, topo: &Topology) -> &TopoView {
         let epoch = topo.epoch();
         let stale = match &self.cached {
             Some((cached_epoch, _)) => *cached_epoch != epoch,

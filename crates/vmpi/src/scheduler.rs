@@ -14,7 +14,7 @@
 use rand::Rng;
 use vlog_sim::{Actor, ActorId, Delivery, NodeId, Sim, SimDuration, TimerHandle};
 
-use crate::hooks::{SchedulerCmd, Topology};
+use crate::hooks::{SchedulerCmd, TopoCache, TopoView, Topology};
 use crate::types::DaemonMsg;
 
 /// Checkpoint scheduling policy.
@@ -34,6 +34,7 @@ pub enum SchedulerPolicy {
 pub struct CkptScheduler {
     node: NodeId,
     topo: Topology,
+    topo_cache: TopoCache,
     policy: SchedulerPolicy,
     snapshot_id: u64,
     /// Cancellable wheel handles of the armed timers: one per rank for
@@ -54,6 +55,7 @@ impl CkptScheduler {
         CkptScheduler {
             node,
             topo,
+            topo_cache: TopoCache::new(),
             policy,
             snapshot_id: 0,
             timers: vec![None; slots],
@@ -104,8 +106,12 @@ impl CkptScheduler {
         })
     }
 
-    fn command(&self, sim: &mut Sim, rank: usize, cmd: SchedulerCmd) {
-        let daemon = self.topo.view().daemon(rank);
+    fn view(&mut self) -> &TopoView {
+        self.topo_cache.view(&self.topo)
+    }
+
+    fn command(&mut self, sim: &mut Sim, rank: usize, cmd: SchedulerCmd) {
+        let daemon = self.view().daemon(rank);
         let body = Box::new(DaemonMsg::Proto(Box::new(cmd)));
         let size = vlog_sim::WireSize::control(8);
         if sim.actor_node(daemon) == self.node {
@@ -129,7 +135,7 @@ impl Actor for CkptScheduler {
                 self.register(token, h);
             }
             SchedulerPolicy::Random { period } => {
-                let n = self.topo.view().n_ranks();
+                let n = self.view().n_ranks();
                 let rank = sim.rng().random_range(0..n);
                 self.command(sim, rank, SchedulerCmd::TakeCheckpoint);
                 let slice = SimDuration::from_nanos(period.as_nanos() / n as u64);
@@ -138,7 +144,7 @@ impl Actor for CkptScheduler {
             }
             SchedulerPolicy::Coordinated { period } => {
                 self.snapshot_id += 1;
-                for rank in 0..self.topo.view().n_ranks() {
+                for rank in 0..self.view().n_ranks() {
                     self.command(
                         sim,
                         rank,

@@ -53,7 +53,9 @@ grep -q "pb_compact/" BENCH_micro.json || {
     echo "BENCH_micro.json is missing the pb_compact group" >&2; exit 1; }
 grep -q "causality_store/" BENCH_micro.json || {
     echo "BENCH_micro.json is missing the causality_store group" >&2; exit 1; }
-echo "    BENCH_micro.json: ok (event_calendar + sharded_stats + el_batching + pb_compact + causality_store groups present)"
+grep -q "kernel_loop/" BENCH_micro.json || {
+    echo "BENCH_micro.json is missing the kernel_loop group" >&2; exit 1; }
+echo "    BENCH_micro.json: ok (event_calendar + sharded_stats + el_batching + pb_compact + causality_store + kernel_loop groups present)"
 
 echo "==> throughput-regression gate (vs committed BENCH_micro.json, VLOG_GATE_TOLERANCE=${VLOG_GATE_TOLERANCE:-40}%)"
 if git cat-file -e HEAD:BENCH_micro.json 2>/dev/null; then
