@@ -12,7 +12,8 @@
 
 use std::sync::Arc;
 
-use vlog_bench::{banner, fmt3, Scale, Stack, Table};
+use vlog_bench::paper::{nas_kill_rank0, netpipe_run};
+use vlog_bench::{fmt3, md_table, Scale, Stack, SuiteKind};
 use vlog_core::{install_distributed_el, CausalSuite, Technique};
 use vlog_sim::{NodeId, Sim, SimDuration};
 use vlog_vmpi::{
@@ -52,22 +53,17 @@ impl Suite for SharedNodeSuite {
     }
 }
 
+/// Prints one ablation: title, note and its table.
+fn section(title: &str, note: &str, headers: &[&str], rows: &[Vec<String>]) {
+    println!("\n## {title}\n\n{note}\n\n{}", md_table(headers, rows));
+}
+
 fn main() {
     let scale = Scale::from_env();
 
     // ---- 1. EL placement -------------------------------------------
-    banner(
-        "Ablation 1 — Event Logger on a dedicated node vs on the checkpoint server's node",
-        "LU class A (high event rate): sharing the stable node costs piggyback growth",
-    );
     let frac = scale.fraction(0.03);
-    let mut t1 = Table::new(&[
-        "np",
-        "dedicated: pb%",
-        "shared: pb%",
-        "dedicated: Mflops",
-        "shared: Mflops",
-    ]);
+    let mut t1 = Vec::new();
     for np in [4usize, 8, 16] {
         let nas = NasConfig::new(NasBench::LU, Class::A, np).fraction(frac);
         let mut cfg = ClusterConfig::new(np);
@@ -90,7 +86,7 @@ fn main() {
             &FaultPlan::none(),
         );
         assert!(dedicated.report.completed && shared.report.completed);
-        t1.row(vec![
+        t1.push(vec![
             np.to_string(),
             fmt3(dedicated.report.piggyback_percent()),
             fmt3(shared.report.piggyback_percent()),
@@ -98,70 +94,67 @@ fn main() {
             fmt3(shared.mflops()),
         ]);
     }
-    t1.print();
+    section(
+        "Ablation 1 — Event Logger on a dedicated node vs on the checkpoint server's node",
+        "LU class A (high event rate): sharing the stable node costs piggyback growth",
+        &[
+            "np",
+            "dedicated: pb%",
+            "shared: pb%",
+            "dedicated: Mflops",
+            "shared: Mflops",
+        ],
+        &t1,
+    );
 
     // ---- 2. Checkpoint period vs recovery time ----------------------
-    banner(
-        "Ablation 2 — checkpoint period vs recovery duration (CG A / 8, Vcausal+EL)",
-        "longer periods mean longer replays after a fault",
-    );
-    let mut t2 = Table::new(&["ckpt period (s)", "recovery total (ms)", "collect (ms)"]);
+    // Figure 10's probe-then-kill with a fixed period instead of one
+    // scaled to the application span.
+    let mut t2 = Vec::new();
     for period_s in [0.2f64, 0.5, 1.0, 2.0] {
         let nas = NasConfig::new(NasBench::CG, Class::A, 8).fraction(scale.fraction(1.0));
-        let mut cfg = ClusterConfig::new(8);
-        cfg.event_limit = Some(2_000_000_000);
-        cfg.detect_delay = SimDuration::from_millis(50);
-        let suite = Arc::new(
-            CausalSuite::new(Technique::Vcausal, true)
-                .with_checkpoints(SimDuration::from_secs_f64(period_s)),
-        );
-        let probe = run_workload(&nas, &cfg, suite.clone(), &FaultPlan::none());
-        assert!(probe.report.completed);
-        let half = probe.report.makespan.mul_f64(0.5);
-        let run = run_workload(&nas, &cfg, suite, &FaultPlan::kill_at(half, 0));
-        assert!(run.report.completed);
+        let kind = SuiteKind::Causal {
+            technique: Technique::Vcausal,
+            el: true,
+        };
+        let run = nas_kill_rank0(&nas, kind, |_| SimDuration::from_secs_f64(period_s), 0.5);
         let st = &run.report.rank_stats[0];
-        t2.row(vec![
+        t2.push(vec![
             fmt3(period_s),
             fmt3(st.recovery_total.first().map_or(0.0, |d| d.as_millis_f64())),
-            fmt3(
-                st.recovery_collect
-                    .first()
-                    .map_or(0.0, |d| d.as_millis_f64()),
-            ),
+            fmt3(st.recovery_collect[0].as_millis_f64()),
         ]);
     }
-    t2.print();
+    section(
+        "Ablation 2 — checkpoint period vs recovery duration (CG A / 8, Vcausal+EL)",
+        "longer periods mean longer replays after a fault",
+        &["ckpt period (s)", "recovery total (ms)", "collect (ms)"],
+        &t2,
+    );
 
     // ---- 3. Eager/rendezvous threshold -------------------------------
-    banner(
-        "Ablation 3 — eager/rendezvous threshold on the NetPIPE curve (Vdummy)",
-        "the rendezvous round trip dents mid-size bandwidth",
-    );
-    let mut t3 = Table::new(&["bytes", "eager@128K Mbit/s", "eager@16K Mbit/s"]);
     let run_with_threshold = |threshold: u64| {
-        let (prog, results) = vlog_workloads::netpipe::program(1 << 20, scale.reps(0.25));
         let mut cfg = Stack::Vdummy.cluster(2);
         cfg.profile.eager_threshold = threshold;
-        let report = vlog_vmpi::run_cluster(&cfg, Stack::Vdummy.suite(), prog, &FaultPlan::none());
-        assert!(report.completed);
-        results.sorted()
+        netpipe_run(&cfg, Stack::Vdummy, 1 << 20, scale.reps(0.25)).0
     };
     let big = run_with_threshold(128 << 10);
     let small = run_with_threshold(16 << 10);
-    for (a, b) in big.iter().zip(&small) {
-        if a.bytes >= 4096 {
-            t3.row(vec![a.bytes.to_string(), fmt3(a.mbps), fmt3(b.mbps)]);
-        }
-    }
-    t3.print();
+    let t3: Vec<Vec<String>> = big
+        .iter()
+        .zip(&small)
+        .filter(|(a, _)| a.bytes >= 4096)
+        .map(|(a, b)| vec![a.bytes.to_string(), fmt3(a.mbps), fmt3(b.mbps)])
+        .collect();
+    section(
+        "Ablation 3 — eager/rendezvous threshold on the NetPIPE curve (Vdummy)",
+        "the rendezvous round trip dents mid-size bandwidth",
+        &["bytes", "eager@128K Mbit/s", "eager@16K Mbit/s"],
+        &t3,
+    );
 
     // ---- 4. Distributed Event Loggers (the paper's future work) ------
-    banner(
-        "Ablation 4 — distributing the Event Logger over k shards (paper's conclusion)",
-        "LU class A / 16 ranks: shards split the record/ack load; gossip keeps GC global",
-    );
-    let mut t4 = Table::new(&["EL shards", "pb %", "Mflops", "gossip msgs"]);
+    let mut t4 = Vec::new();
     for k in [1usize, 2, 4] {
         let mut suite = CausalSuite::new(Technique::Vcausal, true);
         if k > 1 {
@@ -172,12 +165,17 @@ fn main() {
         cfg.event_limit = Some(2_000_000_000);
         let run = run_workload(&nas, &cfg, Arc::new(suite), &FaultPlan::none());
         assert!(run.report.completed);
-        t4.row(vec![
+        t4.push(vec![
             k.to_string(),
             fmt3(run.report.piggyback_percent()),
             fmt3(run.mflops()),
             run.report.stats.get("el_gossip_msgs").to_string(),
         ]);
     }
-    t4.print();
+    section(
+        "Ablation 4 — distributing the Event Logger over k shards (paper's conclusion)",
+        "LU class A / 16 ranks: shards split the record/ack load; gossip keeps GC global",
+        &["EL shards", "pb %", "Mflops", "gossip msgs"],
+        &t4,
+    );
 }

@@ -5,7 +5,9 @@
 //! (the workload's most load-bearing rank killed mid-run).
 //!
 //! Emits the two committed artifacts: `BENCH_regimes.json` (the full
-//! grid) and `REPORT.md` (the figure-style cross-regime comparison).
+//! grid) and `REPORT.md` — the paper scorecard rendered from the
+//! committed `BENCH_paper.json` (section 0; run the `paper` target
+//! first) in front of the figure-style cross-regime comparison.
 //! Unlike the other benches this target ignores `VLOG_SCALE`: the
 //! artifacts are committed, `scripts/verify.sh` regenerates them and
 //! requires a byte-identical result, so there is exactly one scale.
@@ -13,16 +15,14 @@
 use std::sync::Arc;
 
 use criterion::out_dir;
-use vlog_bench::{
-    banner, default_threads, fmt3, render_markdown, run_many, write_json, RegimeRow, SuiteKind,
-    Table,
-};
+use vlog_bench::paper::{render_scorecard, PaperReport};
+use vlog_bench::{default_threads, render_markdown, run_many, write_json, RegimeRow, SuiteKind};
 use vlog_core::{CausalSuite, PbFormat, Technique};
 use vlog_sim::{NetProfile, SimDuration};
 use vlog_vmpi::{ClusterConfig, FaultPlan};
 use vlog_workloads::runner::faults;
 use vlog_workloads::{
-    net_axes, registry, run_workload, NetAxis, RegistryScale, Workload, WorkloadRun, FAMILIES,
+    net_axes, registry, run_workload, NetAxis, RegistryScale, Workload, WorkloadRun,
 };
 
 /// When the hub dies. Every Large entry runs well past this point under
@@ -256,13 +256,11 @@ fn run_compact_cell(w: &Arc<dyn Workload>, el_fault: bool) -> RegimeRow {
 fn main() {
     let workloads = registry(RegistryScale::Large);
     let suites = SuiteKind::all_eight();
-    banner(
-        "Scaled-regime sweep — Large registry x every suite x {free, hub failure}",
-        &format!(
-            "{} workloads x {} suites x 2 fault modes; hub dies at {HUB_FAULT_AT}",
-            workloads.len(),
-            suites.len()
-        ),
+    println!(
+        "scaled-regime sweep: {} workloads x {} suites x {{free, hub failure}}; \
+         hub dies at {HUB_FAULT_AT}",
+        workloads.len(),
+        suites.len()
     );
 
     let jobs: Vec<(Arc<dyn Workload>, SuiteKind)> = workloads
@@ -284,13 +282,11 @@ fn main() {
         .into_iter()
         .filter(|a| !(a.profile.name == "fast-ethernet-2005" && a.el_count <= 1))
         .collect();
-    banner(
-        "EL-scaling sweep — saturation probe x every net axis x {free, EL failure}",
-        &format!(
-            "{} on {} fabrics; EL shard 0 dies at {EL_FAULT_AT} where shards allow",
-            probe.label(),
-            axes.len()
-        ),
+    println!(
+        "EL-scaling sweep: {} on {} net axes x {{free, EL failure}}; \
+         EL shard 0 dies at {EL_FAULT_AT} where shards allow",
+        probe.label(),
+        axes.len()
     );
     let scaling_jobs: Vec<(Arc<dyn Workload>, NetAxis)> =
         axes.into_iter().map(|a| (probe.clone(), a)).collect();
@@ -313,12 +309,10 @@ fn main() {
         ladder.len() >= 4,
         "Huge registry is missing the aggregation ladder"
     );
-    banner(
-        "Compact-piggyback scale sweep — aggregation ladder x {free, hub failure, EL failure}",
-        &format!(
-            "{} bursty entries x 2 axes; compact wire format, send-side pruning",
-            ladder.len()
-        ),
+    println!(
+        "compact-piggyback scale sweep: {} bursty entries x 2 axes x \
+         {{free, hub failure, EL failure}}; compact wire format, send-side pruning",
+        ladder.len()
     );
     let compact_jobs: Vec<(Arc<dyn Workload>, bool)> = ladder
         .iter()
@@ -373,32 +367,6 @@ fn main() {
     }
     rows.extend(compact_rows);
 
-    // Stdout summary: one table per family mirroring REPORT.md's core
-    // columns.
-    for family in FAMILIES {
-        let fam_rows: Vec<&RegimeRow> = rows.iter().filter(|r| r.family == family).collect();
-        if fam_rows.is_empty() {
-            continue;
-        }
-        banner(&format!("family: {family}"), "");
-        let mut table = Table::new(&[
-            "workload", "suite", "free", "faulted", "pb %", "EL q", "EL out", "ack µs",
-        ]);
-        for r in fam_rows {
-            table.row(vec![
-                r.label.clone(),
-                r.suite.clone(),
-                format!("{:.2}ms", r.makespan_s * 1e3),
-                format!("{:.2}ms", r.faulted_makespan_s * 1e3),
-                format!("{:.2}", r.pb_percent),
-                r.el_peak_queue.to_string(),
-                r.el_peak_outstanding.to_string(),
-                fmt3(r.el_ack_mean_us),
-            ]);
-        }
-        table.print();
-    }
-
     let json = write_json(&rows);
     let json_path = out_dir().join("BENCH_regimes.json");
     match std::fs::write(&json_path, &json) {
@@ -406,7 +374,19 @@ fn main() {
         Err(e) => eprintln!("bench report: failed to write {}: {e}", json_path.display()),
     }
 
-    let md = render_markdown(&rows);
+    // REPORT.md = title block, section 0 from the committed paper
+    // scorecard, sections 1-7 from this sweep.
+    let paper_path = out_dir().join("BENCH_paper.json");
+    let paper = std::fs::read_to_string(&paper_path)
+        .map_err(|e| e.to_string())
+        .and_then(|src| PaperReport::parse_json(&src))
+        .unwrap_or_else(|e| {
+            panic!(
+                "{}: {e} — run `cargo bench --bench paper` first",
+                paper_path.display()
+            )
+        });
+    let md = render_markdown(&rows).replacen("## 1. ", &(render_scorecard(&paper) + "## 1. "), 1);
     let md_path = out_dir().join("REPORT.md");
     match std::fs::write(&md_path, &md) {
         Ok(()) => println!("regime report: {}", md_path.display()),

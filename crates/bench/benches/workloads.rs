@@ -14,7 +14,7 @@
 use std::sync::Arc;
 
 use criterion::{json_escape, out_dir};
-use vlog_bench::{banner, default_threads, fmt3, run_many, Scale, SuiteKind, Table};
+use vlog_bench::{default_threads, fmt3, md_table, run_many, Scale, SuiteKind};
 use vlog_sim::SimDuration;
 use vlog_vmpi::{ClusterConfig, FaultPlan};
 use vlog_workloads::{registry, run_workload, RegistryScale, Workload, WorkloadRun, FAMILIES};
@@ -68,13 +68,10 @@ fn main() {
     };
     let workloads = registry(reg_scale);
     let suites = SuiteKind::all_eight();
-    banner(
-        "Workload-registry sweep — every workload x every suite",
-        &format!(
-            "{} workloads x {} suites, fault-free, checkpoints every 25 ms",
-            workloads.len(),
-            suites.len()
-        ),
+    println!(
+        "workload-registry sweep: {} workloads x {} suites, fault-free, checkpoints every 25 ms",
+        workloads.len(),
+        suites.len()
     );
 
     let jobs: Vec<(Arc<dyn Workload>, SuiteKind)> = workloads
@@ -107,15 +104,15 @@ fn main() {
         if rows.is_empty() {
             continue;
         }
-        banner(&format!("family: {family}"), "");
-        let mut table = Table::new(&[
+        let headers = [
             "workload", "suite", "makespan", "Mflop/s", "pb %", "pb send", "pb recv", "msgs",
             "max msg",
-        ]);
+        ];
+        let mut table = Vec::new();
         for (_, run) in rows {
             let (pb_send, pb_recv) = run.pb_times();
             let mflops = run.mflops();
-            table.row(vec![
+            table.push(vec![
                 run.label.clone(),
                 run.report.suite.clone(),
                 format!("{}", run.report.makespan),
@@ -131,7 +128,7 @@ fn main() {
                 format!("{}B", run.msg_histogram().max_bucket_bytes()),
             ]);
         }
-        table.print();
+        println!("\nfamily: {family}\n\n{}", md_table(&headers, &table));
     }
 
     write_report(&runs);

@@ -16,7 +16,7 @@
 //! one-line ops/sec delta; it only *fails* when the geomean regresses
 //! beyond the tolerance.
 
-use crate::report::{field, parse_results};
+use crate::report::{field, parse_array};
 
 /// One benchmark of a `BENCH_*.json` report, reduced to what the gate
 /// compares.
@@ -35,7 +35,7 @@ pub struct BenchEntry {
 /// timing reports.
 pub fn parse_bench_json(src: &str) -> Result<Vec<BenchEntry>, String> {
     let mut entries = Vec::new();
-    for fields in parse_results(src)? {
+    for fields in parse_array(src, "results")? {
         let name = field(&fields, "name")?.as_str("name")?.to_string();
         let mean_ns = field(&fields, "mean_ns")?.as_f64("mean_ns")?;
         if !(mean_ns > 0.0) {

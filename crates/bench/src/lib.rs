@@ -1,18 +1,13 @@
 //! # vlog-bench — harness support for the paper's figures and tables
 //!
-//! Each figure/table of the evaluation is regenerated by one bench target
-//! (`harness = false`, so `cargo bench` runs them as plain binaries):
+//! The bench targets (`harness = false`, so `cargo bench` runs them as
+//! plain binaries):
 //!
-//! | target              | paper artifact                                  |
+//! | target              | artifact                                        |
 //! |---------------------|-------------------------------------------------|
-//! | `fig1_resilience`   | Fig. 1 — slowdown vs fault frequency            |
-//! | `fig3_antecedence`  | Fig. 3 — antecedence-graph piggyback example    |
-//! | `fig6a_latency`     | Fig. 6(a) — 1-byte latency table                |
-//! | `fig6b_bandwidth`   | Fig. 6(b) — ping-pong bandwidth curves          |
-//! | `fig7_piggyback`    | Fig. 7 — piggybacked bytes as % of total        |
-//! | `fig8_pbtime`       | Fig. 8(a)+(b) — piggyback management time       |
-//! | `fig9_nas`          | Fig. 9 — NAS Megaflops for all stacks           |
-//! | `fig10_recovery`    | Fig. 10 — event-recovery time at restart        |
+//! | `paper`             | Figs. 1, 3, 6a, 6b, 7, 8, 9, 10 and the paper's claims about them ([`paper`]): `BENCH_paper.json`, `REPORT.md` §0 |
+//! | `regimes`           | the scaled-regime grid: `BENCH_regimes.json`, `REPORT.md` §1–7 |
+//! | `workloads`         | registry x suite sweep: `BENCH_workloads.json`  |
 //! | `ablations`         | design-choice probes beyond the paper           |
 //! | `micro` (Criterion) | real ns/op of codecs, graph ops, reductions     |
 //!
@@ -24,18 +19,20 @@
 use std::sync::Arc;
 
 use vlog_core::{CausalSuite, CoordinatedSuite, PessimisticSuite, Technique};
-use vlog_sim::{env_knob, NetProfile, SimDuration};
+use vlog_sim::{env_knob, SimDuration};
 use vlog_vmpi::{ClusterConfig, Suite, VdummySuite};
-use vlog_workloads::netpipe::{self, NetpipePoint};
 
 pub mod gate;
+pub mod paper;
 pub mod report;
 pub mod sweep;
 pub use gate::{compare, parse_bench_json, BenchEntry, GateReport};
-pub use report::{parse_json, render_markdown, write_json, RegimeRow};
+pub use report::{md_table, parse_json, render_markdown, write_json, RegimeRow};
 pub use sweep::{default_threads, parse_threads_override, run_many, ThreadsOverrideError};
 
-/// One software stack of the paper's comparison.
+/// One software stack of the paper's comparison: the three
+/// fault-intolerant baselines, or a fault-tolerant [`SuiteKind`] on the
+/// MPICH-V daemon.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stack {
     /// NetPIPE directly on TCP (Figure 6 baseline).
@@ -44,40 +41,30 @@ pub enum Stack {
     P4,
     /// MPICH-V generic layer without fault tolerance.
     Vdummy,
-    /// Causal message logging with a reduction technique, with/without EL.
-    Causal {
-        /// Piggyback-reduction technique of the causal protocol.
-        technique: Technique,
-        /// Whether the Event Logger is deployed.
-        el: bool,
-    },
+    /// A fault-tolerant protocol suite.
+    Ft(SuiteKind),
 }
 
 impl Stack {
+    /// Causal message logging with `technique`, with or without the EL.
+    pub const fn causal(technique: Technique, el: bool) -> Stack {
+        Stack::Ft(SuiteKind::Causal { technique, el })
+    }
+
     /// The stack's display name in tables and legends.
     pub fn label(&self) -> String {
         match self {
             Stack::Raw => "RAW-TCP".into(),
             Stack::P4 => "MPICH-P4".into(),
             Stack::Vdummy => "MPICH-Vdummy".into(),
-            Stack::Causal { technique, el } => format!(
-                "{}{}",
-                technique.label(),
-                if *el { " (EL)" } else { " (no EL)" }
-            ),
+            Stack::Ft(kind) => kind.label(),
         }
     }
 
-    /// Cluster configuration for this stack (profile + duplex mode).
-    ///
-    /// The network fabric honors `VLOG_NET_PROFILE` (unset = the
-    /// paper's FastEthernet-2005), so any figure bench can be rerun on
-    /// a faster fabric without code changes. The `regimes` bench does
-    /// NOT go through here — its committed artifacts pin their
-    /// profiles explicitly.
+    /// Cluster configuration for this stack (software profile + duplex
+    /// mode) on the paper's FastEthernet-2005 fabric.
     pub fn cluster(&self, np: usize) -> ClusterConfig {
-        let mut base = ClusterConfig::new(np);
-        base.net = NetProfile::from_env_or(base.net);
+        let base = ClusterConfig::new(np);
         match self {
             Stack::Raw => base.raw(),
             Stack::P4 => base.p4(),
@@ -85,32 +72,13 @@ impl Stack {
         }
     }
 
-    /// Protocol suite for this stack (fault-free configuration: no
-    /// checkpoint scheduler; figures needing checkpoints build their own
-    /// suites).
-    pub fn suite(&self) -> Arc<dyn Suite> {
+    /// Protocol suite for this stack, offering checkpoints every `ckpt`
+    /// (`None`: no checkpoint scheduler).
+    pub fn suite(&self, ckpt: Option<SimDuration>) -> Arc<dyn Suite> {
         match self {
             Stack::Raw | Stack::P4 | Stack::Vdummy => Arc::new(VdummySuite),
-            Stack::Causal { technique, el } => Arc::new(CausalSuite::new(*technique, *el)),
+            Stack::Ft(kind) => kind.build_with(ckpt),
         }
-    }
-
-    /// The six causal configurations (3 techniques × EL on/off).
-    pub fn causal_six() -> Vec<Stack> {
-        let mut v = Vec::new();
-        for el in [true, false] {
-            for technique in [Technique::Vcausal, Technique::Manetho, Technique::LogOn] {
-                v.push(Stack::Causal { technique, el });
-            }
-        }
-        v
-    }
-
-    /// The eight stacks of Figure 9 (P4, Vdummy, six causal configs).
-    pub fn fig9_eight() -> Vec<Stack> {
-        let mut v = vec![Stack::P4, Stack::Vdummy];
-        v.extend(Stack::causal_six());
-        v
     }
 }
 
@@ -174,6 +142,19 @@ impl SuiteKind {
         }
     }
 
+    /// [`SuiteKind::build`], or with `None` the suite without a
+    /// checkpoint scheduler — the fault-free configuration of the causal
+    /// figures, and the only kind built that way.
+    pub fn build_with(&self, ckpt: Option<SimDuration>) -> Arc<dyn Suite> {
+        match (ckpt, self) {
+            (Some(period), _) => self.build(period),
+            (None, SuiteKind::Causal { technique, el }) => {
+                Arc::new(CausalSuite::new(*technique, *el))
+            }
+            (None, other) => panic!("{} needs a checkpoint period", other.label()),
+        }
+    }
+
     /// True for the causal configurations (the ones moving piggyback).
     pub fn is_causal(&self) -> bool {
         matches!(self, SuiteKind::Causal { .. })
@@ -203,6 +184,15 @@ impl Scale {
         }
     }
 
+    /// The `VLOG_SCALE` spelling of this scale.
+    pub fn label(&self) -> &'static str {
+        match self {
+            Scale::Quick => "quick",
+            Scale::Default => "default",
+            Scale::Full => "full",
+        }
+    }
+
     /// Scales an iteration fraction.
     pub fn fraction(&self, default: f64) -> f64 {
         match self {
@@ -222,66 +212,6 @@ impl Scale {
     }
 }
 
-/// Runs NetPIPE on a stack and returns the sweep.
-pub fn run_netpipe(stack: Stack, max_bytes: u64, rep_scale: f64) -> Vec<NetpipePoint> {
-    let (prog, results) = netpipe::program(max_bytes, rep_scale);
-    let mut cfg = stack.cluster(2);
-    cfg.event_limit = Some(500_000_000);
-    let report = vlog_vmpi::run_cluster(&cfg, stack.suite(), prog, &vlog_vmpi::FaultPlan::none());
-    assert!(
-        report.completed,
-        "NetPIPE on {} did not finish",
-        stack.label()
-    );
-    results.sorted()
-}
-
-/// Minimal fixed-width table printer for paper-style outputs.
-pub struct Table {
-    headers: Vec<String>,
-    rows: Vec<Vec<String>>,
-}
-
-impl Table {
-    /// An empty table with the given column headers.
-    pub fn new(headers: &[&str]) -> Table {
-        Table {
-            headers: headers.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Appends one row; must match the header count.
-    pub fn row(&mut self, cells: Vec<String>) {
-        assert_eq!(cells.len(), self.headers.len());
-        self.rows.push(cells);
-    }
-
-    /// Prints the table to stdout with aligned columns.
-    pub fn print(&self) {
-        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
-        for row in &self.rows {
-            for (i, c) in row.iter().enumerate() {
-                widths[i] = widths[i].max(c.len());
-            }
-        }
-        let line = |cells: &[String]| {
-            let cols: Vec<String> = cells
-                .iter()
-                .enumerate()
-                .map(|(i, c)| format!("{:>w$}", c, w = widths[i]))
-                .collect();
-            println!("| {} |", cols.join(" | "));
-        };
-        line(&self.headers);
-        let sep: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
-        println!("|-{}-|", sep.join("-|-"));
-        for row in &self.rows {
-            line(row);
-        }
-    }
-}
-
 /// Formats a f64 with sensible precision for tables.
 pub fn fmt3(x: f64) -> String {
     if x == 0.0 {
@@ -297,32 +227,20 @@ pub fn fmt3(x: f64) -> String {
     }
 }
 
-/// Prints a figure banner.
-pub fn banner(title: &str, note: &str) {
-    println!();
-    println!("==== {title} ====");
-    if !note.is_empty() {
-        println!("{note}");
-    }
-    println!();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn stack_enumerations() {
-        assert_eq!(Stack::causal_six().len(), 6);
-        assert_eq!(Stack::fig9_eight().len(), 8);
-        assert_eq!(
-            Stack::Causal {
-                technique: Technique::Manetho,
-                el: true
-            }
-            .label(),
-            "Manetho (EL)"
-        );
+    fn stack_labels_and_suites() {
+        assert_eq!(Stack::Vdummy.label(), "MPICH-Vdummy");
+        let manetho = Stack::causal(Technique::Manetho, true);
+        assert_eq!(manetho.label(), "Manetho (EL)");
+        assert_eq!(manetho.cluster(4).net.name, "fast-ethernet-2005");
+        for stack in [Stack::Raw, Stack::P4, Stack::Vdummy, manetho] {
+            let _ = stack.suite(None);
+        }
+        let _ = Stack::Ft(SuiteKind::Pessimistic).suite(Some(SimDuration::from_millis(5)));
     }
 
     #[test]
@@ -346,109 +264,5 @@ mod tests {
         assert_eq!(fmt3(5.678), "5.68");
         assert_eq!(fmt3(56.78), "56.8");
         assert_eq!(fmt3(567.8), "568");
-    }
-
-    #[test]
-    fn table_prints_aligned() {
-        let mut t = Table::new(&["a", "bb"]);
-        t.row(vec!["1".into(), "2".into()]);
-        t.print(); // smoke: no panic
-    }
-}
-
-/// Minimal ASCII line chart for the curve figures (6b bandwidth, 1
-/// resilience). Plots multiple series on a shared y-axis; x positions are
-/// taken from the first series (log-scaled when `log_x`).
-pub struct AsciiChart {
-    /// Plot width in character cells.
-    pub width: usize,
-    /// Plot height in character cells.
-    pub height: usize,
-    /// Log2-scale the x positions (byte-size sweeps).
-    pub log_x: bool,
-}
-
-impl Default for AsciiChart {
-    fn default() -> Self {
-        AsciiChart {
-            width: 72,
-            height: 18,
-            log_x: false,
-        }
-    }
-}
-
-impl AsciiChart {
-    /// Prints the titled chart and its series legend to stdout.
-    pub fn render(&self, title: &str, series: &[(String, Vec<(f64, f64)>)]) {
-        let marks = ['*', 'o', '+', 'x', '#', '@', '%', '&', '~', '^'];
-        let xs: Vec<f64> = series
-            .iter()
-            .flat_map(|(_, pts)| pts.iter().map(|p| p.0))
-            .collect();
-        let ys: Vec<f64> = series
-            .iter()
-            .flat_map(|(_, pts)| pts.iter().map(|p| p.1))
-            .collect();
-        if xs.is_empty() {
-            return;
-        }
-        let tx = |x: f64| if self.log_x { x.max(1.0).log2() } else { x };
-        let (x0, x1) = xs.iter().fold((f64::MAX, f64::MIN), |(a, b), &v| {
-            (a.min(tx(v)), b.max(tx(v)))
-        });
-        let (y0, y1) = ys
-            .iter()
-            .fold((f64::MAX, f64::MIN), |(a, b), &v| (a.min(v), b.max(v)));
-        let y1 = if (y1 - y0).abs() < 1e-12 {
-            y0 + 1.0
-        } else {
-            y1
-        };
-        let x1 = if (x1 - x0).abs() < 1e-12 {
-            x0 + 1.0
-        } else {
-            x1
-        };
-        let mut grid = vec![vec![' '; self.width]; self.height];
-        for (si, (_, pts)) in series.iter().enumerate() {
-            for &(x, y) in pts {
-                let cx = ((tx(x) - x0) / (x1 - x0) * (self.width - 1) as f64).round() as usize;
-                let cy = ((y - y0) / (y1 - y0) * (self.height - 1) as f64).round() as usize;
-                let row = self.height - 1 - cy;
-                grid[row][cx.min(self.width - 1)] = marks[si % marks.len()];
-            }
-        }
-        println!("{title}");
-        println!("{:>9.6} +{}", y1, "-".repeat(self.width));
-        for row in &grid {
-            let line: String = row.iter().collect();
-            println!("{:>9} |{}", "", line);
-        }
-        println!("{:>9.6} +{}", y0, "-".repeat(self.width));
-        for (si, (label, _)) in series.iter().enumerate() {
-            println!("{:>12} {}", format!("[{}]", marks[si % marks.len()]), label);
-        }
-    }
-}
-
-#[cfg(test)]
-mod chart_tests {
-    use super::AsciiChart;
-
-    #[test]
-    fn chart_renders_without_panicking() {
-        let chart = AsciiChart {
-            log_x: true,
-            ..AsciiChart::default()
-        };
-        let series = vec![
-            ("a".to_string(), vec![(1.0, 10.0), (1024.0, 90.0)]),
-            ("b".to_string(), vec![(1.0, 5.0), (1024.0, 80.0)]),
-        ];
-        chart.render("test", &series);
-        // Degenerate inputs must not panic either.
-        chart.render("flat", &[("c".to_string(), vec![(1.0, 1.0)])]);
-        chart.render("empty", &[]);
     }
 }

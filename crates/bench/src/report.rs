@@ -136,9 +136,9 @@ impl RegimeRow {
     }
 }
 
-/// One JSON-carried field of a [`RegimeRow`], by type. Floats name the
-/// decimals they print with.
-enum Slot<'a> {
+/// One JSON-carried field of a row, by type. Floats name the decimals
+/// they print with.
+pub(crate) enum Slot<'a> {
     Str(&'a mut String),
     U64(&'a mut u64),
     Bool(&'a mut bool),
@@ -146,53 +146,67 @@ enum Slot<'a> {
 }
 use Slot::{Bool, Str, F64, U64};
 
-/// The `BENCH_regimes.json` schema of a results object, after its
-/// leading derived `"name"`: key, field, type and print precision, in
-/// document order. [`write_json`] and [`parse_json`] both walk this
-/// table, so a field is added (or its precision changed) in one place.
-const SCHEMA: [(&str, fn(&mut RegimeRow) -> Slot<'_>); 27] = [
-    ("family", |r| Str(&mut r.family)),
-    ("label", |r| Str(&mut r.label)),
-    ("suite", |r| Str(&mut r.suite)),
-    ("np", |r| U64(&mut r.np)),
-    ("causal", |r| Bool(&mut r.causal)),
-    ("el", |r| Bool(&mut r.el)),
-    ("completed", |r| Bool(&mut r.completed)),
-    ("makespan_s", |r| F64(&mut r.makespan_s, 6)),
-    ("faulted_makespan_s", |r| F64(&mut r.faulted_makespan_s, 6)),
-    ("hub_rank", |r| U64(&mut r.hub_rank)),
-    ("pb_percent", |r| F64(&mut r.pb_percent, 4)),
-    ("pb_send_us", |r| F64(&mut r.pb_send_us, 1)),
-    ("pb_recv_us", |r| F64(&mut r.pb_recv_us, 1)),
-    ("messages", |r| U64(&mut r.messages)),
-    ("total_bytes", |r| U64(&mut r.total_bytes)),
-    ("max_msg_bucket", |r| U64(&mut r.max_msg_bucket)),
-    ("el_peak_queue", |r| U64(&mut r.el_peak_queue)),
-    ("el_peak_queue_faulted", |r| {
-        U64(&mut r.el_peak_queue_faulted)
-    }),
-    ("el_peak_outstanding", |r| U64(&mut r.el_peak_outstanding)),
-    ("el_ack_mean_us", |r| F64(&mut r.el_ack_mean_us, 3)),
-    ("el_records", |r| U64(&mut r.el_records)),
-    ("profile", |r| Str(&mut r.profile)),
-    ("el_count", |r| U64(&mut r.el_count)),
-    ("el_shard_queues", |r| Str(&mut r.el_shard_queues)),
-    ("el_ack_peak_us", |r| F64(&mut r.el_ack_peak_us, 3)),
-    ("pb_bytes_per_msg", |r| F64(&mut r.pb_bytes_per_msg, 3)),
-    ("pb_bytes_total", |r| U64(&mut r.pb_bytes_total)),
-];
+/// A row type of a committed `BENCH_*.json` document. The schema lists
+/// the fields of a result object after its leading derived `"name"`:
+/// key, field, type and print precision, in document order.
+/// [`write_records`] and [`parse_records`] both walk it, so a field is
+/// added (or its precision changed) in one place.
+pub(crate) trait Record: Clone + Default + 'static {
+    /// The schema table.
+    const SCHEMA: &'static [(&'static str, fn(&mut Self) -> Slot<'_>)];
 
-/// Serializes the rows to the `BENCH_regimes.json` document (the same
-/// `{"target": ..., "results": [...]}` shape every other bench report
-/// uses).
-pub fn write_json(rows: &[RegimeRow]) -> String {
-    let mut json = String::from("{\n  \"target\": \"regimes\",\n  \"results\": [\n");
+    /// The name identifying this row in its array.
+    fn name(&self) -> String;
+}
+
+impl Record for RegimeRow {
+    const SCHEMA: &'static [(&'static str, fn(&mut RegimeRow) -> Slot<'_>)] = &[
+        ("family", |r| Str(&mut r.family)),
+        ("label", |r| Str(&mut r.label)),
+        ("suite", |r| Str(&mut r.suite)),
+        ("np", |r| U64(&mut r.np)),
+        ("causal", |r| Bool(&mut r.causal)),
+        ("el", |r| Bool(&mut r.el)),
+        ("completed", |r| Bool(&mut r.completed)),
+        ("makespan_s", |r| F64(&mut r.makespan_s, 6)),
+        ("faulted_makespan_s", |r| F64(&mut r.faulted_makespan_s, 6)),
+        ("hub_rank", |r| U64(&mut r.hub_rank)),
+        ("pb_percent", |r| F64(&mut r.pb_percent, 4)),
+        ("pb_send_us", |r| F64(&mut r.pb_send_us, 1)),
+        ("pb_recv_us", |r| F64(&mut r.pb_recv_us, 1)),
+        ("messages", |r| U64(&mut r.messages)),
+        ("total_bytes", |r| U64(&mut r.total_bytes)),
+        ("max_msg_bucket", |r| U64(&mut r.max_msg_bucket)),
+        ("el_peak_queue", |r| U64(&mut r.el_peak_queue)),
+        ("el_peak_queue_faulted", |r| {
+            U64(&mut r.el_peak_queue_faulted)
+        }),
+        ("el_peak_outstanding", |r| U64(&mut r.el_peak_outstanding)),
+        ("el_ack_mean_us", |r| F64(&mut r.el_ack_mean_us, 3)),
+        ("el_records", |r| U64(&mut r.el_records)),
+        ("profile", |r| Str(&mut r.profile)),
+        ("el_count", |r| U64(&mut r.el_count)),
+        ("el_shard_queues", |r| Str(&mut r.el_shard_queues)),
+        ("el_ack_peak_us", |r| F64(&mut r.el_ack_peak_us, 3)),
+        ("pb_bytes_per_msg", |r| F64(&mut r.pb_bytes_per_msg, 3)),
+        ("pb_bytes_total", |r| U64(&mut r.pb_bytes_total)),
+    ];
+
+    fn name(&self) -> String {
+        RegimeRow::name(self)
+    }
+}
+
+/// Appends `"key": [ one flat object per row ]` to `json` — the array
+/// shape every bench report uses, one row per line.
+pub(crate) fn write_records<R: Record>(json: &mut String, key: &str, rows: &[R]) {
+    let _ = writeln!(json, "  \"{key}\": [");
     for (i, r) in rows.iter().enumerate() {
         let _ = write!(json, "    {{\"name\": \"{}\"", json_escape(&r.name()));
         // The schema's accessors hand out `&mut` slots (the reader fills
         // them); the writer reads them off a scratch copy.
         let mut r = r.clone();
-        for (key, slot) in SCHEMA {
+        for (key, slot) in R::SCHEMA {
             let _ = write!(json, ", \"{key}\": ");
             let _ = match slot(&mut r) {
                 Slot::Str(s) => write!(json, "\"{}\"", json_escape(s)),
@@ -203,7 +217,16 @@ pub fn write_json(rows: &[RegimeRow]) -> String {
         }
         json.push_str(if i + 1 == rows.len() { "}\n" } else { "},\n" });
     }
-    json.push_str("  ]\n}\n");
+    json.push_str("  ]");
+}
+
+/// Serializes the rows to the `BENCH_regimes.json` document (the same
+/// `{"target": ..., "results": [...]}` shape every other bench report
+/// uses).
+pub fn write_json(rows: &[RegimeRow]) -> String {
+    let mut json = String::from("{\n  \"target\": \"regimes\",\n");
+    write_records(&mut json, "results", rows);
+    json.push_str("\n}\n");
     json
 }
 
@@ -269,6 +292,18 @@ impl<'a> Scanner<'a> {
             src: src.as_bytes(),
             pos: 0,
         }
+    }
+
+    /// A cursor just past `"key":`, at the field's value.
+    fn after_key(src: &'a str, key: &str) -> Result<Self, String> {
+        let quoted = format!("\"{key}\"");
+        let start = src
+            .find(&quoted)
+            .ok_or_else(|| format!("document has no {quoted} field"))?;
+        let mut sc = Scanner::new(src);
+        sc.pos = start + quoted.len();
+        sc.expect(b':')?;
+        Ok(sc)
     }
 
     fn skip_ws(&mut self) {
@@ -435,16 +470,12 @@ pub(crate) fn field<'a>(fields: &'a Fields, key: &str) -> Result<&'a JsonValue, 
         .ok_or_else(|| format!("result object is missing field {key:?}"))
 }
 
-/// The result objects of a `{"target": ..., "results": [...]}` document
-/// (the shape every bench target emits), in order — the one reader
-/// behind [`parse_json`] and the bench gate.
-pub(crate) fn parse_results(src: &str) -> Result<Vec<Fields>, String> {
-    let start = src
-        .find("\"results\"")
-        .ok_or("document has no \"results\" field")?;
-    let mut sc = Scanner::new(src);
-    sc.pos = start + "\"results\"".len();
-    sc.expect(b':')?;
+/// The flat objects of the top-level array `key` of a bench document
+/// (`{"target": ..., "results": [...]}` is the shape every bench target
+/// emits), in order — the one reader behind [`parse_json`], the paper
+/// scorecard and the bench gate.
+pub(crate) fn parse_array(src: &str, key: &str) -> Result<Vec<Fields>, String> {
+    let mut sc = Scanner::after_key(src, key)?;
     let mut results = Vec::new();
     sc.list((b'[', b']'), |sc| {
         results.push(sc.flat_object()?);
@@ -453,16 +484,27 @@ pub(crate) fn parse_results(src: &str) -> Result<Vec<Fields>, String> {
     Ok(results)
 }
 
-/// Parses a `BENCH_regimes.json` document (the exact flat shape
-/// [`write_json`] emits) back into rows. Unknown fields are ignored so
-/// the format can grow; missing fields are an error.
-pub fn parse_json(src: &str) -> Result<Vec<RegimeRow>, String> {
-    parse_results(src)?.iter().map(row_from_fields).collect()
+/// The string value of the top-level field `key`.
+pub(crate) fn parse_header_str(src: &str, key: &str) -> Result<String, String> {
+    Scanner::after_key(src, key)?.string()
 }
 
-fn row_from_fields(fields: &Fields) -> Result<RegimeRow, String> {
-    let mut row = RegimeRow::default();
-    for (key, slot) in SCHEMA {
+/// Parses the array `key` of a document [`write_records`] emitted back
+/// into rows. Unknown fields are ignored so the format can grow;
+/// missing fields are an error.
+pub(crate) fn parse_records<R: Record>(src: &str, key: &str) -> Result<Vec<R>, String> {
+    parse_array(src, key)?.iter().map(row_from_fields).collect()
+}
+
+/// Parses a `BENCH_regimes.json` document (the exact flat shape
+/// [`write_json`] emits) back into rows.
+pub fn parse_json(src: &str) -> Result<Vec<RegimeRow>, String> {
+    parse_records(src, "results")
+}
+
+fn row_from_fields<R: Record>(fields: &Fields) -> Result<R, String> {
+    let mut row = R::default();
+    for (key, slot) in R::SCHEMA {
         let value = field(fields, key)?;
         match slot(&mut row) {
             Slot::Str(s) => *s = value.as_str(key)?.to_string(),
@@ -479,9 +521,11 @@ fn row_from_fields(fields: &Fields) -> Result<RegimeRow, String> {
 // ---------------------------------------------------------------------
 
 /// A GitHub-markdown table: first column left-aligned, the rest
-/// right-aligned.
-fn md_table(headers: &[String], rows: &[Vec<String>]) -> String {
+/// right-aligned. The crate's one table renderer — `REPORT.md` and every
+/// bench target's stdout go through it.
+pub fn md_table<H: AsRef<str>>(headers: &[H], rows: &[Vec<String>]) -> String {
     let mut out = String::new();
+    let headers: Vec<&str> = headers.iter().map(AsRef::as_ref).collect();
     let _ = writeln!(out, "| {} |", headers.join(" | "));
     let seps: Vec<&str> = (0..headers.len())
         .map(|i| if i == 0 { ":--" } else { "--:" })
@@ -645,17 +689,14 @@ pub fn render_markdown(all_rows: &[RegimeRow]) -> String {
          saturation probe: same grid, same flops, ever more (ever\n\
          smaller) messages.\n"
     );
-    let headers: Vec<String> = [
+    let headers = [
         "workload / EL suite",
         "peak queue",
         "peak queue (hub fault)",
         "peak outstanding",
         "mean ack µs",
         "records",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
+    ];
     let mut body = Vec::new();
     for w in &workloads {
         for s in &suites {
@@ -704,16 +745,13 @@ pub fn render_markdown(all_rows: &[RegimeRow]) -> String {
          percent). The hub is the highest-degree rank of a halo graph,\n\
          the busiest server of a bursty service, rank 0 elsewhere.\n"
     );
-    let headers: Vec<String> = [
+    let headers = [
         "workload (hub)",
         "suite",
         "free ms",
         "faulted ms",
         "overhead",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
+    ];
     let mut body = Vec::new();
     for w in &workloads {
         for s in &suites {
@@ -752,10 +790,7 @@ pub fn render_markdown(all_rows: &[RegimeRow]) -> String {
          largest messages fell in `32769..=65536` bytes (the same\n\
          ranges `MsgHistogram`'s debug output prints).\n"
     );
-    let headers: Vec<String> = ["workload", "np", "messages", "total MB", "max bucket B"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+    let headers = ["workload", "np", "messages", "total MB", "max bucket B"];
     let reference_suite = causal_suites.first().cloned().unwrap_or_default();
     let mut body = Vec::new();
     for w in &workloads {
@@ -806,7 +841,7 @@ pub fn render_markdown(all_rows: &[RegimeRow]) -> String {
              run with one EL shard crashed mid-run and its ranks\n\
              re-sharded onto the survivors (only defined for `el >= 2`).\n"
         );
-        let headers: Vec<String> = [
+        let headers = [
             "fabric / EL shards",
             "free ms",
             "EL-fail ms",
@@ -814,10 +849,7 @@ pub fn render_markdown(all_rows: &[RegimeRow]) -> String {
             "ack peak µs",
             "ack mean µs",
             "records",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        ];
         let mut body = Vec::new();
         for r in &scaling {
             body.push(vec![
@@ -881,7 +913,7 @@ pub fn render_markdown(all_rows: &[RegimeRow]) -> String {
              (fault-free); `hub-fail ms` kills the busiest server\n\
              mid-run; `EL-fail ms` crashes one of two EL shards.\n"
         );
-        let headers: Vec<String> = [
+        let headers = [
             "modeled clients",
             "np",
             "messages",
@@ -891,10 +923,7 @@ pub fn render_markdown(all_rows: &[RegimeRow]) -> String {
             "free ms",
             "hub-fail ms",
             "EL-fail ms",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        ];
         let labels = distinct(&compact, |r| r.label.clone());
         let mut body = Vec::new();
         for label in &labels {
@@ -1029,12 +1058,38 @@ mod tests {
         r
     }
 
+    /// `write -> parse -> write` of one array through the schema table.
+    fn round_trip<R: Record + PartialEq + std::fmt::Debug>(rows: &[R]) {
+        let write = |rows: &[R]| {
+            let mut json = String::new();
+            write_records(&mut json, "results", rows);
+            json
+        };
+        let back: Vec<R> = parse_records(&write(rows), "results").expect("parse back");
+        assert_eq!(rows, back);
+        assert_eq!(write(rows), write(&back));
+    }
+
     #[test]
     fn json_round_trips() {
-        let rows = sample_rows();
-        let json = write_json(&rows);
-        let back = parse_json(&json).expect("parse back");
-        assert_eq!(rows, back);
+        use crate::paper::{ClaimRow, PaperRow};
+        round_trip(&sample_rows());
+        // BENCH_paper.json's two row types go through the same table
+        // walk: strings with quotes, arrows and dashes, a fractional x.
+        round_trip(&[PaperRow {
+            figure: "6a".into(),
+            panel: "P3 -> P2".into(),
+            series: "Vcausal (EL)".into(),
+            x: "0.167".into(),
+            metric: "latency_us".into(),
+            value: 161.905,
+        }]);
+        round_trip(&[ClaimRow {
+            id: "9.1".into(),
+            claim: "stays \"close\" to Vdummy".into(),
+            verdict: "deviates".into(),
+            measured: "425 < 0.95 x 803 — the EL ack round trip".into(),
+        }]);
     }
 
     #[test]

@@ -75,10 +75,24 @@ pub enum ElReply {
 /// [`el_multi`](crate::el_multi) charge).
 pub(crate) const EL_SERVICE_NS: u64 = 2_300;
 
-/// Per-shard peak-queue-depth counter keys; shards beyond the table fold
-/// into the last slot (`el_count` in practice stays small). The single
-/// Event Logger is shard 0.
-const SHARD_QUEUE_KEYS: [&str; 8] = [
+/// Most Event Logger shards one deployment may have: the per-shard
+/// gauge keys below are static tables, and a shard past their end would
+/// have nowhere to report.
+pub const MAX_EL_SHARDS: usize = 8;
+
+/// Rejects a shard count the gauge tables cannot tell apart.
+pub(crate) fn assert_shard_count(k: usize) {
+    assert!(
+        (1..=MAX_EL_SHARDS).contains(&k),
+        "an Event Logger deployment has 1..={MAX_EL_SHARDS} shards \
+         (the per-shard gauge keys stop at s{}), got {k}",
+        MAX_EL_SHARDS - 1
+    );
+}
+
+/// Per-shard peak-queue-depth counter keys. The single Event Logger is
+/// shard 0.
+const SHARD_QUEUE_KEYS: [&str; MAX_EL_SHARDS] = [
     "el_peak_queue_s0",
     "el_peak_queue_s1",
     "el_peak_queue_s2",
@@ -91,12 +105,12 @@ const SHARD_QUEUE_KEYS: [&str; 8] = [
 
 /// The per-shard peak-queue-depth counter key of shard `index`.
 pub fn shard_queue_key(index: usize) -> &'static str {
-    SHARD_QUEUE_KEYS[index.min(SHARD_QUEUE_KEYS.len() - 1)]
+    SHARD_QUEUE_KEYS[index]
 }
 
 /// Per-shard peak ack-latency counter keys (nanoseconds), parallel to
 /// [`shard_queue_key`].
-const SHARD_ACK_KEYS: [&str; 8] = [
+const SHARD_ACK_KEYS: [&str; MAX_EL_SHARDS] = [
     "el_ack_peak_s0_ns",
     "el_ack_peak_s1_ns",
     "el_ack_peak_s2_ns",
@@ -109,7 +123,7 @@ const SHARD_ACK_KEYS: [&str; 8] = [
 
 /// The per-shard peak ack-latency counter key of shard `index`.
 pub fn shard_ack_key(index: usize) -> &'static str {
-    SHARD_ACK_KEYS[index.min(SHARD_ACK_KEYS.len() - 1)]
+    SHARD_ACK_KEYS[index]
 }
 
 /// Records the server-side saturation gauges for one stored (or
@@ -242,12 +256,34 @@ mod tests {
     }
 
     #[test]
-    fn shard_queue_keys_are_stable_and_fold() {
+    fn shard_keys_are_stable_up_to_the_shard_limit() {
         assert_eq!(shard_queue_key(0), "el_peak_queue_s0");
-        assert_eq!(shard_queue_key(7), "el_peak_queue_s7");
-        assert_eq!(shard_queue_key(99), "el_peak_queue_s7");
+        assert_eq!(shard_queue_key(MAX_EL_SHARDS - 1), "el_peak_queue_s7");
         assert_eq!(shard_ack_key(0), "el_ack_peak_s0_ns");
-        assert_eq!(shard_ack_key(99), "el_ack_peak_s7_ns");
+        assert_eq!(shard_ack_key(MAX_EL_SHARDS - 1), "el_ack_peak_s7_ns");
+    }
+
+    /// Shards 8 and up used to fold into `el_peak_queue_s7` silently;
+    /// now neither the suite builder nor the installer accepts them.
+    #[test]
+    #[should_panic(expected = "1..=8 shards (the per-shard gauge keys stop at s7), got 9")]
+    fn suite_rejects_more_shards_than_gauge_keys() {
+        let _ = crate::CausalSuite::new(crate::Technique::Vcausal, true)
+            .with_distributed_el(MAX_EL_SHARDS + 1, vlog_sim::SimDuration::from_millis(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "1..=8 shards (the per-shard gauge keys stop at s7), got 9")]
+    fn install_rejects_more_shards_than_gauge_keys() {
+        let mut sim = Sim::new(5);
+        let node = sim.add_node();
+        crate::install_distributed_el(
+            &mut sim,
+            &vlog_vmpi::Topology::new(),
+            node,
+            MAX_EL_SHARDS + 1,
+            vlog_sim::SimDuration::from_millis(2),
+        );
     }
 
     #[test]

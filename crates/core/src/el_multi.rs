@@ -213,7 +213,8 @@ impl Actor for ElShard {
 
 /// Installs `k` Event Logger shards. The first lives on `first_node`;
 /// each further shard gets a fresh stable node. Ranks are assigned round
-/// robin (`topo.el_for`).
+/// robin (`topo.el_for`). Panics when `k` is outside
+/// `1..=`[`MAX_EL_SHARDS`](crate::el::MAX_EL_SHARDS).
 pub fn install_distributed_el(
     sim: &mut Sim,
     topo: &Topology,
@@ -221,7 +222,7 @@ pub fn install_distributed_el(
     k: usize,
     gossip: SimDuration,
 ) -> Vec<(ActorId, NodeId)> {
-    assert!(k >= 1);
+    crate::el::assert_shard_count(k);
     let n = topo.view().n_ranks();
     let peers: Arc<Mutex<Vec<(ActorId, NodeId)>>> = Arc::new(Mutex::new(Vec::new()));
     let mut els = Vec::with_capacity(k);

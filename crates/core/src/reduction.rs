@@ -145,3 +145,51 @@ pub fn make_reduction(t: Technique, n: usize) -> Box<dyn Reduction> {
         Technique::LogOn => Box::new(crate::agred::GraphRed::new(n, Technique::LogOn)),
     }
 }
+
+/// Drives one message at the reduction level: `from` builds its
+/// piggyback for `to`, `to` integrates it and creates the reception
+/// event. Returns the piggyback that travelled.
+pub fn exchange(
+    reds: &mut [Box<dyn Reduction>],
+    clocks: &mut [RClock],
+    from: Rank,
+    to: Rank,
+) -> Vec<Determinant> {
+    let (pb, _) = reds[from].build(to, clocks[from]);
+    let sender_clock = clocks[from];
+    reds[to].integrate(from, sender_clock, &pb);
+    clocks[to] += 1;
+    let det = Determinant {
+        receiver: to,
+        clock: clocks[to],
+        sender: from,
+        ssn: 0,
+        cause: sender_clock,
+    };
+    reds[to].add_local(det);
+    pb
+}
+
+/// The paper's Figure 3 scenario: P3 has never exchanged anything
+/// with P2, yet the antecedence-graph methods know P2 holds a–e and
+/// piggyback only f–j, while Vcausal piggybacks all ten events. Returns
+/// the piggyback of the dotted P3 -> P2 message and how many events P3
+/// retains.
+pub fn figure3(kind: Technique) -> (Vec<Determinant>, usize) {
+    let mut reds: Vec<Box<dyn Reduction>> = (0..4).map(|_| make_reduction(kind, 4)).collect();
+    let mut clocks = vec![0; 4];
+    exchange(&mut reds, &mut clocks, 1, 0); // a = (P0, 1)
+    exchange(&mut reds, &mut clocks, 0, 1); // b = (P1, 1), cause a
+    exchange(&mut reds, &mut clocks, 1, 2); // c = (P2, 1), cause b
+    exchange(&mut reds, &mut clocks, 1, 2); // d = (P2, 2), cause b
+    exchange(&mut reds, &mut clocks, 1, 2); // e = (P2, 3), cause b
+    exchange(&mut reds, &mut clocks, 2, 1); // f = (P1, 2), cause e
+    exchange(&mut reds, &mut clocks, 1, 3); // g = (P3, 1), cause f
+    exchange(&mut reds, &mut clocks, 0, 3); // h = (P3, 2), cause a
+    exchange(&mut reds, &mut clocks, 1, 3); // i = (P3, 3), cause f
+    exchange(&mut reds, &mut clocks, 0, 3); // j = (P3, 4), cause a
+
+    // The dotted message: P3 -> P2.
+    let (pb, _) = reds[3].build(2, clocks[3]);
+    (pb, reds[3].retained_count())
+}

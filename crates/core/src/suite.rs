@@ -57,10 +57,11 @@ impl CausalSuite {
         self
     }
 
-    /// Distributes the Event Logger over `k` shards gossiping their
+    /// Distributes the Event Logger over `k` shards (at most
+    /// [`MAX_EL_SHARDS`](crate::el::MAX_EL_SHARDS)) gossiping their
     /// stable-clock vectors every `gossip`.
     pub fn with_distributed_el(mut self, k: usize, gossip: SimDuration) -> Self {
-        assert!(k >= 1);
+        crate::el::assert_shard_count(k);
         self.el = true;
         self.el_count = k;
         self.el_gossip = gossip;

@@ -19,7 +19,7 @@
 //!
 //! TCP dynamics (slow start, acks) are abstracted into a constant
 //! efficiency factor and a fixed one-way latency, both calibrated against
-//! Figure 6 of the paper (see `vlog-bench`, `fig6*`).
+//! Figure 6 of the paper (see `vlog-bench`, the `paper` target).
 //!
 //! [`NetProfile`] generalizes the fabric beyond the paper's testbed: the
 //! 2005 Fast-Ethernet switch stays the byte-identical default, and the
@@ -154,7 +154,7 @@ pub struct HeteroLinks {
 #[derive(Debug, Clone)]
 pub struct NetProfile {
     /// Stable profile name, used as the report/registry axis key and
-    /// accepted by [`NetProfile::by_name`] / `VLOG_NET_PROFILE`.
+    /// accepted by [`NetProfile::by_name`].
     pub name: &'static str,
     /// Link class of every node not covered by `hetero`.
     pub base: EthernetParams,
@@ -235,16 +235,6 @@ impl NetProfile {
     /// Looks a profile up by its stable name.
     pub fn by_name(name: &str) -> Option<NetProfile> {
         NetProfile::all().into_iter().find(|p| p.name == name)
-    }
-
-    /// Reads the `VLOG_NET_PROFILE` env knob with the workspace's
-    /// warn-and-fallback contract: unset silently uses `default`, an
-    /// unknown name warns on stderr and falls back.
-    pub fn from_env_or(default: NetProfile) -> NetProfile {
-        let known: Vec<&str> = NetProfile::all().iter().map(|p| p.name).collect();
-        crate::env_knob::one_of("VLOG_NET_PROFILE", &known, default.name)
-            .and_then(NetProfile::by_name)
-            .unwrap_or(default)
     }
 
     /// Pins a [`SERVICE_BOUNDARY`] heterogeneous split to the actual

@@ -295,8 +295,9 @@ impl RunReport {
     /// Per-shard saturation gauges `(peak queue depth, peak ack
     /// latency)` for shards `0..k`, read from the per-shard counter keys
     /// the EL servers record (`el_peak_queue_s{i}` /
-    /// `el_ack_peak_s{i}_ns`; shards beyond 8 fold into the last slot —
-    /// same tables as `vlog-core::el::shard_queue_key`/`shard_ack_key`).
+    /// `el_ack_peak_s{i}_ns`, the tables behind
+    /// `vlog-core::el::shard_queue_key`/`shard_ack_key`; an EL deployment
+    /// has at most 8 shards, installing more is rejected).
     /// Makes a re-shard visible in reports: the dead shard's gauges
     /// freeze while the survivors' keep climbing.
     pub fn el_shard_gauges(&self, k: usize) -> Vec<(u64, SimDuration)> {

@@ -35,7 +35,7 @@ cargo test -q --offline
 echo "==> cargo doc --no-deps (rustdoc gate, RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --quiet
 
-echo "==> cargo bench --no-run (compile all paper-figure harnesses)"
+echo "==> cargo bench --no-run (compile every bench target)"
 cargo bench --no-run --offline
 
 echo "==> smoke bench (micro, 5 ms window) -> BENCH_micro.json"
@@ -76,6 +76,20 @@ for fam in nas netpipe bursty halo fft; do
 done
 echo "    BENCH_workloads.json: ok (one group per registered workload family)"
 
+echo "==> paper figures + claims -> BENCH_paper.json (committed artifact, default scale)"
+env -u VLOG_SCALE cargo bench -q --offline --bench paper >/dev/null
+test -s BENCH_paper.json || { echo "BENCH_paper.json was not produced" >&2; exit 1; }
+git ls-files --error-unmatch BENCH_paper.json >/dev/null 2>&1 || {
+    echo "BENCH_paper.json is not committed (git diff cannot guard an untracked" >&2
+    echo "file) — git add it so the drift gate is real" >&2
+    exit 1; }
+git diff --exit-code -- BENCH_paper.json || {
+    echo "BENCH_paper.json drifted from the committed copy: a figure value moved or a" >&2
+    echo "claim's verdict flipped. If that is intended, commit the regenerated file" >&2
+    echo "(and REPORT.md, whose section 0 renders it)" >&2
+    exit 1; }
+echo "    BENCH_paper.json: ok ($(grep -c '"verdict": "holds"' BENCH_paper.json) claims hold, $(grep -c '"verdict": "deviates"' BENCH_paper.json) deviate, regenerated byte-identical)"
+
 echo "==> scaled-regime sweep -> BENCH_regimes.json + REPORT.md (committed artifacts)"
 cargo bench -q --offline --bench regimes >/dev/null
 test -s BENCH_regimes.json || { echo "BENCH_regimes.json was not produced" >&2; exit 1; }
@@ -88,6 +102,8 @@ for axis in "gigabit/el1" "gigabit/el4" "dual-gigabit/el4" "hetero-uplink/el2"; 
     grep -q "@$axis" BENCH_regimes.json || {
         echo "BENCH_regimes.json is missing the EL-scaling axis $axis" >&2; exit 1; }
 done
+grep -q "## 0. Paper scorecard" REPORT.md || {
+    echo "REPORT.md is missing the paper scorecard (section 0)" >&2; exit 1; }
 grep -q "## 6. Event Logger scaling" REPORT.md || {
     echo "REPORT.md is missing the EL-scaling table" >&2; exit 1; }
 grep -q "## 7. Compact piggyback at aggregated client scale" REPORT.md || {
