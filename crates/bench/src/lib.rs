@@ -11,6 +11,10 @@
 //! | `ablations`         | design-choice probes beyond the paper           |
 //! | `micro` (Criterion) | real ns/op of codecs, graph ops, reductions     |
 //!
+//! Helper binaries (`src/bin`): `bench_gate` (the micro throughput
+//! gate), `liveness_smoke` (hang-detector smoke) and `prof_report`
+//! (symbolises the sample dump of `scripts/profile.sh`).
+//!
 //! Scale control: `VLOG_SCALE=quick|default|full`.
 //! Reduced scales preserve every qualitative shape; see DESIGN.md §2.
 

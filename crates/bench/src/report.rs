@@ -280,18 +280,17 @@ impl JsonValue {
     }
 }
 
-/// Character-level cursor over the JSON text.
+/// Cursor over the JSON text. `pos` only ever stops after an ASCII
+/// byte or a whole run of string content, so it stays on a character
+/// boundary of `src`.
 struct Scanner<'a> {
-    src: &'a [u8],
+    src: &'a str,
     pos: usize,
 }
 
 impl<'a> Scanner<'a> {
     fn new(src: &'a str) -> Self {
-        Scanner {
-            src: src.as_bytes(),
-            pos: 0,
-        }
+        Scanner { src, pos: 0 }
     }
 
     /// A cursor just past `"key":`, at the field's value.
@@ -306,10 +305,13 @@ impl<'a> Scanner<'a> {
         Ok(sc)
     }
 
+    fn byte_at(&self, pos: usize) -> Option<u8> {
+        self.src.as_bytes().get(pos).copied()
+    }
+
     fn skip_ws(&mut self) {
         while self
-            .src
-            .get(self.pos)
+            .byte_at(self.pos)
             .is_some_and(|b| b.is_ascii_whitespace())
         {
             self.pos += 1;
@@ -318,7 +320,7 @@ impl<'a> Scanner<'a> {
 
     fn peek(&mut self) -> Option<u8> {
         self.skip_ws();
-        self.src.get(self.pos).copied()
+        self.byte_at(self.pos)
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -340,67 +342,65 @@ impl<'a> Scanner<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.src.get(self.pos) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    let esc = self
-                        .src
-                        .get(self.pos + 1)
-                        .ok_or("unterminated escape sequence")?;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .src
-                                .get(self.pos + 2..self.pos + 6)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                            let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).ok_or("invalid \\u code point")?);
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("unsupported escape \\{}", *other as char)),
-                    }
-                    self.pos += 2;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through unchanged.
-                    let rest =
-                        std::str::from_utf8(&self.src[self.pos..]).map_err(|e| e.to_string())?;
-                    let ch = rest.chars().next().unwrap();
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+            // Everything up to the next quote or escape is copied in one
+            // piece, multi-byte UTF-8 included (neither delimiter occurs
+            // inside a sequence): the scan is linear in the string, and
+            // `src` needs no second validation.
+            let rest = &self.src[self.pos..];
+            let plain = rest
+                .bytes()
+                .position(|b| matches!(b, b'"' | b'\\'))
+                .ok_or("unterminated string")?;
+            out.push_str(&rest[..plain]);
+            self.pos += plain;
+            if rest.as_bytes()[plain] == b'"' {
+                self.pos += 1;
+                return Ok(out);
             }
+            let esc = self
+                .byte_at(self.pos + 1)
+                .ok_or("unterminated escape sequence")?;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'n' => out.push('\n'),
+                b't' => out.push('\t'),
+                b'u' => {
+                    let hex = self
+                        .src
+                        .as_bytes()
+                        .get(self.pos + 2..self.pos + 6)
+                        .ok_or("truncated \\u escape")?;
+                    let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
+                    let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
+                    out.push(char::from_u32(code).ok_or("invalid \\u code point")?);
+                    self.pos += 4;
+                }
+                other => return Err(format!("unsupported escape \\{}", other as char)),
+            }
+            self.pos += 2;
         }
     }
 
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek() {
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b't') if self.src[self.pos..].starts_with(b"true") => {
+            Some(b't') if self.src[self.pos..].starts_with("true") => {
                 self.pos += 4;
                 Ok(JsonValue::Bool(true))
             }
-            Some(b'f') if self.src[self.pos..].starts_with(b"false") => {
+            Some(b'f') if self.src[self.pos..].starts_with("false") => {
                 self.pos += 5;
                 Ok(JsonValue::Bool(false))
             }
             Some(c) if c == b'-' || c.is_ascii_digit() => {
                 let start = self.pos;
-                while self.src.get(self.pos).is_some_and(|&b| {
+                while self.byte_at(self.pos).is_some_and(|b| {
                     b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E')
                 }) {
                     self.pos += 1;
                 }
-                let raw = std::str::from_utf8(&self.src[start..self.pos]).unwrap();
+                let raw = &self.src[start..self.pos];
                 raw.parse::<f64>()
                     .map(JsonValue::Num)
                     .map_err(|e| format!("bad number {raw:?}: {e}"))
@@ -1127,10 +1127,66 @@ mod tests {
 
     #[test]
     fn parser_unescapes_strings() {
+        // ASCII, 2-, 3- and 4-byte scalars, and everything the writer
+        // escapes: quote, backslash, control characters as `\u00XX`.
         let mut rows = sample_rows();
-        rows[0].label = "odd \"label\"\\n".into();
-        let back = parse_json(&write_json(&rows)).unwrap();
+        rows[0].label = "odd \"label\"\\n é → \u{1F980} \n\t\u{1} end".into();
+        let json = write_json(&rows);
+        let back = parse_json(&json).unwrap();
         assert_eq!(back[0].label, rows[0].label);
+        assert_eq!(write_json(&back), json);
+        // The two short escapes the writer never emits read the same.
+        let short = json.replace("\\u000a", "\\n").replace("\\u0009", "\\t");
+        assert_ne!(short, json);
+        assert_eq!(parse_json(&short).unwrap(), back);
+    }
+
+    #[test]
+    fn parser_rejects_malformed_strings() {
+        for (src, want) in [
+            (r#""abc"#, "unterminated string"),
+            (r#""é→"#, "unterminated string"),
+            (r#""ab\"#, "unterminated escape sequence"),
+            (r#""a\qb""#, "unsupported escape \\q"),
+            (r#""a\é""#, "unsupported escape"),
+            (r#""a\u12"#, "truncated \\u escape"),
+            (r#""a\u12é""#, "invalid digit"),
+            (r#""a\u123é""#, "utf-8"),
+            (r#""a\ud800""#, "invalid \\u code point"),
+        ] {
+            let err = Scanner::new(src).string().unwrap_err();
+            assert!(err.contains(want), "{src}: {err}");
+        }
+    }
+
+    /// The reader is linear in the document. The scanner this replaced
+    /// re-validated the rest of the document per string character:
+    /// `parse` took 64x `write` at the sweep's 208 rows and the ratio
+    /// grew with the row count, to about 600x here; a linear reader
+    /// sits near 1.5x at any size, so neither host noise nor a debug
+    /// build moves either side across the bound.
+    #[test]
+    fn parse_time_stays_proportional_to_write_time() {
+        let rows: Vec<RegimeRow> = (0..2000)
+            .map(|i| {
+                let mut r = sample_rows().remove(i % 2);
+                r.label = format!("{}r.x{i}", 24 + i);
+                r.messages += i as u64;
+                r
+            })
+            .collect();
+        let started = std::time::Instant::now();
+        let json = write_json(&rows);
+        let write = started.elapsed();
+        let started = std::time::Instant::now();
+        let back = parse_json(&json).unwrap();
+        let parse = started.elapsed();
+        assert_eq!(back, rows);
+        assert!(
+            parse <= 50 * write,
+            "parse_json took {parse:?} against write_json's {write:?} on {} rows",
+            rows.len()
+        );
     }
 
     #[test]

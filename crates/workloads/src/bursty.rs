@@ -21,7 +21,12 @@
 //! The RNG draws are keyed by `(seed, rank, round)`, never by elapsed
 //! state, so an incarnation restarted from a round checkpoint regenerates
 //! byte-identical traffic — the piecewise-determinism contract replay
-//! needs.
+//! needs. Being a pure function of the configuration, the whole arrival
+//! process is drawn once, on first use, into a table every clone of the
+//! configuration shares: servers, clients, restarted incarnations and
+//! the harness's probes all read the same draws.
+
+use std::sync::{Arc, OnceLock};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -41,19 +46,31 @@ const SERVER_HASH_SALT: u64 = 0x5e4e;
 const AGG_SALT: u64 = 0xa99a;
 
 /// One bursty service configuration.
+///
+/// The fields the arrival process is drawn from are private and set
+/// only by [`BurstyConfig::new`], [`BurstyConfig::with_servers`] and
+/// [`BurstyConfig::aggregated`]: everything derived from them lives in
+/// one table built on first use and shared by every clone, and a field
+/// nobody can write afterwards is what keeps that table from going
+/// stale.
 #[derive(Debug, Clone)]
 pub struct BurstyConfig {
     /// Total ranks: ranks `0..servers` serve, ranks `servers..np` are
     /// clients.
-    pub np: usize,
+    np: usize,
     /// Number of server ranks (1 = the classic single-server shape).
-    pub servers: usize,
+    servers: usize,
     /// Bursts each client fires.
-    pub rounds: u64,
+    rounds: u64,
     /// Mean requests per burst (tail is exponential, capped at 16x).
-    pub mean_burst: f64,
+    mean_burst: f64,
     /// Mean think time between a client's bursts.
-    pub mean_think: SimDuration,
+    mean_think: SimDuration,
+    /// Arrival-process seed.
+    seed: u64,
+    /// Virtual clients modeled per physical client rank (aggregated
+    /// mode; 1 = classic). See [`BurstyConfig::aggregated`].
+    clients_per_rank: u64,
     /// Request payload bytes.
     pub req_bytes: u64,
     /// Reply payload bytes.
@@ -65,13 +82,40 @@ pub struct BurstyConfig {
     pub ckpt_every: u64,
     /// Per-rank checkpoint state bytes.
     pub state_bytes: u64,
-    /// Arrival-process seed.
-    pub seed: u64,
     /// Offer checkpoints (required to survive fault injection).
     pub checkpoints: bool,
-    /// Virtual clients modeled per physical client rank (aggregated
-    /// mode; 1 = classic). See [`BurstyConfig::aggregated`].
-    pub clients_per_rank: u64,
+    /// The arrival table, see [`BurstyConfig::arrivals`].
+    arrivals: Arc<OnceLock<Arrivals>>,
+}
+
+/// One client round of the arrival process.
+#[derive(Debug, PartialEq)]
+struct RoundDraw {
+    /// Physical requests the round fires.
+    burst: u64,
+    /// Think time before the burst.
+    think: SimDuration,
+    /// Virtual requests the round aggregates (`burst` in classic mode).
+    vtotal: u64,
+}
+
+/// Everything a configuration derives from its seed — a pure function
+/// of the private fields, so it is drawn once per configuration instead
+/// of once per cell, rank and incarnation (the aggregated ladder's
+/// largest entry sums 4,800 draws per client round).
+#[derive(Debug, PartialEq)]
+struct Arrivals {
+    /// One entry per (client, round), `rounds` consecutive entries per
+    /// client in rank order.
+    draws: Vec<RoundDraw>,
+    /// Requests routed to each server over the whole run.
+    per_server: Vec<u64>,
+    /// Requests the whole run serves.
+    total: u64,
+    /// Requests the whole run models (`total` in classic mode).
+    modeled: u64,
+    /// The server with the most routed requests (lowest rank wins ties).
+    busiest: usize,
 }
 
 impl BurstyConfig {
@@ -86,14 +130,15 @@ impl BurstyConfig {
             rounds,
             mean_burst: 4.0,
             mean_think: SimDuration::from_micros(300),
+            seed,
+            clients_per_rank: 1,
             req_bytes: 256,
             reply_bytes: 1024,
             flops_per_req: 2.0e5,
             ckpt_every: 16,
             state_bytes: 2 << 20,
-            seed,
             checkpoints: true,
-            clients_per_rank: 1,
+            arrivals: Arc::default(),
         }
     }
 
@@ -111,6 +156,7 @@ impl BurstyConfig {
         assert!(per_rank >= 1, "aggregation factor must be >= 1");
         self.clients_per_rank = per_rank;
         self.flops_per_req /= per_rank as f64;
+        self.arrivals = Arc::default();
         self
     }
 
@@ -130,6 +176,7 @@ impl BurstyConfig {
             servers + 1
         );
         self.servers = servers;
+        self.arrivals = Arc::default();
         self
     }
 
@@ -146,46 +193,95 @@ impl BurstyConfig {
         (mix_seed(self.seed, rank as u64, SERVER_HASH_SALT) % self.servers as u64) as usize
     }
 
-    /// Burst size and think time of client `rank`'s round `round` —
-    /// a pure function of the seed, so replay regenerates it exactly.
-    fn draw(&self, rank: usize, round: u64) -> (u64, SimDuration) {
-        let mut rng = SmallRng::seed_from_u64(mix_seed(self.seed, rank as u64, round));
-        let u: f64 = rng.random();
-        // Exponential tail over a minimum of one request, capped so one
-        // outlier round cannot dominate a whole run.
-        let cap = (self.mean_burst * 16.0).max(1.0);
-        let burst = (1.0 + (-(1.0 - u).ln()) * self.mean_burst).min(cap) as u64;
-        let v: f64 = rng.random();
-        let think = self.mean_think.mul_f64(-(1.0 - v).ln());
-        (burst.max(1), think)
+    /// The arrival table: drawn by the first caller, shared with every
+    /// clone (`program()` clones the configuration per rank per
+    /// incarnation), and replaced by an empty cell whenever a builder
+    /// changes a field it is drawn from.
+    fn arrivals(&self) -> &Arrivals {
+        self.arrivals.get_or_init(|| self.draw_arrivals())
     }
 
-    /// Burst size of virtual client `vclient`'s round — same exponential
-    /// shape as the physical draws, salted so the virtual population is
-    /// statistically independent of the physical schedule.
-    fn virtual_burst(&self, vclient: u64, round: u64) -> u64 {
-        let mut rng = SmallRng::seed_from_u64(mix_seed(self.seed ^ AGG_SALT, vclient, round));
+    /// One burst size: an exponential tail over a minimum of one
+    /// request, capped so one outlier round cannot dominate a whole run.
+    fn burst_size(&self, rng: &mut SmallRng) -> u64 {
         let u: f64 = rng.random();
         let cap = (self.mean_burst * 16.0).max(1.0);
         ((1.0 + (-(1.0 - u).ln()) * self.mean_burst).min(cap) as u64).max(1)
     }
 
-    /// Virtual requests client `rank`'s round aggregates: the sum over
-    /// its `clients_per_rank` virtual clients' independent draws.
+    /// Draws the whole arrival process. Physical draws are keyed
+    /// `(seed, rank, round)`; a virtual client's burst has the same
+    /// exponential shape, salted so the virtual population is
+    /// statistically independent of the physical schedule, and a round
+    /// aggregates the independent draws of its rank's `clients_per_rank`
+    /// virtual clients.
+    fn draw_arrivals(&self) -> Arrivals {
+        let mut draws = Vec::with_capacity(self.clients().len() * self.rounds as usize);
+        let mut per_server = vec![0; self.servers];
+        let mut modeled = 0;
+        for rank in self.clients() {
+            let server = self.server_of(rank);
+            let first_vclient = (rank - self.servers) as u64 * self.clients_per_rank;
+            for round in 0..self.rounds {
+                let mut rng = SmallRng::seed_from_u64(mix_seed(self.seed, rank as u64, round));
+                let burst = self.burst_size(&mut rng);
+                let v: f64 = rng.random();
+                let think = self.mean_think.mul_f64(-(1.0 - v).ln());
+                let vtotal = if self.clients_per_rank == 1 {
+                    burst
+                } else {
+                    (first_vclient..first_vclient + self.clients_per_rank)
+                        .map(|vclient| {
+                            let seed = mix_seed(self.seed ^ AGG_SALT, vclient, round);
+                            self.burst_size(&mut SmallRng::seed_from_u64(seed))
+                        })
+                        .sum()
+                };
+                per_server[server] += burst;
+                modeled += vtotal;
+                draws.push(RoundDraw {
+                    burst,
+                    think,
+                    vtotal,
+                });
+            }
+        }
+        let busiest = (0..self.servers)
+            .max_by_key(|&s| (per_server[s], std::cmp::Reverse(s)))
+            .unwrap_or(0);
+        Arrivals {
+            draws,
+            total: per_server.iter().sum(),
+            per_server,
+            modeled,
+            busiest,
+        }
+    }
+
+    /// Client `rank`'s round `round` of the arrival table.
+    fn round(&self, rank: usize, round: u64) -> &RoundDraw {
+        debug_assert!(self.clients().contains(&rank), "rank {rank} is a server");
+        debug_assert!(round < self.rounds, "round {round} of {}", self.rounds);
+        &self.arrivals().draws[(rank - self.servers) * self.rounds as usize + round as usize]
+    }
+
+    /// Burst size and think time of client `rank`'s round `round` —
+    /// a pure function of the seed, so replay regenerates it exactly.
+    fn draw(&self, rank: usize, round: u64) -> (u64, SimDuration) {
+        let draw = self.round(rank, round);
+        (draw.burst, draw.think)
+    }
+
+    /// Virtual requests client `rank`'s round aggregates.
     fn virtual_round_total(&self, rank: usize, round: u64) -> u64 {
-        let base = (rank - self.servers) as u64 * self.clients_per_rank;
-        (0..self.clients_per_rank)
-            .map(|k| self.virtual_burst(base + k, round))
-            .sum()
+        self.round(rank, round).vtotal
     }
 
     /// Multiplicities carried by the `burst` physical requests of client
     /// `rank`'s round: the round's virtual total distributed base +
-    /// remainder-first, so the sum is exact. All ones in classic mode.
+    /// remainder-first, so the sum is exact. All ones in classic mode,
+    /// where a round aggregates nothing but its own burst.
     fn request_multiplicities(&self, rank: usize, round: u64, burst: u64) -> Vec<u64> {
-        if self.clients_per_rank == 1 {
-            return vec![1; burst as usize];
-        }
         let vtotal = self.virtual_round_total(rank, round);
         let base = vtotal / burst;
         let rem = vtotal % burst;
@@ -216,38 +312,26 @@ impl BurstyConfig {
     /// Requests the configuration *models*: the virtual total in
     /// aggregated mode, the physical total otherwise.
     pub fn modeled_requests(&self) -> u64 {
-        if self.clients_per_rank == 1 {
-            return self.total_requests();
-        }
-        self.clients()
-            .flat_map(|c| (0..self.rounds).map(move |r| self.virtual_round_total(c, r)))
-            .sum()
+        self.arrivals().modeled
     }
 
     /// Total requests the whole run serves (the servers derive their
     /// termination conditions from the same pure arrival process).
     pub fn total_requests(&self) -> u64 {
-        self.clients()
-            .flat_map(|c| (0..self.rounds).map(move |r| self.draw(c, r).0))
-            .sum()
+        self.arrivals().total
     }
 
     /// Requests routed to `server` over the whole run — its termination
     /// condition, derived from the same pure arrival process and hash
     /// every client uses.
     pub fn total_requests_for(&self, server: usize) -> u64 {
-        self.clients()
-            .filter(|&c| self.server_of(c) == server)
-            .flat_map(|c| (0..self.rounds).map(move |r| self.draw(c, r).0))
-            .sum()
+        self.arrivals().per_server[server]
     }
 
     /// The busiest server rank (most routed requests; lowest rank wins
     /// ties) — the hub whose failure stresses recovery hardest.
     pub fn busiest_server(&self) -> usize {
-        (0..self.servers)
-            .max_by_key(|&s| (self.total_requests_for(s), std::cmp::Reverse(s)))
-            .unwrap_or(0)
+        self.arrivals().busiest
     }
 }
 
@@ -514,5 +598,68 @@ mod tests {
             (0.5..2.0).contains(&ratio),
             "aggregated work drifted {ratio}x from classic"
         );
+    }
+
+    /// Values captured on the commit before the arrival table existed:
+    /// the table must reproduce the formulas it replaced.
+    #[test]
+    fn arrival_table_reproduces_the_pinned_ladder() {
+        for (per_rank, modeled, flops) in [
+            (1, 271, 54_200_000.0),
+            (48, 13_331, 55_545_833.333),
+            (480, 135_542, 56_475_833.333),
+            (4800, 1_364_985, 56_874_375.0),
+        ] {
+            let cfg = BurstyConfig::new(24, 3, 11)
+                .with_servers(3)
+                .aggregated(per_rank);
+            assert_eq!(cfg.total_requests(), 271, "agg{per_rank}");
+            assert_eq!(cfg.modeled_requests(), modeled, "agg{per_rank}");
+            assert_eq!(cfg.hub_rank(), 2, "agg{per_rank}");
+            assert!(
+                (cfg.total_flops() - flops).abs() < 0.001,
+                "agg{per_rank}: {}",
+                cfg.total_flops()
+            );
+        }
+    }
+
+    #[test]
+    fn clones_share_the_table_and_builders_start_a_fresh_one() {
+        let cfg = BurstyConfig::new(24, 3, 11);
+        let table: *const Arrivals = cfg.arrivals();
+        let clone = cfg.clone();
+        assert!(Arc::ptr_eq(&cfg.arrivals, &clone.arrivals));
+        assert!(std::ptr::eq(clone.arrivals(), table));
+        // Stale-table regression: a builder applied to a configuration
+        // whose table is already drawn (here after every step) yields the
+        // arrivals of a freshly built equal configuration, and leaves
+        // the configuration it was cloned from alone.
+        let sharded = clone.with_servers(3);
+        assert!(!Arc::ptr_eq(&cfg.arrivals, &sharded.arrivals));
+        let fresh = BurstyConfig::new(24, 3, 11).with_servers(3);
+        assert_eq!(sharded.arrivals(), fresh.arrivals());
+        assert_ne!(sharded.arrivals(), cfg.arrivals());
+        let agg = sharded.clone().aggregated(48);
+        assert_eq!(agg.arrivals(), fresh.aggregated(48).arrivals());
+        assert_ne!(agg.arrivals(), sharded.arrivals());
+        assert!(std::ptr::eq(cfg.arrivals(), table));
+    }
+
+    #[test]
+    fn racing_first_accesses_observe_one_table() {
+        let cfg = BurstyConfig::new(24, 3, 11).with_servers(3).aggregated(480);
+        let barrier = std::sync::Barrier::new(2);
+        let first_access = || {
+            let cfg = cfg.clone();
+            barrier.wait();
+            cfg.arrivals() as *const Arrivals as usize
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let (a, b) = (s.spawn(first_access), s.spawn(first_access));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(a, b);
+        assert_eq!(a, cfg.arrivals() as *const Arrivals as usize);
     }
 }

@@ -14,6 +14,8 @@
 //! plus extra edges whose probability is biased toward low ranks
 //! (preferential weights), with log-uniform per-edge halo sizes.
 
+use std::sync::{Arc, OnceLock};
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use vlog_vmpi::{app, Payload, RecvSelector};
@@ -22,28 +24,38 @@ use crate::workload::{ckpt_payload, mix_seed, restored_u64, Workload, WorkloadPr
 
 const TAG_HALO: u32 = 80;
 
+/// `graph[r]` is rank `r`'s sorted `(peer, halo_bytes)` list.
+type Graph = Vec<Vec<(usize, u64)>>;
+
 /// One irregular halo-exchange configuration.
+///
+/// The fields the graph is drawn from are private and fixed by
+/// [`HaloConfig::new`]: the graph is built on first use and shared by
+/// every clone, and a field nobody can write afterwards is what keeps
+/// it from going stale.
 #[derive(Debug, Clone)]
 pub struct HaloConfig {
     /// Rank count (graph vertices).
-    pub np: usize,
-    /// Outer iterations (one halo exchange each).
-    pub iters: u64,
+    np: usize,
     /// Probability scale for extra (non-ring) edges.
-    pub extra_edge_prob: f64,
+    extra_edge_prob: f64,
     /// Smallest per-edge halo payload, bytes.
-    pub min_bytes: u64,
+    min_bytes: u64,
     /// Largest per-edge halo payload, bytes (log-uniform between the
     /// two).
-    pub max_bytes: u64,
+    max_bytes: u64,
+    /// Topology seed.
+    seed: u64,
+    /// Outer iterations (one halo exchange each).
+    pub iters: u64,
     /// Local relaxation work per rank per iteration, flops.
     pub flops_per_iter: f64,
     /// Per-rank checkpoint state bytes.
     pub state_bytes: u64,
-    /// Topology seed.
-    pub seed: u64,
     /// Offer checkpoints at iteration boundaries.
     pub checkpoints: bool,
+    /// The neighbor graph, see [`HaloConfig::graph`].
+    graph: Arc<OnceLock<Graph>>,
 }
 
 impl HaloConfig {
@@ -54,25 +66,33 @@ impl HaloConfig {
         assert!(iters >= 1, "halo exchange needs >=1 iteration");
         HaloConfig {
             np,
-            iters,
             extra_edge_prob: 0.35,
             min_bytes: 64,
             max_bytes: 32 << 10,
+            seed,
+            iters,
             flops_per_iter: 4.0e6,
             state_bytes: 4 << 20,
-            seed,
             checkpoints: true,
+            graph: Arc::default(),
         }
     }
 
     /// The neighbor graph: `graph()[r]` is rank `r`'s sorted
     /// `(peer, halo_bytes)` list. Symmetric (both endpoints agree on the
     /// edge and its size), connected (ring backbone), degrees biased
-    /// toward low ranks.
-    pub fn graph(&self) -> Vec<Vec<(usize, u64)>> {
+    /// toward low ranks. Drawn by the first caller — O(np²) seeded
+    /// draws — and shared with every clone, so the per-rank programs of
+    /// every incarnation read one copy.
+    pub fn graph(&self) -> &[Vec<(usize, u64)>] {
+        self.graph.get_or_init(|| self.draw_graph())
+    }
+
+    /// Draws the graph: one seeded RNG per rank pair, keyed `(seed, i, j)`.
+    fn draw_graph(&self) -> Graph {
         let n = self.np;
-        let mut adj: Vec<Vec<(usize, u64)>> = vec![Vec::new(); n];
-        let add = |adj: &mut Vec<Vec<(usize, u64)>>, i: usize, j: usize, bytes: u64| {
+        let mut adj: Graph = vec![Vec::new(); n];
+        let add = |adj: &mut Graph, i: usize, j: usize, bytes: u64| {
             adj[i].push((j, bytes));
             adj[j].push((i, bytes));
         };
@@ -156,7 +176,7 @@ impl Workload for HaloConfig {
             let cfg = cfg.clone();
             async move {
                 let me = mpi.rank();
-                let neighbors = cfg.graph()[me].clone();
+                let neighbors = &cfg.graph()[me];
                 let start = restored_u64(&mpi);
                 for it in start..cfg.iters {
                     if cfg.checkpoints {
@@ -170,7 +190,7 @@ impl Workload for HaloConfig {
                         .iter()
                         .map(|&(peer, bytes)| mpi.isend(peer, TAG_HALO, Payload::synthetic(bytes)))
                         .collect();
-                    for &(peer, _) in &neighbors {
+                    for &(peer, _) in neighbors {
                         mpi.recv(RecvSelector::of(peer, TAG_HALO)).await;
                     }
                     for s in sends {
@@ -250,5 +270,17 @@ mod tests {
             HaloConfig::new(12, 4, 1).graph(),
             HaloConfig::new(12, 4, 2).graph()
         );
+    }
+
+    /// Values captured on the commit before the graph was shared.
+    #[test]
+    fn shared_graph_reproduces_the_pinned_registry_entry() {
+        let cfg = HaloConfig::new(32, 4, 12);
+        assert_eq!(cfg.hub(), 0);
+        assert_eq!(cfg.degree_stats(), (68, 9, 2));
+        // A clone reads the graph its parent drew.
+        let clone = cfg.clone();
+        assert!(Arc::ptr_eq(&cfg.graph, &clone.graph));
+        assert!(std::ptr::eq(cfg.graph(), clone.graph()));
     }
 }

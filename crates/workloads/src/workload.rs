@@ -28,7 +28,19 @@ use vlog_vmpi::{
 /// builds a fresh [`AppSpec`] per call, so one workload value can back
 /// many runs (including the restart re-launches inside a single run).
 ///
+/// **Cost contract.** A sweep calls [`program`], [`total_flops`] and
+/// [`hub_rank`] once per *cell* — a registry entry is run under every
+/// suite, with and without faults, on every worker thread, iteration
+/// after iteration — and the program's per-rank closure runs once per
+/// rank per incarnation. After a configuration's first use each of them
+/// must therefore cost O(ranks): inputs a configuration derives from its
+/// seed (the bursty arrival process, the halo graph) are drawn once into
+/// a table owned by the configuration value and shared by its clones,
+/// never re-drawn per call. Callers rely on this instead of caching.
+///
 /// [`program`]: Workload::program
+/// [`total_flops`]: Workload::total_flops
+/// [`hub_rank`]: Workload::hub_rank
 pub trait Workload: Send + Sync {
     /// Family slug shared by every configuration of one benchmark kind
     /// (`"nas"`, `"netpipe"`, `"bursty"`, `"halo"`, `"fft"`). Grouping

@@ -144,6 +144,21 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 benchmark/run.sh --quick >/dev/null
 echo "    benchmark/: ok (six workloads, end to end and traced, zero failed operations)"
 
+echo "==> profiler smoke (scripts/profile.sh kernel_floor 2: a report comes out; no number is judged)"
+profile=$(scripts/profile.sh kernel_floor 2 2>/dev/null)
+case "$profile" in
+    "profile: skipped"*) echo "    $profile" ;;
+    *)
+        for table in "Self time by function" "Self time by source file" \
+            "Self time by crate" "Inclusive time of functions under crates/"; do
+            grep -q "^## $table" <<<"$profile" || {
+                echo "scripts/profile.sh printed no \"$table\" table" >&2; exit 1; }
+        done
+        grep -q "^| crates/sim/src/kernel.rs |" <<<"$profile" || {
+            echo "scripts/profile.sh resolved no sample to crates/sim/src/kernel.rs" >&2; exit 1; }
+        echo "    profile: ok ($(sed -n 's/^\([0-9]* samples\).*/\1/p' <<<"$profile"), four tables, kernel frames resolved)" ;;
+esac
+
 echo "==> examples (smoke, quick scale)"
 for ex in quickstart protocol_comparison recovery_anatomy fault_tolerant_stencil; do
     VLOG_SCALE=quick cargo run -q --release --offline --example "$ex" >/dev/null
