@@ -491,9 +491,9 @@ fn bench_el_batching(c: &mut Criterion) {
 /// one event), on three rungs of the stack the end-to-end `kernel_floor`
 /// workload runs through: a poke-only actor that re-arms itself
 /// (calendar pop + dispatch, nothing staged, no task ready); two tasks
-/// alternating through `sleep` (stage → inbox flush → `OpCell` → ready
-/// queue → poll under the task waker); and a 16-rank eager ring under
-/// `Vdummy` (pipe, daemon, deferred sends, network model on top).
+/// alternating through `sleep` (op slot → staged `Event::Complete` →
+/// ready queue → poll with the port lent); and a 16-rank eager ring
+/// under `Vdummy` (pipe, daemon, deferred sends, network model on top).
 /// `scripts/verify.sh` gates on this group being present.
 fn bench_kernel_loop(c: &mut Criterion) {
     use std::time::{Duration, Instant};

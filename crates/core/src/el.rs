@@ -57,7 +57,8 @@ pub enum ElMsg {
     },
 }
 
-/// Messages the Event Logger sends back (wrapped in `DaemonMsg::Proto`).
+/// Messages the Event Logger sends back: the delivery body itself, which
+/// the daemon hands to `VProtocol::on_control`.
 pub enum ElReply {
     /// Acknowledgement carrying the stable-clock vector.
     Ack { stable: Vec<RClock> },

@@ -25,7 +25,7 @@
 use std::sync::{Arc, Mutex};
 
 use vlog_sim::{Actor, ActorId, Delivery, NodeId, Sim, SimDuration, TimerHandle, WireSize};
-use vlog_vmpi::{DaemonMsg, RClock, Topology};
+use vlog_vmpi::{RClock, Topology};
 
 use crate::el::{el_ack_bytes, el_resp_bytes, record_el_saturation, ElMsg, ElReply, EL_SERVICE_NS};
 use crate::event::Determinant;
@@ -139,8 +139,7 @@ impl Actor for ElShard {
                         sim.schedule_at(
                             end,
                             vlog_sim::Event::closure(move |sim| {
-                                let body =
-                                    Box::new(DaemonMsg::Proto(Box::new(ElReply::Ack { stable })));
+                                let body = Box::new(ElReply::Ack { stable });
                                 let size = WireSize::control(bytes);
                                 if sim.actor_node(reply_to) == node {
                                     sim.local_send(
@@ -177,11 +176,7 @@ impl Actor for ElShard {
                         sim.schedule_at(
                             end,
                             vlog_sim::Event::closure(move |sim| {
-                                let body =
-                                    Box::new(DaemonMsg::Proto(Box::new(ElReply::QueryResp {
-                                        dets,
-                                        stable,
-                                    })));
+                                let body = Box::new(ElReply::QueryResp { dets, stable });
                                 vlog_vmpi::daemon::stream_control(sim, node, reply_to, bytes, body);
                             }),
                         );
@@ -277,12 +272,11 @@ mod tests {
 
     impl Actor for Probe {
         fn on_deliver(&mut self, _sim: &mut Sim, _me: ActorId, msg: Delivery) {
-            let Ok(dm) = msg.body.downcast::<DaemonMsg>() else {
+            let Ok(reply) = msg.body.downcast::<ElReply>() else {
                 return;
             };
-            let DaemonMsg::Proto(p) = *dm else { return };
             let mut seen = self.0.lock().unwrap();
-            match *p.downcast::<ElReply>().unwrap() {
+            match *reply {
                 ElReply::Ack { stable } => seen.acks.push(stable),
                 ElReply::QueryResp { dets, stable } => seen.resps.push((dets.len(), stable)),
             }

@@ -709,15 +709,18 @@ mod tests {
                 }
                 Err(b) => b,
             };
-            match *body.downcast::<DaemonMsg>().expect("daemon traffic") {
-                DaemonMsg::App(m) => seen.replays.push(m.ssn),
-                DaemonMsg::Proto(p) => {
-                    if let Ok(ctl) = p.downcast::<CausalCtl>() {
-                        assert!(matches!(*ctl, CausalCtl::ReclaimResp { from: 0, .. }));
-                        seen.reclaim_resps += 1;
+            let body = match body.downcast::<DaemonMsg>() {
+                Ok(dm) => {
+                    if let DaemonMsg::App(m) = *dm {
+                        seen.replays.push(m.ssn);
                     }
+                    return;
                 }
-                _ => {}
+                Err(b) => b,
+            };
+            if let Ok(ctl) = body.downcast::<CausalCtl>() {
+                assert!(matches!(*ctl, CausalCtl::ReclaimResp { from: 0, .. }));
+                seen.reclaim_resps += 1;
             }
         }
     }

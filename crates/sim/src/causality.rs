@@ -121,9 +121,15 @@ impl PartialOrd for Key {
 }
 impl Ord for Key {
     fn cmp(&self, other: &Self) -> CmpOrdering {
-        self.kind
-            .cmp(other.kind)
-            .then_with(|| self.fields().cmp(other.fields()))
+        // Kinds are string literals, and most comparisons a map makes are
+        // between keys of one call site: the same literal (address and
+        // length) is the same kind without reading a byte of it.
+        let kinds = if std::ptr::eq(self.kind, other.kind) {
+            CmpOrdering::Equal
+        } else {
+            self.kind.cmp(other.kind)
+        };
+        kinds.then_with(|| self.fields().cmp(other.fields()))
     }
 }
 
@@ -639,6 +645,33 @@ mod tests {
         reset();
         set_thread_enabled(false);
         out
+    }
+
+    /// The same-literal fast path must not show: kinds compare by
+    /// content, including an equal kind that lives at another address.
+    #[test]
+    fn key_order_is_kind_then_fields_tuple_order() {
+        let elsewhere: &'static str = String::from("marker").leak();
+        assert!(!std::ptr::eq(elsewhere, "marker"));
+        let table = [
+            ckey!("marker", from = 1, to = 2),
+            Key::from_parts(elsewhere, &["from", "to"], &[1, 2]),
+            Key::from_parts(elsewhere, &["from", "to"], &[0, 9]),
+            ckey!("marker", from = 1),
+            ckey!("marker"),
+            ckey!("mark", from = 7, to = 7),
+            ckey!("markers", from = 0),
+            ckey!("det-batch-acked", rank = 3, seq = 7),
+            ckey!("det-batch-acked", rank = 3, seq = 8),
+            ckey!("det-batch-acked", rank = 2, seq = u64::MAX),
+        ];
+        for a in &table {
+            for b in &table {
+                let tuples = (a.kind(), a.fields()).cmp(&(b.kind(), b.fields()));
+                assert_eq!(a.cmp(b), tuples, "{a} vs {b}");
+                assert_eq!(a == b, tuples == CmpOrdering::Equal, "{a} vs {b}");
+            }
+        }
     }
 
     #[test]

@@ -2,48 +2,61 @@
 //!
 //! Simulated application processes (MPI ranks in the reproduction) are
 //! ordinary `async` blocks. Every blocking operation — send, receive,
-//! compute, checkpoint — is an [`OpCell`] that the *kernel side* (actors,
-//! scheduled closures) completes at the right virtual time. The executor
-//! never blocks an OS thread and never needs real wake-ups: completing a
-//! cell hands the waiting task to the kernel's ready queue, which the
-//! simulation loop drains after every event dispatch.
+//! compute, checkpoint — is an [`Op`]: a one-shot slot in the task's
+//! [`Port`] that the *kernel side* (actors, scheduled events) completes at
+//! the right virtual time. The executor never blocks an OS thread and
+//! never needs real wake-ups: completing an op hands the waiting task to
+//! the kernel's ready queue, which the simulation loop drains after every
+//! event dispatch.
 //!
 //! Killing a simulated process is simply dropping its future, which is the
-//! fail-stop model the paper assumes: all volatile state vanishes, pending
-//! operations are abandoned, and completions racing with the kill are
-//! discarded thanks to per-task generation counters.
+//! fail-stop model the paper assumes: all volatile state vanishes with the
+//! port, pending operations are abandoned, and completions racing with the
+//! kill are discarded thanks to per-task generation counters.
 //!
-//! Task code must not touch the [`Sim`] directly — it
-//! would be mutably borrowed by the run loop. Instead tasks *stage* events
-//! through the [`ExecHandle`]; the run loop flushes staged events into the
-//! real queue between polls. This mirrors the paper's architecture where
-//! the MPI process only talks to its communication daemon through a pipe.
+//! Task code must not touch the [`Sim`] directly — it would be mutably
+//! borrowed by the run loop. Instead tasks *stage* events into their port;
+//! the run loop moves staged events into the calendar right after the
+//! poll. This mirrors the paper's architecture where the MPI process only
+//! talks to its communication daemon through a pipe.
 //!
 //! # Ownership and `Send`
 //!
-//! Tasks and actors live in arena slots owned by the kernel and are
+//! Everything belongs to the kernel. Tasks and actors live in arena slots
 //! addressed by index+generation handles ([`TaskId`],
-//! [`ActorId`](crate::kernel::ActorId)). The kernel also owns everything
-//! only it touches: the ready queue (a plain `VecDeque<TaskId>`), the
-//! clock, and the identity of the task being polled, which rides in the
-//! data pointer of the [`Waker`] handed to each poll.
+//! [`ActorId`](crate::kernel::ActorId)); each task slot owns that task's
+//! [`Port`]: its op slots (state and generation — plain flags), the events
+//! it staged, and one `Box<dyn Any + Send>` for whatever the layer above
+//! wants to pass between the task and kernel context (`vlog-vmpi` keeps
+//! the request queue and the received messages there). Nothing is
+//! reference-counted and nothing is locked:
 //!
-//! What is genuinely shared is small: the *staging inbox* of `ExecShared`
-//! (task futures → kernel: staged events and the stop request, behind a
-//! mutex the run loop takes only when the `pending` flag says something
-//! was staged, plus a relaxed atomic mirror of the clock) and the
-//! one-shot [`OpCell`]s (kernel ↔ one waiting task). Both are `Arc`-held
-//! so a whole simulation — futures included — is `Send`, a `Sim` paused
-//! by `run_until` can move to another thread, and independent cluster
-//! runs can be sharded across worker threads.
+//! * kernel context reaches a port through the `&mut Sim` every handler is
+//!   handed ([`Sim::port_mut`], [`Sim::complete`]);
+//! * task context reaches it because the kernel **lends** it, together
+//!   with the task's id and the clock reading, for exactly the duration of
+//!   one poll: the port is moved into a thread-local [`TaskCx`] before
+//!   `Future::poll` and moved back after it (`lend`, called by the run
+//!   loop's `poll_task`).
+//!
+//! The hand-off is empty between polls. That is what keeps two `Sim`s on
+//! one thread apart (neither can see the other's port: whichever poll is
+//! running is the only thing lent), what lets a paused `Sim` move to
+//! another thread with operations in flight (their state is in the `Sim`,
+//! not in the thread), and why every task-context call made outside a
+//! poll panics by name instead of touching some other run's state. A poll
+//! that unwinds restores the previous (empty) hand-off on the way out.
+//! [`Op`] and [`OpId`] are plain data, so a whole simulation — futures
+//! included — is `Send` without a single `unsafe impl`, and independent
+//! cluster runs can be sharded across worker threads.
 
+use std::any::Any;
+use std::cell::RefCell;
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
+use std::task::{Context, Poll};
 
-use crate::kernel::{Event, Sim};
+use crate::kernel::{Event, NodeId, Sim};
 use crate::time::{SimDuration, SimTime};
 
 /// Identifier of a spawned task. The generation distinguishes incarnations
@@ -54,183 +67,371 @@ pub struct TaskId {
     pub(crate) gen: u32,
 }
 
-/// Shared handle on [`ExecShared`].
-pub(crate) type SharedExec = Arc<ExecShared>;
-
-/// The task → kernel inbox: what task context may hand to the run loop.
-pub(crate) struct ExecShared {
-    /// Mirror of the kernel clock, readable from task context. Relaxed:
-    /// it publishes no other data, and a run never leaves its thread
-    /// without a synchronizing hand-off of the whole `Sim`.
-    now: AtomicU64,
-    /// "The inbox holds something the kernel has not taken yet." Every
-    /// write happens with the inbox mutex held, so the flag can never be
-    /// cleared past a concurrent `stage`; the kernel's unlocked relaxed
-    /// load is only the cue to take the mutex at all.
-    pending: AtomicBool,
-    inbox: Mutex<Inbox>,
+/// Kernel-side name of one operation of one task incarnation: what a
+/// daemon keeps to complete it later ([`Sim::complete`],
+/// [`Event::Complete`]). Plain data.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct OpId {
+    task: TaskId,
+    slot: u32,
+    gen: u32,
 }
 
+impl OpId {
+    /// The task that awaits this operation.
+    pub fn task(&self) -> TaskId {
+        self.task
+    }
+}
+
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum OpState {
+    /// On the free list.
+    Free,
+    /// Created; neither completed nor awaited yet.
+    Pending,
+    /// The task is suspended on it: completion wakes the task.
+    Waited,
+    /// The task dropped its [`Op`] first: completion frees the slot.
+    Abandoned,
+    /// Completed, not yet consumed by the task.
+    Done,
+}
+
+struct OpSlot {
+    /// Bumped at every release, so an [`OpId`] names one use of the slot.
+    gen: u32,
+    state: OpState,
+}
+
+/// Everything one task shares with kernel context. Owned by the task's
+/// kernel slot; lent to the task while it is polled (module docs).
 #[derive(Default)]
-struct Inbox {
-    /// Events staged from task context, flushed by the run loop.
+pub struct Port {
+    ops: Vec<OpSlot>,
+    free: Vec<u32>,
+    /// Events staged by the poll in progress, flushed right after it.
     staged: Vec<(SimDuration, Event)>,
     /// Set from task context to stop the simulation loop.
     stop: bool,
+    /// The half typed by the layer above (see [`Port::install`]).
+    ext: Option<Box<dyn Any + Send>>,
 }
 
-impl ExecShared {
-    pub(crate) fn new() -> SharedExec {
-        Arc::new(ExecShared {
-            now: AtomicU64::new(SimTime::ZERO.as_nanos()),
-            pending: AtomicBool::new(false),
-            inbox: Mutex::new(Inbox::default()),
-        })
+impl Port {
+    /// Installs the typed half of the port: state the layer above shares
+    /// between this task and kernel context. One allocation per task.
+    pub fn install<P: Any + Send>(&mut self, ext: P) {
+        self.ext = Some(Box::new(ext));
     }
 
-    pub(crate) fn set_now(&self, now: SimTime) {
-        self.now.store(now.as_nanos(), Ordering::Relaxed);
+    /// The typed half, as installed. Panics if nothing or another type
+    /// was installed — a wiring bug, not a runtime condition.
+    pub fn ext<P: Any>(&mut self) -> &mut P {
+        self.ext
+            .as_deref_mut()
+            .and_then(|e| e.downcast_mut())
+            .expect("task port holds no extension of the requested type")
     }
 
-    /// Runs `f` on the inbox and raises `pending`.
-    fn post(&self, f: impl FnOnce(&mut Inbox)) {
-        let mut inbox = self.inbox.lock().expect("exec inbox poisoned");
-        f(&mut inbox);
-        self.pending.store(true, Ordering::Relaxed);
-    }
-
-    /// Kernel side: `None` — and no locked instruction — when nothing was
-    /// posted since the last call. Otherwise swaps the staged events into
-    /// `out` (which must be empty; its buffer becomes the next staging
-    /// buffer) and returns whether a stop was requested.
-    pub(crate) fn take_pending(&self, out: &mut Vec<(SimDuration, Event)>) -> Option<bool> {
-        if !self.pending.load(Ordering::Relaxed) {
-            return None;
+    fn new_op(&mut self, task: TaskId) -> Op {
+        let slot = match self.free.pop() {
+            Some(i) => i,
+            None => {
+                self.ops.push(OpSlot {
+                    gen: 0,
+                    state: OpState::Free,
+                });
+                (self.ops.len() - 1) as u32
+            }
+        };
+        let s = &mut self.ops[slot as usize];
+        s.state = OpState::Pending;
+        Op {
+            id: OpId {
+                task,
+                slot,
+                gen: s.gen,
+            },
+            live: true,
         }
-        debug_assert!(out.is_empty());
-        let mut inbox = self.inbox.lock().expect("exec inbox poisoned");
-        self.pending.store(false, Ordering::Relaxed);
-        std::mem::swap(&mut inbox.staged, out);
-        Some(inbox.stop)
+    }
+
+    /// The slot `op` names, if that use of it is still current.
+    fn current(&mut self, op: OpId) -> Option<&mut OpSlot> {
+        self.ops
+            .get_mut(op.slot as usize)
+            .filter(|s| s.gen == op.gen)
+    }
+
+    fn release(&mut self, slot: u32) {
+        let s = &mut self.ops[slot as usize];
+        s.gen = s.gen.wrapping_add(1);
+        s.state = OpState::Free;
+        self.free.push(slot);
+    }
+
+    /// Marks `op` completed; true if its task is suspended on it and must
+    /// be woken. Operations are one-shot: a second completion (the slot
+    /// moved on, or is still `Done`) is a kernel bug.
+    pub(crate) fn complete(&mut self, op: OpId) -> bool {
+        let Some(s) = self.current(op) else {
+            panic!("Op completed twice");
+        };
+        match s.state {
+            OpState::Pending => s.state = OpState::Done,
+            OpState::Waited => {
+                s.state = OpState::Done;
+                return true;
+            }
+            OpState::Abandoned => self.release(op.slot),
+            OpState::Done | OpState::Free => panic!("Op completed twice"),
+        }
+        false
+    }
+
+    /// Task side of [`Op::poll`]: consumes a completed op, else registers
+    /// the task as its waiter.
+    fn poll_op(&mut self, op: OpId) -> bool {
+        let s = self.current(op).expect("Op polled after it resolved");
+        if s.state == OpState::Done {
+            self.release(op.slot);
+            true
+        } else {
+            s.state = OpState::Waited;
+            false
+        }
+    }
+
+    /// Task side of dropping an unresolved [`Op`].
+    fn abandon(&mut self, op: OpId) {
+        let Some(s) = self.current(op) else {
+            return;
+        };
+        match s.state {
+            OpState::Done => self.release(op.slot),
+            _ => s.state = OpState::Abandoned,
+        }
+    }
+
+    /// What the last poll staged: drains the events into `sink` in
+    /// staging order and returns whether a stop was requested.
+    pub(crate) fn take_staged(&mut self, mut sink: impl FnMut(SimDuration, Event)) -> bool {
+        for (delay, ev) in self.staged.drain(..) {
+            sink(delay, ev);
+        }
+        std::mem::take(&mut self.stop)
+    }
+
+    /// Forgets everything (the incarnation is gone), keeping the buffers
+    /// for the slot's next tenant.
+    pub(crate) fn reset(&mut self) {
+        self.ops.clear();
+        self.free.clear();
+        self.staged.clear();
+        self.stop = false;
+        self.ext = None;
     }
 }
 
-/// Clonable handle on the executor, usable from task context.
-#[derive(Clone)]
-pub struct ExecHandle {
-    pub(crate) shared: SharedExec,
+/// Typed results of a task's operations, parked by the kernel side and
+/// taken by the task once the op resolved. Lives in the typed half of a
+/// port ([`Port::install`]); an op without a value (`()`) needs none.
+pub struct OpValues<T> {
+    by_slot: Vec<Option<T>>,
 }
 
-impl ExecHandle {
-    /// Creates a fresh operation cell.
-    pub fn new_op<T: Send + 'static>(&self) -> OpCell<T> {
-        OpCell {
-            inner: Arc::new(Mutex::new(OpInner {
-                result: None,
-                waiter: None,
-            })),
+impl<T> Default for OpValues<T> {
+    fn default() -> Self {
+        OpValues {
+            by_slot: Vec::new(),
         }
+    }
+}
+
+impl<T> OpValues<T> {
+    /// Parks the result of `op`. It becomes the task's only when the op
+    /// completes — park now, schedule [`Event::Complete`] for later.
+    pub fn park(&mut self, op: OpId, value: T) {
+        let i = op.slot as usize;
+        if self.by_slot.len() <= i {
+            self.by_slot.resize_with(i + 1, || None);
+        }
+        self.by_slot[i] = Some(value);
+    }
+
+    /// Takes the parked result of a resolved op.
+    pub fn take(&mut self, op: OpId) -> T {
+        self.by_slot
+            .get_mut(op.slot as usize)
+            .and_then(Option::take)
+            .expect("op resolved without a parked value")
+    }
+}
+
+/// What the kernel lends a task for the duration of one poll: its port,
+/// its identity and the clock reading.
+pub struct TaskCx {
+    task: TaskId,
+    now: SimTime,
+    port: Port,
+}
+
+impl TaskCx {
+    /// Current virtual time (constant during a poll).
+    pub fn now(&self) -> SimTime {
+        self.now
+    }
+
+    /// Creates a fresh operation of the polled task.
+    pub fn new_op(&mut self) -> Op {
+        self.port.new_op(self.task)
     }
 
     /// Stages an event to fire `delay` after the current virtual time.
-    /// Callable from task context; the run loop flushes it.
-    pub fn stage(&self, delay: SimDuration, ev: Event) {
-        self.shared.post(|inbox| inbox.staged.push((delay, ev)));
+    pub fn stage(&mut self, delay: SimDuration, ev: Event) {
+        self.port.staged.push((delay, ev));
     }
 
-    /// Stages an actor poke (used by pipes between processes and daemons).
-    pub fn stage_poke(&self, delay: SimDuration, actor: crate::kernel::ActorId, token: u64) {
-        self.stage(delay, Event::Poke { actor, token });
+    /// The typed half of the polled task's port (see [`Port::ext`]).
+    pub fn ext<P: Any>(&mut self) -> &mut P {
+        self.port.ext()
+    }
+}
+
+thread_local! {
+    /// The hand-off: `Some` only while this thread is inside a poll.
+    static LENT: RefCell<Option<TaskCx>> = const { RefCell::new(None) };
+}
+
+/// Polls a task with `port` lent to it, and returns the port with what
+/// the poll staged: the events, and whether a stop was requested.
+///
+/// Whatever was lent before (normally nothing) is put back afterwards,
+/// also when `poll` unwinds — a panicking program must not leave its port
+/// lent to the next run on this thread.
+pub(crate) fn lend<R>(
+    task: TaskId,
+    now: SimTime,
+    port: Port,
+    poll: impl FnOnce() -> R,
+) -> (R, Port) {
+    struct PutBack(Option<Option<TaskCx>>);
+    impl Drop for PutBack {
+        fn drop(&mut self) {
+            if let Some(prev) = self.0.take() {
+                let _ = LENT.try_with(|l| l.replace(prev));
+            }
+        }
+    }
+    let mut guard = PutBack(Some(LENT.replace(Some(TaskCx { task, now, port }))));
+    let out = poll();
+    let prev = guard.0.take().expect("armed above");
+    let cx = LENT
+        .replace(prev)
+        .expect("the task context lent to a poll was taken during it");
+    (out, cx.port)
+}
+
+/// Runs `f` on what the kernel lent the poll in progress. Panics, naming
+/// `what`, outside a poll: there is no port to reach then.
+pub fn with_task<R>(what: &str, f: impl FnOnce(&mut TaskCx) -> R) -> R {
+    LENT.with(|l| match l.borrow_mut().as_mut() {
+        Some(cx) => f(cx),
+        None => panic!("{what} outside task context"),
+    })
+}
+
+/// Handle on the executor, usable from task context only (inside a poll).
+#[derive(Clone, Copy)]
+pub struct ExecHandle;
+
+impl ExecHandle {
+    /// Creates a fresh operation of the calling task.
+    pub fn new_op(&self) -> Op {
+        with_task("ExecHandle::new_op", TaskCx::new_op)
+    }
+
+    /// Stages an event to fire `delay` after the current virtual time;
+    /// the run loop moves it into the calendar right after this poll.
+    pub fn stage(&self, delay: SimDuration, ev: Event) {
+        with_task("ExecHandle::stage", |cx| cx.stage(delay, ev));
     }
 
     /// Requests the simulation loop to stop at the next opportunity.
     pub fn stage_stop(&self) {
-        self.shared.post(|inbox| inbox.stop = true);
+        with_task("ExecHandle::stage_stop", |cx| cx.port.stop = true);
     }
 
     /// Suspends the calling task for `dur` of virtual time.
-    pub fn sleep(&self, dur: SimDuration) -> OpFuture<()> {
-        let cell = self.new_op::<()>();
-        let done = cell.clone();
-        self.stage(dur, Event::closure(move |sim| done.complete(sim, ())));
-        cell.wait()
+    pub fn sleep(&self, dur: SimDuration) -> Op {
+        with_task("ExecHandle::sleep", |cx| {
+            let op = cx.new_op();
+            cx.stage(dur, Event::Complete(op.id));
+            op
+        })
     }
 
-    /// Current virtual time, readable from task context. Applications use
-    /// this through `Mpi::time()` for in-program measurements.
+    /// Current virtual time. Applications use this through `Mpi::time()`
+    /// for in-program measurements.
     pub fn now(&self) -> SimTime {
-        SimTime::from_nanos(self.shared.now.load(Ordering::Relaxed))
+        with_task("ExecHandle::now", |cx| cx.now())
     }
 }
 
-struct OpInner<T> {
-    result: Option<T>,
-    waiter: Option<TaskId>,
+/// Task-side handle on a one-shot operation: await it. The kernel side
+/// completes it by [`Op::id`]. Dropping it unresolved abandons the
+/// operation — its slot is recycled when the completion arrives.
+#[must_use = "an operation does nothing for the task unless awaited"]
+pub struct Op {
+    id: OpId,
+    /// Still holds its slot (not yet resolved).
+    live: bool,
 }
 
-/// A one-shot completion cell: the kernel side calls [`OpCell::complete`],
-/// the task side awaits [`OpCell::wait`]. Clonable (shared ownership).
-pub struct OpCell<T> {
-    inner: Arc<Mutex<OpInner<T>>>,
-}
-
-impl<T> Clone for OpCell<T> {
-    fn clone(&self) -> Self {
-        OpCell {
-            inner: self.inner.clone(),
-        }
+impl Op {
+    /// The name kernel context completes this operation by.
+    pub fn id(&self) -> OpId {
+        self.id
     }
 }
 
-impl<T: Send + 'static> OpCell<T> {
-    /// Completes the operation from kernel context. If a task is waiting
-    /// it joins `sim`'s ready queue.
-    ///
-    /// Panics if the cell was already completed: operations are one-shot,
-    /// a double completion is a kernel bug.
-    pub fn complete(&self, sim: &mut Sim, value: T) {
-        let mut inner = self.inner.lock().expect("op cell poisoned");
-        assert!(inner.result.is_none(), "OpCell completed twice");
-        inner.result = Some(value);
-        if let Some(t) = inner.waiter.take() {
-            sim.wake(t);
-        }
-    }
+impl Future for Op {
+    type Output = ();
 
-    /// True once `complete` has been called and the value not yet consumed.
-    pub fn is_done(&self) -> bool {
-        self.inner
-            .lock()
-            .expect("op cell poisoned")
-            .result
-            .is_some()
-    }
-
-    /// Returns the future resolving to the completed value.
-    pub fn wait(&self) -> OpFuture<T> {
-        OpFuture {
-            inner: self.inner.clone(),
-        }
-    }
-}
-
-/// Future returned by [`OpCell::wait`].
-pub struct OpFuture<T> {
-    inner: Arc<Mutex<OpInner<T>>>,
-}
-
-impl<T: Send + 'static> Future for OpFuture<T> {
-    type Output = T;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<T> {
-        let mut inner = self.inner.lock().expect("op cell poisoned");
-        if let Some(v) = inner.result.take() {
-            Poll::Ready(v)
+    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
+        let id = self.id;
+        let done = with_task("Op polled", |cx| {
+            assert!(
+                cx.task == id.task,
+                "Op polled by a task that did not create it"
+            );
+            cx.port.poll_op(id)
+        });
+        if done {
+            self.live = false;
+            Poll::Ready(())
         } else {
-            inner.waiter =
-                Some(polled_task(cx.waker()).expect("OpFuture polled outside task context"));
             Poll::Pending
         }
+    }
+}
+
+impl Drop for Op {
+    fn drop(&mut self) {
+        if !self.live {
+            return;
+        }
+        // Outside a poll the whole incarnation is being dropped and its
+        // port reset with it; inside one, only the task's own port can
+        // be lent.
+        let _ = LENT.try_with(|l| {
+            if let Ok(mut l) = l.try_borrow_mut() {
+                if let Some(cx) = l.as_mut().filter(|cx| cx.task == self.id.task) {
+                    cx.port.abandon(self.id);
+                }
+            }
+        });
     }
 }
 
@@ -238,102 +439,237 @@ impl<T: Send + 'static> Future for OpFuture<T> {
 pub(crate) struct TaskSlot {
     pub(crate) fut: Option<Pin<Box<dyn Future<Output = ()> + Send>>>,
     pub(crate) gen: u32,
-    pub(crate) node: Option<crate::kernel::NodeId>,
-    pub(crate) on_exit: Option<Box<dyn FnOnce(&mut crate::kernel::Sim) + Send>>,
+    pub(crate) node: Option<NodeId>,
+    pub(crate) on_exit: Option<Box<dyn FnOnce(&mut Sim) + Send>>,
+    pub(crate) port: Port,
 }
 
-// The kernel's wakers carry a whole `TaskId` in the data pointer.
-const _: () = assert!(usize::BITS >= 64, "TaskId must fit a pointer");
+impl TaskSlot {
+    /// Ready for a new tenant: nothing runs here, and nobody may still
+    /// read the port. A program that finished leaves what its last poll
+    /// wrote (the pipe outlives the process that wrote to it), so a slot
+    /// with a typed port half stays taken until its incarnation is
+    /// killed — with its node, like everything else on it.
+    pub(crate) fn is_free(&self) -> bool {
+        self.fut.is_none() && self.on_exit.is_none() && self.port.ext.is_none()
+    }
 
-/// Readiness is signalled through the kernel's ready queue by
-/// [`OpCell::complete`], never through `Waker::wake`, so every vtable
-/// entry is a no-op; the data pointer is never dereferenced.
-static TASK_WAKER_VTABLE: RawWakerVTable = RawWakerVTable::new(
-    |data| RawWaker::new(data, &TASK_WAKER_VTABLE),
-    |_| {},
-    |_| {},
-    |_| {},
-);
-
-/// The waker the kernel polls task `id` under: it does nothing when
-/// woken, and tells [`OpFuture::poll`] which task is waiting.
-pub(crate) fn task_waker(id: TaskId) -> Waker {
-    let packed = ((id.gen as u64) << 32 | id.idx as u64) as usize;
-    let data = std::ptr::without_provenance::<()>(packed);
-    // SAFETY: all vtable functions are no-ops (clone copies the pointer
-    // value); the data pointer is an integer, never dereferenced.
-    unsafe { Waker::from_raw(RawWaker::new(data, &TASK_WAKER_VTABLE)) }
-}
-
-/// The task a kernel-made waker was built for; `None` for any other
-/// executor's waker.
-fn polled_task(waker: &Waker) -> Option<TaskId> {
-    std::ptr::eq(waker.vtable(), &TASK_WAKER_VTABLE).then(|| {
-        let packed = waker.data().addr() as u64;
-        TaskId {
-            idx: packed as u32,
-            gen: (packed >> 32) as u32,
-        }
-    })
+    /// Fail-stop: drops the future and everything in the port, and
+    /// invalidates queued wake-ups and in-flight completions.
+    pub(crate) fn kill(&mut self) {
+        self.fut = None;
+        self.on_exit = None;
+        self.gen += 1;
+        self.port.reset();
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::kernel::Sim;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::{Arc, Mutex};
+
+    const fn us(n: u64) -> SimDuration {
+        SimDuration::from_micros(n)
+    }
+
+    fn complete(id: OpId) -> Event {
+        Event::closure(move |sim| sim.complete(id))
+    }
 
     #[test]
     fn op_cell_completes_before_wait() {
         let mut sim = Sim::new(1);
-        let cell = sim.exec().new_op::<u32>();
-        cell.complete(&mut sim, 5);
-        assert!(cell.is_done());
-        sim.spawn_detached({
-            let cell = cell.clone();
-            async move {
-                assert_eq!(cell.wait().await, 5);
-            }
+        let h = sim.exec();
+        sim.spawn_detached(async move {
+            let op = h.new_op();
+            h.stage(us(1), complete(op.id()));
+            h.sleep(us(5)).await;
+            // Completed at 1us while nobody waited: resolves on the spot.
+            op.await;
+            assert_eq!(h.now().as_nanos(), 5_000);
+        });
+        sim.run();
+        assert_eq!(sim.events_processed(), 2);
+    }
+
+    #[test]
+    fn op_awaited_first_resumes_at_its_completion() {
+        let mut sim = Sim::new(1);
+        let h = sim.exec();
+        let resumed = Arc::new(Mutex::new(None));
+        let r = resumed.clone();
+        sim.spawn_detached(async move {
+            let op = h.new_op();
+            h.stage(us(5), complete(op.id()));
+            op.await;
+            *r.lock().unwrap() = Some(h.now().as_nanos());
+        });
+        sim.run();
+        assert_eq!(*resumed.lock().unwrap(), Some(5_000));
+    }
+
+    #[test]
+    #[should_panic(expected = "Op completed twice")]
+    fn double_complete_panics() {
+        let mut sim = Sim::new(1);
+        let h = sim.exec();
+        sim.spawn_detached(async move {
+            let op = h.new_op();
+            let id = op.id();
+            h.stage(
+                us(1),
+                Event::closure(move |sim| {
+                    sim.complete(id);
+                    sim.complete(id);
+                }),
+            );
+            op.await;
         });
         sim.run();
     }
 
+    /// An `Op` smuggled out of its task and polled by another executor
+    /// finds nothing lent.
     #[test]
-    #[should_panic(expected = "OpCell completed twice")]
-    fn double_complete_panics() {
-        let mut sim = Sim::new(1);
-        let cell = sim.exec().new_op::<u32>();
-        cell.complete(&mut sim, 1);
-        cell.complete(&mut sim, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "OpFuture polled outside task context")]
+    #[should_panic(expected = "Op polled outside task context")]
     fn op_future_under_a_foreign_waker_panics() {
-        let sim = Sim::new(1);
-        let mut fut = sim.exec().new_op::<u32>().wait();
-        let mut cx = Context::from_waker(Waker::noop());
-        let _ = Pin::new(&mut fut).poll(&mut cx);
+        let mut sim = Sim::new(1);
+        let h = sim.exec();
+        let out = Arc::new(Mutex::new(None));
+        let o = out.clone();
+        sim.spawn_detached(async move { *o.lock().unwrap() = Some(h.new_op()) });
+        sim.run();
+        let mut op = out.lock().unwrap().take().unwrap();
+        let mut cx = Context::from_waker(std::task::Waker::noop());
+        let _ = Pin::new(&mut op).poll(&mut cx);
     }
 
     #[test]
-    fn waker_round_trips_the_task_id_through_clones() {
-        for id in [
-            TaskId { idx: 0, gen: 0 },
-            TaskId {
-                idx: u32::MAX,
-                gen: 7,
-            },
-            TaskId {
-                idx: 3,
-                gen: u32::MAX,
-            },
-        ] {
-            let waker = task_waker(id);
-            assert_eq!(polled_task(&waker), Some(id));
-            assert_eq!(polled_task(&waker.clone()), Some(id));
-            waker.wake();
+    fn task_context_calls_outside_a_poll_panic_by_name() {
+        let h = Sim::new(1).exec();
+        type Call = Box<dyn Fn()>;
+        let calls: [(&str, Call); 5] = [
+            ("ExecHandle::new_op", Box::new(move || drop(h.new_op()))),
+            ("ExecHandle::sleep", Box::new(move || drop(h.sleep(us(1))))),
+            ("ExecHandle::now", Box::new(move || _ = h.now())),
+            (
+                "ExecHandle::stage",
+                Box::new(move || h.stage(us(1), Event::closure(|_| {}))),
+            ),
+            ("ExecHandle::stage_stop", Box::new(move || h.stage_stop())),
+        ];
+        for (name, call) in calls {
+            let err = catch_unwind(AssertUnwindSafe(call)).expect_err(name);
+            let msg = err.downcast_ref::<String>().expect("formatted panic");
+            assert_eq!(*msg, format!("{name} outside task context"));
         }
-        assert_eq!(polled_task(Waker::noop()), None);
+    }
+
+    #[test]
+    fn ops_carry_the_id_of_the_task_being_polled() {
+        let mut sim = Sim::new(1);
+        let h = sim.exec();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let spawned: Vec<TaskId> = (0..3)
+            .map(|_| {
+                let s = seen.clone();
+                sim.spawn_detached(async move {
+                    h.sleep(us(1)).await;
+                    s.lock().unwrap().push(h.new_op().id().task());
+                })
+            })
+            .collect();
+        sim.run();
+        assert_eq!(*seen.lock().unwrap(), spawned);
+    }
+
+    /// The makespan guard: a result parked ahead of its completion event
+    /// does not resolve the op early, even for a task that is awake.
+    #[test]
+    fn a_parked_value_is_not_observable_before_its_event_fires() {
+        let mut sim = Sim::new(1);
+        let h = sim.exec();
+        let got = Arc::new(Mutex::new(Vec::new()));
+        let g = got.clone();
+        let task = sim.spawn_detached(async move {
+            let (a, b) = (h.new_op(), h.new_op());
+            let (ida, idb) = (a.id(), b.id());
+            h.stage(us(2), Event::Complete(ida));
+            // B's value is parked at 1us; its event fires at 10us.
+            h.stage(
+                us(1),
+                Event::closure(move |sim| {
+                    let port = sim.port_mut(idb.task()).expect("task alive");
+                    port.ext::<OpValues<u32>>().park(idb, 7);
+                    sim.schedule(us(9), Event::Complete(idb));
+                }),
+            );
+            a.await;
+            g.lock().unwrap().push((h.now().as_nanos(), 0));
+            b.await;
+            let v = with_task("test", |cx| cx.ext::<OpValues<u32>>().take(idb));
+            g.lock().unwrap().push((h.now().as_nanos(), v));
+        });
+        sim.port_mut(task)
+            .expect("just spawned")
+            .install(OpValues::<u32>::default());
+        sim.run();
+        assert_eq!(*got.lock().unwrap(), [(2_000, 0), (10_000, 7)]);
+    }
+
+    #[test]
+    fn a_completion_for_a_dead_incarnation_pops_as_a_counted_no_op() {
+        let mut sim = Sim::new(1);
+        let h = sim.exec();
+        let resumed = Arc::new(Mutex::new(Vec::new()));
+        let r = resumed.clone();
+        let old = sim.spawn_detached(async move {
+            h.sleep(us(10)).await;
+            r.lock().unwrap().push("old");
+        });
+        let r = resumed.clone();
+        sim.after(us(5), move |sim| {
+            sim.kill_task(old);
+            assert!(sim.port_mut(old).is_none());
+            // The successor takes the same slot, and its first op the
+            // same op slot the dead sleep held.
+            let new = sim.spawn_detached(async move {
+                h.sleep(us(20)).await;
+                r.lock().unwrap().push("new");
+            });
+            assert_eq!(new.idx, old.idx);
+        });
+        sim.run();
+        assert_eq!(*resumed.lock().unwrap(), ["new"]);
+        // Kill closure, the dead sleep's completion, the live one's.
+        assert_eq!(sim.events_processed(), 3);
+        assert_eq!(sim.now().as_nanos(), 25_000);
+    }
+
+    #[test]
+    fn an_abandoned_op_gives_its_slot_back_at_completion() {
+        let mut sim = Sim::new(1);
+        let h = sim.exec();
+        sim.spawn_detached(async move {
+            let op = h.new_op();
+            let id = op.id();
+            h.stage(us(1), Event::Complete(id));
+            drop(op);
+            // Still held: the completion is on its way.
+            let other = h.new_op();
+            assert_ne!(other.id().slot, id.slot);
+            h.sleep(us(2)).await;
+            // Free again (with the sleep's own slot), under a new name.
+            let next = [h.new_op(), h.new_op()];
+            assert!(next.iter().any(|op| op.id().slot == id.slot));
+            assert!(next.iter().all(|op| op.id() != id));
+            drop((other, next));
+        });
+        sim.run();
+        assert_eq!(sim.events_processed(), 2);
     }
 
     #[test]
@@ -355,12 +691,10 @@ mod tests {
         let mut at_poll = Vec::new();
         for deadline_us in [0, 10, 15] {
             sim.run_until(SimTime::from_nanos(deadline_us * 1_000));
-            assert_eq!(sim.exec().now(), sim.now());
             at_poll.push(sim.now());
         }
         assert_eq!(*seen.lock().unwrap(), at_poll);
         sim.run();
-        assert_eq!(sim.exec().now(), sim.now());
         assert_eq!(sim.now().as_nanos(), 40_000);
     }
 
@@ -399,12 +733,78 @@ mod tests {
         assert_eq!(sim.now().as_nanos(), 15_000);
     }
 
+    type TickLog = Arc<Mutex<Vec<(u32, u64)>>>;
+
+    /// A sim whose one task checks it is polled with its own port and
+    /// logs `tag` through a staged closure, every `step` microseconds.
+    fn ticking_sim(tag: u32, step: u64, log: &TickLog) -> Sim {
+        let mut sim = Sim::new(tag as u64);
+        let (h, log) = (sim.exec(), log.clone());
+        let task = sim.spawn_detached(async move {
+            for _ in 0..6 {
+                h.sleep(us(step)).await;
+                assert_eq!(with_task("test", |cx| *cx.ext::<u32>()), tag);
+                let l = log.clone();
+                h.stage(
+                    us(1),
+                    Event::closure(move |sim| l.lock().unwrap().push((tag, sim.now().as_nanos()))),
+                );
+            }
+        });
+        sim.port_mut(task).expect("just spawned").install(tag);
+        sim
+    }
+
+    #[test]
+    fn two_sims_interleaved_on_one_thread_never_see_each_others_port() {
+        let solo = |tag, step| {
+            let log = TickLog::default();
+            let mut sim = ticking_sim(tag, step, &log);
+            sim.run();
+            let ticks = log.lock().unwrap().clone();
+            (sim.events_processed(), ticks)
+        };
+        let (log_a, log_b) = (TickLog::default(), TickLog::default());
+        let mut a = ticking_sim(1, 3, &log_a);
+        let mut b = ticking_sim(2, 5, &log_b);
+        for t in 1..=40 {
+            a.run_until(SimTime::from_nanos(t * 1_000));
+            b.run_until(SimTime::from_nanos(t * 1_000));
+        }
+        let ticks = |log: &TickLog| log.lock().unwrap().clone();
+        assert_eq!((a.events_processed(), ticks(&log_a)), solo(1, 3));
+        assert_eq!((b.events_processed(), ticks(&log_b)), solo(2, 5));
+    }
+
+    #[test]
+    fn a_poll_that_panics_does_not_poison_the_next_run_on_that_thread() {
+        let mut doomed = Sim::new(1);
+        let h = doomed.exec();
+        doomed.spawn_detached(async move {
+            let _op = h.new_op();
+            panic!("program bug");
+        });
+        let err = catch_unwind(AssertUnwindSafe(|| doomed.run())).expect_err("poll panicked");
+        assert_eq!(*err.downcast_ref::<&str>().unwrap(), "program bug");
+        // Nothing is left lent: task context is unreachable again ...
+        let err = catch_unwind(|| ExecHandle.now()).expect_err("nothing lent");
+        let msg = err.downcast_ref::<String>().unwrap();
+        assert_eq!(msg, "ExecHandle::now outside task context");
+        // ... and the next run on this thread is its own.
+        let log = TickLog::default();
+        let mut next = ticking_sim(3, 2, &log);
+        next.run();
+        assert_eq!(log.lock().unwrap().len(), 6);
+    }
+
     #[test]
     fn handles_and_cells_are_send() {
         fn assert_send<T: Send>() {}
         assert_send::<ExecHandle>();
-        assert_send::<OpCell<u64>>();
-        assert_send::<OpFuture<()>>();
+        assert_send::<Op>();
+        assert_send::<OpId>();
+        assert_send::<OpValues<u64>>();
+        assert_send::<Port>();
         assert_send::<TaskId>();
     }
 }

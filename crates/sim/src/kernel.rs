@@ -9,14 +9,17 @@
 //! [`SmallRng`]. Two runs with the same seed and the same program produce
 //! bit-identical statistics.
 //!
-//! # The run loop takes no locks
+//! # The per-message path takes no locks
 //!
-//! The kernel owns the ready queue, the clock and the tasks outright, and
-//! tells each poll which task it is through the waker it fabricates
-//! ([`crate::exec`]). The one structure task context shares with it is
-//! the staging inbox, and the loop reaches for that mutex only when the
-//! inbox's `pending` flag is up — so an event that readies no task and
-//! stages nothing executes no locked instruction in this module.
+//! The kernel owns the ready queue, the clock, the tasks and each task's
+//! [`Port`] — its op slots, the events it staged, the requests it queued
+//! for its daemon — outright. Kernel context reaches a port through
+//! `&mut Sim`; a task reaches its own because the run loop moves it
+//! into a thread-local hand-off for the duration of the poll and takes it
+//! back, with what the poll staged, right after ([`crate::exec`]). No
+//! `Mutex`, no `Arc` and no atomic sits anywhere between an application
+//! request and its completion: posting, draining, completing and resuming
+//! are plain loads and stores on memory the `Sim` owns.
 //!
 //! # Actors and generations
 //!
@@ -50,7 +53,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::calendar::{EventCalendar, EventKey};
-use crate::exec::{task_waker, ExecHandle, ExecShared, SharedExec, TaskId, TaskSlot};
+use crate::exec::{self, ExecHandle, OpId, Port, TaskId, TaskSlot};
 use crate::net::{NetProfile, Network, WireSize};
 use crate::profiler;
 use crate::schedule::{EventInfo, EventKind, PopDecision, SchedulePolicy};
@@ -74,8 +77,13 @@ pub struct Delivery {
 
 /// An entry in the simulation calendar.
 pub enum Event {
-    /// Arbitrary kernel-context work (fault injection, op completion, ...).
+    /// Arbitrary kernel-context work (fault injection, paced streams, ...).
     Closure(Box<dyn FnOnce(&mut Sim) + Send>),
+    /// A deferred [`Sim::complete`]: whatever result the operation carries
+    /// was parked in the task's port when this was scheduled, and becomes
+    /// the task's now. A [`SchedulePolicy`] sees it as
+    /// [`EventKind::Closure`], which is what it replaced.
+    Complete(OpId),
     /// Wakes an actor without carrying data (pipe readable, batch flush...).
     Poke { actor: ActorId, token: u64 },
     /// A timer set through [`Sim::set_timer`].
@@ -178,11 +186,6 @@ pub struct Sim {
     tasks: Vec<TaskSlot>,
     /// Tasks ready to be polled, FIFO.
     ready: VecDeque<TaskId>,
-    /// The task → kernel staging inbox (see [`crate::exec`]).
-    exec: SharedExec,
-    /// Flush buffer swapped with the inbox's staged `Vec`, so staging
-    /// reuses two allocations for the whole run.
-    staged_scratch: Vec<(SimDuration, Event)>,
     net: Network,
     /// Per-node sequential service-CPU resource (daemon work, servers).
     cpu_free: Vec<SimTime>,
@@ -212,8 +215,6 @@ impl Sim {
             actors: Vec::new(),
             tasks: Vec::new(),
             ready: VecDeque::new(),
-            exec: ExecShared::new(),
-            staged_scratch: Vec::new(),
             net: Network::new(cfg.net),
             cpu_free: Vec::new(),
             nodes: 0,
@@ -261,11 +262,10 @@ impl Sim {
         &mut self.net
     }
 
-    /// Handle usable from task context (staging, op cells, sleeps).
+    /// Handle for task context (staging, ops, sleeps). It holds nothing:
+    /// what it reaches is whatever the kernel lent the poll in progress.
     pub fn exec(&self) -> ExecHandle {
-        ExecHandle {
-            shared: self.exec.clone(),
-        }
+        ExecHandle
     }
 
     /// Number of events dispatched so far.
@@ -560,14 +560,12 @@ impl Sim {
         on_exit: Option<Box<dyn FnOnce(&mut Sim) + Send>>,
     ) -> TaskId {
         // Reuse a dead slot if possible to keep indices small.
-        let idx = self
-            .tasks
-            .iter()
-            .position(|t| t.fut.is_none() && t.on_exit.is_none());
+        let idx = self.tasks.iter().position(TaskSlot::is_free);
         let (idx, gen) = match idx {
             Some(i) => {
                 let slot = &mut self.tasks[i];
                 slot.gen += 1;
+                slot.port.reset();
                 slot.fut = Some(fut);
                 slot.node = node;
                 slot.on_exit = on_exit;
@@ -579,6 +577,7 @@ impl Sim {
                     gen: 0,
                     node,
                     on_exit,
+                    port: Port::default(),
                 });
                 (self.tasks.len() - 1, 0)
             }
@@ -591,10 +590,26 @@ impl Sim {
         id
     }
 
-    /// Queues a task for polling (an [`crate::OpCell`] it waits on
-    /// completed). Wake-ups for dead incarnations are dropped at poll.
-    pub(crate) fn wake(&mut self, id: TaskId) {
-        self.ready.push_back(id);
+    /// The port of a task incarnation — `None` once it was killed, so
+    /// nothing can be handed to a dead process. A program that *finished*
+    /// keeps its port: what its last poll wrote (a send it did not wait
+    /// for) is still read.
+    pub fn port_mut(&mut self, id: TaskId) -> Option<&mut Port> {
+        let slot = &mut self.tasks[id.idx as usize];
+        (slot.gen == id.gen).then_some(&mut slot.port)
+    }
+
+    /// Completes an operation from kernel context; if its task is
+    /// suspended on it, the task joins the ready queue. A completion for
+    /// a dead incarnation is dropped.
+    ///
+    /// Panics if the operation was already completed: operations are
+    /// one-shot, a double completion is a kernel bug.
+    pub fn complete(&mut self, op: OpId) {
+        let task = op.task();
+        if self.port_mut(task).is_some_and(|port| port.complete(op)) {
+            self.ready.push_back(task);
+        }
     }
 
     /// Drops a task's future (fail-stop kill). Its exit callback does not
@@ -602,9 +617,7 @@ impl Sim {
     pub fn kill_task(&mut self, id: TaskId) {
         let slot = &mut self.tasks[id.idx as usize];
         if slot.gen == id.gen {
-            slot.fut = None;
-            slot.on_exit = None;
-            slot.gen += 1; // invalidate queued wake-ups
+            slot.kill();
         }
     }
 
@@ -623,10 +636,8 @@ impl Sim {
     pub fn crash_node(&mut self, node: NodeId) {
         // Kill tasks first so actors observe a world without them.
         for i in 0..self.tasks.len() {
-            if self.tasks[i].node == Some(node) && self.tasks[i].fut.is_some() {
-                self.tasks[i].fut = None;
-                self.tasks[i].on_exit = None;
-                self.tasks[i].gen += 1;
+            if self.tasks[i].node == Some(node) && !self.tasks[i].is_free() {
+                self.tasks[i].kill();
             }
         }
         for id in 0..self.actors.len() {
@@ -668,7 +679,7 @@ impl Sim {
                 return true;
             };
             if head_time > deadline {
-                self.set_now(deadline);
+                self.now = deadline;
                 return false;
             }
             let (time, seq, key, event) = {
@@ -717,7 +728,7 @@ impl Sim {
                 }
                 other => other,
             };
-            self.set_now(time);
+            self.now = time;
             // A detached event (None payload) still advances the clock
             // and the event counter: it occupies the dispatch slot a
             // dead incarnation's timer would have burned anyway.
@@ -738,15 +749,10 @@ impl Sim {
         }
     }
 
-    /// Advances the clock and its task-readable mirror.
-    fn set_now(&mut self, now: SimTime) {
-        self.now = now;
-        self.exec.set_now(now);
-    }
-
     fn dispatch(&mut self, key: EventKey, event: Event) {
         match event {
             Event::Closure(f) => f(self),
+            Event::Complete(op) => self.complete(op),
             Event::NetSend {
                 src_node,
                 dst_actor,
@@ -800,64 +806,49 @@ impl Sim {
         true
     }
 
-    /// Polls ready tasks until quiescent, flushing staged events before
-    /// every poll and after the last. Called by the run loop after every
-    /// event dispatch.
+    /// Polls ready tasks until quiescent; what each poll staged reaches
+    /// the calendar before the next poll. Called by the run loop after
+    /// every event dispatch.
     fn drain_tasks(&mut self) {
-        loop {
-            self.flush_staged();
-            let Some(tid) = self.ready.pop_front() else {
-                break;
-            };
+        while let Some(tid) = self.ready.pop_front() {
             self.poll_task(tid);
         }
     }
 
-    /// Moves what task context staged into the calendar, in staging order.
-    fn flush_staged(&mut self) {
-        let Some(stop) = self.exec.take_pending(&mut self.staged_scratch) else {
-            return;
-        };
-        self.stop |= stop;
-        let mut staged = std::mem::take(&mut self.staged_scratch);
-        for (delay, ev) in staged.drain(..) {
-            self.schedule(delay, ev);
-        }
-        self.staged_scratch = staged;
-    }
-
+    /// Polls one task with its port lent to it (see [`crate::exec`]), then
+    /// moves what it staged into the calendar, in staging order.
     fn poll_task(&mut self, id: TaskId) {
         let idx = id.idx as usize;
-        {
-            let slot = &self.tasks[idx];
-            if slot.gen != id.gen || slot.fut.is_none() {
-                return; // stale wake-up for a dead incarnation
-            }
-        }
-        let mut fut = self.tasks[idx].fut.take().unwrap();
-        let waker = task_waker(id);
-        let mut cx = std::task::Context::from_waker(&waker);
-        let poll = fut.as_mut().poll(&mut cx);
         let slot = &mut self.tasks[idx];
+        if slot.gen != id.gen {
+            return; // stale wake-up for a dead incarnation
+        }
+        let Some(mut fut) = slot.fut.take() else {
+            return; // ... or for one that already finished
+        };
+        let port = std::mem::take(&mut slot.port);
+        // Readiness travels through the ready queue, never through a
+        // waker, so the poll gets the one that does nothing.
+        let mut cx = std::task::Context::from_waker(std::task::Waker::noop());
+        let (poll, mut port) = exec::lend(id, self.now, port, || fut.as_mut().poll(&mut cx));
         match poll {
-            std::task::Poll::Pending => {
-                // The slot may have been invalidated by a crash during the
-                // poll; only restore the future for the same incarnation.
-                if slot.gen == id.gen {
-                    slot.fut = Some(fut);
-                }
-            }
+            std::task::Poll::Pending => self.tasks[idx].fut = Some(fut),
             std::task::Poll::Ready(()) => {
-                let cb = if slot.gen == id.gen {
-                    slot.on_exit.take()
-                } else {
-                    None
-                };
                 drop(fut);
-                if let Some(cb) = cb {
+                if let Some(cb) = self.tasks[idx].on_exit.take() {
                     cb(self);
                 }
             }
+        }
+        let stop = port.take_staged(|delay, ev| {
+            self.schedule(delay, ev);
+        });
+        self.stop |= stop;
+        // The exit callback may already have spawned the slot's next
+        // tenant, which then has a port of its own.
+        let slot = &mut self.tasks[idx];
+        if slot.gen == id.gen {
+            slot.port = port;
         }
     }
 }
@@ -1079,9 +1070,9 @@ mod tests {
         assert_eq!(*count.lock().unwrap(), 10);
     }
 
-    /// Two echoing actors, two tasks ping-ponging through an `OpCell`
-    /// and sleeps, deferred sends: every kernel path a paused run must
-    /// carry across a thread boundary.
+    /// Two echoing actors, two tasks ping-ponging through an op and
+    /// sleeps, deferred sends: every kernel path a paused run must carry
+    /// across a thread boundary.
     fn busy_sim() -> Sim {
         struct Bounce(ActorId);
         impl Actor for Bounce {
@@ -1101,20 +1092,21 @@ mod tests {
         assert_eq!(b, 1);
         sim.net_send(n0, b, small(64), Box::new(40u64));
         let h = sim.exec();
-        let ball = h.new_op::<u32>();
-        let (tx, rx, h2) = (ball.clone(), ball, h.clone());
+        // The receiver's op, published by its first poll at time zero.
+        let ball = Arc::new(Mutex::new(None));
+        let tx = ball.clone();
         sim.spawn(Some(n0), async move {
             for _ in 0..20 {
                 h.sleep(SimDuration::from_micros(7)).await;
             }
-            h.stage(
-                SimDuration::from_micros(2),
-                Event::closure(move |sim| tx.complete(sim, 9)),
-            );
+            let ball = tx.lock().unwrap().expect("receiver polled first");
+            h.stage(SimDuration::from_micros(2), Event::Complete(ball));
         });
         sim.spawn(Some(n1), async move {
-            let v = rx.wait().await;
-            h2.sleep(SimDuration::from_micros(v as u64)).await;
+            let op = h.new_op();
+            *ball.lock().unwrap() = Some(op.id());
+            op.await;
+            h.sleep(SimDuration::from_micros(9)).await;
         });
         sim
     }
@@ -1128,6 +1120,7 @@ mod tests {
                 format!("{:?}", sim.stats()),
             )
         };
+        // The receiver's op is in flight (awaited, completed at 142us).
         let pause = SimTime::from_nanos(60_000);
         let mut twin = busy_sim();
         assert!(!twin.run_until(pause));
@@ -1147,10 +1140,10 @@ mod tests {
     }
 
     /// Fire times of events staged (a) by the last poll of a drain and
-    /// (b) from outside between two `run_until` calls. Both must reach
-    /// the calendar before its next pop: were the inbox's `pending` flag
-    /// lost, they would be flushed only after the decoy event at +5us
-    /// dispatched, and fire 1us after *that*.
+    /// (b) by a task spawned between two `run_until` calls. Both must
+    /// reach the calendar before its next pop: were a port's staged
+    /// events left in it, they would be flushed only after the decoy
+    /// event at +5us dispatched, and fire 1us after *that*.
     #[test]
     fn staged_events_reach_the_calendar_before_its_next_pop() {
         let mut sim = Sim::new(7);
@@ -1169,17 +1162,19 @@ mod tests {
         assert!(!sim.run_until(SimTime::from_nanos(3_000)));
         assert_eq!(*fired.lock().unwrap(), [1_000]);
         // (b) Paused at 3us with the decoy still pending at 5us.
-        sim.exec().stage(us(1), mark(&fired));
+        let ev = mark(&fired);
+        sim.spawn_detached(async move { h.stage(us(1), ev) });
         sim.run();
         assert_eq!(*fired.lock().unwrap(), [1_000, 4_000]);
         assert_eq!(sim.events_processed(), 3);
     }
 
     #[test]
-    fn stage_stop_from_outside_stops_the_next_run() {
+    fn a_stop_staged_by_the_first_poll_stops_the_run_before_any_pop() {
         let mut sim = Sim::new(7);
         sim.after(SimDuration::from_micros(1), |_| {});
-        sim.exec().stage_stop();
+        let h = sim.exec();
+        sim.spawn_detached(async move { h.stage_stop() });
         assert!(sim.run_until(SimTime::MAX));
         assert_eq!(sim.events_processed(), 0);
     }
@@ -1188,18 +1183,21 @@ mod tests {
     fn crash_between_complete_and_poll_drops_the_stale_wakeup() {
         let mut sim = Sim::new(7);
         let n0 = sim.add_node();
-        let cell = sim.exec().new_op::<()>();
+        let h = sim.exec();
         let resumed = Arc::new(Mutex::new(Vec::new()));
-        let (rx, r) = (cell.clone(), resumed.clone());
+        let op_id = Arc::new(Mutex::new(None));
+        let (tx, r) = (op_id.clone(), resumed.clone());
         let old = sim.spawn(Some(n0), async move {
-            rx.wait().await;
+            let op = h.new_op();
+            *tx.lock().unwrap() = Some(op.id());
+            op.await;
             r.lock().unwrap().push("old");
         });
         let r = resumed.clone();
         sim.after(SimDuration::from_micros(5), move |sim| {
             // The wake-up is queued, then its task dies, then a new
             // incarnation takes the same slot before anything is polled.
-            cell.complete(sim, ());
+            sim.complete(op_id.lock().unwrap().expect("old was polled"));
             sim.crash_node(n0);
             let new = sim.spawn(Some(n0), async move { r.lock().unwrap().push("new") });
             assert_eq!(new.idx, old.idx);
@@ -1208,6 +1206,29 @@ mod tests {
         sim.run();
         assert_eq!(*resumed.lock().unwrap(), ["new"]);
         assert!(!sim.task_alive(old));
+    }
+
+    /// The pipe outlives the process that wrote to it: a finished task
+    /// whose port has a typed half keeps slot and port until it is
+    /// killed, so what its last poll wrote can still be read.
+    #[test]
+    fn a_finished_task_keeps_a_typed_port_until_it_is_killed() {
+        let mut sim = Sim::new(7);
+        let n0 = sim.add_node();
+        let writer = sim.spawn(Some(n0), async {
+            crate::exec::with_task("test", |cx| *cx.ext::<u32>() = 42);
+        });
+        sim.port_mut(writer).expect("just spawned").install(0u32);
+        let plain = sim.spawn_detached(async {});
+        sim.run();
+        assert!(!sim.task_alive(writer) && !sim.task_alive(plain));
+        // The plain task's slot is free again, the writer's is not.
+        let next = sim.spawn_detached(async {});
+        assert_eq!(next.idx, plain.idx);
+        assert_eq!(*sim.port_mut(writer).expect("kept").ext::<u32>(), 42);
+        sim.crash_node(n0);
+        assert!(sim.port_mut(writer).is_none());
+        assert_eq!(sim.spawn_detached(async {}).idx, writer.idx);
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //!   processes are `async` tasks whose blocking operations are completed by
 //!   the kernel ([`exec`]). Killing a process is dropping its future, which
 //!   gives fail-stop semantics for free. The kernel owns the ready queue,
-//!   the clock and the identity of the task it is polling; tasks share
-//!   with it only a staging inbox and one-shot [`OpCell`]s, so the run
-//!   loop takes no lock unless a task staged something,
+//!   the clock, the tasks and each task's [`Port`] (op slots, staged
+//!   events, requests for its daemon); a task reaches its port because
+//!   the kernel lends it for the duration of each poll, so the whole
+//!   per-message path takes no lock and counts no reference,
 //! * a **switched-Ethernet network model** with full-duplex per-NIC
 //!   contention and cut-through frame pipelining ([`net`]),
 //! * **fault injection** (node crash / restart events),
@@ -41,20 +42,20 @@
 //! ## Example
 //!
 //! ```
-//! use vlog_sim::{Sim, SimDuration};
+//! use vlog_sim::{Event, Sim, SimDuration};
 //!
 //! let mut sim = Sim::new(42);
-//! let cell = sim.exec().new_op::<u32>();
-//! let done = cell.clone();
-//! // Kernel context completes the cell: the waiting task joins the
-//! // kernel's ready queue and is polled right after this event.
-//! sim.after(SimDuration::from_micros(5), move |sim| {
-//!     done.complete(sim, 7);
-//! });
 //! let h = sim.exec();
 //! sim.spawn_detached(async move {
-//!     let v = cell.wait().await;
-//!     assert_eq!(v, 7);
+//!     // Task context: the op is a slot in this task's own port, which
+//!     // the kernel lent to this poll. The staged event reaches the
+//!     // calendar right after it.
+//!     let op = h.new_op();
+//!     h.stage(SimDuration::from_micros(5), Event::Complete(op.id()));
+//!     // Kernel context completes the op by id: the task joins the
+//!     // kernel's ready queue and is polled right after that event.
+//!     op.await;
+//!     assert_eq!(h.now().as_nanos(), 5_000);
 //!     h.stage_stop();
 //! });
 //! sim.run();
@@ -74,7 +75,7 @@ pub mod stats;
 pub mod time;
 
 pub use calendar::{EventCalendar, EventKey};
-pub use exec::{ExecHandle, OpCell, TaskId};
+pub use exec::{with_task, ExecHandle, Op, OpId, OpValues, Port, TaskCx, TaskId};
 pub use kernel::{Actor, ActorId, Delivery, Event, NodeId, Sim, SimConfig, TimerHandle};
 pub use net::{EthernetParams, HeteroLinks, NetProfile, Network, WireSize, SERVICE_BOUNDARY};
 pub use schedule::{

@@ -62,9 +62,10 @@ impl EventKind {
     /// pop site).
     pub(crate) fn of(event: &Event) -> EventKind {
         match event {
-            // A deferred send is the closure `|sim| sim.net_send(..)`
-            // with a typed body; policies see the stream they always saw.
-            Event::Closure(_) | Event::NetSend { .. } => EventKind::Closure,
+            // A deferred send is the closure `|sim| sim.net_send(..)` with
+            // a typed body, a deferred completion `|sim| sim.complete(op)`;
+            // policies see the stream they always saw.
+            Event::Closure(_) | Event::NetSend { .. } | Event::Complete(_) => EventKind::Closure,
             Event::Poke { actor, .. } => EventKind::Poke { actor: *actor },
             Event::Timer { actor, .. } => EventKind::Timer { actor: *actor },
             Event::Deliver { actor, msg, .. } => EventKind::Deliver {

@@ -17,38 +17,52 @@
 //! pipe; the handle itself never touches the simulation kernel, which
 //! keeps application code oblivious to the fault-tolerance protocol
 //! underneath — exactly the transparency the paper's framework provides.
+//!
+//! The handle is plain data (who am I, who is my daemon). The pipe it
+//! talks through is the task's kernel-owned port, which is only there
+//! while the kernel polls the application ([`crate::pipe`]): an `Mpi`
+//! call made anywhere else panics rather than reach another run's state.
 
 use bytes::Bytes;
-use vlog_sim::{ActorId, ExecHandle, OpCell, SimDuration, SimTime};
+use vlog_sim::{with_task, ActorId, Event, ExecHandle, Op, OpId, OpValues, SimDuration, SimTime};
 
 use std::sync::Arc;
 
 use crate::cost::StackProfile;
-use crate::pipe::{AppRequest, SharedPipe};
+use crate::daemon::TOKEN_PIPE;
+use crate::pipe::{AppPort, AppRequest};
 use crate::types::{Payload, Rank, RecvMsg, RecvSelector, Tag};
 
 /// Handle on a posted send.
 pub struct SendHandle {
-    cell: OpCell<()>,
+    op: Op,
 }
 
 impl SendHandle {
     /// Completes when the message was accepted by the daemon (eager) or
     /// handed to the wire (rendezvous).
     pub async fn wait(self) {
-        self.cell.wait().await
+        self.op.await
     }
 }
 
 /// Handle on a posted receive.
 pub struct RecvHandle {
-    cell: OpCell<RecvMsg>,
+    op: Op,
 }
 
 impl RecvHandle {
     pub async fn wait(self) -> RecvMsg {
-        self.cell.wait().await
+        result_of(self.op, "RecvHandle::wait", |port| &mut port.received).await
     }
+}
+
+/// Awaits `op`, then takes the result the daemon parked for it in the
+/// `values` of the pipe.
+async fn result_of<T>(op: Op, what: &str, values: fn(&mut AppPort) -> &mut OpValues<T>) -> T {
+    let id = op.id();
+    op.await;
+    with_task(what, |cx| values(cx.ext()).take(id))
 }
 
 /// Per-process MPI handle. Cheap to clone; one per application
@@ -57,20 +71,15 @@ impl RecvHandle {
 pub struct Mpi {
     rank: Rank,
     n: usize,
-    exec: ExecHandle,
-    pipe: SharedPipe,
     daemon: ActorId,
     profile: Arc<StackProfile>,
     restored: Option<Bytes>,
 }
 
 impl Mpi {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         rank: Rank,
         n: usize,
-        exec: ExecHandle,
-        pipe: SharedPipe,
         daemon: ActorId,
         profile: Arc<StackProfile>,
         restored: Option<Bytes>,
@@ -78,8 +87,6 @@ impl Mpi {
         Mpi {
             rank,
             n,
-            exec,
-            pipe,
             daemon,
             profile,
             restored,
@@ -104,30 +111,36 @@ impl Mpi {
 
     /// Current virtual time (what `MPI_Wtime` would return).
     pub fn time(&self) -> SimTime {
-        self.exec.now()
+        ExecHandle.now()
     }
 
-    fn push(&self, req: AppRequest, pipe_bytes: u64) {
-        self.pipe.lock().unwrap().queue.push_back(req);
+    /// Writes one request into the pipe: queues it in the port and stages
+    /// the poke that makes the daemon read it `pipe_bytes` of crossing
+    /// later. Returns the operation the daemon will complete.
+    fn post(&self, pipe_bytes: u64, req: impl FnOnce(OpId) -> AppRequest) -> Op {
         let delay = self.profile.pipe_cost(pipe_bytes);
-        self.exec.stage_poke(delay, self.daemon, 0);
+        with_task("Mpi request", |cx| {
+            let op = cx.new_op();
+            cx.ext::<AppPort>().requests.push_back(req(op.id()));
+            let poke = Event::Poke {
+                actor: self.daemon,
+                token: TOKEN_PIPE,
+            };
+            cx.stage(delay, poke);
+            op
+        })
     }
 
     /// Posts a non-blocking send.
     pub fn isend(&self, dst: Rank, tag: Tag, payload: Payload) -> SendHandle {
         assert!(dst < self.n, "isend to unknown rank {dst}");
-        let done = self.exec.new_op::<()>();
-        let bytes = payload.len();
-        self.push(
-            AppRequest::Send {
-                dst,
-                tag,
-                payload,
-                done: done.clone(),
-            },
-            bytes,
-        );
-        SendHandle { cell: done }
+        let op = self.post(payload.len(), |done| AppRequest::Send {
+            dst,
+            tag,
+            payload,
+            done,
+        });
+        SendHandle { op }
     }
 
     /// Blocking send of a payload.
@@ -147,15 +160,8 @@ impl Mpi {
 
     /// Posts a non-blocking receive.
     pub fn irecv(&self, sel: RecvSelector) -> RecvHandle {
-        let cell = self.exec.new_op::<RecvMsg>();
-        self.push(
-            AppRequest::Recv {
-                sel,
-                cell: cell.clone(),
-            },
-            0,
-        );
-        RecvHandle { cell }
+        let op = self.post(0, |done| AppRequest::Recv { sel, done });
+        RecvHandle { op }
     }
 
     /// Blocking receive.
@@ -185,12 +191,12 @@ impl Mpi {
 
     /// Executes `flops` floating-point operations of pure computation.
     pub async fn compute(&self, flops: f64) {
-        self.exec.sleep(self.profile.compute_time(flops)).await
+        ExecHandle.sleep(self.profile.compute_time(flops)).await
     }
 
     /// Lets `dur` of virtual time pass (non-flop work).
     pub async fn elapse(&self, dur: SimDuration) {
-        self.exec.sleep(dur).await
+        ExecHandle.sleep(dur).await
     }
 
     /// Offers a checkpoint at an application-safe point. The protocol's
@@ -198,16 +204,8 @@ impl Mpi {
     /// it was. The image streams to the checkpoint server in the
     /// background — the call only pays the local snapshot cost.
     pub async fn checkpoint_point(&self, state: Payload) -> bool {
-        let done = self.exec.new_op::<bool>();
-        let bytes = state.len();
-        self.push(
-            AppRequest::Checkpoint {
-                state,
-                done: done.clone(),
-            },
-            bytes,
-        );
-        done.wait().await
+        let op = self.post(state.len(), |done| AppRequest::Checkpoint { state, done });
+        result_of(op, "Mpi::checkpoint_point", |port| &mut port.checkpointed).await
     }
 
     /// The stack profile in effect (used by workloads to convert between

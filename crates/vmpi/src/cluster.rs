@@ -530,10 +530,10 @@ impl ClusterRun {
                         stable_a,
                         daemon,
                         vlog_sim::WireSize::control(16),
-                        Box::new(crate::types::DaemonMsg::Proto(Box::new(ElReshard {
+                        Box::new(ElReshard {
                             epoch,
                             dead_shard: shard,
-                        }))),
+                        }),
                     );
                 }
             });

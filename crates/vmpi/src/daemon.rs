@@ -29,8 +29,8 @@ use std::sync::Arc;
 use bytes::Bytes;
 use vlog_sim::causality::Edge;
 use vlog_sim::{
-    Actor, ActorId, Delivery, Event, NodeId, OpCell, Sim, SimDuration, SimTime, TaskId,
-    TimerHandle, WireSize,
+    Actor, ActorId, Delivery, Event, NodeId, OpId, Sim, SimDuration, SimTime, TaskId, TimerHandle,
+    WireSize,
 };
 
 use crate::api::Mpi;
@@ -41,7 +41,7 @@ use crate::hooks::{
     Topology, VProtocol,
 };
 use crate::phase::ProtoPhase;
-use crate::pipe::{AppRequest, PipeBox, SharedPipe};
+use crate::pipe::{AppPort, AppRequest};
 use crate::types::{
     AppMsg, DaemonMsg, Payload, PiggybackBlob, Rank, RecvMsg, RecvSelector, Ssn, Tag,
 };
@@ -85,7 +85,7 @@ pub enum BootMode {
 struct PendingRdv {
     tag: Tag,
     payload: Payload,
-    done: Option<OpCell<()>>,
+    done: Option<OpId>,
 }
 
 struct HeldSend {
@@ -93,12 +93,12 @@ struct HeldSend {
     tag: Tag,
     payload: Payload,
     ssn: Ssn,
-    done: Option<OpCell<()>>,
+    done: Option<OpId>,
 }
 
 struct PostedRecv {
     sel: RecvSelector,
-    cell: OpCell<RecvMsg>,
+    done: OpId,
 }
 
 /// Deferred work queued by protocol hooks, processed after the hook
@@ -144,10 +144,11 @@ pub struct DaemonCore {
     stats: RankStatCell,
     app_spec: AppSpec,
 
-    pipe: SharedPipe,
-    /// Requests taken off `pipe`, being handled (empty between pokes).
-    pipe_batch: VecDeque<AppRequest>,
+    /// The application incarnation; its kernel-owned port is the pipe
+    /// ([`crate::pipe`]).
     app_task: Option<TaskId>,
+    /// Requests taken off the pipe, being handled (empty between pokes).
+    pipe_batch: VecDeque<AppRequest>,
 
     next_ssn: Vec<Ssn>,
     expected_ssn: Vec<Ssn>,
@@ -246,7 +247,7 @@ impl DaemonCore {
         body: Box<dyn Any + Send>,
     ) {
         let actor = self.topo_view().daemon(dst);
-        self.control_to_actor(sim, actor, bytes, body_as_daemon(body));
+        self.control_to_actor(sim, actor, bytes, body);
     }
 
     /// Sends a control message to an arbitrary actor (Event Logger,
@@ -277,7 +278,7 @@ impl DaemonCore {
         // application's send.
         if let Some(p) = self.pending_rdv.remove(&(dst, ssn)) {
             if let Some(done) = p.done {
-                done.complete(sim, ());
+                sim.complete(done);
             }
         }
         let cost = self.profile.msg_cost(payload.len());
@@ -386,17 +387,8 @@ impl DaemonCore {
     // ---- internal helpers -------------------------------------------
 
     fn spawn_app(&mut self, sim: &mut Sim, restored: Option<Bytes>) {
-        self.pipe = PipeBox::new();
         self.finished = false;
-        let mpi = Mpi::new(
-            self.rank,
-            self.n,
-            sim.exec(),
-            self.pipe.clone(),
-            self.me,
-            self.profile.clone(),
-            restored,
-        );
+        let mpi = Mpi::new(self.rank, self.n, self.me, self.profile.clone(), restored);
         let fut = (self.app_spec)(mpi);
         let node = self.node;
         let me = self.me;
@@ -409,7 +401,40 @@ impl DaemonCore {
                 SELF_DELAY,
             );
         });
+        sim.port_mut(task)
+            .expect("just spawned")
+            .install(AppPort::default());
         self.app_task = Some(task);
+    }
+
+    /// The application's side of the pipe; `None` when no incarnation is
+    /// alive to read it (what would be written is simply lost).
+    fn app_port<'a>(&self, sim: &'a mut Sim) -> Option<&'a mut AppPort> {
+        Some(sim.port_mut(self.app_task?)?.ext())
+    }
+
+    /// Hands a matched message across the pipe: it is parked in the port
+    /// now and becomes the application's when `done` completes at `at`.
+    fn complete_recv(&self, sim: &mut Sim, done: OpId, at: SimTime, msg: RecvMsg) {
+        if let Some(port) = self.app_port(sim) {
+            port.received.park(done, msg);
+        }
+        sim.schedule_at(at, Event::Complete(done));
+    }
+
+    /// Answers a checkpoint offer: taken, which the application learns
+    /// when the local snapshot ends at `taken_at`, or (`None`) declined
+    /// on the spot.
+    fn complete_checkpoint(&self, sim: &mut Sim, done: OpId, taken_at: Option<SimTime>) {
+        if let Some(port) = self.app_port(sim) {
+            port.checkpointed.park(done, taken_at.is_some());
+        }
+        match taken_at {
+            Some(at) => {
+                sim.schedule_at(at, Event::Complete(done));
+            }
+            None => sim.complete(done),
+        }
     }
 
     /// Hands an accepted message to the matching engine *synchronously*
@@ -432,17 +457,11 @@ impl DaemonCore {
         if let Some(pos) = self.posted.iter().position(|p| p.sel.matches(src, tag)) {
             let p = self.posted.remove(pos).unwrap();
             let at = ready_at + self.profile.pipe_cost(payload.len());
-            let msg = RecvMsg { src, tag, payload };
-            sim.schedule_at(at, Event::closure(move |sim| p.cell.complete(sim, msg)));
+            self.complete_recv(sim, p.done, at, RecvMsg { src, tag, payload });
         } else {
             self.unexpected.push_back(StoredMsg { src, tag, payload });
         }
     }
-}
-
-/// Wraps a protocol control body into the daemon wire envelope.
-fn body_as_daemon(body: Box<dyn Any + Send>) -> Box<dyn Any + Send> {
-    Box::new(DaemonMsg::Proto(body))
 }
 
 /// Pacing chunk for large control transfers (checkpoint images, recovery
@@ -528,9 +547,8 @@ impl Vdaemon {
                 profile,
                 stats: RankStatCell::new(stats),
                 app_spec,
-                pipe: PipeBox::new(),
-                pipe_batch: VecDeque::new(),
                 app_task: None,
+                pipe_batch: VecDeque::new(),
                 next_ssn: vec![0; n],
                 expected_ssn: vec![0; n],
                 reorder: (0..n).map(|_| BTreeMap::new()).collect(),
@@ -643,13 +661,13 @@ impl Vdaemon {
     }
 
     fn drain_pipe(&mut self, sim: &mut Sim) {
-        // One lock for the whole batch (nothing can push meanwhile: the
+        // The whole batch at once (nothing can push meanwhile: the
         // application task only runs between event dispatches); swapping
         // keeps both buffers allocated.
-        std::mem::swap(
-            &mut self.core.pipe.lock().expect("app pipe poisoned").queue,
-            &mut self.core.pipe_batch,
-        );
+        let Some(port) = self.core.app_port(sim) else {
+            return;
+        };
+        std::mem::swap(&mut port.requests, &mut self.core.pipe_batch);
         while let Some(req) = self.core.pipe_batch.pop_front() {
             match req {
                 AppRequest::Send {
@@ -657,8 +675,8 @@ impl Vdaemon {
                     tag,
                     payload,
                     done,
-                } => self.handle_app_send(sim, dst, tag, payload, done),
-                AppRequest::Recv { sel, cell } => self.handle_app_recv(sim, sel, cell),
+                } => self.handle_app_send(sim, dst, tag, payload, Some(done)),
+                AppRequest::Recv { sel, done } => self.handle_app_recv(sim, sel, done),
                 AppRequest::Checkpoint { state, done } => {
                     self.handle_checkpoint_point(sim, state, done)
                 }
@@ -672,7 +690,7 @@ impl Vdaemon {
         dst: Rank,
         tag: Tag,
         payload: Payload,
-        done: OpCell<()>,
+        done: Option<OpId>,
     ) {
         let ssn = self.core.next_ssn[dst];
         self.core.next_ssn[dst] = ssn + 1;
@@ -684,24 +702,19 @@ impl Vdaemon {
             };
             self.proto.on_send_accept(&mut ctx, dst, tag, ssn, &payload)
         };
+        // Eager sends complete for the application at acceptance.
+        let done = match done {
+            Some(done) if eager => {
+                sim.complete(done);
+                None
+            }
+            rendezvous => rendezvous,
+        };
         match gate {
             SendGate::Go { cost } => {
-                // Eager sends complete for the application at acceptance.
-                let done = if eager {
-                    done.complete(sim, ());
-                    None
-                } else {
-                    Some(done)
-                };
                 self.transmit(sim, dst, tag, payload, ssn, cost, done);
             }
             SendGate::Hold => {
-                let done = if eager {
-                    done.complete(sim, ());
-                    None
-                } else {
-                    Some(done)
-                };
                 self.core.held.push_back(HeldSend {
                     dst,
                     tag,
@@ -723,7 +736,7 @@ impl Vdaemon {
         payload: Payload,
         ssn: Ssn,
         gate_cost: SimDuration,
-        done: Option<OpCell<()>>,
+        done: Option<OpId>,
     ) {
         if payload.len() <= self.core.profile.eager_threshold {
             self.transmit_data(sim, dst, tag, payload, ssn, gate_cost, done);
@@ -753,7 +766,7 @@ impl Vdaemon {
         payload: Payload,
         ssn: Ssn,
         gate_cost: SimDuration,
-        done: Option<OpCell<()>>,
+        done: Option<OpId>,
     ) {
         let (pb, pb_cost) = {
             let mut ctx = Ctx {
@@ -795,14 +808,14 @@ impl Vdaemon {
                     end,
                     Event::closure(move |sim| {
                         sim.net_send(src_node, target, size, body);
-                        done.complete(sim, ());
+                        sim.complete(done);
                     }),
                 );
             }
         }
     }
 
-    fn handle_app_recv(&mut self, sim: &mut Sim, sel: RecvSelector, cell: OpCell<RecvMsg>) {
+    fn handle_app_recv(&mut self, sim: &mut Sim, sel: RecvSelector, done: OpId) {
         if let Some(pos) = self
             .core
             .unexpected
@@ -810,33 +823,26 @@ impl Vdaemon {
             .position(|m| sel.matches(m.src, m.tag))
         {
             let m = self.core.unexpected.remove(pos).unwrap();
-            let delay = self.core.profile.pipe_cost(m.payload.len());
-            sim.schedule(
-                delay,
-                Event::closure(move |sim| {
-                    cell.complete(
-                        sim,
-                        RecvMsg {
-                            src: m.src,
-                            tag: m.tag,
-                            payload: m.payload,
-                        },
-                    )
-                }),
-            );
+            let at = sim.now() + self.core.profile.pipe_cost(m.payload.len());
+            let msg = RecvMsg {
+                src: m.src,
+                tag: m.tag,
+                payload: m.payload,
+            };
+            self.core.complete_recv(sim, done, at, msg);
         } else {
-            self.core.posted.push_back(PostedRecv { sel, cell });
+            self.core.posted.push_back(PostedRecv { sel, done });
         }
     }
 
-    fn handle_checkpoint_point(&mut self, sim: &mut Sim, state: Payload, done: OpCell<bool>) {
+    fn handle_checkpoint_point(&mut self, sim: &mut Sim, state: Payload, done: OpId) {
         if self.core.recovering {
             // No checkpoints mid-recovery: an image captured between the
             // restore and the end of replay would mix restored channel
             // state with a half-replayed protocol state; a later restart
             // from it could stall forever. The application offers again
             // at its next checkpoint point.
-            done.complete(sim, false);
+            self.core.complete_checkpoint(sim, done, None);
             return;
         }
         let due = {
@@ -847,7 +853,7 @@ impl Vdaemon {
             self.proto.checkpoint_due(&mut ctx)
         };
         if !due {
-            done.complete(sim, false);
+            self.core.complete_checkpoint(sim, done, None);
             return;
         }
         let version = {
@@ -869,7 +875,7 @@ impl Vdaemon {
         // Local snapshot cost (fork + copy-on-write in the real system).
         let cost = SimDuration::from_nanos((state_bytes as f64 * SNAPSHOT_NS_PER_BYTE) as u64);
         let end = sim.charge_cpu(self.core.node, cost);
-        sim.schedule_at(end, Event::closure(move |sim| done.complete(sim, true)));
+        self.core.complete_checkpoint(sim, done, Some(end));
         let mut ctx = Ctx {
             sim,
             core: &mut self.core,
@@ -1009,13 +1015,6 @@ impl Vdaemon {
                     self.transmit_data(sim, dst, p.tag, p.payload, ssn, SimDuration::ZERO, p.done);
                 }
             }
-            DaemonMsg::Proto(body) => {
-                let mut ctx = Ctx {
-                    sim,
-                    core: &mut self.core,
-                };
-                self.proto.on_control(&mut ctx, body);
-            }
         }
     }
 
@@ -1072,8 +1071,7 @@ impl Vdaemon {
                     self.accept_reinjected(sim, msg);
                 }
                 Inject::InternalSend { dst, tag, payload } => {
-                    let cell = sim.exec().new_op::<()>();
-                    self.handle_app_send(sim, dst, tag, payload, cell);
+                    self.handle_app_send(sim, dst, tag, payload, None);
                 }
             }
         }
@@ -1171,24 +1169,38 @@ impl Actor for Vdaemon {
             }
             Err(b) => b,
         };
-        if let Ok(reply) = body.downcast::<CkptReply>() {
-            match *reply {
-                CkptReply::FetchResp { image, .. } => {
-                    if self.core.recovering && self.core.app_task.is_none() {
-                        self.finish_restart(sim, image);
+        let body = match body.downcast::<CkptReply>() {
+            Ok(reply) => {
+                match *reply {
+                    CkptReply::FetchResp { image, .. } => {
+                        if self.core.recovering && self.core.app_task.is_none() {
+                            self.finish_restart(sim, image);
+                        }
                     }
+                    CkptReply::StoreAck { version, .. } => {
+                        self.core.stats.local().checkpoints += 1;
+                        let mut ctx = Ctx {
+                            sim,
+                            core: &mut self.core,
+                        };
+                        self.proto.on_checkpoint_committed(&mut ctx, version);
+                    }
+                    CkptReply::CompleteResp { .. } => {}
                 }
-                CkptReply::StoreAck { version, .. } => {
-                    self.core.stats.local().checkpoints += 1;
-                    let mut ctx = Ctx {
-                        sim,
-                        core: &mut self.core,
-                    };
-                    self.proto.on_checkpoint_committed(&mut ctx, version);
-                }
-                CkptReply::CompleteResp { .. } => {}
+                self.pump(sim);
+                return;
             }
-            self.pump(sim);
-        }
+            Err(b) => b,
+        };
+        // Anything else is protocol control (EL acks and responses,
+        // scheduler commands, markers, reclaim traffic ...): the body is
+        // the protocol's own type, and a protocol ignores what it does
+        // not know.
+        let mut ctx = Ctx {
+            sim,
+            core: &mut self.core,
+        };
+        self.proto.on_control(&mut ctx, body);
+        self.pump(sim);
     }
 }

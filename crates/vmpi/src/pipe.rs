@@ -2,21 +2,27 @@
 //!
 //! In MPICH-V the MPI process never touches the network: it talks to the
 //! Vdaemon through a pair of system pipes (paper §IV-A). Here the pipe is
-//! a shared request queue: the application task pushes a request and
-//! stages a *poke* for the daemon actor, delayed by the modelled pipe
-//! crossing cost; the daemon drains the queue when the poke fires.
+//! the typed half of the application task's kernel-owned port
+//! ([`vlog_sim::Port`]): the task pushes a request and stages a *poke* for
+//! the daemon actor, delayed by the modelled pipe crossing cost; the
+//! daemon drains the queue when the poke fires, and parks what flows back
+//! (received messages, checkpoint verdicts) beside it until the
+//! operation's completion event makes it the application's.
 //!
-//! The queue is one of the two places where sharing is real (application
-//! task ↔ daemon actor), so it is an `Arc<Mutex<…>>` — which keeps the
-//! whole cluster run `Send`. Each application incarnation gets a fresh
-//! queue, so requests from a killed incarnation can never leak into its
-//! successor.
+//! # Ownership and `Send`
+//!
+//! The crossing is charged in virtual time (`pipe_cost`) and costs the
+//! host nothing but plain memory: the [`AppPort`] belongs to the kernel's
+//! task slot. The daemon reaches it through the `&mut Sim` it is handed
+//! (`sim.port_mut(task)`), the application because the kernel lends the
+//! port to each poll (`vlog_sim::exec`) — no `Arc`, no `Mutex`, and the
+//! whole cluster run stays `Send`. The port is installed when the daemon
+//! spawns an incarnation and dropped when that incarnation dies, so
+//! requests from a killed incarnation can never leak into its successor.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
 
-use bytes::Bytes;
-use vlog_sim::OpCell;
+use vlog_sim::{OpId, OpValues};
 
 use crate::types::{Payload, Rank, RecvMsg, RecvSelector, Tag};
 
@@ -28,37 +34,25 @@ pub enum AppRequest {
         dst: Rank,
         tag: Tag,
         payload: Payload,
-        done: OpCell<()>,
+        done: OpId,
     },
-    /// Post a receive; `cell` completes when a matching message reaches
-    /// the application side of the pipe.
-    Recv {
-        sel: RecvSelector,
-        cell: OpCell<RecvMsg>,
-    },
+    /// Post a receive; `done` completes when a matching message reaches
+    /// the application side of the pipe ([`AppPort::received`]).
+    Recv { sel: RecvSelector, done: OpId },
     /// The application reached a checkpoint point; `state` is its
     /// serialized state (real bytes + synthetic padding). `done` resolves
-    /// to whether a checkpoint was actually taken.
-    Checkpoint { state: Payload, done: OpCell<bool> },
+    /// to whether a checkpoint was actually taken
+    /// ([`AppPort::checkpointed`]).
+    Checkpoint { state: Payload, done: OpId },
 }
 
-/// The application side of one pipe.
-pub struct PipeBox {
-    pub queue: VecDeque<AppRequest>,
-}
-
-impl PipeBox {
-    pub fn new() -> SharedPipe {
-        Arc::new(Mutex::new(PipeBox {
-            queue: VecDeque::new(),
-        }))
-    }
-}
-
-pub type SharedPipe = Arc<Mutex<PipeBox>>;
-
-/// What the daemon hands a freshly spawned application task.
-pub struct AppBoot {
-    /// State restored from a checkpoint image, if any.
-    pub restored: Option<Bytes>,
+/// Both directions of one incarnation's pipe.
+#[derive(Default)]
+pub struct AppPort {
+    /// Application → daemon, drained when the pipe poke fires.
+    pub requests: VecDeque<AppRequest>,
+    /// Daemon → application: the message each posted receive matched.
+    pub received: OpValues<RecvMsg>,
+    /// Daemon → application: whether each offered checkpoint was taken.
+    pub checkpointed: OpValues<bool>,
 }

@@ -15,7 +15,6 @@ use rand::Rng;
 use vlog_sim::{Actor, ActorId, Delivery, NodeId, Sim, SimDuration, TimerHandle};
 
 use crate::hooks::{SchedulerCmd, TopoCache, TopoView, Topology};
-use crate::types::DaemonMsg;
 
 /// Checkpoint scheduling policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -112,7 +111,7 @@ impl CkptScheduler {
 
     fn command(&mut self, sim: &mut Sim, rank: usize, cmd: SchedulerCmd) {
         let daemon = self.view().daemon(rank);
-        let body = Box::new(DaemonMsg::Proto(Box::new(cmd)));
+        let body = Box::new(cmd);
         let size = vlog_sim::WireSize::control(8);
         if sim.actor_node(daemon) == self.node {
             sim.local_send(self.node, daemon, size, body, SimDuration::from_micros(15));

@@ -182,7 +182,10 @@ impl std::fmt::Debug for AppMsg {
     }
 }
 
-/// Messages exchanged between daemons (and with auxiliary servers).
+/// Messages exchanged between daemons. Protocol-specific control (EL
+/// records/acks, reclaim, resends, markers ...) is not wrapped: its body
+/// travels as the delivery body itself and reaches
+/// [`VProtocol::on_control`](crate::hooks::VProtocol::on_control).
 pub enum DaemonMsg {
     /// Eager data message.
     App(AppMsg),
@@ -195,8 +198,6 @@ pub enum DaemonMsg {
     },
     /// Clear-to-send for a rendezvous transfer.
     Cts { dst: Rank, ssn: Ssn },
-    /// Protocol-specific control (EL records/acks, reclaim, resends...).
-    Proto(Box<dyn Any + Send>),
 }
 
 /// A message as delivered to the application.

@@ -39,6 +39,30 @@ fn two_rank_message_roundtrip() {
     assert!(report.stats.messages >= 2);
 }
 
+/// The pipe outlives the program that wrote to it: a send posted by the
+/// last poll and never waited for still leaves, and the handle dropped
+/// on the way out (its operation abandoned) does not disturb anything.
+#[test]
+fn a_send_the_program_never_waited_for_still_leaves() {
+    let (sink, out) = collector::<Vec<u8>>();
+    let report = run_vdummy(
+        &ClusterConfig::new(2),
+        app(move |mpi| {
+            let sink = sink.clone();
+            async move {
+                if mpi.rank() == 0 {
+                    let _unawaited = mpi.isend(1, 7, Payload::new(vec![4, 5, 6]));
+                } else {
+                    let m = mpi.recv_from(0, 7).await;
+                    sink.lock().unwrap().push(m.payload.data.to_vec());
+                }
+            }
+        }),
+    );
+    assert!(report.completed);
+    assert_eq!(&*out.lock().unwrap(), &[vec![4, 5, 6]]);
+}
+
 #[test]
 fn wildcard_receive_matches_any_source() {
     let (sink, out) = collector::<usize>();

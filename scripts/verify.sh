@@ -16,8 +16,9 @@ cargo fmt --check
 echo "==> knob inventory (every VLOG_* name in non-test source under crates/ is in README)"
 # Non-test source: no tests/ directory, and each file only up to its
 # first #[cfg(test)] module.
+non_test='FNR == 1 { live = 1 } /^#\[cfg\(test\)\]/ { live = 0 } live'
 knobs=$(find crates -path '*/tests' -prune -o -name '*.rs' -print0 |
-    xargs -0 awk 'FNR == 1 { live = 1 } /^#\[cfg\(test\)\]/ { live = 0 } live' |
+    xargs -0 awk "$non_test" |
     grep -oE 'VLOG_[A-Z_]+' | sort -u)
 for knob in $knobs; do
     grep -qw "$knob" README.md || {
@@ -25,6 +26,19 @@ for knob in $knobs; do
         exit 1; }
 done
 echo "    knob inventory: ok ($(echo "$knobs" | wc -w) names, all documented)"
+
+echo "==> boundary gate (no Mutex, no unsafe in the non-test code of the task<->daemon boundary)"
+# The per-message path is plain memory the kernel owns (crates/sim/src/
+# exec.rs, "Ownership and Send"); a lock or an unsafe block coming back
+# here is a design regression, not a detail. Comment lines may name both.
+boundary="crates/sim/src/exec.rs crates/vmpi/src/pipe.rs crates/vmpi/src/api.rs"
+# shellcheck disable=SC2086
+if awk "$non_test"' { print FILENAME ":" FNR ": " $0 }' $boundary |
+    grep -vE '^[^ ]+ +//' | grep -wE 'Mutex|unsafe'; then
+    echo "the task<->daemon boundary must take no lock and need no unsafe (lines above)" >&2
+    exit 1
+fi
+echo "    boundary gate: ok ($boundary)"
 
 echo "==> cargo build --release (RUSTFLAGS=-D warnings from here on)"
 cargo build --release --offline
