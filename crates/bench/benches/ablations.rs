@@ -16,10 +16,7 @@ use vlog_bench::paper::{nas_kill_rank0, netpipe_run};
 use vlog_bench::{fmt3, md_table, Scale, Stack, SuiteKind};
 use vlog_core::{install_distributed_el, CausalSuite, Technique};
 use vlog_sim::{NodeId, Sim, SimDuration};
-use vlog_vmpi::{
-    CkptScheduler, ClusterConfig, FaultPlan, RecoveryStyle, SharedRankStats, Suite, Topology,
-    VProtocol,
-};
+use vlog_vmpi::{CkptScheduler, ClusterConfig, FaultPlan, RecoveryStyle, Suite, VProtocol};
 use vlog_workloads::{run_workload, Class, NasBench, NasConfig};
 
 /// CausalSuite variant that co-locates the Event Logger with the
@@ -33,19 +30,14 @@ impl Suite for SharedNodeSuite {
         format!("{} (EL on ckpt node)", self.inner.name())
     }
 
-    fn install(&self, sim: &mut Sim, topo: &Topology, stable_nodes: &[NodeId]) {
+    fn install(&self, sim: &mut Sim, stable_nodes: &[NodeId]) {
         // One stable machine for everything.
-        install_distributed_el(sim, topo, stable_nodes[1], 1, self.inner.el_gossip);
-        CkptScheduler::install(sim, stable_nodes[1], topo.clone(), self.inner.scheduler);
+        install_distributed_el(sim, stable_nodes[1], 1, self.inner.el_gossip);
+        CkptScheduler::install(sim, stable_nodes[1], self.inner.scheduler);
     }
 
-    fn make_protocol(
-        &self,
-        rank: usize,
-        topo: &Topology,
-        stats: SharedRankStats,
-    ) -> Box<dyn VProtocol> {
-        self.inner.make_protocol(rank, topo, stats)
+    fn make_protocol(&self, rank: usize, n: usize) -> Box<dyn VProtocol> {
+        self.inner.make_protocol(rank, n)
     }
 
     fn recovery_style(&self) -> RecoveryStyle {

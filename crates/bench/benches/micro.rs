@@ -4,7 +4,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 
@@ -13,7 +13,7 @@ use vlog_core::{
     SenderLog, Technique,
 };
 use vlog_sim::{profiler, EventCalendar, SimDuration, SimTime};
-use vlog_vmpi::{Payload, PayloadArena, RankStatCell, RankStats};
+use vlog_vmpi::{Payload, PayloadArena};
 
 fn dets(n: usize, receivers: usize) -> Vec<Determinant> {
     (0..n)
@@ -364,37 +364,6 @@ fn bench_calendar(c: &mut Criterion) {
     g.finish();
 }
 
-/// The statistics paths of the raw-speed pass: the old per-update
-/// `Arc<Mutex<RankStats>>` locking vs the sharded `RankStatCell` (local
-/// lock-free bumps, one lock per flush). The cell variant includes its
-/// end-of-run flush, so the comparison is end-to-end fair.
-fn bench_sharded_stats(c: &mut Criterion) {
-    let mut g = c.benchmark_group("sharded_stats");
-    g.bench_function("locked_bump_1k", |b| {
-        let shared = Arc::new(Mutex::new(RankStats::default()));
-        b.iter(|| {
-            for i in 0..1_000u64 {
-                let mut st = shared.lock().unwrap();
-                st.pb_events_sent += 1;
-                st.pb_bytes_sent += i;
-            }
-        })
-    });
-    g.bench_function("cell_bump_1k_plus_flush", |b| {
-        let shared = Arc::new(Mutex::new(RankStats::default()));
-        b.iter(|| {
-            let mut cell = RankStatCell::new(shared.clone());
-            for i in 0..1_000u64 {
-                let st = cell.local();
-                st.pb_events_sent += 1;
-                st.pb_bytes_sent += i;
-            }
-            cell.flush();
-        })
-    });
-    g.finish();
-}
-
 /// Payload construction: a fresh `Vec` + `Arc` per message body vs the
 /// interning `PayloadArena` (the cursor bodies workloads actually
 /// build: 8 distinct values cycling across 64 sends).
@@ -582,7 +551,6 @@ criterion_group!(
     bench_causality_store,
     bench_sender_log,
     bench_calendar,
-    bench_sharded_stats,
     bench_payload_arena,
     bench_profiler_scope,
     bench_el_batching

@@ -4,7 +4,7 @@
 //! causality log exported and the sim-time watchdog armed:
 //!
 //! * the **buggy** leg re-introduces the PR-5 restart-window stall
-//!   (`ClusterConfig::buggy_restart_window`) — the watchdog must end
+//!   (`SeededBugs::restart_window`) — the watchdog must end
 //!   the run and the liveness report must carry a non-empty dangling
 //!   set naming the stuck recovery edge;
 //! * the **clean** leg runs the identical configuration minus the flag
@@ -34,7 +34,7 @@ fn run_leg(buggy: bool) -> Leg {
     // Clean recovery lands around 550ms of sim time; 2s of margin means
     // only a genuine stall reaches the watchdog.
     cfg.liveness_watchdog = Some(SimDuration::from_secs(2));
-    cfg.buggy_restart_window = buggy;
+    cfg.seeded_bugs.restart_window = buggy;
     let suite = Arc::new(
         CausalSuite::new(Technique::Vcausal, true).with_checkpoints(SimDuration::from_millis(6)),
     );

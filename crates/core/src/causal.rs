@@ -23,8 +23,8 @@ use std::sync::Arc;
 
 use vlog_sim::{profiler, SimDuration};
 use vlog_vmpi::{
-    AppMsg, Ctx, Payload, PiggybackBlob, ProtoBlob, RClock, Rank, RecvGate, SendGate,
-    SharedRankStats, Ssn, Tag, VProtocol,
+    AppMsg, Ctx, Payload, PiggybackBlob, ProtoBlob, RClock, Rank, RecvGate, SendGate, Ssn, Tag,
+    VProtocol,
 };
 
 use crate::costs::CausalCosts;
@@ -75,12 +75,11 @@ impl CausalProtocol {
         rank: Rank,
         n: usize,
         costs: CausalCosts,
-        stats: SharedRankStats,
     ) -> Self {
         CausalProtocol {
             technique,
             format,
-            log: LogCore::new(el, rank, n, costs, stats),
+            log: LogCore::new(el, rank, n, costs),
             red: make_reduction(technique, n),
             stable: vec![0; n],
         }
@@ -120,14 +119,15 @@ impl CausalProtocol {
         k * (64 - (retained + 1).leading_zeros() as u64)
     }
 
-    fn apply_stable_vec(&mut self, stable: &[RClock]) {
+    fn apply_stable_vec(&mut self, ctx: &mut Ctx<'_>, stable: &[RClock]) {
         for (mine, theirs) in self.stable.iter_mut().zip(stable) {
             *mine = (*mine).max(*theirs);
         }
         self.red.apply_stable(&self.stable);
-        // Monotone watermark assignment; the merge law is `max`, so the
-        // end-of-run flush reproduces the last (highest) value exactly.
-        self.log.stats.local().el_acked_events = self.stable[self.log.rank];
+        // A monotone watermark over all of this rank's incarnations: a
+        // restart resumes from its image's (older) vector, hence `max`.
+        let st = ctx.rank_stats();
+        st.el_acked_events = st.el_acked_events.max(self.stable[self.log.rank]);
     }
 
     /// Drives the shared replay engine. Causal-specific: a replayed
@@ -186,11 +186,11 @@ impl CausalProtocol {
         match reply {
             ElReply::Ack { stable } => {
                 self.log.ack_received(ctx);
-                self.apply_stable_vec(&stable);
+                self.apply_stable_vec(ctx, &stable);
                 self.log.ack_flush(ctx);
             }
             ElReply::QueryResp { dets, stable } => {
-                self.apply_stable_vec(&stable);
+                self.apply_stable_vec(ctx, &stable);
                 self.log.on_query_resp(ctx, &dets);
                 self.replay(ctx);
             }
@@ -222,7 +222,7 @@ impl VProtocol for CausalProtocol {
 
     fn on_transmit(
         &mut self,
-        _ctx: &mut Ctx<'_>,
+        ctx: &mut Ctx<'_>,
         dst: Rank,
         _ssn: Ssn,
     ) -> (PiggybackBlob, SimDuration) {
@@ -231,7 +231,7 @@ impl VProtocol for CausalProtocol {
         let (dets, work) = self.red.build(dst, sender_clock);
         let bytes = self.format.wire_len(&dets);
         let cost = self.build_cost(dets.len(), work.visits);
-        self.log.stats.local().pb_events_sent += dets.len() as u64;
+        ctx.rank_stats().pb_events_sent += dets.len() as u64;
         let body = PbBody { sender_clock, dets };
         (
             PiggybackBlob {
@@ -270,7 +270,7 @@ impl VProtocol for CausalProtocol {
         // only: integrating the piggybacked determinants into the store.
         let pb_part = SimDuration::from_nanos(self.mem_penalty_ns())
             + self.integrate_cost(dets.len(), w_int.inserts + w_add.inserts, w_int.visits);
-        self.log.stats.local().pb_recv_time += pb_part;
+        ctx.rank_stats().pb_recv_time += pb_part;
         let mut cost = SimDuration::from_nanos(self.log.costs.event_create_ns) + pb_part;
         if self.log.el {
             cost += SimDuration::from_nanos(self.log.costs.el_ship_ns);

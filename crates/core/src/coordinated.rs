@@ -29,7 +29,8 @@ use std::sync::Arc;
 use vlog_sim::causality::{self, Edge};
 use vlog_sim::SimDuration;
 use vlog_vmpi::{
-    AppMsg, Ctx, Payload, ProtoBlob, ProtoPhase, Rank, RecvGate, SchedulerCmd, Ssn, Tag, VProtocol,
+    AppMsg, ClusterState, Ctx, Payload, ProtoBlob, ProtoPhase, Rank, RecvGate, SchedulerCmd, Ssn,
+    Tag, VProtocol,
 };
 
 /// Marker control message: "I snapshotted `id` having sent you
@@ -87,13 +88,6 @@ pub struct CoordinatedProtocol {
     /// (a slow peer can be mid-phase on an earlier id and needs this
     /// rank's marker to close its channel).
     closed_after_finish: std::collections::BTreeSet<u64>,
-    /// Test hook (runtime `buggy` flag, never set outside tests):
-    /// re-introduces the marker storm — a finished rank answers *every*
-    /// incoming marker instead of each distinct id exactly once, so two
-    /// finished ranks bounce ever-growing marker storms at each other.
-    /// Exists so the schedule explorer's self-test can prove the
-    /// message-ceiling invariant catches the storm.
-    buggy_storm: bool,
 }
 
 impl CoordinatedProtocol {
@@ -105,20 +99,16 @@ impl CoordinatedProtocol {
             early_markers: Vec::new(),
             phase: None,
             closed_after_finish: std::collections::BTreeSet::new(),
-            buggy_storm: false,
         }
     }
 
-    /// Enables the marker-storm test bug (see `buggy_storm`).
-    pub fn with_storm_bug(mut self) -> Self {
-        self.buggy_storm = true;
-        self
-    }
-
     /// Closes this finished rank's channels for snapshot `id` (markers
-    /// to every peer) — exactly once per distinct id.
+    /// to every peer) — exactly once per distinct id, unless the run
+    /// re-introduces the marker storm
+    /// ([`SeededBugs::marker_storm`](vlog_vmpi::SeededBugs)).
     fn close_finished(&mut self, ctx: &mut Ctx<'_>, id: u64) {
-        if self.closed_after_finish.insert(id) || self.buggy_storm {
+        if self.closed_after_finish.insert(id) || ClusterState::of(ctx.sim).seeded_bugs.marker_storm
+        {
             // Once-only by design: a second production of the same
             // (rank, id) key is exactly the marker-storm bug, and the
             // causality log's duplicate detector names it.

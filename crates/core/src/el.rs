@@ -280,7 +280,6 @@ mod tests {
         let node = sim.add_node();
         crate::install_distributed_el(
             &mut sim,
-            &vlog_vmpi::Topology::new(),
             node,
             MAX_EL_SHARDS + 1,
             vlog_sim::SimDuration::from_millis(2),

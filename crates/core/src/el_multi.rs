@@ -22,10 +22,8 @@
 //! select-loop Event Logger (§IV-B.4) — every suite installs its EL
 //! through [`install_distributed_el`], whatever the shard count.
 
-use std::sync::{Arc, Mutex};
-
 use vlog_sim::{Actor, ActorId, Delivery, NodeId, Sim, SimDuration, TimerHandle, WireSize};
-use vlog_vmpi::{RClock, Topology};
+use vlog_vmpi::{topo, ClusterState, RClock};
 
 use crate::el::{el_ack_bytes, el_resp_bytes, record_el_saturation, ElMsg, ElReply, EL_SERVICE_NS};
 use crate::event::Determinant;
@@ -51,8 +49,6 @@ pub struct ElShard {
     local_stable: Vec<RClock>,
     /// Merged view including gossiped clocks from peer shards.
     merged_stable: Vec<RClock>,
-    /// Peer shard actors (filled after installation).
-    peers: Arc<Mutex<Vec<(ActorId, NodeId)>>>,
     gossip: SimDuration,
     /// Cancellable wheel handle of the armed gossip timer (rearmed at
     /// every firing; cancelled if the shard's node crashes).
@@ -76,14 +72,16 @@ impl ElShard {
         }
     }
 
+    /// Gossips to every peer shard the topology lists, dead ones
+    /// included: this shard has no failure detector of its own.
     fn multicast_gossip(&self, sim: &mut Sim) {
-        let peers = self.peers.lock().unwrap().clone();
-        for (i, (actor, node)) in peers.iter().enumerate() {
+        for i in 0..topo(sim).el_count() {
             if i != self.index {
+                let (actor, node) = topo(sim).el_at(i).expect("index below el_count");
                 self.send_to(
                     sim,
-                    *actor,
-                    *node,
+                    actor,
+                    node,
                     8 + 4 * self.n as u64,
                     Box::new(ElGossip {
                         from_el: self.index,
@@ -206,20 +204,19 @@ impl Actor for ElShard {
     }
 }
 
-/// Installs `k` Event Logger shards. The first lives on `first_node`;
-/// each further shard gets a fresh stable node. Ranks are assigned round
-/// robin (`topo.el_for`). Panics when `k` is outside
+/// Installs `k` Event Logger shards and registers them in the run's
+/// topology ([`TopoView::set_els`](vlog_vmpi::TopoView::set_els): ranks
+/// are assigned round robin). The first lives on `first_node`; each
+/// further shard gets a fresh stable node. Panics when `k` is outside
 /// `1..=`[`MAX_EL_SHARDS`](crate::el::MAX_EL_SHARDS).
 pub fn install_distributed_el(
     sim: &mut Sim,
-    topo: &Topology,
     first_node: NodeId,
     k: usize,
     gossip: SimDuration,
 ) -> Vec<(ActorId, NodeId)> {
     crate::el::assert_shard_count(k);
-    let n = topo.view().n_ranks();
-    let peers: Arc<Mutex<Vec<(ActorId, NodeId)>>> = Arc::new(Mutex::new(Vec::new()));
+    let n = topo(sim).n_ranks();
     let mut els = Vec::with_capacity(k);
     for index in 0..k {
         let node = if index == 0 {
@@ -227,7 +224,6 @@ pub fn install_distributed_el(
         } else {
             sim.add_node()
         };
-        let peers_handle = peers.clone();
         let id = sim.add_actor_with(node, |sim, id| {
             let mut shard = ElShard {
                 index,
@@ -236,7 +232,6 @@ pub fn install_distributed_el(
                 stored: vec![Vec::new(); n],
                 local_stable: vec![0; n],
                 merged_stable: vec![0; n],
-                peers: peers_handle,
                 gossip,
                 gossip_timer: None,
             };
@@ -250,8 +245,7 @@ pub fn install_distributed_el(
         });
         els.push((id, node));
     }
-    *peers.lock().unwrap() = els.clone();
-    topo.set_els(els.clone());
+    ClusterState::of(sim).topo.set_els(els.clone());
     els
 }
 
@@ -259,6 +253,7 @@ pub fn install_distributed_el(
 mod tests {
     use super::*;
     use crate::el::{el_batch_bytes, shard_queue_key};
+    use std::sync::{Arc, Mutex};
     use vlog_sim::SimTime;
     use vlog_vmpi::Rank;
 
@@ -310,10 +305,12 @@ mod tests {
         let client_node = sim.add_node();
         let seen = Arc::new(Mutex::new(Replies::default()));
         let probe = sim.add_actor(client_node, Box::new(Probe(seen.clone())));
-        let topo = Topology::new();
-        topo.set_ranks(vec![probe; 3], vec![client_node; 3]);
-        let els = install_distributed_el(&mut sim, &topo, el_node, 1, SimDuration::from_millis(20));
-        assert_eq!(topo.view().el_at(0), Some(els[0]));
+        sim.install(ClusterState::with_ranks(
+            vec![probe; 3],
+            vec![client_node; 3],
+        ));
+        let els = install_distributed_el(&mut sim, el_node, 1, SimDuration::from_millis(20));
+        assert_eq!(topo(&sim).el_at(0), Some(els[0]));
         Rig {
             sim,
             el: els[0].0,
@@ -365,8 +362,8 @@ mod tests {
         // The control: two shards do gossip, and keep the calendar busy.
         let mut sim = Sim::new(9);
         let node = sim.add_node();
-        let topo = Topology::new();
-        install_distributed_el(&mut sim, &topo, node, 2, SimDuration::from_millis(20));
+        sim.install(ClusterState::default());
+        install_distributed_el(&mut sim, node, 2, SimDuration::from_millis(20));
         assert!(!sim.run_until(SimTime::ZERO + SimDuration::from_secs(1)));
         assert!(sim.stats().get("el_gossip_msgs") > 0);
     }

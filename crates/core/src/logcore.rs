@@ -27,8 +27,8 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use vlog_sim::causality::{self, Edge, Key};
 use vlog_sim::{ActorId, SimDuration, SimTime, TimerHandle};
 use vlog_vmpi::{
-    AppMsg, Ctx, ElReshard, Payload, PiggybackBlob, ProtoPhase, RClock, Rank, RankStatCell,
-    SchedulerCmd, SharedRankStats, Ssn, Tag,
+    AppMsg, Ctx, ElReshard, Payload, PiggybackBlob, ProtoPhase, RClock, Rank, SchedulerCmd, Ssn,
+    Tag,
 };
 
 use crate::costs::CausalCosts;
@@ -105,9 +105,6 @@ pub struct LogCore {
     /// Whether this configuration logs to an Event Logger at all.
     pub(crate) el: bool,
     pub(crate) costs: CausalCosts,
-    /// Lock-free stats delta; flushed into the shared handle when the
-    /// incarnation drops (crash or end-of-run).
-    pub(crate) stats: RankStatCell,
     pub(crate) slog: SenderLog,
     /// Reception clock: the last event created here.
     pub(crate) rclock: RClock,
@@ -136,19 +133,12 @@ pub struct LogCore {
 }
 
 impl LogCore {
-    pub(crate) fn new(
-        el: bool,
-        rank: Rank,
-        n: usize,
-        costs: CausalCosts,
-        stats: SharedRankStats,
-    ) -> Self {
+    pub(crate) fn new(el: bool, rank: Rank, n: usize, costs: CausalCosts) -> Self {
         LogCore {
             rank,
             n,
             el,
             costs,
-            stats: RankStatCell::new(stats),
             slog: SenderLog::new(n),
             rclock: 0,
             ckpt_due: false,
@@ -161,12 +151,11 @@ impl LogCore {
         }
     }
 
-    /// The Event Logger shard serving this rank, routed through the
-    /// epoch-cached topology view (zero locks on the per-reception ship
-    /// path), so the protocol follows a re-shard automatically.
-    fn el_actor(&self, ctx: &mut Ctx<'_>) -> Option<ActorId> {
+    /// The Event Logger shard serving this rank under the run's current
+    /// shard map, so the protocol follows a re-shard automatically.
+    fn el_actor(&self, ctx: &Ctx<'_>) -> Option<ActorId> {
         if self.el {
-            ctx.core.topo_view().el_for(self.rank).map(|(a, _)| a)
+            ctx.topo().el_for(self.rank).map(|(a, _)| a)
         } else {
             None
         }
@@ -439,7 +428,7 @@ impl LogCore {
             max_clock: 0,
         });
         if nothing_to_collect {
-            self.stats.local().recovery_collect.push(SimDuration::ZERO);
+            ctx.rank_stats().recovery_collect.push(SimDuration::ZERO);
             return;
         }
         self.send_reclaims(ctx);
@@ -567,7 +556,7 @@ impl LogCore {
             rec.collecting = false;
             rec.max_clock = rec.collected.last().map_or(rec.wm, |d| d.clock);
             let dt = ctx.sim.now().saturating_since(rec.started);
-            self.stats.local().recovery_collect.push(dt);
+            ctx.rank_stats().recovery_collect.push(dt);
         }
     }
 
@@ -682,7 +671,7 @@ mod tests {
     use super::*;
     use std::sync::{Arc, Mutex};
     use vlog_sim::{Actor, Delivery, Sim};
-    use vlog_vmpi::{app, BootMode, DaemonMsg, StackProfile, Topology, Vdaemon, Vdummy};
+    use vlog_vmpi::{app, BootMode, ClusterState, DaemonMsg, StackProfile, Vdaemon, Vdummy};
 
     /// What one stand-in actor (an Event Logger shard, or the daemon of
     /// peer rank 1) saw on the wire.
@@ -732,7 +721,6 @@ mod tests {
     struct Rig {
         sim: Sim,
         daemon: Vdaemon,
-        topo: Topology,
         log: LogCore,
         peer: Arc<Mutex<Seen>>,
         shards: [Arc<Mutex<Seen>>; 2],
@@ -752,27 +740,21 @@ mod tests {
         let (peer, peer_actor, peer_node) = probe(&mut sim);
         let (shard0, el0, el0_node) = probe(&mut sim);
         let (shard1, el1, el1_node) = probe(&mut sim);
-        let topo = Topology::new();
-        topo.set_ranks(vec![me, peer_actor], vec![my_node, peer_node]);
-        topo.set_els(vec![(el0, el0_node), (el1, el1_node)]);
-        let stats = SharedRankStats::default();
+        let mut state = ClusterState::with_ranks(vec![me, peer_actor], vec![my_node, peer_node]);
+        state.topo.set_els(vec![(el0, el0_node), (el1, el1_node)]);
         let daemon = Vdaemon::new(
             0,
-            2,
-            my_node,
-            me,
-            topo.clone(),
+            &state.topo,
             Arc::new(StackProfile::vdaemon()),
-            stats.clone(),
             app(|_| async {}),
             Box::new(Vdummy),
             BootMode::Fresh,
         );
+        sim.install(state);
         Rig {
             sim,
             daemon,
-            topo,
-            log: LogCore::new(true, 0, 2, CausalCosts::default(), stats),
+            log: LogCore::new(true, 0, 2, CausalCosts::default()),
             peer,
             shards: [shard0, shard1],
         }
@@ -860,9 +842,8 @@ mod tests {
         // Shard 0 dies with batch seq 1 unacknowledged; rank 0 moves to
         // shard 1. The caller's retained store overlaps the batcher
         // (clocks 1 and 3), adds clock 4, and arrives unordered.
-        rig.topo
-            .rebalance_after_el_failure(0)
-            .expect("shard 1 survives");
+        let topo = &mut ClusterState::of(&mut rig.sim).topo;
+        assert!(topo.rebalance_after_el_failure(0), "shard 1 survives");
         drive(&mut rig, |log, ctx| {
             log.handle_reshard(ctx, vec![det(4), det(1), det(3)])
         });

@@ -15,8 +15,7 @@ use std::sync::Arc;
 
 use vlog_sim::SimDuration;
 use vlog_vmpi::{
-    AppMsg, Ctx, Payload, ProtoBlob, RClock, Rank, RecvGate, SendGate, SharedRankStats, Ssn, Tag,
-    VProtocol,
+    AppMsg, Ctx, Payload, ProtoBlob, RClock, Rank, RecvGate, SendGate, Ssn, Tag, VProtocol,
 };
 
 use crate::costs::CausalCosts;
@@ -41,9 +40,9 @@ pub struct PessimisticProtocol {
 }
 
 impl PessimisticProtocol {
-    pub fn new(rank: Rank, n: usize, costs: CausalCosts, stats: SharedRankStats) -> Self {
+    pub fn new(rank: Rank, n: usize, costs: CausalCosts) -> Self {
         PessimisticProtocol {
-            log: LogCore::new(true, rank, n, costs, stats),
+            log: LogCore::new(true, rank, n, costs),
             stable_own: 0,
         }
     }
@@ -66,8 +65,11 @@ impl PessimisticProtocol {
                 self.log.ack_received(ctx);
                 let prev = self.stable_own;
                 self.stable_own = self.stable_own.max(stable[self.log.rank]);
-                // Monotone watermark; the merge law is `max`.
-                self.log.stats.local().el_acked_events = self.stable_own;
+                // A monotone watermark over all of this rank's
+                // incarnations: a restart resumes below what its
+                // predecessor was acknowledged, hence `max`.
+                let st = ctx.rank_stats();
+                st.el_acked_events = st.el_acked_events.max(self.stable_own);
                 if self.stable_own > prev && self.stable_own >= self.log.rclock {
                     ctx.core.release_held();
                 }

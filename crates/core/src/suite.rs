@@ -2,9 +2,7 @@
 //! components, ready to hand to the cluster builder.
 
 use vlog_sim::{NodeId, Sim, SimDuration};
-use vlog_vmpi::{
-    CkptScheduler, RecoveryStyle, SchedulerPolicy, SharedRankStats, Suite, Topology, VProtocol,
-};
+use vlog_vmpi::{CkptScheduler, RecoveryStyle, SchedulerPolicy, Suite, VProtocol};
 
 use crate::causal::CausalProtocol;
 use crate::coordinated::CoordinatedProtocol;
@@ -87,33 +85,21 @@ impl Suite for CausalSuite {
         )
     }
 
-    fn install(&self, sim: &mut Sim, topo: &Topology, stable_nodes: &[NodeId]) {
+    fn install(&self, sim: &mut Sim, stable_nodes: &[NodeId]) {
         if self.el {
-            install_distributed_el(
-                sim,
-                topo,
-                stable_nodes[0],
-                self.el_count.max(1),
-                self.el_gossip,
-            );
+            install_distributed_el(sim, stable_nodes[0], self.el_count.max(1), self.el_gossip);
         }
-        CkptScheduler::install(sim, stable_nodes[1], topo.clone(), self.scheduler);
+        CkptScheduler::install(sim, stable_nodes[1], self.scheduler);
     }
 
-    fn make_protocol(
-        &self,
-        rank: usize,
-        topo: &Topology,
-        stats: SharedRankStats,
-    ) -> Box<dyn VProtocol> {
+    fn make_protocol(&self, rank: usize, n: usize) -> Box<dyn VProtocol> {
         Box::new(CausalProtocol::new(
             self.technique,
             self.pb_format,
             self.el,
             rank,
-            topo.view().n_ranks(),
+            n,
             self.costs.clone(),
-            stats,
         ))
     }
 
@@ -154,24 +140,14 @@ impl Suite for PessimisticSuite {
         "MPICH-V2 (pessimistic, EL)".into()
     }
 
-    fn install(&self, sim: &mut Sim, topo: &Topology, stable_nodes: &[NodeId]) {
+    fn install(&self, sim: &mut Sim, stable_nodes: &[NodeId]) {
         // One shard never gossips, so the period is moot.
-        install_distributed_el(sim, topo, stable_nodes[0], 1, SimDuration::ZERO);
-        CkptScheduler::install(sim, stable_nodes[1], topo.clone(), self.scheduler);
+        install_distributed_el(sim, stable_nodes[0], 1, SimDuration::ZERO);
+        CkptScheduler::install(sim, stable_nodes[1], self.scheduler);
     }
 
-    fn make_protocol(
-        &self,
-        rank: usize,
-        topo: &Topology,
-        stats: SharedRankStats,
-    ) -> Box<dyn VProtocol> {
-        Box::new(PessimisticProtocol::new(
-            rank,
-            topo.view().n_ranks(),
-            self.costs.clone(),
-            stats,
-        ))
+    fn make_protocol(&self, rank: usize, n: usize) -> Box<dyn VProtocol> {
+        Box::new(PessimisticProtocol::new(rank, n, self.costs.clone()))
     }
 
     fn recovery_style(&self) -> RecoveryStyle {
@@ -183,25 +159,11 @@ impl Suite for PessimisticSuite {
 pub struct CoordinatedSuite {
     /// Global snapshot period.
     pub period: SimDuration,
-    /// Test hook: build protocols with the marker-storm bug re-introduced
-    /// (see [`CoordinatedProtocol::with_storm_bug`]).
-    pub storm_bug: bool,
 }
 
 impl CoordinatedSuite {
     pub fn new(period: SimDuration) -> Self {
-        CoordinatedSuite {
-            period,
-            storm_bug: false,
-        }
-    }
-
-    /// Re-introduces the marker-storm bug in every rank's protocol, so
-    /// the schedule explorer's self-test can prove its message-ceiling
-    /// invariant catches the storm. Never use outside tests.
-    pub fn with_storm_bug(mut self) -> Self {
-        self.storm_bug = true;
-        self
+        CoordinatedSuite { period }
     }
 }
 
@@ -210,30 +172,18 @@ impl Suite for CoordinatedSuite {
         "MPICH-V/CL (coordinated)".into()
     }
 
-    fn install(&self, sim: &mut Sim, topo: &Topology, stable_nodes: &[NodeId]) {
+    fn install(&self, sim: &mut Sim, stable_nodes: &[NodeId]) {
         CkptScheduler::install(
             sim,
             stable_nodes[1],
-            topo.clone(),
             SchedulerPolicy::Coordinated {
                 period: self.period,
             },
         );
     }
 
-    fn make_protocol(
-        &self,
-        rank: usize,
-        topo: &Topology,
-        _stats: SharedRankStats,
-    ) -> Box<dyn VProtocol> {
-        let proto = CoordinatedProtocol::new(rank, topo.view().n_ranks());
-        let proto = if self.storm_bug {
-            proto.with_storm_bug()
-        } else {
-            proto
-        };
-        Box::new(proto)
+    fn make_protocol(&self, rank: usize, n: usize) -> Box<dyn VProtocol> {
+        Box::new(CoordinatedProtocol::new(rank, n))
     }
 
     fn recovery_style(&self) -> RecoveryStyle {

@@ -516,7 +516,7 @@ pub fn default_scenarios() -> Vec<Scenario> {
 }
 
 /// Scenario with the PR-5 restart-window stall re-introduced behind
-/// [`vlog_vmpi::ClusterConfig::buggy_restart_window`]. The bug only
+/// [`vlog_vmpi::SeededBugs::restart_window`]. The bug only
 /// bites when a peer's message lands inside the victim's restart window,
 /// which is exactly the kind of timing the explorer's deferral decisions
 /// widen — the harness self-test asserts it is found within a CI budget.
@@ -552,18 +552,18 @@ pub fn buggy_restart_window_scenario() -> Scenario {
     // is caught; a small cap keeps every violating probe (and every
     // shrink probe) cheap. Clean runs finish in ~2.5k events.
     s.cfg.event_limit = Some(100_000);
-    s.cfg.buggy_restart_window = true;
+    s.cfg.seeded_bugs.restart_window = true;
     s
 }
 
 /// Scenario with the PR-5 coordinated marker storm re-introduced behind
-/// [`vlog_core::CoordinatedSuite::with_storm_bug`]: finished ranks
+/// [`vlog_vmpi::SeededBugs::marker_storm`]: finished ranks
 /// answer every marker instead of each id once, so marker volume grows
 /// without bound and trips the message ceiling.
 pub fn buggy_marker_storm_scenario() -> Scenario {
     let mut s = Scenario::new(
         "buggy/marker-storm",
-        Arc::new(CoordinatedSuite::new(SimDuration::from_millis(5)).with_storm_bug()),
+        Arc::new(CoordinatedSuite::new(SimDuration::from_millis(5))),
         3,
         40,
         FaultPlan::none(),
@@ -579,6 +579,7 @@ pub fn buggy_marker_storm_scenario() -> Scenario {
     // Storms burn the whole event budget before stopping; keep the cap
     // small so every storming probe (including shrink probes) is cheap.
     s.cfg.event_limit = Some(400_000);
+    s.cfg.seeded_bugs.marker_storm = true;
     s
 }
 

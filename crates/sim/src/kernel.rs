@@ -21,6 +21,17 @@
 //! request and its completion: posting, draining, completing and resuming
 //! are plain loads and stores on memory the `Sim` owns.
 //!
+//! # The run-state slot
+//!
+//! What the actors of one run share — who lives where, what has been
+//! counted, whether the job is done — is shared the same way: the layer
+//! above [`Sim::install`]s one value of a type it chooses and every
+//! handler reaches it through the `&mut Sim` it is handed ([`Sim::ext`],
+//! [`Sim::ext_ref`]). It is the run-level twin of a task's
+//! [`Port::install`]/[`Port::ext`]: one `Box<dyn Any + Send>` per run,
+//! plain memory, so a run on another thread (another `Sim`) can never
+//! see it and nothing about it needs a lock or a reference count.
+//!
 //! # Actors and generations
 //!
 //! Services (communication daemons, the Event Logger, the checkpoint
@@ -198,6 +209,8 @@ pub struct Sim {
     /// Optional schedule-exploration seam; `None` is the untouched fast
     /// path (see [`crate::schedule`]).
     policy: Option<Box<dyn SchedulePolicy>>,
+    /// The run state typed by the layer above (see [`Sim::install`]).
+    ext: Option<Box<dyn Any + Send>>,
 }
 
 impl Sim {
@@ -224,6 +237,7 @@ impl Sim {
             events_processed: 0,
             event_limit: cfg.event_limit,
             policy: None,
+            ext: None,
         }
     }
 
@@ -232,6 +246,27 @@ impl Sim {
     /// is untouched; [`crate::schedule::Fifo`] is byte-identical to it.
     pub fn set_schedule_policy(&mut self, policy: Box<dyn SchedulePolicy>) {
         self.policy = Some(policy);
+    }
+
+    /// Installs the run state: what the layer above shares between the
+    /// actors of this run and the harness that reads it afterwards. One
+    /// allocation per run; a second call replaces the first state.
+    pub fn install<S: Any + Send>(&mut self, state: S) {
+        self.ext = Some(Box::new(state));
+    }
+
+    /// The run state, as installed. Panics naming `S` if nothing or
+    /// another type was installed — a wiring bug, not a runtime
+    /// condition.
+    pub fn ext<S: Any>(&mut self) -> &mut S {
+        let state = self.ext.as_deref_mut().and_then(|e| e.downcast_mut());
+        state.unwrap_or_else(|| no_run_state::<S>())
+    }
+
+    /// [`Sim::ext`] through a shared borrow.
+    pub fn ext_ref<S: Any>(&self) -> &S {
+        let state = self.ext.as_deref().and_then(|e| e.downcast_ref());
+        state.unwrap_or_else(|| no_run_state::<S>())
     }
 
     // ------------------------------------------------------------------
@@ -853,6 +888,14 @@ impl Sim {
     }
 }
 
+#[cold]
+fn no_run_state<S>() -> ! {
+    panic!(
+        "this Sim holds no run state of type {}",
+        std::any::type_name::<S>()
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1256,6 +1299,39 @@ mod tests {
             )
         };
         assert_eq!(run(true), run(false));
+    }
+
+    #[test]
+    #[should_panic(expected = "holds no run state of type u32")]
+    fn ext_on_an_empty_slot_panics_by_name() {
+        Sim::new(7).ext::<u32>();
+    }
+
+    #[test]
+    #[should_panic(expected = "holds no run state of type u32")]
+    fn ext_of_another_type_panics_by_name() {
+        let mut sim = Sim::new(7);
+        sim.install(1u64);
+        sim.ext_ref::<u32>();
+    }
+
+    #[test]
+    fn two_sims_on_one_thread_see_their_own_state() {
+        let counting = |start: u64| {
+            let mut sim = Sim::new(7);
+            sim.install(start);
+            for us in 1..=3 {
+                sim.after(SimDuration::from_micros(us), |sim| *sim.ext::<u64>() += 1);
+            }
+            sim
+        };
+        let (mut a, mut b) = (counting(10), counting(20));
+        // Interleaved: each handler finds the state of the run it is in.
+        a.run_until(SimTime::from_nanos(2_000));
+        b.run();
+        assert_eq!((*a.ext_ref::<u64>(), *b.ext_ref::<u64>()), (12, 23));
+        a.run();
+        assert_eq!(*a.ext_ref::<u64>(), 13);
     }
 
     #[test]

@@ -129,8 +129,8 @@ pub struct Stats {
     counters: BTreeMap<&'static str, u64>,
     /// Named peak gauges (queue depths, outstanding-event highs),
     /// written exclusively through [`Stats::set_max`]. Kept apart from
-    /// the additive counters so [`Stats::merge`] can apply the lawful
-    /// combine per key class: `+` for counters, `max` for gauges.
+    /// the additive counters because they combine differently: `+` for
+    /// counters, `max` for gauges.
     gauges: BTreeMap<&'static str, u64>,
     /// Named duration accumulators (protocol-specific).
     durations: BTreeMap<&'static str, SimDuration>,
@@ -205,32 +205,6 @@ impl Stats {
     /// All named peak gauges, sorted by key.
     pub fn gauges(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         self.gauges.iter().map(|(k, v)| (*k, *v))
-    }
-
-    /// Merges another `Stats` into this one with the lawful combine per
-    /// field: `+` for message/byte totals, histogram buckets, additive
-    /// counters and durations; `max` for peak gauges. Commutative and
-    /// associative (property-tested in `vlog-tests`), so per-shard
-    /// accumulators can be folded in any order and always equal the
-    /// sequential single-accumulator result.
-    pub fn merge(&mut self, other: &Stats) {
-        self.messages += other.messages;
-        self.bytes.header += other.bytes.header;
-        self.bytes.payload += other.bytes.payload;
-        self.bytes.piggyback += other.bytes.piggyback;
-        self.bytes.control += other.bytes.control;
-        self.msg_sizes.merge(&other.msg_sizes);
-        self.pb_sizes.merge(&other.pb_sizes);
-        for (k, v) in other.counters.iter() {
-            *self.counters.entry(k).or_insert(0) += v;
-        }
-        for (k, v) in other.gauges.iter() {
-            let slot = self.gauges.entry(k).or_insert(0);
-            *slot = (*slot).max(*v);
-        }
-        for (k, d) in other.durations.iter() {
-            *self.durations.entry(k).or_default() += *d;
-        }
     }
 
     /// All named duration accumulators, sorted by key.
@@ -371,7 +345,7 @@ mod tests {
             piggyback: 3,
             control: 0,
         });
-        s.merge(&other);
+        s.pb_sizes.merge(&other.pb_sizes);
         assert_eq!(s.pb_sizes.count(), 2);
         assert_eq!(s.pb_sizes.bucket(2), 1);
     }
@@ -405,47 +379,6 @@ mod tests {
         assert_eq!(s.counters().count(), 0);
         let gauges: Vec<_> = s.gauges().collect();
         assert_eq!(gauges, vec![("fresh", 0), ("peak", 9)]);
-    }
-
-    #[test]
-    fn merge_applies_the_lawful_combine_per_field() {
-        let mut a = Stats::new();
-        a.record_message(WireSize {
-            header: 10,
-            payload: 90,
-            piggyback: 0,
-            control: 0,
-        });
-        a.add("el_records", 3);
-        a.set_max("el_peak_queue", 5);
-        a.add_time("el_ack_latency", SimDuration::from_micros(2));
-
-        let mut b = Stats::new();
-        b.record_message(WireSize {
-            header: 10,
-            payload: 0,
-            piggyback: 100,
-            control: 0,
-        });
-        b.add("el_records", 4);
-        b.bump("node_crashes");
-        b.set_max("el_peak_queue", 2);
-        b.add_time("el_ack_latency", SimDuration::from_micros(3));
-
-        let mut ab = a.clone();
-        ab.merge(&b);
-        assert_eq!(ab.messages, 2);
-        assert_eq!(ab.total_bytes(), 210);
-        assert_eq!(ab.msg_sizes.count(), 2);
-        assert_eq!(ab.get("el_records"), 7);
-        assert_eq!(ab.get("node_crashes"), 1);
-        assert_eq!(ab.get("el_peak_queue"), 5, "gauges merge by max, not +");
-        assert_eq!(ab.get_time("el_ack_latency").as_nanos(), 5_000);
-
-        // Commutative: b.merge(a) observes the same totals.
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(format!("{ab:?}"), format!("{ba:?}"));
     }
 
     #[test]

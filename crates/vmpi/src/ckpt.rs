@@ -12,7 +12,7 @@
 
 use std::any::Any;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use vlog_sim::{Actor, ActorId, Delivery, NodeId, Sim, WireSize};
 
@@ -122,20 +122,15 @@ const SERVER_FIXED_NS: u64 = 20_000;
 /// failure during a store never leaves a rank without a restorable image.
 pub struct CkptServer {
     node: NodeId,
-    images: Arc<Mutex<BTreeMap<Rank, BTreeMap<u64, Arc<Image>>>>>,
+    images: BTreeMap<Rank, BTreeMap<u64, Arc<Image>>>,
 }
 
 impl CkptServer {
     pub fn new(node: NodeId) -> Self {
         CkptServer {
             node,
-            images: Arc::new(Mutex::new(BTreeMap::new())),
+            images: BTreeMap::new(),
         }
-    }
-
-    /// Shared view of the stored images (tests and harnesses).
-    pub fn images_handle(&self) -> Arc<Mutex<BTreeMap<Rank, BTreeMap<u64, Arc<Image>>>>> {
-        self.images.clone()
     }
 
     fn reply(&self, sim: &mut Sim, to: ActorId, bytes: u64, reply: CkptReply) {
@@ -169,19 +164,15 @@ impl Actor for CkptServer {
                 let end = sim.charge_cpu(self.node, cost);
                 let rank = image.rank;
                 let version = image.version;
-                {
-                    let mut store = self.images.lock().unwrap();
-                    let per_rank = store.entry(rank).or_default();
-                    per_rank.insert(version, image);
-                    // Transactional pruning: keep the two newest versions.
-                    while per_rank.len() > 2 {
-                        let oldest = *per_rank.keys().next().unwrap();
-                        per_rank.remove(&oldest);
-                    }
+                let per_rank = self.images.entry(rank).or_default();
+                per_rank.insert(version, image);
+                // Transactional pruning: keep the two newest versions.
+                while per_rank.len() > 2 {
+                    let oldest = *per_rank.keys().next().unwrap();
+                    per_rank.remove(&oldest);
                 }
+                // State already updated; ack after service time.
                 let node = self.node;
-                let images = self.images.clone();
-                let _ = images; // state already updated; ack after service time
                 let reply_to_copy = reply_to;
                 sim.schedule_at(
                     end,
@@ -207,13 +198,10 @@ impl Actor for CkptServer {
                 version,
                 reply_to,
             } => {
-                let image = {
-                    let store = self.images.lock().unwrap();
-                    store.get(&rank).and_then(|per_rank| match version {
-                        Some(v) => per_rank.get(&v).cloned(),
-                        None => per_rank.values().next_back().cloned(),
-                    })
-                };
+                let image = self.images.get(&rank).and_then(|per_rank| match version {
+                    Some(v) => per_rank.get(&v).cloned(),
+                    None => per_rank.values().next_back().cloned(),
+                });
                 let bytes = image.as_ref().map_or(16, |i| i.wire_bytes());
                 let cost = vlog_sim::SimDuration::from_nanos(
                     SERVER_FIXED_NS + (bytes as f64 * SERVER_NS_PER_BYTE) as u64,
@@ -229,28 +217,24 @@ impl Actor for CkptServer {
                 );
             }
             CkptRequest::QueryComplete { n, reply_to } => {
-                let version = {
-                    let store = self.images.lock().unwrap();
-                    // Highest v present for every rank 0..n.
-                    let mut v_candidates: Option<Vec<u64>> = None;
-                    for r in 0..n {
-                        let versions: Vec<u64> = store
-                            .get(&r)
-                            .map(|m| m.keys().copied().collect())
-                            .unwrap_or_default();
-                        v_candidates = Some(match v_candidates {
-                            None => versions,
-                            Some(prev) => {
-                                prev.into_iter().filter(|v| versions.contains(v)).collect()
-                            }
-                        });
-                    }
-                    v_candidates
-                        .unwrap_or_default()
-                        .into_iter()
-                        .max()
-                        .unwrap_or(0)
-                };
+                // Highest v present for every rank 0..n.
+                let mut v_candidates: Option<Vec<u64>> = None;
+                for r in 0..n {
+                    let versions: Vec<u64> = self
+                        .images
+                        .get(&r)
+                        .map(|m| m.keys().copied().collect())
+                        .unwrap_or_default();
+                    v_candidates = Some(match v_candidates {
+                        None => versions,
+                        Some(prev) => prev.into_iter().filter(|v| versions.contains(v)).collect(),
+                    });
+                }
+                let version = v_candidates
+                    .unwrap_or_default()
+                    .into_iter()
+                    .max()
+                    .unwrap_or(0);
                 self.reply(sim, reply_to, 16, CkptReply::CompleteResp { version });
             }
         }
@@ -260,6 +244,7 @@ impl Actor for CkptServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
 
     fn image(rank: Rank, version: u64, bytes: u64) -> Arc<Image> {
         Arc::new(Image {

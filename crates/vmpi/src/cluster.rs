@@ -13,18 +13,37 @@
 //! be fanned out across worker threads (the sweep driver in `vlog-bench`
 //! does exactly that). Building and running are separate so harnesses can
 //! construct runs on one thread and execute them on another.
+//!
+//! # What a run shares
+//!
+//! The paper's runtime is a static deployment: the dispatcher "launches
+//! the whole runtime environment" and every component simply knows where
+//! the others live. Here that knowledge, and everything else the
+//! components of one run have in common, is one plain struct,
+//! [`ClusterState`], installed in the run's kernel
+//! ([`vlog_sim::Sim::install`]): the topology, the per-rank statistics,
+//! the set of finished ranks, the armed phase faults and what launching a
+//! daemon needs. A run is single-threaded and every handler is handed
+//! `&mut Sim`, so each of them reaches the state by plain borrow
+//! ([`ClusterState::of`], [`topo`], [`crate::Ctx::topo`],
+//! [`crate::Ctx::rank_stats`]) — no lock, no reference count, no cached
+//! copy to invalidate — and [`ClusterRun::run`] reads the answer out of
+//! the same struct when the loop returns.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use vlog_sim::{Event, NetProfile, SchedulePolicy, Sim, SimConfig, SimDuration, SimTime, Stats};
+use vlog_sim::{
+    ActorId, Event, NetProfile, NodeId, SchedulePolicy, Sim, SimConfig, SimDuration, SimTime,
+    Stats, WireSize,
+};
 
 use crate::ckpt::CkptServer;
 use crate::cost::StackProfile;
 use crate::daemon::{AppSpec, BootMode, Vdaemon, TOKEN_BOOT};
-use crate::dispatcher::{Dispatcher, DispatcherMsg, RelaunchFn};
-use crate::hooks::{ElReshard, RankStats, SharedRankStats, Suite, Topology};
-use crate::phase::{PhaseFault, PhaseFaultArmature, ProtoPhase};
+use crate::dispatcher::{Dispatcher, DispatcherMsg};
+use crate::hooks::{ElReshard, RankStats, Suite, TopoView};
+use crate::phase::{PhaseFault, PhaseFaults, ProtoPhase};
 use crate::types::Rank;
 
 /// Factory for the kernel [`SchedulePolicy`] a run installs. A factory
@@ -55,14 +74,9 @@ pub struct ClusterConfig {
     /// Kernel schedule policy installed on the run's simulation (schedule
     /// exploration); `None` — the default — is exact FIFO dispatch.
     pub schedule_policy: Option<SchedulePolicyFactory>,
-    /// Test hook (a runtime `buggy` flag, never set outside tests):
-    /// re-introduces the restart-window bug — application messages
-    /// arriving after a replacement daemon boots but before its
-    /// checkpoint image is fetched thread straight through the
-    /// not-yet-restored channel watermarks, which can stall recovery
-    /// forever. Exists so the schedule explorer's self-test can prove
-    /// the harness *finds* the bug.
-    pub buggy_restart_window: bool,
+    /// Test hooks, never set outside tests: the historical bugs this
+    /// run re-introduces.
+    pub seeded_bugs: SeededBugs,
     /// Arms a sim-time hang detector: if the run has not completed by
     /// this deadline, a watchdog timer analyzes the causality log,
     /// dumps the dangling-cause set to stderr and stops the simulation
@@ -89,7 +103,7 @@ impl ClusterConfig {
             time_limit: None,
             detect_delay: SimDuration::from_millis(100),
             schedule_policy: None,
-            buggy_restart_window: false,
+            seeded_bugs: SeededBugs::default(),
             liveness_watchdog: None,
             export_liveness: false,
         }
@@ -107,6 +121,26 @@ impl ClusterConfig {
         self.profile = StackProfile::raw();
         self
     }
+}
+
+/// The two PR-5 protocol bugs, re-introducible at run time so the
+/// schedule explorer's self-test and the liveness regressions can prove
+/// they *find* them. Copied into the run's [`ClusterState`] and read at
+/// the one place each bug bites.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SeededBugs {
+    /// The restart-window bug: application messages arriving after a
+    /// replacement daemon boots but before its checkpoint image is
+    /// fetched thread straight through the not-yet-restored channel
+    /// watermarks, which can stall recovery forever (read by the daemon
+    /// where it would park such a message).
+    pub restart_window: bool,
+    /// The coordinated marker storm: a finished rank answers *every*
+    /// incoming marker instead of each distinct snapshot id exactly
+    /// once, so two finished ranks bounce ever-growing marker volleys at
+    /// each other (read by the coordinated protocol where it closes a
+    /// finished rank's channels).
+    pub marker_storm: bool,
 }
 
 /// A schedule of fail-stop faults: timed crashes and/or crashes armed on
@@ -325,7 +359,6 @@ impl RunReport {
 /// diagnosis already printed. A deadline that fires after completion
 /// is a no-op (the calendar simply drains).
 struct LivenessWatchdog {
-    all_done: Arc<AtomicBool>,
     label: String,
 }
 
@@ -333,7 +366,7 @@ impl vlog_sim::Actor for LivenessWatchdog {
     fn on_deliver(&mut self, _: &mut Sim, _: vlog_sim::ActorId, _: vlog_sim::Delivery) {}
 
     fn on_timer(&mut self, sim: &mut Sim, _me: vlog_sim::ActorId, _token: u64) {
-        if self.all_done.load(Ordering::Relaxed) {
+        if ClusterState::of(sim).completed() {
             return;
         }
         let report = vlog_sim::causality::analyze();
@@ -346,20 +379,126 @@ impl vlog_sim::Actor for LivenessWatchdog {
     }
 }
 
-/// A fully built, not-yet-executed cluster run. Owns the simulation and
-/// every harness-side handle; `Send`, so it can be handed to a worker
-/// thread and executed there (see the compile-time assertion below).
+/// What launching a rank's daemon takes besides the topology. All
+/// three are immutable once the run is built, hence `Arc`: every
+/// incarnation of every rank holds the same program and profile.
+pub struct Launch {
+    pub suite: Arc<dyn Suite>,
+    pub program: AppSpec,
+    pub profile: Arc<StackProfile>,
+}
+
+/// Everything the components of one cluster run share (module docs).
+/// Installed in the run's kernel by [`ClusterRun::build`]; a component
+/// rig installs one it filled by hand.
+#[derive(Default)]
+pub struct ClusterState {
+    /// Where everything lives.
+    pub topo: TopoView,
+    /// Per-rank protocol statistics, indexed by rank.
+    pub rank_stats: Vec<RankStats>,
+    /// Ranks whose application finished its program, as reported to the
+    /// dispatcher; a global rollback empties it.
+    pub done: BTreeSet<Rank>,
+    /// Phase-armed faults still waiting for their crossing.
+    pub phase_faults: PhaseFaults,
+    /// Delay between a crash and the dispatcher learning about it.
+    pub detect_delay: SimDuration,
+    /// See [`ClusterConfig::seeded_bugs`].
+    pub seeded_bugs: SeededBugs,
+    /// `None` in a rig that never launches a daemon.
+    pub launch: Option<Launch>,
+}
+
+impl ClusterState {
+    /// A state whose topology holds these ranks, with zeroed statistics
+    /// for each.
+    pub fn with_ranks(daemons: Vec<ActorId>, nodes: Vec<NodeId>) -> Self {
+        let mut state = ClusterState {
+            rank_stats: vec![RankStats::default(); daemons.len()],
+            ..ClusterState::default()
+        };
+        state.topo.set_ranks(daemons, nodes);
+        state
+    }
+
+    /// The state of the run `sim` hosts. Panics if none is installed.
+    pub fn of(sim: &mut Sim) -> &mut ClusterState {
+        sim.ext()
+    }
+
+    /// Whether every rank's program has finished — as of now: a global
+    /// rollback makes a finished job unfinished again.
+    pub fn completed(&self) -> bool {
+        self.done.len() == self.topo.n_ranks()
+    }
+}
+
+/// The deployment description of the run `sim` hosts. Copy the ids out
+/// before the next call that needs `&mut Sim`.
+pub fn topo(sim: &Sim) -> &TopoView {
+    &sim.ext_ref::<ClusterState>().topo
+}
+
+/// Builds `rank`'s daemon around a fresh protocol instance, installs it
+/// in the rank's actor slot (superseding any earlier incarnation) and
+/// schedules its boot: the initial launch and every relaunch.
+pub(crate) fn launch_rank(sim: &mut Sim, rank: Rank, mode: BootMode) {
+    let state = sim.ext_ref::<ClusterState>();
+    let launch = state.launch.as_ref().expect("run state cannot launch");
+    let proto = launch.suite.make_protocol(rank, state.topo.n_ranks());
+    let daemon = Vdaemon::new(
+        rank,
+        &state.topo,
+        launch.profile.clone(),
+        launch.program.clone(),
+        proto,
+        mode,
+    );
+    let me = state.topo.daemon(rank);
+    sim.replace_actor(me, Box::new(daemon));
+    sim.schedule(
+        SimDuration::ZERO,
+        Event::Poke {
+            actor: me,
+            token: TOKEN_BOOT,
+        },
+    );
+}
+
+/// Fail-stop crash of `rank`'s node `delay` from now; the dispatcher
+/// learns of it one detection delay later and relaunches (or rolls
+/// back). The one path of timed and phase-armed faults alike.
+pub(crate) fn inject_crash(sim: &mut Sim, rank: Rank, delay: SimDuration) {
+    let state = ClusterState::of(sim);
+    let node = state.topo.node(rank);
+    let detect = delay + state.detect_delay;
+    let (dispatcher, stable_node) = state.topo.dispatcher().expect("dispatcher registered");
+    sim.after(delay, move |sim| sim.crash_node(node));
+    sim.after(detect, move |sim| {
+        sim.local_send(
+            stable_node,
+            dispatcher,
+            WireSize::default(),
+            Box::new(DispatcherMsg::Fault { rank }),
+            SimDuration::from_micros(1),
+        );
+    });
+}
+
+/// A fully built, not-yet-executed cluster run. Owns the simulation,
+/// which owns the run's [`ClusterState`]; `Send`, so it can be handed to
+/// a worker thread and executed there (see the compile-time assertion
+/// below).
 pub struct ClusterRun {
     sim: Sim,
     suite_name: String,
-    rank_stats: Vec<SharedRankStats>,
-    all_done: Arc<AtomicBool>,
     time_limit: Option<SimDuration>,
     export_liveness: bool,
 }
 
 // Compile-time guarantee: a complete cluster run — kernel, actors,
-// protocol state, application futures, harness handles — is `Send`.
+// protocol state, application futures, run state — is `Send`.
 // Sharding sweeps across threads depends on this; breaking it is a
 // build error, not a runtime surprise.
 const _: () = {
@@ -391,10 +530,7 @@ impl ClusterRun {
         if let Some(factory) = &cfg.schedule_policy {
             sim.set_schedule_policy(factory());
         }
-        let topo = Topology::new();
-        topo.set_buggy_restart_window(cfg.buggy_restart_window);
         let n = cfg.ranks;
-        let profile = Arc::new(cfg.profile.clone());
 
         // Computing nodes first so node id == rank.
         let rank_nodes: Vec<_> = (0..n).map(|_| sim.add_node()).collect();
@@ -402,16 +538,12 @@ impl ClusterRun {
         let stable_b = sim.add_node(); // protocol suite components (Event Logger)
 
         let ckpt = sim.add_actor(stable_a, Box::new(CkptServer::new(stable_a)));
-        topo.set_ckpt_server(ckpt, stable_a);
 
-        // Per-rank stats and daemon slot reservation. The slots must exist
-        // (and the topology must know the rank count) before suite components
-        // such as the checkpoint scheduler are installed.
-        let rank_stats: Vec<SharedRankStats> = (0..n)
-            .map(|_| Arc::new(std::sync::Mutex::new(RankStats::default())))
-            .collect();
         // Placeholder actor used to reserve daemon slot ids before the
-        // daemons themselves exist (they need their own address).
+        // daemons themselves exist (they need their own address). The
+        // slots must exist (and the topology must know the rank count)
+        // before suite components such as the checkpoint scheduler are
+        // installed.
         struct Placeholder;
         impl vlog_sim::Actor for Placeholder {
             fn on_deliver(&mut self, _: &mut Sim, _: vlog_sim::ActorId, _: vlog_sim::Delivery) {}
@@ -421,119 +553,61 @@ impl ClusterRun {
             let me = sim.add_actor(rank_nodes[rank], Box::new(Placeholder));
             daemon_ids.push(me);
         }
-        topo.set_ranks(daemon_ids.clone(), rank_nodes.clone());
+
+        let mut state = ClusterState::with_ranks(daemon_ids, rank_nodes);
+        state.topo.set_ckpt_server(ckpt, stable_a);
+        state.phase_faults = PhaseFaults::new(faults.phase_faults.clone());
+        state.detect_delay = cfg.detect_delay;
+        state.seeded_bugs = cfg.seeded_bugs;
+        state.launch = Some(Launch {
+            suite: suite.clone(),
+            program,
+            profile: Arc::new(cfg.profile.clone()),
+        });
+        sim.install(state);
 
         // Protocol-suite components (Event Logger, checkpoint scheduler...).
-        suite.install(&mut sim, &topo, &[stable_b, stable_a]);
+        suite.install(&mut sim, &[stable_b, stable_a]);
         for rank in 0..n {
-            let proto = suite.make_protocol(rank, &topo, rank_stats[rank].clone());
-            let daemon = Vdaemon::new(
-                rank,
-                n,
-                rank_nodes[rank],
-                daemon_ids[rank],
-                topo.clone(),
-                profile.clone(),
-                rank_stats[rank].clone(),
-                program.clone(),
-                proto,
-                BootMode::Fresh,
-            );
-            sim.replace_actor(daemon_ids[rank], Box::new(daemon));
-            sim.schedule(
-                SimDuration::ZERO,
-                Event::Poke {
-                    actor: daemon_ids[rank],
-                    token: TOKEN_BOOT,
-                },
-            );
+            launch_rank(&mut sim, rank, BootMode::Fresh);
         }
 
-        // Relaunch closure used by the dispatcher.
-        let relaunch: RelaunchFn = {
-            let topo = topo.clone();
-            let suite = suite.clone();
-            let profile = profile.clone();
-            let rank_stats = rank_stats.clone();
-            let program = program.clone();
-            Arc::new(move |sim: &mut Sim, rank: Rank, mode: BootMode| {
-                let view = topo.view();
-                let me = view.daemon(rank);
-                let proto = suite.make_protocol(rank, &topo, rank_stats[rank].clone());
-                let daemon = Vdaemon::new(
-                    rank,
-                    view.n_ranks(),
-                    view.node(rank),
-                    me,
-                    topo.clone(),
-                    profile.clone(),
-                    rank_stats[rank].clone(),
-                    program.clone(),
-                    proto,
-                    mode,
-                );
-                sim.replace_actor(me, Box::new(daemon));
-                sim.schedule(
-                    SimDuration::ZERO,
-                    Event::Poke {
-                        actor: me,
-                        token: TOKEN_BOOT,
-                    },
-                );
-            })
-        };
-
-        let all_done = Arc::new(AtomicBool::new(false));
-        let dispatcher = Dispatcher::new(
-            stable_a,
-            n,
-            topo.clone(),
-            relaunch,
-            suite.recovery_style(),
-            cfg.stop_on_completion,
-            all_done.clone(),
-        );
+        let dispatcher = Dispatcher::new(suite.recovery_style(), cfg.stop_on_completion);
         let disp_id = sim.add_actor(stable_a, Box::new(dispatcher));
-        topo.set_dispatcher(disp_id, stable_a);
-
-        // Phase-armed faults: the armature is shared with every daemon
-        // through the topology; it needs the dispatcher's address (which
-        // now exists) to route the crash notification.
-        if !faults.phase_faults.is_empty() {
-            let arm = PhaseFaultArmature::new(faults.phase_faults.clone());
-            arm.wire(disp_id, stable_a, cfg.detect_delay, rank_nodes.clone());
-            topo.set_phase_faults(arm);
-        }
+        ClusterState::of(&mut sim)
+            .topo
+            .set_dispatcher(disp_id, stable_a);
 
         // Event Logger shard faults: crash the shard's node, then — after
-        // the detection delay — republish the rank→shard map over the
+        // the detection delay — rewrite the rank→shard map over the
         // survivors and notify every rank daemon so its protocol hands
-        // its unacknowledged records over to the new shard.
+        // its unacknowledged records over to the new shard. A shard
+        // never comes back, so killing one that is already down is a
+        // no-op at both steps.
         for &(t, shard) in &faults.el_faults {
-            let topo_crash = topo.clone();
             sim.after(t, move |sim| {
-                if let Some((_, node)) = topo_crash.view().el_at(shard) {
-                    sim.crash_node(node);
-                    sim.stats_mut().bump("el_shard_crashes");
+                if let Some((actor, node)) = topo(sim).el_at(shard) {
+                    if sim.actor_alive(actor) {
+                        sim.crash_node(node);
+                        sim.stats_mut().bump("el_shard_crashes");
+                    }
                 }
             });
-            let topo_detect = topo.clone();
-            let daemons = daemon_ids.clone();
             sim.after(t + cfg.detect_delay, move |sim| {
-                let Some(epoch) = topo_detect.rebalance_after_el_failure(shard) else {
-                    // No survivor to rebalance onto (total EL loss).
+                let state = ClusterState::of(sim);
+                if !state.topo.rebalance_after_el_failure(shard) {
+                    // Nothing changed hands: the shard was already known
+                    // dead, or no survivor is left to rebalance onto.
                     return;
-                };
+                }
                 sim.stats_mut().bump("el_reshards");
-                for &daemon in &daemons {
+                for rank in 0..n {
+                    let daemon = topo(sim).daemon(rank);
                     sim.net_send(
                         stable_a,
                         daemon,
-                        vlog_sim::WireSize::control(16),
-                        Box::new(ElReshard {
-                            epoch,
-                            dead_shard: shard,
-                        }),
+                        WireSize::control(16),
+                        Box::new(ElReshard { dead_shard: shard }),
                     );
                 }
             });
@@ -542,20 +616,7 @@ impl ClusterRun {
         // Fault plan: crash now, notify the dispatcher after the detection
         // delay.
         for &(t, rank) in &faults.faults {
-            let node = rank_nodes[rank];
-            sim.after(t, move |sim| {
-                sim.crash_node(node);
-            });
-            let detect = t + cfg.detect_delay;
-            sim.after(detect, move |sim| {
-                sim.local_send(
-                    stable_a,
-                    disp_id,
-                    vlog_sim::WireSize::default(),
-                    Box::new(DispatcherMsg::Fault { rank }),
-                    SimDuration::from_micros(1),
-                );
-            });
+            inject_crash(&mut sim, rank, t);
         }
 
         // Hang detector: an absolute sim-time deadline on a stable node.
@@ -565,7 +626,6 @@ impl ClusterRun {
             let watchdog = sim.add_actor(
                 stable_a,
                 Box::new(LivenessWatchdog {
-                    all_done: all_done.clone(),
                     label: suite.name(),
                 }),
             );
@@ -575,8 +635,6 @@ impl ClusterRun {
         ClusterRun {
             sim,
             suite_name: suite.name(),
-            rank_stats,
-            all_done,
             time_limit: cfg.time_limit,
             export_liveness: cfg.export_liveness,
         }
@@ -592,25 +650,12 @@ impl ClusterRun {
         if self.export_liveness {
             vlog_sim::causality::set_thread_enabled(true);
         }
-        let completed = match self.time_limit {
+        match self.time_limit {
             Some(tl) => {
                 self.sim.run_until(SimTime::ZERO + tl);
-                self.all_done.load(Ordering::Relaxed)
             }
-            None => {
-                self.sim.run();
-                self.all_done.load(Ordering::Relaxed)
-            }
-        };
-
-        // Capture every simulation-derived value, then drop the kernel:
-        // dropping the actors drops the daemon/protocol stat cells, which
-        // flush their lock-free deltas into the shared per-rank handles.
-        // Only after that flush are the rank stats complete.
-        let makespan = self.sim.now().saturating_since(SimTime::ZERO);
-        let stats = self.sim.stats().clone();
-        let events = self.sim.events_processed();
-        drop(self.sim);
+            None => self.sim.run(),
+        }
 
         if vlog_sim::profiler::report_each_run() {
             let readings = vlog_sim::profiler::take();
@@ -636,17 +681,16 @@ impl ClusterRun {
             vlog_sim::causality::set_thread_enabled(false);
         }
 
+        let state = ClusterState::of(&mut self.sim);
+        let completed = state.completed();
+        let rank_stats = std::mem::take(&mut state.rank_stats);
         RunReport {
             suite: self.suite_name,
-            makespan,
+            makespan: self.sim.now().saturating_since(SimTime::ZERO),
             completed,
-            stats,
-            rank_stats: self
-                .rank_stats
-                .iter()
-                .map(|s| s.lock().unwrap().clone())
-                .collect(),
-            events,
+            stats: self.sim.stats().clone(),
+            rank_stats,
+            events: self.sim.events_processed(),
             liveness,
         }
     }

@@ -35,11 +35,9 @@ use vlog_sim::{
 
 use crate::api::Mpi;
 use crate::ckpt::{CkptReply, CkptRequest, Image, ImageProto, StoredMsg};
+use crate::cluster::{inject_crash, topo, ClusterState};
 use crate::cost::StackProfile;
-use crate::hooks::{
-    Ctx, ProtoBlob, RankStatCell, RecvGate, SendGate, SharedRankStats, TopoCache, TopoView,
-    Topology, VProtocol,
-};
+use crate::hooks::{Ctx, ProtoBlob, RecvGate, SendGate, TopoView, VProtocol};
 use crate::phase::ProtoPhase;
 use crate::pipe::{AppPort, AppRequest};
 use crate::types::{
@@ -136,12 +134,7 @@ pub struct DaemonCore {
     n: usize,
     node: NodeId,
     me: ActorId,
-    topo: Topology,
-    /// Epoch-validated topology snapshot: steady-state routing reads it
-    /// by reference, one relaxed epoch load per access.
-    topo_cache: TopoCache,
     profile: Arc<StackProfile>,
-    stats: RankStatCell,
     app_spec: AppSpec,
 
     /// The application incarnation; its kernel-owned port is the pipe
@@ -199,18 +192,8 @@ impl DaemonCore {
         self.me
     }
 
-    /// Current topology snapshot (epoch-validated; re-captured only when
-    /// the topology mutated — an EL re-shard, never in steady state).
-    pub fn topo_view(&mut self) -> &TopoView {
-        self.topo_cache.view(&self.topo)
-    }
-
     pub fn profile(&self) -> &StackProfile {
         &self.profile
-    }
-
-    pub fn stats(&self) -> SharedRankStats {
-        self.stats.shared()
     }
 
     pub fn is_recovering(&self) -> bool {
@@ -239,14 +222,8 @@ impl DaemonCore {
     }
 
     /// Sends a protocol control message to the daemon of another rank.
-    pub fn control_to_rank(
-        &mut self,
-        sim: &mut Sim,
-        dst: Rank,
-        bytes: u64,
-        body: Box<dyn Any + Send>,
-    ) {
-        let actor = self.topo_view().daemon(dst);
+    pub fn control_to_rank(&self, sim: &mut Sim, dst: Rank, bytes: u64, body: Box<dyn Any + Send>) {
+        let actor = topo(sim).daemon(dst);
         self.control_to_actor(sim, actor, bytes, body);
     }
 
@@ -292,7 +269,7 @@ impl DaemonCore {
             piggyback: PiggybackBlob::empty(),
             replayed: true,
         };
-        let target = self.topo_view().daemon(dst);
+        let target = topo(sim).daemon(dst);
         let size = msg.wire_size();
         sim.net_send_at(end, self.node, target, size, Box::new(DaemonMsg::App(msg)));
     }
@@ -350,7 +327,8 @@ impl DaemonCore {
         if self.recovering {
             self.recovering = false;
             let dt = sim.now().saturating_since(self.recover_start);
-            self.stats.local().recovery_total.push(dt);
+            let stats = &mut ClusterState::of(sim).rank_stats[self.rank];
+            stats.recovery_total.push(dt);
             // Recovery got everything it needed: any still-pending
             // replay/reclaim expectations are moot, not dangling.
             vlog_sim::causality::cancel_owner(self.rank as u64);
@@ -376,11 +354,14 @@ impl DaemonCore {
     }
 
     /// Reports that this rank crossed a protocol-phase boundary; a
-    /// matching armed [`crate::PhaseFault`] crashes the rank here. No-op
-    /// (one relaxed epoch load) when no armature is armed.
-    pub fn phase_boundary(&mut self, sim: &mut Sim, phase: ProtoPhase) {
-        if let Some(arm) = self.topo_view().phase_faults().cloned() {
-            arm.crossed(sim, self.rank, phase);
+    /// matching armed [`crate::PhaseFault`] crashes the rank at the
+    /// current instant — scheduled, never re-entering the reporting
+    /// handler — and the dispatcher learns of it after the same detection
+    /// delay a timed fault uses. No-op when none is armed.
+    pub fn phase_boundary(&self, sim: &mut Sim, phase: ProtoPhase) {
+        let faults = &mut ClusterState::of(sim).phase_faults;
+        if let Some(fault) = faults.crossed(self.rank, phase) {
+            inject_crash(sim, fault.rank, SimDuration::ZERO);
         }
     }
 
@@ -523,29 +504,23 @@ pub struct Vdaemon {
 }
 
 impl Vdaemon {
-    #[allow(clippy::too_many_arguments)]
+    /// The daemon of `rank`, living where `topo` says that rank lives.
     pub fn new(
         rank: Rank,
-        n: usize,
-        node: NodeId,
-        me: ActorId,
-        topo: Topology,
+        topo: &TopoView,
         profile: Arc<StackProfile>,
-        stats: SharedRankStats,
         app_spec: AppSpec,
         proto: Box<dyn VProtocol>,
         boot: BootMode,
     ) -> Self {
+        let n = topo.n_ranks();
         Vdaemon {
             core: DaemonCore {
                 rank,
                 n,
-                node,
-                me,
-                topo,
-                topo_cache: TopoCache::new(),
+                node: topo.node(rank),
+                me: topo.daemon(rank),
                 profile,
-                stats: RankStatCell::new(stats),
                 app_spec,
                 app_task: None,
                 pipe_batch: VecDeque::new(),
@@ -596,7 +571,7 @@ impl Vdaemon {
                     waiter: vlog_sim::ckey!("restart-boot", rank = self.core.rank),
                     owner: self.core.rank as u64,
                 });
-                let Some((server, _)) = self.core.topo_view().ckpt_server() else {
+                let Some((server, _)) = topo(sim).ckpt_server() else {
                     // No checkpoint infrastructure: restart from scratch.
                     self.finish_restart(sim, None);
                     return;
@@ -752,7 +727,7 @@ impl Vdaemon {
                 tag,
                 len: self.core.pending_rdv[&(dst, ssn)].payload.len(),
             };
-            let target = self.core.topo_view().daemon(dst);
+            let target = topo(sim).daemon(dst);
             let node = self.core.node;
             sim.net_send_at(end, node, target, WireSize::control(16), Box::new(rts));
         }
@@ -776,7 +751,7 @@ impl Vdaemon {
             self.proto.on_transmit(&mut ctx, dst, ssn)
         };
         {
-            let st = self.core.stats.local();
+            let st = &mut ClusterState::of(sim).rank_stats[self.core.rank];
             st.app_msgs_sent += 1;
             st.pb_bytes_sent += pb.bytes;
             if pb.bytes == 0 {
@@ -795,7 +770,7 @@ impl Vdaemon {
             piggyback: pb,
             replayed: false,
         };
-        let target = self.core.topo_view().daemon(dst);
+        let target = topo(sim).daemon(dst);
         let src_node = self.core.node;
         let size = msg.wire_size();
         let body = Box::new(DaemonMsg::App(msg));
@@ -911,7 +886,7 @@ impl Vdaemon {
         let bytes = image.wire_bytes();
         let cost = SimDuration::from_nanos((bytes as f64 * SNAPSHOT_NS_PER_BYTE) as u64);
         let end = sim.charge_cpu(self.core.node, cost);
-        if let Some((server, _)) = self.core.topo_view().ckpt_server() {
+        if let Some((server, _)) = topo(sim).ckpt_server() {
             let src_node = self.core.node;
             let me = self.core.me;
             sim.schedule_at(
@@ -984,14 +959,14 @@ impl Vdaemon {
             DaemonMsg::App(m) => {
                 if self.core.recovering
                     && self.core.app_task.is_none()
-                    && !self.core.topo_view().buggy_restart_window()
+                    && !ClusterState::of(sim).seeded_bugs.restart_window
                 {
                     // Restart window: the checkpoint image is still being
                     // fetched, so the restored channel watermarks do not
                     // exist yet. Park the message; `finish_restart`
                     // re-feeds it through the full acceptance path.
-                    // (`buggy_restart_window` re-opens the pre-fix stall
-                    // for the schedule explorer's self-test.)
+                    // (`SeededBugs::restart_window` re-opens the pre-fix
+                    // stall for the schedule explorer's self-test.)
                     self.pre_restart.push_back(m);
                 } else {
                     self.handle_app_msg(sim, m)
@@ -1006,7 +981,7 @@ impl Vdaemon {
                     dst: self.core.rank,
                     ssn,
                 };
-                let target = self.core.topo_view().daemon(src);
+                let target = topo(sim).daemon(src);
                 let node = self.core.node;
                 sim.net_send_at(end, node, target, WireSize::control(16), Box::new(cts));
             }
@@ -1152,7 +1127,7 @@ impl Actor for Vdaemon {
                             };
                             self.proto.on_app_finished(&mut ctx);
                         }
-                        if let Some((dispatcher, _)) = self.core.topo_view().dispatcher() {
+                        if let Some((dispatcher, _)) = topo(sim).dispatcher() {
                             self.core.control_to_actor(
                                 sim,
                                 dispatcher,
@@ -1178,7 +1153,7 @@ impl Actor for Vdaemon {
                         }
                     }
                     CkptReply::StoreAck { version, .. } => {
-                        self.core.stats.local().checkpoints += 1;
+                        ClusterState::of(sim).rank_stats[self.core.rank].checkpoints += 1;
                         let mut ctx = Ctx {
                             sim,
                             core: &mut self.core,

@@ -11,21 +11,13 @@
 //! rolls the whole job back to the last complete global snapshot
 //! ([`RecoveryStyle::GlobalRollback`], coordinated checkpointing).
 
-use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-
-use vlog_sim::{Actor, ActorId, Delivery, NodeId, Sim};
+use vlog_sim::{Actor, ActorId, Delivery, Sim};
 
 use crate::ckpt::{CkptReply, CkptRequest};
+use crate::cluster::{launch_rank, topo, ClusterState};
 use crate::daemon::BootMode;
-use crate::hooks::{RecoveryStyle, TopoCache, Topology};
+use crate::hooks::RecoveryStyle;
 use crate::types::Rank;
-
-/// Performs the actual relaunch of a rank: replaces the daemon actor in
-/// its slot and schedules its boot poke. Built by the cluster; `Send +
-/// Sync` so a cluster run (which owns the dispatcher) stays `Send`.
-pub type RelaunchFn = Arc<dyn Fn(&mut Sim, Rank, BootMode) + Send + Sync>;
 
 /// Messages addressed to the dispatcher.
 pub enum DispatcherMsg {
@@ -35,40 +27,21 @@ pub enum DispatcherMsg {
     Fault { rank: Rank },
 }
 
+/// The dispatcher actor. Which ranks are done is run state
+/// ([`ClusterState::done`]): the watchdog and the run's report ask the
+/// same set the dispatcher fills and, on a global rollback, empties.
 pub struct Dispatcher {
-    node: NodeId,
-    n: usize,
-    topo: Topology,
-    topo_cache: TopoCache,
-    relaunch: RelaunchFn,
     style: RecoveryStyle,
     stop_on_completion: bool,
-    done: BTreeSet<Rank>,
     stopped: bool,
-    all_done: Arc<AtomicBool>,
 }
 
 impl Dispatcher {
-    pub fn new(
-        node: NodeId,
-        n: usize,
-        topo: Topology,
-        relaunch: RelaunchFn,
-        style: RecoveryStyle,
-        stop_on_completion: bool,
-        all_done: Arc<AtomicBool>,
-    ) -> Self {
+    pub fn new(style: RecoveryStyle, stop_on_completion: bool) -> Self {
         Dispatcher {
-            node,
-            n,
-            topo,
-            topo_cache: TopoCache::new(),
-            relaunch,
             style,
             stop_on_completion,
-            done: BTreeSet::new(),
             stopped: false,
-            all_done,
         }
     }
 
@@ -76,39 +49,34 @@ impl Dispatcher {
         sim.stats_mut().bump("dispatcher_faults");
         match self.style {
             RecoveryStyle::SingleRank => {
-                (self.relaunch)(sim, rank, BootMode::Recover { version: None });
+                launch_rank(sim, rank, BootMode::Recover { version: None });
             }
             RecoveryStyle::GlobalRollback => {
                 // Any completed rank will re-execute from the snapshot.
-                self.done.clear();
+                let state = ClusterState::of(sim);
+                state.done.clear();
                 // Ask the checkpoint server which snapshot is complete on
                 // every rank, then roll everyone back to it.
-                let view = self.topo_cache.view(&self.topo);
-                let Some((server, _)) = view.ckpt_server() else {
+                let Some((server, _)) = state.topo.ckpt_server() else {
                     // No checkpoints at all: restart the whole job.
                     self.rollback_all(sim, 0);
                     return;
                 };
-                let me_actor = view.dispatcher().expect("dispatcher registered").0;
+                let (me_actor, node) = state.topo.dispatcher().expect("dispatcher registered");
                 let req = CkptRequest::QueryComplete {
-                    n: self.n,
+                    n: state.topo.n_ranks(),
                     reply_to: me_actor,
                 };
-                if sim.actor_node(server) == self.node {
+                if sim.actor_node(server) == node {
                     sim.local_send(
-                        self.node,
+                        node,
                         server,
                         vlog_sim::WireSize::control(16),
                         Box::new(req),
                         vlog_sim::SimDuration::from_micros(15),
                     );
                 } else {
-                    sim.net_send(
-                        self.node,
-                        server,
-                        vlog_sim::WireSize::control(16),
-                        Box::new(req),
-                    );
+                    sim.net_send(node, server, vlog_sim::WireSize::control(16), Box::new(req));
                 }
             }
         }
@@ -116,13 +84,13 @@ impl Dispatcher {
 
     fn rollback_all(&mut self, sim: &mut Sim, version: u64) {
         sim.stats_mut().bump("global_rollbacks");
-        for rank in 0..self.n {
+        for rank in 0..topo(sim).n_ranks() {
             // Kill the surviving incarnation (app task + daemon) so stale
             // in-flight traffic is dropped by the generation check, then
             // relaunch from the snapshot.
-            let node = self.topo_cache.view(&self.topo).node(rank);
+            let node = topo(sim).node(rank);
             sim.crash_node(node);
-            (self.relaunch)(
+            launch_rank(
                 sim,
                 rank,
                 BootMode::Recover {
@@ -140,13 +108,11 @@ impl Actor for Dispatcher {
             Ok(m) => {
                 match *m {
                     DispatcherMsg::Done { rank } => {
-                        self.done.insert(rank);
-                        if self.done.len() == self.n {
-                            self.all_done.store(true, Ordering::Relaxed);
-                            if self.stop_on_completion && !self.stopped {
-                                self.stopped = true;
-                                sim.stop();
-                            }
+                        let state = ClusterState::of(sim);
+                        state.done.insert(rank);
+                        if state.completed() && self.stop_on_completion && !self.stopped {
+                            self.stopped = true;
+                            sim.stop();
                         }
                     }
                     DispatcherMsg::Fault { rank } => self.handle_fault(sim, rank),
@@ -160,5 +126,115 @@ impl Actor for Dispatcher {
                 self.rollback_all(sim, version);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use vlog_sim::{NodeId, SimDuration, WireSize};
+
+    use super::*;
+    use crate::cluster::Launch;
+    use crate::types::RecvSelector;
+    use crate::{app, StackProfile, VdummySuite};
+
+    struct Idle;
+    impl Actor for Idle {
+        fn on_deliver(&mut self, _: &mut Sim, _: ActorId, _: Delivery) {}
+    }
+
+    /// A dispatcher that does not stop on completion, over two ranks
+    /// whose program waits for a message that never comes — so every
+    /// `Done` it hears is one this test sent.
+    fn rig(style: RecoveryStyle) -> (Sim, ActorId) {
+        let mut sim = Sim::new(1);
+        let nodes: Vec<NodeId> = (0..2).map(|_| sim.add_node()).collect();
+        let stable = sim.add_node();
+        let daemons = nodes
+            .iter()
+            .map(|&node| sim.add_actor(node, Box::new(Idle)))
+            .collect();
+        let dispatcher = sim.add_actor(stable, Box::new(Dispatcher::new(style, false)));
+        let mut state = ClusterState::with_ranks(daemons, nodes);
+        state.topo.set_dispatcher(dispatcher, stable);
+        state.launch = Some(Launch {
+            suite: Arc::new(VdummySuite),
+            program: app(|mpi| async move { drop(mpi.recv(RecvSelector::any()).await) }),
+            profile: Arc::new(StackProfile::vdaemon()),
+        });
+        sim.install(state);
+        (sim, dispatcher)
+    }
+
+    /// Delivers `msg` to the dispatcher and reports the job's state once
+    /// the calendar has drained.
+    fn completed_after(sim: &mut Sim, dispatcher: ActorId, msg: DispatcherMsg) -> bool {
+        let node = sim.actor_node(dispatcher);
+        let delay = SimDuration::from_micros(1);
+        sim.local_send(node, dispatcher, WireSize::default(), Box::new(msg), delay);
+        sim.run();
+        ClusterState::of(sim).completed()
+    }
+
+    #[test]
+    fn a_global_rollback_makes_a_finished_job_unfinished() {
+        let (mut sim, d) = rig(RecoveryStyle::GlobalRollback);
+        assert!(!completed_after(
+            &mut sim,
+            d,
+            DispatcherMsg::Done { rank: 0 }
+        ));
+        assert!(completed_after(
+            &mut sim,
+            d,
+            DispatcherMsg::Done { rank: 1 }
+        ));
+        // Every rank re-executes from the snapshot: complete again only
+        // once each of them has finished afresh.
+        assert!(!completed_after(
+            &mut sim,
+            d,
+            DispatcherMsg::Fault { rank: 0 }
+        ));
+        assert_eq!(sim.stats().get("global_rollbacks"), 1);
+        assert!(!completed_after(
+            &mut sim,
+            d,
+            DispatcherMsg::Done { rank: 1 }
+        ));
+        assert!(!completed_after(
+            &mut sim,
+            d,
+            DispatcherMsg::Done { rank: 1 }
+        ));
+        assert!(completed_after(
+            &mut sim,
+            d,
+            DispatcherMsg::Done { rank: 0 }
+        ));
+    }
+
+    #[test]
+    fn a_single_rank_restart_leaves_the_done_set_alone() {
+        let (mut sim, d) = rig(RecoveryStyle::SingleRank);
+        assert!(!completed_after(
+            &mut sim,
+            d,
+            DispatcherMsg::Done { rank: 1 }
+        ));
+        assert!(completed_after(
+            &mut sim,
+            d,
+            DispatcherMsg::Done { rank: 0 }
+        ));
+        assert!(completed_after(
+            &mut sim,
+            d,
+            DispatcherMsg::Fault { rank: 0 }
+        ));
+        assert_eq!(sim.stats().get("dispatcher_faults"), 1);
+        assert_eq!(sim.stats().get("global_rollbacks"), 0);
     }
 }

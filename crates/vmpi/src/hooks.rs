@@ -16,133 +16,36 @@
 //! A [`Suite`] bundles a protocol with the auxiliary stable components it
 //! needs (Event Logger, checkpoint scheduler policy) and is what the
 //! cluster builder consumes.
+//!
+//! What a hook may know beyond its own daemon is run state, not something
+//! each protocol instance carries: where the other components live
+//! ([`TopoView`], read through [`Ctx::topo`]) and what this rank has
+//! counted so far ([`RankStats`], written through [`Ctx::rank_stats`])
+//! both sit in the run's [`ClusterState`], which the `&mut Sim` inside
+//! every [`Ctx`] reaches by plain borrow. A protocol is therefore built
+//! from its rank and the job size alone ([`Suite::make_protocol`]), and a
+//! relaunched incarnation finds the rank's counters where its
+//! predecessor left them.
 
 use std::any::Any;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use vlog_sim::{ActorId, NodeId, Sim, SimDuration, SimTime};
 
+use crate::cluster::ClusterState;
 use crate::daemon::DaemonCore;
-use crate::phase::{PhaseFaultArmature, ProtoPhase};
+use crate::phase::ProtoPhase;
 use crate::types::{AppMsg, Payload, PiggybackBlob, Rank, Ssn};
 
-/// Where everything lives. Filled by the cluster builder before the
-/// simulation starts; shared read-only with every component.
-///
-/// The state is one published [`TopoView`]. Reads go through
-/// [`Topology::view`] (one `Arc` clone) or, on steady-state paths, a
-/// [`TopoCache`] that re-captures the view only when the epoch moved —
-/// one relaxed atomic load per access instead of a mutex lock. Every
-/// mutator edits the published view copy-on-write and bumps the epoch,
-/// so a view captured earlier keeps describing the topology it saw.
-#[derive(Clone, Default)]
-pub struct Topology {
-    published: Arc<Mutex<Arc<TopoView>>>,
-    epoch: Arc<AtomicU64>,
-}
-
-impl Topology {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Applies `edit` to the published state (copied first if a captured
-    /// view still shares it) and invalidates every outstanding
-    /// [`TopoCache`]. Relaxed ordering suffices for the epoch because a
-    /// cluster run is single-threaded and cross-thread hand-off of the
-    /// topology is already synchronized by the `Arc`s that carry it.
-    fn mutate(&self, edit: impl FnOnce(&mut TopoView)) {
-        let mut published = self.published.lock().expect("topology lock poisoned");
-        edit(Arc::make_mut(&mut published));
-        self.epoch.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Current mutation epoch (see [`TopoCache`]).
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Relaxed)
-    }
-
-    /// The currently published state: lock-free reads through the
-    /// returned view, which later mutations never change.
-    pub fn view(&self) -> Arc<TopoView> {
-        self.published
-            .lock()
-            .expect("topology lock poisoned")
-            .clone()
-    }
-
-    pub fn set_ranks(&self, daemons: Vec<ActorId>, nodes: Vec<NodeId>) {
-        self.mutate(|t| {
-            t.daemons = daemons;
-            t.nodes = nodes;
-        });
-    }
-
-    /// Registers the Event Logger shards (one for the paper's single EL)
-    /// and publishes the epoch-0 rank→shard map: round-robin over the
-    /// shard count, the historical static assignment.
-    pub fn set_els(&self, els: Vec<(ActorId, NodeId)>) {
-        self.mutate(|t| {
-            let k = els.len();
-            t.shard_map = if k == 0 {
-                Vec::new()
-            } else {
-                (0..t.daemons.len()).map(|r| r % k).collect()
-            };
-            t.el_dead = vec![false; k];
-            t.els = els;
-        });
-    }
-
-    /// Marks shard `dead` as crashed and republishes the rank→shard map
-    /// over the surviving shards (each orphaned rank is reassigned
-    /// round-robin over the survivors; ranks on live shards keep their
-    /// assignment). Returns the new epoch, or `None` when no shard
-    /// survives (total EL loss — nothing to rebalance onto).
-    pub fn rebalance_after_el_failure(&self, dead: usize) -> Option<u64> {
-        let mut published = self.published.lock().expect("topology lock poisoned");
-        let t = Arc::make_mut(&mut published);
-        if dead >= t.els.len() {
-            return None;
-        }
-        t.el_dead[dead] = true;
-        let survivors: Vec<usize> = (0..t.els.len()).filter(|i| !t.el_dead[*i]).collect();
-        if survivors.is_empty() {
-            return None;
-        }
-        for (rank, shard) in t.shard_map.iter_mut().enumerate() {
-            if t.el_dead[*shard] {
-                *shard = survivors[rank % survivors.len()];
-            }
-        }
-        Some(self.epoch.fetch_add(1, Ordering::Relaxed) + 1)
-    }
-
-    pub fn set_ckpt_server(&self, actor: ActorId, node: NodeId) {
-        self.mutate(|t| t.ckpt_server = Some((actor, node)));
-    }
-
-    pub fn set_dispatcher(&self, actor: ActorId, node: NodeId) {
-        self.mutate(|t| t.dispatcher = Some((actor, node)));
-    }
-
-    /// Arms phase-triggered fault injection (cluster builder only).
-    pub fn set_phase_faults(&self, arm: Arc<PhaseFaultArmature>) {
-        self.mutate(|t| t.phase_faults = Some(arm));
-    }
-
-    /// Enables the restart-window test bug (cluster builder only).
-    pub fn set_buggy_restart_window(&self, on: bool) {
-        self.mutate(|t| t.buggy_restart_window = on);
-    }
-}
-
-/// The topology's state, published by [`Topology`] and captured
-/// immutably by [`Topology::view`]. All accessors are lock-free; see
-/// [`TopoCache`] for the epoch-validated caching pattern the daemons and
-/// protocols use.
-#[derive(Clone, Default)]
+/// Where everything lives: the static deployment of Figure 5. One per
+/// run, owned by the run's [`ClusterState`]; filled by the cluster
+/// builder and the suite's `install` before the simulation starts. The
+/// only writer after that is the failure detector, which rewrites the
+/// rank→shard map when an Event Logger shard dies
+/// ([`TopoView::rebalance_after_el_failure`]). Every id it hands out is
+/// `Copy`: a reader takes what it needs out before its next `&mut Sim`
+/// call, so no read outlives a write.
+#[derive(Default)]
 pub struct TopoView {
     daemons: Vec<ActorId>,
     nodes: Vec<NodeId>,
@@ -150,30 +53,72 @@ pub struct TopoView {
     /// through `shard_map`).
     els: Vec<(ActorId, NodeId)>,
     /// Rank→shard map: `shard_map[rank]` indexes `els`. Seeded
-    /// round-robin by [`Topology::set_els`]; rewritten by
-    /// [`Topology::rebalance_after_el_failure`] when a shard dies.
+    /// round-robin by [`TopoView::set_els`]; rewritten by
+    /// [`TopoView::rebalance_after_el_failure`] when a shard dies.
     shard_map: Vec<usize>,
     /// Shards that have crashed (parallel to `els`).
     el_dead: Vec<bool>,
     ckpt_server: Option<(ActorId, NodeId)>,
     dispatcher: Option<(ActorId, NodeId)>,
-    /// Phase-triggered fault injection, armed by the cluster builder when
-    /// the fault plan carries [`crate::PhaseFault`]s (`None` otherwise —
-    /// the common case, so boundary reports stay a cheap no-op).
-    phase_faults: Option<Arc<PhaseFaultArmature>>,
-    /// Test hook: re-introduces the PR-5 restart-window bug (see
-    /// [`crate::ClusterConfig::buggy_restart_window`]).
-    buggy_restart_window: bool,
 }
 
 impl TopoView {
-    /// The Event Logger serving `rank`, routed through the shard map
-    /// this view snapshot published.
+    pub fn set_ranks(&mut self, daemons: Vec<ActorId>, nodes: Vec<NodeId>) {
+        self.daemons = daemons;
+        self.nodes = nodes;
+    }
+
+    /// Registers the Event Logger shards (one for the paper's single EL)
+    /// and the initial rank→shard map: round-robin over the shard count,
+    /// the historical static assignment.
+    pub fn set_els(&mut self, els: Vec<(ActorId, NodeId)>) {
+        let k = els.len();
+        self.shard_map = if k == 0 {
+            Vec::new()
+        } else {
+            (0..self.daemons.len()).map(|r| r % k).collect()
+        };
+        self.el_dead = vec![false; k];
+        self.els = els;
+    }
+
+    /// Marks shard `dead` as crashed and rewrites the rank→shard map
+    /// over the surviving shards (each orphaned rank is reassigned
+    /// round-robin over the survivors; ranks on live shards keep their
+    /// assignment). Returns whether the map was rewritten — false when
+    /// there is nothing to tell the ranks: no such shard, a shard
+    /// already known dead, or no survivor (total EL loss).
+    pub fn rebalance_after_el_failure(&mut self, dead: usize) -> bool {
+        if self.el_dead.get(dead).copied().unwrap_or(true) {
+            return false;
+        }
+        self.el_dead[dead] = true;
+        let survivors: Vec<usize> = (0..self.els.len()).filter(|i| !self.el_dead[*i]).collect();
+        if survivors.is_empty() {
+            return false;
+        }
+        for (rank, shard) in self.shard_map.iter_mut().enumerate() {
+            if self.el_dead[*shard] {
+                *shard = survivors[rank % survivors.len()];
+            }
+        }
+        true
+    }
+
+    pub fn set_ckpt_server(&mut self, actor: ActorId, node: NodeId) {
+        self.ckpt_server = Some((actor, node));
+    }
+
+    pub fn set_dispatcher(&mut self, actor: ActorId, node: NodeId) {
+        self.dispatcher = Some((actor, node));
+    }
+
+    /// The Event Logger serving `rank` under the current shard map.
     pub fn el_for(&self, rank: Rank) -> Option<(ActorId, NodeId)> {
         self.shard_of(rank).map(|shard| self.els[shard])
     }
 
-    /// The shard index serving `rank` under this view's published map
+    /// The shard index serving `rank` under the current map
     /// (round-robin fallback for ranks beyond the map).
     pub fn shard_of(&self, rank: Rank) -> Option<usize> {
         if self.els.is_empty() {
@@ -191,6 +136,11 @@ impl TopoView {
     /// The Event Logger shard at `index` (dead or alive).
     pub fn el_at(&self, index: usize) -> Option<(ActorId, NodeId)> {
         self.els.get(index).copied()
+    }
+
+    /// Number of Event Logger shards installed (dead ones included).
+    pub fn el_count(&self) -> usize {
+        self.els.len()
     }
 
     pub fn n_ranks(&self) -> usize {
@@ -211,44 +161,6 @@ impl TopoView {
 
     pub fn dispatcher(&self) -> Option<(ActorId, NodeId)> {
         self.dispatcher
-    }
-
-    /// The armed phase-fault armature, if any.
-    pub fn phase_faults(&self) -> Option<&Arc<PhaseFaultArmature>> {
-        self.phase_faults.as_ref()
-    }
-
-    /// Whether the restart-window test bug is enabled.
-    pub fn buggy_restart_window(&self) -> bool {
-        self.buggy_restart_window
-    }
-}
-
-/// Epoch-validated cache of a [`TopoView`]. Steady-state consumers call
-/// [`TopoCache::view`] per access: one relaxed atomic load when the
-/// topology has not mutated (the common case — the topology is fully
-/// built before the simulation starts), a single re-snapshot when it has.
-#[derive(Default)]
-pub struct TopoCache {
-    cached: Option<(u64, Arc<TopoView>)>,
-}
-
-impl TopoCache {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The current view of `topo`, re-captured only if its epoch moved.
-    pub fn view(&mut self, topo: &Topology) -> &TopoView {
-        let epoch = topo.epoch();
-        let stale = match &self.cached {
-            Some((cached_epoch, _)) => *cached_epoch != epoch,
-            None => true,
-        };
-        if stale {
-            self.cached = Some((epoch, topo.view()));
-        }
-        &self.cached.as_ref().expect("just populated").1
     }
 }
 
@@ -272,10 +184,23 @@ impl Ctx<'_> {
         self.core.n_ranks()
     }
 
+    /// The run's deployment description. Copy the ids out before the
+    /// next call that needs `&mut Sim`.
+    pub fn topo(&self) -> &TopoView {
+        crate::cluster::topo(self.sim)
+    }
+
+    /// This rank's statistics, written in place: they belong to the run,
+    /// not to an incarnation, so a restart carries on where the crashed
+    /// daemon and protocol stopped.
+    pub fn rank_stats(&mut self) -> &mut RankStats {
+        &mut ClusterState::of(self.sim).rank_stats[self.core.rank()]
+    }
+
     /// Reports that this rank just crossed `phase`. Protocols call this
     /// at their enumerated boundaries (marker broadcast, determinant
     /// shipment, EL ack); an armed [`crate::PhaseFault`] matching the
-    /// crossing schedules the crash. No-op when no armature is armed.
+    /// crossing schedules the crash. No-op when none is armed.
     pub fn phase_boundary(&mut self, phase: ProtoPhase) {
         self.core.phase_boundary(self.sim, phase);
     }
@@ -422,8 +347,10 @@ pub trait VProtocol: Send {
     fn on_app_finished(&mut self, ctx: &mut Ctx<'_>) {}
 }
 
-/// Per-rank protocol statistics, shared between the protocol instance and
-/// the harness that reads them after the run.
+/// Per-rank protocol statistics: one per rank in the run's
+/// [`ClusterState`], written in place by the rank's daemon and protocol
+/// ([`Ctx::rank_stats`]) across all its incarnations, and moved into the
+/// [`crate::RunReport`] when the run ends.
 #[derive(Debug, Default, Clone)]
 pub struct RankStats {
     /// Cumulative CPU time preparing piggybacks on send (Fig. 8 "send").
@@ -449,89 +376,6 @@ pub struct RankStats {
     pub checkpoints: u64,
 }
 
-impl RankStats {
-    /// Combines `other` into `self` with each field's lawful combine:
-    /// counters and CPU durations add, the EL ack watermark takes the
-    /// max (it is a monotone assignment, not an increment), recovery
-    /// duration lists concatenate. Additive and max fields commute and
-    /// associate, which is what lets per-incarnation delta cells
-    /// ([`RankStatCell`]) replace a shared lock; the lists rely on
-    /// cells flushing in chronological order (an incarnation's cell is
-    /// dropped — and flushed — when it crashes, before its successor
-    /// records anything).
-    pub fn merge(&mut self, other: &RankStats) {
-        self.pb_send_time += other.pb_send_time;
-        self.pb_recv_time += other.pb_recv_time;
-        self.pb_events_sent += other.pb_events_sent;
-        self.pb_bytes_sent += other.pb_bytes_sent;
-        self.empty_pb_msgs += other.empty_pb_msgs;
-        self.app_msgs_sent += other.app_msgs_sent;
-        self.el_acked_events = self.el_acked_events.max(other.el_acked_events);
-        self.recovery_collect
-            .extend_from_slice(&other.recovery_collect);
-        self.recovery_total.extend_from_slice(&other.recovery_total);
-        self.checkpoints += other.checkpoints;
-    }
-}
-
-/// Shared handle on [`RankStats`]. Shared between successive protocol
-/// incarnations of one rank (stats survive daemon restarts) and the
-/// harness that reads them after the run — real sharing, hence `Arc`.
-pub type SharedRankStats = Arc<Mutex<RankStats>>;
-
-/// Write-side handle on a rank's statistics: a local [`RankStats`] delta
-/// accumulated lock-free on the hot path, merged into the shared handle
-/// once — on [`flush`](RankStatCell::flush) or when the cell drops (a
-/// daemon/protocol incarnation dying on crash or at end-of-run).
-///
-/// Correctness relies on the writer split already present in the code:
-/// each field has exactly one writer component per incarnation, merge is
-/// commutative/associative per field ([`RankStats::merge`]), and cells
-/// flush in chronological incarnation order.
-pub struct RankStatCell {
-    shared: SharedRankStats,
-    local: RankStats,
-}
-
-impl RankStatCell {
-    pub fn new(shared: SharedRankStats) -> Self {
-        RankStatCell {
-            shared,
-            local: RankStats::default(),
-        }
-    }
-
-    /// The local delta, bumped lock-free on the hot path.
-    #[inline]
-    pub fn local(&mut self) -> &mut RankStats {
-        &mut self.local
-    }
-
-    /// A fresh cell over the same shared handle (successor incarnations
-    /// after a restart share the rank's stats).
-    pub fn sibling(&self) -> RankStatCell {
-        RankStatCell::new(self.shared.clone())
-    }
-
-    /// The shared end-of-run handle this cell flushes into.
-    pub fn shared(&self) -> SharedRankStats {
-        self.shared.clone()
-    }
-
-    /// Merges the accumulated delta into the shared handle and resets
-    /// the delta. One lock per flush instead of one per update.
-    pub fn flush(&mut self) {
-        let delta = std::mem::take(&mut self.local);
-        self.shared.lock().unwrap().merge(&delta);
-    }
-}
-
-impl Drop for RankStatCell {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
 /// How the dispatcher recovers from a crash under this protocol family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryStyle {
@@ -543,26 +387,22 @@ pub enum RecoveryStyle {
 }
 
 /// A protocol family bundled with its auxiliary components. `Send + Sync`
-/// because the dispatcher's relaunch closure carries the suite into a
-/// (possibly worker-thread-hosted) cluster run.
+/// because the run state carries the suite (every relaunch asks it for a
+/// fresh protocol) into a possibly worker-thread-hosted cluster run.
 pub trait Suite: Send + Sync {
     /// Name for reports.
     fn name(&self) -> String;
 
     /// Installs auxiliary stable actors (Event Logger, scheduler...).
-    /// Called once, before daemons are created. Stable nodes are provided
-    /// by the cluster builder through `topo`.
-    fn install(&self, sim: &mut Sim, topo: &Topology, stable_nodes: &[NodeId]) {
-        let _ = (sim, topo, stable_nodes);
+    /// Called once, before daemons are created, with the run's
+    /// [`ClusterState`] installed in `sim` and its ranks registered; an
+    /// Event Logger registers itself there ([`TopoView::set_els`]).
+    fn install(&self, sim: &mut Sim, stable_nodes: &[NodeId]) {
+        let _ = (sim, stable_nodes);
     }
 
-    /// Creates the protocol instance for one rank.
-    fn make_protocol(
-        &self,
-        rank: Rank,
-        topo: &Topology,
-        stats: SharedRankStats,
-    ) -> Box<dyn VProtocol>;
+    /// Creates the protocol instance for one rank of an `n`-rank job.
+    fn make_protocol(&self, rank: Rank, n: usize) -> Box<dyn VProtocol>;
 
     /// Recovery style for the dispatcher.
     fn recovery_style(&self) -> RecoveryStyle {
@@ -571,15 +411,13 @@ pub trait Suite: Send + Sync {
 }
 
 /// Broadcast by the cluster's failure detector after an Event Logger
-/// shard crashed and the topology republished its rank→shard map
+/// shard crashed and the topology's rank→shard map was rewritten
 /// (forwarded to every rank's protocol through `on_control`). Receiving
-/// protocols refresh their topology view, re-route to their new shard
-/// and re-ship every determinant not yet acknowledged stable — the
-/// in-flight-record handoff that makes the EL service failure-tolerant.
+/// protocols route to their new shard and re-ship every determinant not
+/// yet acknowledged stable — the in-flight-record handoff that makes the
+/// EL service failure-tolerant.
 #[derive(Debug, Clone, Copy)]
 pub struct ElReshard {
-    /// Topology epoch that published the rebalanced map.
-    pub epoch: u64,
     /// Index of the crashed shard.
     pub dead_shard: usize,
 }
@@ -597,91 +435,74 @@ pub enum SchedulerCmd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vlog_sim::{Actor, Delivery};
 
-    struct Nop;
-    impl Actor for Nop {
-        fn on_deliver(&mut self, _: &mut Sim, _: ActorId, _: Delivery) {}
-    }
-
-    /// Six ranks logging to three Event Logger shards.
-    fn six_ranks_three_shards() -> (Topology, Vec<(ActorId, NodeId)>) {
-        let mut sim = Sim::new(3);
-        let mut place = |n: usize| -> Vec<(ActorId, NodeId)> {
-            (0..n)
-                .map(|_| {
-                    let node = sim.add_node();
-                    (sim.add_actor(node, Box::new(Nop)), node)
-                })
-                .collect()
-        };
-        let daemons = place(6);
-        let els = place(3);
-        let topo = Topology::new();
-        topo.set_ranks(
-            daemons.iter().map(|d| d.0).collect(),
-            daemons.iter().map(|d| d.1).collect(),
-        );
+    /// Six ranks (actors 0..6 on nodes 0..6) logging to three Event
+    /// Logger shards (actors 6..9 on nodes 6..9).
+    fn six_ranks_three_shards() -> (TopoView, Vec<(ActorId, NodeId)>) {
+        let els: Vec<(ActorId, NodeId)> = (6..9).map(|i| (i, i)).collect();
+        let mut topo = TopoView::default();
+        topo.set_ranks((0..6).collect(), (0..6).collect());
         topo.set_els(els.clone());
         (topo, els)
     }
 
     #[test]
     fn map_and_hash_agree_at_epoch_zero() {
-        // The epoch-0 published map must be exactly the static
-        // round-robin hash; a disagreement would route client records to
-        // a shard that never gossips their stability.
+        // The map at build must be exactly the static round-robin hash;
+        // a disagreement would route client records to a shard that
+        // never gossips their stability.
         let (topo, els) = six_ranks_three_shards();
-        let view = topo.view();
         for rank in 0..6 {
-            assert_eq!(view.shard_of(rank), Some(rank % 3));
-            assert_eq!(view.el_for(rank), Some(els[rank % 3]));
+            assert_eq!(topo.shard_of(rank), Some(rank % 3));
+            assert_eq!(topo.el_for(rank), Some(els[rank % 3]));
         }
     }
 
     #[test]
-    fn a_captured_view_keeps_the_map_it_saw() {
-        let (topo, els) = six_ranks_three_shards();
-        let before = topo.view();
-        topo.rebalance_after_el_failure(1).expect("survivors exist");
-        let after = topo.view();
-        // Rank 1 logged to shard 1; the old view still says so (dead
-        // shards stay addressable), the published one moved it.
-        assert_eq!(before.shard_of(1), Some(1));
-        assert_eq!(before.el_for(1), Some(els[1]));
-        assert_eq!(after.shard_of(1), Some(2));
-        assert_eq!(after.el_for(1), Some(els[2]));
-        // An epoch-validated cache follows the published view.
-        let mut cache = TopoCache::new();
-        assert_eq!(cache.view(&topo).el_for(1), Some(els[2]));
-        topo.rebalance_after_el_failure(2)
-            .expect("shard 0 survives");
-        assert_eq!(after.el_for(1), Some(els[2]));
-        assert_eq!(cache.view(&topo).el_for(1), Some(els[0]));
+    fn a_read_after_a_rebalance_routes_by_the_new_map() {
+        let (mut topo, els) = six_ranks_three_shards();
+        assert_eq!(topo.el_for(1), Some(els[1]));
+        assert!(topo.rebalance_after_el_failure(1));
+        assert_eq!(topo.shard_of(1), Some(2));
+        assert_eq!(topo.el_for(1), Some(els[2]));
+        assert!(topo.rebalance_after_el_failure(2));
+        assert_eq!(topo.el_for(1), Some(els[0]));
     }
 
     #[test]
     fn rebalance_reroutes_only_orphaned_ranks() {
-        let (topo, _) = six_ranks_three_shards();
-        let before = topo.epoch();
-        let epoch = topo.rebalance_after_el_failure(1).expect("survivors exist");
-        assert!(epoch > before);
-        let view = topo.view();
+        let (mut topo, els) = six_ranks_three_shards();
+        assert!(topo.rebalance_after_el_failure(1));
         // Ranks on live shards keep their assignment; shard-1 ranks
         // (1, 4) respread over the survivors {0, 2} deterministically.
-        assert_eq!(view.shard_of(0), Some(0));
-        assert_eq!(view.shard_of(2), Some(2));
-        assert_eq!(view.shard_of(3), Some(0));
-        assert_eq!(view.shard_of(5), Some(2));
-        assert_eq!(view.shard_of(1), Some(2)); // survivors[1 % 2]
-        assert_eq!(view.shard_of(4), Some(0)); // survivors[4 % 2]
-                                               // Killing the survivors one by one: last shard takes everything,
-                                               // then total loss reports None.
-        assert!(topo.rebalance_after_el_failure(0).is_some());
-        let view = topo.view();
+        assert_eq!(topo.shard_of(0), Some(0));
+        assert_eq!(topo.shard_of(2), Some(2));
+        assert_eq!(topo.shard_of(3), Some(0));
+        assert_eq!(topo.shard_of(5), Some(2));
+        assert_eq!(topo.shard_of(1), Some(2)); // survivors[1 % 2]
+        assert_eq!(topo.shard_of(4), Some(0)); // survivors[4 % 2]
+                                               // A dead shard stays addressable (in-flight traffic to it is
+                                               // dropped by the kernel, not by a missing address).
+        assert_eq!(topo.el_at(1), Some(els[1]));
+        assert_eq!(topo.el_count(), 3);
+        // Killing the survivors one by one: the last shard takes
+        // everything, then total loss reports false.
+        assert!(topo.rebalance_after_el_failure(0));
         for rank in 0..6 {
-            assert_eq!(view.shard_of(rank), Some(2));
+            assert_eq!(topo.shard_of(rank), Some(2));
         }
-        assert!(topo.rebalance_after_el_failure(2).is_none());
+        assert!(!topo.rebalance_after_el_failure(2));
+        assert!(!topo.rebalance_after_el_failure(3), "no such shard");
+    }
+
+    #[test]
+    fn a_shard_that_is_already_dead_is_not_rebalanced_again() {
+        let (mut topo, _) = six_ranks_three_shards();
+        assert!(topo.rebalance_after_el_failure(1));
+        let map: Vec<_> = (0..6).map(|r| topo.shard_of(r)).collect();
+        // The second report of the same death answers false — nothing
+        // to broadcast — and leaves the map as the first one left it.
+        assert!(!topo.rebalance_after_el_failure(1));
+        assert_eq!(map, (0..6).map(|r| topo.shard_of(r)).collect::<Vec<_>>());
     }
 }

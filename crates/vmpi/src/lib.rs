@@ -45,16 +45,17 @@ pub mod vdummy;
 
 pub use api::{decode_f64s, encode_f64s, Mpi};
 pub use cluster::{
-    run_cluster, run_vdummy, ClusterConfig, ClusterRun, FaultPlan, RunReport, SchedulePolicyFactory,
+    run_cluster, run_vdummy, topo, ClusterConfig, ClusterRun, ClusterState, FaultPlan, Launch,
+    RunReport, SchedulePolicyFactory, SeededBugs,
 };
 pub use collectives::{ReduceOp, RESERVED_TAG_BASE};
 pub use cost::StackProfile;
 pub use daemon::{app, AppSpec, BootMode, DaemonCore, Vdaemon};
 pub use hooks::{
-    Ctx, ElReshard, ProtoBlob, RankStatCell, RankStats, RecoveryStyle, RecvGate, SchedulerCmd,
-    SendGate, SharedRankStats, Suite, TopoCache, TopoView, Topology, VProtocol,
+    Ctx, ElReshard, ProtoBlob, RankStats, RecoveryStyle, RecvGate, SchedulerCmd, SendGate, Suite,
+    TopoView, VProtocol,
 };
-pub use phase::{PhaseFault, PhaseFaultArmature, ProtoPhase};
+pub use phase::{PhaseFault, PhaseFaults, ProtoPhase};
 pub use scheduler::{CkptScheduler, SchedulerPolicy};
 pub use types::{
     AppMsg, DaemonMsg, Payload, PayloadArena, PiggybackBlob, RClock, Rank, RecvMsg, RecvSelector,

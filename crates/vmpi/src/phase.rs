@@ -9,17 +9,15 @@
 //! structurally instead of sampling wall-clock instants.
 //!
 //! Protocols report boundary crossings through
-//! [`crate::hooks::Ctx::phase_boundary`]; the cluster builder arms a
-//! [`PhaseFaultArmature`] from the plan's [`PhaseFault`]s and wires it
-//! to the dispatcher, so a triggered fault follows the exact crash →
-//! detect → relaunch path of a timed fault.
+//! [`crate::hooks::Ctx::phase_boundary`]. The armed faults and the
+//! crossing counts are a [`PhaseFaults`] in the run's
+//! [`ClusterState`](crate::ClusterState), next to the topology that
+//! says where the victim and the dispatcher live, so a triggered fault
+//! takes the exact crash → detect → relaunch path of a timed one: both
+//! go through `cluster::inject_crash`.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
 
-use vlog_sim::{ActorId, Event, NodeId, Sim, SimDuration, WireSize};
-
-use crate::dispatcher::DispatcherMsg;
 use crate::types::Rank;
 
 /// An enumerated protocol-phase boundary a rank can cross.
@@ -47,99 +45,38 @@ pub struct PhaseFault {
     pub nth: u64,
 }
 
-struct ArmState {
+/// The phase faults of one run: those still armed, and how often each
+/// rank has crossed each boundary so far.
+#[derive(Debug, Default)]
+pub struct PhaseFaults {
     pending: Vec<PhaseFault>,
     counts: BTreeMap<(Rank, ProtoPhase), u64>,
 }
 
-/// Dispatcher-side wiring, installed by the cluster builder once the
-/// dispatcher actor exists.
-struct Wiring {
-    dispatcher: ActorId,
-    stable_node: NodeId,
-    detect_delay: SimDuration,
-    rank_nodes: Vec<NodeId>,
-}
-
-/// Shared between the cluster builder (which arms and wires it) and
-/// every daemon (which reports crossings through its [`crate::Topology`]
-/// handle). Genuine cross-ownership sharing, hence `Arc`; per-run, so
-/// the mutex is uncontended.
-pub struct PhaseFaultArmature {
-    state: Mutex<ArmState>,
-    wiring: Mutex<Option<Wiring>>,
-}
-
-impl PhaseFaultArmature {
+impl PhaseFaults {
     /// Arms `faults`; crossings match them in arming order.
-    pub fn new(faults: Vec<PhaseFault>) -> Arc<Self> {
-        Arc::new(PhaseFaultArmature {
-            state: Mutex::new(ArmState {
-                pending: faults,
-                counts: BTreeMap::new(),
-            }),
-            wiring: Mutex::new(None),
-        })
+    pub fn new(faults: Vec<PhaseFault>) -> Self {
+        PhaseFaults {
+            pending: faults,
+            counts: BTreeMap::new(),
+        }
     }
 
-    /// Connects the armature to the dispatcher (crash notification path).
-    /// Called once by the cluster builder.
-    pub fn wire(
-        &self,
-        dispatcher: ActorId,
-        stable_node: NodeId,
-        detect_delay: SimDuration,
-        rank_nodes: Vec<NodeId>,
-    ) {
-        *self.wiring.lock().unwrap() = Some(Wiring {
-            dispatcher,
-            stable_node,
-            detect_delay,
-            rank_nodes,
-        });
-    }
-
-    /// Records that `rank` crossed `phase`; when an armed fault matches,
-    /// the crash is scheduled at the current instant (never re-entering
-    /// the reporting handler) and the dispatcher is notified after the
-    /// same detection delay a timed fault uses.
-    pub fn crossed(&self, sim: &mut Sim, rank: Rank, phase: ProtoPhase) {
-        let hit = {
-            let mut st = self.state.lock().unwrap();
-            let count = st.counts.entry((rank, phase)).or_insert(0);
-            *count += 1;
-            let n = *count;
-            match st
-                .pending
-                .iter()
-                .position(|f| f.rank == rank && f.phase == phase && f.nth == n)
-            {
-                Some(pos) => Some(st.pending.remove(pos)),
-                None => None,
-            }
-        };
-        let Some(fault) = hit else { return };
-        let w = self.wiring.lock().unwrap();
-        let Some(w) = w.as_ref() else { return };
-        let node = w.rank_nodes[fault.rank];
-        sim.schedule(
-            SimDuration::ZERO,
-            Event::closure(move |sim| {
-                sim.crash_node(node);
-            }),
-        );
-        let dispatcher = w.dispatcher;
-        let stable_node = w.stable_node;
-        let rank = fault.rank;
-        sim.after(w.detect_delay, move |sim| {
-            sim.local_send(
-                stable_node,
-                dispatcher,
-                WireSize::default(),
-                Box::new(DispatcherMsg::Fault { rank }),
-                SimDuration::from_micros(1),
-            );
-        });
+    /// Records that `rank` crossed `phase` and disarms and returns the
+    /// fault that crossing triggers, if any. With nothing armed (the
+    /// common case) nothing is counted: no fault can ever match.
+    pub fn crossed(&mut self, rank: Rank, phase: ProtoPhase) -> Option<PhaseFault> {
+        if self.pending.is_empty() {
+            return None;
+        }
+        let count = self.counts.entry((rank, phase)).or_insert(0);
+        *count += 1;
+        let n = *count;
+        let pos = self
+            .pending
+            .iter()
+            .position(|f| f.rank == rank && f.phase == phase && f.nth == n)?;
+        Some(self.pending.remove(pos))
     }
 }
 
@@ -149,21 +86,18 @@ mod tests {
 
     #[test]
     fn nth_crossing_arithmetic_matches_in_order() {
-        let arm = PhaseFaultArmature::new(vec![PhaseFault {
+        let fault = PhaseFault {
             phase: ProtoPhase::DeterminantShipped,
             rank: 1,
             nth: 2,
-        }]);
-        // Unwired armatures count crossings but cannot fire; exercised
-        // here purely for the matching logic.
-        let mut sim = Sim::new(1);
-        arm.crossed(&mut sim, 1, ProtoPhase::DeterminantShipped);
-        assert_eq!(arm.state.lock().unwrap().pending.len(), 1, "nth=2 not yet");
-        arm.crossed(&mut sim, 0, ProtoPhase::DeterminantShipped);
-        assert_eq!(arm.state.lock().unwrap().pending.len(), 1, "other rank");
-        arm.crossed(&mut sim, 1, ProtoPhase::AckReceived);
-        assert_eq!(arm.state.lock().unwrap().pending.len(), 1, "other phase");
-        arm.crossed(&mut sim, 1, ProtoPhase::DeterminantShipped);
-        assert!(arm.state.lock().unwrap().pending.is_empty(), "2nd crossing");
+        };
+        let mut arm = PhaseFaults::new(vec![fault]);
+        let shipped = ProtoPhase::DeterminantShipped;
+        assert_eq!(arm.crossed(1, shipped), None, "nth=2 not yet");
+        assert_eq!(arm.crossed(0, shipped), None, "other rank");
+        assert_eq!(arm.crossed(1, ProtoPhase::AckReceived), None, "other phase");
+        assert_eq!(arm.crossed(1, shipped), Some(fault), "2nd crossing");
+        assert_eq!(arm.crossed(1, shipped), None, "fires once");
+        assert!(arm.pending.is_empty());
     }
 }

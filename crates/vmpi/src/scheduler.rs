@@ -14,7 +14,8 @@
 use rand::Rng;
 use vlog_sim::{Actor, ActorId, Delivery, NodeId, Sim, SimDuration, TimerHandle};
 
-use crate::hooks::{SchedulerCmd, TopoCache, TopoView, Topology};
+use crate::cluster::topo;
+use crate::hooks::SchedulerCmd;
 
 /// Checkpoint scheduling policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -32,8 +33,6 @@ pub enum SchedulerPolicy {
 
 pub struct CkptScheduler {
     node: NodeId,
-    topo: Topology,
-    topo_cache: TopoCache,
     policy: SchedulerPolicy,
     snapshot_id: u64,
     /// Cancellable wheel handles of the armed timers: one per rank for
@@ -45,16 +44,15 @@ pub struct CkptScheduler {
 }
 
 impl CkptScheduler {
-    pub fn new(node: NodeId, topo: Topology, policy: SchedulerPolicy) -> Self {
+    /// A scheduler for an `n_ranks`-rank job, no timer armed yet.
+    pub fn new(node: NodeId, n_ranks: usize, policy: SchedulerPolicy) -> Self {
         let slots = match policy {
             SchedulerPolicy::Disabled => 0,
-            SchedulerPolicy::RoundRobin { .. } => topo.view().n_ranks(),
+            SchedulerPolicy::RoundRobin { .. } => n_ranks,
             SchedulerPolicy::Random { .. } | SchedulerPolicy::Coordinated { .. } => 1,
         };
         CkptScheduler {
             node,
-            topo,
-            topo_cache: TopoCache::new(),
             policy,
             snapshot_id: 0,
             timers: vec![None; slots],
@@ -70,16 +68,12 @@ impl CkptScheduler {
         self.timers[slot] = Some(handle);
     }
 
-    /// Installs the scheduler actor and arms its first timers.
-    pub fn install(
-        sim: &mut Sim,
-        node: NodeId,
-        topo: Topology,
-        policy: SchedulerPolicy,
-    ) -> ActorId {
+    /// Installs the scheduler actor for the ranks registered in the
+    /// run's topology and arms its first timers.
+    pub fn install(sim: &mut Sim, node: NodeId, policy: SchedulerPolicy) -> ActorId {
         sim.add_actor_with(node, |sim, id| {
-            let n_ranks = topo.view().n_ranks();
-            let mut scheduler = CkptScheduler::new(node, topo, policy);
+            let n_ranks = topo(sim).n_ranks();
+            let mut scheduler = CkptScheduler::new(node, n_ranks, policy);
             match policy {
                 SchedulerPolicy::Disabled => {}
                 SchedulerPolicy::RoundRobin { period } => {
@@ -105,12 +99,8 @@ impl CkptScheduler {
         })
     }
 
-    fn view(&mut self) -> &TopoView {
-        self.topo_cache.view(&self.topo)
-    }
-
-    fn command(&mut self, sim: &mut Sim, rank: usize, cmd: SchedulerCmd) {
-        let daemon = self.view().daemon(rank);
+    fn command(&self, sim: &mut Sim, rank: usize, cmd: SchedulerCmd) {
+        let daemon = topo(sim).daemon(rank);
         let body = Box::new(cmd);
         let size = vlog_sim::WireSize::control(8);
         if sim.actor_node(daemon) == self.node {
@@ -134,7 +124,7 @@ impl Actor for CkptScheduler {
                 self.register(token, h);
             }
             SchedulerPolicy::Random { period } => {
-                let n = self.view().n_ranks();
+                let n = topo(sim).n_ranks();
                 let rank = sim.rng().random_range(0..n);
                 self.command(sim, rank, SchedulerCmd::TakeCheckpoint);
                 let slice = SimDuration::from_nanos(period.as_nanos() / n as u64);
@@ -143,7 +133,7 @@ impl Actor for CkptScheduler {
             }
             SchedulerPolicy::Coordinated { period } => {
                 self.snapshot_id += 1;
-                for rank in 0..self.view().n_ranks() {
+                for rank in 0..topo(sim).n_ranks() {
                     self.command(
                         sim,
                         rank,

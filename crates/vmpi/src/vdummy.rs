@@ -5,7 +5,7 @@
 //! reference implementation). It is used to measure the raw performances
 //! of the generic communication layer."*
 
-use crate::hooks::{SharedRankStats, Suite, Topology, VProtocol};
+use crate::hooks::{Suite, VProtocol};
 use crate::types::Rank;
 
 /// The no-op protocol: every hook keeps its default behaviour.
@@ -25,12 +25,7 @@ impl Suite for VdummySuite {
         "MPICH-Vdummy".into()
     }
 
-    fn make_protocol(
-        &self,
-        _rank: Rank,
-        _topo: &Topology,
-        _stats: SharedRankStats,
-    ) -> Box<dyn VProtocol> {
+    fn make_protocol(&self, _rank: Rank, _n: usize) -> Box<dyn VProtocol> {
         Box::new(Vdummy)
     }
 }

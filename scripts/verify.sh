@@ -27,18 +27,29 @@ for knob in $knobs; do
 done
 echo "    knob inventory: ok ($(echo "$knobs" | wc -w) names, all documented)"
 
-echo "==> boundary gate (no Mutex, no unsafe in the non-test code of the task<->daemon boundary)"
+echo "==> boundary gate (no Mutex, no unsafe at the task<->daemon boundary; no lock or atomic around what a cluster run shares)"
+# Comment lines may name what the code may not use.
+boundary_gate() { # <words> <what to say> <files...>
+    local words=$1 say=$2
+    shift 2
+    if awk "$non_test"' { print FILENAME ":" FNR ": " $0 }' "$@" |
+        grep -vE '^[^ ]+ +//' | grep -wE "$words"; then
+        echo "$say (lines above)" >&2
+        exit 1
+    fi
+    echo "    boundary gate: ok (no $words in $*)"
+}
 # The per-message path is plain memory the kernel owns (crates/sim/src/
 # exec.rs, "Ownership and Send"); a lock or an unsafe block coming back
-# here is a design regression, not a detail. Comment lines may name both.
-boundary="crates/sim/src/exec.rs crates/vmpi/src/pipe.rs crates/vmpi/src/api.rs"
-# shellcheck disable=SC2086
-if awk "$non_test"' { print FILENAME ":" FNR ": " $0 }' $boundary |
-    grep -vE '^[^ ]+ +//' | grep -wE 'Mutex|unsafe'; then
-    echo "the task<->daemon boundary must take no lock and need no unsafe (lines above)" >&2
-    exit 1
-fi
-echo "    boundary gate: ok ($boundary)"
+# here is a design regression, not a detail.
+boundary_gate 'Mutex|unsafe' "the task<->daemon boundary must take no lock and need no unsafe" \
+    crates/sim/src/exec.rs crates/vmpi/src/pipe.rs crates/vmpi/src/api.rs
+# What the components of a run share is one plain struct in the run's
+# kernel (crates/vmpi/src/cluster.rs, "What a run shares"): a run is
+# single-threaded, so a lock or an atomic here guards against nobody.
+boundary_gate 'Mutex|RwLock|AtomicBool|AtomicU64' "run state is reached through &mut Sim, not through a lock or an atomic" \
+    crates/vmpi/src/{hooks,daemon,cluster,dispatcher,scheduler,phase,ckpt}.rs \
+    crates/core/src/{el_multi,logcore,causal,pessimistic,coordinated,suite}.rs
 
 echo "==> cargo build --release (RUSTFLAGS=-D warnings from here on)"
 cargo build --release --offline
@@ -59,8 +70,6 @@ grep -q "event_calendar/calendar_schedule_drain" BENCH_micro.json || {
     echo "BENCH_micro.json is missing the event_calendar group" >&2; exit 1; }
 grep -q "event_calendar/heap_schedule_drain" BENCH_micro.json || {
     echo "BENCH_micro.json is missing the heap baseline" >&2; exit 1; }
-grep -q "sharded_stats/" BENCH_micro.json || {
-    echo "BENCH_micro.json is missing the sharded_stats group" >&2; exit 1; }
 grep -q "el_batching/" BENCH_micro.json || {
     echo "BENCH_micro.json is missing the el_batching group" >&2; exit 1; }
 grep -q "pb_compact/" BENCH_micro.json || {
@@ -69,7 +78,7 @@ grep -q "causality_store/" BENCH_micro.json || {
     echo "BENCH_micro.json is missing the causality_store group" >&2; exit 1; }
 grep -q "kernel_loop/" BENCH_micro.json || {
     echo "BENCH_micro.json is missing the kernel_loop group" >&2; exit 1; }
-echo "    BENCH_micro.json: ok (event_calendar + sharded_stats + el_batching + pb_compact + causality_store + kernel_loop groups present)"
+echo "    BENCH_micro.json: ok (event_calendar + el_batching + pb_compact + causality_store + kernel_loop groups present)"
 
 echo "==> throughput-regression gate (vs committed BENCH_micro.json, VLOG_GATE_TOLERANCE=${VLOG_GATE_TOLERANCE:-40}%)"
 if git cat-file -e HEAD:BENCH_micro.json 2>/dev/null; then

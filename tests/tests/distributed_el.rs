@@ -116,6 +116,46 @@ fn el_shard_failure_reshards_and_the_run_completes() {
 }
 
 #[test]
+fn killing_a_shard_that_is_already_down_changes_nothing() {
+    // An Event Logger shard never comes back, so a second kill of the
+    // same shard must not crash its node again, rebalance again or tell
+    // every rank to re-ship its unacknowledged window to the shard it
+    // is already on: the report is the single kill's.
+    let run = |faults: FaultPlan| {
+        let suite = Arc::new(
+            CausalSuite::new(Technique::Vcausal, true)
+                .with_distributed_el(2, SimDuration::from_millis(2)),
+        );
+        let mut cfg = ClusterConfig::new(4);
+        cfg.detect_delay = SimDuration::from_millis(2);
+        cfg.event_limit = Some(50_000_000);
+        let report = run_cluster(&cfg, suite, ring(200), &faults);
+        assert!(report.completed);
+        report
+    };
+    let first = FaultPlan::kill_el_at(SimDuration::from_millis(5), 0);
+    let once = run(first.clone());
+    let twice = run(first.then_kill_el_at(SimDuration::from_millis(12), 0));
+    assert!(
+        twice.makespan > SimDuration::from_millis(14),
+        "the second kill and its detection must land inside the run"
+    );
+    for report in [&once, &twice] {
+        assert_eq!(report.stats.get("el_shard_crashes"), 1);
+        assert_eq!(report.stats.get("node_crashes"), 1);
+        assert_eq!(report.el_reshards(), 1);
+    }
+    assert_eq!(twice.makespan, once.makespan);
+    assert_eq!(format!("{:?}", twice.stats), format!("{:?}", once.stats));
+    assert_eq!(
+        format!("{:?}", twice.rank_stats),
+        format!("{:?}", once.rank_stats)
+    );
+    // All the second kill leaves behind: its two scheduled no-ops.
+    assert_eq!(twice.events, once.events + 2);
+}
+
+#[test]
 fn rank_recovery_works_after_an_el_reshard() {
     // Compound fault: shard 0 dies and its ranks re-shard, then rank 1
     // (served by the surviving shard) crashes. Recovery must gather

@@ -44,7 +44,7 @@ fn stalled_restart_window_names_the_dangling_recovery_edge() {
     let victim = 1;
     let w = NasConfig::new(NasBench::FT, Class::S, 8);
     let mut cfg = ft8_cfg();
-    cfg.buggy_restart_window = true;
+    cfg.seeded_bugs.restart_window = true;
     let plan = FaultPlan::kill_at(SimDuration::from_millis(5), victim);
     let run = run_workload(&w, &cfg, causal_suite(), &plan);
     // The watchdog, not an event cap, ends the stalled run: the sim
@@ -111,12 +111,8 @@ fn bursty_coordinated(storm_bug: bool) -> (bool, causality::LivenessReport) {
     let mut cfg = ClusterConfig::new(w.np());
     cfg.event_limit = Some(2_000_000);
     cfg.export_liveness = true;
-    let suite = CoordinatedSuite::new(SimDuration::from_millis(2));
-    let suite = if storm_bug {
-        Arc::new(suite.with_storm_bug())
-    } else {
-        Arc::new(suite)
-    };
+    cfg.seeded_bugs.marker_storm = storm_bug;
+    let suite = Arc::new(CoordinatedSuite::new(SimDuration::from_millis(2)));
     let result = catch_unwind(AssertUnwindSafe(|| {
         run_workload(&w, &cfg, suite, &FaultPlan::none())
     }));
