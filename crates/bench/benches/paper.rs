@@ -8,9 +8,8 @@
 //! it as section 0 of `REPORT.md`. `VLOG_SCALE` is recorded in the
 //! file, so a quick- or full-scale run shows up as a diff.
 
-use criterion::out_dir;
 use vlog_bench::paper::{render_scorecard, PaperReport};
-use vlog_bench::{default_threads, Scale};
+use vlog_bench::{default_threads, out_dir, Scale};
 
 fn main() {
     let report = PaperReport::generate(Scale::from_env(), default_threads());

@@ -14,9 +14,10 @@
 
 use std::sync::Arc;
 
-use criterion::out_dir;
 use vlog_bench::paper::{render_scorecard, PaperReport};
-use vlog_bench::{default_threads, render_markdown, run_many, write_json, RegimeRow, SuiteKind};
+use vlog_bench::{
+    default_threads, out_dir, render_markdown, run_many, write_json, RegimeRow, SuiteKind,
+};
 use vlog_core::{CausalSuite, PbFormat, Technique};
 use vlog_sim::{NetProfile, SimDuration};
 use vlog_vmpi::{ClusterConfig, FaultPlan};

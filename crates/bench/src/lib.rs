@@ -3,20 +3,25 @@
 //! The bench targets (`harness = false`, so `cargo bench` runs them as
 //! plain binaries):
 //!
-//! | target              | artifact                                        |
-//! |---------------------|-------------------------------------------------|
-//! | `paper`             | Figs. 1, 3, 6a, 6b, 7, 8, 9, 10 and the paper's claims about them ([`paper`]): `BENCH_paper.json`, `REPORT.md` §0 |
-//! | `regimes`           | the scaled-regime grid: `BENCH_regimes.json`, `REPORT.md` §1–7 |
-//! | `workloads`         | registry x suite sweep: `BENCH_workloads.json`  |
-//! | `ablations`         | design-choice probes beyond the paper           |
-//! | `micro` (Criterion) | real ns/op of codecs, graph ops, reductions     |
+//! | target      | artifact                                                |
+//! |-------------|---------------------------------------------------------|
+//! | `paper`     | Figs. 1, 3, 6a, 6b, 7, 8, 9, 10 and the paper's claims about them ([`paper`]): `BENCH_paper.json`, `REPORT.md` §0 |
+//! | `regimes`   | the scaled-regime grid: `BENCH_regimes.json`, `REPORT.md` §1–7 |
+//! | `ablations` | design-choice probes beyond the paper (stdout only)     |
 //!
-//! Helper binaries (`src/bin`): `bench_gate` (the micro throughput
-//! gate), `liveness_smoke` (hang-detector smoke) and `prof_report`
-//! (symbolises the sample dump of `scripts/profile.sh`).
+//! Those are the model numbers. How fast the simulator itself runs is
+//! measured in one place only, the `benchmark/` crate at the repository
+//! root (`BENCHMARK.json`).
 //!
-//! Scale control: `VLOG_SCALE=quick|default|full`.
-//! Reduced scales preserve every qualitative shape; see DESIGN.md §2.
+//! Helper binaries (`src/bin`): `liveness_smoke` (hang-detector smoke)
+//! and `prof_report` (symbolises the sample dump of
+//! `scripts/profile.sh`).
+//!
+//! Scale control: `VLOG_SCALE=quick|default|full` ([`Scale`]). A reduced
+//! scale runs a fraction of each benchmark's iterations and repetitions
+//! on the same process grids, so the figures keep their shape; the
+//! committed artifacts are the default scale (README, "Reading the
+//! scorecard").
 
 #![deny(missing_docs)]
 
@@ -26,12 +31,10 @@ use vlog_core::{CausalSuite, CoordinatedSuite, PessimisticSuite, Technique};
 use vlog_sim::{env_knob, SimDuration};
 use vlog_vmpi::{ClusterConfig, Suite, VdummySuite};
 
-pub mod gate;
 pub mod paper;
 pub mod report;
 pub mod sweep;
-pub use gate::{compare, parse_bench_json, BenchEntry, GateReport};
-pub use report::{md_table, parse_json, render_markdown, write_json, RegimeRow};
+pub use report::{md_table, out_dir, parse_json, render_markdown, write_json, RegimeRow};
 pub use sweep::{default_threads, parse_threads_override, run_many, ThreadsOverrideError};
 
 /// One software stack of the paper's comparison: the three

@@ -22,8 +22,7 @@
 //! both and require them byte-identical to the committed copies.
 
 use std::fmt::Write as _;
-
-use criterion::json_escape;
+use std::path::PathBuf;
 
 /// One `(workload, suite)` cell of the scaled-regime sweep: the shared
 /// workload metrics of the fault-free run plus the makespan of the
@@ -230,27 +229,64 @@ pub fn write_json(rows: &[RegimeRow]) -> String {
     json
 }
 
+/// Where the committed artifacts (`BENCH_*.json`, `REPORT.md`) go: the
+/// nearest ancestor of the working directory holding a `Cargo.lock`
+/// (the workspace root — cargo runs bench targets from the crate
+/// directory), else the working directory itself.
+pub fn out_dir() -> PathBuf {
+    let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
+    cwd.ancestors()
+        .find(|dir| dir.join("Cargo.lock").exists())
+        .unwrap_or(&cwd)
+        .to_path_buf()
+}
+
+/// Escapes `s` for a JSON string literal — `\"`, `\\`, and `\u00XX`
+/// for a byte below 0x20 — which [`Scanner::string`] undoes. Everything
+/// up to the next such byte is copied in one piece (all of them are
+/// ASCII, so none occurs inside a multi-byte sequence).
+fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    let mut rest = s;
+    while let Some(at) = rest
+        .bytes()
+        .position(|b| matches!(b, b'"' | b'\\') || b < 0x20)
+    {
+        out.push_str(&rest[..at]);
+        match rest.as_bytes()[at] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        rest = &rest[at + 1..];
+    }
+    out.push_str(rest);
+    out
+}
+
 // ---------------------------------------------------------------------
 // Minimal JSON reader for the document `write_json` emits.
 // ---------------------------------------------------------------------
 
 /// One scalar field value of a flat results object.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) enum JsonValue {
+enum JsonValue {
     Str(String),
     Num(f64),
     Bool(bool),
 }
 
 impl JsonValue {
-    pub(crate) fn as_str(&self, key: &str) -> Result<&str, String> {
+    fn as_str(&self, key: &str) -> Result<&str, String> {
         match self {
             JsonValue::Str(s) => Ok(s),
             other => Err(format!("field {key:?} is not a string: {other:?}")),
         }
     }
 
-    pub(crate) fn as_f64(&self, key: &str) -> Result<f64, String> {
+    fn as_f64(&self, key: &str) -> Result<f64, String> {
         match self {
             JsonValue::Num(x) => Ok(*x),
             other => Err(format!("field {key:?} is not a number: {other:?}")),
@@ -459,10 +495,10 @@ impl<'a> Scanner<'a> {
 }
 
 /// The scalar fields of one flat results object, in document order.
-pub(crate) type Fields = Vec<(String, JsonValue)>;
+type Fields = Vec<(String, JsonValue)>;
 
 /// The value of `key` in `fields`; a missing field is an error.
-pub(crate) fn field<'a>(fields: &'a Fields, key: &str) -> Result<&'a JsonValue, String> {
+fn field<'a>(fields: &'a Fields, key: &str) -> Result<&'a JsonValue, String> {
     fields
         .iter()
         .find(|(k, _)| k == key)
@@ -472,9 +508,9 @@ pub(crate) fn field<'a>(fields: &'a Fields, key: &str) -> Result<&'a JsonValue, 
 
 /// The flat objects of the top-level array `key` of a bench document
 /// (`{"target": ..., "results": [...]}` is the shape every bench target
-/// emits), in order — the one reader behind [`parse_json`], the paper
-/// scorecard and the bench gate.
-pub(crate) fn parse_array(src: &str, key: &str) -> Result<Vec<Fields>, String> {
+/// emits), in order — the one reader behind [`parse_json`] and the
+/// paper scorecard.
+fn parse_array(src: &str, key: &str) -> Result<Vec<Fields>, String> {
     let mut sc = Scanner::after_key(src, key)?;
     let mut results = Vec::new();
     sc.list((b'[', b']'), |sc| {
@@ -1139,6 +1175,35 @@ mod tests {
         let short = json.replace("\\u000a", "\\n").replace("\\u0009", "\\t");
         assert_ne!(short, json);
         assert_eq!(parse_json(&short).unwrap(), back);
+    }
+
+    /// The literal is what the `chars().flat_map(..)` escaper this one
+    /// replaced printed for the same input.
+    #[test]
+    fn json_escape_keeps_its_bytes_and_reads_back() {
+        let mut input = String::from("a\"b\\c");
+        input.extend((0u8..0x20).map(char::from));
+        input.push_str("é→𝄞\"\\");
+        let escaped = json_escape(&input);
+        assert_eq!(
+            escaped,
+            "a\\\"b\\\\c\\u0000\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007\\u0008\\u0009\
+             \\u000a\\u000b\\u000c\\u000d\\u000e\\u000f\\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\
+             \\u0016\\u0017\\u0018\\u0019\\u001a\\u001b\\u001c\\u001d\\u001e\\u001fé→𝄞\\\"\\\\"
+        );
+        let quoted = format!("\"{escaped}\"");
+        assert_eq!(Scanner::new(&quoted).string().unwrap(), input);
+    }
+
+    #[test]
+    fn out_dir_is_the_workspace_root() {
+        // cargo runs tests, like bench targets, from the crate directory.
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .ancestors()
+            .nth(2)
+            .unwrap();
+        assert!(root.join("Cargo.lock").exists());
+        assert_eq!(out_dir(), root);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! **all** ranks back to the last globally complete snapshot; recorded
 //! channel state is re-injected on restart.
 //!
-//! Deviations from textbook Chandy-Lamport, documented in DESIGN.md: the
+//! Deviations from textbook Chandy-Lamport: the
 //! snapshot is taken at the next application checkpoint point rather than
 //! instantaneously at marker receipt, and markers carry sequence-number
 //! watermarks instead of relying on in-band position (our transport can

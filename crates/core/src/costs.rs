@@ -7,9 +7,10 @@
 //! real, and every structural operation (event serialized, graph vertex
 //! visited, vertex inserted, ...) is counted and multiplied by a
 //! calibrated per-operation constant. The constants below are fitted to
-//! the 2 GHz AthlonXP of the paper's testbed; the Criterion benches
-//! (`vlog-bench`) measure the actual Rust cost of the same operations for
-//! comparison.
+//! the 2 GHz AthlonXP of the paper's testbed; `benchmark/`'s probe rows
+//! (`core.reduction.probe_ns_per_build`,
+//! `core.piggyback.probe_ns_per_wire_len`) measure the actual Rust cost
+//! of two of those operations for comparison.
 
 use vlog_sim::SimDuration;
 

@@ -19,8 +19,7 @@
 //! a `Vec`. There is no separate length formula to keep in step with an
 //! encoder, so the modeled wire equals the real wire by construction (the
 //! watermark vector of GC notices follows the same rule). The flat codec
-//! preserves the partial order LogOn relies on, and the micro-benches
-//! measure the real encode/decode cost of each. Three formats are
+//! preserves the partial order LogOn relies on. Three formats are
 //! selectable per suite ([`PbFormat`]): the paper's two historical
 //! layouts, kept byte-identical as baselines, plus the `compact` format
 //! that breaks their O(rank-count) field widths with LEB128 varints and
@@ -521,7 +520,7 @@ mod tests {
 
     #[test]
     fn compact_beats_flat_at_the_acceptance_shape() {
-        // The micro-bench shape at 256 determinants (4 receivers, sorted
+        // The acceptance shape, 256 determinants (4 receivers, sorted
         // by (receiver, clock)): the acceptance criterion is >= 2x fewer
         // wire bytes than flat. Consecutive clocks/ssns per run delta to
         // single-byte varints, so compact lands near 4 B/event.

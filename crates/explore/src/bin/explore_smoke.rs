@@ -5,13 +5,8 @@
 //! the clean protocol scenarios and asserts zero invariant violations.
 //! Exits 1 — printing each violation's minimal replayable schedule —
 //! otherwise. `scripts/verify.sh` runs this as its exploration gate.
-//!
-//! Runs with the kernel's self-profiling counters on and reports the
-//! exploration throughput (schedules/sec, events/sec) derived from the
-//! dispatch-phase counters — the number the raw-speed work moves.
 
 use vlog_explore::{default_scenarios, explore, Budget};
-use vlog_sim::profiler;
 
 fn main() {
     let budget = Budget::from_env();
@@ -23,28 +18,11 @@ fn main() {
         budget.schedules,
         budget.seed
     );
-    // Programmatic enable (not the VLOG_PROFILE env knob, which would
-    // also print a per-run stderr block for every explored schedule).
-    profiler::set_enabled(true);
     let report = explore(&scenarios, &budget);
-    let dispatch = profiler::take()
-        .into_iter()
-        .find(|r| r.phase == profiler::Phase::Dispatch);
     eprintln!(
         "explore_smoke: {} distinct schedules checked over {} scenarios ({} runs)",
         report.distinct_schedules, report.scenarios, report.runs
     );
-    if let Some(d) = dispatch.filter(|d| d.nanos > 0) {
-        let secs = d.nanos as f64 / 1e9;
-        eprintln!(
-            "explore_smoke: throughput {:.0} schedules/sec, {:.0} events/sec \
-             ({} events dispatched in {:.3}s)",
-            report.distinct_schedules as f64 / secs,
-            d.calls as f64 / secs,
-            d.calls,
-            secs
-        );
-    }
     if report.violations.is_empty() {
         eprintln!("explore_smoke: no invariant violations");
         return;

@@ -26,8 +26,8 @@
 //!   schedule exploration — same-time reorders, bounded latency
 //!   injection, replayable decision traces ([`schedule`]),
 //! * byte/time **statistics** used by the benchmark harnesses ([`stats`]),
-//! * kernel **self-profiling**: per-phase wall-clock counters behind the
-//!   `VLOG_PROFILE` knob ([`profiler`]) — wall time never enters the
+//! * kernel **self-profiling**: per-phase wall-clock counters a harness
+//!   switches on ([`profiler`]) — wall time never enters the
 //!   deterministic statistics,
 //! * a **causality log** with liveness detectors behind the
 //!   `VLOG_CAUSALITY` knob ([`causality`]): protocol layers record

@@ -8,19 +8,16 @@
 //! charged through cheap [`scope`] drop-guards placed on the hot paths.
 //!
 //! Profiling is **off by default** and costs one relaxed atomic load
-//! per scope when disabled. It is enabled either by the `VLOG_PROFILE`
-//! environment knob (any non-zero value, parsed through
-//! [`crate::env_knob`]) or programmatically through [`set_enabled`]
-//! (tests and harnesses — environment mutation races across parallel
-//! tests, a process-local flag does not).
+//! per scope when disabled. [`set_enabled`] turns it on: a
+//! process-local flag and no environment knob, since environment
+//! mutation races across parallel tests.
 //!
 //! Wall-clock readings never enter [`crate::stats::Stats`] or any run
 //! report: reports are part of the determinism fingerprint, and wall
 //! time is the one quantity two identical runs legitimately disagree
-//! on. Instead the cluster runner prints an Event-Logger-gauge-style
-//! block to **stderr** after each run when `VLOG_PROFILE` is set, and
-//! harnesses (the explore smoke gate) read [`take`]/[`snapshot`]
-//! directly to derive throughput lines such as schedules per second.
+//! on. A harness reads [`take`]/[`snapshot`] itself and derives what it
+//! reports — `benchmark/`'s traced run turns them into its per-layer
+//! rows.
 //!
 //! Phases may nest (the codec scope runs inside a dispatch scope), so
 //! the per-phase nanoseconds are *inclusive* and do not sum to the
@@ -28,10 +25,7 @@
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
 use std::time::Instant;
-
-use crate::env_knob;
 
 /// The instrumented sections of the kernel hot path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,17 +70,6 @@ impl Phase {
             Phase::Codec,
         ]
     }
-
-    /// Fixed-width label used in the stderr report.
-    pub fn label(self) -> &'static str {
-        match self {
-            Phase::Calendar => "calendar",
-            Phase::Dispatch => "dispatch",
-            Phase::Net => "net",
-            Phase::Stats => "stats",
-            Phase::Codec => "codec",
-        }
-    }
 }
 
 /// One phase's accumulated readings on the calling thread.
@@ -109,22 +92,9 @@ thread_local! {
 /// Programmatic enable flag ([`set_enabled`]).
 static FORCED: AtomicBool = AtomicBool::new(false);
 
-/// `VLOG_PROFILE` knob, read once per process.
-fn env_enabled() -> bool {
-    static ENV: OnceLock<bool> = OnceLock::new();
-    *ENV.get_or_init(|| env_knob::any_u64("VLOG_PROFILE", 0) != 0)
-}
-
-/// Whether profiling scopes currently record (knob or programmatic).
+/// Whether profiling scopes currently record.
 pub fn enabled() -> bool {
-    FORCED.load(Ordering::Relaxed) || env_enabled()
-}
-
-/// Whether the per-run stderr report is requested (`VLOG_PROFILE` only
-/// — [`set_enabled`] collects silently so tests and harnesses can read
-/// the counters without spamming every run's stderr).
-pub fn report_each_run() -> bool {
-    env_enabled()
+    FORCED.load(Ordering::Relaxed)
 }
 
 /// Turns profiling collection on or off process-wide, independent of
@@ -194,41 +164,6 @@ pub fn take() -> Vec<PhaseReading> {
     out
 }
 
-/// Renders readings as the gauge-style block the cluster runner prints
-/// to stderr: one `label: calls / total / per-call` line per non-empty
-/// phase, plus an events-per-second headline derived from the dispatch
-/// phase.
-pub fn render(label: &str, readings: &[PhaseReading]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "profile [{label}]");
-    for r in readings {
-        if r.calls == 0 {
-            continue;
-        }
-        let per_call = r.nanos as f64 / r.calls as f64;
-        let _ = writeln!(
-            out,
-            "  {:<8} {:>12} calls {:>14} ns {:>10.1} ns/call",
-            r.phase.label(),
-            r.calls,
-            r.nanos,
-            per_call
-        );
-    }
-    if let Some(d) = readings
-        .iter()
-        .find(|r| r.phase == Phase::Dispatch && r.nanos > 0)
-    {
-        let _ = writeln!(
-            out,
-            "  events/sec {:.0} (dispatch-phase wall time)",
-            d.calls as f64 * 1e9 / d.nanos as f64
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,34 +198,10 @@ mod tests {
         assert!(cleared.iter().all(|r| r.calls == 0 && r.nanos == 0));
         set_enabled(false);
         // Disabled scopes are inert guards: no clock read, no record.
-        // (Skip the assertion when VLOG_PROFILE forces collection on.)
-        if !enabled() {
-            let before = snapshot();
-            {
-                let _g = scope(Phase::Net);
-            }
-            assert_eq!(snapshot(), before);
+        let before = snapshot();
+        {
+            let _g = scope(Phase::Net);
         }
-    }
-
-    #[test]
-    fn render_reports_nonzero_phases_only() {
-        let rows = vec![
-            PhaseReading {
-                phase: Phase::Calendar,
-                calls: 0,
-                nanos: 0,
-            },
-            PhaseReading {
-                phase: Phase::Dispatch,
-                calls: 4,
-                nanos: 2_000,
-            },
-        ];
-        let text = render("unit", &rows);
-        assert!(text.contains("profile [unit]"));
-        assert!(!text.contains("calendar"));
-        assert!(text.contains("dispatch"));
-        assert!(text.contains("events/sec 2000000"));
+        assert_eq!(snapshot(), before);
     }
 }

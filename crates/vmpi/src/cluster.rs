@@ -657,14 +657,6 @@ impl ClusterRun {
             None => self.sim.run(),
         }
 
-        if vlog_sim::profiler::report_each_run() {
-            let readings = vlog_sim::profiler::take();
-            eprint!(
-                "{}",
-                vlog_sim::profiler::render(&self.suite_name, &readings)
-            );
-        }
-
         // Liveness analysis reaches the report only on explicit request
         // (config export or the VLOG_CAUSALITY knob): a force-enabled
         // determinism sweep collects the log but exports nothing, so

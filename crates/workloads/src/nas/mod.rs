@@ -7,10 +7,9 @@
 //! per-rank flop charges taken from the published operation counts. The
 //! numerics themselves are not computed — protocol behaviour depends on
 //! the event rate, message sizes and communication/computation ratio,
-//! all of which the skeletons reproduce (see DESIGN.md §2 for the
-//! substitution argument). The paper's own characterization (§V-A) is the
-//! reference: *"CG presents heavy point-to-point latency driven
-//! communications; BT presents large point-to-point messages, and
+//! all of which the skeletons reproduce. The paper's own characterization
+//! (§V-A) is the reference: *"CG presents heavy point-to-point latency
+//! driven communications; BT presents large point-to-point messages, and
 //! communications overlapped by computation; LU tests large number of
 //! large \[sic\] messages communications, FT presents all-to-all
 //! communication pattern."*

@@ -2,7 +2,7 @@
 //! sweep, behind one enumeration.
 //!
 //! The registry is the single source of truth for "all workloads": the
-//! `workloads` sweep bench runs every entry under every protocol suite,
+//! `regimes` bench runs every `Large` entry under every protocol suite,
 //! and the determinism conformance suite proves each entry completes,
 //! survives an injected fault and reports byte-identically across sweep
 //! thread counts. Adding a workload family is: implement
@@ -29,8 +29,6 @@ pub enum RegistryScale {
     /// Small rank counts and short runs: CI conformance and smoke
     /// benches. Every family still appears.
     Smoke,
-    /// The spread the `workloads` bench sweeps by default.
-    Default,
     /// The scaled-regime spread of the `regimes` bench and `REPORT.md`:
     /// higher rank counts everywhere, the multi-server bursty service,
     /// larger seeded halo graphs, and the deep-tiling FFT ladder that
@@ -86,7 +84,7 @@ pub fn net_axes(scale: RegistryScale) -> Vec<NetAxis> {
                 el_count: 2,
             });
         }
-        RegistryScale::Default | RegistryScale::Large | RegistryScale::Huge => {
+        RegistryScale::Large | RegistryScale::Huge => {
             v.push(NetAxis {
                 profile: NetProfile::fast_ethernet_2005(),
                 el_count: 4,
@@ -128,23 +126,6 @@ pub fn registry(scale: RegistryScale) -> Vec<Arc<dyn Workload>> {
             v.push(Arc::new(BurstyConfig::new(4, 6, 11)));
             v.push(Arc::new(HaloConfig::new(4, 6, 12)));
             v.push(Arc::new(FftPipeConfig::new(4, 3, 4)));
-        }
-        RegistryScale::Default => {
-            for bench in [NasBench::CG, NasBench::MG, NasBench::FT, NasBench::LU] {
-                v.push(Arc::new(NasConfig::new(bench, Class::S, 4)));
-            }
-            v.push(Arc::new(NasConfig::new(NasBench::BT, Class::S, 4)));
-            v.push(Arc::new(NasConfig::new(NasBench::SP, Class::S, 4)));
-            v.push(Arc::new(
-                NetpipeConfig::new(64 << 10, 0.05).with_checkpoints(),
-            ));
-            v.push(Arc::new(BurstyConfig::new(4, 12, 11)));
-            v.push(Arc::new(BurstyConfig::new(8, 8, 11)));
-            v.push(Arc::new(HaloConfig::new(8, 8, 12)));
-            v.push(Arc::new(HaloConfig::new(16, 4, 12)));
-            // Tile sweep: monolithic FT-style vs deep pipelining.
-            v.push(Arc::new(FftPipeConfig::new(8, 3, 1)));
-            v.push(Arc::new(FftPipeConfig::new(8, 3, 8)));
         }
         RegistryScale::Large | RegistryScale::Huge => {
             // NAS at 16 ranks: the paper's upper rank count.
@@ -205,7 +186,6 @@ mod tests {
     fn every_family_is_registered_at_every_scale() {
         for scale in [
             RegistryScale::Smoke,
-            RegistryScale::Default,
             RegistryScale::Large,
             RegistryScale::Huge,
         ] {
@@ -220,7 +200,6 @@ mod tests {
     fn labels_are_unique_within_a_scale() {
         for scale in [
             RegistryScale::Smoke,
-            RegistryScale::Default,
             RegistryScale::Large,
             RegistryScale::Huge,
         ] {
@@ -233,7 +212,7 @@ mod tests {
     #[test]
     fn registered_workloads_have_sane_metadata() {
         for scale in [
-            RegistryScale::Default,
+            RegistryScale::Smoke,
             RegistryScale::Large,
             RegistryScale::Huge,
         ] {
@@ -303,7 +282,6 @@ mod tests {
     fn net_axes_lead_with_the_paper_baseline_and_stay_unique() {
         for scale in [
             RegistryScale::Smoke,
-            RegistryScale::Default,
             RegistryScale::Large,
             RegistryScale::Huge,
         ] {

@@ -9,7 +9,7 @@
 //! send/receive management time, and the message-count/size histogram.
 //!
 //! The point of the indirection is that nothing downstream — figure
-//! harnesses, the determinism suite, the `workloads` sweep bench —
+//! harnesses, the determinism suite, the `regimes` sweep bench —
 //! names a concrete benchmark: they iterate the
 //! [registry](crate::registry()) and treat NAS, NetPIPE, the bursty
 //! request/reply service, the irregular halo exchange and the pipelined
@@ -44,7 +44,7 @@ use vlog_vmpi::{
 pub trait Workload: Send + Sync {
     /// Family slug shared by every configuration of one benchmark kind
     /// (`"nas"`, `"netpipe"`, `"bursty"`, `"halo"`, `"fft"`). Grouping
-    /// key of `BENCH_workloads.json`.
+    /// key of `BENCH_regimes.json`.
     fn family(&self) -> &'static str;
 
     /// Human-readable label including the distinguishing parameters,
