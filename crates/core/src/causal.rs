@@ -172,7 +172,7 @@ impl CausalProtocol {
                 received,
                 stable,
             } => {
-                self.log.on_gc_notice(from, &received);
+                self.log.on_gc_notice(ctx, from, &received);
                 // Send-side pruning: `from` vouches these clocks are
                 // EL-stable, so piggybacks *to it* can skip them. Peer
                 // knowledge only — global stability still comes solely
@@ -243,7 +243,7 @@ impl VProtocol for CausalProtocol {
     }
 
     fn on_app_msg(&mut self, ctx: &mut Ctx<'_>, msg: &mut AppMsg) -> RecvGate {
-        if self.log.buffer_if_recovering(msg) {
+        if self.log.buffer_if_recovering(ctx, msg) {
             self.replay(ctx);
             return RecvGate::Consume;
         }

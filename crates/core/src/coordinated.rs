@@ -26,7 +26,7 @@
 
 use std::sync::Arc;
 
-use vlog_sim::causality::{self, Edge};
+use vlog_sim::causality::Edge;
 use vlog_sim::SimDuration;
 use vlog_vmpi::{
     AppMsg, ClusterState, Ctx, Payload, ProtoBlob, ProtoPhase, Rank, RecvGate, SchedulerCmd, Ssn,
@@ -112,7 +112,7 @@ impl CoordinatedProtocol {
             // Once-only by design: a second production of the same
             // (rank, id) key is exactly the marker-storm bug, and the
             // causality log's duplicate detector names it.
-            causality::record(|| Edge::Produced {
+            ctx.sim.record(|| Edge::Produced {
                 key: vlog_sim::ckey!("snapshot-close-finished", rank = self.rank, id = id),
                 caused_by: None,
                 unique: true,
@@ -125,7 +125,7 @@ impl CoordinatedProtocol {
         let sent = ctx.core.next_ssn_watermarks();
         for peer in 0..self.n {
             if peer != self.rank {
-                vlog_sim::event!("marker" { from = self.rank, to = peer, id = id });
+                vlog_sim::event!(ctx.sim, "marker" { from = self.rank, to = peer, id = id });
                 ctx.core.control_to_rank(
                     ctx.sim,
                     peer,
@@ -156,8 +156,7 @@ impl CoordinatedProtocol {
             phase.open[src] = false;
             if !phase.shipped && !phase.open.iter().any(|&o| o) {
                 phase.shipped = true;
-                vlog_sim::event!(
-                    "snapshot-shipped" { rank = self.rank, id = phase.id }
+                vlog_sim::event!(ctx.sim, "snapshot-shipped" { rank = self.rank, id = phase.id }
                     caused_by "snapshot-taken" { rank = self.rank, id = phase.id }
                 );
                 ctx.core.request_ship();
@@ -166,7 +165,7 @@ impl CoordinatedProtocol {
     }
 
     fn on_marker(&mut self, ctx: &mut Ctx<'_>, m: MarkerCtl) {
-        causality::record(|| Edge::Consume {
+        ctx.sim.record(|| Edge::Consume {
             cause: vlog_sim::ckey!("marker", from = m.from, to = self.rank, id = m.id),
             by: vlog_sim::ckey!("marker-handled", rank = self.rank),
         });
@@ -247,13 +246,13 @@ impl VProtocol for CoordinatedProtocol {
 
     fn on_image_assembled(&mut self, ctx: &mut Ctx<'_>, version: u64) {
         let id = self.pending.take().unwrap_or(version);
-        vlog_sim::event!("snapshot-taken" { rank = self.rank, id = id });
+        vlog_sim::event!(ctx.sim, "snapshot-taken" { rank = self.rank, id = id });
         // The image cannot ship until every peer's marker for this id
         // arrives: declare those edges so a marker lost to a missing
         // sender shows up as the dangling cause of a stuck snapshot.
         for src in 0..self.n {
             if src != self.rank {
-                causality::record(|| Edge::Expect {
+                ctx.sim.record(|| Edge::Expect {
                     cause: vlog_sim::ckey!("marker", from = src, to = self.rank, id = id),
                     waiter: vlog_sim::ckey!("snapshot-taken", rank = self.rank, id = id),
                     owner: self.rank as u64,

@@ -24,7 +24,7 @@
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use vlog_sim::causality::{self, Edge, Key};
+use vlog_sim::causality::{Edge, Key};
 use vlog_sim::{ActorId, SimDuration, SimTime, TimerHandle};
 use vlog_vmpi::{
     AppMsg, Ctx, ElReshard, Payload, PiggybackBlob, ProtoPhase, RClock, Rank, SchedulerCmd, Ssn,
@@ -215,12 +215,18 @@ impl LogCore {
         self.batches_sent += 1;
         let seq = self.batches_sent;
         self.el_outstanding.push_back(seq);
-        vlog_sim::event!("det-batch-shipped" { rank = self.rank, seq = seq });
-        causality::record(|| Edge::Expect {
-            cause: vlog_sim::ckey!("det-batch-acked", rank = self.rank, seq = seq),
-            waiter: vlog_sim::ckey!("det-batch-shipped", rank = self.rank, seq = seq),
-            owner: self.rank as u64,
-        });
+        vlog_sim::event!(ctx.sim, "det-batch-shipped" { rank = self.rank, seq = seq });
+        // A finished rank still ships the tail an ack clocks out, and the
+        // ack is still paired, but nothing waits on it: its expectations
+        // were withdrawn when the program ended, and a run may complete
+        // before this ack arrives.
+        if !ctx.core.app_finished() {
+            ctx.sim.record(|| Edge::Expect {
+                cause: vlog_sim::ckey!("det-batch-acked", rank = self.rank, seq = seq),
+                waiter: vlog_sim::ckey!("det-batch-shipped", rank = self.rank, seq = seq),
+                owner: self.rank as u64,
+            });
+        }
         let me = ctx.core.actor();
         ctx.core.control_to_actor(
             ctx.sim,
@@ -244,7 +250,7 @@ impl LogCore {
             SimDuration::from_nanos(self.costs.el_ack_ns),
         );
         let seq = self.el_outstanding.pop_front()?;
-        vlog_sim::event!("det-batch-acked" { rank = self.rank, seq = seq }
+        vlog_sim::event!(ctx.sim, "det-batch-acked" { rank = self.rank, seq = seq }
             caused_by "det-batch-shipped" { rank = self.rank, seq = seq });
         Some(seq)
     }
@@ -275,7 +281,7 @@ impl LogCore {
         // are re-offered to the replacement shard below under fresh
         // batch seqs.
         for seq in self.el_outstanding.drain(..) {
-            causality::record(|| Edge::Cancel {
+            ctx.sim.record(|| Edge::Cancel {
                 cause: vlog_sim::ckey!("det-batch-acked", rank = self.rank, seq = seq),
             });
         }
@@ -340,7 +346,7 @@ impl LogCore {
         let wire = 8 + 8 * self.n as u64 + watermarks_len(stable);
         for peer in 0..self.n {
             if peer != self.rank {
-                vlog_sim::event!("gc-notice" { from = self.rank, to = peer });
+                vlog_sim::event!(ctx.sim, "gc-notice" { from = self.rank, to = peer });
                 ctx.core.control_to_rank(
                     ctx.sim,
                     peer,
@@ -357,8 +363,8 @@ impl LogCore {
 
     /// Peer `from` committed an image covering `received`: prune the
     /// payloads logged for it.
-    pub(crate) fn on_gc_notice(&mut self, from: Rank, received: &[Ssn]) {
-        causality::record(|| Edge::Consume {
+    pub(crate) fn on_gc_notice(&mut self, ctx: &mut Ctx<'_>, from: Rank, received: &[Ssn]) {
+        ctx.sim.record(|| Edge::Consume {
             cause: vlog_sim::ckey!("gc-notice", from = from, to = self.rank),
             by: vlog_sim::ckey!("gc-handle", rank = self.rank),
         });
@@ -414,7 +420,7 @@ impl LogCore {
     /// when it restarts from scratch.
     pub(crate) fn begin_recovery(&mut self, ctx: &mut Ctx<'_>, wm: RClock) {
         let nothing_to_collect = self.n == 1 && !self.el;
-        vlog_sim::event!("recovery-started" { rank = self.rank }
+        vlog_sim::event!(ctx.sim, "recovery-started" { rank = self.rank }
             caused_by "image-fetched" { rank = self.rank });
         self.rec = Some(Recovery {
             started: ctx.sim.now(),
@@ -461,7 +467,7 @@ impl LogCore {
             if peer == self.rank || rec.resp_from.contains(&peer) {
                 continue;
             }
-            causality::record(|| Edge::Expect {
+            ctx.sim.record(|| Edge::Expect {
                 cause: vlog_sim::ckey!("reclaim-resp", victim = self.rank, from = peer),
                 waiter: vlog_sim::ckey!("recovery-started", rank = self.rank),
                 owner: self.rank as u64,
@@ -478,7 +484,7 @@ impl LogCore {
             );
         }
         if need_el {
-            causality::record(|| Edge::Expect {
+            ctx.sim.record(|| Edge::Expect {
                 cause: vlog_sim::ckey!("el-query-resp", victim = self.rank),
                 waiter: vlog_sim::ckey!("recovery-started", rank = self.rank),
                 owner: self.rank as u64,
@@ -528,7 +534,7 @@ impl LogCore {
         cause: impl Fn() -> Key,
         answered: impl FnOnce(&mut Recovery),
     ) {
-        causality::record(|| Edge::Produced {
+        ctx.sim.record(|| Edge::Produced {
             key: cause(),
             caused_by: None,
             unique: false,
@@ -538,7 +544,7 @@ impl LogCore {
         for d in dets {
             if d.receiver == self.rank && d.clock > rec.wm {
                 rec.collected.insert(*d);
-                causality::record(|| Edge::Produced {
+                ctx.sim.record(|| Edge::Produced {
                     key: vlog_sim::ckey!("det-replay", rank = self.rank, clock = d.clock),
                     caused_by: Some(cause()),
                     unique: false,
@@ -563,11 +569,11 @@ impl LogCore {
     /// While recovering, buffers an arriving message — replay supply or
     /// post-replay live traffic, sorted out when replay ends — and
     /// returns true; the caller follows up with [`LogCore::try_replay`].
-    pub(crate) fn buffer_if_recovering(&mut self, msg: &mut AppMsg) -> bool {
+    pub(crate) fn buffer_if_recovering(&mut self, ctx: &mut Ctx<'_>, msg: &mut AppMsg) -> bool {
         let Some(rec) = self.rec.as_mut() else {
             return false;
         };
-        vlog_sim::event!("replay-supply" {
+        vlog_sim::event!(ctx.sim, "replay-supply" {
             rank = self.rank,
             sender = msg.src,
             ssn = msg.ssn
@@ -606,7 +612,7 @@ impl LogCore {
                 if rec.next > rec.max_clock {
                     return self.finish_replay(ctx, finish);
                 }
-                causality::record(|| Edge::Expect {
+                ctx.sim.record(|| Edge::Expect {
                     cause: vlog_sim::ckey!("det-replay", rank = self.rank, clock = rec.next),
                     waiter: vlog_sim::ckey!("recovery-started", rank = self.rank),
                     owner: self.rank as u64,
@@ -617,7 +623,7 @@ impl LogCore {
                 // Stalled on the payload re-send: the next determinant
                 // is known but its message has not been re-supplied by
                 // the sender's log.
-                causality::record(|| Edge::Expect {
+                ctx.sim.record(|| Edge::Expect {
                     cause: vlog_sim::ckey!(
                         "replay-supply",
                         rank = self.rank,
@@ -630,7 +636,7 @@ impl LogCore {
                 return;
             };
             rec.next += 1;
-            vlog_sim::event!("replay-consumed" { rank = self.rank, clock = det.clock }
+            vlog_sim::event!(ctx.sim, "replay-consumed" { rank = self.rank, clock = det.clock }
             caused_by "replay-supply" {
                 rank = self.rank,
                 sender = det.sender,
@@ -727,9 +733,8 @@ mod tests {
     }
 
     fn rig() -> Rig {
-        causality::set_thread_enabled(true);
-        causality::reset();
         let mut sim = Sim::new(1);
+        sim.enable_causality();
         let probe = |sim: &mut Sim| {
             let seen = Arc::new(Mutex::new(Seen::default()));
             let node = sim.add_node();
@@ -802,8 +807,9 @@ mod tests {
     }
 
     /// Seqs of the `det-batch-acked` expectations still pending.
-    fn awaited_acks() -> Vec<u64> {
-        causality::analyze()
+    fn awaited_acks(rig: &mut Rig) -> Vec<u64> {
+        let log = rig.sim.causality().expect("the rig's log is on");
+        log.analyze()
             .dangling
             .iter()
             .filter(|d| d.cause.kind() == "det-batch-acked")
@@ -817,16 +823,16 @@ mod tests {
         // Clock 1 ships at once as batch seq 1; 2 and 3 coalesce behind it.
         ship(&mut rig, 3);
         assert_eq!(rig.shards[0].lock().unwrap().batches, vec![vec![1]]);
-        assert_eq!(awaited_acks(), vec![1]);
+        assert_eq!(awaited_acks(&mut rig), vec![1]);
         // The ack pairs with seq 1 and clocks out the coalesced batch.
         assert_eq!(ack(&mut rig), Some(1));
         assert_eq!(
             rig.shards[0].lock().unwrap().batches,
             vec![vec![1], vec![2, 3]]
         );
-        assert_eq!(awaited_acks(), vec![2]);
+        assert_eq!(awaited_acks(&mut rig), vec![2]);
         assert_eq!(ack(&mut rig), Some(2));
-        assert_eq!(awaited_acks(), Vec::<u64>::new());
+        assert_eq!(awaited_acks(&mut rig), Vec::<u64>::new());
         // A stale ack with nothing outstanding pairs with nothing and
         // puts nothing on the wire.
         assert_eq!(ack(&mut rig), None);
@@ -838,7 +844,7 @@ mod tests {
     fn reshard_cancels_outstanding_acks_and_reoffers_the_deduped_union() {
         let mut rig = rig();
         ship(&mut rig, 3);
-        assert_eq!(awaited_acks(), vec![1]);
+        assert_eq!(awaited_acks(&mut rig), vec![1]);
         // Shard 0 dies with batch seq 1 unacknowledged; rank 0 moves to
         // shard 1. The caller's retained store overlaps the batcher
         // (clocks 1 and 3), adds clock 4, and arrives unordered.
@@ -849,7 +855,7 @@ mod tests {
         });
         // Seq 1 will never be acknowledged: cancelled, not dangling. The
         // union restarts under a fresh seq, lowest clock first.
-        assert_eq!(awaited_acks(), vec![2]);
+        assert_eq!(awaited_acks(&mut rig), vec![2]);
         assert_eq!(rig.shards[1].lock().unwrap().batches, vec![vec![1]]);
         assert_eq!(ack(&mut rig), Some(2));
         // Batcher {1, 2, 3} ∪ retained {4, 1, 3}, each clock once, in
@@ -859,7 +865,7 @@ mod tests {
             vec![vec![1], vec![2, 3, 4]]
         );
         assert_eq!(rig.shards[0].lock().unwrap().batches, vec![vec![1]]);
-        assert_eq!(awaited_acks(), vec![3]);
+        assert_eq!(awaited_acks(&mut rig), vec![3]);
     }
 
     #[test]

@@ -99,7 +99,9 @@ impl PessimisticProtocol {
                 self.log.on_reclaim_resp(ctx, from, &dets);
                 self.replay(ctx);
             }
-            CausalCtl::GcNotice { from, received, .. } => self.log.on_gc_notice(from, &received),
+            CausalCtl::GcNotice { from, received, .. } => {
+                self.log.on_gc_notice(ctx, from, &received)
+            }
         }
     }
 }
@@ -127,7 +129,7 @@ impl VProtocol for PessimisticProtocol {
     }
 
     fn on_app_msg(&mut self, ctx: &mut Ctx<'_>, msg: &mut AppMsg) -> RecvGate {
-        if self.log.buffer_if_recovering(msg) {
+        if self.log.buffer_if_recovering(ctx, msg) {
             self.replay(ctx);
             return RecvGate::Consume;
         }

@@ -19,8 +19,10 @@
 //!    on enumerated protocol-phase boundaries
 //!    ([`vlog_vmpi::ProtoPhase`]).
 //! 3. **Invariants.** Every run must complete within its event budget
-//!    (stall detection), stay under a per-scenario message ceiling
-//!    (storm detection), record the expected recoveries, replay to a
+//!    (stall detection: a run the kernel stops at the cap reports
+//!    `event limit exceeded (N)` with its liveness summary), stay under
+//!    a per-scenario message ceiling (storm detection), record the
+//!    expected recoveries, replay to a
 //!    byte-identical report (determinism under perturbation), and not
 //!    panic in-simulation — the ring program asserts exact per-channel
 //!    payload contents, which catches any FIFO or causal-order
@@ -282,20 +284,26 @@ impl Scenario {
             Ok(report) => report,
         };
         let liveness = report.liveness.as_ref();
-        let violation = if report.stats.messages > self.message_ceiling {
-            Some(format!(
-                "message storm: {} messages exceeds ceiling {}",
-                report.stats.messages, self.message_ceiling
-            ))
-        } else if !report.completed {
+        let violation = if !report.completed {
             // A stall names its dangling cause: the causality log knows
-            // which declared edge never fired.
+            // which declared edge never fired. A runaway is a stall that
+            // ended at the event cap instead of on an empty calendar; it
+            // is reported as one, whatever else it tripped on the way.
+            let how = match report.stopped {
+                Some(reason) => reason.to_string(),
+                None => "run did not complete".to_string(),
+            };
             let why = liveness
                 .map(|l| format!("; liveness: {}", l.summary()))
                 .unwrap_or_default();
             Some(format!(
-                "stalled: run did not complete (events={}, makespan={:?}){why}",
+                "stalled: {how} (events={}, makespan={:?}){why}",
                 report.events, report.makespan
+            ))
+        } else if report.stats.messages > self.message_ceiling {
+            Some(format!(
+                "message storm: {} messages exceeds ceiling {}",
+                report.stats.messages, self.message_ceiling
             ))
         } else if liveness.is_some_and(|l| !l.is_clean()) {
             // `no_dangling_causes`: even a run that completed must leave

@@ -5,47 +5,40 @@
 //! `sui-causality-log`. Protocol code records *edges* between typed
 //! events — "this event happened, caused by that one", "this actor
 //! cannot make progress until that event fires", "this message was
-//! consumed, someone must have produced it" — into a per-run,
-//! **thread-local** log. At analysis time three detectors read the
-//! log:
+//! consumed, someone must have produced it" — into the [`Log`] of the
+//! run it is part of. At analysis time three detectors read the log:
 //!
-//! * **dangling causes** — an [`expect`]ed cause that no producer ever
-//!   fired, annotated with the waiting event, its owner rank and the
-//!   causal chain back to the last satisfied event ("replay at rank 3
-//!   waiting on a delivery whose determinant batch was never acked"),
-//! * **absent causes** — a cause recorded as [`consume`]d (or named in
-//!   a `caused_by` edge) with no recorded producer,
-//! * **duplicate once-only events** — a [`produced_unique`] contract
+//! * **dangling causes** — an expected cause ([`Edge::Expect`]) that no
+//!   producer ever fired, annotated with the waiting event, its owner
+//!   rank and the causal chain back to the last satisfied event ("replay
+//!   at rank 3 waiting on a delivery whose determinant batch was never
+//!   acked"),
+//! * **absent causes** — a cause recorded as consumed
+//!   ([`Edge::Consume`]), or named in a `caused_by` edge, with no
+//!   recorded producer,
+//! * **duplicate once-only events** — a `unique` production contract
 //!   violated by a second production (the marker-storm shape: a
 //!   finished rank answering the same snapshot id over and over).
 //!
+//! A [`Log`] is a plain value and the run's [`crate::Sim`] owns it:
+//! absent until [`crate::Sim::enable_causality`] switches it on, reached
+//! by every handler through the `&mut Sim` it already holds, and gone
+//! with the run. Two simulations on one thread keep separate logs.
 //! Like the kernel profiler ([`crate::profiler`]), collection is **off
 //! by default** and its readings never enter a run report or the
 //! determinism fingerprint unless a harness explicitly exports them. A
-//! disabled record site costs the [`enabled`] check and nothing else:
-//! every site — the [`crate::event!`] macro and direct [`record`] calls
-//! alike — hands its [`Edge`] over as a closure, so no [`Key`] is built
-//! and no key argument evaluated unless the log is on.
+//! disabled record site costs one `Option` check and nothing else:
+//! every site — the [`crate::event!`] macro and direct
+//! [`crate::Sim::record`] calls alike — hands its [`Edge`] over as a
+//! closure, so no [`Key`] is built and no key argument evaluated unless
+//! the log is on.
 //! All detectors run at analysis time only, so the verdict is
 //! insensitive to the order in which edges were recorded — producing
 //! after consuming is as well-formed as the reverse.
-//!
-//! Enablement has three independent sources, strongest first:
-//! process-wide [`set_enabled`] (tests/harnesses; environment mutation
-//! races under a parallel test runner), the `VLOG_CAUSALITY`
-//! environment knob (any non-zero value; also requests the per-run
-//! stderr dump), and per-thread [`set_thread_enabled`] (the cluster
-//! runner's export path and the property tests, which must not leak
-//! enablement into concurrently running tests).
 
-use std::cell::{Cell, RefCell};
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
-
-use crate::env_knob;
 
 /// Maximum number of `name = value` arguments a [`Key`] carries.
 pub const MAX_ARGS: usize = 3;
@@ -156,24 +149,26 @@ macro_rules! ckey {
     }};
 }
 
-/// Records a produced event, optionally with a `caused_by` edge:
+/// Records a produced event in the log of the run `$sim` (a `Sim`, or
+/// anything that derefs to one) hosts, optionally with a `caused_by`
+/// edge:
 ///
 /// ```ignore
-/// event!("image-fetched" { rank = r } caused_by "restart-boot" { rank = r });
-/// event!("det-batch-shipped" { rank = r, seq = s });
+/// event!(sim, "image-fetched" { rank = r } caused_by "restart-boot" { rank = r });
+/// event!(sim, "det-batch-shipped" { rank = r, seq = s });
 /// ```
 #[macro_export]
 macro_rules! event {
-    ($kind:literal { $($n:ident = $v:expr),* $(,)? }
+    ($sim:expr, $kind:literal { $($n:ident = $v:expr),* $(,)? }
      caused_by $ck:literal { $($cn:ident = $cv:expr),* $(,)? }) => {
-        $crate::causality::record(|| $crate::causality::Edge::Produced {
+        $sim.record(|| $crate::causality::Edge::Produced {
             key: $crate::ckey!($kind $(, $n = $v)*),
             caused_by: Some($crate::ckey!($ck $(, $cn = $cv)*)),
             unique: false,
         })
     };
-    ($kind:literal { $($n:ident = $v:expr),* $(,)? }) => {
-        $crate::causality::record(|| $crate::causality::Edge::Produced {
+    ($sim:expr, $kind:literal { $($n:ident = $v:expr),* $(,)? }) => {
+        $sim.record(|| $crate::causality::Edge::Produced {
             key: $crate::ckey!($kind $(, $n = $v)*),
             caused_by: None,
             unique: false,
@@ -181,29 +176,36 @@ macro_rules! event {
     };
 }
 
-/// One record for the log; see the function of the same name as each
-/// variant ([`produced`], [`produced_unique`], [`expect`], [`consume`],
-/// [`cancel`]) for what it means.
+/// One record for the log.
 #[derive(Debug, Clone, Copy)]
 pub enum Edge {
+    /// `key` fired, optionally naming its cause. Repeat productions of
+    /// the same key bump a count; the first recorded cause edge wins.
+    /// Prefer the [`crate::event!`] macro.
     Produced {
         key: Key,
         caused_by: Option<Key>,
-        /// Once-per-key contract ([`produced_unique`]).
+        /// Once-per-key contract: producing the same key twice is
+        /// reported as a duplicate (the marker-storm detector).
         unique: bool,
     },
-    Expect {
-        cause: Key,
-        waiter: Key,
-        owner: u64,
-    },
-    Consume {
-        cause: Key,
-        by: Key,
-    },
-    Cancel {
-        cause: Key,
-    },
+    /// `waiter` (owned by rank `owner`) cannot make progress until
+    /// `cause` fires. Satisfied — order-insensitively, at analysis
+    /// time — by any production of the exact same key; cleared early by
+    /// [`Edge::Cancel`] or [`Edge::CancelOwner`] when the expectation
+    /// becomes moot.
+    Expect { cause: Key, waiter: Key, owner: u64 },
+    /// `by` consumed `cause`. A consumed cause with no producer anywhere
+    /// in the run is reported as absent.
+    Consume { cause: Key, by: Key },
+    /// Withdraws a single pending expectation (the awaited event became
+    /// moot — e.g. an Event-Logger shard died and its in-flight batch
+    /// will be re-offered to the replacement).
+    Cancel { cause: Key },
+    /// Withdraws every pending expectation owned by `owner`: a rank
+    /// finished (nothing waits on its progress any more), or a dead
+    /// incarnation's expectations are superseded by a recovery boot.
+    CancelOwner { owner: u64 },
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -219,80 +221,30 @@ struct ExpectEntry {
     owner: u64,
 }
 
+/// The causality log of one run (module docs).
 #[derive(Default)]
-struct Log {
+pub struct Log {
     produced: BTreeMap<Key, ProducedEntry>,
     expects: BTreeMap<Key, ExpectEntry>,
     consumed: BTreeMap<Key, Key>,
     produced_events: u64,
 }
 
-thread_local! {
-    static LOG: RefCell<Log> = RefCell::new(Log::default());
-    /// Per-thread enable bit ([`set_thread_enabled`]).
-    static RUN_LOCAL: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Programmatic process-wide enable flag ([`set_enabled`]).
-static FORCED: AtomicBool = AtomicBool::new(false);
-
-/// `VLOG_CAUSALITY` knob, read once per process.
-fn env_enabled() -> bool {
-    static ENV: OnceLock<bool> = OnceLock::new();
-    *ENV.get_or_init(|| env_knob::any_u64("VLOG_CAUSALITY", 0) != 0)
-}
-
-/// Whether record sites currently collect (process flag, env knob, or
-/// thread-local flag).
-#[inline]
-pub fn enabled() -> bool {
-    FORCED.load(Ordering::Relaxed) || RUN_LOCAL.with(|c| c.get()) || env_enabled()
-}
-
-/// Whether the per-run stderr liveness dump is requested
-/// (`VLOG_CAUSALITY` only — programmatic enablement collects silently
-/// so tests can read the log without spamming stderr).
-pub fn report_each_run() -> bool {
-    env_enabled()
-}
-
-/// Turns collection on or off process-wide, independent of the
-/// environment (the determinism conformance sweep force-enables this
-/// across all sweep threads).
-pub fn set_enabled(on: bool) {
-    FORCED.store(on, Ordering::Relaxed);
-}
-
-/// Turns collection on or off for the calling thread only. Used by the
-/// cluster runner's export path and by property tests, neither of
-/// which may leak enablement into concurrently running tests.
-pub fn set_thread_enabled(on: bool) {
-    RUN_LOCAL.with(|c| c.set(on));
-}
-
-/// The record site: builds the edge — evaluating its key arguments —
-/// and logs it only when collection is on. Instrumented code calls this
-/// (or [`crate::event!`], which expands to it); the by-value functions
-/// below serve callers that hold their keys already.
-#[inline]
-pub fn record(edge: impl FnOnce() -> Edge) {
-    if enabled() {
-        log_edge(edge());
-    }
-}
-
-#[cold]
-fn log_edge(edge: Edge) {
-    LOG.with(|l| {
-        let mut log = l.borrow_mut();
+impl Log {
+    /// Logs one edge. Instrumented code goes through
+    /// [`crate::Sim::record`] (or [`crate::event!`], which expands to
+    /// it), which builds the edge only when the run has a log. Cold:
+    /// collection is off by default, so a record site falls through.
+    #[cold]
+    pub fn record(&mut self, edge: Edge) {
         match edge {
             Edge::Produced {
                 key,
                 caused_by,
                 unique,
             } => {
-                log.produced_events += 1;
-                let entry = log.produced.entry(key).or_insert(ProducedEntry {
+                self.produced_events += 1;
+                let entry = self.produced.entry(key).or_insert(ProducedEntry {
                     caused_by: None,
                     count: 0,
                     unique,
@@ -308,87 +260,23 @@ fn log_edge(edge: Edge) {
                 waiter,
                 owner,
             } => {
-                log.expects.insert(cause, ExpectEntry { waiter, owner });
+                self.expects.insert(cause, ExpectEntry { waiter, owner });
             }
             Edge::Consume { cause, by } => {
-                log.consumed.entry(cause).or_insert(by);
+                self.consumed.entry(cause).or_insert(by);
             }
             Edge::Cancel { cause } => {
-                log.expects.remove(&cause);
+                self.expects.remove(&cause);
             }
+            Edge::CancelOwner { owner } => self.expects.retain(|_, e| e.owner != owner),
         }
-    });
-}
-
-/// Records that `key` fired, optionally naming its cause. Repeat
-/// productions of the same key bump a count; the first recorded cause
-/// edge wins. Prefer the [`crate::event!`] macro.
-pub fn produced(key: Key, caused_by: Option<Key>) {
-    record(|| Edge::Produced {
-        key,
-        caused_by,
-        unique: false,
-    });
-}
-
-/// [`produced`] plus a once-per-key contract: producing the same key
-/// twice is reported as a duplicate (the marker-storm detector).
-pub fn produced_unique(key: Key, caused_by: Option<Key>) {
-    record(|| Edge::Produced {
-        key,
-        caused_by,
-        unique: true,
-    });
-}
-
-/// Declares that `waiter` (owned by rank `owner`) cannot make progress
-/// until `cause` fires. Satisfied — order-insensitively, at analysis
-/// time — by any production of the exact same key; cleared early by
-/// [`cancel`] or [`cancel_owner`] when the expectation becomes moot.
-pub fn expect(cause: Key, waiter: Key, owner: u64) {
-    record(|| Edge::Expect {
-        cause,
-        waiter,
-        owner,
-    });
-}
-
-/// Records that `by` consumed `cause`. A consumed cause with no
-/// producer anywhere in the run is reported as absent.
-pub fn consume(cause: Key, by: Key) {
-    record(|| Edge::Consume { cause, by });
-}
-
-/// Withdraws a single pending expectation (the awaited event became
-/// moot — e.g. an Event-Logger shard died and its in-flight batch will
-/// be re-offered to the replacement).
-pub fn cancel(cause: Key) {
-    record(|| Edge::Cancel { cause });
-}
-
-/// Withdraws every pending expectation owned by `owner`. Called when a
-/// rank finishes (nothing waits on its progress any more) and when a
-/// dead incarnation's expectations are superseded by a recovery boot.
-pub fn cancel_owner(owner: u64) {
-    if !enabled() {
-        return;
     }
-    LOG.with(|l| {
-        l.borrow_mut().expects.retain(|_, e| e.owner != owner);
-    });
-}
-
-/// Clears the calling thread's log. The cluster runner resets before
-/// and after every run so sweeps on pooled worker threads never see a
-/// previous run's edges.
-pub fn reset() {
-    LOG.with(|l| *l.borrow_mut() = Log::default());
 }
 
 /// How an absent cause was referenced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum EdgeKind {
-    /// Recorded through [`consume`].
+    /// Recorded through [`Edge::Consume`].
     Consumed,
     /// Named as a `caused_by` edge of a produced event.
     CausedBy,
@@ -432,7 +320,7 @@ pub struct Absent {
 /// A once-per-key contract violated by repeat production.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Duplicate {
-    /// The key declared once-only through [`produced_unique`].
+    /// The key produced under the `unique` contract.
     pub key: Key,
     /// How many times it was actually produced.
     pub count: u64,
@@ -510,37 +398,36 @@ fn chain_from(produced: &BTreeMap<Key, ProducedEntry>, start: Key) -> Vec<Key> {
     chain
 }
 
-/// Runs all three detectors over the calling thread's log. Pure read —
-/// the log is left intact (the watchdog analyzes mid-run; the cluster
-/// runner analyzes again at exit). Deterministic: results are ordered
-/// by key, not by recording order.
-pub fn analyze() -> LivenessReport {
-    LOG.with(|l| {
-        let log = l.borrow();
-        let dangling = log
+impl Log {
+    /// Runs all three detectors. Pure read — the log is left intact (the
+    /// watchdog analyzes mid-run; the cluster runner analyzes again at
+    /// exit). Deterministic: results are ordered by key, not by
+    /// recording order.
+    pub fn analyze(&self) -> LivenessReport {
+        let dangling = self
             .expects
             .iter()
-            .filter(|(cause, _)| !log.produced.contains_key(cause))
+            .filter(|(cause, _)| !self.produced.contains_key(cause))
             .map(|(cause, e)| Dangling {
                 cause: *cause,
                 waiter: e.waiter,
                 owner: e.owner,
-                chain: chain_from(&log.produced, e.waiter),
+                chain: chain_from(&self.produced, e.waiter),
             })
             .collect();
-        let mut absent: Vec<Absent> = log
+        let mut absent: Vec<Absent> = self
             .consumed
             .iter()
-            .filter(|(cause, _)| !log.produced.contains_key(cause))
+            .filter(|(cause, _)| !self.produced.contains_key(cause))
             .map(|(cause, by)| Absent {
                 cause: *cause,
                 by: *by,
                 edge: EdgeKind::Consumed,
             })
             .collect();
-        for (key, entry) in &log.produced {
+        for (key, entry) in &self.produced {
             if let Some(cause) = entry.caused_by {
-                if !log.produced.contains_key(&cause) {
+                if !self.produced.contains_key(&cause) {
                     absent.push(Absent {
                         cause,
                         by: *key,
@@ -550,7 +437,7 @@ pub fn analyze() -> LivenessReport {
             }
         }
         absent.sort();
-        let duplicates = log
+        let duplicates = self
             .produced
             .iter()
             .filter(|(_, e)| e.unique && e.count > 1)
@@ -563,9 +450,9 @@ pub fn analyze() -> LivenessReport {
             dangling,
             absent,
             duplicates,
-            produced_events: log.produced_events,
+            produced_events: self.produced_events,
         }
-    })
+    }
 }
 
 // `Absent` ordering for the deterministic sort above.
@@ -635,16 +522,31 @@ pub fn render(label: &str, report: &LivenessReport) -> String {
 mod tests {
     use super::*;
 
-    /// Every test runs enabled-per-thread against a fresh log; the
-    /// process-global flag is never touched, so these are safe under a
-    /// parallel test runner.
-    fn with_log<R>(f: impl FnOnce() -> R) -> R {
-        set_thread_enabled(true);
-        reset();
-        let out = f();
-        reset();
-        set_thread_enabled(false);
-        out
+    use crate::Sim;
+    use std::cell::Cell;
+
+    /// A simulation whose log is on: the tests record through the same
+    /// `&mut Sim` sites instrumented code uses.
+    fn logging_sim() -> Sim {
+        let mut sim = Sim::new(0);
+        sim.enable_causality();
+        sim
+    }
+
+    fn analyze(sim: &mut Sim) -> LivenessReport {
+        sim.causality().expect("log is on").analyze()
+    }
+
+    fn expect(sim: &mut Sim, cause: Key, waiter: Key, owner: u64) {
+        sim.record(|| Edge::Expect {
+            cause,
+            waiter,
+            owner,
+        });
+    }
+
+    fn consume(sim: &mut Sim, cause: Key, by: Key) {
+        sim.record(|| Edge::Consume { cause, by });
     }
 
     /// The same-literal fast path must not show: kinds compare by
@@ -692,99 +594,106 @@ mod tests {
 
     #[test]
     fn dangling_expectation_is_reported_with_chain() {
-        with_log(|| {
-            event!("node-crashed" { node = 4 });
-            event!("restart-boot" { rank = 1 } caused_by "node-crashed" { node = 4 });
-            expect(
-                ckey!("image-fetched", rank = 1),
+        let mut sim = logging_sim();
+        event!(sim, "node-crashed" { node = 4 });
+        event!(sim, "restart-boot" { rank = 1 } caused_by "node-crashed" { node = 4 });
+        expect(
+            &mut sim,
+            ckey!("image-fetched", rank = 1),
+            ckey!("restart-boot", rank = 1),
+            1,
+        );
+        let r = analyze(&mut sim);
+        assert!(!r.is_clean());
+        assert_eq!(r.dangling.len(), 1);
+        let d = &r.dangling[0];
+        assert_eq!(d.cause, ckey!("image-fetched", rank = 1));
+        assert_eq!(d.owner, 1);
+        assert_eq!(
+            d.chain,
+            vec![
                 ckey!("restart-boot", rank = 1),
-                1,
-            );
-            let r = analyze();
-            assert!(!r.is_clean());
-            assert_eq!(r.dangling.len(), 1);
-            let d = &r.dangling[0];
-            assert_eq!(d.cause, ckey!("image-fetched", rank = 1));
-            assert_eq!(d.owner, 1);
-            assert_eq!(
-                d.chain,
-                vec![
-                    ckey!("restart-boot", rank = 1),
-                    ckey!("node-crashed", node = 4)
-                ]
-            );
-            let text = render("unit", &r);
-            assert!(text.contains("restart-boot{rank=1} waiting on image-fetched{rank=1}"));
-            assert!(text.contains("chain: restart-boot{rank=1} <- node-crashed{node=4}"));
-        });
+                ckey!("node-crashed", node = 4)
+            ]
+        );
+        let text = render("unit", &r);
+        assert!(text.contains("restart-boot{rank=1} waiting on image-fetched{rank=1}"));
+        assert!(text.contains("chain: restart-boot{rank=1} <- node-crashed{node=4}"));
     }
 
     #[test]
     fn satisfied_expectation_is_clean_regardless_of_order() {
-        with_log(|| {
-            // Consume and expect *before* the producer fires: the
-            // detectors run at analysis time, so order cannot matter.
-            consume(
-                ckey!("marker", from = 0, to = 1, id = 9),
-                ckey!("rank", r = 1),
-            );
-            expect(
-                ckey!("marker", from = 0, to = 1, id = 9),
-                ckey!("snapshot", rank = 1, id = 9),
-                1,
-            );
-            event!("marker" { from = 0, to = 1, id = 9 });
-            assert!(analyze().is_clean());
-        });
+        let mut sim = logging_sim();
+        // Consume and expect *before* the producer fires: the
+        // detectors run at analysis time, so order cannot matter.
+        consume(
+            &mut sim,
+            ckey!("marker", from = 0, to = 1, id = 9),
+            ckey!("rank", r = 1),
+        );
+        expect(
+            &mut sim,
+            ckey!("marker", from = 0, to = 1, id = 9),
+            ckey!("snapshot", rank = 1, id = 9),
+            1,
+        );
+        event!(sim, "marker" { from = 0, to = 1, id = 9 });
+        assert!(analyze(&mut sim).is_clean());
     }
 
     #[test]
     fn absent_cause_flags_consumes_and_caused_by_edges() {
-        with_log(|| {
-            consume(ckey!("gc-notice", from = 2, to = 0), ckey!("rank", r = 0));
-            event!("replay" { rank = 1 } caused_by "ghost" { rank = 1 });
-            let r = analyze();
-            assert_eq!(r.absent.len(), 2);
-            assert!(r
-                .absent
-                .iter()
-                .any(|a| a.cause == ckey!("gc-notice", from = 2, to = 0)
-                    && a.edge == EdgeKind::Consumed));
-            assert!(r
-                .absent
-                .iter()
-                .any(|a| a.cause == ckey!("ghost", rank = 1) && a.edge == EdgeKind::CausedBy));
-        });
+        let mut sim = logging_sim();
+        consume(
+            &mut sim,
+            ckey!("gc-notice", from = 2, to = 0),
+            ckey!("rank", r = 0),
+        );
+        event!(sim, "replay" { rank = 1 } caused_by "ghost" { rank = 1 });
+        let r = analyze(&mut sim);
+        assert_eq!(r.absent.len(), 2);
+        assert!(r.absent.iter().any(
+            |a| a.cause == ckey!("gc-notice", from = 2, to = 0) && a.edge == EdgeKind::Consumed
+        ));
+        assert!(r
+            .absent
+            .iter()
+            .any(|a| a.cause == ckey!("ghost", rank = 1) && a.edge == EdgeKind::CausedBy));
     }
 
     #[test]
     fn cancel_and_cancel_owner_withdraw_expectations() {
-        with_log(|| {
-            expect(ckey!("a"), ckey!("w", r = 0), 0);
-            expect(ckey!("b"), ckey!("w", r = 1), 1);
-            expect(ckey!("c"), ckey!("w", r = 1), 1);
-            cancel(ckey!("b"));
-            let r = analyze();
-            assert_eq!(r.dangling.len(), 2);
-            cancel_owner(1);
-            let r = analyze();
-            assert_eq!(r.dangling.len(), 1);
-            assert_eq!(r.dangling[0].cause, ckey!("a"));
-        });
+        let mut sim = logging_sim();
+        expect(&mut sim, ckey!("a"), ckey!("w", r = 0), 0);
+        expect(&mut sim, ckey!("b"), ckey!("w", r = 1), 1);
+        expect(&mut sim, ckey!("c"), ckey!("w", r = 1), 1);
+        sim.record(|| Edge::Cancel { cause: ckey!("b") });
+        let r = analyze(&mut sim);
+        assert_eq!(r.dangling.len(), 2);
+        sim.record(|| Edge::CancelOwner { owner: 1 });
+        let r = analyze(&mut sim);
+        assert_eq!(r.dangling.len(), 1);
+        assert_eq!(r.dangling[0].cause, ckey!("a"));
     }
 
     #[test]
     fn unique_contract_reports_duplicates() {
-        with_log(|| {
-            produced_unique(ckey!("close", rank = 2, id = 3), None);
-            assert!(analyze().is_clean());
-            produced_unique(ckey!("close", rank = 2, id = 3), None);
-            produced_unique(ckey!("close", rank = 2, id = 3), None);
-            let r = analyze();
-            assert_eq!(r.duplicates.len(), 1);
-            assert_eq!(r.duplicates[0].count, 3);
-            assert!(render("unit", &r).contains("close{rank=2, id=3} produced 3 times"));
-        });
+        let mut sim = logging_sim();
+        let close = |sim: &mut Sim| {
+            sim.record(|| Edge::Produced {
+                key: ckey!("close", rank = 2, id = 3),
+                caused_by: None,
+                unique: true,
+            })
+        };
+        close(&mut sim);
+        assert!(analyze(&mut sim).is_clean());
+        close(&mut sim);
+        close(&mut sim);
+        let r = analyze(&mut sim);
+        assert_eq!(r.duplicates.len(), 1);
+        assert_eq!(r.duplicates[0].count, 3);
+        assert!(render("unit", &r).contains("close{rank=2, id=3} produced 3 times"));
     }
 
     #[test]
@@ -794,49 +703,41 @@ mod tests {
             evaluated.set(evaluated.get() + 1);
             1u64
         };
-        let sites = || {
-            event!("x" { a = arg() } caused_by "y" { b = arg() });
-            event!("x" { a = arg() });
-            record(|| Edge::Expect {
+        let sites = |sim: &mut Sim| {
+            event!(sim, "x" { a = arg() } caused_by "y" { b = arg() });
+            event!(sim, "x" { a = arg() });
+            sim.record(|| Edge::Expect {
                 cause: ckey!("y", b = arg()),
                 waiter: ckey!("x", a = arg()),
                 owner: arg(),
             });
-            record(|| Edge::Consume {
+            sim.record(|| Edge::Consume {
                 cause: ckey!("y", b = arg()),
                 by: ckey!("x", a = arg()),
             });
-            record(|| Edge::Cancel {
+            sim.record(|| Edge::Cancel {
                 cause: ckey!("y", b = arg()),
             });
+            sim.record(|| Edge::CancelOwner { owner: arg() });
         };
-        set_thread_enabled(false);
-        // Skip when the env knob or a concurrent force-enable is live.
-        if !enabled() {
-            sites();
-            assert_eq!(evaluated.get(), 0);
-        }
-        with_log(sites);
-        assert_eq!(evaluated.get(), 9);
+        sites(&mut Sim::new(0));
+        assert_eq!(evaluated.get(), 0);
+        sites(&mut logging_sim());
+        assert_eq!(evaluated.get(), 10);
     }
 
     #[test]
     fn disabled_sites_record_nothing_and_reset_clears() {
-        set_thread_enabled(false);
-        // Skip when the env knob or a concurrent force-enable is live.
-        if !enabled() {
-            reset();
-            event!("x" { a = 1 });
-            expect(ckey!("y"), ckey!("x", a = 1), 0);
-            let r = analyze();
-            assert!(r.is_clean());
-            assert_eq!(r.produced_events, 0);
-        }
-        with_log(|| {
-            event!("x" { a = 1 });
-            assert_eq!(analyze().produced_events, 1);
-            reset();
-            assert_eq!(analyze().produced_events, 0);
-        });
+        let mut sim = Sim::new(0);
+        event!(sim, "x" { a = 1 });
+        expect(&mut sim, ckey!("y"), ckey!("x", a = 1), 0);
+        assert!(sim.causality().is_none());
+        // Switched on, the same sites record; switching on again is the
+        // reset: the run starts over from an empty log.
+        sim.enable_causality();
+        event!(sim, "x" { a = 1 });
+        assert_eq!(analyze(&mut sim).produced_events, 1);
+        sim.enable_causality();
+        assert_eq!(analyze(&mut sim).produced_events, 0);
     }
 }

@@ -30,7 +30,10 @@
 //! [`Sim::ext_ref`]). It is the run-level twin of a task's
 //! [`Port::install`]/[`Port::ext`]: one `Box<dyn Any + Send>` per run,
 //! plain memory, so a run on another thread (another `Sim`) can never
-//! see it and nothing about it needs a lock or a reference count.
+//! see it and nothing about it needs a lock or a reference count. The
+//! run's causality log ([`crate::causality::Log`]) is held the same way:
+//! a plain field, absent until [`Sim::enable_causality`], which every
+//! record site reaches through [`Sim::record`].
 //!
 //! # Actors and generations
 //!
@@ -64,6 +67,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::calendar::{EventCalendar, EventKey};
+use crate::causality::{Edge, Log};
 use crate::exec::{self, ExecHandle, OpId, Port, TaskId, TaskSlot};
 use crate::net::{NetProfile, Network, WireSize};
 use crate::profiler;
@@ -175,8 +179,25 @@ pub struct SimConfig {
     pub seed: u64,
     /// Network fabric profile.
     pub net: NetProfile,
-    /// Optional hard cap on dispatched events (runaway protection).
+    /// Optional hard cap on dispatched events (runaway protection): the
+    /// run loop stops once it is exceeded, see [`StopReason`].
     pub event_limit: Option<u64>,
+}
+
+/// Why a run loop stopped although nobody asked it to
+/// ([`Sim::stop_reason`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StopReason {
+    /// More than [`SimConfig::event_limit`] events were dispatched.
+    EventLimit(u64),
+}
+
+impl std::fmt::Display for StopReason {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            StopReason::EventLimit(limit) => write!(f, "event limit exceeded ({limit})"),
+        }
+    }
 }
 
 impl Default for SimConfig {
@@ -204,6 +225,7 @@ pub struct Sim {
     stats: Stats,
     rng: SmallRng,
     stop: bool,
+    stop_reason: Option<StopReason>,
     events_processed: u64,
     event_limit: Option<u64>,
     /// Optional schedule-exploration seam; `None` is the untouched fast
@@ -211,6 +233,8 @@ pub struct Sim {
     policy: Option<Box<dyn SchedulePolicy>>,
     /// The run state typed by the layer above (see [`Sim::install`]).
     ext: Option<Box<dyn Any + Send>>,
+    /// The run's causality log; `None` (the default) collects nothing.
+    causality: Option<Log>,
 }
 
 impl Sim {
@@ -234,10 +258,12 @@ impl Sim {
             stats: Stats::new(),
             rng: SmallRng::seed_from_u64(cfg.seed),
             stop: false,
+            stop_reason: None,
             events_processed: 0,
             event_limit: cfg.event_limit,
             policy: None,
             ext: None,
+            causality: None,
         }
     }
 
@@ -267,6 +293,28 @@ impl Sim {
     pub fn ext_ref<S: Any>(&self) -> &S {
         let state = self.ext.as_deref().and_then(|e| e.downcast_ref());
         state.unwrap_or_else(|| no_run_state::<S>())
+    }
+
+    /// Switches causality collection on for this run, starting from an
+    /// empty log. The one switch: without this call every record site is
+    /// a failed `Option` check.
+    pub fn enable_causality(&mut self) {
+        self.causality = Some(Log::default());
+    }
+
+    /// The run's causality log, if collection is on.
+    pub fn causality(&mut self) -> Option<&mut Log> {
+        self.causality.as_mut()
+    }
+
+    /// The record site: builds the edge — evaluating its key arguments —
+    /// and logs it only when collection is on. Instrumented code calls
+    /// this, or [`crate::event!`], which expands to it.
+    #[inline]
+    pub fn record(&mut self, edge: impl FnOnce() -> Edge) {
+        if let Some(log) = &mut self.causality {
+            log.record(edge());
+        }
     }
 
     // ------------------------------------------------------------------
@@ -306,6 +354,11 @@ impl Sim {
     /// Number of events dispatched so far.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
+    }
+
+    /// Set when the run loop stopped itself rather than on request.
+    pub fn stop_reason(&self) -> Option<StopReason> {
+        self.stop_reason
     }
 
     // ------------------------------------------------------------------
@@ -690,7 +743,7 @@ impl Sim {
         self.net.reset_node(node);
         self.cpu_free[node] = self.now;
         self.stats.bump("node_crashes");
-        crate::event!("node-crashed" { node = node });
+        crate::event!(self, "node-crashed" { node = node });
     }
 
     // ------------------------------------------------------------------
@@ -703,7 +756,8 @@ impl Sim {
     }
 
     /// Runs until `deadline` (events at `deadline` included). Returns true
-    /// if the simulation stopped or drained before the deadline.
+    /// if the simulation stopped or drained before the deadline. Running
+    /// past the event limit is such a stop, with [`Sim::stop_reason`] set.
     pub fn run_until(&mut self, deadline: SimTime) -> bool {
         self.drain_tasks();
         loop {
@@ -776,10 +830,10 @@ impl Sim {
             }
             self.events_processed += 1;
             if let Some(limit) = self.event_limit {
-                assert!(
-                    self.events_processed <= limit,
-                    "event limit exceeded ({limit}) — runaway simulation?"
-                );
+                if self.events_processed > limit {
+                    self.stop_reason = Some(StopReason::EventLimit(limit));
+                    self.stop = true;
+                }
             }
         }
     }
@@ -802,11 +856,11 @@ impl Sim {
                 // current generation: stale ones were detached wholesale
                 // when the incarnation died.
                 self.unregister_timer(actor, key);
-                crate::event!("timer-fired" { actor = actor, token = token });
+                crate::event!(self, "timer-fired" { actor = actor, token = token });
                 self.with_actor(actor, Some(gen), |a, sim, me| a.on_timer(sim, me, token));
             }
             Event::Deliver { actor, gen, msg } => {
-                crate::event!("sim-deliver" { actor = actor });
+                crate::event!(self, "sim-deliver" { actor = actor });
                 let matched =
                     self.with_actor(actor, Some(gen), |a, sim, me| a.on_deliver(sim, me, msg));
                 if !matched {
@@ -1320,18 +1374,26 @@ mod tests {
         let counting = |start: u64| {
             let mut sim = Sim::new(7);
             sim.install(start);
+            sim.enable_causality();
             for us in 1..=3 {
-                sim.after(SimDuration::from_micros(us), |sim| *sim.ext::<u64>() += 1);
+                sim.after(SimDuration::from_micros(us), move |sim| {
+                    *sim.ext::<u64>() += 1;
+                    crate::event!(sim, "counted" { start = start, us = us });
+                });
             }
             sim
         };
+        let recorded = |sim: &mut Sim| sim.causality().unwrap().analyze().produced_events;
         let (mut a, mut b) = (counting(10), counting(20));
-        // Interleaved: each handler finds the state of the run it is in.
+        // Interleaved: each handler finds the state, and the log, of the
+        // run it is in.
         a.run_until(SimTime::from_nanos(2_000));
         b.run();
         assert_eq!((*a.ext_ref::<u64>(), *b.ext_ref::<u64>()), (12, 23));
+        assert_eq!((recorded(&mut a), recorded(&mut b)), (2, 3));
         a.run();
         assert_eq!(*a.ext_ref::<u64>(), 13);
+        assert_eq!((recorded(&mut a), recorded(&mut b)), (3, 3));
     }
 
     #[test]
@@ -1344,7 +1406,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "event limit exceeded")]
     fn event_limit_catches_runaway() {
         let mut sim = Sim::with_config(SimConfig {
             event_limit: Some(10),
@@ -1354,6 +1415,18 @@ mod tests {
             sim.after(SimDuration::from_nanos(1), rearm);
         }
         sim.after(SimDuration::from_nanos(1), rearm);
+        assert_eq!(sim.stop_reason(), None);
+        // The cap is a stop, not a panic: the loop returns with the
+        // runaway's next event still pending and says why.
+        assert!(sim.run_until(SimTime::MAX));
+        assert_eq!(sim.stop_reason(), Some(StopReason::EventLimit(10)));
+        assert_eq!(sim.events_processed(), 11);
+        assert_eq!(
+            sim.stop_reason().unwrap().to_string(),
+            "event limit exceeded (10)"
+        );
+        // ... and stays stopped.
         sim.run();
+        assert_eq!(sim.events_processed(), 11);
     }
 }

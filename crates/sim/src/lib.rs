@@ -29,10 +29,12 @@
 //! * kernel **self-profiling**: per-phase wall-clock counters a harness
 //!   switches on ([`profiler`]) — wall time never enters the
 //!   deterministic statistics,
-//! * a **causality log** with liveness detectors behind the
-//!   `VLOG_CAUSALITY` knob ([`causality`]): protocol layers record
-//!   `event! { ... caused_by ... }` edges and dangling/absent-cause
-//!   analysis turns a hang into a named diagnosis,
+//! * a **causality log** with liveness detectors ([`causality`]): a
+//!   plain value the [`Sim`] owns once [`Sim::enable_causality`] switches
+//!   it on; protocol layers record `event!(sim, ... caused_by ...)`
+//!   edges through the `&mut Sim` they hold, and dangling/absent-cause
+//!   analysis turns a hang — or a run stopped at its event cap
+//!   ([`StopReason`]) — into a named diagnosis,
 //! * shared harness utilities: centralized `VLOG_*` env-knob parsing
 //!   ([`env_knob`]) and first-divergence report diffing ([`diff`]).
 //!
@@ -76,7 +78,9 @@ pub mod time;
 
 pub use calendar::{EventCalendar, EventKey};
 pub use exec::{with_task, ExecHandle, Op, OpId, OpValues, Port, TaskCx, TaskId};
-pub use kernel::{Actor, ActorId, Delivery, Event, NodeId, Sim, SimConfig, TimerHandle};
+pub use kernel::{
+    Actor, ActorId, Delivery, Event, NodeId, Sim, SimConfig, StopReason, TimerHandle,
+};
 pub use net::{EthernetParams, HeteroLinks, NetProfile, Network, WireSize, SERVICE_BOUNDARY};
 pub use schedule::{
     AppliedTrace, Decision, EventInfo, EventKind, Fifo, PopDecision, SchedulePolicy, ScriptPolicy,

@@ -33,9 +33,10 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
+use vlog_sim::causality::{self, LivenessReport};
 use vlog_sim::{
-    ActorId, Event, NetProfile, NodeId, SchedulePolicy, Sim, SimConfig, SimDuration, SimTime,
-    Stats, WireSize,
+    env_knob, ActorId, Event, NetProfile, NodeId, SchedulePolicy, Sim, SimConfig, SimDuration,
+    SimTime, Stats, StopReason, WireSize,
 };
 
 use crate::ckpt::CkptServer;
@@ -64,7 +65,8 @@ pub struct ClusterConfig {
     pub seed: u64,
     /// Stop the simulation when every rank finished (default true).
     pub stop_on_completion: bool,
-    /// Hard event cap (runaway protection in tests).
+    /// Hard event cap (runaway protection in tests); a run that exceeds
+    /// it stops and reports [`StopReason::EventLimit`].
     pub event_limit: Option<u64>,
     /// Hard virtual-time cap; the run reports `completed = false` when
     /// hit.
@@ -84,10 +86,10 @@ pub struct ClusterConfig {
     /// default) schedules no watchdog event at all, keeping ordinary
     /// runs' schedules untouched.
     pub liveness_watchdog: Option<SimDuration>,
-    /// Collect the causality log on the run's thread and attach the
-    /// analyzed [`vlog_sim::causality::LivenessReport`] to the
-    /// [`RunReport`]. Off by default: liveness never reaches a report
-    /// (or a determinism fingerprint) unless a harness asks.
+    /// Collect the run's causality log and attach the analyzed
+    /// [`LivenessReport`] to the [`RunReport`]. Off by default: liveness
+    /// never reaches a report unless a harness (or `VLOG_CAUSALITY`)
+    /// asks, and never a determinism fingerprint.
     pub export_liveness: bool,
 }
 
@@ -244,10 +246,13 @@ pub struct RunReport {
     pub rank_stats: Vec<RankStats>,
     /// Number of simulation events dispatched.
     pub events: u64,
+    /// Set when the kernel stopped the run itself — it ran past
+    /// [`ClusterConfig::event_limit`] — instead of the run ending.
+    pub stopped: Option<StopReason>,
     /// Analyzed causality log, present only when
     /// [`ClusterConfig::export_liveness`] (or `VLOG_CAUSALITY`)
     /// requested it — never part of a determinism fingerprint.
-    pub liveness: Option<vlog_sim::causality::LivenessReport>,
+    pub liveness: Option<LivenessReport>,
 }
 
 impl RunReport {
@@ -354,8 +359,8 @@ impl RunReport {
 /// The hang detector: a sim-time deadline armed through the kernel's
 /// cancellable timer machinery on a stable node. If the cluster has
 /// not completed when the timer fires, the watchdog analyzes the
-/// causality log, dumps the dangling-cause set to stderr and stops the
-/// simulation — the run then reports `completed = false` with the
+/// run's causality log, dumps the dangling-cause set to stderr and stops
+/// the simulation — the run then reports `completed = false` with the
 /// diagnosis already printed. A deadline that fires after completion
 /// is a no-op (the calendar simply drains).
 struct LivenessWatchdog {
@@ -369,10 +374,10 @@ impl vlog_sim::Actor for LivenessWatchdog {
         if ClusterState::of(sim).completed() {
             return;
         }
-        let report = vlog_sim::causality::analyze();
+        let report = sim.causality().map(|log| log.analyze()).unwrap_or_default();
         eprint!(
             "{}",
-            vlog_sim::causality::render(&format!("{} watchdog", self.label), &report)
+            causality::render(&format!("{} watchdog", self.label), &report)
         );
         sim.stats_mut().bump("liveness_watchdog_fired");
         sim.stop();
@@ -494,7 +499,8 @@ pub struct ClusterRun {
     sim: Sim,
     suite_name: String,
     time_limit: Option<SimDuration>,
-    export_liveness: bool,
+    /// `VLOG_CAUSALITY`: print the analyzed log to stderr after the run.
+    dump_liveness: bool,
 }
 
 // Compile-time guarantee: a complete cluster run — kernel, actors,
@@ -529,6 +535,14 @@ impl ClusterRun {
         });
         if let Some(factory) = &cfg.schedule_policy {
             sim.set_schedule_policy(factory());
+        }
+        // The two switches that turn causality collection on, resolved
+        // here and nowhere else: the config asks for the report, or the
+        // `VLOG_CAUSALITY` knob (any non-zero value) asks for it and for
+        // the per-run stderr dump.
+        let dump_liveness = env_knob::any_u64("VLOG_CAUSALITY", 0) != 0;
+        if cfg.export_liveness || dump_liveness {
+            sim.enable_causality();
         }
         let n = cfg.ranks;
 
@@ -636,20 +650,13 @@ impl ClusterRun {
             sim,
             suite_name: suite.name(),
             time_limit: cfg.time_limit,
-            export_liveness: cfg.export_liveness,
+            dump_liveness,
         }
     }
 
-    /// Executes the run to completion (or to the configured time limit)
-    /// and reports.
+    /// Executes the run to completion (or to the configured time or
+    /// event limit) and reports.
     pub fn run(mut self) -> RunReport {
-        // A fresh causality log per run: worker threads are pooled by
-        // the sweep driver, so a previous run's edges must never leak
-        // into this one's analysis.
-        vlog_sim::causality::reset();
-        if self.export_liveness {
-            vlog_sim::causality::set_thread_enabled(true);
-        }
         match self.time_limit {
             Some(tl) => {
                 self.sim.run_until(SimTime::ZERO + tl);
@@ -657,20 +664,13 @@ impl ClusterRun {
             None => self.sim.run(),
         }
 
-        // Liveness analysis reaches the report only on explicit request
-        // (config export or the VLOG_CAUSALITY knob): a force-enabled
-        // determinism sweep collects the log but exports nothing, so
-        // its reports stay byte-identical to an uninstrumented run's.
-        let want_liveness = self.export_liveness || vlog_sim::causality::report_each_run();
-        let liveness = want_liveness.then(vlog_sim::causality::analyze);
-        if vlog_sim::causality::report_each_run() {
+        // The log is the run's own: whatever ended the loop — completion,
+        // a limit, the watchdog — what was recorded is still here.
+        let liveness = self.sim.causality().map(|log| log.analyze());
+        if self.dump_liveness {
             if let Some(report) = &liveness {
-                eprint!("{}", vlog_sim::causality::render(&self.suite_name, report));
+                eprint!("{}", causality::render(&self.suite_name, report));
             }
-        }
-        vlog_sim::causality::reset();
-        if self.export_liveness {
-            vlog_sim::causality::set_thread_enabled(false);
         }
 
         let state = ClusterState::of(&mut self.sim);
@@ -683,6 +683,7 @@ impl ClusterRun {
             stats: self.sim.stats().clone(),
             rank_stats,
             events: self.sim.events_processed(),
+            stopped: self.sim.stop_reason(),
             liveness,
         }
     }
@@ -751,6 +752,7 @@ mod tests {
             stats,
             rank_stats: Vec::new(),
             events: 0,
+            stopped: None,
             liveness: None,
         };
         assert_eq!(report.el_peak_queue_depth(), 7);
@@ -775,6 +777,7 @@ mod tests {
             stats: Stats::new(),
             rank_stats: Vec::new(),
             events: 0,
+            stopped: None,
             liveness: None,
         };
         assert_eq!(report.el_peak_queue_depth(), 0);

@@ -331,8 +331,10 @@ impl DaemonCore {
             stats.recovery_total.push(dt);
             // Recovery got everything it needed: any still-pending
             // replay/reclaim expectations are moot, not dangling.
-            vlog_sim::causality::cancel_owner(self.rank as u64);
-            vlog_sim::event!("recovery-complete" { rank = self.rank }
+            sim.record(|| Edge::CancelOwner {
+                owner: self.rank as u64,
+            });
+            vlog_sim::event!(sim, "recovery-complete" { rank = self.rank }
                 caused_by "image-fetched" { rank = self.rank });
         }
     }
@@ -564,9 +566,11 @@ impl Vdaemon {
                 // A recovery boot supersedes the dead incarnation: its
                 // pending expectations are moot, and this incarnation
                 // cannot progress until its checkpoint image arrives.
-                vlog_sim::causality::cancel_owner(self.core.rank as u64);
-                vlog_sim::event!("restart-boot" { rank = self.core.rank });
-                vlog_sim::causality::record(|| Edge::Expect {
+                sim.record(|| Edge::CancelOwner {
+                    owner: self.core.rank as u64,
+                });
+                vlog_sim::event!(sim, "restart-boot" { rank = self.core.rank });
+                sim.record(|| Edge::Expect {
                     cause: vlog_sim::ckey!("image-fetched", rank = self.core.rank),
                     waiter: vlog_sim::ckey!("restart-boot", rank = self.core.rank),
                     owner: self.core.rank as u64,
@@ -610,7 +614,7 @@ impl Vdaemon {
             }
             None => (None, None),
         };
-        vlog_sim::event!("image-fetched" { rank = self.core.rank }
+        vlog_sim::event!(sim, "image-fetched" { rank = self.core.rank }
             caused_by "restart-boot" { rank = self.core.rank });
         {
             let mut ctx = Ctx {
@@ -1118,8 +1122,10 @@ impl Actor for Vdaemon {
                         // withdraw its pending expectations (e.g. a
                         // final determinant batch whose ack is still in
                         // flight when the program completes).
-                        vlog_sim::causality::cancel_owner(self.core.rank as u64);
-                        vlog_sim::event!("rank-finished" { rank = self.core.rank });
+                        sim.record(|| Edge::CancelOwner {
+                            owner: self.core.rank as u64,
+                        });
+                        vlog_sim::event!(sim, "rank-finished" { rank = self.core.rank });
                         {
                             let mut ctx = Ctx {
                                 sim,

@@ -249,6 +249,7 @@ mod tests {
                 stats: Stats::new(),
                 rank_stats: Vec::new(),
                 events: 0,
+                stopped: None,
                 liveness: None,
             },
             total_flops: flops,

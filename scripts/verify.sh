@@ -27,7 +27,7 @@ for knob in $knobs; do
 done
 echo "    knob inventory: ok ($(echo "$knobs" | wc -w) names, all documented)"
 
-echo "==> boundary gate (no Mutex, no unsafe at the task<->daemon boundary; no lock or atomic around what a cluster run shares)"
+echo "==> boundary gate (no Mutex, no unsafe at the task<->daemon boundary; no lock or atomic around what a cluster run shares; no thread-local or process state behind the causality log)"
 # Comment lines may name what the code may not use.
 boundary_gate() { # <words> <what to say> <files...>
     local words=$1 say=$2
@@ -50,6 +50,11 @@ boundary_gate 'Mutex|unsafe' "the task<->daemon boundary must take no lock and n
 boundary_gate 'Mutex|RwLock|AtomicBool|AtomicU64' "run state is reached through &mut Sim, not through a lock or an atomic" \
     crates/vmpi/src/{hooks,daemon,cluster,dispatcher,scheduler,phase,ckpt}.rs \
     crates/core/src/{el_multi,logcore,causal,pessimistic,coordinated,suite}.rs
+# The causality log is a plain value the run's Sim owns (crates/sim/src/
+# causality.rs module docs): per-thread or per-process state coming back
+# would put the log outside the run it describes.
+boundary_gate 'thread_local|AtomicBool|OnceLock' "the causality log belongs to its run, not to a thread or the process" \
+    crates/sim/src/causality.rs
 
 echo "==> cargo build --release (RUSTFLAGS=-D warnings from here on)"
 cargo build --release --offline
@@ -126,6 +131,11 @@ echo "==> schedule exploration smoke (env-overridable budget)"
 VLOG_EXPLORE_SCHEDULES="${VLOG_EXPLORE_SCHEDULES:-48}" \
 VLOG_EXPLORE_DEPTH="${VLOG_EXPLORE_DEPTH:-4}" \
 VLOG_EXPLORE_SEED="${VLOG_EXPLORE_SEED:-0x19052005}" \
+    cargo run -q --release --offline -p vlog-explore --bin explore_smoke
+# Second leg, fixed: script seed 16 x 240 schedules found the dangling
+# det-batch-acked of a finished rank (known-failing class (a), ROADMAP
+# item 1) in causal+el2/el-failure before the fix.
+VLOG_EXPLORE_SCHEDULES=240 VLOG_EXPLORE_DEPTH=4 VLOG_EXPLORE_SEED=16 \
     cargo run -q --release --offline -p vlog-explore --bin explore_smoke
 
 echo "==> sweep driver smoke (--threads 2: parallel path must match sequential)"

@@ -69,9 +69,14 @@ fn fingerprint(report: &RunReport) -> String {
 }
 
 fn run_once(suite: Arc<dyn Suite>, with_fault: bool) -> String {
+    fingerprint(&run_report(suite, with_fault, false))
+}
+
+fn run_report(suite: Arc<dyn Suite>, with_fault: bool, export_liveness: bool) -> RunReport {
     let mut cfg = ClusterConfig::new(N);
     cfg.detect_delay = SimDuration::from_millis(8);
     cfg.event_limit = Some(50_000_000);
+    cfg.export_liveness = export_liveness;
     let faults = if with_fault {
         FaultPlan::kill_at(SimDuration::from_millis(5), 1)
     } else {
@@ -79,7 +84,7 @@ fn run_once(suite: Arc<dyn Suite>, with_fault: bool) -> String {
     };
     let report = run_cluster(&cfg, suite, program(), &faults);
     assert!(report.completed, "{} did not complete", report.suite);
-    fingerprint(&report)
+    report
 }
 
 fn assert_deterministic(mk: impl Fn() -> Arc<dyn Suite> + Send + Sync, with_fault: bool) {
@@ -207,29 +212,33 @@ fn profiling_does_not_perturb_reports_across_thread_counts() {
 }
 
 /// The causality log must observe, never perturb: the same eight-suite
-/// sweep (fault-free and faulted) with causality recording
-/// force-enabled must report byte-identically to the plain sweep, on
-/// 1, 2 and 4 worker threads. Recording is thread-local and
-/// analysis-free during the run; nothing reaches a `RunReport` unless
-/// a harness exports it — this pins that contract, the same one the
-/// profiler test above pins for timing scopes.
+/// sweep (fault-free and faulted) with every run collecting and
+/// exporting its own log must fingerprint byte-identically to the plain
+/// sweep, on 1, 2 and 4 worker threads. The log belongs to the run, so
+/// which worker ran it cannot matter, and nothing of it enters a
+/// fingerprint — this pins that contract, the same one the profiler
+/// test above pins for timing scopes.
 #[test]
 fn causality_log_does_not_perturb_reports_across_thread_counts() {
     let jobs: Vec<(usize, bool)> = (0..8usize)
         .flat_map(|idx| [(idx, false), (idx, true)])
         .collect();
-    let runner = |(idx, with_fault): (usize, bool)| run_once(suite_for(idx), with_fault);
-    let plain = run_many(jobs.clone(), 1, runner);
-    vlog_sim::causality::set_enabled(true);
+    let plain = run_many(jobs.clone(), 1, |(idx, with_fault)| {
+        run_once(suite_for(idx), with_fault)
+    });
     for threads in [1usize, 2, 4] {
-        let logged = run_many(jobs.clone(), threads, runner);
+        let logged = run_many(jobs.clone(), threads, |(idx, with_fault)| {
+            let report = run_report(suite_for(idx), with_fault, true);
+            let live = report.liveness.as_ref().expect("liveness exported");
+            assert!(live.produced_events > 0, "{} logged nothing", report.suite);
+            fingerprint(&report)
+        });
         diff::assert_reports_identical(
             &format!("causality-{threads}-threads-vs-plain"),
             &plain,
             &logged,
         );
     }
-    vlog_sim::causality::set_enabled(false);
 }
 
 /// Registry conformance: every registered workload, under every one of

@@ -12,12 +12,11 @@
 //! flag and must come back liveness-clean — the detectors' value rests
 //! on a zero false-positive rate.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use vlog_core::{CausalSuite, CoordinatedSuite, Technique};
-use vlog_sim::{causality, SimDuration};
-use vlog_vmpi::{ClusterConfig, FaultPlan};
+use vlog_sim::{causality, SimDuration, StopReason};
+use vlog_vmpi::{ClusterConfig, FaultPlan, RunReport};
 use vlog_workloads::{run_workload, BurstyConfig, Class, NasBench, NasConfig, Workload};
 
 fn causal_suite() -> Arc<CausalSuite> {
@@ -101,38 +100,34 @@ fn clean_restart_window_run_is_liveness_clean() {
     assert!(live.produced_events > 0, "causality log recorded nothing");
 }
 
-/// Runs the bursty service under the coordinated suite and returns
-/// `(completed, liveness)`. The storm burns the event cap before the
-/// run ends — the cap trips as a panic, in which case the thread-local
-/// causality log (reset at run start, never torn down on unwind) is
-/// analyzed directly: the diagnosis survives the crash of its own run.
-fn bursty_coordinated(storm_bug: bool) -> (bool, causality::LivenessReport) {
+/// The clean run dispatches ~16 k events, the storm ~420 k before its
+/// volleys die down: a cap between the two stops the storm mid-flight.
+const BURSTY_EVENT_LIMIT: u64 = 200_000;
+
+/// Runs the bursty service under the coordinated suite with the
+/// causality log exported. The storm burns the event cap before the
+/// run ends; the cap stops the run, and the report of the stopped run
+/// carries its own log.
+fn bursty_coordinated(storm_bug: bool) -> RunReport {
     let w = BurstyConfig::new(8, 3, 11).with_servers(2);
     let mut cfg = ClusterConfig::new(w.np());
-    cfg.event_limit = Some(2_000_000);
+    cfg.event_limit = Some(BURSTY_EVENT_LIMIT);
     cfg.export_liveness = true;
     cfg.seeded_bugs.marker_storm = storm_bug;
     let suite = Arc::new(CoordinatedSuite::new(SimDuration::from_millis(2)));
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        run_workload(&w, &cfg, suite, &FaultPlan::none())
-    }));
-    match result {
-        Ok(run) => (
-            run.report.completed,
-            run.report.liveness.clone().expect("liveness exported"),
-        ),
-        Err(_) => {
-            let live = causality::analyze();
-            causality::reset();
-            causality::set_thread_enabled(false);
-            (false, live)
-        }
-    }
+    run_workload(&w, &cfg, suite, &FaultPlan::none()).report
 }
 
 #[test]
 fn marker_storm_shows_as_a_duplicated_once_only_close() {
-    let (_completed, live) = bursty_coordinated(true);
+    let report = bursty_coordinated(true);
+    // The verdict of a capped run: not completed, stopped by the cap.
+    assert!(!report.completed, "storm run unexpectedly completed");
+    assert_eq!(
+        report.stopped,
+        Some(StopReason::EventLimit(BURSTY_EVENT_LIMIT))
+    );
+    let live = report.liveness.as_ref().expect("liveness exported");
     // The diagnosis: closing a finished rank's channels is declared
     // once-only per (rank, id); the storm re-fires it per marker.
     let dup = live
@@ -146,19 +141,24 @@ fn marker_storm_shows_as_a_duplicated_once_only_close() {
         ),
         None => panic!(
             "storm run did not flag snapshot-close-finished as duplicated:\n{}",
-            causality::render("marker-storm", &live)
+            causality::render("marker-storm", live)
         ),
     }
 }
 
 #[test]
 fn clean_coordinated_bursty_run_is_liveness_clean() {
-    let (completed, live) = bursty_coordinated(false);
-    assert!(completed, "clean coordinated bursty did not complete");
+    let report = bursty_coordinated(false);
+    assert!(
+        report.completed,
+        "clean coordinated bursty did not complete"
+    );
+    assert_eq!(report.stopped, None);
+    let live = report.liveness.as_ref().expect("liveness exported");
     assert!(
         live.is_clean(),
         "clean coordinated run has liveness findings (false positives):\n{}",
-        causality::render("clean-control", &live)
+        causality::render("clean-control", live)
     );
     assert!(live.produced_events > 0, "causality log recorded nothing");
 }

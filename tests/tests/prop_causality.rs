@@ -16,7 +16,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
-use vlog_sim::causality::{self, EdgeKind, Key, LivenessReport};
+use vlog_sim::causality::{self, Edge, EdgeKind, Key, LivenessReport, Log};
 use vlog_sim::ckey;
 
 /// Small key universe so scripts collide on keys often: 4 kinds x 6
@@ -72,33 +72,43 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn apply(op: Op) {
+fn edge(op: Op) -> Edge {
     match op {
-        Op::Produce { key: k, cause } => causality::produced(key(k), cause.map(key)),
-        Op::ProduceUnique { key: k } => causality::produced_unique(key(k), None),
+        Op::Produce { key: k, cause } => Edge::Produced {
+            key: key(k),
+            caused_by: cause.map(key),
+            unique: false,
+        },
+        Op::ProduceUnique { key: k } => Edge::Produced {
+            key: key(k),
+            caused_by: None,
+            unique: true,
+        },
         Op::Expect {
             cause,
             waiter,
             owner,
-        } => causality::expect(key(cause), key(waiter), owner),
-        Op::Consume { cause, by } => causality::consume(key(cause), key(by)),
-        Op::Cancel { cause } => causality::cancel(key(cause)),
-        Op::CancelOwner { owner } => causality::cancel_owner(owner),
+        } => Edge::Expect {
+            cause: key(cause),
+            waiter: key(waiter),
+            owner,
+        },
+        Op::Consume { cause, by } => Edge::Consume {
+            cause: key(cause),
+            by: key(by),
+        },
+        Op::Cancel { cause } => Edge::Cancel { cause: key(cause) },
+        Op::CancelOwner { owner } => Edge::CancelOwner { owner },
     }
 }
 
-/// Runs a script through the real thread-local log and returns its
-/// analysis, leaving the thread clean for the next case.
+/// Runs a script through a real log and returns its analysis.
 fn run_script(ops: &[Op]) -> LivenessReport {
-    causality::set_thread_enabled(true);
-    causality::reset();
+    let mut log = Log::default();
     for &op in ops {
-        apply(op);
+        log.record(edge(op));
     }
-    let report = causality::analyze();
-    causality::reset();
-    causality::set_thread_enabled(false);
-    report
+    log.analyze()
 }
 
 /// The independent declarative model: producer-less edges computed
