@@ -13,9 +13,8 @@
 //! measured in one place only, the `benchmark/` crate at the repository
 //! root (`BENCHMARK.json`).
 //!
-//! Helper binaries (`src/bin`): `liveness_smoke` (hang-detector smoke)
-//! and `prof_report` (symbolises the sample dump of
-//! `scripts/profile.sh`).
+//! Helper binary (`src/bin`): `prof_report` (symbolises the sample dump
+//! of `scripts/profile.sh`).
 //!
 //! Scale control: `VLOG_SCALE=quick|default|full` ([`Scale`]). A reduced
 //! scale runs a fraction of each benchmark's iterations and repetitions

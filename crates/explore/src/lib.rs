@@ -3,8 +3,10 @@
 //! Model-checking-lite for the MPICH-V reproduction: the deterministic
 //! simulation explores one interleaving per seed, so a protocol bug that
 //! needs an adversarial message ordering can hide forever behind a lucky
-//! schedule. This crate turns the kernel's schedule-policy seam
-//! ([`vlog_sim::schedule`]) into a bounded explorer:
+//! schedule. This crate turns the kernel's schedule seam
+//! ([`vlog_sim::schedule`]: a script is data on the run's
+//! [`ClusterConfig`], the decisions that fired are data on its
+//! [`RunReport`]) into a bounded explorer:
 //!
 //! 1. **Decision scripts.** A schedule is a short list of decisions
 //!    `(delivery index, extra delay)`: the `index`-th payload-carrying
@@ -31,21 +33,25 @@
 //!    its *recorded* decision trace (only the decisions that actually
 //!    fired), then greedily minimized with the bounded DFS shrinker the
 //!    vendored proptest shim exposes
-//!    ([`proptest::test_runner::minimize`]). The result is a minimal,
-//!    seed-free, replayable schedule: feeding [`Violation::raw`] back
-//!    through [`Scenario::run_raw`] reproduces the violation
-//!    deterministically.
+//!    ([`proptest::test_runner::minimize`]). A runaway — a run the
+//!    kernel stopped at its event cap — is shrunk against a lowered cap
+//!    (eight times the events of the scenario's unperturbed run), so a
+//!    probe costs thousands of events, not millions; the minimal script
+//!    is then judged under the scenario's full cap. The result is a
+//!    minimal, seed-free, replayable schedule: feeding
+//!    [`Violation::raw`] back through [`Scenario::run_raw`] reproduces
+//!    the violation deterministically.
 
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use proptest::collection::{vec as vec_of, VecStrategy};
 use proptest::test_runner::minimize;
 use proptest::{Strategy, TestRng};
 use rand::SeedableRng;
 use vlog_core::{CausalSuite, CoordinatedSuite, PbFormat, PessimisticSuite, Technique};
-use vlog_sim::{env_knob, AppliedTrace, Decision, ScriptPolicy, SimDuration};
+use vlog_sim::{env_knob, Decision, SimDuration, StopReason};
 use vlog_vmpi::{
     app, run_cluster, AppSpec, ClusterConfig, FaultPlan, Payload, ProtoPhase, RecvSelector,
     RunReport, Suite,
@@ -111,8 +117,13 @@ pub struct RunOutcome {
     /// Why the run violated an invariant, if it did.
     pub violation: Option<String>,
     /// The decisions that actually fired, in firing order — the recorded
-    /// trace a confirmation run replays.
+    /// trace a confirmation run replays. A run that panicked has no
+    /// report to read them from: its whole script stands in.
     pub applied: Vec<Decision>,
+    /// Events the run dispatched (0 for a run that panicked).
+    pub events: u64,
+    /// Set when the kernel stopped the run at a limit.
+    pub stopped: Option<StopReason>,
 }
 
 /// One protocol configuration the explorer perturbs: a suite, a
@@ -250,35 +261,28 @@ impl Scenario {
     /// in-simulation panics). Replay convergence spans two runs and is
     /// checked by [`explore`].
     pub fn run_raw(&self, raw: &[RawDecision]) -> RunOutcome {
-        let script = decisions(raw);
-        // The policy is built inside the run; smuggle its applied-trace
-        // handle back out so the recorded decision trace survives the run.
-        let applied_slot: Arc<Mutex<Option<AppliedTrace>>> = Arc::new(Mutex::new(None));
-        let slot = applied_slot.clone();
+        self.run_capped(raw, self.cfg.event_limit)
+    }
+
+    /// [`Scenario::run_raw`] under another event cap (shrink probes of a
+    /// runaway run under a lowered one).
+    fn run_capped(&self, raw: &[RawDecision], event_limit: Option<u64>) -> RunOutcome {
         let mut cfg = self.cfg.clone();
-        cfg.schedule_policy = Some(Arc::new(move || {
-            let policy = ScriptPolicy::new(script.clone());
-            *slot.lock().unwrap() = Some(policy.applied());
-            Box::new(policy)
-        }));
+        cfg.schedule = decisions(raw);
+        cfg.event_limit = event_limit;
         let suite = self.suite.clone();
         let program = self.program.clone();
-        let faults = self.faults.clone();
         let result = catch_unwind(AssertUnwindSafe(|| {
-            run_cluster(&cfg, suite, program, &faults)
+            run_cluster(&cfg, suite, program, &self.faults)
         }));
-        let applied: Vec<Decision> = applied_slot
-            .lock()
-            .unwrap()
-            .as_ref()
-            .map(|t| t.lock().unwrap().clone())
-            .unwrap_or_default();
         let report = match result {
             Err(p) => {
                 return RunOutcome {
                     fingerprint: None,
                     violation: Some(format!("in-simulation panic: {}", panic_message(&*p))),
-                    applied,
+                    applied: cfg.schedule,
+                    events: 0,
+                    stopped: None,
                 }
             }
             Ok(report) => report,
@@ -334,17 +338,12 @@ impl Scenario {
                 None
             }
         };
-        if violation.is_some() {
-            return RunOutcome {
-                fingerprint: None,
-                violation,
-                applied,
-            };
-        }
         RunOutcome {
-            fingerprint: Some(fingerprint(&report)),
-            violation: None,
-            applied,
+            fingerprint: violation.is_none().then(|| fingerprint(&report)),
+            violation,
+            events: report.events,
+            stopped: report.stopped,
+            applied: report.applied,
         }
     }
 }
@@ -597,10 +596,12 @@ pub fn buggy_marker_storm_scenario() -> Scenario {
 pub struct Violation {
     /// Scenario that violated.
     pub scenario: String,
-    /// Invariant that failed, as reported by the *minimal* script's run.
+    /// Invariant that failed, as reported by the run of `raw`.
     pub reason: String,
     /// Minimal raw script — feed back through [`Scenario::run_raw`] to
-    /// reproduce deterministically.
+    /// reproduce deterministically. (The recorded trace itself when the
+    /// shrunk script of a runaway no longer violates under the
+    /// scenario's full event cap.)
     pub raw: Vec<RawDecision>,
     /// Minimal script as kernel decisions.
     pub script: Vec<Decision>,
@@ -654,6 +655,12 @@ fn name_hash(name: &str) -> u64 {
     h
 }
 
+/// A runaway's shrink probes run under this many times the events of
+/// the scenario's unperturbed (schedule 0) run: far above what any
+/// perturbation of a few deliveries adds, far below the cap a runaway
+/// burns through.
+const RUNAWAY_PROBE_FACTOR: u64 = 8;
+
 /// Explores `budget.schedules` distinct schedules spread over
 /// `scenarios`, checking every invariant on each. The first violation in
 /// a scenario is confirmed against its recorded decision trace, shrunk,
@@ -683,6 +690,7 @@ pub fn explore(scenarios: &[Scenario], budget: &Budget) -> ExploreReport {
         seen.insert(Vec::new());
         let mut draws = 0u64;
         let mut next = Some(Vec::new());
+        let mut baseline_events = None;
         while explored < per {
             let raw = match next.take() {
                 Some(raw) => raw,
@@ -702,6 +710,7 @@ pub fn explore(scenarios: &[Scenario], budget: &Budget) -> ExploreReport {
             explored += 1;
             let first = scenario.run_raw(&raw);
             report.runs += 1;
+            let baseline = *baseline_events.get_or_insert(first.events);
             let outcome = match first.violation {
                 Some(_) => first,
                 None => {
@@ -718,6 +727,8 @@ pub fn explore(scenarios: &[Scenario], budget: &Budget) -> ExploreReport {
                                     .unwrap_or_else(|| "(no divergence found)".into())
                             )),
                             applied: second.applied,
+                            events: second.events,
+                            stopped: second.stopped,
                         },
                         _ => {
                             report.distinct_schedules += 1;
@@ -736,29 +747,41 @@ pub fn explore(scenarios: &[Scenario], budget: &Budget) -> ExploreReport {
                 .collect();
             let confirm = scenario.run_raw(&recorded);
             report.runs += 1;
-            let (confirmed, start) = match confirm.violation {
-                Some(_) => (true, recorded),
+            let (confirmed, start, found) = match confirm.violation {
+                Some(reason) => (true, recorded, reason),
                 // Should be unreachable (deterministic kernel): fall back
                 // to shrinking the full script.
-                None => (false, raw),
+                None => (false, raw, outcome.violation.expect("a violating outcome")),
             };
-            let (minimal, steps, probes) = minimize(&strat, start, &mut |cand| {
-                if let Some(reason) = scenario.run_raw(&cand).violation {
+            // Each probe of a runaway would burn the whole event budget;
+            // one that is still running at a few times the unperturbed
+            // run's length is taken for the runaway it is shrinking.
+            let probe_limit = match outcome.stopped {
+                Some(StopReason::EventLimit(limit)) => {
+                    Some(limit.min(RUNAWAY_PROBE_FACTOR.saturating_mul(baseline)))
+                }
+                _ => scenario.cfg.event_limit,
+            };
+            let (minimal, steps, probes) = minimize(&strat, start.clone(), &mut |cand| {
+                if let Some(reason) = scenario.run_capped(&cand, probe_limit).violation {
                     panic!("{reason}");
                 }
             });
             report.runs += probes as u64 + 1;
-            let reason = scenario
-                .run_raw(&minimal)
-                .violation
-                .unwrap_or_else(|| "violation vanished after shrinking".into());
+            // The verdict is the full cap's: a minimal script that only
+            // outran the lowered one is no violation, and the recorded
+            // trace is reported as found.
+            let (raw, reason, shrink_steps) = match scenario.run_raw(&minimal).violation {
+                Some(reason) => (minimal, reason, steps),
+                None => (start, found, 0),
+            };
             report.violations.push(Violation {
                 scenario: scenario.name.to_string(),
                 reason,
-                script: decisions(&minimal),
-                raw: minimal,
+                script: decisions(&raw),
+                raw,
                 seed: budget.seed,
-                shrink_steps: steps,
+                shrink_steps,
                 confirmed,
             });
             break; // one confirmed violation per scenario is enough

@@ -33,7 +33,20 @@
 //! see it and nothing about it needs a lock or a reference count. The
 //! run's causality log ([`crate::causality::Log`]) is held the same way:
 //! a plain field, absent until [`Sim::enable_causality`], which every
-//! record site reaches through [`Sim::record`].
+//! record site reaches through [`Sim::record`]. So is the run's
+//! perturbation script ([`crate::schedule`]): decisions in through
+//! [`Sim::set_schedule`], the ones that fired out through
+//! [`Sim::applied`].
+//!
+//! # How a run loop ends
+//!
+//! [`Sim::run`] returns when the calendar drains, when somebody called
+//! [`Sim::stop`], or when the kernel stops the run itself and says why
+//! ([`Sim::stop_reason`]): more than [`SimConfig::event_limit`] events
+//! were dispatched, or the next event lies beyond
+//! [`SimConfig::time_limit`]. [`Sim::run_until`] is a pause, not a stop:
+//! it returns at its deadline with everything still pending and the next
+//! call carries on.
 //!
 //! # Actors and generations
 //!
@@ -71,7 +84,7 @@ use crate::causality::{Edge, Log};
 use crate::exec::{self, ExecHandle, OpId, Port, TaskId, TaskSlot};
 use crate::net::{NetProfile, Network, WireSize};
 use crate::profiler;
-use crate::schedule::{EventInfo, EventKind, PopDecision, SchedulePolicy};
+use crate::schedule::{Decision, Script};
 use crate::stats::Stats;
 use crate::time::{SimDuration, SimTime};
 
@@ -96,8 +109,7 @@ pub enum Event {
     Closure(Box<dyn FnOnce(&mut Sim) + Send>),
     /// A deferred [`Sim::complete`]: whatever result the operation carries
     /// was parked in the task's port when this was scheduled, and becomes
-    /// the task's now. A [`SchedulePolicy`] sees it as
-    /// [`EventKind::Closure`], which is what it replaced.
+    /// the task's now.
     Complete(OpId),
     /// Wakes an actor without carrying data (pipe readable, batch flush...).
     Poke { actor: ActorId, token: u64 },
@@ -182,6 +194,9 @@ pub struct SimConfig {
     /// Optional hard cap on dispatched events (runaway protection): the
     /// run loop stops once it is exceeded, see [`StopReason`].
     pub event_limit: Option<u64>,
+    /// Optional hard cap on virtual time: the run loop stops at this
+    /// instant, with every later event still pending, see [`StopReason`].
+    pub time_limit: Option<SimDuration>,
 }
 
 /// Why a run loop stopped although nobody asked it to
@@ -190,12 +205,16 @@ pub struct SimConfig {
 pub enum StopReason {
     /// More than [`SimConfig::event_limit`] events were dispatched.
     EventLimit(u64),
+    /// The next event lay beyond [`SimConfig::time_limit`]; the clock
+    /// reads exactly the limit.
+    TimeLimit(SimDuration),
 }
 
 impl std::fmt::Display for StopReason {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StopReason::EventLimit(limit) => write!(f, "event limit exceeded ({limit})"),
+            StopReason::TimeLimit(limit) => write!(f, "time limit reached ({limit})"),
         }
     }
 }
@@ -206,6 +225,7 @@ impl Default for SimConfig {
             seed: 0,
             net: NetProfile::default(),
             event_limit: None,
+            time_limit: None,
         }
     }
 }
@@ -228,9 +248,11 @@ pub struct Sim {
     stop_reason: Option<StopReason>,
     events_processed: u64,
     event_limit: Option<u64>,
-    /// Optional schedule-exploration seam; `None` is the untouched fast
-    /// path (see [`crate::schedule`]).
-    policy: Option<Box<dyn SchedulePolicy>>,
+    /// [`SimConfig::time_limit`] as an instant; [`SimTime::MAX`] is none.
+    time_limit: SimTime,
+    /// The run's perturbation script; `None` is the untouched pop path
+    /// (see [`crate::schedule`]).
+    script: Option<Script>,
     /// The run state typed by the layer above (see [`Sim::install`]).
     ext: Option<Box<dyn Any + Send>>,
     /// The run's causality log; `None` (the default) collects nothing.
@@ -261,17 +283,26 @@ impl Sim {
             stop_reason: None,
             events_processed: 0,
             event_limit: cfg.event_limit,
-            policy: None,
+            time_limit: cfg.time_limit.map_or(SimTime::MAX, |d| SimTime::ZERO + d),
+            script: None,
             ext: None,
             causality: None,
         }
     }
 
-    /// Installs a [`SchedulePolicy`] consulted for every payload-carrying
-    /// event before dispatch. With no policy (the default) the pop path
-    /// is untouched; [`crate::schedule::Fifo`] is byte-identical to it.
-    pub fn set_schedule_policy(&mut self, policy: Box<dyn SchedulePolicy>) {
-        self.policy = Some(policy);
+    /// Gives the run its perturbation script (see [`crate::schedule`]):
+    /// every message delivery is offered to it before dispatch. With no
+    /// script (the default) the pop path is untouched; an empty script
+    /// is byte-identical to it.
+    pub fn set_schedule(&mut self, script: impl IntoIterator<Item = Decision>) {
+        self.script = Some(Script::new(script));
+    }
+
+    /// The decisions of the run's script that fired so far, in firing
+    /// order. Handing them to [`Sim::set_schedule`] of an identically
+    /// built run reproduces this one.
+    pub fn applied(&self) -> &[Decision] {
+        self.script.as_ref().map_or(&[], Script::applied)
     }
 
     /// Installs the run state: what the layer above shares between the
@@ -554,8 +585,7 @@ impl Sim {
 
     /// [`Sim::net_send`] deferred to the instant `at` (typically the end of
     /// the sender's CPU work): NIC booking, statistics and the target's
-    /// generation are all taken then, not now. A [`SchedulePolicy`] sees
-    /// the pending send as [`EventKind::Closure`].
+    /// generation are all taken then, not now.
     pub fn net_send_at(
         &mut self,
         at: SimTime,
@@ -750,16 +780,19 @@ impl Sim {
     // Run loop
     // ------------------------------------------------------------------
 
-    /// Runs until the calendar is empty or a stop is requested.
+    /// Runs until the calendar is empty, a stop is requested or a limit
+    /// of [`SimConfig`] ends the run.
     pub fn run(&mut self) {
         self.run_until(SimTime::MAX);
     }
 
     /// Runs until `deadline` (events at `deadline` included). Returns true
-    /// if the simulation stopped or drained before the deadline. Running
-    /// past the event limit is such a stop, with [`Sim::stop_reason`] set.
+    /// if the simulation stopped or drained before the deadline. Reaching
+    /// the event or time limit is such a stop, with [`Sim::stop_reason`]
+    /// set; reaching `deadline` is a pause the next call resumes from.
     pub fn run_until(&mut self, deadline: SimTime) -> bool {
         self.drain_tasks();
+        let horizon = deadline.min(self.time_limit);
         loop {
             if self.stop {
                 return true;
@@ -767,56 +800,30 @@ impl Sim {
             let Some(head_time) = self.calendar.peek_time() else {
                 return true;
             };
-            if head_time > deadline {
-                self.now = deadline;
-                return false;
+            if head_time > horizon {
+                if deadline < self.time_limit {
+                    self.now = deadline;
+                    return false;
+                }
+                // Events at the limit ran; the clock stops on it.
+                self.now = self.time_limit;
+                self.stop = true;
+                self.stop_reason = Some(StopReason::TimeLimit(
+                    self.time_limit.saturating_since(SimTime::ZERO),
+                ));
+                return true;
             }
-            let (time, seq, key, event) = {
+            let (time, seq, key, mut event) = {
                 let _p = profiler::scope(profiler::Phase::Calendar);
                 self.calendar.pop().unwrap()
             };
             debug_assert!(time >= self.now);
-            // The schedule-policy seam: a policy may defer a live event,
-            // which re-inserts it at `time + delta` with a fresh (highest)
-            // sequence number — behind its same-time peers for delta 0 —
-            // without advancing the clock or the event counter. Detached
-            // (None-payload) slots are never offered to the policy.
-            let event = match event {
-                Some(ev) if self.policy.is_some() => {
-                    let info = EventInfo {
-                        time,
-                        seq,
-                        kind: EventKind::of(&ev),
-                    };
-                    match self.policy.as_mut().unwrap().on_pop(&info) {
-                        PopDecision::Dispatch => Some(ev),
-                        PopDecision::Defer { delta } => {
-                            let timer_actor = match &ev {
-                                Event::Timer { actor, .. } => Some(*actor),
-                                _ => None,
-                            };
-                            let new_key = self.schedule_at(time + delta, ev);
-                            // Keep cancellable-timer bookkeeping pointing
-                            // at the live calendar entry.
-                            if let Some(actor) = timer_actor {
-                                let timers = &mut self.actors[actor].timers;
-                                if let Some(pos) = timers.iter().position(|k| *k == key) {
-                                    timers[pos] = new_key;
-                                }
-                            }
-                            // Hand the policy the authoritative dispatch
-                            // position of the deferred instance, so it can
-                            // recognize the re-offer exactly (FIFO
-                            // bookkeeping in ScriptPolicy).
-                            let (new_time, new_seq) =
-                                self.calendar.position_of(new_key).expect("just scheduled");
-                            self.policy.as_mut().unwrap().on_deferred(new_time, new_seq);
-                            continue;
-                        }
-                    }
-                }
-                other => other,
-            };
+            // The schedule seam (an unscripted run pays this one branch):
+            // a deferred delivery is back in the calendar; neither the
+            // clock nor the event counter moved.
+            if self.script.is_some() && self.defer((time, seq), &mut event) {
+                continue;
+            }
             self.now = time;
             // A detached event (None payload) still advances the clock
             // and the event counter: it occupies the dispatch slot a
@@ -836,6 +843,30 @@ impl Sim {
                 }
             }
         }
+    }
+
+    /// Offers the event popped at `at` to the run's script if it is a
+    /// message delivery — the only kind a script may move; detached slots
+    /// and every other event dispatch in place. True when the script
+    /// deferred it: the delivery left `event` for the calendar, at the
+    /// script's target with a fresh (highest) sequence number — behind
+    /// its same-time peers for a zero delay.
+    fn defer(&mut self, at: (SimTime, u64), event: &mut Option<Event>) -> bool {
+        let (Some(script), Some(Event::Deliver { actor, msg, .. })) = (&mut self.script, &*event)
+        else {
+            return false;
+        };
+        let chan = (msg.src_node, *actor);
+        let calendar = &mut self.calendar;
+        script.offer(chan, at, |target| {
+            assert!(
+                target < SimTime::MAX,
+                "attempted to defer a delivery to the SimTime::MAX sentinel"
+            );
+            let deferred = event.take().expect("a delivery was offered");
+            let key = calendar.schedule(target, deferred);
+            calendar.position_of(key).expect("just scheduled")
+        })
     }
 
     fn dispatch(&mut self, key: EventKey, event: Event) {
@@ -1428,5 +1459,105 @@ mod tests {
         // ... and stays stopped.
         sim.run();
         assert_eq!(sim.events_processed(), 11);
+    }
+
+    #[test]
+    fn time_limit_stops_the_run_on_the_limit() {
+        let limit = SimDuration::from_micros(35);
+        let mut sim = Sim::with_config(SimConfig {
+            time_limit: Some(limit),
+            ..SimConfig::default()
+        });
+        for us in [10, 35, 36, 50] {
+            sim.after(SimDuration::from_micros(us), |_| {});
+        }
+        // A deadline before the limit is still a pause ...
+        assert!(!sim.run_until(SimTime::from_nanos(20_000)));
+        assert_eq!((sim.events_processed(), sim.stop_reason()), (1, None));
+        // ... and one past it does not carry the run over the limit:
+        // the event at the limit ran, the clock reads the limit, the
+        // rest stays pending.
+        assert!(sim.run_until(SimTime::from_nanos(40_000)));
+        assert_eq!(sim.stop_reason(), Some(StopReason::TimeLimit(limit)));
+        assert_eq!(sim.events_processed(), 2);
+        assert_eq!(sim.now(), SimTime::ZERO + limit);
+        assert_eq!(
+            sim.stop_reason().unwrap().to_string(),
+            "time limit reached (35.000us)"
+        );
+        sim.run();
+        assert_eq!(sim.events_processed(), 2);
+        // A calendar that drains before the limit is not a stop.
+        let mut drained = Sim::with_config(SimConfig {
+            time_limit: Some(limit),
+            ..SimConfig::default()
+        });
+        drained.after(SimDuration::from_micros(10), |_| {});
+        drained.run();
+        assert_eq!(drained.stop_reason(), None);
+        assert_eq!(drained.now().as_nanos(), 10_000);
+    }
+
+    /// Only message deliveries are offered to the run's script: a timer,
+    /// a poke, a closure, a deferred send and a completion all pop before
+    /// the one delivery here, none of them takes a delivery index and
+    /// none of them moves.
+    #[test]
+    fn a_script_is_offered_deliveries_and_nothing_else() {
+        let run = |script: Option<Vec<Decision>>| {
+            let mut sim = Sim::new(7);
+            let (n0, n1) = (sim.add_node(), sim.add_node());
+            let got = Arc::new(Mutex::new(Vec::new()));
+            let a = sim.add_actor(n1, Box::new(Echo { got: got.clone() }));
+            if let Some(script) = script {
+                sim.set_schedule(script);
+            }
+            let us = SimDuration::from_micros;
+            sim.set_timer(a, us(1), 1);
+            sim.schedule(us(2), Event::Poke { actor: a, token: 0 });
+            let fired = got.clone();
+            sim.after(us(3), move |sim| {
+                fired
+                    .lock()
+                    .unwrap()
+                    .push((usize::MAX, sim.now().as_nanos()));
+            });
+            let h = sim.exec();
+            sim.spawn(Some(n0), async move {
+                let op = h.new_op();
+                h.stage(us(4), Event::Complete(op.id()));
+                op.await;
+            });
+            sim.net_send_at(
+                SimTime::from_nanos(5_000),
+                n0,
+                a,
+                small(100),
+                Box::new(42u64),
+            );
+            sim.run();
+            let got = got.lock().unwrap().clone();
+            (
+                got,
+                sim.now(),
+                sim.events_processed(),
+                sim.applied().to_vec(),
+            )
+        };
+        let hold = Decision {
+            index: 0,
+            delta: SimDuration::from_micros(500),
+        };
+        let (plain, plain_end, plain_events, none_applied) = run(None);
+        let (held, held_end, held_events, applied) = run(Some(vec![hold]));
+        // Index 0 is the delivery, although five events popped before it.
+        assert!(none_applied.is_empty());
+        assert_eq!(applied, [hold]);
+        assert_eq!(plain, held);
+        assert_eq!(plain, [(usize::MAX, 1), (usize::MAX, 3_000), (0, 42)]);
+        // A deferral re-inserts: it is not a dispatch, only the clock of
+        // the delivery moved.
+        assert_eq!(plain_events, held_events);
+        assert_eq!(held_end, plain_end + hold.delta);
     }
 }

@@ -22,9 +22,10 @@
 //! * a **switched-Ethernet network model** with full-duplex per-NIC
 //!   contention and cut-through frame pipelining ([`net`]),
 //! * **fault injection** (node crash / restart events),
-//! * a pluggable **schedule policy** seam at the calendar pop site for
-//!   schedule exploration — same-time reorders, bounded latency
-//!   injection, replayable decision traces ([`schedule`]),
+//! * a **schedule seam** at the calendar pop site for schedule
+//!   exploration: a run may carry one perturbation script — same-time
+//!   reorders, bounded latency injection — and hands back the decisions
+//!   that fired as a replayable trace ([`schedule`]),
 //! * byte/time **statistics** used by the benchmark harnesses ([`stats`]),
 //! * kernel **self-profiling**: per-phase wall-clock counters a harness
 //!   switches on ([`profiler`]) — wall time never enters the
@@ -33,8 +34,8 @@
 //!   plain value the [`Sim`] owns once [`Sim::enable_causality`] switches
 //!   it on; protocol layers record `event!(sim, ... caused_by ...)`
 //!   edges through the `&mut Sim` they hold, and dangling/absent-cause
-//!   analysis turns a hang — or a run stopped at its event cap
-//!   ([`StopReason`]) — into a named diagnosis,
+//!   analysis turns a hang — or a run stopped at its event or time
+//!   limit ([`StopReason`]) — into a named diagnosis,
 //! * shared harness utilities: centralized `VLOG_*` env-knob parsing
 //!   ([`env_knob`]) and first-divergence report diffing ([`diff`]).
 //!
@@ -82,8 +83,6 @@ pub use kernel::{
     Actor, ActorId, Delivery, Event, NodeId, Sim, SimConfig, StopReason, TimerHandle,
 };
 pub use net::{EthernetParams, HeteroLinks, NetProfile, Network, WireSize, SERVICE_BOUNDARY};
-pub use schedule::{
-    AppliedTrace, Decision, EventInfo, EventKind, Fifo, PopDecision, SchedulePolicy, ScriptPolicy,
-};
+pub use schedule::Decision;
 pub use stats::{MsgHistogram, Stats};
 pub use time::{SimDuration, SimTime};

@@ -1,14 +1,14 @@
-//! Property tests of the schedule-policy seam (`vlog_sim::schedule`).
+//! Property tests of the schedule seam (`vlog_sim::schedule`).
 //!
 //! The seam lets an explorer defer message deliveries — but it must
 //! never change what the protocols above are entitled to assume, and it
 //! must never change anything at all when no perturbation is scripted.
 //! Laws checked here, over a timer-driven all-to-all message mesh:
 //!
-//! 1. **Baseline identity.** A run with no policy, with [`Fifo`], and
-//!    with an *empty* [`ScriptPolicy`] produce byte-identical transcripts
-//!    (delivery log, event count, kernel stats) — installing the seam
-//!    without using it is invisible.
+//! 1. **Baseline identity.** A run with no script and a run with an
+//!    *empty* script produce byte-identical transcripts (delivery log,
+//!    event count, kernel stats) — offering every delivery to a script
+//!    that defers none is invisible.
 //! 2. **Per-channel FIFO.** For random perturbation scripts, per-channel
 //!    (src → dst actor) sequence numbers still arrive in order: a sound
 //!    perturbation injects channel latency, never intra-channel
@@ -23,10 +23,7 @@
 use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
-use vlog_sim::{
-    diff, Actor, ActorId, Decision, Delivery, Fifo, SchedulePolicy, ScriptPolicy, Sim, SimDuration,
-    SimTime, WireSize,
-};
+use vlog_sim::{diff, Actor, ActorId, Decision, Delivery, Sim, SimDuration, SimTime, WireSize};
 
 /// One observed delivery: (src actor/node, dst actor, per-channel seq,
 /// arrival instant).
@@ -41,7 +38,7 @@ const ROUND_GAP: SimDuration = SimDuration::from_micros(10);
 
 /// Mesh node: every round, sends one sequenced message to every peer,
 /// then re-arms its round timer. Traffic is timer-driven (timers are
-/// never perturbed), so the send schedule is identical across policies
+/// never perturbed), so the send schedule is identical across scripts
 /// and only delivery timing can differ.
 struct Peer {
     me: ActorId,
@@ -79,13 +76,17 @@ impl Actor for Peer {
     }
 }
 
-/// Runs the mesh under `policy` and returns (delivery log, transcript).
+/// Runs the mesh under `script` (`(delivery index, delay in ns)` pairs;
+/// `None` sets no script at all) and returns (delivery log, transcript).
 /// The transcript folds in everything observable — log, event count,
 /// final clock, kernel stats — for byte-identity comparisons.
-fn run_mesh(policy: Option<Box<dyn SchedulePolicy>>) -> (Vec<LogEntry>, String) {
+fn run_mesh(script: Option<&[(u64, u64)]>) -> (Vec<LogEntry>, String) {
     let mut sim = Sim::new(0x5EED);
-    if let Some(p) = policy {
-        sim.set_schedule_policy(p);
+    if let Some(script) = script {
+        sim.set_schedule(script.iter().map(|&(index, delta)| Decision {
+            index,
+            delta: SimDuration::from_nanos(delta),
+        }));
     }
     let log: SharedLog = Arc::new(Mutex::new(Vec::new()));
     for _ in 0..RANKS {
@@ -114,22 +115,11 @@ fn run_mesh(policy: Option<Box<dyn SchedulePolicy>>) -> (Vec<LogEntry>, String) 
     (log, transcript)
 }
 
-fn script_policy(script: &[(u64, u64)]) -> Box<dyn SchedulePolicy> {
-    Box::new(ScriptPolicy::new(script.iter().map(|&(index, delta)| {
-        Decision {
-            index,
-            delta: SimDuration::from_nanos(delta),
-        }
-    })))
-}
-
-/// Law 1: no policy ≡ `Fifo` ≡ empty script, byte for byte.
+/// Law 1: no script ≡ empty script, byte for byte.
 #[test]
-fn idle_policies_are_byte_identical_to_no_policy() {
+fn an_empty_script_is_byte_identical_to_no_script() {
     let (_, bare) = run_mesh(None);
-    let (_, fifo) = run_mesh(Some(Box::new(Fifo)));
-    let (_, empty) = run_mesh(Some(script_policy(&[])));
-    diff::assert_reports_identical("fifo-vs-none", &[bare.clone()], &[fifo]);
+    let (_, empty) = run_mesh(Some(&[]));
     diff::assert_reports_identical("empty-script-vs-none", &[bare], &[empty]);
 }
 
@@ -142,7 +132,7 @@ proptest! {
         script in prop::collection::vec((0u64..150, 0u64..1_000_000), 0..5),
     ) {
         let (baseline, _) = run_mesh(None);
-        let (log, transcript) = run_mesh(Some(script_policy(&script)));
+        let (log, transcript) = run_mesh(Some(&script));
 
         // Law 3a: the dispatch clock never regresses.
         for w in log.windows(2) {
@@ -186,7 +176,7 @@ proptest! {
         }
 
         // Law 5: the same script replays byte-identically.
-        let (_, replay) = run_mesh(Some(script_policy(&script)));
+        let (_, replay) = run_mesh(Some(&script));
         if let Some(d) = diff::first_divergence(&transcript, &replay) {
             prop_assert!(false, "replay diverged: {d}");
         }

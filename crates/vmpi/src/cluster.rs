@@ -29,14 +29,31 @@
 //! [`crate::Ctx::rank_stats`]) — no lock, no reference count, no cached
 //! copy to invalidate — and [`ClusterRun::run`] reads the answer out of
 //! the same struct when the loop returns.
+//!
+//! # Data in, data out
+//!
+//! What shapes a run is plain data on its [`ClusterConfig`] — the
+//! perturbation script included ([`ClusterConfig::schedule`], the
+//! decisions of [`vlog_sim::schedule`]) — so a config is cloned and
+//! sent to a worker thread as is. What a run did is plain data
+//! on its [`RunReport`]: the decisions that fired
+//! ([`RunReport::applied`]; put them back in `schedule` and the run
+//! repeats byte for byte) and how it ended. A run ends in one of three
+//! ways, and the report tells them apart: the loop returned on its own —
+//! the dispatcher stopped it on completion or the calendar drained —
+//! and `completed` says whether every rank finished; or the kernel cut
+//! it at [`ClusterConfig::event_limit`] or at
+//! [`ClusterConfig::time_limit`], and [`RunReport::stopped`] carries the
+//! typed reason. With [`ClusterConfig::export_liveness`] the report of
+//! any of the three also names what the run was still waiting for.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use vlog_sim::causality::{self, LivenessReport};
 use vlog_sim::{
-    env_knob, ActorId, Event, NetProfile, NodeId, SchedulePolicy, Sim, SimConfig, SimDuration,
-    SimTime, Stats, StopReason, WireSize,
+    env_knob, ActorId, Decision, Event, NetProfile, NodeId, Sim, SimConfig, SimDuration, SimTime,
+    Stats, StopReason, WireSize,
 };
 
 use crate::ckpt::CkptServer;
@@ -46,11 +63,6 @@ use crate::dispatcher::{Dispatcher, DispatcherMsg};
 use crate::hooks::{ElReshard, RankStats, Suite, TopoView};
 use crate::phase::{PhaseFault, PhaseFaults, ProtoPhase};
 use crate::types::Rank;
-
-/// Factory for the kernel [`SchedulePolicy`] a run installs. A factory
-/// rather than a policy because [`ClusterConfig`] is `Clone` and a
-/// policy is stateful per run.
-pub type SchedulePolicyFactory = Arc<dyn Fn() -> Box<dyn SchedulePolicy> + Send + Sync>;
 
 /// Static description of one run.
 #[derive(Clone)]
@@ -68,24 +80,19 @@ pub struct ClusterConfig {
     /// Hard event cap (runaway protection in tests); a run that exceeds
     /// it stops and reports [`StopReason::EventLimit`].
     pub event_limit: Option<u64>,
-    /// Hard virtual-time cap; the run reports `completed = false` when
-    /// hit.
+    /// Hard virtual-time cap; a run that reaches it stops there and
+    /// reports [`StopReason::TimeLimit`].
     pub time_limit: Option<SimDuration>,
     /// Delay between a crash and the dispatcher learning about it.
     pub detect_delay: SimDuration,
-    /// Kernel schedule policy installed on the run's simulation (schedule
-    /// exploration); `None` — the default — is exact FIFO dispatch.
-    pub schedule_policy: Option<SchedulePolicyFactory>,
+    /// The run's perturbation script (schedule exploration, seeded
+    /// jitter): which message deliveries to defer and by how much, see
+    /// [`vlog_sim::schedule`]. Empty — the default — is exact `(time,
+    /// seq)` dispatch on the untouched pop path.
+    pub schedule: Vec<Decision>,
     /// Test hooks, never set outside tests: the historical bugs this
     /// run re-introduces.
     pub seeded_bugs: SeededBugs,
-    /// Arms a sim-time hang detector: if the run has not completed by
-    /// this deadline, a watchdog timer analyzes the causality log,
-    /// dumps the dangling-cause set to stderr and stops the simulation
-    /// — a named diagnosis instead of a silent timeout. `None` (the
-    /// default) schedules no watchdog event at all, keeping ordinary
-    /// runs' schedules untouched.
-    pub liveness_watchdog: Option<SimDuration>,
     /// Collect the run's causality log and attach the analyzed
     /// [`LivenessReport`] to the [`RunReport`]. Off by default: liveness
     /// never reaches a report unless a harness (or `VLOG_CAUSALITY`)
@@ -104,9 +111,8 @@ impl ClusterConfig {
             event_limit: None,
             time_limit: None,
             detect_delay: SimDuration::from_millis(100),
-            schedule_policy: None,
+            schedule: Vec::new(),
             seeded_bugs: SeededBugs::default(),
-            liveness_watchdog: None,
             export_liveness: false,
         }
     }
@@ -246,9 +252,14 @@ pub struct RunReport {
     pub rank_stats: Vec<RankStats>,
     /// Number of simulation events dispatched.
     pub events: u64,
-    /// Set when the kernel stopped the run itself — it ran past
-    /// [`ClusterConfig::event_limit`] — instead of the run ending.
+    /// Set when the kernel stopped the run itself — at
+    /// [`ClusterConfig::event_limit`] or [`ClusterConfig::time_limit`] —
+    /// instead of the run ending.
     pub stopped: Option<StopReason>,
+    /// The decisions of [`ClusterConfig::schedule`] that fired, in
+    /// firing order; as the `schedule` of the same configuration they
+    /// reproduce this run.
+    pub applied: Vec<Decision>,
     /// Analyzed causality log, present only when
     /// [`ClusterConfig::export_liveness`] (or `VLOG_CAUSALITY`)
     /// requested it — never part of a determinism fingerprint.
@@ -353,34 +364,6 @@ impl RunReport {
     /// Number of EL shard-failure re-shards the topology published.
     pub fn el_reshards(&self) -> u64 {
         self.stats.get("el_reshards")
-    }
-}
-
-/// The hang detector: a sim-time deadline armed through the kernel's
-/// cancellable timer machinery on a stable node. If the cluster has
-/// not completed when the timer fires, the watchdog analyzes the
-/// run's causality log, dumps the dangling-cause set to stderr and stops
-/// the simulation — the run then reports `completed = false` with the
-/// diagnosis already printed. A deadline that fires after completion
-/// is a no-op (the calendar simply drains).
-struct LivenessWatchdog {
-    label: String,
-}
-
-impl vlog_sim::Actor for LivenessWatchdog {
-    fn on_deliver(&mut self, _: &mut Sim, _: vlog_sim::ActorId, _: vlog_sim::Delivery) {}
-
-    fn on_timer(&mut self, sim: &mut Sim, _me: vlog_sim::ActorId, _token: u64) {
-        if ClusterState::of(sim).completed() {
-            return;
-        }
-        let report = sim.causality().map(|log| log.analyze()).unwrap_or_default();
-        eprint!(
-            "{}",
-            causality::render(&format!("{} watchdog", self.label), &report)
-        );
-        sim.stats_mut().bump("liveness_watchdog_fired");
-        sim.stop();
     }
 }
 
@@ -498,7 +481,6 @@ pub(crate) fn inject_crash(sim: &mut Sim, rank: Rank, delay: SimDuration) {
 pub struct ClusterRun {
     sim: Sim,
     suite_name: String,
-    time_limit: Option<SimDuration>,
     /// `VLOG_CAUSALITY`: print the analyzed log to stderr after the run.
     dump_liveness: bool,
 }
@@ -532,9 +514,10 @@ impl ClusterRun {
             seed: cfg.seed,
             net,
             event_limit: cfg.event_limit,
+            time_limit: cfg.time_limit,
         });
-        if let Some(factory) = &cfg.schedule_policy {
-            sim.set_schedule_policy(factory());
+        if !cfg.schedule.is_empty() {
+            sim.set_schedule(cfg.schedule.iter().copied());
         }
         // The two switches that turn causality collection on, resolved
         // here and nowhere else: the config asks for the report, or the
@@ -633,23 +616,9 @@ impl ClusterRun {
             inject_crash(&mut sim, rank, t);
         }
 
-        // Hang detector: an absolute sim-time deadline on a stable node.
-        // Config-gated — unarmed runs schedule no extra event, so their
-        // dispatch sequence (and thus every report) is untouched.
-        if let Some(deadline) = cfg.liveness_watchdog {
-            let watchdog = sim.add_actor(
-                stable_a,
-                Box::new(LivenessWatchdog {
-                    label: suite.name(),
-                }),
-            );
-            sim.set_timer(watchdog, deadline, 0);
-        }
-
         ClusterRun {
             sim,
             suite_name: suite.name(),
-            time_limit: cfg.time_limit,
             dump_liveness,
         }
     }
@@ -657,15 +626,10 @@ impl ClusterRun {
     /// Executes the run to completion (or to the configured time or
     /// event limit) and reports.
     pub fn run(mut self) -> RunReport {
-        match self.time_limit {
-            Some(tl) => {
-                self.sim.run_until(SimTime::ZERO + tl);
-            }
-            None => self.sim.run(),
-        }
+        self.sim.run();
 
         // The log is the run's own: whatever ended the loop — completion,
-        // a limit, the watchdog — what was recorded is still here.
+        // a drained calendar, a limit — what was recorded is still here.
         let liveness = self.sim.causality().map(|log| log.analyze());
         if self.dump_liveness {
             if let Some(report) = &liveness {
@@ -684,6 +648,7 @@ impl ClusterRun {
             rank_stats,
             events: self.sim.events_processed(),
             stopped: self.sim.stop_reason(),
+            applied: self.sim.applied().to_vec(),
             liveness,
         }
     }
@@ -753,6 +718,7 @@ mod tests {
             rank_stats: Vec::new(),
             events: 0,
             stopped: None,
+            applied: Vec::new(),
             liveness: None,
         };
         assert_eq!(report.el_peak_queue_depth(), 7);
@@ -778,6 +744,7 @@ mod tests {
             rank_stats: Vec::new(),
             events: 0,
             stopped: None,
+            applied: Vec::new(),
             liveness: None,
         };
         assert_eq!(report.el_peak_queue_depth(), 0);

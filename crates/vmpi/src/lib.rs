@@ -46,7 +46,7 @@ pub mod vdummy;
 pub use api::{decode_f64s, encode_f64s, Mpi};
 pub use cluster::{
     run_cluster, run_vdummy, topo, ClusterConfig, ClusterRun, ClusterState, FaultPlan, Launch,
-    RunReport, SchedulePolicyFactory, SeededBugs,
+    RunReport, SeededBugs,
 };
 pub use collectives::{ReduceOp, RESERVED_TAG_BASE};
 pub use cost::StackProfile;

@@ -4,6 +4,7 @@
 use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
+use vlog_sim::{Decision, SimDuration};
 use vlog_vmpi::{app, run_vdummy, ClusterConfig, Payload, RecvSelector, ReduceOp};
 
 /// Shared result collector for programs (single-threaded simulation).
@@ -367,6 +368,53 @@ fn deterministic_across_identical_runs() {
     assert_eq!(a.makespan.as_nanos(), b.makespan.as_nanos());
     assert_eq!(a.stats.messages, b.stats.messages);
     assert_eq!(a.events, b.events);
+}
+
+/// A schedule is data on the config and its trace is data on the
+/// report: `applied` holds exactly the decisions that fired, and as the
+/// next run's `schedule` it reproduces the run.
+#[test]
+fn a_scripted_run_reports_what_fired_and_replays_from_it() {
+    let run = |schedule: Vec<Decision>| {
+        let mut cfg = ClusterConfig::new(3);
+        cfg.schedule = schedule;
+        let report = run_vdummy(
+            &cfg,
+            app(move |mpi| async move {
+                let (me, n) = (mpi.rank(), mpi.size());
+                for it in 0..20u8 {
+                    let m = mpi
+                        .sendrecv(
+                            (me + 1) % n,
+                            0,
+                            Payload::new(vec![me as u8, it]),
+                            RecvSelector::of((me + n - 1) % n, 0),
+                        )
+                        .await;
+                    assert_eq!(m.payload.data.to_vec(), [((me + n - 1) % n) as u8, it]);
+                }
+            }),
+        );
+        assert!(report.completed);
+        let fingerprint = format!(
+            "makespan={:?} events={} stats={:?} ranks={:?}",
+            report.makespan, report.events, report.stats, report.rank_stats
+        );
+        (fingerprint, report.applied)
+    };
+    let decision = |index, us| Decision {
+        index,
+        delta: SimDuration::from_micros(us),
+    };
+    let (plain, none) = run(Vec::new());
+    assert!(none.is_empty());
+    // Out of order on purpose, and the run has far fewer than 100,000
+    // deliveries: that entry never fires, so it is not in the trace.
+    let script = vec![decision(100_000, 1), decision(17, 0), decision(3, 900)];
+    let (scripted, applied) = run(script);
+    assert_eq!(applied, [decision(3, 900), decision(17, 0)]);
+    assert_ne!(scripted, plain, "a 900 us deferral left no mark");
+    assert_eq!(run(applied.clone()), (scripted, applied));
 }
 
 #[test]

@@ -250,6 +250,7 @@ mod tests {
                 rank_stats: Vec::new(),
                 events: 0,
                 stopped: None,
+                applied: Vec::new(),
                 liveness: None,
             },
             total_flops: flops,

@@ -241,6 +241,54 @@ fn causality_log_does_not_perturb_reports_across_thread_counts() {
     }
 }
 
+/// FNV-1a of the fingerprint of each of the eight suites, fault-free and
+/// with rank 1 killed in mid-run, captured at the commit before a run's
+/// schedule became data on its config (a factory closure then, nothing
+/// installed by default).
+const NO_SCHEDULE: [[u64; 2]; 8] = [
+    [0x8800a5075dcac7dc, 0x214977578818a2bd],
+    [0x780dc77faed7913a, 0x68bc51e8e61e786e],
+    [0xbd185295d78ad56f, 0x56d84000e2278d4f],
+    [0x8cf2b64f626ea5dc, 0x700c748279109792],
+    [0x64f7543a89e29c7b, 0xde899bbabaeec95f],
+    [0x8673cdd9f40dbe8b, 0xcb119f1d2c41316e],
+    [0x46d9b668262d300a, 0x2c942bfe23b5593a],
+    [0x7bf393a7b7cc6633, 0x12b0d5028a72a0ec],
+];
+
+/// An empty `ClusterConfig::schedule` is the unperturbed run, byte for
+/// byte what it was before the field existed: no script reaches the
+/// kernel, nothing is recorded as applied. Seeded jitter (ROADMAP item 3)
+/// will be non-empty values of that field; this pins "jitter off".
+#[test]
+fn an_empty_schedule_is_the_unperturbed_run_on_every_suite() {
+    for (idx, pinned) in NO_SCHEDULE.iter().enumerate() {
+        for with_fault in [false, true] {
+            let mut cfg = ClusterConfig::new(N);
+            cfg.detect_delay = SimDuration::from_millis(8);
+            cfg.schedule = Vec::new();
+            let faults = if with_fault {
+                FaultPlan::kill_at(SimDuration::from_millis(1), 1)
+            } else {
+                FaultPlan::none()
+            };
+            let report = run_cluster(&cfg, suite_for(idx), program(), &faults);
+            assert!(report.completed, "{} did not complete", report.suite);
+            assert_eq!(report.stats.get("node_crashes") > 0, with_fault);
+            assert!(report.applied.is_empty());
+            let text = fingerprint(&report);
+            let hash = text.bytes().fold(0xCBF2_9CE4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01B3)
+            });
+            assert_eq!(
+                hash,
+                pinned[usize::from(with_fault)],
+                "suite {idx} (fault={with_fault}) moved off its pinned fingerprint {hash:#018x}: {text}"
+            );
+        }
+    }
+}
+
 /// Registry conformance: every registered workload, under every one of
 /// the eight suite configurations, with a rank killed mid-run, must
 /// (a) run to completion (the protocols recover it), (b) move piggyback

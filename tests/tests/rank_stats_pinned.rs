@@ -14,7 +14,7 @@
 use std::sync::Arc;
 
 use vlog_core::{CausalSuite, Technique};
-use vlog_sim::{NetProfile, SimDuration};
+use vlog_sim::{NetProfile, SimDuration, StopReason};
 use vlog_vmpi::{ClusterConfig, FaultPlan, RunReport};
 use vlog_workloads::{run_workload, FftPipeConfig};
 
@@ -45,14 +45,19 @@ fn assert_pinned(report: &RunReport, pinned: &[&str; 16]) {
 fn a_completed_faulted_cell_reports_the_pinned_rank_stats() {
     let report = cell(None);
     assert!(report.completed);
+    assert_eq!(report.stopped, None);
     assert_eq!(report.rank_stats[VICTIM].recovery_total.len(), 1);
     assert_pinned(&report, &COMPLETED);
 }
 
 #[test]
 fn a_cell_cut_in_mid_recovery_reports_the_pinned_rank_stats() {
-    let report = cell(Some(SimDuration::from_millis(715)));
+    let limit = SimDuration::from_millis(715);
+    let report = cell(Some(limit));
     assert!(!report.completed);
+    // Cut, not stalled: the report names the limit and ends on it.
+    assert_eq!(report.stopped, Some(StopReason::TimeLimit(limit)));
+    assert_eq!(report.makespan, limit);
     // Restarted, not yet live: the victim's counts from before the
     // crash are there, its recovery is not over.
     assert!(report.rank_stats[VICTIM].app_msgs_sent > 0);
