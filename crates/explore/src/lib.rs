@@ -199,18 +199,21 @@ fn skewed_ring_program(iters: u64, tail: SimDuration) -> AppSpec {
     })
 }
 
-/// Full-report fingerprint: every observable the harness has. Two runs
-/// of the same scenario under the same script must produce identical
+/// Full-report fingerprint: every observable the harness has, the
+/// liveness verdict and the decisions that fired included. Two runs of
+/// the same scenario under the same script must produce identical
 /// fingerprints (replay convergence).
 pub fn fingerprint(report: &RunReport) -> String {
     format!(
-        "suite={} completed={} makespan={:?} events={} stats={:?} ranks={:?}",
+        "suite={} completed={} makespan={:?} events={} stats={:?} ranks={:?} liveness={:?} applied={:?}",
         report.suite,
         report.completed,
         report.makespan,
         report.events,
         report.stats,
         report.rank_stats,
+        report.liveness,
+        report.applied,
     )
 }
 
@@ -835,6 +838,34 @@ mod tests {
             outcome.violation
         );
         assert!(outcome.applied.is_empty(), "empty script fired decisions");
+    }
+
+    /// Replay convergence compares fingerprints, so a replay whose
+    /// liveness verdict or fired-decision trace differed must not
+    /// fingerprint equal: both are in it.
+    #[test]
+    fn fingerprint_carries_the_liveness_verdict_and_the_applied_trace() {
+        let scenarios = default_scenarios();
+        let scenario = &scenarios[0];
+        let run = || {
+            let mut cfg = scenario.cfg.clone();
+            cfg.schedule = decisions(&[(0, 1_000), (40, 0), (90, 250_000)]);
+            run_cluster(
+                &cfg,
+                scenario.suite.clone(),
+                scenario.program.clone(),
+                &scenario.faults,
+            )
+        };
+        let report = run();
+        assert!(report.completed, "scripted run did not complete");
+        assert!(!report.applied.is_empty(), "no scripted decision fired");
+        let liveness = report.liveness.as_ref().expect("scenarios export liveness");
+        assert!(liveness.produced_events > 0);
+        let print = fingerprint(&report);
+        assert!(print.contains(&format!("applied={:?}", report.applied)));
+        assert!(print.contains(&format!("liveness={:?}", report.liveness)));
+        assert_eq!(print, fingerprint(&run()), "same script, same fingerprint");
     }
 
     #[test]

@@ -35,10 +35,18 @@
 //! All detectors run at analysis time only, so the verdict is
 //! insensitive to the order in which edges were recorded — producing
 //! after consuming is as well-formed as the reverse.
+//!
+//! Recording is one probe of a hash map keyed by [`Key`] under a fixed
+//! hasher (`KeyHasher`, no per-process seed), so an enabled site costs
+//! a hash of the kind and its fields, not a tree descent of string
+//! compares. The maps impose no order; [`Log::analyze`] sorts each
+//! finding list once, so the verdict reads the same as if the log were
+//! kept ordered by key.
 
 use std::cmp::Ordering as CmpOrdering;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Maximum number of `name = value` arguments a [`Key`] carries.
 pub const MAX_ARGS: usize = 3;
@@ -100,13 +108,26 @@ impl Key {
 }
 
 /// Identity is `(kind, argument values)`; argument *names* are fixed
-/// per kind by convention and excluded from comparison.
+/// per kind by convention and excluded from comparison (and from the
+/// hash). A kind is its content: the same literal compiled into two
+/// call sites, or a string built at run time, is one kind.
 impl PartialEq for Key {
     fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == CmpOrdering::Equal
+        (std::ptr::eq(self.kind, other.kind) || self.kind == other.kind)
+            && self.fields() == other.fields()
     }
 }
 impl Eq for Key {}
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // Both lengths in one word first, so what follows is prefix-free.
+        state.write_u64((self.kind.len() as u64) << 8 | u64::from(self.len));
+        state.write(self.kind.as_bytes());
+        for &v in self.fields() {
+            state.write_u64(v);
+        }
+    }
+}
 impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
         Some(self.cmp(other))
@@ -221,12 +242,58 @@ struct ExpectEntry {
     owner: u64,
 }
 
+/// Multiply–rotate word hasher (the FxHash step) for [`Key`]s: a kind
+/// is a short string and the rest a few `u64`s, so a hash is a handful
+/// of multiplies. Unseeded: keys come from the program, not from
+/// outside it, and no result is read in a map's own order
+/// ([`Log::analyze`] sorts).
+#[derive(Default, Clone, Copy)]
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    fn word(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for KeyHasher {
+    /// Whole words, then the last eight bytes (overlapping the word
+    /// before when the length is not a multiple of eight): a kind of 8
+    /// to 16 bytes is two words. Shorter input is zero-padded.
+    fn write(&mut self, bytes: &[u8]) {
+        let n = bytes.len();
+        if n < 8 {
+            let mut word = [0u8; 8];
+            word[..n].copy_from_slice(bytes);
+            self.word(u64::from_le_bytes(word));
+            return;
+        }
+        let load = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+        let mut at = 0;
+        while at + 8 < n {
+            self.word(load(at));
+            at += 8;
+        }
+        self.word(load(n - 8));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.word(n);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type KeyMap<V> = HashMap<Key, V, BuildHasherDefault<KeyHasher>>;
+
 /// The causality log of one run (module docs).
 #[derive(Default)]
 pub struct Log {
-    produced: BTreeMap<Key, ProducedEntry>,
-    expects: BTreeMap<Key, ExpectEntry>,
-    consumed: BTreeMap<Key, Key>,
+    produced: KeyMap<ProducedEntry>,
+    expects: KeyMap<ExpectEntry>,
+    consumed: KeyMap<Key>,
     produced_events: u64,
 }
 
@@ -379,7 +446,7 @@ impl LivenessReport {
     }
 }
 
-fn chain_from(produced: &BTreeMap<Key, ProducedEntry>, start: Key) -> Vec<Key> {
+fn chain_from(produced: &KeyMap<ProducedEntry>, start: Key) -> Vec<Key> {
     let mut chain = vec![start];
     let mut cur = start;
     for _ in 0..MAX_CHAIN {
@@ -399,12 +466,12 @@ fn chain_from(produced: &BTreeMap<Key, ProducedEntry>, start: Key) -> Vec<Key> {
 }
 
 impl Log {
-    /// Runs all three detectors. Pure read — the log is left intact (the
-    /// watchdog analyzes mid-run; the cluster runner analyzes again at
-    /// exit). Deterministic: results are ordered by key, not by
-    /// recording order.
+    /// Runs all three detectors. Pure read — the log is left intact.
+    /// Deterministic: each list is sorted by key here (dangling by
+    /// cause, absent by `(cause, edge, by)`, duplicates by key), never
+    /// left in the maps' order or in recording order.
     pub fn analyze(&self) -> LivenessReport {
-        let dangling = self
+        let mut dangling: Vec<Dangling> = self
             .expects
             .iter()
             .filter(|(cause, _)| !self.produced.contains_key(cause))
@@ -415,6 +482,8 @@ impl Log {
                 chain: chain_from(&self.produced, e.waiter),
             })
             .collect();
+        // Causes are the map's keys, so no two entries tie.
+        dangling.sort_unstable_by_key(|d| d.cause);
         let mut absent: Vec<Absent> = self
             .consumed
             .iter()
@@ -436,8 +505,8 @@ impl Log {
                 }
             }
         }
-        absent.sort();
-        let duplicates = self
+        absent.sort_unstable();
+        let mut duplicates: Vec<Duplicate> = self
             .produced
             .iter()
             .filter(|(_, e)| e.unique && e.count > 1)
@@ -446,6 +515,7 @@ impl Log {
                 count: e.count,
             })
             .collect();
+        duplicates.sort_unstable_by_key(|d| d.key);
         LivenessReport {
             dangling,
             absent,
@@ -468,7 +538,7 @@ impl Ord for Absent {
 }
 
 /// Renders a report as the stderr block the cluster runner prints when
-/// `VLOG_CAUSALITY` is set and the watchdog prints on a hang.
+/// `VLOG_CAUSALITY` is set.
 pub fn render(label: &str, report: &LivenessReport) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -549,8 +619,8 @@ mod tests {
         sim.record(|| Edge::Consume { cause, by });
     }
 
-    /// The same-literal fast path must not show: kinds compare by
-    /// content, including an equal kind that lives at another address.
+    /// The same-literal fast path must not show: kinds compare and hash
+    /// by content, including an equal kind that lives at another address.
     #[test]
     fn key_order_is_kind_then_fields_tuple_order() {
         let elsewhere: &'static str = String::from("marker").leak();
@@ -567,11 +637,19 @@ mod tests {
             ckey!("det-batch-acked", rank = 3, seq = 8),
             ckey!("det-batch-acked", rank = 2, seq = u64::MAX),
         ];
+        let hash = |k: &Key| {
+            let mut h = KeyHasher::default();
+            k.hash(&mut h);
+            h.finish()
+        };
         for a in &table {
             for b in &table {
                 let tuples = (a.kind(), a.fields()).cmp(&(b.kind(), b.fields()));
                 assert_eq!(a.cmp(b), tuples, "{a} vs {b}");
                 assert_eq!(a == b, tuples == CmpOrdering::Equal, "{a} vs {b}");
+                if a == b {
+                    assert_eq!(hash(a), hash(b), "{a} vs {b}");
+                }
             }
         }
     }

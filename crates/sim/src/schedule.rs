@@ -124,6 +124,12 @@ impl Script {
     ) -> bool {
         let index = self.deliveries;
         self.deliveries += 1;
+        // Nothing scripted here and nothing deferred on the channel (a
+        // channel is in the map only while it has instances in flight):
+        // dispatch in place without touching the channel map.
+        if !self.script.contains_key(&index) && !self.channels.contains_key(&chan) {
+            return false;
+        }
         let hold = self.channels.entry(chan).or_default();
         // A pending instance pops in channel order (targets never
         // decrease, seqs strictly increase), so a match is always the

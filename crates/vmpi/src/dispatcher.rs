@@ -28,8 +28,8 @@ pub enum DispatcherMsg {
 }
 
 /// The dispatcher actor. Which ranks are done is run state
-/// ([`ClusterState::done`]): the watchdog and the run's report ask the
-/// same set the dispatcher fills and, on a global rollback, empties.
+/// ([`ClusterState::done`]): the run's report asks the same set the
+/// dispatcher fills and, on a global rollback, empties.
 pub struct Dispatcher {
     style: RecoveryStyle,
     stop_on_completion: bool,

@@ -52,8 +52,10 @@ boundary_gate 'Mutex|RwLock|AtomicBool|AtomicU64' "run state is reached through 
     crates/core/src/{el_multi,logcore,causal,pessimistic,coordinated,suite}.rs
 # The causality log is a plain value the run's Sim owns (crates/sim/src/
 # causality.rs module docs): per-thread or per-process state coming back
-# would put the log outside the run it describes.
-boundary_gate 'thread_local|AtomicBool|OnceLock' "the causality log belongs to its run, not to a thread or the process" \
+# would put the log outside the run it describes. Recording is one hash
+# probe and order is imposed once, in analyze: a B-tree back in the log
+# pays a string compare per level on every recorded edge.
+boundary_gate 'thread_local|AtomicBool|OnceLock|BTreeMap' "the causality log belongs to its run, not to a thread or the process, and records into hash maps" \
     crates/sim/src/causality.rs
 # A run's schedule is data: a script on the config, owned by the run's
 # Sim, the applied trace on the report (crates/sim/src/schedule.rs module
@@ -139,11 +141,29 @@ VLOG_EXPLORE_SCHEDULES="${VLOG_EXPLORE_SCHEDULES:-48}" \
 VLOG_EXPLORE_DEPTH="${VLOG_EXPLORE_DEPTH:-4}" \
 VLOG_EXPLORE_SEED="${VLOG_EXPLORE_SEED:-0x19052005}" \
     cargo run -q --release --offline -p vlog-explore --bin explore_smoke
-# Second leg, fixed: script seed 16 x 240 schedules found the dangling
-# det-batch-acked of a finished rank (known-failing class (a), ROADMAP
-# item 1) in causal+el2/el-failure before the fix.
-VLOG_EXPLORE_SCHEDULES=240 VLOG_EXPLORE_DEPTH=4 VLOG_EXPLORE_SEED=16 \
-    cargo run -q --release --offline -p vlog-explore --bin explore_smoke
+echo "==> schedule exploration gate (every clean script seed 1..=120 x 240 schedules)"
+# The class-(b) runaway seeds of ROADMAP item 1 (event-limit runaways in
+# pessimistic/crash and coordinated/crash). This list is what that item
+# has left: a fix deletes seeds from it, nothing adds any.
+runaway_seeds=" 9 23 50 62 71 79 86 95 101 113 118 "
+explore_smoke="${CARGO_TARGET_DIR:-target}/release/explore_smoke"
+clean=0
+failing=""
+for seed in $(seq 1 120); do
+    case "$runaway_seeds" in *" $seed "*) continue ;; esac
+    if ! out=$(VLOG_EXPLORE_SCHEDULES=240 VLOG_EXPLORE_DEPTH=4 VLOG_EXPLORE_SEED="$seed" \
+        "$explore_smoke" 2>&1); then
+        grep 'violation\[' <<<"$out" >&2 || echo "$out" >&2
+        failing="$failing $seed"
+        continue
+    fi
+    clean=$((clean + 1))
+done
+if [ -n "$failing" ]; then
+    echo "explore gate: script seeds$failing violated an invariant (lines above); $clean seeds clean" >&2
+    exit 1
+fi
+echo "    explore gate: ok ($clean script seeds x 240 schedules, no violations; runaway seeds skipped:${runaway_seeds% })"
 
 echo "==> sweep driver smoke (--threads 2: parallel path must match sequential)"
 cargo run -q --release --offline --example sweep_smoke -- --threads 2

@@ -217,7 +217,10 @@ fn profiling_does_not_perturb_reports_across_thread_counts() {
 /// sweep, on 1, 2 and 4 worker threads. The log belongs to the run, so
 /// which worker ran it cannot matter, and nothing of it enters a
 /// fingerprint — this pins that contract, the same one the profiler
-/// test above pins for timing scopes.
+/// test above pins for timing scopes. The verdicts themselves must not
+/// move either: every run's `LivenessReport` prints the same on 1, 2
+/// and 4 threads as in a first sequential pass, so no container order
+/// (the log keeps hash maps) leaks into what a run reports.
 #[test]
 fn causality_log_does_not_perturb_reports_across_thread_counts() {
     let jobs: Vec<(usize, bool)> = (0..8usize)
@@ -226,17 +229,28 @@ fn causality_log_does_not_perturb_reports_across_thread_counts() {
     let plain = run_many(jobs.clone(), 1, |(idx, with_fault)| {
         run_once(suite_for(idx), with_fault)
     });
-    for threads in [1usize, 2, 4] {
-        let logged = run_many(jobs.clone(), threads, |(idx, with_fault)| {
+    let logged_sweep = |threads: usize| -> (Vec<String>, Vec<String>) {
+        run_many(jobs.clone(), threads, |(idx, with_fault)| {
             let report = run_report(suite_for(idx), with_fault, true);
             let live = report.liveness.as_ref().expect("liveness exported");
             assert!(live.produced_events > 0, "{} logged nothing", report.suite);
-            fingerprint(&report)
-        });
+            (fingerprint(&report), format!("{live:?}"))
+        })
+        .into_iter()
+        .unzip()
+    };
+    let (_, first_verdicts) = logged_sweep(1);
+    for threads in [1usize, 2, 4] {
+        let (logged, verdicts) = logged_sweep(threads);
         diff::assert_reports_identical(
             &format!("causality-{threads}-threads-vs-plain"),
             &plain,
             &logged,
+        );
+        diff::assert_reports_identical(
+            &format!("liveness-{threads}-threads-vs-first-sequential-pass"),
+            &first_verdicts,
+            &verdicts,
         );
     }
 }

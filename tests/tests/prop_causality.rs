@@ -14,6 +14,7 @@
 //! the verdict.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use vlog_sim::causality::{self, Edge, EdgeKind, Key, LivenessReport, Log};
@@ -34,6 +35,28 @@ fn key(k: K) -> Key {
         1 => ckey!("beta", v = k.1),
         2 => ckey!("gamma", v = k.1),
         _ => ckey!("delta", v = k.1),
+    }
+}
+
+/// The universe's `alpha` stored a second time, at another address (a
+/// leaked `String`). By content it is the literal's kind, and the log
+/// must see one kind — equal, hashed and ordered alike.
+fn alpha_elsewhere() -> &'static str {
+    static KIND: OnceLock<&'static str> = OnceLock::new();
+    KIND.get_or_init(|| {
+        let kind: &'static str = String::from("alpha").leak();
+        assert!(!std::ptr::eq(kind, "alpha"));
+        kind
+    })
+}
+
+/// [`key`], with an `alpha` key built from [`alpha_elsewhere`]. The
+/// edges below build some roles one way and some the other, so every
+/// map of the log is probed across the two addresses of one kind.
+fn key_elsewhere(k: K) -> Key {
+    match k.0 {
+        0 => Key::from_parts(alpha_elsewhere(), &["v"], &[k.1]),
+        _ => key(k),
     }
 }
 
@@ -76,11 +99,11 @@ fn edge(op: Op) -> Edge {
     match op {
         Op::Produce { key: k, cause } => Edge::Produced {
             key: key(k),
-            caused_by: cause.map(key),
+            caused_by: cause.map(key_elsewhere),
             unique: false,
         },
         Op::ProduceUnique { key: k } => Edge::Produced {
-            key: key(k),
+            key: key_elsewhere(k),
             caused_by: None,
             unique: true,
         },
@@ -89,13 +112,13 @@ fn edge(op: Op) -> Edge {
             waiter,
             owner,
         } => Edge::Expect {
-            cause: key(cause),
+            cause: key_elsewhere(cause),
             waiter: key(waiter),
             owner,
         },
         Op::Consume { cause, by } => Edge::Consume {
             cause: key(cause),
-            by: key(by),
+            by: key_elsewhere(by),
         },
         Op::Cancel { cause } => Edge::Cancel { cause: key(cause) },
         Op::CancelOwner { owner } => Edge::CancelOwner { owner },
@@ -245,13 +268,21 @@ proptest! {
     /// of the script — surviving expectations, consumed causes and
     /// `caused_by` targets with no production anywhere — and precisely
     /// the violated once-only contracts. No false positives, no false
-    /// negatives.
+    /// negatives. Each list is strictly ascending by its key, so with
+    /// the set equality the vectors themselves are pinned: the order is
+    /// the analysis's, not the log's containers'.
     #[test]
     fn detectors_flag_exactly_the_producerless_edges(
         ops in prop::collection::vec(op_strategy(), 0..120),
     ) {
         let report = run_script(&ops);
         prop_assert_eq!(flatten(&report), model(&ops));
+        prop_assert!(report.dangling.windows(2).all(|w| w[0].cause < w[1].cause));
+        prop_assert!(report
+            .absent
+            .windows(2)
+            .all(|w| (w[0].cause, w[0].edge, w[0].by) < (w[1].cause, w[1].edge, w[1].by)));
+        prop_assert!(report.duplicates.windows(2).all(|w| w[0].key < w[1].key));
         let produces = ops
             .iter()
             .filter(|op| matches!(op, Op::Produce { .. } | Op::ProduceUnique { .. }))
