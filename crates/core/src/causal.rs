@@ -147,6 +147,9 @@ impl CausalProtocol {
     }
 
     fn handle_ctl(&mut self, ctx: &mut Ctx<'_>, ctl: CausalCtl) {
+        let Some(ctl) = self.log.hold_in_restart_window(ctx, ctl) else {
+            return;
+        };
         match ctl {
             CausalCtl::Reclaim {
                 victim,
@@ -334,7 +337,9 @@ impl VProtocol for CausalProtocol {
             self.log.rclock = b.rclock;
             self.stable = b.stable.clone();
         }
-        self.log.begin_recovery(ctx, image.map_or(0, |b| b.rclock));
+        for ctl in self.log.begin_recovery(ctx, image.map_or(0, |b| b.rclock)) {
+            self.handle_ctl(ctx, ctl);
+        }
         self.replay(ctx);
     }
 }

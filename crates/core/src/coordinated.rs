@@ -78,6 +78,10 @@ pub struct CoordinatedProtocol {
     /// Markers that arrived before our snapshot: (id, src, upto).
     early_markers: Vec<(u64, Rank, Ssn)>,
     phase: Option<Phase>,
+    /// Highest snapshot id this incarnation has taken. A command or a
+    /// marker at or below it is late: taking its id again would mix two
+    /// cuts under one id.
+    taken: u64,
     /// Snapshot ids this rank has already closed its channels for
     /// after finishing its program. A finished rank must answer each
     /// snapshot id exactly once — replying to every incoming marker
@@ -98,6 +102,7 @@ impl CoordinatedProtocol {
             pending: None,
             early_markers: Vec::new(),
             phase: None,
+            taken: 0,
             closed_after_finish: std::collections::BTreeSet::new(),
         }
     }
@@ -176,6 +181,9 @@ impl CoordinatedProtocol {
                 return;
             }
         }
+        if m.id <= self.taken {
+            return; // a late marker of a snapshot this rank has taken
+        }
         // Marker ahead of our own snapshot: the first marker plays the
         // Chandy-Lamport role of triggering the local snapshot.
         if self.pending.is_none() && self.phase.is_none() {
@@ -223,8 +231,8 @@ impl VProtocol for CoordinatedProtocol {
         };
         if let Ok(cmd) = body.downcast::<SchedulerCmd>() {
             if let SchedulerCmd::GlobalSnapshot { id } = *cmd {
-                if self.phase.is_some() || self.pending.is_some() {
-                    return; // previous snapshot still in flight
+                if self.phase.is_some() || self.pending.is_some() || id <= self.taken {
+                    return; // previous snapshot still in flight, or a late command
                 }
                 if ctx.core.app_finished() {
                     // No more safe points: close channels, skip the image.
@@ -246,6 +254,7 @@ impl VProtocol for CoordinatedProtocol {
 
     fn on_image_assembled(&mut self, ctx: &mut Ctx<'_>, version: u64) {
         let id = self.pending.take().unwrap_or(version);
+        self.taken = self.taken.max(id);
         vlog_sim::event!(ctx.sim, "snapshot-taken" { rank = self.rank, id = id });
         // The image cannot ship until every peer's marker for this id
         // arrives: declare those edges so a marker lost to a missing

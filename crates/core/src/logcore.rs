@@ -119,6 +119,9 @@ pub struct LogCore {
     ckpt_expected: BTreeMap<u64, Vec<Ssn>>,
 
     rec: Option<Recovery>,
+    /// Peers' reclaims that arrived in this rank's restart window, held
+    /// until recovery begins (see [`LogCore::hold_in_restart_window`]).
+    window_reclaims: Vec<CausalCtl>,
     /// Wheel handle of the armed reclaim retry timer, cancelled as soon
     /// as collection completes instead of left to fire as a stale no-op.
     reclaim_timer: Option<TimerHandle>,
@@ -144,6 +147,7 @@ impl LogCore {
             ckpt_due: false,
             ckpt_expected: BTreeMap::new(),
             rec: None,
+            window_reclaims: Vec::new(),
             reclaim_timer: None,
             batcher: ElBatcher::new(),
             batches_sent: 0,
@@ -415,10 +419,30 @@ impl LogCore {
         self.rec.is_some()
     }
 
+    /// Holds a peer's reclaim that arrives in this rank's restart window:
+    /// the daemon is recovering, but its image is not restored yet, so
+    /// recovery has not begun here. Answered now, it would come from the
+    /// replacement's empty sender log, and the peer would count this rank
+    /// as served and never get the payloads the image still logs for it.
+    /// Returns what the caller handles now: anything else, or `None`.
+    pub(crate) fn hold_in_restart_window(
+        &mut self,
+        ctx: &Ctx<'_>,
+        ctl: CausalCtl,
+    ) -> Option<CausalCtl> {
+        let window = ctx.core.is_recovering() && !self.recovering();
+        if window && matches!(ctl, CausalCtl::Reclaim { .. }) {
+            self.window_reclaims.push(ctl);
+            return None;
+        }
+        Some(ctl)
+    }
+
     /// Starts the recovery of a restarted rank whose image (already
     /// restored by the caller) covers receptions up to clock `wm` — 0
-    /// when it restarts from scratch.
-    pub(crate) fn begin_recovery(&mut self, ctx: &mut Ctx<'_>, wm: RClock) {
+    /// when it restarts from scratch. Returns the reclaims held in the
+    /// restart window, for the caller to serve from the restored state.
+    pub(crate) fn begin_recovery(&mut self, ctx: &mut Ctx<'_>, wm: RClock) -> Vec<CausalCtl> {
         let nothing_to_collect = self.n == 1 && !self.el;
         vlog_sim::event!(ctx.sim, "recovery-started" { rank = self.rank }
             caused_by "image-fetched" { rank = self.rank });
@@ -435,13 +459,15 @@ impl LogCore {
         });
         if nothing_to_collect {
             ctx.rank_stats().recovery_collect.push(SimDuration::ZERO);
-            return;
+        } else {
+            self.send_reclaims(ctx);
+            self.reclaim_timer = Some(ctx.core.set_proto_timer(
+                ctx.sim,
+                RECLAIM_RETRY,
+                TIMER_RECLAIM,
+            ));
         }
-        self.send_reclaims(ctx);
-        self.reclaim_timer = Some(
-            ctx.core
-                .set_proto_timer(ctx.sim, RECLAIM_RETRY, TIMER_RECLAIM),
-        );
+        std::mem::take(&mut self.window_reclaims)
     }
 
     pub(crate) fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {

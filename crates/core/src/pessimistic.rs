@@ -84,6 +84,9 @@ impl PessimisticProtocol {
     }
 
     fn handle_ctl(&mut self, ctx: &mut Ctx<'_>, ctl: CausalCtl) {
+        let Some(ctl) = self.log.hold_in_restart_window(ctx, ctl) else {
+            return;
+        };
         match ctl {
             CausalCtl::Reclaim {
                 victim,
@@ -199,9 +202,15 @@ impl VProtocol for PessimisticProtocol {
         if let Some(b) = &image {
             self.log.slog = b.slog.clone();
             self.log.rclock = b.rclock;
-            self.stable_own = b.stable_own;
+            // A committed image is stable storage, and replay starts past
+            // it: the events it covers are stable even if their
+            // determinants died coalescing in the batcher. The sends the
+            // image still holds wait on nothing newer.
+            self.stable_own = b.stable_own.max(b.rclock);
         }
-        self.log.begin_recovery(ctx, image.map_or(0, |b| b.rclock));
+        for ctl in self.log.begin_recovery(ctx, image.map_or(0, |b| b.rclock)) {
+            self.handle_ctl(ctx, ctl);
+        }
         self.replay(ctx);
     }
 }

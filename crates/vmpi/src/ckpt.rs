@@ -9,42 +9,24 @@
 //! consists in the state of the MPI process, the payload of some messages
 //! and the causal information of all events stored in the local
 //! memory"*) — the protocol part travels in [`Image::proto`].
+//!
+//! The daemon's part travels in [`Image::channels`]: the channel
+//! counters, the accepted messages the application has not consumed, and
+//! the sends a protocol's gate still holds. Held sends add no image
+//! bytes: the pessimistic protocol logs a send before it gates it, so the
+//! payload is already in the sender log that the protocol section counts.
 
-use std::any::Any;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use vlog_sim::{Actor, ActorId, Delivery, NodeId, Sim, WireSize};
 
-use crate::types::{Payload, Rank, Ssn, Tag};
+use crate::daemon::Channels;
+use crate::hooks::ProtoBlob;
+use crate::types::{Payload, Rank};
 
 /// Base wire overhead of an image (counters, framing).
 pub const IMAGE_BASE_BYTES: u64 = 64;
-
-/// A buffered message stored inside an image (the daemon's unexpected
-/// queue at checkpoint time).
-#[derive(Clone, Debug)]
-pub struct StoredMsg {
-    pub src: Rank,
-    pub tag: Tag,
-    pub payload: Payload,
-}
-
-/// Protocol section of an image. `body` is protocol-defined; `bytes` is
-/// its wire size.
-pub struct ImageProto {
-    pub body: Option<Arc<dyn Any + Send + Sync>>,
-    pub bytes: u64,
-}
-
-impl Clone for ImageProto {
-    fn clone(&self) -> Self {
-        ImageProto {
-            body: self.body.clone(),
-            bytes: self.bytes,
-        }
-    }
-}
 
 /// A process checkpoint image.
 #[derive(Clone)]
@@ -53,27 +35,20 @@ pub struct Image {
     pub version: u64,
     /// Serialized application state (real bytes + synthetic padding).
     pub app_state: Payload,
-    /// Next ssn per destination channel.
-    pub next_ssn: Vec<Ssn>,
-    /// Next expected ssn per source channel.
-    pub expected_ssn: Vec<Ssn>,
-    /// Messages accepted but not yet consumed by the application.
-    pub unexpected: Vec<StoredMsg>,
+    /// The daemon's channel state at the checkpoint point.
+    pub channels: Channels,
     /// Protocol section (sender log, causality, clocks).
-    pub proto: ImageProto,
+    pub proto: ProtoBlob,
 }
 
 impl Image {
     /// Total wire size of the image when it moves over the network.
     pub fn wire_bytes(&self) -> u64 {
+        let unexpected = &self.channels.unexpected;
         IMAGE_BASE_BYTES
             + self.app_state.len()
-            + 16 * (self.next_ssn.len() as u64)
-            + self
-                .unexpected
-                .iter()
-                .map(|m| m.payload.len() + 16)
-                .sum::<u64>()
+            + 16 * (self.channels.next_ssn.len() as u64)
+            + unexpected.iter().map(|m| m.payload.len() + 16).sum::<u64>()
             + self.proto.bytes
     }
 }
@@ -244,6 +219,8 @@ impl Actor for CkptServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::daemon::HeldSend;
+    use crate::types::RecvMsg;
     use std::sync::Mutex;
 
     fn image(rank: Rank, version: u64, bytes: u64) -> Arc<Image> {
@@ -251,13 +228,8 @@ mod tests {
             rank,
             version,
             app_state: Payload::synthetic(bytes),
-            next_ssn: vec![0; 4],
-            expected_ssn: vec![0; 4],
-            unexpected: vec![],
-            proto: ImageProto {
-                body: None,
-                bytes: 0,
-            },
+            channels: Channels::new(4),
+            proto: ProtoBlob::empty(),
         })
     }
 
@@ -415,18 +387,26 @@ mod tests {
     #[test]
     fn image_wire_size_accounts_all_sections() {
         let mut img = (*image(0, 1, 100)).clone();
-        img.unexpected.push(StoredMsg {
+        img.channels.unexpected.push_back(RecvMsg {
             src: 1,
             tag: 0,
             payload: Payload::synthetic(50),
         });
-        img.proto = ImageProto {
+        img.proto = ProtoBlob {
             body: None,
             bytes: 200,
         };
-        assert_eq!(
-            img.wire_bytes(),
-            IMAGE_BASE_BYTES + 100 + 16 * 4 + (50 + 16) + 200
-        );
+        let bytes = IMAGE_BASE_BYTES + 100 + 16 * 4 + (50 + 16) + 200;
+        assert_eq!(img.wire_bytes(), bytes);
+        // A held send's payload is already in the protocol section's
+        // sender log: carrying the send costs the image nothing.
+        img.channels.held.push_back(HeldSend {
+            dst: 2,
+            tag: 0,
+            payload: Payload::synthetic(70),
+            ssn: 5,
+            done: None,
+        });
+        assert_eq!(img.wire_bytes(), bytes);
     }
 }

@@ -19,6 +19,14 @@
 //! and calls the [`VProtocol`] hooks at every protocol-relevant point.
 //! Everything fault-tolerance-specific — piggybacking, event logging,
 //! sender-based payload logs, replay — lives behind those hooks.
+//!
+//! What a checkpoint image carries of the daemon is one value,
+//! [`Channels`]: the per-channel counters, the accepted messages the
+//! application has not consumed yet, and the sends a protocol's gate
+//! still holds. A restart restores it in one assignment. A held send
+//! adds no image bytes: the pessimistic protocol logs a send before it
+//! gates it, so its payload is already in the sender log the protocol
+//! section counts.
 
 use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
@@ -34,7 +42,7 @@ use vlog_sim::{
 };
 
 use crate::api::Mpi;
-use crate::ckpt::{CkptReply, CkptRequest, Image, ImageProto, StoredMsg};
+use crate::ckpt::{CkptReply, CkptRequest, Image};
 use crate::cluster::{inject_crash, topo, ClusterState};
 use crate::cost::StackProfile;
 use crate::hooks::{Ctx, ProtoBlob, RecvGate, SendGate, TopoView, VProtocol};
@@ -86,12 +94,47 @@ struct PendingRdv {
     done: Option<OpId>,
 }
 
-struct HeldSend {
-    dst: Rank,
-    tag: Tag,
-    payload: Payload,
-    ssn: Ssn,
-    done: Option<OpId>,
+#[derive(Clone)]
+pub(crate) struct HeldSend {
+    pub(crate) dst: Rank,
+    pub(crate) tag: Tag,
+    pub(crate) payload: Payload,
+    pub(crate) ssn: Ssn,
+    pub(crate) done: Option<OpId>,
+}
+
+/// The daemon's channel state: everything a checkpoint image carries of
+/// the daemon besides the application state.
+#[derive(Clone, Default)]
+pub struct Channels {
+    /// Next ssn per destination channel.
+    pub(crate) next_ssn: Vec<Ssn>,
+    /// Next expected ssn per source channel.
+    pub(crate) expected_ssn: Vec<Ssn>,
+    /// Messages accepted but not yet consumed by the application.
+    pub(crate) unexpected: VecDeque<RecvMsg>,
+    /// Sends accepted, assigned an ssn and held by the protocol's gate.
+    pub(crate) held: VecDeque<HeldSend>,
+}
+
+impl Channels {
+    pub(crate) fn new(n: usize) -> Self {
+        Channels {
+            next_ssn: vec![0; n],
+            expected_ssn: vec![0; n],
+            ..Channels::default()
+        }
+    }
+
+    /// The copy an image keeps. A held send's completion handle belongs
+    /// to the incarnation that issued it, so the copy carries none.
+    fn for_image(&self) -> Channels {
+        let mut copy = self.clone();
+        for h in &mut copy.held {
+            h.done = None;
+        }
+        copy
+    }
 }
 
 struct PostedRecv {
@@ -102,14 +145,10 @@ struct PostedRecv {
 /// Deferred work queued by protocol hooks, processed after the hook
 /// returns (protocols are never re-entered).
 enum Inject {
-    /// Deliver straight to the matching engine, bypassing hooks
-    /// (replay-ordered deliveries; the determinant already exists).
-    Deliver {
-        src: Rank,
-        tag: Tag,
-        payload: Payload,
-        cost: SimDuration,
-    },
+    /// Deliver to the matching engine after `cost` of protocol CPU.
+    /// Replay-ordered deliveries come here straight, bypassing the hooks
+    /// (the determinant already exists).
+    Deliver { msg: RecvMsg, cost: SimDuration },
     /// Run the full acceptance path again (live messages buffered during
     /// replay; they need fresh determinants).
     Reaccept(AppMsg),
@@ -143,20 +182,16 @@ pub struct DaemonCore {
     /// Requests taken off the pipe, being handled (empty between pokes).
     pipe_batch: VecDeque<AppRequest>,
 
-    next_ssn: Vec<Ssn>,
-    expected_ssn: Vec<Ssn>,
+    channels: Channels,
     reorder: Vec<BTreeMap<Ssn, AppMsg>>,
     pending_rdv: BTreeMap<(Rank, Ssn), PendingRdv>,
-    held: VecDeque<HeldSend>,
-
     posted: VecDeque<PostedRecv>,
-    unexpected: VecDeque<StoredMsg>,
 
     ckpt_counter: u64,
     /// Image assembled at the checkpoint point, not yet shipped (the
     /// protocol controls the ship time — coordinated checkpointing waits
-    /// for its markers).
-    pending_image: Option<PendingImage>,
+    /// for its markers); its protocol section is filled at ship time.
+    pending_image: Option<Image>,
     ship_requested: bool,
     recovering: bool,
     recover_start: SimTime,
@@ -164,15 +199,6 @@ pub struct DaemonCore {
 
     release_requested: bool,
     inject: VecDeque<Inject>,
-}
-
-/// Generic image sections captured at the checkpoint point.
-struct PendingImage {
-    version: u64,
-    app_state: Payload,
-    next_ssn: Vec<Ssn>,
-    expected_ssn: Vec<Ssn>,
-    unexpected: Vec<StoredMsg>,
 }
 
 impl DaemonCore {
@@ -207,18 +233,18 @@ impl DaemonCore {
     /// Next expected ssn per source channel — the payload-reclaim
     /// watermarks a recovering process sends to its peers.
     pub fn expected_watermarks(&self) -> Vec<Ssn> {
-        self.expected_ssn.clone()
+        self.channels.expected_ssn.clone()
     }
 
     /// Next expected ssn on one source channel.
     pub fn expected_of(&self, src: Rank) -> Ssn {
-        self.expected_ssn[src]
+        self.channels.expected_ssn[src]
     }
 
     /// Next outgoing ssn per destination channel (how many messages were
     /// sent on each channel so far) — coordinated markers carry these.
     pub fn next_ssn_watermarks(&self) -> Vec<Ssn> {
-        self.next_ssn.clone()
+        self.channels.next_ssn.clone()
     }
 
     /// Sends a protocol control message to the daemon of another rank.
@@ -276,12 +302,8 @@ impl DaemonCore {
 
     /// Queues a replay-ordered delivery (bypasses the protocol hooks).
     pub fn inject_deliver(&mut self, src: Rank, tag: Tag, payload: Payload, cost: SimDuration) {
-        self.inject.push_back(Inject::Deliver {
-            src,
-            tag,
-            payload,
-            cost,
-        });
+        let msg = RecvMsg { src, tag, payload };
+        self.inject.push_back(Inject::Deliver { msg, cost });
     }
 
     /// Queues a buffered live message for re-acceptance through the full
@@ -316,8 +338,8 @@ impl DaemonCore {
     /// state on rollback (the re-injected messages and the marker consumed
     /// those sequence numbers before the snapshot).
     pub fn advance_expected(&mut self, src: Rank, to: Ssn) {
-        if to > self.expected_ssn[src] {
-            self.expected_ssn[src] = to;
+        if to > self.channels.expected_ssn[src] {
+            self.channels.expected_ssn[src] = to;
         }
     }
 
@@ -429,20 +451,14 @@ impl DaemonCore {
     /// checkpoints: `expected_ssn` was already advanced, so the message
     /// must be in `unexpected` (and thus in the image) or already matched
     /// before any other event can run.
-    fn deliver_to_matching(
-        &mut self,
-        sim: &mut Sim,
-        src: Rank,
-        tag: Tag,
-        payload: Payload,
-        ready_at: SimTime,
-    ) {
+    fn deliver_to_matching(&mut self, sim: &mut Sim, msg: RecvMsg, ready_at: SimTime) {
+        let (src, tag) = (msg.src, msg.tag);
         if let Some(pos) = self.posted.iter().position(|p| p.sel.matches(src, tag)) {
             let p = self.posted.remove(pos).unwrap();
-            let at = ready_at + self.profile.pipe_cost(payload.len());
-            self.complete_recv(sim, p.done, at, RecvMsg { src, tag, payload });
+            let at = ready_at + self.profile.pipe_cost(msg.payload.len());
+            self.complete_recv(sim, p.done, at, msg);
         } else {
-            self.unexpected.push_back(StoredMsg { src, tag, payload });
+            self.channels.unexpected.push_back(msg);
         }
     }
 }
@@ -526,13 +542,10 @@ impl Vdaemon {
                 app_spec,
                 app_task: None,
                 pipe_batch: VecDeque::new(),
-                next_ssn: vec![0; n],
-                expected_ssn: vec![0; n],
+                channels: Channels::new(n),
                 reorder: (0..n).map(|_| BTreeMap::new()).collect(),
                 pending_rdv: BTreeMap::new(),
-                held: VecDeque::new(),
                 posted: VecDeque::new(),
-                unexpected: VecDeque::new(),
                 ckpt_counter: 0,
                 pending_image: None,
                 ship_requested: false,
@@ -597,20 +610,14 @@ impl Vdaemon {
     fn finish_restart(&mut self, sim: &mut Sim, image: Option<Arc<Image>>) {
         let (restored, blob) = match image {
             Some(img) => {
-                self.core.next_ssn = img.next_ssn.clone();
-                self.core.expected_ssn = img.expected_ssn.clone();
-                self.core.unexpected = img.unexpected.iter().cloned().collect();
+                self.core.channels = img.channels.clone();
                 self.core.ckpt_counter = img.version;
                 let restored = if img.app_state.data.is_empty() {
                     None
                 } else {
                     Some(img.app_state.data.clone())
                 };
-                let blob = ProtoBlob {
-                    body: img.proto.body.clone(),
-                    bytes: img.proto.bytes,
-                };
-                (restored, Some(blob))
+                (restored, Some(img.proto.clone()))
             }
             None => (None, None),
         };
@@ -671,8 +678,8 @@ impl Vdaemon {
         payload: Payload,
         done: Option<OpId>,
     ) {
-        let ssn = self.core.next_ssn[dst];
-        self.core.next_ssn[dst] = ssn + 1;
+        let ssn = self.core.channels.next_ssn[dst];
+        self.core.channels.next_ssn[dst] = ssn + 1;
         let eager = payload.len() <= self.core.profile.eager_threshold;
         let gate = {
             let mut ctx = Ctx {
@@ -694,7 +701,7 @@ impl Vdaemon {
                 self.transmit(sim, dst, tag, payload, ssn, cost, done);
             }
             SendGate::Hold => {
-                self.core.held.push_back(HeldSend {
+                self.core.channels.held.push_back(HeldSend {
                     dst,
                     tag,
                     payload,
@@ -795,19 +802,10 @@ impl Vdaemon {
     }
 
     fn handle_app_recv(&mut self, sim: &mut Sim, sel: RecvSelector, done: OpId) {
-        if let Some(pos) = self
-            .core
-            .unexpected
-            .iter()
-            .position(|m| sel.matches(m.src, m.tag))
-        {
-            let m = self.core.unexpected.remove(pos).unwrap();
-            let at = sim.now() + self.core.profile.pipe_cost(m.payload.len());
-            let msg = RecvMsg {
-                src: m.src,
-                tag: m.tag,
-                payload: m.payload,
-            };
+        let unexpected = &mut self.core.channels.unexpected;
+        if let Some(pos) = unexpected.iter().position(|m| sel.matches(m.src, m.tag)) {
+            let msg = unexpected.remove(pos).unwrap();
+            let at = sim.now() + self.core.profile.pipe_cost(msg.payload.len());
             self.core.complete_recv(sim, done, at, msg);
         } else {
             self.core.posted.push_back(PostedRecv { sel, done });
@@ -844,12 +842,12 @@ impl Vdaemon {
         // Capture the generic sections at the application-safe point; the
         // protocol decides when the image ships (immediately by default).
         let state_bytes = state.len();
-        self.core.pending_image = Some(PendingImage {
+        self.core.pending_image = Some(Image {
+            rank: self.core.rank,
             version,
             app_state: state,
-            next_ssn: self.core.next_ssn.clone(),
-            expected_ssn: self.core.expected_ssn.clone(),
-            unexpected: self.core.unexpected.iter().cloned().collect(),
+            channels: self.core.channels.for_image(),
+            proto: ProtoBlob::empty(),
         });
         // Local snapshot cost (fork + copy-on-write in the real system).
         let cost = SimDuration::from_nanos((state_bytes as f64 * SNAPSHOT_NS_PER_BYTE) as u64);
@@ -865,28 +863,17 @@ impl Vdaemon {
     /// Ships the pending image: fetches the protocol blob and streams the
     /// image to the checkpoint server. Runs from `pump`.
     fn ship_image(&mut self, sim: &mut Sim) {
-        let Some(pending) = self.core.pending_image.take() else {
+        let Some(mut image) = self.core.pending_image.take() else {
             return;
         };
-        let blob = {
+        image.proto = {
             let mut ctx = Ctx {
                 sim,
                 core: &mut self.core,
             };
             self.proto.checkpoint_blob(&mut ctx)
         };
-        let image = Arc::new(Image {
-            rank: self.core.rank,
-            version: pending.version,
-            app_state: pending.app_state,
-            next_ssn: pending.next_ssn,
-            expected_ssn: pending.expected_ssn,
-            unexpected: pending.unexpected,
-            proto: ImageProto {
-                body: blob.body,
-                bytes: blob.bytes,
-            },
-        });
+        let image = Arc::new(image);
         let bytes = image.wire_bytes();
         let cost = SimDuration::from_nanos((bytes as f64 * SNAPSHOT_NS_PER_BYTE) as u64);
         let end = sim.charge_cpu(self.core.node, cost);
@@ -906,55 +893,45 @@ impl Vdaemon {
         }
     }
 
-    /// In-order acceptance of one application message.
-    fn accept(&mut self, sim: &mut Sim, mut msg: AppMsg) {
-        self.core.expected_ssn[msg.src] = msg.ssn + 1;
-        let gate = {
-            let mut ctx = Ctx {
-                sim,
-                core: &mut self.core,
-            };
-            self.proto.on_app_msg(&mut ctx, &mut msg)
-        };
-        match gate {
-            RecvGate::Deliver { cost } => {
-                // Through the work queue, never synchronously: replay
-                // injections queued by the protocol hook above must reach
-                // the matching engine before this message (one total FIFO
-                // order across injections, re-acceptances and live
-                // accepts). The queue drains within this dispatch, so
-                // checkpoints still observe a consistent daemon.
-                self.core.inject.push_back(Inject::Deliver {
-                    src: msg.src,
-                    tag: msg.tag,
-                    payload: msg.payload,
-                    cost,
-                });
-            }
-            RecvGate::Drop => {}
-            RecvGate::Consume => {}
-        }
+    /// In-order acceptance of one application message: it consumes its
+    /// ssn, then takes the re-acceptance path.
+    fn accept(&mut self, sim: &mut Sim, msg: AppMsg) {
+        self.core.channels.expected_ssn[msg.src] = msg.ssn + 1;
+        self.accept_reinjected(sim, msg);
     }
 
     fn handle_app_msg(&mut self, sim: &mut Sim, msg: AppMsg) {
-        let src = msg.src;
-        let expected = self.core.expected_ssn[src];
+        let (src, dst) = (msg.src, self.core.rank);
+        let expected = self.core.channels.expected_ssn[src];
         if msg.ssn < expected {
             sim.stats_mut().bump("dup_dropped");
             return;
         }
         if msg.ssn > expected {
             self.core.reorder[src].entry(msg.ssn).or_insert(msg);
-            return;
-        }
-        self.accept(sim, msg);
-        // Drain any now-contiguous reordered messages.
-        loop {
-            let next = self.core.expected_ssn[src];
-            match self.core.reorder[src].remove(&next) {
-                Some(m) => self.accept(sim, m),
-                None => break,
+        } else {
+            if !self.core.reorder[src].is_empty() {
+                vlog_sim::event!(sim, "chan-accept" { src = src, dst = dst, ssn = expected });
             }
+            self.accept(sim, msg);
+            // Drain any now-contiguous reordered messages.
+            loop {
+                let next = self.core.channels.expected_ssn[src];
+                match self.core.reorder[src].remove(&next) {
+                    Some(m) => self.accept(sim, m),
+                    None => break,
+                }
+            }
+        }
+        // A gap left on the channel is a wait: the buffered messages
+        // cannot reach the application until the expected ssn arrives.
+        if let Some(&gap) = self.core.reorder[src].keys().next() {
+            let expected = self.core.channels.expected_ssn[src];
+            sim.record(|| Edge::Expect {
+                cause: vlog_sim::ckey!("chan-accept", src = src, dst = dst, ssn = expected),
+                waiter: vlog_sim::ckey!("chan-gap", src = src, dst = dst, ssn = gap),
+                owner: dst as u64,
+            });
         }
     }
 
@@ -1010,7 +987,7 @@ impl Vdaemon {
                 // Re-gate every held message: the protocol decides which
                 // ones may leave now (pessimistic logging releases sends
                 // whose preceding events became stable).
-                let held: Vec<HeldSend> = self.core.held.drain(..).collect();
+                let held: Vec<HeldSend> = self.core.channels.held.drain(..).collect();
                 for h in held {
                     let gate = {
                         let mut ctx = Ctx {
@@ -1024,7 +1001,7 @@ impl Vdaemon {
                         SendGate::Go { cost } => {
                             self.transmit(sim, h.dst, h.tag, h.payload, h.ssn, cost, h.done);
                         }
-                        SendGate::Hold => self.core.held.push_back(h),
+                        SendGate::Hold => self.core.channels.held.push_back(h),
                     }
                 }
                 continue;
@@ -1033,15 +1010,10 @@ impl Vdaemon {
                 break;
             };
             match inj {
-                Inject::Deliver {
-                    src,
-                    tag,
-                    payload,
-                    cost,
-                } => {
-                    let cpu = self.core.profile.msg_cost(payload.len()) + cost;
+                Inject::Deliver { msg, cost } => {
+                    let cpu = self.core.profile.msg_cost(msg.payload.len()) + cost;
                     let end = sim.charge_cpu(self.core.node, cpu);
-                    self.core.deliver_to_matching(sim, src, tag, payload, end);
+                    self.core.deliver_to_matching(sim, msg, end);
                 }
                 Inject::Reaccept(msg) => {
                     // Bypass the ssn check: the message was already
@@ -1058,8 +1030,7 @@ impl Vdaemon {
 
     /// Re-acceptance of a protocol-buffered message: runs the protocol
     /// hook (it may create a determinant now) but skips duplicate
-    /// detection, which already happened on first arrival. The delivery
-    /// joins the same FIFO work queue as every other delivery.
+    /// detection, which already happened on first arrival.
     fn accept_reinjected(&mut self, sim: &mut Sim, mut msg: AppMsg) {
         let gate = {
             let mut ctx = Ctx {
@@ -1068,17 +1039,16 @@ impl Vdaemon {
             };
             self.proto.on_app_msg(&mut ctx, &mut msg)
         };
-        match gate {
-            RecvGate::Deliver { cost } => {
-                self.core.inject.push_back(Inject::Deliver {
-                    src: msg.src,
-                    tag: msg.tag,
-                    payload: msg.payload,
-                    cost,
-                });
-            }
-            RecvGate::Drop => {}
-            RecvGate::Consume => {}
+        if let RecvGate::Deliver { cost } = gate {
+            // Through the work queue, never synchronously: replay
+            // injections queued by the protocol hook above must reach the
+            // matching engine before this message (one total FIFO order
+            // across injections, re-acceptances and live accepts). The
+            // queue drains within this dispatch, so checkpoints still
+            // observe a consistent daemon.
+            let (src, tag, payload) = (msg.src, msg.tag, msg.payload);
+            let msg = RecvMsg { src, tag, payload };
+            self.core.inject.push_back(Inject::Deliver { msg, cost });
         }
     }
 }
@@ -1183,5 +1153,63 @@ impl Actor for Vdaemon {
         };
         self.proto.on_control(&mut ctx, body);
         self.pump(sim);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::vdummy::Vdummy;
+    use vlog_sim::causality::{Key, LivenessReport};
+
+    fn from_rank_1(ssn: Ssn) -> AppMsg {
+        AppMsg {
+            src: 1,
+            dst: 0,
+            tag: 0,
+            ssn,
+            payload: Payload::default(),
+            piggyback: PiggybackBlob::empty(),
+            replayed: false,
+        }
+    }
+
+    fn verdict(sim: &mut Sim) -> LivenessReport {
+        sim.causality().expect("the log is on").analyze()
+    }
+
+    #[test]
+    fn a_channel_gap_is_a_declared_wait_until_the_expected_ssn_arrives() {
+        let mut sim = Sim::new(1);
+        sim.enable_causality();
+        let nodes = vec![sim.add_node(), sim.add_node()];
+        let state = ClusterState::with_ranks(vec![0, 1], nodes);
+        let mut daemon = Vdaemon::new(
+            0,
+            &state.topo,
+            Arc::new(StackProfile::vdaemon()),
+            app(|_| async {}),
+            Box::new(Vdummy),
+            BootMode::Fresh,
+        );
+        sim.install(state);
+        // Rank 1's ssn 1 overtakes its ssn 0: rank 0 holds it back, and
+        // the one thing it waits on is named.
+        daemon.handle_app_msg(&mut sim, from_rank_1(1));
+        let live = verdict(&mut sim);
+        assert_eq!(live.dangling.len(), 1, "{live:?}");
+        let wait = &live.dangling[0];
+        let key = |kind, ssn| Key::from_parts(kind, &["src", "dst", "ssn"], &[1, 0, ssn]);
+        assert_eq!(wait.cause, key("chan-accept", 0));
+        assert_eq!(wait.waiter, key("chan-gap", 1));
+        assert_eq!(wait.owner, 0);
+        // Ssn 0 arrives: the gap closes, both messages are accepted.
+        daemon.handle_app_msg(&mut sim, from_rank_1(0));
+        assert!(verdict(&mut sim).is_clean());
+        assert_eq!(daemon.core.expected_of(1), 2);
+        // An in-order arrival on a channel without a gap records nothing.
+        let produced = verdict(&mut sim).produced_events;
+        daemon.handle_app_msg(&mut sim, from_rank_1(2));
+        assert_eq!(verdict(&mut sim).produced_events, produced);
     }
 }

@@ -220,8 +220,6 @@ pub enum SendGate {
 pub enum RecvGate {
     /// Hand the message to the matching engine after `cost` of CPU.
     Deliver { cost: SimDuration },
-    /// Silently drop (duplicate of an already-received message).
-    Drop,
     /// The protocol keeps the message (replay buffering, markers); it can
     /// re-inject it later through [`DaemonCore::reaccept`].
     Consume,
@@ -231,6 +229,7 @@ pub enum RecvGate {
 /// size it would occupy (counted as control traffic when the image moves).
 /// The body is reference-counted because the checkpoint server keeps it;
 /// `Send + Sync` so checkpoint images move with a sharded cluster run.
+#[derive(Clone)]
 pub struct ProtoBlob {
     pub body: Option<Arc<dyn Any + Send + Sync>>,
     pub bytes: u64,

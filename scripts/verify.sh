@@ -141,16 +141,11 @@ VLOG_EXPLORE_SCHEDULES="${VLOG_EXPLORE_SCHEDULES:-48}" \
 VLOG_EXPLORE_DEPTH="${VLOG_EXPLORE_DEPTH:-4}" \
 VLOG_EXPLORE_SEED="${VLOG_EXPLORE_SEED:-0x19052005}" \
     cargo run -q --release --offline -p vlog-explore --bin explore_smoke
-echo "==> schedule exploration gate (every clean script seed 1..=120 x 240 schedules)"
-# The class-(b) runaway seeds of ROADMAP item 1 (event-limit runaways in
-# pessimistic/crash and coordinated/crash). This list is what that item
-# has left: a fix deletes seeds from it, nothing adds any.
-runaway_seeds=" 9 23 50 62 71 79 86 95 101 113 118 "
+echo "==> schedule exploration gate (every script seed 1..=120 x 240 schedules)"
 explore_smoke="${CARGO_TARGET_DIR:-target}/release/explore_smoke"
 clean=0
 failing=""
 for seed in $(seq 1 120); do
-    case "$runaway_seeds" in *" $seed "*) continue ;; esac
     if ! out=$(VLOG_EXPLORE_SCHEDULES=240 VLOG_EXPLORE_DEPTH=4 VLOG_EXPLORE_SEED="$seed" \
         "$explore_smoke" 2>&1); then
         grep 'violation\[' <<<"$out" >&2 || echo "$out" >&2
@@ -163,7 +158,7 @@ if [ -n "$failing" ]; then
     echo "explore gate: script seeds$failing violated an invariant (lines above); $clean seeds clean" >&2
     exit 1
 fi
-echo "    explore gate: ok ($clean script seeds x 240 schedules, no violations; runaway seeds skipped:${runaway_seeds% })"
+echo "    explore gate: ok ($clean script seeds x 240 schedules, no violations)"
 
 echo "==> sweep driver smoke (--threads 2: parallel path must match sequential)"
 cargo run -q --release --offline --example sweep_smoke -- --threads 2
