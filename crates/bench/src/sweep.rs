@@ -9,11 +9,11 @@
 //! output (and anything derived from it, like a determinism fingerprint)
 //! is byte-identical whether it ran on 1 thread or 16.
 //!
-//! Jobs are handed out through a shared atomic cursor (work stealing at
-//! job granularity); each job itself remains a single-threaded,
-//! deterministic simulation.
+//! Workers take `(index, job)` pairs from one shared iterator (work
+//! stealing at job granularity) and return their `(index, result)` pairs
+//! when they join; the caller puts those in job order. Each job itself
+//! remains a single-threaded, deterministic simulation.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Why a `VLOG_THREADS` override was rejected. An alias of the shared
@@ -48,54 +48,49 @@ pub fn default_threads() -> usize {
 /// Runs `f` over every job on `threads` worker threads and returns the
 /// results in job order.
 ///
-/// `f` must be a pure function of its job: results are written into the
-/// slot of the job they belong to, so the output vector is deterministic
-/// for any thread count. A panic in any job propagates to the caller
-/// after the remaining workers drain.
+/// `f` must be a pure function of its job: each result is placed by the
+/// index of its job, so the output vector is deterministic for any
+/// thread count. A panic in any job propagates to the caller after the
+/// remaining workers drain.
 pub fn run_many<J, R, F>(jobs: Vec<J>, threads: usize, f: F) -> Vec<R>
 where
     J: Send,
     R: Send,
     F: Fn(J) -> R + Send + Sync,
 {
-    let n = jobs.len();
-    let threads = threads.max(1).min(n.max(1));
+    let threads = threads.max(1).min(jobs.len().max(1));
     if threads <= 1 {
         return jobs.into_iter().map(f).collect();
     }
-    // Job slots: workers take jobs by index through the shared cursor and
-    // deposit results into the matching result slot.
-    let jobs: Vec<Mutex<Option<J>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
+    let queue = Mutex::new(jobs.into_iter().enumerate());
     let f = &f;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            handles.push(scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let job = jobs[i].lock().unwrap().take().expect("job taken twice");
-                let r = f(job);
-                *results[i].lock().unwrap() = Some(r);
-            }));
-        }
-        for h in handles {
-            if let Err(panic) = h.join() {
-                std::panic::resume_unwind(panic);
-            }
-        }
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        // A statement of its own, so the job runs unlocked.
+                        let next = queue
+                            .lock()
+                            .expect("no worker panics while it holds the queue")
+                            .next();
+                        let Some((i, job)) = next else { return done };
+                        done.push((i, f(job)));
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| {
+                w.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
     });
-    results
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap()
-                .expect("worker exited without depositing a result")
-        })
-        .collect()
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]

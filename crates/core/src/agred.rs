@@ -227,8 +227,7 @@ impl Reduction for GraphRed {
     }
 
     fn retained_of(&self, creator: Rank, above: RClock) -> Vec<Determinant> {
-        let (a, b) = self.graph.store().seq(creator).above_slices(above);
-        [a, b].concat()
+        self.graph.above(creator, above).copied().collect()
     }
 
     fn retained_count(&self) -> usize {
@@ -427,6 +426,42 @@ mod tests {
             m_visits > l_visits,
             "manetho fresh-channel visits {m_visits} should exceed logon {l_visits}"
         );
+    }
+
+    #[test]
+    fn a_checkpoint_clone_keeps_its_graph_through_later_traffic() {
+        let det = |clock: RClock, ssn| Determinant {
+            receiver: 0,
+            clock,
+            sender: 1,
+            ssn,
+            cause: 0,
+        };
+        for kind in [Technique::Manetho, Technique::LogOn] {
+            // 150 events of creator 0 with gaps at 50 and 100, so the
+            // clone shares two full chunks of a gapped sequence.
+            let mut red = GraphRed::new(3, kind);
+            let known: Vec<Determinant> = (1..=150)
+                .filter(|k| k % 50 != 0)
+                .map(|k| det(k, 0))
+                .collect();
+            red.integrate(1, 0, &known);
+            let before = red.retained();
+            let snap = red.clone_box();
+            // The live side appends, fills both gaps, learns new content
+            // for clocks 10..=20 (a restarted creator re-created them)
+            // and prunes through 5.
+            red.integrate(2, 0, &(150..=200).map(|k| det(k, 0)).collect::<Vec<_>>());
+            red.absorb(&[det(100, 0), det(50, 0)]);
+            red.absorb(&(10..=20).map(|k| det(k, 7)).collect::<Vec<_>>());
+            red.apply_stable(&[5, 0, 0]);
+            assert_eq!(red.retained_count(), 195);
+            assert_eq!(red.retained()[0], det(6, 0));
+            assert_eq!(red.retained_of(0, 9)[0], det(10, 7));
+            assert_eq!(snap.retained(), before, "{kind:?}");
+            assert_eq!(snap.retained_count(), 147);
+            assert_eq!(snap.retained_of(0, 9)[..12], before[9..21]);
+        }
     }
 
     #[test]

@@ -5,28 +5,67 @@
 //! Reception clocks are dense by construction: a process numbers its
 //! receptions 1, 2, 3, … and every piggyback carries a creator's events
 //! as an ascending run, so a creator's retained determinants are almost
-//! always one contiguous clock range `front..=back`. [`DetSeq`] stores
-//! them in a `VecDeque` sorted by clock and locates a clock in O(1) as
+//! always one contiguous clock range `front..=back`. [`DetSeq`] keeps
+//! them sorted by clock and locates a clock in O(1) as
 //! `clock - front.clock` whenever the range is contiguous (checked in
 //! O(1): `back - front + 1 == len`). Gaps — left by recovery `absorb`
 //! merging partial views out of order — fall back to a binary search.
-//! Stability pruning pops from the front and leaves the rest contiguous.
 //!
 //! Inserting a clock that is already present replaces the stored copy,
 //! like a map would: a process that restarts after losing the tail of its
 //! history re-creates those clocks with new content, and the copy that
 //! arrives last must win everywhere for runs to stay reproducible.
+//!
+//! # Shared chunks and an owned tail
+//!
+//! Every checkpoint clones the causality store into its image
+//! (`Reduction::clone_box`), and every restart clones it back out. The
+//! real system snapshots by fork and copy-on-write, and so does this
+//! container: a sequence is a list of full chunks of `CHUNK` (64) entries
+//! behind an `Arc`, written only copy-on-write, plus an owned `tail`
+//! `Vec`. A clone bumps one
+//! reference count per chunk and copies at most one chunk's worth of
+//! tail, and the image and the live rank share every chunk until one
+//! side changes it. The invariants:
+//!
+//! * Every chunk holds exactly `CHUNK` entries and the tail fewer: the
+//!   tail is frozen into a chunk the moment it fills. A small sequence is
+//!   a lone tail and grows like a `Vec`.
+//! * The first `skip` entries of the first chunk are pruned, with
+//!   `skip < CHUNK`, and `skip == 0` when there is no chunk. Entry `i`
+//!   therefore sits at position `skip + i` of the chunks-then-tail
+//!   concatenation, so on the contiguous path a clock is located by
+//!   arithmetic alone, with no search.
+//! * Pruning advances `skip` and drops whole chunks. Once no chunk is
+//!   left it drains the tail instead.
+//! * A clock already present is written only when the arriving copy
+//!   differs, and then only the chunk it sits in is copied, if a clone
+//!   still shares it. A fault-free duplicate copies nothing.
+//! * A gap insert shifts everything after it, so it re-chunks from the
+//!   chunk it lands in. Gaps and differing copies come only from
+//!   recovery.
 
-use std::collections::VecDeque;
+use std::sync::Arc;
 
 use vlog_vmpi::{RClock, Rank};
 
 use crate::event::Determinant;
 
+/// Entries per shared chunk. A power of two, so an index splits into a
+/// chunk and an offset by a shift and a mask. 64 × 40-byte determinants
+/// is 2.5 KB a chunk: a clone of a long sequence costs 16 bytes per 64
+/// entries, and a frozen store's only waste is its last partial chunk.
+const CHUNK: usize = 64;
+
 /// One creator's retained determinants: ascending by clock, no duplicates.
 #[derive(Debug, Clone, Default)]
 pub struct DetSeq {
-    q: VecDeque<Determinant>,
+    /// Full chunks of `CHUNK` entries, shared with every clone.
+    chunks: Vec<Arc<[Determinant]>>,
+    /// Pruned entries at the front of `chunks[0]`.
+    skip: usize,
+    /// The newest entries, fewer than `CHUNK`.
+    tail: Vec<Determinant>,
 }
 
 impl DetSeq {
@@ -35,76 +74,104 @@ impl DetSeq {
     }
 
     pub fn len(&self) -> usize {
-        self.q.len()
+        self.chunks.len() * CHUNK + self.tail.len() - self.skip
     }
 
     pub fn is_empty(&self) -> bool {
-        self.q.is_empty()
+        self.len() == 0
     }
 
     /// The `i`-th retained determinant in clock order.
     pub fn at(&self, i: usize) -> Option<&Determinant> {
-        self.q.get(i)
+        let p = self.skip.checked_add(i)?;
+        match self.chunks.get(p / CHUNK) {
+            Some(chunk) => Some(&chunk[p % CHUNK]),
+            None => self.tail.get(p - self.chunks.len() * CHUNK),
+        }
     }
 
     pub fn last(&self) -> Option<&Determinant> {
-        self.q.back()
+        self.tail
+            .last()
+            .or_else(|| self.chunks.last().and_then(|chunk| chunk.last()))
+    }
+
+    /// The first and the last entry; `None` when empty.
+    fn ends(&self) -> Option<(&Determinant, &Determinant)> {
+        let front = match self.chunks.first() {
+            Some(chunk) => &chunk[self.skip],
+            None => self.tail.first()?,
+        };
+        Some((front, self.last()?))
+    }
+
+    /// Whether the clocks form one gap-free range `front..=back`.
+    fn is_contiguous(&self, front: &Determinant, back: &Determinant) -> bool {
+        back.clock - front.clock == self.len() as u64 - 1
     }
 
     pub fn iter(&self) -> impl Iterator<Item = &Determinant> + '_ {
-        self.q.iter()
+        self.slices(0, self.len()).flatten()
     }
 
     /// Number of entries with clock strictly below `clock` — the index
     /// `clock` has, or would be inserted at.
     pub fn below(&self, clock: RClock) -> usize {
-        let (Some(front), Some(back)) = (self.q.front(), self.q.back()) else {
+        let Some((front, back)) = self.ends() else {
             return 0;
         };
         if clock <= front.clock {
             0
         } else if clock > back.clock {
-            self.q.len()
-        } else if self.is_contiguous() {
+            self.len()
+        } else if self.is_contiguous(front, back) {
             (clock - front.clock) as usize
         } else {
-            self.q.partition_point(|d| d.clock < clock)
+            self.search(clock)
         }
     }
 
-    /// Whether the clocks form one gap-free range `front..=back`.
-    fn is_contiguous(&self) -> bool {
-        match (self.q.front(), self.q.back()) {
-            (Some(front), Some(back)) => back.clock - front.clock == self.q.len() as u64 - 1,
-            _ => true,
-        }
+    /// [`DetSeq::below`] across gaps: a binary search for the block, then
+    /// one in it. Kept out of `below` so the contiguous path stays small
+    /// enough to inline. The first chunk is searched from `skip` on, since
+    /// a later insert may have put a clock below its pruned entries.
+    fn search(&self, clock: RClock) -> usize {
+        let c = self
+            .chunks
+            .partition_point(|chunk| chunk[CHUNK - 1].clock < clock);
+        let from = if c == 0 { self.skip } else { 0 };
+        let block = self
+            .chunks
+            .get(c)
+            .map_or(&self.tail[..], |chunk| &chunk[..]);
+        c * CHUNK + from + block[from..].partition_point(|d| d.clock < clock) - self.skip
     }
 
     /// Number of entries with clock at or below `clock`.
     pub fn through(&self, clock: RClock) -> usize {
         match clock.checked_add(1) {
             Some(next) => self.below(next),
-            None => self.q.len(),
+            None => self.len(),
         }
     }
 
     pub fn get(&self, clock: RClock) -> Option<&Determinant> {
-        self.q.get(self.below(clock)).filter(|d| d.clock == clock)
+        self.at(self.below(clock)).filter(|d| d.clock == clock)
     }
 
     /// Inserts `det` at its clock; when that clock is already present the
     /// stored copy is replaced and false is returned.
     pub fn insert(&mut self, det: Determinant) -> bool {
-        if self.q.back().is_none_or(|back| det.clock > back.clock) {
-            self.q.push_back(det);
+        if self.last().is_none_or(|back| det.clock > back.clock) {
+            self.extend(&[det]);
             return true;
         }
         let i = self.below(det.clock);
-        if self.q[i].clock == det.clock {
-            self.q[i] = det;
+        if self.at(i).is_some_and(|d| d.clock == det.clock) {
+            self.overwrite(i, det);
             return false;
         }
-        self.q.insert(i, det);
+        self.insert_at(i, det);
         true
     }
 
@@ -112,45 +179,101 @@ impl DetSeq {
     /// [`runs`]); returns how many were new. Against a contiguous sequence
     /// the part of the run at or below `back` is known present from the
     /// clock arithmetic alone, so a duplicate-heavy piggyback costs one
-    /// overlap computation and two block copies per run instead of one
-    /// lookup per determinant.
+    /// overlap computation, one compare per present entry and one block
+    /// append per run instead of one lookup per determinant.
     pub fn insert_run(&mut self, run: &[Determinant]) -> usize {
         let Some(first) = run.first() else { return 0 };
-        let (Some(front), Some(back)) = (self.q.front(), self.q.back()) else {
-            self.q.extend(run);
+        let Some((front, back)) = self.ends() else {
+            self.extend(run);
             return run.len();
         };
-        if first.clock > back.clock || (first.clock >= front.clock && self.is_contiguous()) {
+        if first.clock > back.clock
+            || (first.clock >= front.clock && self.is_contiguous(front, back))
+        {
             let fresh = above(run, back.clock);
-            let present = run.len() - fresh.len();
-            let at = self.below(first.clock);
-            for (slot, det) in self.q.range_mut(at..at + present).zip(run) {
-                *slot = *det;
+            // Only read when part of the run is present, that is on the
+            // contiguous path, where it is the index of `first`.
+            let at = (first.clock - front.clock) as usize;
+            for (i, det) in (at..).zip(&run[..run.len() - fresh.len()]) {
+                self.overwrite(i, *det);
             }
-            self.q.extend(fresh);
+            self.extend(fresh);
             return fresh.len();
         }
         run.iter().filter(|d| self.insert(**d)).count()
     }
 
-    /// Entries `from..to` (indices in clock order) as the deque's two
-    /// halves, for `extend_from_slice`.
-    fn slices(&self, from: usize, to: usize) -> (&[Determinant], &[Determinant]) {
-        let (a, b) = self.q.as_slices();
-        let split = a.len();
-        (
-            &a[from.min(split)..to.min(split)],
-            &b[from.max(split) - split..to.max(split) - split],
-        )
+    /// Replaces entry `i` by `det` unless they are equal, copying the
+    /// chunk that holds it first if a clone still shares that chunk.
+    fn overwrite(&mut self, i: usize, det: Determinant) {
+        if self.at(i) == Some(&det) {
+            return;
+        }
+        let p = self.skip + i;
+        let slot = match self.chunks.get_mut(p / CHUNK) {
+            Some(chunk) => &mut Arc::make_mut(chunk)[p % CHUNK],
+            None => &mut self.tail[p % CHUNK],
+        };
+        *slot = det;
+    }
+
+    /// Appends entries above `back`, freezing the tail each time it fills.
+    fn extend(&mut self, mut dets: &[Determinant]) {
+        while !dets.is_empty() {
+            let (now, rest) = dets.split_at(dets.len().min(CHUNK - self.tail.len()));
+            self.tail.extend_from_slice(now);
+            if self.tail.len() == CHUNK {
+                self.chunks.push(Arc::from(self.tail.as_slice()));
+                self.tail.clear();
+            }
+            dets = rest;
+        }
+    }
+
+    /// Inserts `det` before entry `i`: everything from `i` on shifts by
+    /// one, so the sequence is re-chunked from the chunk `i` sits in.
+    fn insert_at(&mut self, i: usize, det: Determinant) {
+        let c = (self.skip + i) / CHUNK;
+        let mut rest = Vec::new();
+        for chunk in self.chunks.drain(c..) {
+            rest.extend_from_slice(&chunk);
+        }
+        rest.append(&mut self.tail);
+        rest.insert(self.skip + i - c * CHUNK, det);
+        self.extend(&rest);
+    }
+
+    /// Entries `from..to` (indices in clock order) as the pieces of the
+    /// chunks and tail they span, ascending, for `extend_from_slice`.
+    fn slices(&self, from: usize, to: usize) -> impl Iterator<Item = &[Determinant]> + '_ {
+        let (mut pos, end) = (self.skip + from, self.skip + to);
+        std::iter::from_fn(move || {
+            if pos >= end {
+                return None;
+            }
+            let (b, base) = (pos / CHUNK, pos / CHUNK * CHUNK);
+            let block = self
+                .chunks
+                .get(b)
+                .map_or(&self.tail[..], |chunk| &chunk[..]);
+            let stop = end.min(base + CHUNK);
+            let piece = &block[pos - base..stop - base];
+            pos = stop;
+            Some(piece)
+        })
     }
 
     /// Entries with clock strictly above `lo`, ascending.
-    pub fn above_slices(&self, lo: RClock) -> (&[Determinant], &[Determinant]) {
-        self.slices(self.through(lo), self.q.len())
+    pub fn above_slices(&self, lo: RClock) -> impl Iterator<Item = &[Determinant]> + '_ {
+        self.slices(self.through(lo), self.len())
     }
 
     /// Entries with `lo < clock <= hi`, ascending.
-    pub fn range_slices(&self, lo: RClock, hi: RClock) -> (&[Determinant], &[Determinant]) {
+    pub fn range_slices(
+        &self,
+        lo: RClock,
+        hi: RClock,
+    ) -> impl Iterator<Item = &[Determinant]> + '_ {
         let from = self.through(lo);
         self.slices(from, self.through(hi).max(from))
     }
@@ -158,7 +281,14 @@ impl DetSeq {
     /// Drops every entry with clock at or below `wm`; returns how many.
     pub fn prune_through(&mut self, wm: RClock) -> usize {
         let k = self.through(wm);
-        self.q.drain(..k);
+        let p = self.skip + k;
+        let whole = (p / CHUNK).min(self.chunks.len());
+        self.chunks.drain(..whole);
+        self.skip = p - whole * CHUNK;
+        if self.chunks.is_empty() {
+            self.tail.drain(..self.skip);
+            self.skip = 0;
+        }
         k
     }
 }
@@ -265,9 +395,9 @@ impl DetStore {
         let total = self.seqs.iter().zip(bound).map(count).sum();
         let mut out = Vec::with_capacity(total);
         for (seq, &lo) in self.seqs.iter().zip(bound) {
-            let (a, b) = seq.above_slices(lo);
-            out.extend_from_slice(a);
-            out.extend_from_slice(b);
+            for piece in seq.above_slices(lo) {
+                out.extend_from_slice(piece);
+            }
         }
         out
     }
@@ -313,6 +443,7 @@ mod tests {
         assert_eq!((seq.below(4), seq.below(9), seq.through(9)), (1, 5, 5));
         assert_eq!(seq.get(9), None);
         assert_eq!(seq.get(10), Some(&det(0, 10)));
+        assert_eq!(seq.at(6), None);
         // Pruning the front restores arithmetic lookup on what is left.
         assert_eq!(seq.prune_through(4), 1);
         assert_eq!(seq.prune_through(4), 0);
@@ -335,26 +466,73 @@ mod tests {
         assert_eq!(clocks(&seq), [1, 2, 3, 4]);
     }
 
+    fn flat<'a>(pieces: impl Iterator<Item = &'a [Determinant]>) -> Vec<RClock> {
+        pieces.flatten().map(|d| d.clock).collect()
+    }
+
     #[test]
-    fn slices_follow_the_ring_across_its_wrap_point() {
+    fn slices_cross_chunk_boundaries_and_a_partial_front() {
+        let c = CHUNK as RClock;
         let mut seq = DetSeq::new();
-        for k in 1..=8 {
-            seq.insert(det(0, k));
+        seq.insert_run(&(1..=3 * c + 5).map(|k| det(0, k)).collect::<Vec<_>>());
+        assert_eq!((seq.chunks.len(), seq.tail.len()), (3, 5));
+        // A partial prune leaves an offset into the first chunk; a prune
+        // past a boundary drops the chunk.
+        assert_eq!(seq.prune_through(c / 2), CHUNK / 2);
+        assert_eq!((seq.chunks.len(), seq.skip), (3, CHUNK / 2));
+        assert_eq!(seq.prune_through(c + 1), CHUNK / 2 + 1);
+        assert_eq!((seq.chunks.len(), seq.skip), (2, 1));
+        let above = |lo| flat(seq.above_slices(lo));
+        assert_eq!(above(0), (c + 2..=3 * c + 5).collect::<Vec<_>>());
+        assert_eq!(above(3 * c + 3), [3 * c + 4, 3 * c + 5]);
+        let range = |lo, hi| flat(seq.range_slices(lo, hi));
+        assert_eq!(range(2 * c - 2, 2 * c + 1), [2 * c - 1, 2 * c, 2 * c + 1]);
+        assert_eq!(range(2 * c + 1, 2 * c - 2), [] as [RClock; 0]);
+        assert_eq!(range(3 * c + 4, RClock::MAX), [3 * c + 5]);
+        assert_eq!(above(RClock::MAX), [] as [RClock; 0]);
+        assert_eq!(seq.at(0), Some(&det(0, c + 2)));
+        assert_eq!(seq.get(2 * c + 7), Some(&det(0, 2 * c + 7)));
+        // Pruning into the tail drops every chunk and drains the tail.
+        assert_eq!(seq.prune_through(3 * c + 2), 2 * CHUNK + 1);
+        assert_eq!(
+            (seq.chunks.len(), seq.skip, clocks(&seq)),
+            (0, 0, vec![3 * c + 3, 3 * c + 4, 3 * c + 5])
+        );
+    }
+
+    #[test]
+    fn a_clone_shares_full_chunks_and_each_side_copies_what_it_changes() {
+        let c = CHUNK as RClock;
+        let mut live = DetSeq::new();
+        for k in 1..=2 * c + 3 {
+            live.insert(det(0, k));
         }
-        // Popping then pushing makes the deque wrap inside its buffer.
-        seq.prune_through(5);
-        for k in 9..=13 {
-            seq.insert(det(0, k));
-        }
-        let flat = |(a, b): (&[Determinant], &[Determinant])| -> Vec<RClock> {
-            a.iter().chain(b).map(|d| d.clock).collect()
+        let snap = live.clone();
+        assert!(Arc::ptr_eq(&snap.chunks[0], &live.chunks[0]));
+        // An equal duplicate writes nothing, so the chunk stays shared.
+        assert_eq!(live.insert_run(&[det(0, 5), det(0, 6)]), 0);
+        assert!(Arc::ptr_eq(&snap.chunks[0], &live.chunks[0]));
+        // A differing copy un-shares only the chunk it lands in.
+        let newer = Determinant {
+            cause: 9,
+            ..det(0, 5)
         };
-        assert_eq!(flat(seq.above_slices(0)), [6, 7, 8, 9, 10, 11, 12, 13]);
-        assert_eq!(flat(seq.above_slices(11)), [12, 13]);
-        assert_eq!(flat(seq.range_slices(7, 10)), [8, 9, 10]);
-        assert_eq!(flat(seq.range_slices(10, 7)), [] as [RClock; 0]);
-        assert_eq!(flat(seq.range_slices(12, RClock::MAX)), [13]);
-        assert_eq!(flat(seq.above_slices(RClock::MAX)), [] as [RClock; 0]);
+        assert!(!live.insert(newer));
+        assert!(!Arc::ptr_eq(&snap.chunks[0], &live.chunks[0]));
+        assert!(Arc::ptr_eq(&snap.chunks[1], &live.chunks[1]));
+        assert_eq!((live.get(5), snap.get(5)), (Some(&newer), Some(&det(0, 5))));
+        // A gap insert re-chunks from its chunk on; the snapshot keeps
+        // its clocks, and the live side keeps every chunk full.
+        live.prune_through(2 * c + 3);
+        live.insert_run(
+            &(2 * c + 10..=3 * c + 20)
+                .map(|k| det(0, k))
+                .collect::<Vec<_>>(),
+        );
+        assert!(live.insert(det(0, 2 * c + 5)));
+        assert!(live.chunks.iter().all(|chunk| chunk.len() == CHUNK));
+        assert_eq!(live.len(), CHUNK + 12);
+        assert_eq!(clocks(&snap), (1..=2 * c + 3).collect::<Vec<_>>());
     }
 
     #[test]

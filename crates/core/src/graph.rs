@@ -14,7 +14,7 @@
 //! the EL acknowledges.
 //!
 //! Vertices live in a [`DetStore`]: one dense clock-indexed sequence per
-//! creator, so a program-order range is a pair of slices and following a
+//! creator, so a program-order range is a few slices and following a
 //! cause edge is an O(1) index computation. Edges are not materialised;
 //! they are the `cause` fields of the stored determinants.
 
@@ -125,11 +125,12 @@ impl AGraph {
             // newly covered range, following cause edges.
             let lo = past[c].max(self.stable(c));
             past[c] = k;
-            let (a, b) = self.store.seq(c).range_slices(lo, k);
-            visits += (a.len() + b.len()) as u64;
-            for det in a.iter().chain(b) {
-                if let Some(cause) = det.cause_id() {
-                    stack.push((cause.creator, cause.clock));
+            for piece in self.store.seq(c).range_slices(lo, k) {
+                visits += piece.len() as u64;
+                for det in piece {
+                    if let Some(cause) = det.cause_id() {
+                        stack.push((cause.creator, cause.clock));
+                    }
                 }
             }
         }
@@ -139,8 +140,7 @@ impl AGraph {
     /// Retained determinants of `creator` with clock strictly above `lo`,
     /// ascending.
     pub fn above(&self, creator: Rank, lo: RClock) -> impl Iterator<Item = &Determinant> + '_ {
-        let (a, b) = self.store.seq(creator).above_slices(lo);
-        a.iter().chain(b)
+        self.store.seq(creator).above_slices(lo).flatten()
     }
 }
 

@@ -127,8 +127,12 @@ impl Reduction for VcausalRed {
     }
 
     fn retained_of(&self, creator: Rank, above: RClock) -> Vec<Determinant> {
-        let (a, b) = self.store.seq(creator).above_slices(above);
-        [a, b].concat()
+        self.store
+            .seq(creator)
+            .above_slices(above)
+            .flatten()
+            .copied()
+            .collect()
     }
 
     fn retained_count(&self) -> usize {
@@ -252,5 +256,24 @@ mod tests {
         r.add_local(det(0, 2));
         assert_eq!(snap.retained_count(), 1);
         assert_eq!(r.retained_count(), 2);
+    }
+
+    #[test]
+    fn a_checkpoint_clone_keeps_its_store_through_later_traffic() {
+        // Long enough sequences that the clone shares full chunks.
+        let mut r = VcausalRed::new(2);
+        for k in 1..=100 {
+            r.add_local(det(0, k));
+        }
+        r.integrate(1, 0, &(1..=70).map(|k| det(1, k)).collect::<Vec<_>>());
+        let before = r.retained();
+        let snap = r.clone_box();
+        // The live side appends, absorbs out of order and prunes.
+        r.integrate(1, 0, &(71..=140).map(|k| det(1, k)).collect::<Vec<_>>());
+        r.absorb(&(101..=130).rev().map(|k| det(0, k)).collect::<Vec<_>>());
+        r.apply_stable(&[90, 65]);
+        assert_eq!(r.retained_count(), 40 + 75);
+        assert_eq!(snap.retained(), before);
+        assert_eq!(snap.retained_count(), 170);
     }
 }

@@ -850,6 +850,10 @@ impl Vdaemon {
             proto: ProtoBlob::empty(),
         });
         // Local snapshot cost (fork + copy-on-write in the real system).
+        // The simulator's snapshot is copy-on-write too where it is big:
+        // the causal protocols' blob clones a causality store whose full
+        // chunks the image shares with the live rank (vlog-core's
+        // `detseq` module), so only the bytes charged here are modeled.
         let cost = SimDuration::from_nanos((state_bytes as f64 * SNAPSHOT_NS_PER_BYTE) as u64);
         let end = sim.charge_cpu(self.core.node, cost);
         self.core.complete_checkpoint(sim, done, Some(end));

@@ -141,14 +141,21 @@ VLOG_EXPLORE_SCHEDULES="${VLOG_EXPLORE_SCHEDULES:-48}" \
 VLOG_EXPLORE_DEPTH="${VLOG_EXPLORE_DEPTH:-4}" \
 VLOG_EXPLORE_SEED="${VLOG_EXPLORE_SEED:-0x19052005}" \
     cargo run -q --release --offline -p vlog-explore --bin explore_smoke
-echo "==> schedule exploration gate (every script seed 1..=120 x 240 schedules)"
+echo "==> schedule exploration gate (every script seed 1..=120 x 240 schedules, $(nproc) processes)"
 explore_smoke="${CARGO_TARGET_DIR:-target}/release/explore_smoke"
+# One process per seed, nproc at a time. Each seed's output goes to its
+# own file, and a failing seed leaves a marker file beside it, so the
+# report below reads them back in seed order whatever order they ran in.
+gate_dir=$(mktemp -d)
+trap 'rm -rf "$gate_dir"' EXIT
+seq 1 120 | xargs -P "$(nproc)" -n 1 sh -c '
+    VLOG_EXPLORE_SCHEDULES=240 VLOG_EXPLORE_DEPTH=4 VLOG_EXPLORE_SEED="$3" \
+        "$1" >"$2/$3.out" 2>&1 || touch "$2/$3.failed"' gate "$explore_smoke" "$gate_dir"
 clean=0
 failing=""
 for seed in $(seq 1 120); do
-    if ! out=$(VLOG_EXPLORE_SCHEDULES=240 VLOG_EXPLORE_DEPTH=4 VLOG_EXPLORE_SEED="$seed" \
-        "$explore_smoke" 2>&1); then
-        grep 'violation\[' <<<"$out" >&2 || echo "$out" >&2
+    if [ -e "$gate_dir/$seed.failed" ]; then
+        grep 'violation\[' "$gate_dir/$seed.out" >&2 || cat "$gate_dir/$seed.out" >&2
         failing="$failing $seed"
         continue
     fi

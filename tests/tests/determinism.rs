@@ -77,13 +77,20 @@ fn run_report(suite: Arc<dyn Suite>, with_fault: bool, export_liveness: bool) ->
     cfg.detect_delay = SimDuration::from_millis(8);
     cfg.event_limit = Some(50_000_000);
     cfg.export_liveness = export_liveness;
+    // The ring completes in about 3 ms, so the kill lands mid-run at 1 ms.
     let faults = if with_fault {
-        FaultPlan::kill_at(SimDuration::from_millis(5), 1)
+        FaultPlan::kill_at(SimDuration::from_millis(1), 1)
     } else {
         FaultPlan::none()
     };
     let report = run_cluster(&cfg, suite, program(), &faults);
     assert!(report.completed, "{} did not complete", report.suite);
+    assert_eq!(
+        report.stats.get("node_crashes") > 0,
+        with_fault,
+        "{}: the fault did not land",
+        report.suite
+    );
     report
 }
 

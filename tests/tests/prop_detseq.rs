@@ -8,6 +8,12 @@
 //! iteration order and return values. The same is done one level up for
 //! `AGraph` against the pre-change `BTreeMap` graph kept in `oracle/`,
 //! including `causal_past_from`'s prefixes and visit counts.
+//!
+//! A snapshot step clones a store together with its model, the way a
+//! checkpoint image clones a rank's causality store. The clone shares
+//! the store's full chunks, and every later step lands on one copy only,
+//! so each copy must go on matching its own model: a write through
+//! either side that leaked into the other would show up as a mismatch.
 
 mod oracle;
 
@@ -20,6 +26,10 @@ use oracle::OldGraph;
 
 const N: usize = 4;
 
+/// At most this many copies are live at once; a snapshot beyond it
+/// replaces (and so drops) an existing copy.
+const SIDES: usize = 3;
+
 fn det(receiver: usize, clock: u64, salt: u64) -> Determinant {
     Determinant {
         receiver,
@@ -30,13 +40,31 @@ fn det(receiver: usize, clock: u64, salt: u64) -> Determinant {
     }
 }
 
-fn flat(slices: (&[Determinant], &[Determinant])) -> Vec<Determinant> {
-    [slices.0, slices.1].concat()
+fn flat<'a>(pieces: impl Iterator<Item = &'a [Determinant]>) -> Vec<Determinant> {
+    pieces.flatten().copied().collect()
+}
+
+/// Maps a script value in `0..48` onto `0..=top`, so inserts, prunes and
+/// queries reach every chunk of a sequence however long it has grown.
+fn spread(a: u64, top: u64) -> u64 {
+    a * top / 47
 }
 
 /// One scripted step: `(kind, a, b, creator)`, interpreted per test.
+/// Kind 10 is a snapshot.
 fn script(max_len: usize) -> impl Strategy<Value = Vec<(u8, u64, u64, usize)>> {
-    prop::collection::vec((0u8..10, 0u64..48, 0u64..48, 0..N), 1..max_len)
+    prop::collection::vec((0u8..11, 0u64..48, 0u64..48, 0..N), 1..max_len)
+}
+
+/// Keeps a clone of `sides[from]` as a new side, or in place of another
+/// once `SIDES` are live.
+fn snapshot<T: Clone>(sides: &mut Vec<T>, from: usize) {
+    let copy = sides[from].clone();
+    if sides.len() < SIDES {
+        sides.push(copy);
+    } else {
+        sides[(from + 1) % SIDES] = copy;
+    }
 }
 
 proptest! {
@@ -44,90 +72,120 @@ proptest! {
 
     #[test]
     fn detseq_matches_a_btreemap(ops in script(80)) {
-        let mut seq = DetSeq::new();
-        let mut map: BTreeMap<u64, Determinant> = BTreeMap::new();
-        for (step, &(kind, a, b, _)) in ops.iter().enumerate() {
+        let mut sides = vec![(DetSeq::new(), BTreeMap::<u64, Determinant>::new())];
+        for (step, &(kind, a, b, pick)) in ops.iter().enumerate() {
             let salt = step as u64;
+            let side = pick % sides.len();
+            if kind == 10 {
+                snapshot(&mut sides, side);
+                continue;
+            }
+            let (seq, map) = &mut sides[side];
             let next = map.keys().next_back().map_or(1, |k| k + 1);
+            let pos = spread(a, next);
             match kind {
                 // In order, gapped, anywhere (out of order or duplicate
-                // with new content), exact duplicate of the newest.
+                // with new content), and the stored copy itself again.
                 0..=3 => {
                     let clock = match kind {
                         0 => next,
                         1 => next + 1 + a % 4,
-                        2 => a,
-                        _ => next - 1,
+                        _ => pos,
                     };
-                    let d = det(0, clock, salt);
-                    prop_assert_eq!(seq.insert(d), map.insert(clock, d).is_none());
+                    match map.get(&clock) {
+                        Some(&stored) if kind == 3 => prop_assert_eq!(seq.insert_run(&[stored]), 0),
+                        _ => {
+                            let d = det(0, clock, salt);
+                            prop_assert_eq!(seq.insert(d), map.insert(clock, d).is_none());
+                        }
+                    }
                 }
-                // A run of consecutive clocks: appended, overlapping the
-                // tail, or dropped somewhere in the middle.
+                // A run of consecutive clocks: appended (up to 48 long,
+                // so chunks fill), overlapping the tail with new content,
+                // or dropped somewhere in the middle.
                 4 | 5 => {
-                    let start = if kind == 4 { next.saturating_sub(a % 6) } else { a };
+                    let (start, len) = if kind == 4 {
+                        (next.saturating_sub(a % 6), b)
+                    } else {
+                        (pos, b % 8)
+                    };
                     let run: Vec<Determinant> =
-                        (start..=start + b % 8).map(|k| det(0, k, salt)).collect();
+                        (start..=start + len).map(|k| det(0, k, salt)).collect();
                     let fresh = run.iter().filter(|d| map.insert(d.clock, **d).is_none()).count();
                     prop_assert_eq!(seq.insert_run(&run), fresh);
                 }
                 6 => {
-                    let keep = map.split_off(&(a + 1));
-                    prop_assert_eq!(seq.prune_through(a), map.len());
-                    map = keep;
+                    let keep = map.split_off(&(pos + 1));
+                    prop_assert_eq!(seq.prune_through(pos), map.len());
+                    *map = keep;
                 }
                 7 => {
-                    let want: Vec<Determinant> = map.range(a + 1..).map(|(_, d)| *d).collect();
-                    prop_assert_eq!(flat(seq.above_slices(a)), want);
-                    prop_assert_eq!(seq.through(a), map.range(..=a).count());
-                    prop_assert_eq!(seq.below(a), map.range(..a).count());
+                    let want: Vec<Determinant> = map.range(pos + 1..).map(|(_, d)| *d).collect();
+                    prop_assert_eq!(flat(seq.above_slices(pos)), want);
+                    prop_assert_eq!(seq.through(pos), map.range(..=pos).count());
+                    prop_assert_eq!(seq.below(pos), map.range(..pos).count());
                 }
                 8 => {
-                    let want: Vec<Determinant> = if a < b {
-                        map.range(a + 1..=b).map(|(_, d)| *d).collect()
+                    let hi = spread(b, next);
+                    let want: Vec<Determinant> = if pos < hi {
+                        map.range(pos + 1..=hi).map(|(_, d)| *d).collect()
                     } else {
                         Vec::new()
                     };
-                    prop_assert_eq!(flat(seq.range_slices(a, b)), want);
+                    prop_assert_eq!(flat(seq.range_slices(pos, hi)), want);
                 }
-                _ => prop_assert_eq!(seq.get(a), map.get(&a)),
+                _ => {
+                    prop_assert_eq!(seq.get(pos), map.get(&pos));
+                    let i = b as usize % (map.len() + 1);
+                    prop_assert_eq!(seq.at(i), map.values().nth(i));
+                }
             }
-            prop_assert_eq!(seq.len(), map.len());
-            prop_assert_eq!(seq.last(), map.values().next_back());
+            for (seq, map) in &sides {
+                prop_assert_eq!(seq.len(), map.len());
+                prop_assert_eq!(seq.last(), map.values().next_back());
+                prop_assert!(seq.iter().eq(map.values()));
+            }
         }
-        let contents: Vec<Determinant> = seq.iter().copied().collect();
-        prop_assert_eq!(contents, map.into_values().collect::<Vec<_>>());
     }
 
     #[test]
     fn agraph_matches_the_btreemap_graph(ops in script(120)) {
-        let mut new = AGraph::new(N);
-        let mut old = OldGraph::new(N);
-        let mut stable = vec![0u64; N];
+        let mut sides = vec![(AGraph::new(N), OldGraph::new(N), vec![0u64; N])];
         for (step, &(kind, a, b, c)) in ops.iter().enumerate() {
             let salt = step as u64;
+            // The creator doubles as the side picker.
+            let side = (c + step) % sides.len();
+            if kind == 10 {
+                snapshot(&mut sides, side);
+                continue;
+            }
+            let (new, old, stable) = &mut sides[side];
             match kind {
                 0..=3 => {
                     let clock = match kind {
                         0 => old.head(c) + 1,
                         1 => old.head(c) + 1 + a % 4,
-                        2 => a,
+                        2 => spread(a, old.head(c) + 1),
                         _ => old.head(c),
                     };
                     let d = det(c, clock, salt);
                     prop_assert_eq!(new.insert(d), old.insert(d));
                 }
                 4 | 5 => {
-                    let start = if kind == 4 { (old.head(c) + 1).saturating_sub(a % 6) } else { a };
+                    let (start, len) = if kind == 4 {
+                        ((old.head(c) + 1).saturating_sub(a % 6), b)
+                    } else {
+                        (a, b % 8)
+                    };
                     let run: Vec<Determinant> =
-                        (start..=start + b % 8).map(|k| det(c, k, salt)).collect();
+                        (start..=start + len).map(|k| det(c, k, salt)).collect();
                     let fresh = run.iter().filter(|d| old.insert(**d)).count();
                     prop_assert_eq!(new.insert_run(&run), fresh);
                 }
                 6 => {
-                    stable[c] = stable[c].max(a);
-                    new.apply_stable(&stable);
-                    old.apply_stable(&stable);
+                    stable[c] = stable[c].max(spread(a, old.head(c)));
+                    new.apply_stable(stable);
+                    old.apply_stable(stable);
                 }
                 7 => {
                     let got: Vec<Determinant> = new.above(c, a).copied().collect();
@@ -144,11 +202,13 @@ proptest! {
                     );
                 }
             }
-            prop_assert_eq!(new.len(), old.len());
-            for c in 0..N {
-                prop_assert_eq!((new.head(c), new.stable(c)), (old.head(c), old.stable(c)));
+            for (new, old, _) in &sides {
+                prop_assert_eq!(new.len(), old.len());
+                for c in 0..N {
+                    prop_assert_eq!((new.head(c), new.stable(c)), (old.head(c), old.stable(c)));
+                }
+                prop_assert_eq!(new.retained(), old.retained());
             }
         }
-        prop_assert_eq!(new.retained(), old.retained());
     }
 }
