@@ -81,6 +81,7 @@ pub fn nas_kill_rank0(
     let run = run_workload(nas, &cfg, kind.build(ckpt(t_app)), &plan);
     let what = format!("{} under {}", run.label, kind.label());
     assert!(run.report.completed, "{what}: faulted run incomplete");
+    assert!(run.report.all_landed(&plan), "{what}: kill missed");
     let collects = &run.report.rank_stats[0].recovery_collect;
     assert!(!collects.is_empty(), "{what}: no recovery recorded");
     run
@@ -106,6 +107,8 @@ fn nas_under_faults(nas: &NasConfig, kind: SuiteKind, per_minute: &[f64]) -> Vec
         if f == 0.0 {
             return (100.0, true);
         }
+        // Planned to the horizon, so a run that ends sooner leaves kills
+        // unfired: 13/24, 3/12, 12/22, 3/11 fire at quick scale.
         let plan = faults::periodic_per_minute(f, nas.np, horizon);
         let run = run_workload(nas, &cfg, kind.build(ckpt), &plan).report;
         let pct = 100.0 * run.makespan.as_secs_f64() / base.as_secs_f64();

@@ -207,5 +207,6 @@ fn coordinated_survives_fault_landing_during_a_snapshot() {
         &faults,
     );
     assert!(report.completed, "fault during snapshot wedged the job");
+    assert!(report.all_landed(&faults), "{:?}", report.fired);
     assert!(report.stats.get("global_rollbacks") >= 1);
 }

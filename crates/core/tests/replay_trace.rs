@@ -60,6 +60,7 @@ fn replayed_sequence_is_exact() {
             let faults = FaultPlan::kill_at(SimDuration::from_millis(10), 0);
             let report = run_cluster(&c, suite, prog, &faults);
             assert!(report.completed, "{technique:?} el={el}: incomplete");
+            assert!(report.all_landed(&faults), "{:?}", report.fired);
             assert!(
                 mismatches.lock().unwrap().is_empty(),
                 "{technique:?} el={el}: replay diverged: {:?}",

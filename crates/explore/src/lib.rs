@@ -23,8 +23,10 @@
 //! 3. **Invariants.** Every run must complete within its event budget
 //!    (stall detection: a run the kernel stops at the cap reports
 //!    `event limit exceeded (N)` with its liveness summary), stay under
-//!    a per-scenario message ceiling (storm detection), record the
-//!    expected recoveries, replay to a
+//!    a per-scenario message ceiling (storm detection), land every
+//!    planned fault on a live target and recover from what fired
+//!    ([`RunReport::fired`]: a rank kill under single-rank recovery
+//!    completes a recovery, an EL-shard kill a re-shard), replay to a
 //!    byte-identical report (determinism under perturbation), and not
 //!    panic in-simulation — the ring program asserts exact per-channel
 //!    payload contents, which catches any FIFO or causal-order
@@ -53,8 +55,8 @@ use rand::SeedableRng;
 use vlog_core::{CausalSuite, CoordinatedSuite, PbFormat, PessimisticSuite, Technique};
 use vlog_sim::{env_knob, Decision, SimDuration, StopReason};
 use vlog_vmpi::{
-    app, run_cluster, AppSpec, ClusterConfig, FaultPlan, Payload, ProtoPhase, RecvSelector,
-    RunReport, Suite,
+    app, run_cluster, AppSpec, ClusterConfig, Fault, FaultPlan, Payload, ProtoPhase, RecoveryStyle,
+    RecvSelector, RunReport, Suite,
 };
 
 /// A raw decision as drawn/shrunk: `(delivery index, extra delay in ns)`.
@@ -127,7 +129,7 @@ pub struct RunOutcome {
 }
 
 /// One protocol configuration the explorer perturbs: a suite, a
-/// self-validating program, a fault plan and the invariant thresholds.
+/// self-validating program, a fault plan and a message ceiling.
 pub struct Scenario {
     /// Name for reports.
     pub name: &'static str,
@@ -137,10 +139,6 @@ pub struct Scenario {
     faults: FaultPlan,
     /// Hard ceiling on kernel message count (storm detector).
     pub message_ceiling: u64,
-    /// Completed recoveries the run must record (victims of the plan).
-    pub min_recoveries: usize,
-    /// EL shard re-balances the run must record (EL-failure plans).
-    pub min_reshards: u64,
 }
 
 /// Deterministic per-(rank, iteration) ring-message content. Every
@@ -200,12 +198,12 @@ fn skewed_ring_program(iters: u64, tail: SimDuration) -> AppSpec {
 }
 
 /// Full-report fingerprint: every observable the harness has, the
-/// liveness verdict and the decisions that fired included. Two runs of
-/// the same scenario under the same script must produce identical
-/// fingerprints (replay convergence).
+/// liveness verdict, the decisions that fired and the faults that fired
+/// included. Two runs of the same scenario under the same script must
+/// produce identical fingerprints (replay convergence).
 pub fn fingerprint(report: &RunReport) -> String {
     format!(
-        "suite={} completed={} makespan={:?} events={} stats={:?} ranks={:?} liveness={:?} applied={:?}",
+        "suite={} completed={} makespan={:?} events={} stats={:?} ranks={:?} liveness={:?} applied={:?} fired={:?}",
         report.suite,
         report.completed,
         report.makespan,
@@ -214,6 +212,7 @@ pub fn fingerprint(report: &RunReport) -> String {
         report.rank_stats,
         report.liveness,
         report.applied,
+        report.fired,
     )
 }
 
@@ -235,7 +234,6 @@ impl Scenario {
         iters: u64,
         faults: FaultPlan,
         message_ceiling: u64,
-        min_recoveries: usize,
     ) -> Scenario {
         let mut cfg = ClusterConfig::new(ranks);
         cfg.detect_delay = SimDuration::from_millis(10);
@@ -254,15 +252,13 @@ impl Scenario {
             cfg,
             faults,
             message_ceiling,
-            min_recoveries,
-            min_reshards: 0,
         }
     }
 
     /// Runs the scenario once under `raw` and checks every per-run
-    /// invariant (completion, message ceiling, expected recoveries,
-    /// in-simulation panics). Replay convergence spans two runs and is
-    /// checked by [`explore`].
+    /// invariant (completion, message ceiling, liveness, the faults'
+    /// premise and their recoveries, in-simulation panics). Replay
+    /// convergence spans two runs and is checked by [`explore`].
     pub fn run_raw(&self, raw: &[RawDecision]) -> RunOutcome {
         self.run_capped(raw, self.cfg.event_limit)
     }
@@ -321,25 +317,7 @@ impl Scenario {
                 liveness.map(|l| l.summary()).unwrap_or_default()
             ))
         } else {
-            let recoveries: usize = report
-                .rank_stats
-                .iter()
-                .map(|s| s.recovery_total.len())
-                .sum();
-            if recoveries < self.min_recoveries {
-                Some(format!(
-                    "lost recovery: {recoveries} completed recoveries, expected >= {}",
-                    self.min_recoveries
-                ))
-            } else if report.el_reshards() < self.min_reshards {
-                Some(format!(
-                    "lost re-shard: {} EL re-balances recorded, expected >= {}",
-                    report.el_reshards(),
-                    self.min_reshards
-                ))
-            } else {
-                None
-            }
+            self.fault_violation(&report)
         };
         RunOutcome {
             fingerprint: violation.is_none().then(|| fingerprint(&report)),
@@ -347,6 +325,35 @@ impl Scenario {
             events: report.events,
             stopped: report.stopped,
             applied: report.applied,
+        }
+    }
+
+    /// The faults' invariant (module docs, item 3); a global rollback
+    /// records no recovery, so only single-rank recovery is held to one.
+    fn fault_violation(&self, report: &RunReport) -> Option<String> {
+        let killed = |el| {
+            report
+                .fired
+                .iter()
+                .any(|f| matches!(f.fault, Fault::El(..)) == el)
+        };
+        let recoveries: usize = report
+            .rank_stats
+            .iter()
+            .map(|s| s.recovery_total.len())
+            .sum();
+        let single = self.suite.recovery_style() == RecoveryStyle::SingleRank;
+        if !report.all_landed(&self.faults) {
+            Some(format!(
+                "lost fault: {:?} fired of {:?}",
+                report.fired, self.faults
+            ))
+        } else if killed(false) && single && recoveries == 0 {
+            Some("lost recovery: a rank kill fired, no recovery completed".into())
+        } else if killed(true) && report.el_reshards() == 0 {
+            Some("lost re-shard: an EL-shard kill fired, no re-shard recorded".into())
+        } else {
+            None
         }
     }
 }
@@ -367,7 +374,6 @@ pub fn default_scenarios() -> Vec<Scenario> {
             80,
             kill0(),
             60_000,
-            1,
         ),
         Scenario::new(
             "manetho-noel/crash",
@@ -379,7 +385,6 @@ pub fn default_scenarios() -> Vec<Scenario> {
             80,
             kill0(),
             60_000,
-            1,
         ),
         Scenario::new(
             "pessimistic/crash",
@@ -388,7 +393,6 @@ pub fn default_scenarios() -> Vec<Scenario> {
             80,
             kill0(),
             60_000,
-            1,
         ),
         Scenario::new(
             "coordinated/crash",
@@ -397,7 +401,6 @@ pub fn default_scenarios() -> Vec<Scenario> {
             120,
             FaultPlan::kill_at(SimDuration::from_millis(12), 1),
             60_000,
-            0,
         ),
         Scenario::new(
             "causal+el/phase-det-shipped",
@@ -409,7 +412,6 @@ pub fn default_scenarios() -> Vec<Scenario> {
             80,
             FaultPlan::kill_at_phase(ProtoPhase::DeterminantShipped, 1, 5),
             60_000,
-            1,
         ),
         Scenario::new(
             "causal+el/phase-ack-received",
@@ -421,7 +423,6 @@ pub fn default_scenarios() -> Vec<Scenario> {
             80,
             FaultPlan::kill_at_phase(ProtoPhase::AckReceived, 0, 3),
             60_000,
-            1,
         ),
         Scenario::new(
             "pessimistic/phase-det-shipped",
@@ -430,7 +431,6 @@ pub fn default_scenarios() -> Vec<Scenario> {
             80,
             FaultPlan::kill_at_phase(ProtoPhase::DeterminantShipped, 1, 5),
             60_000,
-            1,
         ),
         Scenario::new(
             "coordinated/phase-marker-sent",
@@ -439,7 +439,6 @@ pub fn default_scenarios() -> Vec<Scenario> {
             120,
             FaultPlan::kill_at_phase(ProtoPhase::MarkerSent, 1, 1),
             60_000,
-            0,
         ),
         Scenario::new(
             "causal+el/phase-image-fetched",
@@ -458,51 +457,40 @@ pub fn default_scenarios() -> Vec<Scenario> {
                 1,
             ),
             60_000,
-            1,
         ),
-        {
-            // Distributed EL losing a shard mid-run: shard 0 dies, its
-            // ranks re-shard onto shard 1, unacked batches are handed
-            // off — the run must still complete with no rank recovery.
-            let mut s = Scenario::new(
-                "causal+el2/el-failure",
-                Arc::new(
-                    CausalSuite::new(Technique::Vcausal, true)
-                        .with_checkpoints(SimDuration::from_millis(4))
-                        .with_distributed_el(2, SimDuration::from_millis(2)),
-                ),
-                3,
-                80,
-                // Early kill: the re-shard lands at 2ms + the 10ms
-                // detection delay, well inside the ~15ms run.
-                FaultPlan::kill_el_at(SimDuration::from_millis(2), 0),
-                60_000,
-                0,
-            );
-            s.min_reshards = 1;
-            s
-        },
-        {
-            // EL failure compounded by a rank crash after the re-shard:
-            // rank 1 recovers against the survivor shard (its own shard,
-            // 1, is the one that lived).
-            let mut s = Scenario::new(
-                "causal+el2/el-failure+crash",
-                Arc::new(
-                    CausalSuite::new(Technique::Vcausal, true)
-                        .with_checkpoints(SimDuration::from_millis(4))
-                        .with_distributed_el(2, SimDuration::from_millis(2)),
-                ),
-                3,
-                80,
-                FaultPlan::kill_el_at(SimDuration::from_millis(2), 0)
-                    .then_kill(SimDuration::from_millis(14), 1),
-                60_000,
-                1,
-            );
-            s.min_reshards = 1;
-            s
-        },
+        // Distributed EL losing a shard mid-run: shard 0 dies, its
+        // ranks re-shard onto shard 1, unacked batches are handed
+        // off — the run must still complete with no rank recovery.
+        Scenario::new(
+            "causal+el2/el-failure",
+            Arc::new(
+                CausalSuite::new(Technique::Vcausal, true)
+                    .with_checkpoints(SimDuration::from_millis(4))
+                    .with_distributed_el(2, SimDuration::from_millis(2)),
+            ),
+            3,
+            80,
+            // Early kill: the re-shard lands at 2ms + the 10ms
+            // detection delay, well inside the ~15ms run.
+            FaultPlan::kill_el_at(SimDuration::from_millis(2), 0),
+            60_000,
+        ),
+        // EL failure compounded by a rank crash after the re-shard:
+        // rank 1 recovers against the survivor shard (its own shard,
+        // 1, is the one that lived).
+        Scenario::new(
+            "causal+el2/el-failure+crash",
+            Arc::new(
+                CausalSuite::new(Technique::Vcausal, true)
+                    .with_checkpoints(SimDuration::from_millis(4))
+                    .with_distributed_el(2, SimDuration::from_millis(2)),
+            ),
+            3,
+            80,
+            FaultPlan::kill_el_at(SimDuration::from_millis(2), 0)
+                .then_kill(SimDuration::from_millis(14), 1),
+            60_000,
+        ),
         Scenario::new(
             // Compact wire format + send-side stability pruning under a
             // mid-run crash: the victim's replay must converge to the
@@ -520,7 +508,6 @@ pub fn default_scenarios() -> Vec<Scenario> {
             80,
             kill0(),
             60_000,
-            1,
         ),
     ]
 }
@@ -552,7 +539,6 @@ pub fn buggy_restart_window_scenario() -> Scenario {
             1,
         ),
         60_000,
-        1,
     );
     // Fast detection keeps the replacement's boot inside the replay
     // supplies' flight time (the clean run still completes — only the
@@ -579,7 +565,6 @@ pub fn buggy_marker_storm_scenario() -> Scenario {
         FaultPlan::none(),
         // The clean run sends ~200 messages; the storm sends thousands.
         2_000,
-        0,
     );
     // The storm needs finished ranks answering markers while the run is
     // still going: rank 0 lingers after the ring, so the two finished
@@ -865,7 +850,33 @@ mod tests {
         let print = fingerprint(&report);
         assert!(print.contains(&format!("applied={:?}", report.applied)));
         assert!(print.contains(&format!("liveness={:?}", report.liveness)));
+        assert!(report.all_landed(&scenario.faults), "{:?}", report.fired);
+        assert!(print.contains(&format!("fired={:?}", report.fired)));
         assert_eq!(print, fingerprint(&run()), "same script, same fingerprint");
+    }
+
+    /// The premise of every scenario: on its unperturbed schedule each
+    /// planned fault lands on a live target (run_raw checks it).
+    #[test]
+    fn every_scenario_lands_its_faults_on_the_baseline_schedule() {
+        for scenario in default_scenarios() {
+            let outcome = scenario.run_raw(&[]);
+            assert!(
+                outcome.violation.is_none(),
+                "{} baseline violated: {:?}",
+                scenario.name,
+                outcome.violation
+            );
+        }
+    }
+
+    #[test]
+    fn a_planned_fault_the_run_outlives_is_a_violation() {
+        let mut scenario = default_scenarios().swap_remove(0);
+        scenario.faults = scenario.faults.then_kill(SimDuration::from_secs(1), 2);
+        let outcome = scenario.run_raw(&[]);
+        let violation = outcome.violation.expect("an unfired fault passed");
+        assert!(violation.starts_with("lost fault"), "{violation}");
     }
 
     #[test]
@@ -875,7 +886,7 @@ mod tests {
             .iter()
             .find(|s| s.name == "causal+el/compact+prune")
             .expect("compact+prune scenario is registered");
-        // min_recoveries = 1 makes run_raw itself assert the victim
+        // A fired rank kill makes run_raw itself assert the victim
         // recovered; a clean outcome means replay converged through the
         // compact codec and pruning path.
         let outcome = scenario.run_raw(&[]);

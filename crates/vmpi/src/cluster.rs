@@ -22,7 +22,7 @@
 //! components of one run have in common, is one plain struct,
 //! [`ClusterState`], installed in the run's kernel
 //! ([`vlog_sim::Sim::install`]): the topology, the per-rank statistics,
-//! the set of finished ranks, the armed phase faults and what launching a
+//! the set of finished ranks, the fault table and what launching a
 //! daemon needs. A run is single-threaded and every handler is handed
 //! `&mut Sim`, so each of them reaches the state by plain borrow
 //! ([`ClusterState::of`], [`topo`], [`crate::Ctx::topo`],
@@ -34,15 +34,16 @@
 //!
 //! What shapes a run is plain data on its [`ClusterConfig`] — the
 //! perturbation script included ([`ClusterConfig::schedule`], the
-//! decisions of [`vlog_sim::schedule`]) — so a config is cloned and
-//! sent to a worker thread as is. What a run did is plain data
-//! on its [`RunReport`]: the decisions that fired
+//! decisions of [`vlog_sim::schedule`]) — and on its [`FaultPlan`], so
+//! both are cloned and sent to a worker thread as is. What a run did is
+//! plain data on its [`RunReport`]: the decisions that fired
 //! ([`RunReport::applied`]; put them back in `schedule` and the run
-//! repeats byte for byte) and how it ended. A run ends in one of three
-//! ways, and the report tells them apart: the loop returned on its own —
-//! the dispatcher stopped it on completion or the calendar drained —
-//! and `completed` says whether every rank finished; or the kernel cut
-//! it at [`ClusterConfig::event_limit`] or at
+//! repeats byte for byte), the planned faults that fired, when and on
+//! which incarnation ([`RunReport::fired`]), and how it ended. A run
+//! ends in one of three ways, and the report tells them apart: the loop
+//! returned on its own — the dispatcher stopped it on completion or the
+//! calendar drained — and `completed` says whether every rank finished;
+//! or the kernel cut it at [`ClusterConfig::event_limit`] or at
 //! [`ClusterConfig::time_limit`], and [`RunReport::stopped`] carries the
 //! typed reason. With [`ClusterConfig::export_liveness`] the report of
 //! any of the three also names what the run was still waiting for.
@@ -53,15 +54,15 @@ use std::sync::Arc;
 use vlog_sim::causality::{self, LivenessReport};
 use vlog_sim::{
     env_knob, ActorId, Decision, Event, NetProfile, NodeId, Sim, SimConfig, SimDuration, SimTime,
-    Stats, StopReason, WireSize,
+    Stats, StopReason,
 };
 
 use crate::ckpt::CkptServer;
 use crate::cost::StackProfile;
 use crate::daemon::{AppSpec, BootMode, Vdaemon, TOKEN_BOOT};
-use crate::dispatcher::{Dispatcher, DispatcherMsg};
-use crate::hooks::{ElReshard, RankStats, Suite, TopoView};
-use crate::phase::{PhaseFault, PhaseFaults, ProtoPhase};
+use crate::dispatcher::Dispatcher;
+use crate::fault::{self, FaultPlan, FaultTable, Fired};
+use crate::hooks::{RankStats, Suite, TopoView};
 use crate::types::Rank;
 
 /// Static description of one run.
@@ -151,93 +152,6 @@ pub struct SeededBugs {
     pub marker_storm: bool,
 }
 
-/// A schedule of fail-stop faults: timed crashes and/or crashes armed on
-/// protocol-phase boundaries (see [`crate::phase`]).
-#[derive(Debug, Clone, Default)]
-pub struct FaultPlan {
-    /// `(virtual time, rank)` crash events.
-    pub faults: Vec<(SimDuration, Rank)>,
-    /// Crashes armed on protocol-phase boundaries.
-    pub phase_faults: Vec<PhaseFault>,
-    /// `(virtual time, shard index)` Event Logger shard crashes. After
-    /// the detection delay the topology republishes its rank→shard map
-    /// and every rank is notified with an [`crate::ElReshard`].
-    pub el_faults: Vec<(SimDuration, usize)>,
-}
-
-impl FaultPlan {
-    pub fn none() -> Self {
-        FaultPlan::default()
-    }
-
-    /// One crash of `rank` at `t`.
-    pub fn kill_at(t: SimDuration, rank: Rank) -> Self {
-        FaultPlan {
-            faults: vec![(t, rank)],
-            ..FaultPlan::default()
-        }
-    }
-
-    /// One crash of `rank` the `nth` time (1-based) it crosses `phase`.
-    pub fn kill_at_phase(phase: ProtoPhase, rank: Rank, nth: u64) -> Self {
-        FaultPlan {
-            phase_faults: vec![PhaseFault { phase, rank, nth }],
-            ..FaultPlan::default()
-        }
-    }
-
-    /// Adds one more crash of `rank` at `t` to the schedule (builder
-    /// form, so targeted plans — hub failures, double faults — compose
-    /// from `kill_at`).
-    pub fn then_kill(mut self, t: SimDuration, rank: Rank) -> Self {
-        self.faults.push((t, rank));
-        self
-    }
-
-    /// Adds one more phase-armed crash to the schedule (builder form).
-    pub fn then_kill_at_phase(mut self, phase: ProtoPhase, rank: Rank, nth: u64) -> Self {
-        self.phase_faults.push(PhaseFault { phase, rank, nth });
-        self
-    }
-
-    /// One crash of Event Logger shard `shard` at `t`.
-    pub fn kill_el_at(t: SimDuration, shard: usize) -> Self {
-        FaultPlan {
-            el_faults: vec![(t, shard)],
-            ..FaultPlan::default()
-        }
-    }
-
-    /// Adds one more Event Logger shard crash to the schedule (builder
-    /// form, so combined EL + rank fault storms compose).
-    pub fn then_kill_el_at(mut self, t: SimDuration, shard: usize) -> Self {
-        self.el_faults.push((t, shard));
-        self
-    }
-
-    /// True when the plan schedules no faults at all.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty() && self.phase_faults.is_empty() && self.el_faults.is_empty()
-    }
-
-    /// Periodic crashes: one fault every `period` starting at `start`,
-    /// cycling over ranks `0..n`, until `until`.
-    pub fn periodic(start: SimDuration, period: SimDuration, n: usize, until: SimDuration) -> Self {
-        let mut faults = Vec::new();
-        let mut t = start;
-        let mut r = 0usize;
-        while t < until {
-            faults.push((t, r));
-            r = (r + 1) % n;
-            t += period;
-        }
-        FaultPlan {
-            faults,
-            ..FaultPlan::default()
-        }
-    }
-}
-
 /// Everything a harness wants to know after a run.
 pub struct RunReport {
     /// Name of the protocol suite.
@@ -260,6 +174,10 @@ pub struct RunReport {
     /// firing order; as the `schedule` of the same configuration they
     /// reproduce this run.
     pub applied: Vec<Decision>,
+    /// Every crash step the [`FaultPlan`] ran, in the order they ran. A
+    /// plan entry fires at most once; one the run ended before is
+    /// missing.
+    pub fired: Vec<Fired>,
     /// Analyzed causality log, present only when
     /// [`ClusterConfig::export_liveness`] (or `VLOG_CAUSALITY`)
     /// requested it — never part of a determinism fingerprint.
@@ -267,6 +185,12 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// Whether every entry of `plan` fired on a live target. Each entry
+    /// fires at most once, so that is as many live firings as entries.
+    pub fn all_landed(&self, plan: &FaultPlan) -> bool {
+        self.fired.iter().filter(|f| !f.noop).count() == plan.entries().count()
+    }
+
     /// Piggybacked bytes as % of total exchanged bytes (Figure 7).
     pub fn piggyback_percent(&self) -> f64 {
         self.stats.piggyback_percent()
@@ -284,13 +208,6 @@ impl RunReport {
     /// traffic shape workload harnesses report alongside the scalars.
     pub fn msg_histogram(&self) -> &vlog_sim::MsgHistogram {
         &self.stats.msg_sizes
-    }
-
-    /// Companion histogram over per-message piggyback bytes (carrying
-    /// messages only): the shape of the causal metadata on the wire,
-    /// where [`RunReport::piggyback_percent`] is only its volume.
-    pub fn pb_histogram(&self) -> &vlog_sim::MsgHistogram {
-        &self.stats.pb_sizes
     }
 
     // ---- Event Logger saturation gauges --------------------------------
@@ -388,8 +305,8 @@ pub struct ClusterState {
     /// Ranks whose application finished its program, as reported to the
     /// dispatcher; a global rollback empties it.
     pub done: BTreeSet<Rank>,
-    /// Phase-armed faults still waiting for their crossing.
-    pub phase_faults: PhaseFaults,
+    /// The run's faults: phase kills still armed, and what fired.
+    pub faults: FaultTable,
     /// Delay between a crash and the dispatcher learning about it.
     pub detect_delay: SimDuration,
     /// See [`ClusterConfig::seeded_bugs`].
@@ -454,26 +371,6 @@ pub(crate) fn launch_rank(sim: &mut Sim, rank: Rank, mode: BootMode) {
     );
 }
 
-/// Fail-stop crash of `rank`'s node `delay` from now; the dispatcher
-/// learns of it one detection delay later and relaunches (or rolls
-/// back). The one path of timed and phase-armed faults alike.
-pub(crate) fn inject_crash(sim: &mut Sim, rank: Rank, delay: SimDuration) {
-    let state = ClusterState::of(sim);
-    let node = state.topo.node(rank);
-    let detect = delay + state.detect_delay;
-    let (dispatcher, stable_node) = state.topo.dispatcher().expect("dispatcher registered");
-    sim.after(delay, move |sim| sim.crash_node(node));
-    sim.after(detect, move |sim| {
-        sim.local_send(
-            stable_node,
-            dispatcher,
-            WireSize::default(),
-            Box::new(DispatcherMsg::Fault { rank }),
-            SimDuration::from_micros(1),
-        );
-    });
-}
-
 /// A fully built, not-yet-executed cluster run. Owns the simulation,
 /// which owns the run's [`ClusterState`]; `Send`, so it can be handed to
 /// a worker thread and executed there (see the compile-time assertion
@@ -497,7 +394,8 @@ const _: () = {
 
 impl ClusterRun {
     /// Builds the deployment for `program` on every rank under `suite`
-    /// and `faults` without executing any event.
+    /// and `faults` without executing any event. Panics if `faults`
+    /// names a rank or an Event Logger shard the run lacks.
     pub fn build(
         cfg: &ClusterConfig,
         suite: Arc<dyn Suite>,
@@ -553,7 +451,6 @@ impl ClusterRun {
 
         let mut state = ClusterState::with_ranks(daemon_ids, rank_nodes);
         state.topo.set_ckpt_server(ckpt, stable_a);
-        state.phase_faults = PhaseFaults::new(faults.phase_faults.clone());
         state.detect_delay = cfg.detect_delay;
         state.seeded_bugs = cfg.seeded_bugs;
         state.launch = Some(Launch {
@@ -575,46 +472,9 @@ impl ClusterRun {
             .topo
             .set_dispatcher(disp_id, stable_a);
 
-        // Event Logger shard faults: crash the shard's node, then — after
-        // the detection delay — rewrite the rank→shard map over the
-        // survivors and notify every rank daemon so its protocol hands
-        // its unacknowledged records over to the new shard. A shard
-        // never comes back, so killing one that is already down is a
-        // no-op at both steps.
-        for &(t, shard) in &faults.el_faults {
-            sim.after(t, move |sim| {
-                if let Some((actor, node)) = topo(sim).el_at(shard) {
-                    if sim.actor_alive(actor) {
-                        sim.crash_node(node);
-                        sim.stats_mut().bump("el_shard_crashes");
-                    }
-                }
-            });
-            sim.after(t + cfg.detect_delay, move |sim| {
-                let state = ClusterState::of(sim);
-                if !state.topo.rebalance_after_el_failure(shard) {
-                    // Nothing changed hands: the shard was already known
-                    // dead, or no survivor is left to rebalance onto.
-                    return;
-                }
-                sim.stats_mut().bump("el_reshards");
-                for rank in 0..n {
-                    let daemon = topo(sim).daemon(rank);
-                    sim.net_send(
-                        stable_a,
-                        daemon,
-                        WireSize::control(16),
-                        Box::new(ElReshard { dead_shard: shard }),
-                    );
-                }
-            });
-        }
-
-        // Fault plan: crash now, notify the dispatcher after the detection
-        // delay.
-        for &(t, rank) in &faults.faults {
-            inject_crash(&mut sim, rank, t);
-        }
+        // The fault plan goes in last: its detection steps need the
+        // dispatcher and its shard kills the suite's Event Loggers.
+        fault::arm(&mut sim, faults);
 
         ClusterRun {
             sim,
@@ -640,6 +500,7 @@ impl ClusterRun {
         let state = ClusterState::of(&mut self.sim);
         let completed = state.completed();
         let rank_stats = std::mem::take(&mut state.rank_stats);
+        let fired = std::mem::take(&mut state.faults.fired);
         RunReport {
             suite: self.suite_name,
             makespan: self.sim.now().saturating_since(SimTime::ZERO),
@@ -649,6 +510,7 @@ impl ClusterRun {
             events: self.sim.events_processed(),
             stopped: self.sim.stop_reason(),
             applied: self.sim.applied().to_vec(),
+            fired,
             liveness,
         }
     }
@@ -683,21 +545,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fault_plan_builders_compose() {
-        let plan = FaultPlan::kill_at(SimDuration::from_millis(5), 2)
-            .then_kill(SimDuration::from_millis(9), 0);
-        assert_eq!(
-            plan.faults,
-            vec![
-                (SimDuration::from_millis(5), 2),
-                (SimDuration::from_millis(9), 0)
-            ]
-        );
-        assert!(!plan.is_empty());
-        assert!(FaultPlan::none().is_empty());
-    }
-
-    #[test]
     fn el_gauge_accessors_read_the_counters() {
         let mut stats = Stats::new();
         stats.set_max("el_peak_queue", 7);
@@ -719,6 +566,7 @@ mod tests {
             events: 0,
             stopped: None,
             applied: Vec::new(),
+            fired: Vec::new(),
             liveness: None,
         };
         assert_eq!(report.el_peak_queue_depth(), 7);
@@ -745,6 +593,7 @@ mod tests {
             events: 0,
             stopped: None,
             applied: Vec::new(),
+            fired: Vec::new(),
             liveness: None,
         };
         assert_eq!(report.el_peak_queue_depth(), 0);

@@ -43,10 +43,10 @@ use vlog_sim::{
 
 use crate::api::Mpi;
 use crate::ckpt::{CkptReply, CkptRequest, Image};
-use crate::cluster::{inject_crash, topo, ClusterState};
+use crate::cluster::{topo, ClusterState};
 use crate::cost::StackProfile;
+use crate::fault::{self, ProtoPhase};
 use crate::hooks::{Ctx, ProtoBlob, RecvGate, SendGate, TopoView, VProtocol};
-use crate::phase::ProtoPhase;
 use crate::pipe::{AppPort, AppRequest};
 use crate::types::{
     AppMsg, DaemonMsg, Payload, PiggybackBlob, Rank, RecvMsg, RecvSelector, Ssn, Tag,
@@ -152,13 +152,6 @@ enum Inject {
     /// Run the full acceptance path again (live messages buffered during
     /// replay; they need fresh determinants).
     Reaccept(AppMsg),
-    /// Send an internal protocol message through the normal application
-    /// path (coordinated-checkpoint markers travel in-band).
-    InternalSend {
-        dst: Rank,
-        tag: Tag,
-        payload: Payload,
-    },
 }
 
 /// Daemon-internal self messages.
@@ -312,12 +305,6 @@ impl DaemonCore {
         self.inject.push_back(Inject::Reaccept(msg));
     }
 
-    /// Queues an internal in-band message (e.g. a Chandy-Lamport marker).
-    pub fn internal_send(&mut self, dst: Rank, tag: Tag, payload: Payload) {
-        self.inject
-            .push_back(Inject::InternalSend { dst, tag, payload });
-    }
-
     /// Asks the daemon to re-run the transmit path for held sends
     /// (pessimistic logging releases).
     pub fn release_held(&mut self) {
@@ -375,18 +362,6 @@ impl DaemonCore {
     /// timer was cancelled.
     pub fn cancel_proto_timer(&self, sim: &mut Sim, handle: TimerHandle) -> bool {
         sim.cancel_timer(handle)
-    }
-
-    /// Reports that this rank crossed a protocol-phase boundary; a
-    /// matching armed [`crate::PhaseFault`] crashes the rank at the
-    /// current instant — scheduled, never re-entering the reporting
-    /// handler — and the dispatcher learns of it after the same detection
-    /// delay a timed fault uses. No-op when none is armed.
-    pub fn phase_boundary(&self, sim: &mut Sim, phase: ProtoPhase) {
-        let faults = &mut ClusterState::of(sim).phase_faults;
-        if let Some(fault) = faults.crossed(self.rank, phase) {
-            inject_crash(sim, fault.rank, SimDuration::ZERO);
-        }
     }
 
     // ---- internal helpers -------------------------------------------
@@ -634,7 +609,7 @@ impl Vdaemon {
         // The restored image (or scratch state) is in place: the
         // ImageFetched boundary. Faults armed here model a crash during
         // recovery (a double fault from the protocol's point of view).
-        self.core.phase_boundary(sim, ProtoPhase::ImageFetched);
+        fault::crossed(sim, self.core.rank, ProtoPhase::ImageFetched);
         // Re-feed everything that arrived during the restart window, in
         // arrival order, now that the restored watermarks and the
         // protocol's recovery state exist: replay supplies land in the
@@ -1024,9 +999,6 @@ impl Vdaemon {
                     // accepted once (its ssn was consumed) or is being fed
                     // back in channel order by the protocol.
                     self.accept_reinjected(sim, msg);
-                }
-                Inject::InternalSend { dst, tag, payload } => {
-                    self.handle_app_send(sim, dst, tag, payload, None);
                 }
             }
         }

@@ -34,7 +34,7 @@ use vlog_sim::{ActorId, NodeId, Sim, SimDuration, SimTime};
 
 use crate::cluster::ClusterState;
 use crate::daemon::DaemonCore;
-use crate::phase::ProtoPhase;
+use crate::fault::{self, ProtoPhase};
 use crate::types::{AppMsg, Payload, PiggybackBlob, Rank, Ssn};
 
 /// Where everything lives: the static deployment of Figure 5. One per
@@ -202,7 +202,7 @@ impl Ctx<'_> {
     /// shipment, EL ack); an armed [`crate::PhaseFault`] matching the
     /// crossing schedules the crash. No-op when none is armed.
     pub fn phase_boundary(&mut self, phase: ProtoPhase) {
-        self.core.phase_boundary(self.sim, phase);
+        fault::crossed(self.sim, self.core.rank(), phase);
     }
 }
 

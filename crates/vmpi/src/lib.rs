@@ -23,6 +23,7 @@
 //! * [`scheduler`] — the checkpoint scheduler (round-robin / random /
 //!   coordinated policies);
 //! * [`dispatcher`] — job launch, fault detection, restart/rollback;
+//! * [`fault`] — fault plans, the one path they take, what fired;
 //! * [`cluster`] — the deployment builder used by every experiment.
 //!
 //! Fault-tolerance protocols themselves (causal message logging with its
@@ -36,8 +37,8 @@ pub mod collectives;
 pub mod cost;
 pub mod daemon;
 pub mod dispatcher;
+pub mod fault;
 pub mod hooks;
-pub mod phase;
 pub mod pipe;
 pub mod scheduler;
 pub mod types;
@@ -45,17 +46,17 @@ pub mod vdummy;
 
 pub use api::{decode_f64s, encode_f64s, Mpi};
 pub use cluster::{
-    run_cluster, run_vdummy, topo, ClusterConfig, ClusterRun, ClusterState, FaultPlan, Launch,
-    RunReport, SeededBugs,
+    run_cluster, run_vdummy, topo, ClusterConfig, ClusterRun, ClusterState, Launch, RunReport,
+    SeededBugs,
 };
 pub use collectives::{ReduceOp, RESERVED_TAG_BASE};
 pub use cost::StackProfile;
 pub use daemon::{app, AppSpec, BootMode, DaemonCore, Vdaemon};
+pub use fault::{Fault, FaultPlan, Fired, PhaseFault, ProtoPhase};
 pub use hooks::{
     Ctx, ElReshard, ProtoBlob, RankStats, RecoveryStyle, RecvGate, SchedulerCmd, SendGate, Suite,
     TopoView, VProtocol,
 };
-pub use phase::{PhaseFault, PhaseFaults, ProtoPhase};
 pub use scheduler::{CkptScheduler, SchedulerPolicy};
 pub use types::{
     AppMsg, DaemonMsg, Payload, PayloadArena, PiggybackBlob, RClock, Rank, RecvMsg, RecvSelector,

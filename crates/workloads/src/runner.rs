@@ -12,11 +12,6 @@ pub mod faults {
     use super::*;
     use crate::workload::Workload;
 
-    /// Kill rank 0 halfway through an estimated makespan.
-    pub fn kill_rank0_at(half_of: SimDuration) -> FaultPlan {
-        FaultPlan::kill_at(half_of.mul_f64(0.5), 0)
-    }
-
     /// Hub failure: kills the workload's most load-bearing rank
     /// ([`Workload::hub_rank`]) at `t` — the highest-degree rank of a
     /// halo graph, the busiest server of a bursty service, rank 0
@@ -28,14 +23,26 @@ pub mod faults {
         FaultPlan::kill_at(t, workload.hub_rank())
     }
 
-    /// Periodic faults at `per_minute` faults per virtual minute, cycling
-    /// over `n` ranks, until `until`.
+    /// Periodic faults at `per_minute` faults per virtual minute, one
+    /// every period from one period in, cycling over ranks `0..n`,
+    /// until `until`; none at a rate of zero or less. Panics on `n == 0`
+    /// and on a zero or non-finite period.
     pub fn periodic_per_minute(per_minute: f64, n: usize, until: SimDuration) -> FaultPlan {
+        assert!(n > 0, "no ranks to cycle faults over");
+        let mut plan = FaultPlan::none();
         if per_minute <= 0.0 {
-            return FaultPlan::none();
+            return plan;
         }
-        let period = SimDuration::from_secs_f64(60.0 / per_minute);
-        FaultPlan::periodic(period, period, n, until)
+        let secs = 60.0 / per_minute;
+        assert!(secs.is_finite(), "{per_minute}/min: not a finite period");
+        let period = SimDuration::from_secs_f64(secs);
+        assert!(period > SimDuration::ZERO, "{per_minute}/min: zero period");
+        let mut t = period;
+        while t < until {
+            plan.faults.push((t, plan.faults.len() % n));
+            t += period;
+        }
+        plan
     }
 }
 
@@ -63,5 +70,29 @@ mod tests {
         assert_eq!(plan.faults[1].1, 1);
         let none = faults::periodic_per_minute(0.0, 4, SimDuration::from_secs(60));
         assert!(none.faults.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "zero period")]
+    fn periodic_faults_reject_a_zero_period() {
+        faults::periodic_per_minute(f64::INFINITY, 4, SimDuration::from_secs(60));
+    }
+
+    #[test]
+    #[should_panic(expected = "not a finite period")]
+    fn periodic_faults_reject_a_period_that_is_not_finite() {
+        faults::periodic_per_minute(f64::MIN_POSITIVE, 4, SimDuration::from_secs(60));
+    }
+
+    #[test]
+    #[should_panic(expected = "not a finite period")]
+    fn periodic_faults_reject_a_rate_that_is_not_a_number() {
+        faults::periodic_per_minute(f64::NAN, 4, SimDuration::from_secs(60));
+    }
+
+    #[test]
+    #[should_panic(expected = "no ranks")]
+    fn periodic_faults_reject_zero_ranks() {
+        faults::periodic_per_minute(2.0, 0, SimDuration::from_secs(120));
     }
 }

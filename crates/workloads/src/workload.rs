@@ -251,6 +251,7 @@ mod tests {
                 events: 0,
                 stopped: None,
                 applied: Vec::new(),
+                fired: Vec::new(),
                 liveness: None,
             },
             total_flops: flops,

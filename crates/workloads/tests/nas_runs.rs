@@ -121,13 +121,10 @@ fn lu_survives_a_fault_under_causal_logging() {
     let suite = Arc::new(
         CausalSuite::new(Technique::Vcausal, true).with_checkpoints(SimDuration::from_millis(50)),
     );
-    let run = run_workload(
-        &nas,
-        &c,
-        suite,
-        &FaultPlan::kill_at(SimDuration::from_millis(40), 1),
-    );
+    let plan = FaultPlan::kill_at(SimDuration::from_millis(40), 1);
+    let run = run_workload(&nas, &c, suite, &plan);
     assert!(run.report.completed, "LU with fault did not finish");
+    assert!(run.report.all_landed(&plan), "{:?}", run.report.fired);
     let recoveries: usize = run
         .report
         .rank_stats

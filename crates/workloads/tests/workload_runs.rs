@@ -114,13 +114,15 @@ fn new_families_survive_a_fault_under_causal_logging() {
             CausalSuite::new(Technique::Vcausal, true)
                 .with_checkpoints(SimDuration::from_millis(5)),
         );
-        let run = run_workload(
-            w.as_ref(),
-            &cfg,
-            suite,
-            &FaultPlan::kill_at(SimDuration::from_millis(6), 1),
-        );
+        let plan = FaultPlan::kill_at(SimDuration::from_millis(6), 1);
+        let run = run_workload(w.as_ref(), &cfg, suite, &plan);
         assert!(run.report.completed, "{} faulted run", run.label);
+        assert!(
+            run.report.all_landed(&plan),
+            "{}: {:?}",
+            run.label,
+            run.report.fired
+        );
         let recoveries: usize = run
             .report
             .rank_stats

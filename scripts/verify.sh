@@ -48,7 +48,7 @@ boundary_gate 'Mutex|unsafe' "the task<->daemon boundary must take no lock and n
 # kernel (crates/vmpi/src/cluster.rs, "What a run shares"): a run is
 # single-threaded, so a lock or an atomic here guards against nobody.
 boundary_gate 'Mutex|RwLock|AtomicBool|AtomicU64' "run state is reached through &mut Sim, not through a lock or an atomic" \
-    crates/vmpi/src/{hooks,daemon,cluster,dispatcher,scheduler,phase,ckpt}.rs \
+    crates/vmpi/src/{hooks,daemon,cluster,dispatcher,scheduler,fault,ckpt}.rs \
     crates/core/src/{el_multi,logcore,causal,pessimistic,coordinated,suite}.rs
 # The causality log is a plain value the run's Sim owns (crates/sim/src/
 # causality.rs module docs): per-thread or per-process state coming back
@@ -63,6 +63,24 @@ boundary_gate 'thread_local|AtomicBool|OnceLock|BTreeMap' "the causality log bel
 # policy trait means a config stopped being plain cloneable data.
 boundary_gate 'Mutex|dyn Fn|dyn SchedulePolicy' "a schedule goes in as data on the config and comes out as data on the report" \
     crates/sim/src/schedule.rs crates/explore/src/lib.rs
+# A planned fault takes effect in one place (crates/vmpi/src/fault.rs
+# module docs), which is what lets RunReport::fired say what landed. So
+# under crates/vmpi/src only the fault module crashes a node, apart from
+# the dispatcher's global rollback (rollback_all), and only the fault
+# module builds a DispatcherMsg::Fault; elsewhere the name may only be
+# matched (`=>`).
+fault_gate='FNR == 1 { live = 1; fn_name = "" }
+    /^#\[cfg\(test\)\]/ { live = 0 }
+    !live || /^[[:space:]]*\/\// { next }
+    match($0, /fn [a-z_0-9]+\(/) { fn_name = substr($0, RSTART + 3, RLENGTH - 4) }
+    FILENAME ~ /\/fault\.rs$/ { next }
+    /crash_node\(/ && !(FILENAME ~ /\/dispatcher\.rs$/ && fn_name == "rollback_all") { print FILENAME ":" FNR ": " $0 }
+    /DispatcherMsg::Fault/ && !/=>/ { print FILENAME ":" FNR ": " $0 }'
+if find crates/vmpi/src -name '*.rs' -print0 | xargs -0 awk "$fault_gate" | grep .; then
+    echo "a fault takes effect outside the fault module (lines above): crash and report it through crates/vmpi/src/fault.rs so RunReport::fired records it" >&2
+    exit 1
+fi
+echo "    boundary gate: ok (crash_node( and DispatcherMsg::Fault built only in crates/vmpi/src/fault.rs, besides rollback_all)"
 # The hang detector was a third way to end a run; time_limit +
 # export_liveness give the same stop with a typed reason.
 # (The bracket keeps this script out of its own and the issue's grep.)

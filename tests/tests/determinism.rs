@@ -85,11 +85,11 @@ fn run_report(suite: Arc<dyn Suite>, with_fault: bool, export_liveness: bool) ->
     };
     let report = run_cluster(&cfg, suite, program(), &faults);
     assert!(report.completed, "{} did not complete", report.suite);
-    assert_eq!(
-        report.stats.get("node_crashes") > 0,
-        with_fault,
-        "{}: the fault did not land",
-        report.suite
+    assert!(
+        report.all_landed(&faults),
+        "{}: the fault did not land: {:?}",
+        report.suite,
+        report.fired
     );
     report
 }
@@ -295,7 +295,7 @@ fn an_empty_schedule_is_the_unperturbed_run_on_every_suite() {
             };
             let report = run_cluster(&cfg, suite_for(idx), program(), &faults);
             assert!(report.completed, "{} did not complete", report.suite);
-            assert_eq!(report.stats.get("node_crashes") > 0, with_fault);
+            assert!(report.all_landed(&faults), "{:?}", report.fired);
             assert!(report.applied.is_empty());
             let text = fingerprint(&report);
             let hash = text.bytes().fold(0xCBF2_9CE4_8422_2325u64, |h, b| {
@@ -343,6 +343,13 @@ fn registered_workloads_survive_faults_on_every_suite_deterministically() {
             "{} under {} did not complete through the fault",
             run.label,
             kind.label()
+        );
+        assert!(
+            run.report.all_landed(&fault),
+            "{} under {}: the kill did not land: {:?}",
+            run.label,
+            kind.label(),
+            run.report.fired
         );
         assert!(
             run.mflops().is_finite(),
@@ -414,6 +421,13 @@ fn large_registry_survives_hub_failures_on_every_suite_deterministically() {
             kind.label(),
             w.hub_rank()
         );
+        assert!(
+            run.report.all_landed(&plan),
+            "{} under {}: the hub failure did not land: {:?}",
+            run.label,
+            kind.label(),
+            run.report.fired
+        );
         if kind.is_causal() {
             assert!(
                 run.report.stats.bytes.piggyback > 0,
@@ -477,19 +491,12 @@ fn compact_aggregated_bursty_is_deterministic_across_thread_counts() {
             "{} moved no piggyback bytes",
             run.label
         );
-        if with_fault {
-            let recoveries: usize = run
-                .report
-                .rank_stats
-                .iter()
-                .map(|s| s.recovery_total.len())
-                .sum();
-            assert!(
-                recoveries >= 1,
-                "{}: hub fault never fired — the run ended before the kill",
-                run.label
-            );
-        }
+        assert!(
+            run.report.all_landed(&plan),
+            "{}: the hub failure did not land: {:?}",
+            run.label,
+            run.report.fired
+        );
         format!(
             "agg-compact fault={with_fault} extra={:?} {}",
             run.extra,
@@ -548,6 +555,13 @@ fn net_axes_are_deterministic_fault_free_and_through_el_failure() {
             "{} on {} (el_fault={el_fault}) did not complete",
             run.label,
             axis.label()
+        );
+        assert!(
+            run.report.all_landed(&plan),
+            "{} on {}: the shard kill did not land: {:?}",
+            run.label,
+            axis.label(),
+            run.report.fired
         );
         if el_fault && axis.el_count >= 2 {
             assert!(

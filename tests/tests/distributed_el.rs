@@ -89,6 +89,7 @@ fn recovery_works_with_sharded_el() {
     let faults = FaultPlan::kill_at(SimDuration::from_millis(12), 1);
     let report = run_cluster(&cfg, suite, ring(100), &faults);
     assert!(report.completed, "sharded-EL recovery failed");
+    assert!(report.all_landed(&faults), "{:?}", report.fired);
     assert_eq!(report.rank_stats[1].recovery_total.len(), 1);
 }
 
@@ -108,7 +109,7 @@ fn el_shard_failure_reshards_and_the_run_completes() {
     let faults = FaultPlan::kill_el_at(SimDuration::from_millis(4), 0);
     let report = run_cluster(&cfg, suite, ring(150), &faults);
     assert!(report.completed, "run did not survive the EL-shard failure");
-    assert_eq!(report.stats.get("el_shard_crashes"), 1);
+    assert!(report.all_landed(&faults), "{:?}", report.fired);
     assert_eq!(report.stats.get("el_reshards"), 1);
     // Records kept flowing after the re-shard: the survivor logged (and
     // acked) events, including the handed-off unacked batches.
@@ -121,7 +122,7 @@ fn killing_a_shard_that_is_already_down_changes_nothing() {
     // same shard must not crash its node again, rebalance again or tell
     // every rank to re-ship its unacknowledged window to the shard it
     // is already on: the report is the single kill's.
-    let run = |faults: FaultPlan| {
+    let run = |faults: &FaultPlan| {
         let suite = Arc::new(
             CausalSuite::new(Technique::Vcausal, true)
                 .with_distributed_el(2, SimDuration::from_millis(2)),
@@ -129,19 +130,26 @@ fn killing_a_shard_that_is_already_down_changes_nothing() {
         let mut cfg = ClusterConfig::new(4);
         cfg.detect_delay = SimDuration::from_millis(2);
         cfg.event_limit = Some(50_000_000);
-        let report = run_cluster(&cfg, suite, ring(200), &faults);
+        let report = run_cluster(&cfg, suite, ring(200), faults);
         assert!(report.completed);
         report
     };
     let first = FaultPlan::kill_el_at(SimDuration::from_millis(5), 0);
-    let once = run(first.clone());
-    let twice = run(first.then_kill_el_at(SimDuration::from_millis(12), 0));
+    let once = run(&first);
+    let plan = first
+        .clone()
+        .then_kill_el_at(SimDuration::from_millis(12), 0);
+    let twice = run(&plan);
     assert!(
         twice.makespan > SimDuration::from_millis(14),
         "the second kill and its detection must land inside the run"
     );
+    // Both crash steps ran; the second found the shard already dead.
+    assert!(once.all_landed(&first));
+    let fired: Vec<_> = twice.fired.iter().map(|f| (f.fault, f.noop)).collect();
+    let entries: Vec<_> = plan.entries().collect();
+    assert_eq!(fired, vec![(entries[0], false), (entries[1], true)]);
     for report in [&once, &twice] {
-        assert_eq!(report.stats.get("el_shard_crashes"), 1);
         assert_eq!(report.stats.get("node_crashes"), 1);
         assert_eq!(report.el_reshards(), 1);
     }
@@ -172,6 +180,7 @@ fn rank_recovery_works_after_an_el_reshard() {
         .then_kill(SimDuration::from_millis(12), 1);
     let report = run_cluster(&cfg, suite, ring(150), &faults);
     assert!(report.completed, "recovery after re-shard failed");
+    assert!(report.all_landed(&faults), "{:?}", report.fired);
     assert_eq!(report.stats.get("el_reshards"), 1);
     assert_eq!(report.rank_stats[1].recovery_total.len(), 1);
 }

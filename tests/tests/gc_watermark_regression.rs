@@ -58,6 +58,7 @@ fn run_with(suite: Arc<dyn Suite>) {
         report.completed,
         "victim wedged: recovery starved by over-pruned sender logs"
     );
+    assert!(report.all_landed(&faults), "{:?}", report.fired);
     assert_eq!(report.rank_stats[0].recovery_total.len(), 1);
 }
 

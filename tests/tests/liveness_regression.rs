@@ -48,6 +48,7 @@ fn stalled_restart_window_names_the_dangling_recovery_edge() {
     cfg.seeded_bugs.restart_window = true;
     let plan = FaultPlan::kill_at(SimDuration::from_millis(5), victim);
     let run = run_workload(&w, &cfg, causal_suite(), &plan);
+    assert!(run.report.all_landed(&plan), "{:?}", run.report.fired);
     // The stall keeps its periodic timers running, so the calendar
     // never drains: the time limit ends the run, and the report says so
     // and carries the diagnosis.
@@ -90,6 +91,7 @@ fn clean_restart_window_run_is_liveness_clean() {
     let plan = FaultPlan::kill_at(SimDuration::from_millis(5), victim);
     let run = run_workload(&w, &cfg, causal_suite(), &plan);
     assert!(run.report.completed, "clean FT.S/8 control did not recover");
+    assert!(run.report.all_landed(&plan), "{:?}", run.report.fired);
     assert_eq!(run.report.stopped, None, "a limit cut a run that completed");
     let live = run.report.liveness.as_ref().expect("liveness exported");
     assert!(

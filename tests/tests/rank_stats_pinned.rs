@@ -33,7 +33,9 @@ fn cell(time_limit: Option<SimDuration>) -> RunReport {
         CausalSuite::new(Technique::Vcausal, true).with_checkpoints(SimDuration::from_millis(20)),
     );
     let faults = FaultPlan::kill_at(SimDuration::from_millis(600), VICTIM);
-    run_workload(&w, &cfg, suite, &faults).report
+    let report = run_workload(&w, &cfg, suite, &faults).report;
+    assert!(report.all_landed(&faults), "{:?}", report.fired);
+    report
 }
 
 fn assert_pinned(report: &RunReport, pinned: &[&str; 16]) {

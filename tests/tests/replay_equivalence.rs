@@ -7,6 +7,12 @@
 //! A divergence is reported structurally ([`vlog_sim::diff`]): the
 //! failure names the first differing trace entry, not two thousand-line
 //! vector dumps.
+//!
+//! Every kill is drawn inside the fault-free run (the 40-iteration
+//! causal ring ends at 9.4–9.7 ms, the 30-iteration pessimistic ring at
+//! 11.4 ms), and every faulted run asserts from `RunReport::fired` that
+//! each kill landed on a live rank: a kill after the end would compare
+//! two fault-free runs.
 
 use std::sync::{Arc, Mutex};
 
@@ -73,23 +79,27 @@ fn program(iters: u64, seed: u8, trace: Trace) -> AppSpec {
     })
 }
 
+/// Runs the program under `faults` and returns its sorted, deduplicated
+/// delivery trace, after checking that the run completed and that every
+/// planned kill landed.
 fn run_once(
     suite: Arc<dyn Suite>,
     iters: u64,
     seed: u8,
-    fault_ms: Option<(u64, usize)>,
+    faults: &FaultPlan,
 ) -> Vec<(usize, u64, usize, u8)> {
     let trace: Trace = Arc::new(Mutex::new(Vec::new()));
     let prog = program(iters, seed, trace.clone());
     let mut cfg = ClusterConfig::new(N);
     cfg.detect_delay = SimDuration::from_millis(8);
     cfg.event_limit = Some(50_000_000);
-    let faults = match fault_ms {
-        Some((ms, rank)) => FaultPlan::kill_at(SimDuration::from_millis(ms), rank),
-        None => FaultPlan::none(),
-    };
-    let report = run_cluster(&cfg, suite, prog, &faults);
+    let report = run_cluster(&cfg, suite, prog, faults);
     assert!(report.completed, "run did not complete");
+    assert!(
+        report.all_landed(faults),
+        "not every kill of {faults:?} landed: {:?}",
+        report.fired
+    );
     let mut t = trace.lock().unwrap().clone();
     t.sort_unstable();
     t.dedup(); // the victim re-observes its replayed prefix
@@ -103,8 +113,13 @@ fn check_equivalence(
     at: u64,
     victim: usize,
 ) {
-    let clean = run_once(mk(), iters, seed, None);
-    let faulted = run_once(mk(), iters, seed, Some((at, victim)));
+    let clean = run_once(mk(), iters, seed, &FaultPlan::none());
+    let faulted = run_once(
+        mk(),
+        iters,
+        seed,
+        &FaultPlan::kill_at(SimDuration::from_millis(at), victim),
+    );
     assert_traces_identical(
         &format!("after recovery (seed {seed}, fault at {at}ms on rank {victim})"),
         &clean,
@@ -135,7 +150,7 @@ proptest! {
     #[test]
     fn causal_replay_is_trace_equivalent(
         seed in 0u8..255,
-        at in 3u64..25,
+        at in 2u64..9,
         victim in 0usize..N,
         technique_idx in 0usize..3,
         el in any::<bool>(),
@@ -158,7 +173,7 @@ proptest! {
     #[test]
     fn pessimistic_replay_is_trace_equivalent(
         seed in 0u8..255,
-        at in 3u64..25,
+        at in 2u64..11,
         victim in 0usize..N,
     ) {
         check_equivalence(
@@ -179,23 +194,11 @@ fn double_fault_on_different_ranks_is_trace_equivalent() {
                 .with_checkpoints(SimDuration::from_millis(6)),
         )
     };
-    let clean = run_once(mk(), 60, 7, None);
-    let trace: Trace = Arc::new(Mutex::new(Vec::new()));
-    let prog = program(60, 7, trace.clone());
-    let mut cfg = ClusterConfig::new(N);
-    cfg.detect_delay = SimDuration::from_millis(8);
-    cfg.event_limit = Some(50_000_000);
-    let faults = FaultPlan {
-        faults: vec![
-            (SimDuration::from_millis(6), 0),
-            (SimDuration::from_millis(30), 2),
-        ],
-        ..FaultPlan::default()
-    };
-    let report = run_cluster(&cfg, mk(), prog, &faults);
-    assert!(report.completed);
-    let mut t = trace.lock().unwrap().clone();
-    t.sort_unstable();
-    t.dedup();
-    assert_traces_identical("after double-fault recovery", &clean, &t);
+    let clean = run_once(mk(), 60, 7, &FaultPlan::none());
+    // The run with the first kill alone ends at 23.2 ms: the second kill
+    // lands in the first one's recovered tail.
+    let faults = FaultPlan::kill_at(SimDuration::from_millis(6), 0)
+        .then_kill(SimDuration::from_millis(20), 2);
+    let faulted = run_once(mk(), 60, 7, &faults);
+    assert_traces_identical("after double-fault recovery", &clean, &faulted);
 }

@@ -40,6 +40,7 @@ fn run_ft8(suite: Arc<dyn Suite>, victim: usize) {
         "FT.S/8 did not recover from killing rank {victim} under {}",
         run.report.suite
     );
+    assert!(run.report.all_landed(&plan), "{:?}", run.report.fired);
     let rs = &run.report.rank_stats[victim];
     assert_eq!(
         rs.recovery_total.len(),
@@ -101,6 +102,7 @@ fn run_cg16_staggered(suite: impl Fn() -> Arc<dyn Suite>) {
         "CG.S/16 under {} stopped ({:?}) after {recoveries} of {KILLS} recoveries",
         report.suite, report.stopped
     );
+    assert!(report.all_landed(&plan), "{:?}", report.fired);
     assert_eq!(recoveries, KILLS, "under {}", report.suite);
 }
 
