@@ -20,7 +20,7 @@ use std::fmt::Write as _;
 
 use vlog_core::{reduction::figure3, Technique};
 use vlog_sim::{EthernetParams, SimDuration};
-use vlog_vmpi::daemon::STREAM_CHUNK_BYTES;
+use vlog_vmpi::control::STREAM_CHUNK_BYTES;
 use vlog_vmpi::{ClusterConfig, FaultPlan, RankStats, RunReport};
 use vlog_workloads::netpipe::{self, NetpipePoint};
 use vlog_workloads::runner::faults;

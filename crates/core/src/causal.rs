@@ -27,7 +27,10 @@ use vlog_vmpi::{
     VProtocol,
 };
 
-use crate::costs::CausalCosts;
+use crate::costs::{
+    EL_SHIP_NS, EVENT_CREATE_NS, GRAPH_INSERT_NS, GRAPH_VISIT_NS, INTEGRATE_EVENT_NS,
+    LOGON_INSERT_NS, LOGON_REORDER_NS, MEM_NS_LOG2_GRAPH, MEM_NS_LOG2_SEQ, SERIALIZE_EVENT_NS,
+};
 use crate::el::ElReply;
 use crate::event::Determinant;
 use crate::logcore::{CausalCtl, LogCore};
@@ -68,53 +71,43 @@ pub struct CausalProtocol {
 }
 
 impl CausalProtocol {
-    pub fn new(
-        technique: Technique,
-        format: PbFormat,
-        el: bool,
-        rank: Rank,
-        n: usize,
-        costs: CausalCosts,
-    ) -> Self {
+    pub fn new(technique: Technique, format: PbFormat, el: bool, rank: Rank, n: usize) -> Self {
         CausalProtocol {
             technique,
             format,
-            log: LogCore::new(el, rank, n, costs),
+            log: LogCore::new(el, rank, n),
             red: make_reduction(technique, n),
             stable: vec![0; n],
         }
     }
 
     fn integrate_cost(&self, dets: usize, inserts: u64, visits: u64) -> SimDuration {
-        let c = &self.log.costs;
         let ns = match self.technique {
-            Technique::Vcausal => c.integrate_event_ns * dets as u64,
-            Technique::Manetho => c.graph_insert_ns * inserts + c.graph_visit_ns * visits,
-            Technique::LogOn => c.logon_insert_ns * inserts + c.graph_visit_ns * visits,
+            Technique::Vcausal => INTEGRATE_EVENT_NS * dets as u64,
+            Technique::Manetho => GRAPH_INSERT_NS * inserts + GRAPH_VISIT_NS * visits,
+            Technique::LogOn => LOGON_INSERT_NS * inserts + GRAPH_VISIT_NS * visits,
         };
         SimDuration::from_nanos(ns)
     }
 
     fn build_cost(&self, emitted: usize, visits: u64) -> SimDuration {
-        let c = &self.log.costs;
         let ns = match self.technique {
-            Technique::Vcausal => c.serialize_event_ns * emitted as u64 + c.graph_visit_ns * visits,
-            Technique::Manetho => c.serialize_event_ns * emitted as u64 + c.graph_visit_ns * visits,
+            Technique::Vcausal => SERIALIZE_EVENT_NS * emitted as u64 + GRAPH_VISIT_NS * visits,
+            Technique::Manetho => SERIALIZE_EVENT_NS * emitted as u64 + GRAPH_VISIT_NS * visits,
             Technique::LogOn => {
-                (c.serialize_event_ns + c.logon_reorder_ns) * emitted as u64
-                    + c.graph_visit_ns * visits
+                (SERIALIZE_EVENT_NS + LOGON_REORDER_NS) * emitted as u64 + GRAPH_VISIT_NS * visits
             }
         };
         SimDuration::from_nanos(ns + self.mem_penalty_ns())
     }
 
     /// Cache-pressure penalty of the causality store, growing with the
-    /// number of retained determinants (see `CausalCosts`).
+    /// number of retained determinants (see [`MEM_NS_LOG2_SEQ`]).
     fn mem_penalty_ns(&self) -> u64 {
         let retained = self.red.retained_count() as u64;
         let k = match self.technique {
-            Technique::Vcausal => self.log.costs.mem_ns_log2_seq,
-            _ => self.log.costs.mem_ns_log2_graph,
+            Technique::Vcausal => MEM_NS_LOG2_SEQ,
+            _ => MEM_NS_LOG2_GRAPH,
         };
         k * (64 - (retained + 1).leading_zeros() as u64)
     }
@@ -159,8 +152,7 @@ impl CausalProtocol {
                 // Causality knowledge: everything retained (with an EL the
                 // store is small — that is the entire point of the paper).
                 let dets = self.red.retained();
-                let cost =
-                    SimDuration::from_nanos(self.log.costs.serialize_event_ns * dets.len() as u64);
+                let cost = SimDuration::from_nanos(SERIALIZE_EVENT_NS * dets.len() as u64);
                 ctx.sim.charge_cpu(ctx.core.node(), cost);
                 self.log
                     .serve_reclaim(ctx, victim, &watermarks, recovery_id, dets);
@@ -274,9 +266,9 @@ impl VProtocol for CausalProtocol {
         let pb_part = SimDuration::from_nanos(self.mem_penalty_ns())
             + self.integrate_cost(dets.len(), w_int.inserts + w_add.inserts, w_int.visits);
         ctx.rank_stats().pb_recv_time += pb_part;
-        let mut cost = SimDuration::from_nanos(self.log.costs.event_create_ns) + pb_part;
+        let mut cost = SimDuration::from_nanos(EVENT_CREATE_NS) + pb_part;
         if self.log.el {
-            cost += SimDuration::from_nanos(self.log.costs.el_ship_ns);
+            cost += SimDuration::from_nanos(EL_SHIP_NS);
         }
         RecvGate::Deliver { cost }
     }

@@ -14,76 +14,43 @@
 
 use vlog_sim::SimDuration;
 
-/// Per-operation costs of causal protocol work.
-#[derive(Debug, Clone)]
-pub struct CausalCosts {
-    /// Creating a reception event (allocate id, local bookkeeping).
-    pub event_create_ns: u64,
-    /// Building and queueing one Event Logger record.
-    pub el_ship_ns: u64,
-    /// Processing one Event Logger acknowledgement.
-    pub el_ack_ns: u64,
-    /// Fixed cost of copying one message into the sender-based log.
-    pub sender_log_fixed_ns: u64,
-    /// Per-byte memcpy cost of the sender-based copy (ns/byte).
-    pub sender_log_ns_per_byte: f64,
-    /// Serializing one determinant into a piggyback.
-    pub serialize_event_ns: u64,
-    /// Integrating one received determinant into the causality store.
-    pub integrate_event_ns: u64,
-    /// Visiting one vertex during an antecedence-graph traversal.
-    pub graph_visit_ns: u64,
-    /// Inserting one vertex and generating its edges (Manetho's
-    /// receive-side pass).
-    pub graph_insert_ns: u64,
-    /// LogOn's cheaper single-pass insertion.
-    pub logon_insert_ns: u64,
-    /// LogOn's send-side reordering, per emitted event (the partial-order
-    /// sort that accelerates the receiver).
-    pub logon_reorder_ns: u64,
-    /// Memory-pressure penalty: per message and per side, scaled by
-    /// log2(1 + retained determinants). Models the cache behaviour of
-    /// ever-growing causality structures that the paper blames for the
-    /// no-EL latency inflation ("the size of the antecedence graph keeps
-    /// growing on each node"). Sequence stores (Vcausal).
-    pub mem_ns_log2_seq: u64,
-    /// Same penalty for the antecedence-graph stores (Manetho, LogOn):
-    /// nodes plus edges, so heavier per retained event.
-    pub mem_ns_log2_graph: u64,
-}
+/// Creating a reception event (allocate id, local bookkeeping).
+pub const EVENT_CREATE_NS: u64 = 4_200;
+/// Building and queueing one Event Logger record.
+pub const EL_SHIP_NS: u64 = 5_600;
+/// Processing one Event Logger acknowledgement.
+pub const EL_ACK_NS: u64 = 1_100;
+/// Fixed cost of copying one message into the sender-based log.
+pub const SENDER_LOG_FIXED_NS: u64 = 6_200;
+/// Per-byte memcpy cost of the sender-based copy (ns/byte).
+pub const SENDER_LOG_NS_PER_BYTE: f64 = 0.8;
+/// Serializing one determinant into a piggyback.
+pub const SERIALIZE_EVENT_NS: u64 = 420;
+/// Integrating one received determinant into the causality store.
+pub const INTEGRATE_EVENT_NS: u64 = 480;
+/// Visiting one vertex during an antecedence-graph traversal.
+pub const GRAPH_VISIT_NS: u64 = 90;
+/// Inserting one vertex and generating its edges (Manetho's receive-side
+/// pass).
+pub const GRAPH_INSERT_NS: u64 = 780;
+/// LogOn's cheaper single-pass insertion.
+pub const LOGON_INSERT_NS: u64 = 520;
+/// LogOn's send-side reordering, per emitted event (the partial-order
+/// sort that accelerates the receiver).
+pub const LOGON_REORDER_NS: u64 = 640;
+/// Memory-pressure penalty: per message and per side, scaled by
+/// log2(1 + retained determinants). Models the cache behaviour of
+/// ever-growing causality structures that the paper blames for the
+/// no-EL latency inflation ("the size of the antecedence graph keeps
+/// growing on each node"). Sequence stores (Vcausal).
+pub const MEM_NS_LOG2_SEQ: u64 = 820;
+/// Same penalty for the antecedence-graph stores (Manetho, LogOn): nodes
+/// plus edges, so heavier per retained event.
+pub const MEM_NS_LOG2_GRAPH: u64 = 1_150;
 
-impl Default for CausalCosts {
-    fn default() -> Self {
-        CausalCosts {
-            event_create_ns: 4_200,
-            el_ship_ns: 5_600,
-            el_ack_ns: 1_100,
-            sender_log_fixed_ns: 6_200,
-            sender_log_ns_per_byte: 0.8,
-            serialize_event_ns: 420,
-            integrate_event_ns: 480,
-            graph_visit_ns: 90,
-            graph_insert_ns: 780,
-            logon_insert_ns: 520,
-            logon_reorder_ns: 640,
-            mem_ns_log2_seq: 820,
-            mem_ns_log2_graph: 1_150,
-        }
-    }
-}
-
-impl CausalCosts {
-    /// Cost of the sender-based copy of a `bytes`-long payload.
-    pub fn sender_log_cost(&self, bytes: u64) -> SimDuration {
-        SimDuration::from_nanos(
-            self.sender_log_fixed_ns + (bytes as f64 * self.sender_log_ns_per_byte) as u64,
-        )
-    }
-
-    /// Shorthand for nanosecond durations.
-    pub fn ns(n: u64) -> SimDuration {
-        SimDuration::from_nanos(n)
-    }
+/// Cost of the sender-based copy of a `bytes`-long payload.
+pub fn sender_log_cost(bytes: u64) -> SimDuration {
+    SimDuration::from_nanos(SENDER_LOG_FIXED_NS + (bytes as f64 * SENDER_LOG_NS_PER_BYTE) as u64)
 }
 
 #[cfg(test)]
@@ -92,10 +59,9 @@ mod tests {
 
     #[test]
     fn sender_log_cost_scales_with_bytes() {
-        let c = CausalCosts::default();
-        let small = c.sender_log_cost(1);
-        let big = c.sender_log_cost(1_000_000);
-        assert!(small.as_nanos() >= c.sender_log_fixed_ns);
+        let small = sender_log_cost(1);
+        let big = sender_log_cost(1_000_000);
+        assert!(small.as_nanos() >= SENDER_LOG_FIXED_NS);
         assert!(big.as_nanos() > small.as_nanos() + 500_000);
     }
 }

@@ -22,8 +22,8 @@
 //! select-loop Event Logger (§IV-B.4) — every suite installs its EL
 //! through [`install_distributed_el`], whatever the shard count.
 
-use vlog_sim::{Actor, ActorId, Delivery, NodeId, Sim, SimDuration, TimerHandle, WireSize};
-use vlog_vmpi::{topo, ClusterState, RClock};
+use vlog_sim::{Actor, ActorId, Delivery, NodeId, Sim, SimDuration, TimerHandle};
+use vlog_vmpi::{control, topo, ClusterState, RClock};
 
 use crate::el::{el_ack_bytes, el_resp_bytes, record_el_saturation, ElMsg, ElReply, EL_SERVICE_NS};
 use crate::event::Determinant;
@@ -56,38 +56,18 @@ pub struct ElShard {
 }
 
 impl ElShard {
-    fn send_to(
-        &self,
-        sim: &mut Sim,
-        to: ActorId,
-        to_node: NodeId,
-        bytes: u64,
-        body: Box<dyn std::any::Any + Send>,
-    ) {
-        let size = WireSize::control(bytes);
-        if to_node == self.node {
-            sim.local_send(self.node, to, size, body, SimDuration::from_micros(15));
-        } else {
-            sim.net_send(self.node, to, size, body);
-        }
-    }
-
     /// Gossips to every peer shard the topology lists, dead ones
     /// included: this shard has no failure detector of its own.
     fn multicast_gossip(&self, sim: &mut Sim) {
         for i in 0..topo(sim).el_count() {
             if i != self.index {
-                let (actor, node) = topo(sim).el_at(i).expect("index below el_count");
-                self.send_to(
-                    sim,
-                    actor,
-                    node,
-                    8 + 4 * self.n as u64,
-                    Box::new(ElGossip {
-                        from_el: self.index,
-                        stable: self.local_stable.clone(),
-                    }),
-                );
+                let (actor, _) = topo(sim).el_at(i).expect("index below el_count");
+                let gossip = ElGossip {
+                    from_el: self.index,
+                    stable: self.local_stable.clone(),
+                };
+                let bytes = 8 + 4 * self.n as u64;
+                control::send(sim, self.node, actor, bytes, Box::new(gossip));
             }
         }
     }
@@ -131,27 +111,11 @@ impl Actor for ElShard {
                             end.saturating_since(arrived),
                             batch_len,
                         );
-                        let stable = self.merged_stable.clone();
-                        let node = self.node;
+                        let ack = ElReply::Ack {
+                            stable: self.merged_stable.clone(),
+                        };
                         let bytes = el_ack_bytes(self.n);
-                        sim.schedule_at(
-                            end,
-                            vlog_sim::Event::closure(move |sim| {
-                                let body = Box::new(ElReply::Ack { stable });
-                                let size = WireSize::control(bytes);
-                                if sim.actor_node(reply_to) == node {
-                                    sim.local_send(
-                                        node,
-                                        reply_to,
-                                        size,
-                                        body,
-                                        SimDuration::from_micros(15),
-                                    );
-                                } else {
-                                    sim.net_send(node, reply_to, size, body);
-                                }
-                            }),
-                        );
+                        control::send_at(sim, end, self.node, reply_to, bytes, Box::new(ack));
                     }
                     ElMsg::Query {
                         victim,
@@ -169,15 +133,9 @@ impl Actor for ElShard {
                         let end = sim.charge_cpu(self.node, cost);
                         let bytes = el_resp_bytes(dets.len(), self.n);
                         let stable = self.merged_stable.clone();
-                        let node = self.node;
                         sim.stats_mut().bump("el_queries");
-                        sim.schedule_at(
-                            end,
-                            vlog_sim::Event::closure(move |sim| {
-                                let body = Box::new(ElReply::QueryResp { dets, stable });
-                                vlog_vmpi::daemon::stream_control(sim, node, reply_to, bytes, body);
-                            }),
-                        );
+                        let resp = ElReply::QueryResp { dets, stable };
+                        control::send_at(sim, end, self.node, reply_to, bytes, Box::new(resp));
                     }
                 }
                 return;
@@ -254,7 +212,7 @@ mod tests {
     use super::*;
     use crate::el::{el_batch_bytes, shard_queue_key};
     use std::sync::{Arc, Mutex};
-    use vlog_sim::SimTime;
+    use vlog_sim::{SimTime, WireSize};
     use vlog_vmpi::Rank;
 
     #[derive(Default)]

@@ -68,7 +68,6 @@ pub mod vcausal;
 pub use bytes::Bytes;
 pub use causal::CausalProtocol;
 pub use coordinated::CoordinatedProtocol;
-pub use costs::CausalCosts;
 pub use detseq::{DetSeq, DetStore};
 pub use el::{
     el_batch_bytes, shard_ack_key, shard_queue_key, ElBatcher, ElMsg, ElReply, EL_RECORD_BYTES,

@@ -31,7 +31,7 @@ use vlog_vmpi::{
     Tag,
 };
 
-use crate::costs::CausalCosts;
+use crate::costs::{self, EL_ACK_NS, EVENT_CREATE_NS};
 use crate::detseq::DetSeq;
 use crate::el::{el_batch_bytes, record_el_outstanding, ElBatcher, ElMsg};
 use crate::event::Determinant;
@@ -104,7 +104,6 @@ pub struct LogCore {
     pub(crate) n: usize,
     /// Whether this configuration logs to an Event Logger at all.
     pub(crate) el: bool,
-    pub(crate) costs: CausalCosts,
     pub(crate) slog: SenderLog,
     /// Reception clock: the last event created here.
     pub(crate) rclock: RClock,
@@ -136,12 +135,11 @@ pub struct LogCore {
 }
 
 impl LogCore {
-    pub(crate) fn new(el: bool, rank: Rank, n: usize, costs: CausalCosts) -> Self {
+    pub(crate) fn new(el: bool, rank: Rank, n: usize) -> Self {
         LogCore {
             rank,
             n,
             el,
-            costs,
             slog: SenderLog::new(n),
             rclock: 0,
             ckpt_due: false,
@@ -178,7 +176,7 @@ impl LogCore {
         payload: &Payload,
     ) -> SimDuration {
         if self.slog.insert(dst, ssn, tag, payload) {
-            self.costs.sender_log_cost(payload.len())
+            costs::sender_log_cost(payload.len())
         } else {
             SimDuration::ZERO
         }
@@ -249,10 +247,8 @@ impl LogCore {
     /// batch, in order), which is returned. The caller then applies the
     /// acknowledged stability and finishes with [`LogCore::ack_flush`].
     pub(crate) fn ack_received(&mut self, ctx: &mut Ctx<'_>) -> Option<u64> {
-        ctx.sim.charge_cpu(
-            ctx.core.node(),
-            SimDuration::from_nanos(self.costs.el_ack_ns),
-        );
+        ctx.sim
+            .charge_cpu(ctx.core.node(), SimDuration::from_nanos(EL_ACK_NS));
         let seq = self.el_outstanding.pop_front()?;
         vlog_sim::event!(ctx.sim, "det-batch-acked" { rank = self.rank, seq = seq }
             caused_by "det-batch-shipped" { rank = self.rank, seq = seq });
@@ -674,7 +670,7 @@ impl LogCore {
                 det.sender,
                 supply.tag,
                 supply.payload,
-                SimDuration::from_nanos(self.costs.event_create_ns),
+                SimDuration::from_nanos(EVENT_CREATE_NS),
             );
         }
     }
@@ -785,7 +781,7 @@ mod tests {
         Rig {
             sim,
             daemon,
-            log: LogCore::new(true, 0, 2, CausalCosts::default()),
+            log: LogCore::new(true, 0, 2),
             peer,
             shards: [shard0, shard1],
         }

@@ -18,7 +18,7 @@ use vlog_vmpi::{
     AppMsg, Ctx, Payload, ProtoBlob, RClock, Rank, RecvGate, SendGate, Ssn, Tag, VProtocol,
 };
 
-use crate::costs::CausalCosts;
+use crate::costs::{EL_SHIP_NS, EVENT_CREATE_NS};
 use crate::el::ElReply;
 use crate::logcore::{CausalCtl, LogCore};
 use crate::sender_log::SenderLog;
@@ -40,9 +40,9 @@ pub struct PessimisticProtocol {
 }
 
 impl PessimisticProtocol {
-    pub fn new(rank: Rank, n: usize, costs: CausalCosts) -> Self {
+    pub fn new(rank: Rank, n: usize) -> Self {
         PessimisticProtocol {
-            log: LogCore::new(true, rank, n, costs),
+            log: LogCore::new(true, rank, n),
             stable_own: 0,
         }
     }
@@ -141,8 +141,7 @@ impl VProtocol for PessimisticProtocol {
         // unchanged: the EL still acknowledges every record, just with
         // one coalesced ack per batch.
         self.log.ship_to_el(ctx, det, self.stable_own);
-        let costs = &self.log.costs;
-        let cost = SimDuration::from_nanos(costs.event_create_ns + costs.el_ship_ns);
+        let cost = SimDuration::from_nanos(EVENT_CREATE_NS + EL_SHIP_NS);
         RecvGate::Deliver { cost }
     }
 

@@ -51,7 +51,7 @@ impl Technique {
 
 /// Work performed by a reduction operation, in structural operations. The
 /// protocol converts these to virtual CPU time through
-/// [`crate::costs::CausalCosts`].
+/// [`crate::costs`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Work {
     /// Graph vertices (or sequence entries) visited.

@@ -6,7 +6,6 @@ use vlog_vmpi::{CkptScheduler, RecoveryStyle, SchedulerPolicy, Suite, VProtocol}
 
 use crate::causal::CausalProtocol;
 use crate::coordinated::CoordinatedProtocol;
-use crate::costs::CausalCosts;
 use crate::el_multi::install_distributed_el;
 use crate::pessimistic::PessimisticProtocol;
 use crate::piggyback::PbFormat;
@@ -18,7 +17,6 @@ pub struct CausalSuite {
     pub technique: Technique,
     pub el: bool,
     pub scheduler: SchedulerPolicy,
-    pub costs: CausalCosts,
     /// Number of Event Logger instances (1 = the paper's configuration;
     /// more = the paper's future-work distribution, see
     /// [`crate::el_multi`]).
@@ -36,7 +34,6 @@ impl CausalSuite {
             technique,
             el,
             scheduler: SchedulerPolicy::Disabled,
-            costs: CausalCosts::default(),
             el_count: 1,
             el_gossip: SimDuration::from_millis(20),
             pb_format: technique.default_format(),
@@ -99,7 +96,6 @@ impl Suite for CausalSuite {
             self.el,
             rank,
             n,
-            self.costs.clone(),
         ))
     }
 
@@ -112,14 +108,12 @@ impl Suite for CausalSuite {
 /// the Event Logger.
 pub struct PessimisticSuite {
     pub scheduler: SchedulerPolicy,
-    pub costs: CausalCosts,
 }
 
 impl PessimisticSuite {
     pub fn new() -> Self {
         PessimisticSuite {
             scheduler: SchedulerPolicy::Disabled,
-            costs: CausalCosts::default(),
         }
     }
 
@@ -147,7 +141,7 @@ impl Suite for PessimisticSuite {
     }
 
     fn make_protocol(&self, rank: usize, n: usize) -> Box<dyn VProtocol> {
-        Box::new(PessimisticProtocol::new(rank, n, self.costs.clone()))
+        Box::new(PessimisticProtocol::new(rank, n))
     }
 
     fn recovery_style(&self) -> RecoveryStyle {

@@ -19,8 +19,9 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use vlog_sim::{Actor, ActorId, Delivery, NodeId, Sim, WireSize};
+use vlog_sim::{Actor, ActorId, Delivery, NodeId, Sim};
 
+use crate::control;
 use crate::daemon::Channels;
 use crate::hooks::ProtoBlob;
 use crate::types::{Payload, Rank};
@@ -107,21 +108,6 @@ impl CkptServer {
             images: BTreeMap::new(),
         }
     }
-
-    fn reply(&self, sim: &mut Sim, to: ActorId, bytes: u64, reply: CkptReply) {
-        let size = WireSize::control(bytes);
-        if sim.actor_node(to) == self.node {
-            sim.local_send(
-                self.node,
-                to,
-                size,
-                Box::new(reply),
-                vlog_sim::SimDuration::from_micros(15),
-            );
-        } else {
-            sim.net_send(self.node, to, size, Box::new(reply));
-        }
-    }
 }
 
 impl Actor for CkptServer {
@@ -147,26 +133,8 @@ impl Actor for CkptServer {
                     per_rank.remove(&oldest);
                 }
                 // State already updated; ack after service time.
-                let node = self.node;
-                let reply_to_copy = reply_to;
-                sim.schedule_at(
-                    end,
-                    vlog_sim::Event::closure(move |sim| {
-                        let reply = CkptReply::StoreAck { rank, version };
-                        let size = WireSize::control(16);
-                        if sim.actor_node(reply_to_copy) == node {
-                            sim.local_send(
-                                node,
-                                reply_to_copy,
-                                size,
-                                Box::new(reply),
-                                vlog_sim::SimDuration::from_micros(15),
-                            );
-                        } else {
-                            sim.net_send(node, reply_to_copy, size, Box::new(reply));
-                        }
-                    }),
-                );
+                let reply = CkptReply::StoreAck { rank, version };
+                control::send_at(sim, end, self.node, reply_to, 16, Box::new(reply));
             }
             CkptRequest::Fetch {
                 rank,
@@ -182,14 +150,8 @@ impl Actor for CkptServer {
                     SERVER_FIXED_NS + (bytes as f64 * SERVER_NS_PER_BYTE) as u64,
                 );
                 let end = sim.charge_cpu(self.node, cost);
-                let node = self.node;
-                sim.schedule_at(
-                    end,
-                    vlog_sim::Event::closure(move |sim| {
-                        let reply = CkptReply::FetchResp { rank, image };
-                        crate::daemon::stream_control(sim, node, reply_to, bytes, Box::new(reply));
-                    }),
-                );
+                let reply = CkptReply::FetchResp { rank, image };
+                control::send_at(sim, end, self.node, reply_to, bytes, Box::new(reply));
             }
             CkptRequest::QueryComplete { n, reply_to } => {
                 // Highest v present for every rank 0..n.
@@ -210,7 +172,8 @@ impl Actor for CkptServer {
                     .into_iter()
                     .max()
                     .unwrap_or(0);
-                self.reply(sim, reply_to, 16, CkptReply::CompleteResp { version });
+                let reply = CkptReply::CompleteResp { version };
+                control::send(sim, self.node, reply_to, 16, Box::new(reply));
             }
         }
     }
@@ -222,6 +185,7 @@ mod tests {
     use crate::daemon::HeldSend;
     use crate::types::RecvMsg;
     use std::sync::Mutex;
+    use vlog_sim::WireSize;
 
     fn image(rank: Rank, version: u64, bytes: u64) -> Arc<Image> {
         Arc::new(Image {

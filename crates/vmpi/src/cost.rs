@@ -13,7 +13,7 @@
 //!
 //! Causal-protocol costs (event creation, piggyback serialization, graph
 //! maintenance, sender-based copies) are charged by `vlog-core` through its
-//! own `vlog_core::costs::CausalCosts` — this module only covers the
+//! own `vlog_core::costs` constants — this module only covers the
 //! protocol-independent stack.
 
 use vlog_sim::SimDuration;

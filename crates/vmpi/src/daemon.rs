@@ -44,6 +44,7 @@ use vlog_sim::{
 use crate::api::Mpi;
 use crate::ckpt::{CkptReply, CkptRequest, Image};
 use crate::cluster::{topo, ClusterState};
+use crate::control;
 use crate::cost::StackProfile;
 use crate::fault::{self, ProtoPhase};
 use crate::hooks::{Ctx, ProtoBlob, RecvGate, SendGate, TopoView, VProtocol};
@@ -59,7 +60,7 @@ pub const TOKEN_BOOT: u64 = 1;
 /// Timer tokens at or above this value belong to the protocol.
 pub const PROTO_TIMER_BASE: u64 = 1_000;
 
-/// Loopback delay for daemon-internal self messages.
+/// Loopback delay of the daemon's `AppFinished` self-notify.
 const SELF_DELAY: SimDuration = SimDuration::from_micros(1);
 /// Local snapshot memcpy cost (ns per image byte).
 const SNAPSHOT_NS_PER_BYTE: f64 = 2.0;
@@ -247,8 +248,8 @@ impl DaemonCore {
     }
 
     /// Sends a control message to an arbitrary actor (Event Logger,
-    /// checkpoint server...), choosing loopback vs network automatically.
-    /// Large controls are paced (see [`stream_control`]).
+    /// checkpoint server...) the one way a control leaves a node
+    /// ([`control::send`]).
     pub fn control_to_actor(
         &self,
         sim: &mut Sim,
@@ -256,7 +257,7 @@ impl DaemonCore {
         bytes: u64,
         body: Box<dyn Any + Send>,
     ) {
-        stream_control(sim, self.node, actor, bytes, body);
+        control::send(sim, self.node, actor, bytes, body);
     }
 
     /// Retransmits a logged payload to a recovering peer. Replayed copies
@@ -436,48 +437,6 @@ impl DaemonCore {
             self.channels.unexpected.push_back(msg);
         }
     }
-}
-
-/// Pacing chunk for large control transfers (checkpoint images, recovery
-/// streams). TCP interleaves flows at packet granularity; booking a
-/// multi-megabyte message on the NIC in one piece would stall every other
-/// flow for seconds, so large controls are split into chunk-sized filler
-/// messages (dropped at the receiver) followed by the real body.
-pub struct StreamChunk;
-
-/// Chunk size for paced control streams.
-pub const STREAM_CHUNK_BYTES: u64 = 256 << 10;
-
-/// Sends a control message of `bytes` to `dst`, pacing anything larger
-/// than [`STREAM_CHUNK_BYTES`] as a chunk train so concurrent flows can
-/// interleave. The real `body` arrives once the whole volume has crossed.
-pub fn stream_control(
-    sim: &mut Sim,
-    src_node: NodeId,
-    dst: ActorId,
-    bytes: u64,
-    body: Box<dyn Any + Send>,
-) {
-    if sim.actor_node(dst) == src_node {
-        sim.local_send(src_node, dst, WireSize::control(bytes), body, SELF_DELAY);
-        return;
-    }
-    if bytes <= STREAM_CHUNK_BYTES {
-        sim.net_send(src_node, dst, WireSize::control(bytes), body);
-        return;
-    }
-    let chunk = STREAM_CHUNK_BYTES.min(bytes);
-    let now = sim.now();
-    let dst_node = sim.actor_node(dst);
-    let arrival_paced = sim.net_mut().send(now, src_node, dst_node, chunk);
-    sim.stats_mut().record_message(WireSize::control(chunk));
-    let rest = bytes - chunk;
-    sim.schedule_at(
-        arrival_paced,
-        Event::closure(move |sim| {
-            stream_control(sim, src_node, dst, rest, body);
-        }),
-    );
 }
 
 /// The daemon actor: generic core + protocol hooks.
@@ -857,18 +816,11 @@ impl Vdaemon {
         let cost = SimDuration::from_nanos((bytes as f64 * SNAPSHOT_NS_PER_BYTE) as u64);
         let end = sim.charge_cpu(self.core.node, cost);
         if let Some((server, _)) = topo(sim).ckpt_server() {
-            let src_node = self.core.node;
-            let me = self.core.me;
-            sim.schedule_at(
-                end,
-                Event::closure(move |sim| {
-                    let req = CkptRequest::Store {
-                        image,
-                        reply_to: me,
-                    };
-                    stream_control(sim, src_node, server, bytes, Box::new(req));
-                }),
-            );
+            let req = CkptRequest::Store {
+                image,
+                reply_to: self.core.me,
+            };
+            control::send_at(sim, end, self.core.node, server, bytes, Box::new(req));
         }
     }
 

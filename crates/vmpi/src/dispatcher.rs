@@ -15,6 +15,7 @@ use vlog_sim::{Actor, ActorId, Delivery, Sim};
 
 use crate::ckpt::{CkptReply, CkptRequest};
 use crate::cluster::{launch_rank, topo, ClusterState};
+use crate::control;
 use crate::daemon::BootMode;
 use crate::hooks::RecoveryStyle;
 use crate::types::Rank;
@@ -67,17 +68,7 @@ impl Dispatcher {
                     n: state.topo.n_ranks(),
                     reply_to: me_actor,
                 };
-                if sim.actor_node(server) == node {
-                    sim.local_send(
-                        node,
-                        server,
-                        vlog_sim::WireSize::control(16),
-                        Box::new(req),
-                        vlog_sim::SimDuration::from_micros(15),
-                    );
-                } else {
-                    sim.net_send(node, server, vlog_sim::WireSize::control(16), Box::new(req));
-                }
+                control::send(sim, node, server, 16, Box::new(req));
             }
         }
     }

@@ -20,6 +20,7 @@ use std::collections::BTreeMap;
 use vlog_sim::{Sim, SimDuration, SimTime, WireSize};
 
 use crate::cluster::{topo, ClusterState};
+use crate::control;
 use crate::dispatcher::DispatcherMsg;
 use crate::hooks::ElReshard;
 use crate::types::Rank;
@@ -232,7 +233,7 @@ fn detected(sim: &mut Sim, fault: Fault) {
             for rank in 0..topo(sim).n_ranks() {
                 let daemon = topo(sim).daemon(rank);
                 let body = Box::new(ElReshard { dead_shard: shard });
-                sim.net_send(stable, daemon, WireSize::control(16), body);
+                control::send(sim, stable, daemon, 16, body);
             }
         }
         Fault::Rank(_, rank) | Fault::Phase(PhaseFault { rank, .. }) => {

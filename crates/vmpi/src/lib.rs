@@ -23,6 +23,7 @@
 //! * [`scheduler`] — the checkpoint scheduler (round-robin / random /
 //!   coordinated policies);
 //! * [`dispatcher`] — job launch, fault detection, restart/rollback;
+//! * [`control`] — the one way a control message leaves its node;
 //! * [`fault`] — fault plans, the one path they take, what fired;
 //! * [`cluster`] — the deployment builder used by every experiment.
 //!
@@ -34,6 +35,7 @@ pub mod api;
 pub mod ckpt;
 pub mod cluster;
 pub mod collectives;
+pub mod control;
 pub mod cost;
 pub mod daemon;
 pub mod dispatcher;

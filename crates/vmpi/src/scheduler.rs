@@ -15,6 +15,7 @@ use rand::Rng;
 use vlog_sim::{Actor, ActorId, Delivery, NodeId, Sim, SimDuration, TimerHandle};
 
 use crate::cluster::topo;
+use crate::control;
 use crate::hooks::SchedulerCmd;
 
 /// Checkpoint scheduling policy.
@@ -101,13 +102,7 @@ impl CkptScheduler {
 
     fn command(&self, sim: &mut Sim, rank: usize, cmd: SchedulerCmd) {
         let daemon = topo(sim).daemon(rank);
-        let body = Box::new(cmd);
-        let size = vlog_sim::WireSize::control(8);
-        if sim.actor_node(daemon) == self.node {
-            sim.local_send(self.node, daemon, size, body, SimDuration::from_micros(15));
-        } else {
-            sim.net_send(self.node, daemon, size, body);
-        }
+        control::send(sim, self.node, daemon, 8, Box::new(cmd));
     }
 }
 

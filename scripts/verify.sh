@@ -81,6 +81,25 @@ if find crates/vmpi/src -name '*.rs' -print0 | xargs -0 awk "$fault_gate" | grep
     exit 1
 fi
 echo "    boundary gate: ok (crash_node( and DispatcherMsg::Fault built only in crates/vmpi/src/fault.rs, besides rollback_all)"
+# A control message leaves its node one way (crates/vmpi/src/control.rs
+# module docs): control::send decides loopback, wire or chunk train. So
+# under crates/vmpi/src and crates/core/src a loopback is taken only
+# there, by the daemon's AppFinished self-notify (spawn_app) and by the
+# fault module's detection notice (detected), which models detection,
+# not a hop.
+loopback_gate='FNR == 1 { live = 1; fn_name = "" }
+    /^#\[cfg\(test\)\]/ { live = 0 }
+    !live || /^[[:space:]]*\/\// { next }
+    match($0, /fn [a-z_0-9]+\(/) { fn_name = substr($0, RSTART + 3, RLENGTH - 4) }
+    FILENAME ~ /\/control\.rs$/ && fn_name == "send" { next }
+    FILENAME ~ /\/daemon\.rs$/ && fn_name == "spawn_app" { next }
+    FILENAME ~ /\/fault\.rs$/ && fn_name == "detected" { next }
+    /local_send\(/ { print FILENAME ":" FNR ": " $0 }'
+if find crates/vmpi/src crates/core/src -name '*.rs' -print0 | xargs -0 awk "$loopback_gate" | grep .; then
+    echo "a control message takes loopback outside crates/vmpi/src/control.rs (lines above): send it through control::send or control::send_at" >&2
+    exit 1
+fi
+echo "    boundary gate: ok (local_send( under crates/vmpi/src and crates/core/src only in control::send, spawn_app's AppFinished and fault::detected)"
 # The hang detector was a third way to end a run; time_limit +
 # export_liveness give the same stop with a typed reason.
 # (The bracket keeps this script out of its own and the issue's grep.)
