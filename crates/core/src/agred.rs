@@ -26,7 +26,7 @@
 
 use vlog_vmpi::{RClock, Rank};
 
-use crate::detseq::runs;
+use crate::detseq::{runs, ChunkPool};
 use crate::event::Determinant;
 use crate::graph::AGraph;
 use crate::reduction::{Reduction, Technique, Work};
@@ -232,6 +232,10 @@ impl Reduction for GraphRed {
 
     fn retained_count(&self) -> usize {
         self.graph.len()
+    }
+
+    fn share(&mut self, pool: &mut ChunkPool) {
+        self.graph.share(pool);
     }
 
     fn clone_box(&self) -> Box<dyn Reduction> {

@@ -31,6 +31,7 @@ use crate::costs::{
     EL_SHIP_NS, EVENT_CREATE_NS, GRAPH_INSERT_NS, GRAPH_VISIT_NS, INTEGRATE_EVENT_NS,
     LOGON_INSERT_NS, LOGON_REORDER_NS, MEM_NS_LOG2_GRAPH, MEM_NS_LOG2_SEQ, SERIALIZE_EVENT_NS,
 };
+use crate::detseq::ChunkPool;
 use crate::el::ElReply;
 use crate::event::Determinant;
 use crate::logcore::{CausalCtl, LogCore};
@@ -123,6 +124,14 @@ impl CausalProtocol {
         st.el_acked_events = st.el_acked_events.max(self.stable[self.log.rank]);
     }
 
+    /// Shares the store's newly frozen chunks with the run's other ranks
+    /// through the suite's chunk pool, when the run has one.
+    fn share(&mut self, ctx: &mut Ctx<'_>) {
+        if let Some(pool) = ctx.suite_state::<ChunkPool>() {
+            self.red.share(pool);
+        }
+    }
+
     /// Drives the shared replay engine. Causal-specific: a replayed
     /// determinant above the stable watermark may have died with this
     /// rank's unacknowledged batches, so it is re-shipped to the EL.
@@ -159,6 +168,7 @@ impl CausalProtocol {
             }
             CausalCtl::ReclaimResp { from, dets } => {
                 self.red.absorb(&dets);
+                self.share(ctx);
                 self.log.on_reclaim_resp(ctx, from, &dets);
                 self.replay(ctx);
             }
@@ -255,10 +265,12 @@ impl VProtocol for CausalProtocol {
         let det = self.log.next_event(msg.src, msg.ssn, sender_clock);
         let (w_add, w_int) = {
             let _codec = profiler::scope(profiler::Phase::Codec);
-            (
+            let work = (
                 self.red.add_local(det),
                 self.red.integrate(msg.src, sender_clock, &dets),
-            )
+            );
+            self.share(ctx);
+            work
         };
         self.log.ship_to_el(ctx, det, self.stable[self.log.rank]);
         // The Figure 8 "receive" metric is the piggyback-management part

@@ -44,8 +44,37 @@
 //! * A gap insert shifts everything after it, so it re-chunks from the
 //!   chunk it lands in. Gaps and differing copies come only from
 //!   recovery.
+//!
+//! # One copy per run: the chunk pool
+//!
+//! A determinant `(creator, clock)` has one content per run, so chunk j of
+//! creator c is byte-identical in every rank that holds it; without an
+//! Event Logger nothing turns stable and every rank holds the whole
+//! history. A [`ChunkPool`] lets the ranks of one run share those chunks
+//! as well. After a protocol feeds a message into its store it calls
+//! [`DetStore::share`], which offers the pool every chunk frozen (or
+//! rewritten) since the last call — O(new chunks), not O(creators) — and
+//! keeps the pooled copy in its place. The invariants:
+//!
+//! * The pool is keyed by creator and the clock of a chunk's first entry,
+//!   and holds a `Weak`: it never keeps a chunk alive, only finds one that
+//!   some store still holds.
+//! * A chunk is replaced by the pooled one only when that one is live and
+//!   equal in content, entry for entry; otherwise the store's own chunk
+//!   takes the key. So a pool bug can cost memory but never correctness.
+//! * A shared chunk is written like any other: copy-on-write through
+//!   `Arc::make_mut`, so an overwrite or gap insert on one rank never
+//!   reaches another.
+//! * Dead entries are swept once the registrations since the last sweep
+//!   outnumber the entries that survived it, so a sweep costs O(1) per
+//!   registration and dead entries never outnumber live ones by much.
+//! * The pool is a plain value the run owns (the causal suite installs it
+//!   in the run's `ClusterState`), so it is dropped with its run and no
+//!   other run, on this thread or another, ever sees it. A store that is
+//!   never offered a pool simply never shares.
 
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Weak};
 
 use vlog_vmpi::{RClock, Rank};
 
@@ -66,6 +95,9 @@ pub struct DetSeq {
     skip: usize,
     /// The newest entries, fewer than `CHUNK`.
     tail: Vec<Determinant>,
+    /// `chunks[..pooled]` have been offered to a [`ChunkPool`]; the rest
+    /// were frozen or rewritten since.
+    pooled: usize,
 }
 
 impl DetSeq {
@@ -211,7 +243,10 @@ impl DetSeq {
         }
         let p = self.skip + i;
         let slot = match self.chunks.get_mut(p / CHUNK) {
-            Some(chunk) => &mut Arc::make_mut(chunk)[p % CHUNK],
+            Some(chunk) => {
+                self.pooled = self.pooled.min(p / CHUNK);
+                &mut Arc::make_mut(chunk)[p % CHUNK]
+            }
             None => &mut self.tail[p % CHUNK],
         };
         *slot = det;
@@ -234,6 +269,7 @@ impl DetSeq {
     /// one, so the sequence is re-chunked from the chunk `i` sits in.
     fn insert_at(&mut self, i: usize, det: Determinant) {
         let c = (self.skip + i) / CHUNK;
+        self.pooled = self.pooled.min(c);
         let mut rest = Vec::new();
         for chunk in self.chunks.drain(c..) {
             rest.extend_from_slice(&chunk);
@@ -284,12 +320,68 @@ impl DetSeq {
         let p = self.skip + k;
         let whole = (p / CHUNK).min(self.chunks.len());
         self.chunks.drain(..whole);
+        self.pooled = self.pooled.saturating_sub(whole);
         self.skip = p - whole * CHUNK;
         if self.chunks.is_empty() {
             self.tail.drain(..self.skip);
             self.skip = 0;
         }
         k
+    }
+
+    /// Whether some chunk has not been offered to a pool yet.
+    fn unpooled(&self) -> bool {
+        self.pooled < self.chunks.len()
+    }
+
+    /// Offers `pool` the chunks not offered yet; the sequence holds
+    /// `creator`'s events (module docs).
+    pub fn share(&mut self, creator: Rank, pool: &mut ChunkPool) {
+        for chunk in &mut self.chunks[self.pooled..] {
+            pool.intern(creator, chunk);
+        }
+        self.pooled = self.chunks.len();
+    }
+}
+
+/// The run's index of frozen chunks, so equal chunks of different ranks'
+/// stores are one allocation (module docs, "One copy per run").
+#[derive(Debug, Default)]
+pub struct ChunkPool {
+    /// `(creator, first clock)` → the chunk registered last under it.
+    chunks: HashMap<(Rank, RClock), Weak<[Determinant]>>,
+    /// Registrations since the last sweep.
+    fresh: usize,
+    /// Entries that survived the last sweep.
+    kept: usize,
+}
+
+/// Registrations always allowed between two sweeps, so a small pool is
+/// not swept on every registration.
+const SWEEP_MIN: usize = 32;
+
+impl ChunkPool {
+    pub fn new() -> Self {
+        ChunkPool::default()
+    }
+
+    /// Puts the pooled copy of `chunk` in its place when a live one equal
+    /// in content exists; registers `chunk` otherwise.
+    fn intern(&mut self, creator: Rank, chunk: &mut Arc<[Determinant]>) {
+        let key = (creator, chunk[0].clock);
+        if let Some(pooled) = self.chunks.get(&key).and_then(Weak::upgrade) {
+            if Arc::ptr_eq(&pooled, chunk) || pooled[..] == chunk[..] {
+                *chunk = pooled;
+                return;
+            }
+        }
+        self.chunks.insert(key, Arc::downgrade(chunk));
+        self.fresh += 1;
+        if self.fresh > self.kept.max(SWEEP_MIN) {
+            self.chunks.retain(|_, chunk| chunk.strong_count() > 0);
+            self.kept = self.chunks.len();
+            self.fresh = 0;
+        }
     }
 }
 
@@ -317,6 +409,10 @@ pub struct DetStore {
     heads: Vec<RClock>,
     stable: Vec<RClock>,
     len: usize,
+    /// Creators whose sequence may hold chunks not offered to a pool yet,
+    /// each listed once (`listed[c]`), for [`DetStore::share`].
+    unpooled: Vec<Rank>,
+    listed: Vec<bool>,
 }
 
 impl DetStore {
@@ -326,6 +422,27 @@ impl DetStore {
             heads: vec![0; n],
             stable: vec![0; n],
             len: 0,
+            unpooled: Vec::new(),
+            listed: vec![false; n],
+        }
+    }
+
+    /// Lists `creator` for the next [`DetStore::share`] if its sequence
+    /// froze or rewrote a chunk.
+    fn note(&mut self, creator: Rank) {
+        if self.seqs[creator].unpooled() && !self.listed[creator] {
+            self.listed[creator] = true;
+            self.unpooled.push(creator);
+        }
+    }
+
+    /// Shares every chunk frozen or rewritten since the last call through
+    /// `pool`: a live pooled chunk equal in content replaces the store's
+    /// own, which is registered otherwise (module docs).
+    pub fn share(&mut self, pool: &mut ChunkPool) {
+        for c in self.unpooled.drain(..) {
+            self.listed[c] = false;
+            self.seqs[c].share(c, pool);
         }
     }
 
@@ -363,6 +480,7 @@ impl DetStore {
         self.heads[c] = self.heads[c].max(det.clock);
         let added = det.clock > self.stable[c] && self.seqs[c].insert(det);
         self.len += added as usize;
+        self.note(c);
         added
     }
 
@@ -374,6 +492,7 @@ impl DetStore {
         self.heads[c] = self.heads[c].max(last.clock);
         let added = self.seqs[c].insert_run(above(run, self.stable[c]));
         self.len += added;
+        self.note(c);
         added
     }
 
@@ -533,6 +652,72 @@ mod tests {
         assert!(live.chunks.iter().all(|chunk| chunk.len() == CHUNK));
         assert_eq!(live.len(), CHUNK + 12);
         assert_eq!(clocks(&snap), (1..=2 * c + 3).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn stores_fed_one_history_share_each_chunk_through_a_pool() {
+        let c = CHUNK as RClock;
+        let history: Vec<Determinant> = (1..=3 * c + 5).map(|k| det(1, k)).collect();
+        let mut pool = ChunkPool::new();
+        let (mut a, mut b) = (DetStore::new(2), DetStore::new(2));
+        a.insert_run(&history);
+        for d in &history {
+            b.insert(*d);
+        }
+        a.share(&mut pool);
+        b.share(&mut pool);
+        let shared = |a: &DetStore, b: &DetStore, i: usize| {
+            Arc::ptr_eq(&a.seqs[1].chunks[i], &b.seqs[1].chunks[i])
+        };
+        assert!((0..3).all(|i| shared(&a, &b, i)));
+        assert_eq!(pool.chunks.len(), 3);
+        // A differing copy un-shares its chunk on one side only; the
+        // other side and the other chunks keep their contents.
+        let newer = Determinant {
+            cause: 9,
+            ..det(1, c + 3)
+        };
+        assert!(!b.insert(newer));
+        b.share(&mut pool);
+        assert!(!shared(&a, &b, 1) && shared(&a, &b, 0) && shared(&a, &b, 2));
+        assert_eq!(
+            (a.seq(1).get(c + 3), b.seq(1).get(c + 3)),
+            (Some(&det(1, c + 3)), Some(&newer))
+        );
+        // Once `a` learns the same copy, the pool hands it `b`'s chunk.
+        a.insert(newer);
+        a.share(&mut pool);
+        assert!((0..3).all(|i| shared(&a, &b, i)));
+        // Equal clocks with other contents are never shared.
+        let mut other = DetStore::new(2);
+        let renumbered = |k| Determinant {
+            ssn: k + 1000,
+            ..det(1, k)
+        };
+        other.insert_run(&(1..=c).map(renumbered).collect::<Vec<_>>());
+        other.share(&mut pool);
+        assert!(!Arc::ptr_eq(&other.seqs[1].chunks[0], &a.seqs[1].chunks[0]));
+        assert_eq!(other.retained()[0].ssn, 1001);
+    }
+
+    #[test]
+    fn the_pool_sweeps_chunks_no_store_holds() {
+        let mut pool = ChunkPool::new();
+        for round in 0..4 {
+            // Each round's stores die before the next round starts.
+            let mut store = DetStore::new(1);
+            let base = round * 1000;
+            store.insert_run(
+                &(base + 1..=base + 40 * CHUNK as RClock)
+                    .map(|k| det(0, k))
+                    .collect::<Vec<_>>(),
+            );
+            store.share(&mut pool);
+        }
+        // 160 registrations, 40 of them live at any time: sweeps keep the
+        // pool near one round's worth, and it keeps no chunk alive.
+        assert!(pool.chunks.len() <= 2 * 40, "{} entries", pool.chunks.len());
+        assert!(pool.chunks.values().all(|chunk| chunk.strong_count() == 0));
     }
 
     #[test]

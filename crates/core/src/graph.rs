@@ -20,7 +20,7 @@
 
 use vlog_vmpi::{RClock, Rank};
 
-use crate::detseq::DetStore;
+use crate::detseq::{ChunkPool, DetStore};
 use crate::event::Determinant;
 
 /// One process's view of the antecedence graph.
@@ -83,6 +83,12 @@ impl AGraph {
     /// All retained determinants, ordered by (creator, clock).
     pub fn retained(&self) -> Vec<Determinant> {
         self.store.retained()
+    }
+
+    /// Shares the vertex store's new chunks through `pool`
+    /// ([`DetStore::share`]).
+    pub fn share(&mut self, pool: &mut ChunkPool) {
+        self.store.share(pool);
     }
 
     /// Computes the causal past of `roots` as per-creator prefixes:

@@ -68,7 +68,7 @@ pub mod vcausal;
 pub use bytes::Bytes;
 pub use causal::CausalProtocol;
 pub use coordinated::CoordinatedProtocol;
-pub use detseq::{DetSeq, DetStore};
+pub use detseq::{ChunkPool, DetSeq, DetStore};
 pub use el::{
     el_batch_bytes, shard_ack_key, shard_queue_key, ElBatcher, ElMsg, ElReply, EL_RECORD_BYTES,
 };

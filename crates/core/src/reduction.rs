@@ -17,6 +17,7 @@
 
 use vlog_vmpi::{RClock, Rank};
 
+use crate::detseq::ChunkPool;
 use crate::event::Determinant;
 use crate::piggyback;
 
@@ -133,7 +134,17 @@ pub trait Reduction: Send + Sync {
     /// model).
     fn retained_count(&self) -> usize;
 
-    /// Deep clone for checkpoint images.
+    /// Shares the store's chunks frozen since the last call with the
+    /// other ranks of the run through `pool` (see [`crate::detseq`],
+    /// "One copy per run"). Contents never change; only how many copies
+    /// the run holds. Default: keep every chunk private.
+    fn share(&mut self, pool: &mut ChunkPool) {
+        let _ = pool;
+    }
+
+    /// Clone for checkpoint images and restarts. The store's full chunks
+    /// are shared with the clone, not copied, and each side copies a
+    /// chunk only when it writes to it.
     fn clone_box(&self) -> Box<dyn Reduction>;
 }
 

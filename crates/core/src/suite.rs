@@ -2,10 +2,11 @@
 //! components, ready to hand to the cluster builder.
 
 use vlog_sim::{NodeId, Sim, SimDuration};
-use vlog_vmpi::{CkptScheduler, RecoveryStyle, SchedulerPolicy, Suite, VProtocol};
+use vlog_vmpi::{CkptScheduler, ClusterState, RecoveryStyle, SchedulerPolicy, Suite, VProtocol};
 
 use crate::causal::CausalProtocol;
 use crate::coordinated::CoordinatedProtocol;
+use crate::detseq::ChunkPool;
 use crate::el_multi::install_distributed_el;
 use crate::pessimistic::PessimisticProtocol;
 use crate::piggyback::PbFormat;
@@ -87,6 +88,9 @@ impl Suite for CausalSuite {
             install_distributed_el(sim, stable_nodes[0], self.el_count.max(1), self.el_gossip);
         }
         CkptScheduler::install(sim, stable_nodes[1], self.scheduler);
+        // The ranks' causality stores share their frozen chunks through
+        // one pool, dropped with the run (see `detseq`).
+        ClusterState::of(sim).suite_state = Some(Box::new(ChunkPool::new()));
     }
 
     fn make_protocol(&self, rank: usize, n: usize) -> Box<dyn VProtocol> {

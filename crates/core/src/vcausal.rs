@@ -25,7 +25,7 @@
 
 use vlog_vmpi::{RClock, Rank};
 
-use crate::detseq::DetStore;
+use crate::detseq::{ChunkPool, DetStore};
 use crate::event::Determinant;
 use crate::reduction::{Reduction, Technique, Work};
 
@@ -139,6 +139,10 @@ impl Reduction for VcausalRed {
         self.store.len()
     }
 
+    fn share(&mut self, pool: &mut ChunkPool) {
+        self.store.share(pool);
+    }
+
     fn clone_box(&self) -> Box<dyn Reduction> {
         Box::new(self.clone())
     }
@@ -249,7 +253,7 @@ mod tests {
     }
 
     #[test]
-    fn clone_box_is_deep() {
+    fn clone_box_is_independent_of_the_live_store() {
         let mut r = VcausalRed::new(2);
         r.add_local(det(0, 1));
         let snap = r.clone_box();

@@ -22,9 +22,11 @@
 //! components of one run have in common, is one plain struct,
 //! [`ClusterState`], installed in the run's kernel
 //! ([`vlog_sim::Sim::install`]): the topology, the per-rank statistics,
-//! the set of finished ranks, the fault table and what launching a
-//! daemon needs. A run is single-threaded and every handler is handed
-//! `&mut Sim`, so each of them reaches the state by plain borrow
+//! the set of finished ranks, the fault table, what launching a
+//! daemon needs, and whatever the protocol suite shares among its ranks
+//! ([`ClusterState::suite_state`]: the causal suites' chunk pool). A run
+//! is single-threaded and every handler is handed `&mut Sim`, so each
+//! of them reaches the state by plain borrow
 //! ([`ClusterState::of`], [`topo`], [`crate::Ctx::topo`],
 //! [`crate::Ctx::rank_stats`]) — no lock, no reference count, no cached
 //! copy to invalidate — and [`ClusterRun::run`] reads the answer out of
@@ -48,6 +50,7 @@
 //! typed reason. With [`ClusterConfig::export_liveness`] the report of
 //! any of the three also names what the run was still waiting for.
 
+use std::any::Any;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -313,6 +316,10 @@ pub struct ClusterState {
     pub seeded_bugs: SeededBugs,
     /// `None` in a rig that never launches a daemon.
     pub launch: Option<Launch>,
+    /// What the protocol suite's ranks share for the length of the run,
+    /// put here by [`Suite::install`] and reached through
+    /// [`crate::Ctx::suite_state`]; dropped with the run.
+    pub suite_state: Option<Box<dyn Any + Send>>,
 }
 
 impl ClusterState {

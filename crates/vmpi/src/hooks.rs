@@ -19,9 +19,10 @@
 //!
 //! What a hook may know beyond its own daemon is run state, not something
 //! each protocol instance carries: where the other components live
-//! ([`TopoView`], read through [`Ctx::topo`]) and what this rank has
+//! ([`TopoView`], read through [`Ctx::topo`]), what this rank has
 //! counted so far ([`RankStats`], written through [`Ctx::rank_stats`])
-//! both sit in the run's [`ClusterState`], which the `&mut Sim` inside
+//! and what the suite's ranks share ([`Ctx::suite_state`]) all sit in
+//! the run's [`ClusterState`], which the `&mut Sim` inside
 //! every [`Ctx`] reaches by plain borrow. A protocol is therefore built
 //! from its rank and the job size alone ([`Suite::make_protocol`]), and a
 //! relaunched incarnation finds the rank's counters where its
@@ -195,6 +196,13 @@ impl Ctx<'_> {
     /// daemon and protocol stopped.
     pub fn rank_stats(&mut self) -> &mut RankStats {
         &mut ClusterState::of(self.sim).rank_stats[self.core.rank()]
+    }
+
+    /// The suite's run-wide state ([`ClusterState::suite_state`]), if the
+    /// suite installed one of type `S`.
+    pub fn suite_state<S: Any>(&mut self) -> Option<&mut S> {
+        let state = ClusterState::of(self.sim).suite_state.as_deref_mut()?;
+        state.downcast_mut()
     }
 
     /// Reports that this rank just crossed `phase`. Protocols call this
@@ -395,7 +403,9 @@ pub trait Suite: Send + Sync {
     /// Installs auxiliary stable actors (Event Logger, scheduler...).
     /// Called once, before daemons are created, with the run's
     /// [`ClusterState`] installed in `sim` and its ranks registered; an
-    /// Event Logger registers itself there ([`TopoView::set_els`]).
+    /// Event Logger registers itself there ([`TopoView::set_els`]), and
+    /// state the suite's ranks share goes in
+    /// [`ClusterState::suite_state`].
     fn install(&self, sim: &mut Sim, stable_nodes: &[NodeId]) {
         let _ = (sim, stable_nodes);
     }

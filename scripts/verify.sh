@@ -50,6 +50,13 @@ boundary_gate 'Mutex|unsafe' "the task<->daemon boundary must take no lock and n
 boundary_gate 'Mutex|RwLock|AtomicBool|AtomicU64' "run state is reached through &mut Sim, not through a lock or an atomic" \
     crates/vmpi/src/{hooks,daemon,cluster,dispatcher,scheduler,fault,ckpt}.rs \
     crates/core/src/{el_multi,logcore,causal,pessimistic,coordinated,suite}.rs
+# The causality stores' chunk pool is part of that run state (crates/core/
+# src/detseq.rs, "One copy per run"): the suite puts it in ClusterState
+# and the protocol hands it down, so it is dropped with its run. Held by a
+# thread-local or a process-wide cell it would outlive the run and pin
+# chunks of runs long gone.
+boundary_gate 'Mutex|RwLock|AtomicBool|AtomicU64|AtomicUsize|thread_local|OnceLock' "the chunk pool is run state, reached through &mut Sim, not a lock, an atomic or a thread-local" \
+    crates/core/src/{detseq,vcausal,agred,graph,reduction}.rs
 # The causality log is a plain value the run's Sim owns (crates/sim/src/
 # causality.rs module docs): per-thread or per-process state coming back
 # would put the log outside the run it describes. Recording is one hash

@@ -14,13 +14,21 @@
 //! the store's full chunks, and every later step lands on one copy only,
 //! so each copy must go on matching its own model: a write through
 //! either side that leaked into the other would show up as a mismatch.
+//!
+//! A pool step puts two sides through one `ChunkPool`, the way the ranks
+//! of one run share their frozen chunks. A canonical append gives every
+//! clock one content whichever side it lands on, so two sides that
+//! append the same clocks freeze equal chunks separately and the pool
+//! makes them one; salted steps give the same clocks other contents,
+//! which the pool must never share. Later overwrites, gap inserts and
+//! prunes on either side must leave the other side matching its model.
 
 mod oracle;
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use vlog_core::{AGraph, DetSeq, Determinant};
+use vlog_core::{AGraph, ChunkPool, DetSeq, Determinant};
 
 use oracle::OldGraph;
 
@@ -51,9 +59,16 @@ fn spread(a: u64, top: u64) -> u64 {
 }
 
 /// One scripted step: `(kind, a, b, creator)`, interpreted per test.
-/// Kind 10 is a snapshot.
+/// Kind 10 is a snapshot, kind 11 a canonical append and kind 12 a pool
+/// step.
 fn script(max_len: usize) -> impl Strategy<Value = Vec<(u8, u64, u64, usize)>> {
-    prop::collection::vec((0u8..11, 0u64..48, 0u64..48, 0..N), 1..max_len)
+    prop::collection::vec((0u8..13, 0u64..48, 0u64..48, 0..N), 1..max_len)
+}
+
+/// Clock `clock`'s one content under a canonical append, whichever side
+/// it lands on.
+fn canonical(receiver: usize, clock: u64) -> Determinant {
+    det(receiver, clock, 1000 + clock)
 }
 
 /// Keeps a clone of `sides[from]` as a new side, or in place of another
@@ -73,11 +88,19 @@ proptest! {
     #[test]
     fn detseq_matches_a_btreemap(ops in script(80)) {
         let mut sides = vec![(DetSeq::new(), BTreeMap::<u64, Determinant>::new())];
+        let mut pool = ChunkPool::new();
         for (step, &(kind, a, b, pick)) in ops.iter().enumerate() {
             let salt = step as u64;
             let side = pick % sides.len();
             if kind == 10 {
                 snapshot(&mut sides, side);
+                continue;
+            }
+            if kind == 12 {
+                // The picked side and the next one, through one pool.
+                let next = (side + 1) % sides.len();
+                sides[side].0.share(0, &mut pool);
+                sides[next].0.share(0, &mut pool);
                 continue;
             }
             let (seq, map) = &mut sides[side];
@@ -102,15 +125,16 @@ proptest! {
                 }
                 // A run of consecutive clocks: appended (up to 48 long,
                 // so chunks fill), overlapping the tail with new content,
-                // or dropped somewhere in the middle.
-                4 | 5 => {
-                    let (start, len) = if kind == 4 {
-                        (next.saturating_sub(a % 6), b)
-                    } else {
-                        (pos, b % 8)
+                // dropped somewhere in the middle, or appended with each
+                // clock's canonical content.
+                4 | 5 | 11 => {
+                    let (start, len) = match kind {
+                        4 => (next.saturating_sub(a % 6), b),
+                        11 => (next, b),
+                        _ => (pos, b % 8),
                     };
-                    let run: Vec<Determinant> =
-                        (start..=start + len).map(|k| det(0, k, salt)).collect();
+                    let make = |k| if kind == 11 { canonical(0, k) } else { det(0, k, salt) };
+                    let run: Vec<Determinant> = (start..=start + len).map(make).collect();
                     let fresh = run.iter().filter(|d| map.insert(d.clock, **d).is_none()).count();
                     prop_assert_eq!(seq.insert_run(&run), fresh);
                 }
@@ -151,12 +175,19 @@ proptest! {
     #[test]
     fn agraph_matches_the_btreemap_graph(ops in script(120)) {
         let mut sides = vec![(AGraph::new(N), OldGraph::new(N), vec![0u64; N])];
+        let mut pool = ChunkPool::new();
         for (step, &(kind, a, b, c)) in ops.iter().enumerate() {
             let salt = step as u64;
             // The creator doubles as the side picker.
             let side = (c + step) % sides.len();
             if kind == 10 {
                 snapshot(&mut sides, side);
+                continue;
+            }
+            if kind == 12 {
+                let next = (side + 1) % sides.len();
+                sides[side].0.share(&mut pool);
+                sides[next].0.share(&mut pool);
                 continue;
             }
             let (new, old, stable) = &mut sides[side];
@@ -171,14 +202,14 @@ proptest! {
                     let d = det(c, clock, salt);
                     prop_assert_eq!(new.insert(d), old.insert(d));
                 }
-                4 | 5 => {
-                    let (start, len) = if kind == 4 {
-                        ((old.head(c) + 1).saturating_sub(a % 6), b)
-                    } else {
-                        (a, b % 8)
+                4 | 5 | 11 => {
+                    let (start, len) = match kind {
+                        4 => ((old.head(c) + 1).saturating_sub(a % 6), b),
+                        11 => (old.head(c) + 1, b),
+                        _ => (a, b % 8),
                     };
-                    let run: Vec<Determinant> =
-                        (start..=start + len).map(|k| det(c, k, salt)).collect();
+                    let make = |k| if kind == 11 { canonical(c, k) } else { det(c, k, salt) };
+                    let run: Vec<Determinant> = (start..=start + len).map(make).collect();
                     let fresh = run.iter().filter(|d| old.insert(**d)).count();
                     prop_assert_eq!(new.insert_run(&run), fresh);
                 }
