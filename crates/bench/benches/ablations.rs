@@ -15,7 +15,7 @@ use std::sync::Arc;
 use vlog_bench::paper::{nas_kill_rank0, netpipe_run};
 use vlog_bench::{fmt3, md_table, Scale, Stack, SuiteKind};
 use vlog_core::{install_distributed_el, CausalSuite, Technique};
-use vlog_sim::{NodeId, Sim, SimDuration};
+use vlog_sim::{Counter, NodeId, Sim, SimDuration};
 use vlog_vmpi::{CkptScheduler, ClusterConfig, FaultPlan, RecoveryStyle, Suite, VProtocol};
 use vlog_workloads::{run_workload, Class, NasBench, NasConfig};
 
@@ -161,7 +161,7 @@ fn main() {
             k.to_string(),
             fmt3(run.report.piggyback_percent()),
             fmt3(run.mflops()),
-            run.report.stats.get("el_gossip_msgs").to_string(),
+            run.report.stats.counter(Counter::ElGossipMsgs).to_string(),
         ]);
     }
     section(

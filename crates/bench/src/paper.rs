@@ -19,7 +19,7 @@
 use std::fmt::Write as _;
 
 use vlog_core::{reduction::figure3, Technique};
-use vlog_sim::{EthernetParams, SimDuration};
+use vlog_sim::{Counter, EthernetParams, SimDuration};
 use vlog_vmpi::control::STREAM_CHUNK_BYTES;
 use vlog_vmpi::{ClusterConfig, FaultPlan, RankStats, RunReport};
 use vlog_workloads::netpipe::{self, NetpipePoint};
@@ -226,7 +226,7 @@ fn run_cell((runner, stack, xs): &Cell) -> Vec<(f64, &'static str, f64)> {
             // Records that reached the EL coalesced behind a batch whose
             // ack was still outstanding: grows when the ack round trip
             // stretches.
-            let records = run.report.stats.get("el_records");
+            let records = run.report.stats.counter(Counter::ElRecords);
             let coalesced = records.saturating_sub(run.report.el_batches());
             put(x, "el_records", records as f64);
             put(x, "el_coalesced", coalesced as f64);

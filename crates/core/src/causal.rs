@@ -32,7 +32,7 @@ use crate::costs::{
     LOGON_INSERT_NS, LOGON_REORDER_NS, MEM_NS_LOG2_GRAPH, MEM_NS_LOG2_SEQ, SERIALIZE_EVENT_NS,
 };
 use crate::detseq::ChunkPool;
-use crate::el::ElReply;
+use crate::el_multi::ElReply;
 use crate::event::Determinant;
 use crate::logcore::{CausalCtl, LogCore};
 use crate::piggyback::{PbBody, PbFormat};

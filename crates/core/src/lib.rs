@@ -13,8 +13,8 @@
 //!   dense clock-indexed sequences of [`detseq`].
 //! * **One Event Logger** ([`el_multi::ElShard`]): the paper's single EL
 //!   is the one-shard installation of the sharded server, through the
-//!   same [`install_distributed_el`] call; [`el`] holds its messages,
-//!   wire sizes, gauges and the client-side [`ElBatcher`].
+//!   same [`install_distributed_el`] call; [`el_multi`] also holds its
+//!   messages, wire sizes, gauges and the client-side [`ElBatcher`].
 //! * **One log-protocol core** ([`logcore::LogCore`]) shared by causal
 //!   and pessimistic logging: the EL client (batching, ack pairing,
 //!   re-shard handoff), the sender log, checkpoint GC notices and the
@@ -53,7 +53,6 @@ pub mod codec;
 pub mod coordinated;
 pub mod costs;
 pub mod detseq;
-pub mod el;
 pub mod el_multi;
 pub mod event;
 pub mod graph;
@@ -69,10 +68,9 @@ pub use bytes::Bytes;
 pub use causal::CausalProtocol;
 pub use coordinated::CoordinatedProtocol;
 pub use detseq::{ChunkPool, DetSeq, DetStore};
-pub use el::{
-    el_batch_bytes, shard_ack_key, shard_queue_key, ElBatcher, ElMsg, ElReply, EL_RECORD_BYTES,
+pub use el_multi::{
+    el_batch_bytes, install_distributed_el, ElBatcher, ElMsg, ElReply, ElShard, EL_RECORD_BYTES,
 };
-pub use el_multi::{install_distributed_el, ElShard};
 pub use event::{Determinant, EventId};
 pub use graph::AGraph;
 pub use logcore::CausalCtl;

@@ -33,7 +33,7 @@ use vlog_vmpi::{
 
 use crate::costs::{self, EL_ACK_NS, EVENT_CREATE_NS};
 use crate::detseq::DetSeq;
-use crate::el::{el_batch_bytes, record_el_outstanding, ElBatcher, ElMsg};
+use crate::el_multi::{el_batch_bytes, record_el_outstanding, ElBatcher, ElMsg};
 use crate::event::Determinant;
 use crate::piggyback::watermarks_len;
 use crate::sender_log::SenderLog;

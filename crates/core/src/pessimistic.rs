@@ -19,7 +19,7 @@ use vlog_vmpi::{
 };
 
 use crate::costs::{EL_SHIP_NS, EVENT_CREATE_NS};
-use crate::el::ElReply;
+use crate::el_multi::ElReply;
 use crate::logcore::{CausalCtl, LogCore};
 use crate::sender_log::SenderLog;
 

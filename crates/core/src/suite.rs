@@ -7,7 +7,7 @@ use vlog_vmpi::{CkptScheduler, ClusterState, RecoveryStyle, SchedulerPolicy, Sui
 use crate::causal::CausalProtocol;
 use crate::coordinated::CoordinatedProtocol;
 use crate::detseq::ChunkPool;
-use crate::el_multi::install_distributed_el;
+use crate::el_multi::{assert_shard_count, install_distributed_el};
 use crate::pessimistic::PessimisticProtocol;
 use crate::piggyback::PbFormat;
 use crate::reduction::Technique;
@@ -53,11 +53,10 @@ impl CausalSuite {
         self
     }
 
-    /// Distributes the Event Logger over `k` shards (at most
-    /// [`MAX_EL_SHARDS`](crate::el::MAX_EL_SHARDS)) gossiping their
+    /// Distributes the Event Logger over `k ≥ 1` shards gossiping their
     /// stable-clock vectors every `gossip`.
     pub fn with_distributed_el(mut self, k: usize, gossip: SimDuration) -> Self {
-        crate::el::assert_shard_count(k);
+        assert_shard_count(k);
         self.el = true;
         self.el_count = k;
         self.el_gossip = gossip;

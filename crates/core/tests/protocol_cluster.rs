@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use vlog_core::{CausalSuite, CoordinatedSuite, PessimisticSuite, Technique};
-use vlog_sim::SimDuration;
+use vlog_sim::{Counter, SimDuration};
 use vlog_vmpi::{
     app, run_cluster, AppSpec, ClusterConfig, FaultPlan, Payload, RecvSelector, Suite,
 };
@@ -183,7 +183,7 @@ fn coordinated_rolls_everyone_back() {
     assert!(report.completed, "coordinated run did not complete");
     assert!(report.all_landed(&faults), "{:?}", report.fired);
     assert!(
-        report.stats.get("global_rollbacks") >= 1,
+        report.stats.counter(Counter::GlobalRollbacks) >= 1,
         "no rollback happened"
     );
 }

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use vlog_core::{CausalSuite, CoordinatedSuite, PessimisticSuite, Technique};
-use vlog_sim::SimDuration;
+use vlog_sim::{Counter, SimDuration};
 use vlog_vmpi::{app, run_cluster, ClusterConfig, FaultPlan, Payload, RecvSelector, Suite};
 
 fn pingpong(reps: u32) -> vlog_vmpi::AppSpec {
@@ -208,5 +208,5 @@ fn coordinated_survives_fault_landing_during_a_snapshot() {
     );
     assert!(report.completed, "fault during snapshot wedged the job");
     assert!(report.all_landed(&faults), "{:?}", report.fired);
-    assert!(report.stats.get("global_rollbacks") >= 1);
+    assert!(report.stats.counter(Counter::GlobalRollbacks) >= 1);
 }

@@ -197,22 +197,14 @@ fn skewed_ring_program(iters: u64, tail: SimDuration) -> AppSpec {
     })
 }
 
-/// Full-report fingerprint: every observable the harness has, the
-/// liveness verdict, the decisions that fired and the faults that fired
-/// included. Two runs of the same scenario under the same script must
-/// produce identical fingerprints (replay convergence).
+/// [`RunReport::fingerprint`] plus the liveness verdict, the decisions
+/// that fired and the faults that fired: two runs of the same scenario
+/// under the same script must print the same (replay convergence).
 pub fn fingerprint(report: &RunReport) -> String {
+    let (liveness, applied, fired) = (&report.liveness, &report.applied, &report.fired);
     format!(
-        "suite={} completed={} makespan={:?} events={} stats={:?} ranks={:?} liveness={:?} applied={:?} fired={:?}",
-        report.suite,
-        report.completed,
-        report.makespan,
-        report.events,
-        report.stats,
-        report.rank_stats,
-        report.liveness,
-        report.applied,
-        report.fired,
+        "{} liveness={liveness:?} applied={applied:?} fired={fired:?}",
+        report.fingerprint()
     )
 }
 

@@ -85,7 +85,7 @@ use crate::exec::{self, ExecHandle, OpId, Port, TaskId, TaskSlot};
 use crate::net::{NetProfile, Network, WireSize};
 use crate::profiler;
 use crate::schedule::{Decision, Script};
-use crate::stats::Stats;
+use crate::stats::{Counter, Stats};
 use crate::time::{SimDuration, SimTime};
 
 /// Index of a simulated machine.
@@ -772,7 +772,7 @@ impl Sim {
         }
         self.net.reset_node(node);
         self.cpu_free[node] = self.now;
-        self.stats.bump("node_crashes");
+        self.stats.bump(Counter::NodeCrashes);
         crate::event!(self, "node-crashed" { node = node });
     }
 
@@ -895,7 +895,7 @@ impl Sim {
                 let matched =
                     self.with_actor(actor, Some(gen), |a, sim, me| a.on_deliver(sim, me, msg));
                 if !matched {
-                    self.stats.bump("net_dropped_dead_target");
+                    self.stats.bump(Counter::NetDroppedDeadTarget);
                 }
             }
         }
@@ -1113,8 +1113,8 @@ mod tests {
         sim.after(SimDuration::from_nanos(1), move |sim| sim.crash_node(1));
         sim.run();
         assert!(got.lock().unwrap().is_empty());
-        assert_eq!(sim.stats().get("net_dropped_dead_target"), 1);
-        assert_eq!(sim.stats().get("node_crashes"), 1);
+        assert_eq!(sim.stats().counter(Counter::NetDroppedDeadTarget), 1);
+        assert_eq!(sim.stats().counter(Counter::NodeCrashes), 1);
     }
 
     #[test]

@@ -84,5 +84,5 @@ pub use kernel::{
 };
 pub use net::{EthernetParams, HeteroLinks, NetProfile, Network, WireSize, SERVICE_BOUNDARY};
 pub use schedule::Decision;
-pub use stats::{MsgHistogram, Stats};
+pub use stats::{Counter, Gauge, MsgHistogram, Stats, Timer};
 pub use time::{SimDuration, SimTime};

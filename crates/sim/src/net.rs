@@ -27,7 +27,7 @@
 //! nodes and a heterogeneous core/uplink split where the stable service
 //! nodes sit behind faster links than the compute ranks. Faster fabrics
 //! are what move the Event Logger bottleneck from ack round-trips to the
-//! logger's own CPU (see `vlog-core::el` and the `regimes` bench).
+//! logger's own CPU (see `vlog-core::el_multi` and the `regimes` bench).
 
 use crate::time::{SimDuration, SimTime};
 

@@ -2,12 +2,14 @@
 //!
 //! The benchmark harnesses derive every paper table from these counters.
 //! Byte counters are split by wire category so that Figure 7 ("piggybacked
-//! bytes as a percentage of total exchanged bytes") can be computed exactly;
-//! named counters let the protocol crates record protocol-specific
-//! quantities (events piggybacked, graph vertices visited, ...) without the
-//! kernel knowing about them.
+//! bytes as a percentage of total exchanged bytes") can be computed exactly.
+//! Named metrics are typed ids — [`Counter`], [`Gauge`] (shard-labelled
+//! for the Event Logger) and [`Timer`] — whose `name()` is the one place
+//! a printed name is spelled, so a wrong name or kind fails to compile.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::fmt;
 
 use crate::net::WireSize;
 use crate::time::SimDuration;
@@ -109,8 +111,87 @@ impl std::fmt::Debug for MsgHistogram {
     }
 }
 
+/// Additive counters, written only through [`Stats::bump`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Counter {
+    DispatcherFaults,
+    DupDropped,
+    ElAckSamples,
+    ElBatches,
+    ElDuplicateRecords,
+    ElGossipMsgs,
+    ElQueries,
+    ElRecords,
+    ElReshards,
+    ElShardCrashes,
+    GlobalRollbacks,
+    NetDroppedDeadTarget,
+    NodeCrashes,
+}
+
+impl Counter {
+    /// The name the counter prints under (and [`Stats::get`] finds).
+    pub fn name(self) -> &'static str {
+        match self {
+            Counter::DispatcherFaults => "dispatcher_faults",
+            Counter::DupDropped => "dup_dropped",
+            Counter::ElAckSamples => "el_ack_samples",
+            Counter::ElBatches => "el_batches",
+            Counter::ElDuplicateRecords => "el_duplicate_records",
+            Counter::ElGossipMsgs => "el_gossip_msgs",
+            Counter::ElQueries => "el_queries",
+            Counter::ElRecords => "el_records",
+            Counter::ElReshards => "el_reshards",
+            Counter::ElShardCrashes => "el_shard_crashes",
+            Counter::GlobalRollbacks => "global_rollbacks",
+            Counter::NetDroppedDeadTarget => "net_dropped_dead_target",
+            Counter::NodeCrashes => "node_crashes",
+        }
+    }
+}
+
+/// Peak gauges (queue depths, outstanding-event highs), written only
+/// through [`Stats::set_max`]. The `ElShard*` gauges carry the index of
+/// the Event Logger shard that recorded them; any index is valid.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Gauge {
+    ElAckLatencyPeakNs,
+    ElPeakOutstanding,
+    ElPeakQueue,
+    ElShardAckPeakNs(usize),
+    ElShardPeakQueue(usize),
+}
+
+impl Gauge {
+    /// The name the gauge prints under (and [`Stats::get`] finds).
+    pub fn name(self) -> Cow<'static, str> {
+        match self {
+            Gauge::ElAckLatencyPeakNs => "el_ack_latency_peak_ns".into(),
+            Gauge::ElPeakOutstanding => "el_peak_outstanding".into(),
+            Gauge::ElPeakQueue => "el_peak_queue".into(),
+            Gauge::ElShardAckPeakNs(shard) => format!("el_ack_peak_s{shard}_ns").into(),
+            Gauge::ElShardPeakQueue(shard) => format!("el_peak_queue_s{shard}").into(),
+        }
+    }
+}
+
+/// Duration accumulators, written only through [`Stats::add_time`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Timer {
+    ElAckLatency,
+}
+
+impl Timer {
+    /// The name the timer prints under.
+    pub fn name(self) -> &'static str {
+        match self {
+            Timer::ElAckLatency => "el_ack_latency",
+        }
+    }
+}
+
 /// Aggregated counters for one simulation run.
-#[derive(Debug, Default, Clone)]
+#[derive(Default, Clone)]
 pub struct Stats {
     /// Number of network messages delivered.
     pub messages: u64,
@@ -123,17 +204,11 @@ pub struct Stats {
     /// of the metadata (is it one fat blob per burst or a trickle?)
     /// where `bytes.piggyback` only shows the volume.
     pub pb_sizes: MsgHistogram,
-    /// Named additive counters (protocol-specific). A key belongs to
-    /// exactly one of `counters`/`gauges` — additive keys are written
-    /// through [`Stats::add`]/[`Stats::bump`], never [`Stats::set_max`].
-    counters: BTreeMap<&'static str, u64>,
-    /// Named peak gauges (queue depths, outstanding-event highs),
-    /// written exclusively through [`Stats::set_max`]. Kept apart from
-    /// the additive counters because they combine differently: `+` for
-    /// counters, `max` for gauges.
-    gauges: BTreeMap<&'static str, u64>,
-    /// Named duration accumulators (protocol-specific).
-    durations: BTreeMap<&'static str, SimDuration>,
+    /// Each named metric written at least once (a gauge written at 0
+    /// included), by kind.
+    counters: BTreeMap<Counter, u64>,
+    gauges: BTreeMap<Gauge, u64>,
+    durations: BTreeMap<Timer, SimDuration>,
 }
 
 impl Stats {
@@ -154,62 +229,48 @@ impl Stats {
         }
     }
 
-    /// Adds `v` to the named counter, creating it at zero if absent.
-    pub fn add(&mut self, key: &'static str, v: u64) {
-        *self.counters.entry(key).or_insert(0) += v;
+    /// Increments a counter by one.
+    pub fn bump(&mut self, counter: Counter) {
+        *self.counters.entry(counter).or_insert(0) += 1;
     }
 
-    /// Increments the named counter by one.
-    pub fn bump(&mut self, key: &'static str) {
-        self.add(key, 1);
-    }
-
-    /// Raises the named gauge to `v` if `v` exceeds its current value
-    /// (peak-gauge semantics: queue depths, outstanding-event highs).
-    /// A gauge key must never also be written through [`Stats::add`].
-    pub fn set_max(&mut self, key: &'static str, v: u64) {
-        let slot = self.gauges.entry(key).or_insert(0);
+    /// Raises a gauge to `v` if `v` exceeds its current value; the first
+    /// write creates it, even at 0.
+    pub fn set_max(&mut self, gauge: Gauge, v: u64) {
+        let slot = self.gauges.entry(gauge).or_insert(0);
         *slot = (*slot).max(v);
     }
 
-    /// Current value of a named counter or gauge (zero if never
-    /// written). Keys are disjoint across the two classes, so one
-    /// lookup namespace serves both.
-    pub fn get(&self, key: &str) -> u64 {
-        self.counters
-            .get(key)
-            .or_else(|| self.gauges.get(key))
-            .copied()
-            .unwrap_or(0)
+    /// Adds to a duration accumulator.
+    pub fn add_time(&mut self, timer: Timer, d: SimDuration) {
+        *self.durations.entry(timer).or_default() += d;
     }
 
-    /// Adds to the named duration accumulator.
-    pub fn add_time(&mut self, key: &'static str, d: SimDuration) {
-        *self.durations.entry(key).or_default() += d;
+    /// Current value of a counter (zero if never written).
+    pub fn counter(&self, counter: Counter) -> u64 {
+        self.counters.get(&counter).copied().unwrap_or(0)
     }
 
-    /// Current value of a named duration accumulator.
-    pub fn get_time(&self, key: &str) -> SimDuration {
-        self.durations
-            .get(key)
-            .copied()
-            .unwrap_or(SimDuration::ZERO)
+    /// Current value of a gauge (zero if never written).
+    pub fn gauge(&self, gauge: Gauge) -> u64 {
+        self.gauges.get(&gauge).copied().unwrap_or(0)
     }
 
-    /// All named additive counters, sorted by key (deterministic
-    /// iteration).
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(k, v)| (*k, *v))
+    /// Current value of a duration accumulator.
+    pub fn timer(&self, timer: Timer) -> SimDuration {
+        self.durations.get(&timer).copied().unwrap_or_default()
     }
 
-    /// All named peak gauges, sorted by key.
-    pub fn gauges(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.gauges.iter().map(|(k, v)| (*k, *v))
-    }
-
-    /// All named duration accumulators, sorted by key.
-    pub fn durations(&self) -> impl Iterator<Item = (&'static str, SimDuration)> + '_ {
-        self.durations.iter().map(|(k, v)| (*k, *v))
+    /// Current value of the counter or gauge printed as `name` (zero if
+    /// never written): the reader for code that holds a printed name
+    /// rather than an id.
+    pub fn get(&self, name: &str) -> u64 {
+        let counters = self.counters.iter().map(|(c, v)| (Cow::from(c.name()), v));
+        let gauges = self.gauges.iter().map(|(g, v)| (g.name(), v));
+        counters
+            .chain(gauges)
+            .find(|(n, _)| n == name)
+            .map_or(0, |(_, v)| *v)
     }
 
     /// Total bytes that crossed the network, all categories.
@@ -226,6 +287,25 @@ impl Stats {
         } else {
             100.0 * self.bytes.piggyback as f64 / total as f64
         }
+    }
+}
+
+impl fmt::Debug for Stats {
+    /// Prints each metric map under its printed names, sorted by name:
+    /// the form report fingerprints pin.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let counters: BTreeMap<_, _> = self.counters.iter().map(|(c, v)| (c.name(), v)).collect();
+        let gauges: BTreeMap<_, _> = self.gauges.iter().map(|(g, v)| (g.name(), v)).collect();
+        let durations: BTreeMap<_, _> = self.durations.iter().map(|(t, d)| (t.name(), d)).collect();
+        f.debug_struct("Stats")
+            .field("messages", &self.messages)
+            .field("bytes", &self.bytes)
+            .field("msg_sizes", &self.msg_sizes)
+            .field("pb_sizes", &self.pb_sizes)
+            .field("counters", &counters)
+            .field("gauges", &gauges)
+            .field("durations", &durations)
+            .finish()
     }
 }
 
@@ -256,15 +336,15 @@ mod tests {
     #[test]
     fn named_counters_and_durations() {
         let mut s = Stats::new();
-        s.bump("events");
-        s.add("events", 4);
-        assert_eq!(s.get("events"), 5);
+        s.bump(Counter::ElRecords);
+        s.bump(Counter::ElRecords);
+        assert_eq!(s.counter(Counter::ElRecords), 2);
+        assert_eq!(s.get("el_records"), 2);
+        assert_eq!(s.counter(Counter::ElQueries), 0);
         assert_eq!(s.get("missing"), 0);
-        s.add_time("pb_send", SimDuration::from_micros(3));
-        s.add_time("pb_send", SimDuration::from_micros(2));
-        assert_eq!(s.get_time("pb_send").as_nanos(), 5_000);
-        let keys: Vec<_> = s.counters().map(|(k, _)| k).collect();
-        assert_eq!(keys, vec!["events"]);
+        s.add_time(Timer::ElAckLatency, SimDuration::from_micros(3));
+        s.add_time(Timer::ElAckLatency, SimDuration::from_micros(2));
+        assert_eq!(s.timer(Timer::ElAckLatency).as_nanos(), 5_000);
     }
 
     #[test]
@@ -368,17 +448,49 @@ mod tests {
     #[test]
     fn set_max_keeps_the_peak() {
         let mut s = Stats::new();
-        s.set_max("peak", 3);
-        s.set_max("peak", 9);
-        s.set_max("peak", 5);
-        assert_eq!(s.get("peak"), 9);
-        // set_max on a gauge that was never written creates it.
-        s.set_max("fresh", 0);
-        assert_eq!(s.get("fresh"), 0);
-        // Gauges live in their own namespace, not among the counters.
-        assert_eq!(s.counters().count(), 0);
-        let gauges: Vec<_> = s.gauges().collect();
-        assert_eq!(gauges, vec![("fresh", 0), ("peak", 9)]);
+        s.set_max(Gauge::ElPeakQueue, 3);
+        s.set_max(Gauge::ElPeakQueue, 9);
+        s.set_max(Gauge::ElPeakQueue, 5);
+        assert_eq!(s.gauge(Gauge::ElPeakQueue), 9);
+        // Shard labels are independent gauges, and any index is valid.
+        s.set_max(Gauge::ElShardPeakQueue(15), 4);
+        assert_eq!(s.gauge(Gauge::ElShardPeakQueue(15)), 4);
+        assert_eq!(s.gauge(Gauge::ElShardPeakQueue(14)), 0);
+        assert_eq!(s.get("el_peak_queue_s15"), 4);
+    }
+
+    /// The `Debug` text is part of every pinned report fingerprint. The
+    /// expected string is what the string-keyed `Stats` (a derived
+    /// `Debug` over `&'static str`-keyed maps) printed for the same
+    /// writes: names sorted, and a gauge written at 0 still shown.
+    #[test]
+    fn debug_output_is_the_pinned_text() {
+        let mut s = Stats::new();
+        s.record_message(WireSize {
+            header: 10,
+            payload: 90,
+            piggyback: 4,
+            control: 0,
+        });
+        s.bump(Counter::ElRecords);
+        s.bump(Counter::ElRecords);
+        s.bump(Counter::DispatcherFaults);
+        s.set_max(Gauge::ElPeakOutstanding, 0);
+        s.set_max(Gauge::ElShardPeakQueue(1), 4);
+        s.set_max(Gauge::ElShardPeakQueue(0), 7);
+        s.set_max(Gauge::ElShardAckPeakNs(0), 20_000);
+        s.set_max(Gauge::ElPeakQueue, 7);
+        s.add_time(Timer::ElAckLatency, SimDuration::from_micros(50));
+        assert_eq!(
+            format!("{s:?}"),
+            "Stats { messages: 1, \
+             bytes: WireSize { header: 10, payload: 90, piggyback: 4, control: 0 }, \
+             msg_sizes: {65..=128: 1}, pb_sizes: {3..=4: 1}, \
+             counters: {\"dispatcher_faults\": 1, \"el_records\": 2}, \
+             gauges: {\"el_ack_peak_s0_ns\": 20000, \"el_peak_outstanding\": 0, \
+             \"el_peak_queue\": 7, \"el_peak_queue_s0\": 7, \"el_peak_queue_s1\": 4}, \
+             durations: {\"el_ack_latency\": 50.000us} }"
+        );
     }
 
     #[test]
@@ -396,3 +508,34 @@ mod tests {
         assert_eq!(a.bucket(20), 1);
     }
 }
+
+/// A metric is a typed id, so a wrong one fails to compile. The right
+/// kinds compile:
+///
+/// ```
+/// use vlog_sim::{Counter, Gauge, Stats, Timer};
+/// let mut stats = Stats::new();
+/// stats.bump(Counter::ElRecords);
+/// stats.set_max(Gauge::ElShardPeakQueue(16), 3);
+/// stats.add_time(Timer::ElAckLatency, vlog_sim::SimDuration::ZERO);
+/// ```
+///
+/// A misspelt metric does not:
+///
+/// ```compile_fail
+/// vlog_sim::Stats::new().bump(vlog_sim::Counter::ElRecrods);
+/// ```
+///
+/// Nor does a counter written as a gauge:
+///
+/// ```compile_fail
+/// vlog_sim::Stats::new().set_max(vlog_sim::Counter::ElRecords, 3);
+/// ```
+///
+/// Nor a metric named by a string:
+///
+/// ```compile_fail
+/// vlog_sim::Stats::new().bump("el_records");
+/// ```
+#[cfg(doctest)]
+pub struct TypedMetricIds;

@@ -56,8 +56,8 @@ use std::sync::Arc;
 
 use vlog_sim::causality::{self, LivenessReport};
 use vlog_sim::{
-    env_knob, ActorId, Decision, Event, NetProfile, NodeId, Sim, SimConfig, SimDuration, SimTime,
-    Stats, StopReason,
+    env_knob, ActorId, Counter, Decision, Event, Gauge, NetProfile, NodeId, Sim, SimConfig,
+    SimDuration, SimTime, Stats, StopReason, Timer,
 };
 
 use crate::ckpt::CkptServer;
@@ -194,6 +194,15 @@ impl RunReport {
         self.fired.iter().filter(|f| !f.noop).count() == plan.entries().count()
     }
 
+    /// The run's outcome and statistics as one comparable line: the text
+    /// determinism pins and replay checks compare.
+    pub fn fingerprint(&self) -> String {
+        format!(
+            "suite={} completed={} makespan={:?} events={} stats={:?} ranks={:?}",
+            self.suite, self.completed, self.makespan, self.events, self.stats, self.rank_stats
+        )
+    }
+
     /// Piggybacked bytes as % of total exchanged bytes (Figure 7).
     pub fn piggyback_percent(&self) -> f64 {
         self.stats.piggyback_percent()
@@ -216,66 +225,61 @@ impl RunReport {
     // ---- Event Logger saturation gauges --------------------------------
     //
     // Recorded by the EL server actors and the logging protocols (see
-    // `vlog-core::el`); zero whenever the suite ran without an EL.
+    // `vlog-core::el_multi`); zero whenever the suite ran without an EL.
 
     /// Peak CPU-queue depth any event record saw at an Event Logger
     /// shard on arrival (how far behind the single-threaded select-loop
     /// server fell).
     pub fn el_peak_queue_depth(&self) -> u64 {
-        self.stats.get("el_peak_queue")
+        self.stats.gauge(Gauge::ElPeakQueue)
     }
 
     /// Peak number of one rank's events shipped to the Event Logger but
     /// not yet acknowledged back to it — the window that decides whether
     /// acks arrive in time to trim piggybacks.
     pub fn el_peak_outstanding(&self) -> u64 {
-        self.stats.get("el_peak_outstanding")
+        self.stats.gauge(Gauge::ElPeakOutstanding)
     }
 
     /// Number of event records the Event Logger processed (stored plus
     /// detected duplicates).
     pub fn el_acked_records(&self) -> u64 {
-        self.stats.get("el_records") + self.stats.get("el_duplicate_records")
+        self.stats.counter(Counter::ElRecords) + self.stats.counter(Counter::ElDuplicateRecords)
     }
 
     /// Number of record batches the Event Logger acknowledged (the
     /// coalesced-ack message count; equals the record count when no
     /// batching kicked in).
     pub fn el_batches(&self) -> u64 {
-        self.stats.get("el_batches")
+        self.stats.counter(Counter::ElBatches)
     }
 
     /// Mean arrival-to-ack-send latency over every record batch an
     /// Event Logger shard acknowledged (zero without an EL).
     pub fn el_ack_latency_mean(&self) -> SimDuration {
-        let n = self.stats.get("el_ack_samples");
-        if n == 0 {
-            SimDuration::ZERO
-        } else {
-            SimDuration::from_nanos(self.stats.get_time("el_ack_latency").as_nanos() / n)
-        }
+        let total = self.stats.timer(Timer::ElAckLatency).as_nanos();
+        let n = self.stats.counter(Counter::ElAckSamples);
+        SimDuration::from_nanos(total.checked_div(n).unwrap_or(0))
     }
 
     /// Worst single arrival-to-ack-send latency at any Event Logger
     /// shard.
     pub fn el_ack_latency_peak(&self) -> SimDuration {
-        SimDuration::from_nanos(self.stats.get("el_ack_latency_peak_ns"))
+        SimDuration::from_nanos(self.stats.gauge(Gauge::ElAckLatencyPeakNs))
     }
 
     /// Per-shard saturation gauges `(peak queue depth, peak ack
-    /// latency)` for shards `0..k`, read from the per-shard counter keys
-    /// the EL servers record (`el_peak_queue_s{i}` /
-    /// `el_ack_peak_s{i}_ns`, the tables behind
-    /// `vlog-core::el::shard_queue_key`/`shard_ack_key`; an EL deployment
-    /// has at most 8 shards, installing more is rejected).
+    /// latency)` for shards `0..k`, read from the shard-labelled gauges
+    /// the EL servers record ([`Gauge::ElShardPeakQueue`] /
+    /// [`Gauge::ElShardAckPeakNs`]); any shard count is valid.
     /// Makes a re-shard visible in reports: the dead shard's gauges
     /// freeze while the survivors' keep climbing.
     pub fn el_shard_gauges(&self, k: usize) -> Vec<(u64, SimDuration)> {
-        (0..k.min(8))
+        (0..k)
             .map(|i| {
                 (
-                    self.stats.get(&format!("el_peak_queue_s{i}")),
-                    SimDuration::from_nanos(self.stats.get(&format!("el_ack_peak_s{i}_ns"))),
+                    self.stats.gauge(Gauge::ElShardPeakQueue(i)),
+                    SimDuration::from_nanos(self.stats.gauge(Gauge::ElShardAckPeakNs(i))),
                 )
             })
             .collect()
@@ -283,7 +287,7 @@ impl RunReport {
 
     /// Number of EL shard-failure re-shards the topology published.
     pub fn el_reshards(&self) -> u64 {
-        self.stats.get("el_reshards")
+        self.stats.counter(Counter::ElReshards)
     }
 }
 
@@ -554,16 +558,17 @@ mod tests {
     #[test]
     fn el_gauge_accessors_read_the_counters() {
         let mut stats = Stats::new();
-        stats.set_max("el_peak_queue", 7);
-        stats.set_max("el_peak_outstanding", 3);
-        stats.add("el_records", 4);
-        stats.add("el_duplicate_records", 1);
-        stats.add("el_batches", 2);
-        stats.add("el_ack_samples", 5);
-        stats.add_time("el_ack_latency", SimDuration::from_micros(50));
-        stats.set_max("el_ack_latency_peak_ns", 20_000);
-        stats.set_max("el_peak_queue_s0", 7);
-        stats.set_max("el_ack_peak_s0_ns", 20_000);
+        let bump = |stats: &mut Stats, counter, times| (0..times).for_each(|_| stats.bump(counter));
+        stats.set_max(Gauge::ElPeakQueue, 7);
+        stats.set_max(Gauge::ElPeakOutstanding, 3);
+        bump(&mut stats, Counter::ElRecords, 4);
+        bump(&mut stats, Counter::ElDuplicateRecords, 1);
+        bump(&mut stats, Counter::ElBatches, 2);
+        bump(&mut stats, Counter::ElAckSamples, 5);
+        stats.add_time(Timer::ElAckLatency, SimDuration::from_micros(50));
+        stats.set_max(Gauge::ElAckLatencyPeakNs, 20_000);
+        stats.set_max(Gauge::ElShardPeakQueue(0), 7);
+        stats.set_max(Gauge::ElShardAckPeakNs(0), 20_000);
         let report = RunReport {
             suite: "test".into(),
             makespan: SimDuration::ZERO,

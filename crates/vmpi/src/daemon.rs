@@ -37,8 +37,8 @@ use std::sync::Arc;
 use bytes::Bytes;
 use vlog_sim::causality::Edge;
 use vlog_sim::{
-    Actor, ActorId, Delivery, Event, NodeId, OpId, Sim, SimDuration, SimTime, TaskId, TimerHandle,
-    WireSize,
+    Actor, ActorId, Counter, Delivery, Event, NodeId, OpId, Sim, SimDuration, SimTime, TaskId,
+    TimerHandle, WireSize,
 };
 
 use crate::api::Mpi;
@@ -835,7 +835,7 @@ impl Vdaemon {
         let (src, dst) = (msg.src, self.core.rank);
         let expected = self.core.channels.expected_ssn[src];
         if msg.ssn < expected {
-            sim.stats_mut().bump("dup_dropped");
+            sim.stats_mut().bump(Counter::DupDropped);
             return;
         }
         if msg.ssn > expected {

@@ -11,7 +11,7 @@
 //! rolls the whole job back to the last complete global snapshot
 //! ([`RecoveryStyle::GlobalRollback`], coordinated checkpointing).
 
-use vlog_sim::{Actor, ActorId, Delivery, Sim};
+use vlog_sim::{Actor, ActorId, Counter, Delivery, Sim};
 
 use crate::ckpt::{CkptReply, CkptRequest};
 use crate::cluster::{launch_rank, topo, ClusterState};
@@ -47,7 +47,7 @@ impl Dispatcher {
     }
 
     fn handle_fault(&mut self, sim: &mut Sim, rank: Rank) {
-        sim.stats_mut().bump("dispatcher_faults");
+        sim.stats_mut().bump(Counter::DispatcherFaults);
         match self.style {
             RecoveryStyle::SingleRank => {
                 launch_rank(sim, rank, BootMode::Recover { version: None });
@@ -74,7 +74,7 @@ impl Dispatcher {
     }
 
     fn rollback_all(&mut self, sim: &mut Sim, version: u64) {
-        sim.stats_mut().bump("global_rollbacks");
+        sim.stats_mut().bump(Counter::GlobalRollbacks);
         for rank in 0..topo(sim).n_ranks() {
             // Kill the surviving incarnation (app task + daemon) so stale
             // in-flight traffic is dropped by the generation check, then
@@ -189,7 +189,7 @@ mod tests {
             d,
             DispatcherMsg::Fault { rank: 0 }
         ));
-        assert_eq!(sim.stats().get("global_rollbacks"), 1);
+        assert_eq!(sim.stats().counter(Counter::GlobalRollbacks), 1);
         assert!(!completed_after(
             &mut sim,
             d,
@@ -225,7 +225,7 @@ mod tests {
             d,
             DispatcherMsg::Fault { rank: 0 }
         ));
-        assert_eq!(sim.stats().get("dispatcher_faults"), 1);
-        assert_eq!(sim.stats().get("global_rollbacks"), 0);
+        assert_eq!(sim.stats().counter(Counter::DispatcherFaults), 1);
+        assert_eq!(sim.stats().counter(Counter::GlobalRollbacks), 0);
     }
 }

@@ -17,7 +17,7 @@
 
 use std::collections::BTreeMap;
 
-use vlog_sim::{Sim, SimDuration, SimTime, WireSize};
+use vlog_sim::{Counter, Sim, SimDuration, SimTime, WireSize};
 
 use crate::cluster::{topo, ClusterState};
 use crate::control;
@@ -213,7 +213,7 @@ fn crash(sim: &mut Sim, fault: Fault) {
         if !alive {
             return;
         }
-        sim.stats_mut().bump("el_shard_crashes");
+        sim.stats_mut().bump(Counter::ElShardCrashes);
     }
     sim.crash_node(node);
 }
@@ -229,7 +229,7 @@ fn detected(sim: &mut Sim, fault: Fault) {
             if !ClusterState::of(sim).topo.rebalance_after_el_failure(shard) {
                 return;
             }
-            sim.stats_mut().bump("el_reshards");
+            sim.stats_mut().bump(Counter::ElReshards);
             for rank in 0..topo(sim).n_ranks() {
                 let daemon = topo(sim).daemon(rank);
                 let body = Box::new(ElReshard { dead_shard: shard });

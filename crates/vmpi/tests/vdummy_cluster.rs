@@ -396,11 +396,7 @@ fn a_scripted_run_reports_what_fired_and_replays_from_it() {
             }),
         );
         assert!(report.completed);
-        let fingerprint = format!(
-            "makespan={:?} events={} stats={:?} ranks={:?}",
-            report.makespan, report.events, report.stats, report.rank_stats
-        );
-        (fingerprint, report.applied)
+        (report.fingerprint(), report.applied)
     };
     let decision = |index, us| Decision {
         index,

@@ -16,7 +16,7 @@
 use std::sync::Arc;
 
 use vlog_core::{CausalSuite, Technique};
-use vlog_sim::SimDuration;
+use vlog_sim::{Counter, SimDuration};
 use vlog_vmpi::{
     app, decode_f64s, encode_f64s, run_cluster, ClusterConfig, FaultPlan, Payload, RecvSelector,
 };
@@ -152,7 +152,7 @@ fn main() {
     println!("virtual time          : {}", report.makespan);
     println!(
         "crashes survived      : {}",
-        report.stats.get("node_crashes")
+        report.stats.counter(Counter::NodeCrashes)
     );
     println!(
         "recoveries            : {:?}",

@@ -66,13 +66,6 @@ fn run_one(technique: Technique, el: bool, seed: u64, with_fault: bool) -> RunRe
     report
 }
 
-fn fingerprint(r: &RunReport) -> String {
-    format!(
-        "suite={} makespan={:?} events={} stats={:?} ranks={:?}",
-        r.suite, r.makespan, r.events, r.stats, r.rank_stats
-    )
-}
-
 fn main() {
     let threads = parse_threads();
     let mut jobs = Vec::new();
@@ -87,7 +80,7 @@ fn main() {
     }
     let n_jobs = jobs.len();
     let runner =
-        |(t, el, seed, f): (Technique, bool, u64, bool)| fingerprint(&run_one(t, el, seed, f));
+        |(t, el, seed, f): (Technique, bool, u64, bool)| run_one(t, el, seed, f).fingerprint();
     let sequential = run_many(jobs.clone(), 1, runner);
     let sharded = run_many(jobs, threads, runner);
     assert_eq!(

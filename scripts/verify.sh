@@ -107,6 +107,21 @@ if find crates/vmpi/src crates/core/src -name '*.rs' -print0 | xargs -0 awk "$lo
     exit 1
 fi
 echo "    boundary gate: ok (local_send( under crates/vmpi/src and crates/core/src only in control::send, spawn_app's AppFinished and fault::detected)"
+# A metric is named by its typed id (crates/sim/src/stats.rs: Counter,
+# Gauge, Timer), whose name() is the one place a name is spelled, so a
+# misspelt or wrong-kind metric fails to compile. Stats::get(&str) stays
+# as a by-name reader for code outside this workspace; non-test code here
+# never hands a Stats reader or writer a string, literal or formatted.
+# A continuation line (`    .set_max("...")`) counts: those method
+# names are Stats' own.
+stats_gate='stats(\(\)|_mut\(\))?[[:space:]]*\.(get|get_time|add|bump|set_max|add_time)\([[:space:]]*(&?format!|")|^[^ ]+ +\.(get_time|add|bump|set_max|add_time)\([[:space:]]*"'
+if find crates examples -path '*/tests' -prune -o -name '*.rs' -print0 |
+    xargs -0 awk "$non_test"' { print FILENAME ":" FNR ": " $0 }' |
+    grep -vE '^[^ ]+ +//' | grep -E "$stats_gate"; then
+    echo "a metric is named by a string (lines above): use vlog_sim::{Counter, Gauge, Timer} and the typed readers" >&2
+    exit 1
+fi
+echo "    boundary gate: ok (no string-named metric in non-test code under crates/ and examples/)"
 # The hang detector was a third way to end a run; time_limit +
 # export_liveness give the same stop with a typed reason.
 # (The bracket keeps this script out of its own and the issue's grep.)

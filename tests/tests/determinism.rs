@@ -55,21 +55,8 @@ fn program() -> AppSpec {
     })
 }
 
-/// Everything a [`RunReport`] observes, flattened to a comparable value.
-fn fingerprint(report: &RunReport) -> String {
-    format!(
-        "suite={} completed={} makespan={:?} events={} stats={:?} ranks={:?}",
-        report.suite,
-        report.completed,
-        report.makespan,
-        report.events,
-        report.stats,
-        report.rank_stats,
-    )
-}
-
 fn run_once(suite: Arc<dyn Suite>, with_fault: bool) -> String {
-    fingerprint(&run_report(suite, with_fault, false))
+    run_report(suite, with_fault, false).fingerprint()
 }
 
 fn run_report(suite: Arc<dyn Suite>, with_fault: bool, export_liveness: bool) -> RunReport {
@@ -241,7 +228,7 @@ fn causality_log_does_not_perturb_reports_across_thread_counts() {
             let report = run_report(suite_for(idx), with_fault, true);
             let live = report.liveness.as_ref().expect("liveness exported");
             assert!(live.produced_events > 0, "{} logged nothing", report.suite);
-            (fingerprint(&report), format!("{live:?}"))
+            (report.fingerprint(), format!("{live:?}"))
         })
         .into_iter()
         .unzip()
@@ -297,7 +284,7 @@ fn an_empty_schedule_is_the_unperturbed_run_on_every_suite() {
             assert!(report.completed, "{} did not complete", report.suite);
             assert!(report.all_landed(&faults), "{:?}", report.fired);
             assert!(report.applied.is_empty());
-            let text = fingerprint(&report);
+            let text = report.fingerprint();
             let hash = text.bytes().fold(0xCBF2_9CE4_8422_2325u64, |h, b| {
                 (h ^ u64::from(b)).wrapping_mul(0x100_0000_01B3)
             });
@@ -368,7 +355,7 @@ fn registered_workloads_survive_faults_on_every_suite_deterministically() {
             "workload={} extra={:?} {}",
             run.label,
             run.extra,
-            fingerprint(&run.report)
+            run.report.fingerprint()
         )
     };
     let sequential = run_many(jobs.clone(), 1, runner);
@@ -441,7 +428,7 @@ fn large_registry_survives_hub_failures_on_every_suite_deterministically() {
             run.label,
             w.hub_rank(),
             run.extra,
-            fingerprint(&run.report)
+            run.report.fingerprint()
         )
     };
     let sequential = run_many(jobs.clone(), 1, runner);
@@ -500,7 +487,7 @@ fn compact_aggregated_bursty_is_deterministic_across_thread_counts() {
         format!(
             "agg-compact fault={with_fault} extra={:?} {}",
             run.extra,
-            fingerprint(&run.report)
+            run.report.fingerprint()
         )
     };
     let sequential = run_many(jobs.clone(), 1, runner);
@@ -574,7 +561,7 @@ fn net_axes_are_deterministic_fault_free_and_through_el_failure() {
         format!(
             "axis={} el_fault={el_fault} {}",
             axis.label(),
-            fingerprint(&run.report)
+            run.report.fingerprint()
         )
     };
     let sequential = run_many(jobs.clone(), 1, runner);

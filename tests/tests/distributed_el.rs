@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use vlog_core::{CausalSuite, Technique};
-use vlog_sim::SimDuration;
+use vlog_sim::{Counter, SimDuration};
 use vlog_vmpi::{app, run_cluster, ClusterConfig, FaultPlan, Payload, RecvSelector};
 use vlog_workloads::{run_workload, Class, NasBench, NasConfig};
 
@@ -43,11 +43,40 @@ fn sharded_el_runs_and_gossips() {
     );
     let report = run_cluster(&ClusterConfig::new(6), suite, ring(100), &FaultPlan::none());
     assert!(report.completed);
-    assert!(report.stats.get("el_records") > 0);
+    assert!(report.stats.counter(Counter::ElRecords) > 0);
     assert!(
-        report.stats.get("el_gossip_msgs") > 0,
+        report.stats.counter(Counter::ElGossipMsgs) > 0,
         "shards never gossiped"
     );
+}
+
+/// Every shard of a 16-shard deployment reports under its own label:
+/// shard-labelled gauges have no shard cap and no shared slot.
+#[test]
+fn sixteen_shards_report_exact_gauges() {
+    let suite = Arc::new(
+        CausalSuite::new(Technique::Vcausal, true)
+            .with_distributed_el(16, SimDuration::from_millis(5)),
+    );
+    let report = run_cluster(&ClusterConfig::new(16), suite, ring(50), &FaultPlan::none());
+    assert!(report.completed);
+    let gauges = report.el_shard_gauges(16);
+    assert_eq!(gauges.len(), 16);
+    for (shard, &(queue, ack)) in gauges.iter().enumerate() {
+        // Rank `shard` logs to shard `shard`, so every shard acked a
+        // batch, and an ack takes at least one record's service time.
+        assert!(ack > SimDuration::ZERO, "shard {shard} recorded nothing");
+        assert_eq!(queue, report.stats.get(&format!("el_peak_queue_s{shard}")));
+        assert_eq!(
+            ack.as_nanos(),
+            report.stats.get(&format!("el_ack_peak_s{shard}_ns"))
+        );
+    }
+    // The all-shard gauges are the peaks over the per-shard ones.
+    let peak_queue = gauges.iter().map(|g| g.0).max();
+    let peak_ack = gauges.iter().map(|g| g.1).max();
+    assert_eq!(peak_queue, Some(report.el_peak_queue_depth()));
+    assert_eq!(peak_ack, Some(report.el_ack_latency_peak()));
 }
 
 #[test]
@@ -110,10 +139,10 @@ fn el_shard_failure_reshards_and_the_run_completes() {
     let report = run_cluster(&cfg, suite, ring(150), &faults);
     assert!(report.completed, "run did not survive the EL-shard failure");
     assert!(report.all_landed(&faults), "{:?}", report.fired);
-    assert_eq!(report.stats.get("el_reshards"), 1);
+    assert_eq!(report.stats.counter(Counter::ElReshards), 1);
     // Records kept flowing after the re-shard: the survivor logged (and
     // acked) events, including the handed-off unacked batches.
-    assert!(report.stats.get("el_records") > 0);
+    assert!(report.stats.counter(Counter::ElRecords) > 0);
 }
 
 #[test]
@@ -150,7 +179,7 @@ fn killing_a_shard_that_is_already_down_changes_nothing() {
     let entries: Vec<_> = plan.entries().collect();
     assert_eq!(fired, vec![(entries[0], false), (entries[1], true)]);
     for report in [&once, &twice] {
-        assert_eq!(report.stats.get("node_crashes"), 1);
+        assert_eq!(report.stats.counter(Counter::NodeCrashes), 1);
         assert_eq!(report.el_reshards(), 1);
     }
     assert_eq!(twice.makespan, once.makespan);
@@ -181,7 +210,7 @@ fn rank_recovery_works_after_an_el_reshard() {
     let report = run_cluster(&cfg, suite, ring(150), &faults);
     assert!(report.completed, "recovery after re-shard failed");
     assert!(report.all_landed(&faults), "{:?}", report.fired);
-    assert_eq!(report.stats.get("el_reshards"), 1);
+    assert_eq!(report.stats.counter(Counter::ElReshards), 1);
     assert_eq!(report.rank_stats[1].recovery_total.len(), 1);
 }
 
