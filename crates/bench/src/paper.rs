@@ -41,10 +41,10 @@ pub fn netpipe_run(
     max_bytes: u64,
     reps: f64,
 ) -> (Vec<NetpipePoint>, RunReport) {
-    let (prog, results) = netpipe::program(max_bytes, reps);
+    let prog = netpipe::program(max_bytes, reps);
     let report = vlog_vmpi::run_cluster(cfg, stack.suite(None), prog, &FaultPlan::none());
     assert!(report.completed, "NetPIPE on {} incomplete", stack.label());
-    (results.sorted(), report)
+    (netpipe::points(&report), report)
 }
 
 /// Fault-free NAS run on `stack`, no checkpoint scheduler.

@@ -417,7 +417,7 @@ mod tests {
     }
 
     fn setup() -> Rig {
-        let mut sim = Sim::new(9);
+        let mut sim = Sim::new();
         let el_node = sim.add_node();
         let client_node = sim.add_node();
         let seen = Arc::new(Mutex::new(Replies::default()));
@@ -477,7 +477,7 @@ mod tests {
         assert_eq!(rig.sim.stats().counter(Counter::ElGossipMsgs), 0);
         assert_eq!(rig.seen.lock().unwrap().acks.len(), 1);
         // The control: two shards do gossip, and keep the calendar busy.
-        let mut sim = Sim::new(9);
+        let mut sim = Sim::new();
         let node = sim.add_node();
         sim.install(ClusterState::default());
         install_distributed_el(&mut sim, node, 2, SimDuration::from_millis(20));
@@ -566,7 +566,7 @@ mod tests {
 
     #[test]
     fn outstanding_gauge_tracks_the_unacked_window() {
-        let mut sim = Sim::new(5);
+        let mut sim = Sim::new();
         record_el_outstanding(&mut sim, 10, 7);
         record_el_outstanding(&mut sim, 12, 11);
         assert_eq!(sim.stats().gauge(Gauge::ElPeakOutstanding), 3);

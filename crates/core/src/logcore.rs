@@ -755,7 +755,7 @@ mod tests {
     }
 
     fn rig() -> Rig {
-        let mut sim = Sim::new(1);
+        let mut sim = Sim::new();
         sim.enable_causality();
         let probe = |sim: &mut Sim| {
             let seen = Arc::new(Mutex::new(Seen::default()));

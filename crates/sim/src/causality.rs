@@ -537,8 +537,8 @@ impl Ord for Absent {
     }
 }
 
-/// Renders a report as the stderr block the cluster runner prints when
-/// `VLOG_CAUSALITY` is set.
+/// Renders a report as a text block, headed by `label`: how a harness
+/// prints the liveness a run exported.
 pub fn render(label: &str, report: &LivenessReport) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -598,7 +598,7 @@ mod tests {
     /// A simulation whose log is on: the tests record through the same
     /// `&mut Sim` sites instrumented code uses.
     fn logging_sim() -> Sim {
-        let mut sim = Sim::new(0);
+        let mut sim = Sim::new();
         sim.enable_causality();
         sim
     }
@@ -798,7 +798,7 @@ mod tests {
             });
             sim.record(|| Edge::CancelOwner { owner: arg() });
         };
-        sites(&mut Sim::new(0));
+        sites(&mut Sim::new());
         assert_eq!(evaluated.get(), 0);
         sites(&mut logging_sim());
         assert_eq!(evaluated.get(), 10);
@@ -806,7 +806,7 @@ mod tests {
 
     #[test]
     fn disabled_sites_record_nothing_and_reset_clears() {
-        let mut sim = Sim::new(0);
+        let mut sim = Sim::new();
         event!(sim, "x" { a = 1 });
         expect(&mut sim, ckey!("y"), ckey!("x", a = 1), 0);
         assert!(sim.causality().is_none());

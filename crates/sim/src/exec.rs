@@ -481,7 +481,7 @@ mod tests {
 
     #[test]
     fn op_cell_completes_before_wait() {
-        let mut sim = Sim::new(1);
+        let mut sim = Sim::new();
         let h = sim.exec();
         sim.spawn_detached(async move {
             let op = h.new_op();
@@ -497,7 +497,7 @@ mod tests {
 
     #[test]
     fn op_awaited_first_resumes_at_its_completion() {
-        let mut sim = Sim::new(1);
+        let mut sim = Sim::new();
         let h = sim.exec();
         let resumed = Arc::new(Mutex::new(None));
         let r = resumed.clone();
@@ -514,7 +514,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "Op completed twice")]
     fn double_complete_panics() {
-        let mut sim = Sim::new(1);
+        let mut sim = Sim::new();
         let h = sim.exec();
         sim.spawn_detached(async move {
             let op = h.new_op();
@@ -536,7 +536,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "Op polled outside task context")]
     fn op_future_under_a_foreign_waker_panics() {
-        let mut sim = Sim::new(1);
+        let mut sim = Sim::new();
         let h = sim.exec();
         let out = Arc::new(Mutex::new(None));
         let o = out.clone();
@@ -549,7 +549,7 @@ mod tests {
 
     #[test]
     fn task_context_calls_outside_a_poll_panic_by_name() {
-        let h = Sim::new(1).exec();
+        let h = Sim::new().exec();
         type Call = Box<dyn Fn()>;
         let calls: [(&str, Call); 5] = [
             ("ExecHandle::new_op", Box::new(move || drop(h.new_op()))),
@@ -570,7 +570,7 @@ mod tests {
 
     #[test]
     fn ops_carry_the_id_of_the_task_being_polled() {
-        let mut sim = Sim::new(1);
+        let mut sim = Sim::new();
         let h = sim.exec();
         let seen = Arc::new(Mutex::new(Vec::new()));
         let spawned: Vec<TaskId> = (0..3)
@@ -590,7 +590,7 @@ mod tests {
     /// does not resolve the op early, even for a task that is awake.
     #[test]
     fn a_parked_value_is_not_observable_before_its_event_fires() {
-        let mut sim = Sim::new(1);
+        let mut sim = Sim::new();
         let h = sim.exec();
         let got = Arc::new(Mutex::new(Vec::new()));
         let g = got.clone();
@@ -622,7 +622,7 @@ mod tests {
 
     #[test]
     fn a_completion_for_a_dead_incarnation_pops_as_a_counted_no_op() {
-        let mut sim = Sim::new(1);
+        let mut sim = Sim::new();
         let h = sim.exec();
         let resumed = Arc::new(Mutex::new(Vec::new()));
         let r = resumed.clone();
@@ -651,7 +651,7 @@ mod tests {
 
     #[test]
     fn an_abandoned_op_gives_its_slot_back_at_completion() {
-        let mut sim = Sim::new(1);
+        let mut sim = Sim::new();
         let h = sim.exec();
         sim.spawn_detached(async move {
             let op = h.new_op();
@@ -674,7 +674,7 @@ mod tests {
 
     #[test]
     fn now_in_task_context_is_the_kernel_clock_at_that_poll() {
-        let mut sim = Sim::new(1);
+        let mut sim = Sim::new();
         let h = sim.exec();
         let seen = Arc::new(Mutex::new(Vec::new()));
         let s = seen.clone();
@@ -700,7 +700,7 @@ mod tests {
 
     #[test]
     fn sleep_advances_virtual_time() {
-        let mut sim = Sim::new(1);
+        let mut sim = Sim::new();
         let h = sim.exec();
         sim.spawn_detached(async move {
             h.sleep(SimDuration::from_micros(10)).await;
@@ -712,7 +712,7 @@ mod tests {
 
     #[test]
     fn two_tasks_interleave_deterministically() {
-        let mut sim = Sim::new(1);
+        let mut sim = Sim::new();
         let log: Arc<Mutex<Vec<(u64, &'static str)>>> = Arc::new(Mutex::new(Vec::new()));
         for (name, step) in [("a", 3u64), ("b", 5u64)] {
             let h = sim.exec();
@@ -738,7 +738,7 @@ mod tests {
     /// A sim whose one task checks it is polled with its own port and
     /// logs `tag` through a staged closure, every `step` microseconds.
     fn ticking_sim(tag: u32, step: u64, log: &TickLog) -> Sim {
-        let mut sim = Sim::new(tag as u64);
+        let mut sim = Sim::new();
         let (h, log) = (sim.exec(), log.clone());
         let task = sim.spawn_detached(async move {
             for _ in 0..6 {
@@ -778,7 +778,7 @@ mod tests {
 
     #[test]
     fn a_poll_that_panics_does_not_poison_the_next_run_on_that_thread() {
-        let mut doomed = Sim::new(1);
+        let mut doomed = Sim::new();
         let h = doomed.exec();
         doomed.spawn_detached(async move {
             let _op = h.new_op();

@@ -5,8 +5,8 @@
 //!
 //! Events are ordered by `(time, sequence)`; the sequence is a monotonic
 //! counter, so simultaneous events fire in scheduling order. Tasks are
-//! polled from a FIFO ready queue. All randomness flows from one seeded
-//! [`SmallRng`]. Two runs with the same seed and the same program produce
+//! polled from a FIFO ready queue. The kernel draws no random numbers:
+//! two runs of the same program under the same configuration produce
 //! bit-identical statistics.
 //!
 //! # The per-message path takes no locks
@@ -75,9 +75,6 @@
 
 use std::any::Any;
 use std::collections::VecDeque;
-
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 use crate::calendar::{EventCalendar, EventKey};
 use crate::causality::{Edge, Log};
@@ -185,10 +182,8 @@ struct ActorSlot {
 }
 
 /// Simulation parameters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SimConfig {
-    /// RNG seed; identical seeds give identical runs.
-    pub seed: u64,
     /// Network fabric profile.
     pub net: NetProfile,
     /// Optional hard cap on dispatched events (runaway protection): the
@@ -219,17 +214,6 @@ impl std::fmt::Display for StopReason {
     }
 }
 
-impl Default for SimConfig {
-    fn default() -> Self {
-        SimConfig {
-            seed: 0,
-            net: NetProfile::default(),
-            event_limit: None,
-            time_limit: None,
-        }
-    }
-}
-
 /// The simulation world. See module docs.
 pub struct Sim {
     now: SimTime,
@@ -243,7 +227,6 @@ pub struct Sim {
     cpu_free: Vec<SimTime>,
     nodes: usize,
     stats: Stats,
-    rng: SmallRng,
     stop: bool,
     stop_reason: Option<StopReason>,
     events_processed: u64,
@@ -259,12 +242,15 @@ pub struct Sim {
     causality: Option<Log>,
 }
 
+impl Default for Sim {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl Sim {
-    pub fn new(seed: u64) -> Self {
-        Self::with_config(SimConfig {
-            seed,
-            ..SimConfig::default()
-        })
+    pub fn new() -> Self {
+        Self::with_config(SimConfig::default())
     }
 
     pub fn with_config(cfg: SimConfig) -> Self {
@@ -278,7 +264,6 @@ impl Sim {
             cpu_free: Vec::new(),
             nodes: 0,
             stats: Stats::new(),
-            rng: SmallRng::seed_from_u64(cfg.seed),
             stop: false,
             stop_reason: None,
             events_processed: 0,
@@ -362,10 +347,6 @@ impl Sim {
 
     pub fn stats_mut(&mut self) -> &mut Stats {
         &mut self.stats
-    }
-
-    pub fn rng(&mut self) -> &mut SmallRng {
-        &mut self.rng
     }
 
     pub fn net(&self) -> &Network {
@@ -1010,7 +991,7 @@ mod tests {
 
     #[test]
     fn deliver_and_stats() {
-        let mut sim = Sim::new(7);
+        let mut sim = Sim::new();
         let n0 = sim.add_node();
         let n1 = sim.add_node();
         let got = Arc::new(Mutex::new(Vec::new()));
@@ -1025,7 +1006,7 @@ mod tests {
 
     #[test]
     fn timers_respect_generation() {
-        let mut sim = Sim::new(7);
+        let mut sim = Sim::new();
         let n0 = sim.add_node();
         let got = Arc::new(Mutex::new(Vec::new()));
         let a = sim.add_actor(n0, Box::new(Echo { got: got.clone() }));
@@ -1042,7 +1023,7 @@ mod tests {
 
     #[test]
     fn cancelled_timer_never_fires_but_keeps_accounting() {
-        let mut sim = Sim::new(7);
+        let mut sim = Sim::new();
         let n0 = sim.add_node();
         let got = Arc::new(Mutex::new(Vec::new()));
         let a = sim.add_actor(n0, Box::new(Echo { got: got.clone() }));
@@ -1054,7 +1035,7 @@ mod tests {
         assert_eq!(&*got.lock().unwrap(), &[(usize::MAX, 2u64)]);
         assert_eq!(sim.events_processed(), 2);
         // A fired timer's handle is stale.
-        let mut sim2 = Sim::new(7);
+        let mut sim2 = Sim::new();
         let n = sim2.add_node();
         let a2 = sim2.add_actor(n, Box::new(Echo { got: got.clone() }));
         let h = sim2.set_timer(a2, SimDuration::from_micros(1), 9);
@@ -1064,7 +1045,7 @@ mod tests {
 
     #[test]
     fn add_actor_with_can_arm_its_own_timers() {
-        let mut sim = Sim::new(7);
+        let mut sim = Sim::new();
         let n0 = sim.add_node();
         let got = Arc::new(Mutex::new(Vec::new()));
         let a = sim.add_actor_with(n0, |sim, me| {
@@ -1078,7 +1059,7 @@ mod tests {
 
     #[test]
     fn crash_detaches_timers_but_counts_their_slots() {
-        let mut sim = Sim::new(7);
+        let mut sim = Sim::new();
         let n0 = sim.add_node();
         let got = Arc::new(Mutex::new(Vec::new()));
         let a = sim.add_actor(n0, Box::new(Echo { got: got.clone() }));
@@ -1095,7 +1076,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "SimTime::MAX sentinel")]
     fn scheduling_at_the_sentinel_is_rejected() {
-        let mut sim = Sim::new(7);
+        let mut sim = Sim::new();
         // A wrapped/saturated delay must be caught loudly, not silently
         // reorder the calendar.
         sim.after(SimDuration::from_nanos(u64::MAX), |_| {});
@@ -1103,7 +1084,7 @@ mod tests {
 
     #[test]
     fn crash_drops_in_flight_messages() {
-        let mut sim = Sim::new(7);
+        let mut sim = Sim::new();
         let n0 = sim.add_node();
         let n1 = sim.add_node();
         let got = Arc::new(Mutex::new(Vec::new()));
@@ -1119,7 +1100,7 @@ mod tests {
 
     #[test]
     fn restart_receives_new_traffic() {
-        let mut sim = Sim::new(7);
+        let mut sim = Sim::new();
         let n0 = sim.add_node();
         let n1 = sim.add_node();
         let got = Arc::new(Mutex::new(Vec::new()));
@@ -1137,7 +1118,7 @@ mod tests {
 
     #[test]
     fn charge_cpu_serializes() {
-        let mut sim = Sim::new(7);
+        let mut sim = Sim::new();
         let n0 = sim.add_node();
         let t1 = sim.charge_cpu(n0, SimDuration::from_micros(5));
         let t2 = sim.charge_cpu(n0, SimDuration::from_micros(5));
@@ -1147,7 +1128,7 @@ mod tests {
 
     #[test]
     fn killed_task_never_resumes() {
-        let mut sim = Sim::new(7);
+        let mut sim = Sim::new();
         let n0 = sim.add_node();
         let h = sim.exec();
         let hit = Arc::new(Mutex::new(false));
@@ -1164,7 +1145,7 @@ mod tests {
 
     #[test]
     fn exit_callback_runs_on_completion_only() {
-        let mut sim = Sim::new(7);
+        let mut sim = Sim::new();
         let done = Arc::new(Mutex::new(0));
         let d = done.clone();
         let h = sim.exec();
@@ -1181,7 +1162,7 @@ mod tests {
 
     #[test]
     fn run_until_pauses_and_resumes() {
-        let mut sim = Sim::new(7);
+        let mut sim = Sim::new();
         let h = sim.exec();
         let count = Arc::new(Mutex::new(0));
         let c = count.clone();
@@ -1212,7 +1193,7 @@ mod tests {
                 }
             }
         }
-        let mut sim = Sim::new(11);
+        let mut sim = Sim::new();
         let (n0, n1) = (sim.add_node(), sim.add_node());
         // `a` bounces to the slot `b` is about to take, `b` back to `a`.
         let a = sim.add_actor(n0, Box::new(Bounce(1)));
@@ -1274,7 +1255,7 @@ mod tests {
     /// event at +5us dispatched, and fire 1us after *that*.
     #[test]
     fn staged_events_reach_the_calendar_before_its_next_pop() {
-        let mut sim = Sim::new(7);
+        let mut sim = Sim::new();
         let fired = Arc::new(Mutex::new(Vec::new()));
         let mark = |fired: &Arc<Mutex<Vec<u64>>>| {
             let fired = fired.clone();
@@ -1299,7 +1280,7 @@ mod tests {
 
     #[test]
     fn a_stop_staged_by_the_first_poll_stops_the_run_before_any_pop() {
-        let mut sim = Sim::new(7);
+        let mut sim = Sim::new();
         sim.after(SimDuration::from_micros(1), |_| {});
         let h = sim.exec();
         sim.spawn_detached(async move { h.stage_stop() });
@@ -1309,7 +1290,7 @@ mod tests {
 
     #[test]
     fn crash_between_complete_and_poll_drops_the_stale_wakeup() {
-        let mut sim = Sim::new(7);
+        let mut sim = Sim::new();
         let n0 = sim.add_node();
         let h = sim.exec();
         let resumed = Arc::new(Mutex::new(Vec::new()));
@@ -1341,7 +1322,7 @@ mod tests {
     /// killed, so what its last poll wrote can still be read.
     #[test]
     fn a_finished_task_keeps_a_typed_port_until_it_is_killed() {
-        let mut sim = Sim::new(7);
+        let mut sim = Sim::new();
         let n0 = sim.add_node();
         let writer = sim.spawn(Some(n0), async {
             crate::exec::with_task("test", |cx| *cx.ext::<u32>() = 42);
@@ -1362,7 +1343,7 @@ mod tests {
     #[test]
     fn net_send_at_is_net_send_in_a_closure() {
         let run = |deferred: bool| {
-            let mut sim = Sim::new(7);
+            let mut sim = Sim::new();
             let (n0, n1) = (sim.add_node(), sim.add_node());
             let got = Arc::new(Mutex::new(Vec::new()));
             let a = sim.add_actor(n1, Box::new(Echo { got: got.clone() }));
@@ -1389,13 +1370,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "holds no run state of type u32")]
     fn ext_on_an_empty_slot_panics_by_name() {
-        Sim::new(7).ext::<u32>();
+        Sim::new().ext::<u32>();
     }
 
     #[test]
     #[should_panic(expected = "holds no run state of type u32")]
     fn ext_of_another_type_panics_by_name() {
-        let mut sim = Sim::new(7);
+        let mut sim = Sim::new();
         sim.install(1u64);
         sim.ext_ref::<u32>();
     }
@@ -1403,7 +1384,7 @@ mod tests {
     #[test]
     fn two_sims_on_one_thread_see_their_own_state() {
         let counting = |start: u64| {
-            let mut sim = Sim::new(7);
+            let mut sim = Sim::new();
             sim.install(start);
             sim.enable_causality();
             for us in 1..=3 {
@@ -1505,7 +1486,7 @@ mod tests {
     #[test]
     fn a_script_is_offered_deliveries_and_nothing_else() {
         let run = |script: Option<Vec<Decision>>| {
-            let mut sim = Sim::new(7);
+            let mut sim = Sim::new();
             let (n0, n1) = (sim.add_node(), sim.add_node());
             let got = Arc::new(Mutex::new(Vec::new()));
             let a = sim.add_actor(n1, Box::new(Echo { got: got.clone() }));

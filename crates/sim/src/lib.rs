@@ -40,14 +40,14 @@
 //!   ([`env_knob`]) and first-divergence report diffing ([`diff`]).
 //!
 //! Everything is deterministic: the queue is ordered by `(time, sequence)`,
-//! randomness comes from one seeded RNG, and there is exactly one OS thread.
+//! the kernel draws no random numbers, and there is exactly one OS thread.
 //!
 //! ## Example
 //!
 //! ```
 //! use vlog_sim::{Event, Sim, SimDuration};
 //!
-//! let mut sim = Sim::new(42);
+//! let mut sim = Sim::new();
 //! let h = sim.exec();
 //! sim.spawn_detached(async move {
 //!     // Task context: the op is a slot in this task's own port, which

@@ -81,7 +81,7 @@ impl Actor for Peer {
 /// The transcript folds in everything observable — log, event count,
 /// final clock, kernel stats — for byte-identity comparisons.
 fn run_mesh(script: Option<&[(u64, u64)]>) -> (Vec<LogEntry>, String) {
-    let mut sim = Sim::new(0x5EED);
+    let mut sim = Sim::new();
     if let Some(script) = script {
         sim.set_schedule(script.iter().map(|&(index, delta)| Decision {
             index,

@@ -28,6 +28,7 @@ use vlog_sim::{with_task, ActorId, Event, ExecHandle, Op, OpId, OpValues, SimDur
 
 use std::sync::Arc;
 
+use crate::cluster::Recorded;
 use crate::cost::StackProfile;
 use crate::daemon::TOKEN_PIPE;
 use crate::pipe::{AppPort, AppRequest};
@@ -206,6 +207,26 @@ impl Mpi {
     pub async fn checkpoint_point(&self, state: Payload) -> bool {
         let op = self.post(state.len(), |done| AppRequest::Checkpoint { state, done });
         result_of(op, "Mpi::checkpoint_point", |port| &mut port.checkpointed).await
+    }
+
+    /// Hands `value` to the harness: it lands on
+    /// [`RunReport::recorded`](crate::RunReport::recorded) as
+    /// `(rank, name, key, value)`, after what this rank recorded before.
+    /// Costs no virtual time and stages no event; the daemon picks it up
+    /// the next time it reads the pipe, or when the program finishes. A
+    /// record made by an incarnation that dies before then is lost with
+    /// it.
+    pub fn record(&self, name: &'static str, key: u64, value: f64) {
+        let rank = self.rank;
+        with_task("Mpi::record", |cx| {
+            let recorded = Recorded {
+                rank,
+                name,
+                key,
+                value,
+            };
+            cx.ext::<AppPort>().recorded.push(recorded)
+        })
     }
 
     /// The stack profile in effect (used by workloads to convert between

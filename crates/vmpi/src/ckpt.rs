@@ -218,7 +218,7 @@ mod tests {
     }
 
     fn setup() -> (Sim, ActorId, ActorId, Arc<Mutex<Vec<String>>>) {
-        let mut sim = Sim::new(3);
+        let mut sim = Sim::new();
         let server_node = sim.add_node();
         let client_node = sim.add_node();
         let server = sim.add_actor(server_node, Box::new(CkptServer::new(server_node)));

@@ -23,7 +23,8 @@
 //! [`ClusterState`], installed in the run's kernel
 //! ([`vlog_sim::Sim::install`]): the topology, the per-rank statistics,
 //! the set of finished ranks, the fault table, what launching a
-//! daemon needs, and whatever the protocol suite shares among its ranks
+//! daemon needs, what the programs recorded so far, and whatever the
+//! protocol suite shares among its ranks
 //! ([`ClusterState::suite_state`]: the causal suites' chunk pool). A run
 //! is single-threaded and every handler is handed `&mut Sim`, so each
 //! of them reaches the state by plain borrow
@@ -41,23 +42,25 @@
 //! plain data on its [`RunReport`]: the decisions that fired
 //! ([`RunReport::applied`]; put them back in `schedule` and the run
 //! repeats byte for byte), the planned faults that fired, when and on
-//! which incarnation ([`RunReport::fired`]), and how it ended. A run
-//! ends in one of three ways, and the report tells them apart: the loop
-//! returned on its own — the dispatcher stopped it on completion or the
-//! calendar drained — and `completed` says whether every rank finished;
-//! or the kernel cut it at [`ClusterConfig::event_limit`] or at
-//! [`ClusterConfig::time_limit`], and [`RunReport::stopped`] carries the
-//! typed reason. With [`ClusterConfig::export_liveness`] the report of
-//! any of the three also names what the run was still waiting for.
+//! which incarnation ([`RunReport::fired`]), what the programs recorded
+//! for the harness, in order ([`RunReport::recorded`]), and how it
+//! ended. A run ends in one of three ways, and the report tells them
+//! apart: the loop returned on its own — the dispatcher stopped it on
+//! completion or the calendar drained — and `completed` says whether
+//! every rank finished; or the kernel cut it at
+//! [`ClusterConfig::event_limit`] or at [`ClusterConfig::time_limit`],
+//! and [`RunReport::stopped`] carries the typed reason. With
+//! [`ClusterConfig::export_liveness`] the report of any of the three
+//! also names what the run was still waiting for.
 
 use std::any::Any;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use vlog_sim::causality::{self, LivenessReport};
+use vlog_sim::causality::LivenessReport;
 use vlog_sim::{
-    env_knob, ActorId, Counter, Decision, Event, Gauge, NetProfile, NodeId, Sim, SimConfig,
-    SimDuration, SimTime, Stats, StopReason, Timer,
+    ActorId, Counter, Decision, Event, Gauge, NetProfile, NodeId, Sim, SimConfig, SimDuration,
+    SimTime, Stats, StopReason, Timer,
 };
 
 use crate::ckpt::CkptServer;
@@ -77,7 +80,9 @@ pub struct ClusterConfig {
     pub profile: StackProfile,
     /// Network fabric profile.
     pub net: NetProfile,
-    /// RNG seed.
+    /// The run's seed. Nothing in the simulator reads it — a run draws no
+    /// random numbers — until a randomised model component needs one;
+    /// harnesses set it to label their cells.
     pub seed: u64,
     /// Stop the simulation when every rank finished (default true).
     pub stop_on_completion: bool,
@@ -99,8 +104,9 @@ pub struct ClusterConfig {
     pub seeded_bugs: SeededBugs,
     /// Collect the run's causality log and attach the analyzed
     /// [`LivenessReport`] to the [`RunReport`]. Off by default: liveness
-    /// never reaches a report unless a harness (or `VLOG_CAUSALITY`)
-    /// asks, and never a determinism fingerprint.
+    /// never reaches a report unless a harness asks, and never a
+    /// determinism fingerprint. The one switch: no environment variable
+    /// turns it on. [`vlog_sim::causality::render`] prints the result.
     pub export_liveness: bool,
 }
 
@@ -182,9 +188,29 @@ pub struct RunReport {
     /// missing.
     pub fired: Vec<Fired>,
     /// Analyzed causality log, present only when
-    /// [`ClusterConfig::export_liveness`] (or `VLOG_CAUSALITY`)
-    /// requested it — never part of a determinism fingerprint.
+    /// [`ClusterConfig::export_liveness`] requested it — never part of
+    /// a determinism fingerprint.
     pub liveness: Option<LivenessReport>,
+    /// What the programs handed to the harness through
+    /// [`crate::Mpi::record`], in the order their daemons read it: each
+    /// rank's records in recording order, a relaunched incarnation's
+    /// after its predecessor's. Nothing is merged — a value re-recorded
+    /// after a restart appears twice, and each reader decides what that
+    /// means. Not part of [`RunReport::fingerprint`].
+    pub recorded: Vec<Recorded>,
+}
+
+/// One value a program handed to the harness ([`crate::Mpi::record`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Recorded {
+    /// The rank that recorded it.
+    pub rank: Rank,
+    /// What the value measures, e.g. `"latency_us"`.
+    pub name: &'static str,
+    /// Which one of them, e.g. a message size or a cell index.
+    pub key: u64,
+    /// The measurement.
+    pub value: f64,
 }
 
 impl RunReport {
@@ -324,6 +350,9 @@ pub struct ClusterState {
     /// put here by [`Suite::install`] and reached through
     /// [`crate::Ctx::suite_state`]; dropped with the run.
     pub suite_state: Option<Box<dyn Any + Send>>,
+    /// What the ranks' daemons read off their pipes for
+    /// [`RunReport::recorded`].
+    pub recorded: Vec<Recorded>,
 }
 
 impl ClusterState {
@@ -389,8 +418,6 @@ pub(crate) fn launch_rank(sim: &mut Sim, rank: Rank, mode: BootMode) {
 pub struct ClusterRun {
     sim: Sim,
     suite_name: String,
-    /// `VLOG_CAUSALITY`: print the analyzed log to stderr after the run.
-    dump_liveness: bool,
 }
 
 // Compile-time guarantee: a complete cluster run — kernel, actors,
@@ -420,7 +447,6 @@ impl ClusterRun {
         let mut net = cfg.net.clone();
         net.resolve_service_boundary(cfg.ranks);
         let mut sim = Sim::with_config(SimConfig {
-            seed: cfg.seed,
             net,
             event_limit: cfg.event_limit,
             time_limit: cfg.time_limit,
@@ -428,12 +454,7 @@ impl ClusterRun {
         if !cfg.schedule.is_empty() {
             sim.set_schedule(cfg.schedule.iter().copied());
         }
-        // The two switches that turn causality collection on, resolved
-        // here and nowhere else: the config asks for the report, or the
-        // `VLOG_CAUSALITY` knob (any non-zero value) asks for it and for
-        // the per-run stderr dump.
-        let dump_liveness = env_knob::any_u64("VLOG_CAUSALITY", 0) != 0;
-        if cfg.export_liveness || dump_liveness {
+        if cfg.export_liveness {
             sim.enable_causality();
         }
         let n = cfg.ranks;
@@ -490,7 +511,6 @@ impl ClusterRun {
         ClusterRun {
             sim,
             suite_name: suite.name(),
-            dump_liveness,
         }
     }
 
@@ -502,16 +522,12 @@ impl ClusterRun {
         // The log is the run's own: whatever ended the loop — completion,
         // a drained calendar, a limit — what was recorded is still here.
         let liveness = self.sim.causality().map(|log| log.analyze());
-        if self.dump_liveness {
-            if let Some(report) = &liveness {
-                eprint!("{}", causality::render(&self.suite_name, report));
-            }
-        }
 
         let state = ClusterState::of(&mut self.sim);
         let completed = state.completed();
         let rank_stats = std::mem::take(&mut state.rank_stats);
         let fired = std::mem::take(&mut state.faults.fired);
+        let recorded = std::mem::take(&mut state.recorded);
         RunReport {
             suite: self.suite_name,
             makespan: self.sim.now().saturating_since(SimTime::ZERO),
@@ -523,6 +539,7 @@ impl ClusterRun {
             applied: self.sim.applied().to_vec(),
             fired,
             liveness,
+            recorded,
         }
     }
 }
@@ -580,6 +597,7 @@ mod tests {
             applied: Vec::new(),
             fired: Vec::new(),
             liveness: None,
+            recorded: Vec::new(),
         };
         assert_eq!(report.el_peak_queue_depth(), 7);
         assert_eq!(report.el_peak_outstanding(), 3);
@@ -607,6 +625,7 @@ mod tests {
             applied: Vec::new(),
             fired: Vec::new(),
             liveness: None,
+            recorded: Vec::new(),
         };
         assert_eq!(report.el_peak_queue_depth(), 0);
         assert_eq!(report.el_peak_outstanding(), 0);

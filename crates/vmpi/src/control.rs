@@ -92,7 +92,7 @@ mod tests {
 
     /// A kernel with two nodes and a sink on each.
     fn rig() -> (Sim, [(NodeId, ActorId, Log); 2]) {
-        let mut sim = Sim::new(1);
+        let mut sim = Sim::new();
         let ends = [0, 1].map(|_| {
             let node = sim.add_node();
             let log = Log::default();

@@ -394,6 +394,18 @@ impl DaemonCore {
         Some(sim.port_mut(self.app_task?)?.ext())
     }
 
+    /// Moves what the application recorded since the last read into the
+    /// run state, bound for [`crate::RunReport::recorded`].
+    fn take_recorded(&self, sim: &mut Sim) {
+        let Some(port) = self.app_port(sim) else {
+            return;
+        };
+        if !port.recorded.is_empty() {
+            let mut recorded = std::mem::take(&mut port.recorded);
+            ClusterState::of(sim).recorded.append(&mut recorded);
+        }
+    }
+
     /// Hands a matched message across the pipe: it is parked in the port
     /// now and becomes the application's when `done` completes at `at`.
     fn complete_recv(&self, sim: &mut Sim, done: OpId, at: SimTime, msg: RecvMsg) {
@@ -584,6 +596,7 @@ impl Vdaemon {
         // The whole batch at once (nothing can push meanwhile: the
         // application task only runs between event dispatches); swapping
         // keeps both buffers allocated.
+        self.core.take_recorded(sim);
         let Some(port) = self.core.app_port(sim) else {
             return;
         };
@@ -1016,6 +1029,7 @@ impl Actor for Vdaemon {
                 match *internal {
                     Internal::AppFinished => {
                         self.core.finished = true;
+                        self.core.take_recorded(sim);
                         // Nothing waits on a finished rank's progress:
                         // withdraw its pending expectations (e.g. a
                         // final determinant batch whose ack is still in
@@ -1108,7 +1122,7 @@ mod tests {
 
     #[test]
     fn a_channel_gap_is_a_declared_wait_until_the_expected_ssn_arrives() {
-        let mut sim = Sim::new(1);
+        let mut sim = Sim::new();
         sim.enable_causality();
         let nodes = vec![sim.add_node(), sim.add_node()];
         let state = ClusterState::with_ranks(vec![0, 1], nodes);

@@ -140,7 +140,7 @@ mod tests {
     /// whose program waits for a message that never comes — so every
     /// `Done` it hears is one this test sent.
     fn rig(style: RecoveryStyle) -> (Sim, ActorId) {
-        let mut sim = Sim::new(1);
+        let mut sim = Sim::new();
         let nodes: Vec<NodeId> = (0..2).map(|_| sim.add_node()).collect();
         let stable = sim.add_node();
         let daemons = nodes

@@ -325,7 +325,7 @@ mod tests {
     #[test]
     fn nth_crossing_arithmetic_matches_in_order() {
         let shipped = ProtoPhase::DeterminantShipped;
-        let mut sim = Sim::new(1);
+        let mut sim = Sim::new();
         let mut state = ClusterState::default();
         state.faults.armed = vec![PhaseFault {
             phase: shipped,

@@ -48,8 +48,8 @@ pub mod vdummy;
 
 pub use api::{decode_f64s, encode_f64s, Mpi};
 pub use cluster::{
-    run_cluster, run_vdummy, topo, ClusterConfig, ClusterRun, ClusterState, Launch, RunReport,
-    SeededBugs,
+    run_cluster, run_vdummy, topo, ClusterConfig, ClusterRun, ClusterState, Launch, Recorded,
+    RunReport, SeededBugs,
 };
 pub use collectives::{ReduceOp, RESERVED_TAG_BASE};
 pub use cost::StackProfile;
@@ -61,7 +61,7 @@ pub use hooks::{
 };
 pub use scheduler::{CkptScheduler, SchedulerPolicy};
 pub use types::{
-    AppMsg, DaemonMsg, Payload, PayloadArena, PiggybackBlob, RClock, Rank, RecvMsg, RecvSelector,
-    Ssn, Tag, MSG_HEADER_BYTES,
+    AppMsg, DaemonMsg, Payload, PiggybackBlob, RClock, Rank, RecvMsg, RecvSelector, Ssn, Tag,
+    MSG_HEADER_BYTES,
 };
 pub use vdummy::{Vdummy, VdummySuite};

@@ -7,7 +7,10 @@
 //! the daemon actor, delayed by the modelled pipe crossing cost; the
 //! daemon drains the queue when the poke fires, and parks what flows back
 //! (received messages, checkpoint verdicts) beside it until the
-//! operation's completion event makes it the application's.
+//! operation's completion event makes it the application's. What the
+//! application records for the harness ([`crate::Mpi::record`]) rides
+//! the same pipe without a poke: the daemon moves it into the run state
+//! whenever it drains the requests and when the program finishes.
 //!
 //! # Ownership and `Send`
 //!
@@ -24,6 +27,7 @@ use std::collections::VecDeque;
 
 use vlog_sim::{OpId, OpValues};
 
+use crate::cluster::Recorded;
 use crate::types::{Payload, Rank, RecvMsg, RecvSelector, Tag};
 
 /// A request from the application to its daemon.
@@ -55,4 +59,6 @@ pub struct AppPort {
     pub received: OpValues<RecvMsg>,
     /// Daemon → application: whether each offered checkpoint was taken.
     pub checkpointed: OpValues<bool>,
+    /// Application → harness, in recording order; no poke of its own.
+    pub recorded: Vec<Recorded>,
 }

@@ -6,12 +6,12 @@
 //! different policies such as coordinated checkpoint, random or
 //! round-robin."*
 //!
-//! The scheduler actor periodically commands daemons to checkpoint. The
+//! The scheduler actor periodically commands daemons to checkpoint, round
+//! robin or coordinated (no suite asks for the random policy). The
 //! command is forwarded to the protocol via `on_control` (as a
 //! [`SchedulerCmd`]); the protocol decides what to do with it at the next
 //! application checkpoint point.
 
-use rand::Rng;
 use vlog_sim::{Actor, ActorId, Delivery, NodeId, Sim, SimDuration, TimerHandle};
 
 use crate::cluster::topo;
@@ -26,8 +26,6 @@ pub enum SchedulerPolicy {
     /// Uncoordinated, staggered round-robin: rank r checkpoints at
     /// `(r+1) * period / n`, then every `period`.
     RoundRobin { period: SimDuration },
-    /// Uncoordinated, uniformly random rank every `period / n`.
-    Random { period: SimDuration },
     /// Global snapshots every `period` (coordinated checkpointing).
     Coordinated { period: SimDuration },
 }
@@ -37,10 +35,10 @@ pub struct CkptScheduler {
     policy: SchedulerPolicy,
     snapshot_id: u64,
     /// Cancellable wheel handles of the armed timers: one per rank for
-    /// round robin (indexed by rank), one for the other periodic
-    /// policies. Rearming replaces the handle; `on_crash` cancels them
-    /// so a dead scheduler's timers are freed at once instead of each
-    /// reaching dispatch as a stale generation drop.
+    /// round robin (indexed by rank), one for coordinated snapshots.
+    /// Rearming replaces the handle; `on_crash` cancels them so a dead
+    /// scheduler's timers are freed at once instead of each reaching
+    /// dispatch as a stale generation drop.
     timers: Vec<Option<TimerHandle>>,
 }
 
@@ -50,7 +48,7 @@ impl CkptScheduler {
         let slots = match policy {
             SchedulerPolicy::Disabled => 0,
             SchedulerPolicy::RoundRobin { .. } => n_ranks,
-            SchedulerPolicy::Random { .. } | SchedulerPolicy::Coordinated { .. } => 1,
+            SchedulerPolicy::Coordinated { .. } => 1,
         };
         CkptScheduler {
             node,
@@ -86,11 +84,6 @@ impl CkptScheduler {
                         scheduler.register(r as u64, h);
                     }
                 }
-                SchedulerPolicy::Random { period } => {
-                    let slice = SimDuration::from_nanos(period.as_nanos() / n_ranks as u64);
-                    let h = sim.set_timer(id, slice, u64::MAX);
-                    scheduler.register(u64::MAX, h);
-                }
                 SchedulerPolicy::Coordinated { period } => {
                     let h = sim.set_timer(id, period, u64::MAX - 1);
                     scheduler.register(u64::MAX - 1, h);
@@ -116,14 +109,6 @@ impl Actor for CkptScheduler {
                 let rank = token as usize;
                 self.command(sim, rank, SchedulerCmd::TakeCheckpoint);
                 let h = sim.set_timer(me, period, token);
-                self.register(token, h);
-            }
-            SchedulerPolicy::Random { period } => {
-                let n = topo(sim).n_ranks();
-                let rank = sim.rng().random_range(0..n);
-                self.command(sim, rank, SchedulerCmd::TakeCheckpoint);
-                let slice = SimDuration::from_nanos(period.as_nanos() / n as u64);
-                let h = sim.set_timer(me, slice, token);
                 self.register(token, h);
             }
             SchedulerPolicy::Coordinated { period } => {

@@ -3,7 +3,6 @@
 
 use bytes::Bytes;
 use std::any::Any;
-use std::collections::BTreeSet;
 
 /// MPI process rank.
 pub type Rank = usize;
@@ -55,58 +54,6 @@ impl Payload {
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-/// Interning arena for message bodies that repeat within a run.
-///
-/// Workload skeletons rebuild the same small marker bodies (checkpoint
-/// cursors, reduction seeds) once per rank and per iteration; without an
-/// arena each build is a fresh `Vec` plus a fresh `Arc`. The arena keeps
-/// one [`Bytes`] per distinct body and hands out O(1) clones, so a body
-/// is allocated at most once per arena no matter how many messages carry
-/// it. Lookup is by `&[u8]` (no allocation on the hit path) via the
-/// `Borrow<[u8]> + Ord` impls of the vendored `bytes` shim.
-///
-/// The arena is deliberately not shared across threads: give each worker
-/// its own (e.g. in a `thread_local!`) so interning stays lock-free.
-#[derive(Debug, Default)]
-pub struct PayloadArena {
-    interned: BTreeSet<Bytes>,
-}
-
-impl PayloadArena {
-    pub fn new() -> PayloadArena {
-        PayloadArena::default()
-    }
-
-    /// Returns a shared handle to `body`, allocating only on first sight.
-    /// Empty bodies never enter the set — they resolve to the static
-    /// empty `Bytes`.
-    pub fn intern(&mut self, body: &[u8]) -> Bytes {
-        if body.is_empty() {
-            return Bytes::new();
-        }
-        if let Some(hit) = self.interned.get(body) {
-            return hit.clone();
-        }
-        let fresh = Bytes::copy_from_slice(body);
-        self.interned.insert(fresh.clone());
-        fresh
-    }
-
-    /// Builds a [`Payload`] whose `data` is the interned copy of `body`,
-    /// padded with synthetic bytes up to `pad` extra wire length.
-    pub fn payload(&mut self, body: &[u8], pad: u64) -> Payload {
-        Payload {
-            data: self.intern(body),
-            pad,
-        }
-    }
-
-    /// Number of distinct bodies interned so far.
-    pub fn distinct(&self) -> usize {
-        self.interned.len()
     }
 }
 
@@ -263,24 +210,6 @@ mod tests {
         assert_eq!(a.len(), 0);
         // Synthetic padding rides on the same empty backing.
         assert_eq!(Payload::synthetic(512).data.as_ptr(), a.data.as_ptr());
-    }
-
-    #[test]
-    fn arena_interns_repeated_bodies_once() {
-        let mut arena = PayloadArena::new();
-        let first = arena.intern(b"cursor-7");
-        let again = arena.intern(b"cursor-7");
-        assert_eq!(first.as_ptr(), again.as_ptr());
-        assert_eq!(arena.distinct(), 1);
-        let other = arena.intern(b"cursor-8");
-        assert_ne!(first.as_ptr(), other.as_ptr());
-        assert_eq!(arena.distinct(), 2);
-        // Empty bodies bypass the set entirely.
-        assert!(arena.intern(b"").is_empty());
-        assert_eq!(arena.distinct(), 2);
-        let p = arena.payload(b"cursor-7", 100);
-        assert_eq!(p.data.as_ptr(), first.as_ptr());
-        assert_eq!(p.len(), 8 + 100);
     }
 
     #[test]

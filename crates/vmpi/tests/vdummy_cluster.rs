@@ -5,7 +5,10 @@ use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
 use vlog_sim::{Decision, SimDuration};
-use vlog_vmpi::{app, run_vdummy, ClusterConfig, Payload, RecvSelector, ReduceOp};
+use vlog_vmpi::{
+    app, run_cluster, run_vdummy, ClusterConfig, Ctx, FaultPlan, Payload, Rank, Recorded,
+    RecvSelector, ReduceOp, Suite, VProtocol,
+};
 
 /// Shared result collector for programs (single-threaded simulation).
 fn collector<T: 'static>() -> (Arc<Mutex<Vec<T>>>, Arc<Mutex<Vec<T>>>) {
@@ -411,6 +414,80 @@ fn a_scripted_run_reports_what_fired_and_replays_from_it() {
     assert_eq!(applied, [decision(3, 900), decision(17, 0)]);
     assert_ne!(scripted, plain, "a 900 us deferral left no mark");
     assert_eq!(run(applied.clone()), (scripted, applied));
+}
+
+/// Vdummy, except that every offered checkpoint is taken.
+struct CheckpointEveryOffer;
+
+impl VProtocol for CheckpointEveryOffer {
+    fn name(&self) -> String {
+        "checkpoint-every-offer".into()
+    }
+
+    fn checkpoint_due(&mut self, _ctx: &mut Ctx<'_>) -> bool {
+        true
+    }
+}
+
+impl Suite for CheckpointEveryOffer {
+    fn name(&self) -> String {
+        "checkpoint-every-offer".into()
+    }
+
+    fn make_protocol(&self, _rank: Rank, _n: usize) -> Box<dyn VProtocol> {
+        Box::new(CheckpointEveryOffer)
+    }
+}
+
+/// What a program records reaches the report when its daemon reads the
+/// pipe. Rank 0 records one step before each checkpoint offer (the
+/// offer reads the pipe), then records once more and is killed in the
+/// long computation that follows: that value is never read. Its
+/// relaunched incarnation, restored at the last checkpoint, records the
+/// remaining step and a final value that only the program's end reads.
+#[test]
+fn records_reach_the_report_when_the_pipe_is_read() {
+    let prog = app(|mpi| async move {
+        if mpi.rank() != 0 {
+            return;
+        }
+        let start = mpi.restored().map_or(0, |state| state[0] as u64);
+        let incarnation = if start == 0 { 0.0 } else { 1.0 };
+        for step in start..3 {
+            mpi.record("step", step, incarnation);
+            mpi.checkpoint_point(Payload::new(vec![step as u8 + 1]))
+                .await;
+            if step == 1 && start == 0 {
+                mpi.record("lost", step, incarnation);
+                mpi.elapse(SimDuration::from_millis(100)).await;
+            }
+        }
+        mpi.record("done", 3, incarnation);
+    });
+    let faults = FaultPlan::kill_at(SimDuration::from_millis(50), 0);
+    let report = run_cluster(
+        &ClusterConfig::new(2),
+        Arc::new(CheckpointEveryOffer),
+        prog,
+        &faults,
+    );
+    assert!(report.completed);
+    assert!(report.all_landed(&faults), "{:?}", report.fired);
+    let record = |name, key, value| Recorded {
+        rank: 0,
+        name,
+        key,
+        value,
+    };
+    assert_eq!(
+        report.recorded,
+        [
+            record("step", 0, 0.0),
+            record("step", 1, 0.0),
+            record("step", 2, 1.0),
+            record("done", 3, 1.0),
+        ]
+    );
 }
 
 #[test]

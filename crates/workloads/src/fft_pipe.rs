@@ -12,7 +12,7 @@
 //! payload, pushing piggyback share and per-message management cost
 //! back up. Sweeping the tile size maps that trade-off.
 
-use vlog_vmpi::{app, Payload};
+use vlog_vmpi::{app, Payload, RunReport};
 
 use crate::workload::{ckpt_payload, restored_u64, Workload, WorkloadProgram};
 
@@ -116,16 +116,14 @@ impl Workload for FftPipeConfig {
                 }
             }
         });
-        let (tiles, tile_bytes) = (self.tiles, self.tile_pair_bytes());
-        WorkloadProgram::with_probe(
-            spec,
-            Box::new(move |_| {
-                vec![
-                    ("tiles", tiles as f64),
-                    ("tile_pair_bytes", tile_bytes as f64),
-                ]
-            }),
-        )
+        spec.into()
+    }
+
+    fn metrics(&self, _report: &RunReport) -> Vec<(&'static str, f64)> {
+        vec![
+            ("tiles", self.tiles as f64),
+            ("tile_pair_bytes", self.tile_pair_bytes() as f64),
+        ]
     }
 }
 

@@ -18,7 +18,7 @@ use std::sync::{Arc, OnceLock};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use vlog_vmpi::{app, Payload, RecvSelector};
+use vlog_vmpi::{app, Payload, RecvSelector, RunReport};
 
 use crate::workload::{ckpt_payload, mix_seed, restored_u64, Workload, WorkloadProgram};
 
@@ -204,17 +204,16 @@ impl Workload for HaloConfig {
                 }
             }
         });
+        spec.into()
+    }
+
+    fn metrics(&self, _report: &RunReport) -> Vec<(&'static str, f64)> {
         let (edges, max_deg, min_deg) = self.degree_stats();
-        WorkloadProgram::with_probe(
-            spec,
-            Box::new(move |_| {
-                vec![
-                    ("edges", edges as f64),
-                    ("max_degree", max_deg as f64),
-                    ("min_degree", min_deg as f64),
-                ]
-            }),
-        )
+        vec![
+            ("edges", edges as f64),
+            ("max_degree", max_deg as f64),
+            ("min_degree", min_deg as f64),
+        ]
     }
 }
 

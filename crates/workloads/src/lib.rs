@@ -36,6 +36,6 @@ pub use bursty::BurstyConfig;
 pub use fft_pipe::FftPipeConfig;
 pub use halo::HaloConfig;
 pub use nas::{full_flops, full_iters, grid_n, mem_bytes, Class, NasBench, NasConfig};
-pub use netpipe::{NetpipeConfig, NetpipePoint, NetpipePoints};
+pub use netpipe::{NetpipeConfig, NetpipePoint};
 pub use registry::{net_axes, registry, NetAxis, RegistryScale, FAMILIES};
-pub use workload::{run_workload, MetricProbe, Workload, WorkloadProgram, WorkloadRun};
+pub use workload::{run_workload, Workload, WorkloadProgram, WorkloadRun};

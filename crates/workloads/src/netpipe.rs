@@ -3,7 +3,9 @@
 //! The paper's Figure 6 uses NetPIPE: a two-rank ping-pong sweeping
 //! message sizes, reporting half round-trip latency and throughput. The
 //! measurement runs *inside* the program with `Mpi::time()`, exactly like
-//! NetPIPE calls `MPI_Wtime`.
+//! NetPIPE calls `MPI_Wtime`, and rank 0 records each size's point
+//! ([`vlog_vmpi::Mpi::record`]); [`points`] reads the sweep off the
+//! run's report.
 //!
 //! [`NetpipeConfig`] is the [`Workload`] face of the benchmark; the
 //! lower-level [`program`] builder remains for harnesses that want the
@@ -11,13 +13,15 @@
 //! the summary metrics.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
 
 use vlog_vmpi::{app, AppSpec, Payload, RecvSelector, RunReport};
 
 use crate::workload::{ckpt_payload, restored_u64, Workload, WorkloadProgram};
 
 const TAG: u32 = 7;
+/// Names of the two values rank 0 records per size, keyed by the size.
+const LATENCY_US: &str = "latency_us";
+const MBPS: &str = "mbps";
 
 /// One measured point of the sweep.
 #[derive(Debug, Clone, Copy)]
@@ -30,36 +34,26 @@ pub struct NetpipePoint {
     pub mbps: f64,
 }
 
-/// Handle on the points rank 0 measures, shared out of the program.
-///
-/// Keyed by message size so a size re-measured during post-fault replay
-/// overwrites its pre-crash point instead of duplicating it — the sweep
-/// a harness reads is one point per size, in size order, whether or not
-/// the run recovered from a crash.
-#[derive(Clone, Default)]
-pub struct NetpipePoints {
-    inner: Arc<Mutex<BTreeMap<u64, NetpipePoint>>>,
-}
-
-impl NetpipePoints {
-    /// The measured sweep, smallest size first.
-    pub fn sorted(&self) -> Vec<NetpipePoint> {
-        self.inner.lock().unwrap().values().copied().collect()
-    }
-
-    /// Commits a batch of measured points, taking the collector lock
-    /// once for the whole batch instead of once per point. Points drain
-    /// in measurement order, so a size re-measured after a crash still
-    /// overwrites its stale pre-crash entry (last write wins).
-    fn insert_batch(&self, points: &mut Vec<NetpipePoint>) {
-        if points.is_empty() {
-            return;
-        }
-        let mut map = self.inner.lock().unwrap();
-        for p in points.drain(..) {
-            map.insert(p.bytes, p);
+/// The sweep rank 0 measured in `report`'s run: one point per size,
+/// smallest size first. A size measured more than once — a crash
+/// restores the sweep cursor of the last checkpoint and the new
+/// incarnation measures every size from there on — keeps its last
+/// measurement.
+pub fn points(report: &RunReport) -> Vec<NetpipePoint> {
+    let mut by_size = BTreeMap::new();
+    for r in report.recorded.iter().filter(|r| r.rank == 0) {
+        let point = by_size.entry(r.key).or_insert(NetpipePoint {
+            bytes: r.key,
+            latency_us: 0.0,
+            mbps: 0.0,
+        });
+        match r.name {
+            LATENCY_US => point.latency_us = r.value,
+            MBPS => point.mbps = r.value,
+            _ => {}
         }
     }
+    by_size.into_values().collect()
 }
 
 /// Power-of-two sweep 1 B … `max_bytes`. Panics on `max_bytes == 0`:
@@ -87,27 +81,19 @@ pub fn reps_for(bytes: u64, scale: f64) -> u32 {
     (base * scale).ceil().max(3.0) as u32
 }
 
-/// Builds the two-rank ping-pong program; points land in the returned
-/// collector as rank 0 finishes each size. Equivalent to
-/// [`NetpipeConfig`] without checkpoint offers — the Figure 6 harnesses
-/// use this directly to keep the measured path free of checkpoint
-/// plumbing.
-pub fn program(max_bytes: u64, rep_scale: f64) -> (AppSpec, NetpipePoints) {
+/// Builds the two-rank ping-pong program; [`points`] reads what it
+/// measured off the run's report. Equivalent to [`NetpipeConfig`]
+/// without checkpoint offers — the Figure 6 harnesses use this directly
+/// to keep the measured path free of checkpoint plumbing.
+pub fn program(max_bytes: u64, rep_scale: f64) -> AppSpec {
     build(max_bytes, rep_scale, None)
 }
 
 /// `ckpt_state_bytes`: `Some(per-rank image size)` to offer a checkpoint
 /// before each sweep size, `None` for the bare Figure 6 measurement.
-fn build(
-    max_bytes: u64,
-    rep_scale: f64,
-    ckpt_state_bytes: Option<u64>,
-) -> (AppSpec, NetpipePoints) {
-    let results = NetpipePoints::default();
-    let out = results.clone();
+fn build(max_bytes: u64, rep_scale: f64, ckpt_state_bytes: Option<u64>) -> AppSpec {
     let all_sizes = sizes(max_bytes);
-    let spec = app(move |mpi| {
-        let out = out.clone();
+    app(move |mpi| {
         let all_sizes = all_sizes.clone();
         async move {
             assert_eq!(mpi.size(), 2, "NetPIPE is a two-rank benchmark");
@@ -116,16 +102,8 @@ fn build(
             // Fast-forward past the sizes a pre-crash incarnation
             // already completed.
             let start = restored_u64(&mpi) as usize;
-            // Points measured by rank 0 buffer locally and flush into
-            // the shared collector in batches (one lock per flush, not
-            // one per point). Flushing *before* each checkpoint offer
-            // keeps crash replay correct: anything still buffered at a
-            // crash belongs to sizes at or past the restored cursor,
-            // which the next incarnation re-measures.
-            let mut pending: Vec<NetpipePoint> = Vec::new();
             for (idx, &bytes) in all_sizes.iter().enumerate().skip(start) {
                 if let Some(state_bytes) = ckpt_state_bytes {
-                    out.insert_batch(&mut pending);
                     mpi.checkpoint_point(ckpt_payload(state_bytes, idx as u64))
                         .await;
                 }
@@ -152,17 +130,12 @@ fn build(
                     let dt = mpi.time().saturating_since(t0);
                     let half_rtt_us = dt.as_micros_f64() / (2.0 * reps as f64);
                     let mbps = (bytes as f64 * 8.0) / half_rtt_us; // b/us == Mbit/s
-                    pending.push(NetpipePoint {
-                        bytes,
-                        latency_us: half_rtt_us,
-                        mbps,
-                    });
+                    mpi.record(LATENCY_US, bytes, half_rtt_us);
+                    mpi.record(MBPS, bytes, mbps);
                 }
             }
-            out.insert_batch(&mut pending);
         }
-    });
-    (spec, results)
+    })
 }
 
 /// The NetPIPE sweep as a registered workload.
@@ -231,20 +204,18 @@ impl Workload for NetpipeConfig {
 
     fn program(&self) -> WorkloadProgram {
         let ckpt = self.checkpoints.then(|| self.state_bytes());
-        let (spec, points) = build(self.max_bytes, self.rep_scale, ckpt);
-        WorkloadProgram::with_probe(
-            spec,
-            Box::new(move |_report: &RunReport| {
-                let pts = points.sorted();
-                let latency_1b = pts.first().map_or(0.0, |p| p.latency_us);
-                let peak = pts.iter().map(|p| p.mbps).fold(0.0, f64::max);
-                vec![
-                    ("latency_1b_us", latency_1b),
-                    ("peak_mbps", peak),
-                    ("points", pts.len() as f64),
-                ]
-            }),
-        )
+        build(self.max_bytes, self.rep_scale, ckpt).into()
+    }
+
+    fn metrics(&self, report: &RunReport) -> Vec<(&'static str, f64)> {
+        let pts = points(report);
+        let latency_1b = pts.first().map_or(0.0, |p| p.latency_us);
+        let peak = pts.iter().map(|p| p.mbps).fold(0.0, f64::max);
+        vec![
+            ("latency_1b_us", latency_1b),
+            ("peak_mbps", peak),
+            ("points", pts.len() as f64),
+        ]
     }
 }
 
@@ -282,36 +253,5 @@ mod tests {
         assert!(reps_for(1, 1.0) > reps_for(1 << 20, 1.0));
         assert!(reps_for(8 << 20, 1.0) >= 3);
         assert!(reps_for(1, 0.01) >= 3);
-    }
-
-    #[test]
-    fn points_dedupe_by_size() {
-        let points = NetpipePoints::default();
-        let mut batch = vec![
-            NetpipePoint {
-                bytes: 64,
-                latency_us: 2.0,
-                mbps: 1.0,
-            },
-            NetpipePoint {
-                bytes: 64,
-                latency_us: 1.0,
-                mbps: 1.0,
-            },
-        ];
-        points.insert_batch(&mut batch);
-        assert!(batch.is_empty(), "insert_batch drains its buffer");
-        let sorted = points.sorted();
-        assert_eq!(sorted.len(), 1);
-        assert_eq!(sorted[0].latency_us, 1.0); // last write wins
-
-        // Replay across a second batch overwrites too, exactly like the
-        // old per-point path did.
-        points.insert_batch(&mut vec![NetpipePoint {
-            bytes: 64,
-            latency_us: 0.5,
-            mbps: 2.0,
-        }]);
-        assert_eq!(points.sorted()[0].latency_us, 0.5);
     }
 }

@@ -18,9 +18,7 @@
 use std::sync::Arc;
 
 use vlog_sim::{MsgHistogram, SimDuration};
-use vlog_vmpi::{
-    AppSpec, ClusterConfig, ClusterRun, FaultPlan, Mpi, Payload, PayloadArena, RunReport, Suite,
-};
+use vlog_vmpi::{AppSpec, ClusterConfig, ClusterRun, FaultPlan, Mpi, Payload, RunReport, Suite};
 
 /// One runnable benchmark configuration.
 ///
@@ -75,42 +73,27 @@ pub trait Workload: Send + Sync {
         0
     }
 
-    /// Builds the runnable program (and, optionally, a post-run metric
-    /// probe). Called once per cluster run, so any harness-side
-    /// collector the program writes into is private to that run —
-    /// one workload value can safely back many concurrent runs.
+    /// Builds the runnable program. Called once per cluster run; what
+    /// the program measures it records ([`Mpi::record`]), so it comes
+    /// back on that run's [`RunReport`] and nowhere else.
     fn program(&self) -> WorkloadProgram;
+
+    /// Workload-specific scalar metrics of a finished run, in a fixed
+    /// order ([`WorkloadRun::extra`]). None by default.
+    fn metrics(&self, _report: &RunReport) -> Vec<(&'static str, f64)> {
+        Vec::new()
+    }
 }
 
-/// Post-run probe extracting workload-specific scalar metrics.
-pub type MetricProbe = Box<dyn FnOnce(&RunReport) -> Vec<(&'static str, f64)> + Send>;
-
-/// A built program plus an optional metric probe reading the collectors
-/// the program's ranks write into (e.g. NetPIPE's measured points).
+/// A built program.
 pub struct WorkloadProgram {
     /// The runnable per-rank program.
     pub spec: AppSpec,
-    probe: Option<MetricProbe>,
-}
-
-impl WorkloadProgram {
-    /// A program with no workload-specific metrics.
-    pub fn plain(spec: AppSpec) -> Self {
-        WorkloadProgram { spec, probe: None }
-    }
-
-    /// A program whose run is followed by `probe`.
-    pub fn with_probe(spec: AppSpec, probe: MetricProbe) -> Self {
-        WorkloadProgram {
-            spec,
-            probe: Some(probe),
-        }
-    }
 }
 
 impl From<AppSpec> for WorkloadProgram {
     fn from(spec: AppSpec) -> Self {
-        WorkloadProgram::plain(spec)
+        WorkloadProgram { spec }
     }
 }
 
@@ -126,7 +109,7 @@ pub struct WorkloadRun {
     pub report: RunReport,
     /// Flop accounting for the Mflop/s metric (0 when undefined).
     pub total_flops: f64,
-    /// Workload-specific extras from the program's metric probe.
+    /// Workload-specific extras ([`Workload::metrics`]).
     pub extra: Vec<(&'static str, f64)>,
 }
 
@@ -178,9 +161,8 @@ pub fn run_workload(
         workload.label(),
         workload.np()
     );
-    let WorkloadProgram { spec, probe } = workload.program();
-    let report = ClusterRun::build(cluster, suite, spec, faults).run();
-    let extra = probe.map(|p| p(&report)).unwrap_or_default();
+    let report = ClusterRun::build(cluster, suite, workload.program().spec, faults).run();
+    let extra = workload.metrics(&report);
     WorkloadRun {
         family: workload.family(),
         label: workload.label(),
@@ -202,21 +184,11 @@ pub(crate) fn restored_u64(mpi: &Mpi) -> u64 {
 
 /// Shared helper: a checkpoint payload carrying cursor `it`, padded to
 /// the workload's per-rank state size.
-///
-/// Cursor bodies repeat heavily — every rank offers the same iteration
-/// cursor, and replayed incarnations rebuild past cursors — so the body
-/// bytes are interned in a per-worker [`PayloadArena`]: one allocation
-/// per distinct cursor per worker thread, O(1) shared clones after that.
 pub(crate) fn ckpt_payload(state_bytes: u64, it: u64) -> Payload {
-    thread_local! {
-        static ARENA: std::cell::RefCell<PayloadArena> =
-            std::cell::RefCell::new(PayloadArena::new());
+    Payload {
+        pad: state_bytes.saturating_sub(8),
+        ..Payload::new(it.to_le_bytes().to_vec())
     }
-    ARENA.with(|arena| {
-        arena
-            .borrow_mut()
-            .payload(&it.to_le_bytes(), state_bytes.saturating_sub(8))
-    })
 }
 
 /// Deterministic per-`(seed, a, b)` RNG seed (SplitMix64-style mixing;
@@ -253,6 +225,7 @@ mod tests {
                 applied: Vec::new(),
                 fired: Vec::new(),
                 liveness: None,
+                recorded: Vec::new(),
             },
             total_flops: flops,
             extra: Vec::new(),
@@ -260,7 +233,7 @@ mod tests {
     }
 
     #[test]
-    fn ckpt_payload_accounting_is_unchanged_by_the_arena() {
+    fn ckpt_payload_pads_to_the_state_size() {
         // Wire accounting: the cursor body is 8 bytes, the pad tops the
         // payload up to the declared state size.
         assert_eq!(ckpt_payload(1 << 20, 3).len(), 1 << 20);
@@ -269,12 +242,8 @@ mod tests {
         // past the cursor itself (pad saturates at zero).
         assert_eq!(ckpt_payload(0, 3).len(), 8);
         assert_eq!(ckpt_payload(0, 3).pad, 0);
-        // Repeated cursors share one interned backing (the zero-copy
-        // path): same data pointer, not merely equal bytes.
+        // The restored-cursor round trip decodes.
         let a = ckpt_payload(4096, 42);
-        let b = ckpt_payload(1 << 30, 42);
-        assert_eq!(a.data.as_ptr(), b.data.as_ptr());
-        // The restored-cursor round trip still decodes.
         assert_eq!(u64::from_le_bytes(a.data[..8].try_into().unwrap()), 42u64);
     }
 

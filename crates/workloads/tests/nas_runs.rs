@@ -138,10 +138,9 @@ fn lu_survives_a_fault_under_causal_logging() {
 fn netpipe_latency_matches_paper_table() {
     // Figure 6(a): MPICH-P4 99.56us, Vdummy 134.84us for 1-byte messages.
     let run_lat = |cfg: ClusterConfig| {
-        let (prog, results) = netpipe::program(1, 1.0);
-        let report = run_vdummy(&cfg, prog);
+        let report = run_vdummy(&cfg, netpipe::program(1, 1.0));
         assert!(report.completed);
-        results.sorted()[0].latency_us
+        netpipe::points(&report)[0].latency_us
     };
     let vd = run_lat(cluster(2));
     let p4 = run_lat(cluster(2).p4());
@@ -159,10 +158,9 @@ fn netpipe_latency_matches_paper_table() {
 
 #[test]
 fn netpipe_bandwidth_approaches_line_rate() {
-    let (prog, results) = netpipe::program(8 << 20, 0.05);
-    let report = run_vdummy(&cluster(2).raw(), prog);
+    let report = run_vdummy(&cluster(2).raw(), netpipe::program(8 << 20, 0.05));
     assert!(report.completed);
-    let r = results.sorted();
+    let r = netpipe::points(&report);
     let peak = r.iter().map(|p| p.mbps).fold(0.0, f64::max);
     assert!(
         peak > 80.0 && peak < 100.0,

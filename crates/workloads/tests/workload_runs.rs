@@ -8,7 +8,8 @@ use vlog_core::{CausalSuite, Technique};
 use vlog_sim::SimDuration;
 use vlog_vmpi::{ClusterConfig, FaultPlan, VdummySuite};
 use vlog_workloads::{
-    run_workload, BurstyConfig, FftPipeConfig, HaloConfig, NetpipeConfig, Workload,
+    netpipe, run_workload, BurstyConfig, FftPipeConfig, HaloConfig, NetpipeConfig, Workload,
+    WorkloadRun,
 };
 
 fn cluster(np: usize) -> ClusterConfig {
@@ -154,4 +155,55 @@ fn netpipe_workload_reports_sweep_metrics() {
     assert!(get("latency_1b_us") > 0.0);
     assert!(get("peak_mbps") > 0.0);
     assert_eq!(run.mflops(), 0.0, "NetPIPE defines no Mflop/s");
+}
+
+/// NetPIPE's sweep is read off the report. Rank 0 is killed after it
+/// measured sizes past its last checkpoint, so its relaunched
+/// incarnation measures those sizes again; the sweep still has one
+/// point per size, in size order, each the later measurement.
+#[test]
+fn netpipe_points_survive_a_rank0_kill() {
+    let cfg = NetpipeConfig::new(1 << 12, 0.05).with_checkpoints();
+    let suite = || {
+        Arc::new(
+            CausalSuite::new(Technique::Vcausal, true)
+                .with_checkpoints(SimDuration::from_millis(50)),
+        )
+    };
+    let mut cluster = cluster(2);
+    cluster.detect_delay = SimDuration::from_millis(8);
+    let free = run_workload(&cfg, &cluster, suite(), &FaultPlan::none());
+    let plan = FaultPlan::kill_at(SimDuration::from_millis(70), 0);
+    let faulted = run_workload(&cfg, &cluster, suite(), &plan);
+    assert!(free.report.completed && faulted.report.completed);
+    assert!(
+        faulted.report.all_landed(&plan),
+        "{:?}",
+        faulted.report.fired
+    );
+
+    let latencies: Vec<_> = faulted
+        .report
+        .recorded
+        .iter()
+        .filter(|r| r.name == "latency_us")
+        .collect();
+    let sizes = netpipe::sizes(1 << 12);
+    assert!(
+        latencies.len() > sizes.len(),
+        "no size was measured twice, so the kill tested nothing"
+    );
+    let bytes = |run: &WorkloadRun| -> Vec<u64> {
+        netpipe::points(&run.report)
+            .iter()
+            .map(|p| p.bytes)
+            .collect()
+    };
+    assert_eq!(bytes(&free), sizes);
+    assert_eq!(bytes(&faulted), sizes);
+    for point in netpipe::points(&faulted.report) {
+        let last = latencies.iter().rev().find(|r| r.key == point.bytes);
+        assert_eq!(point.latency_us, last.unwrap().value, "{point:?}");
+    }
+    assert_eq!(faulted.extra[2], ("points", sizes.len() as f64));
 }

@@ -4,8 +4,10 @@
 //! Each rank owns a block of a 1D rod and iterates the explicit heat
 //! equation, exchanging halo cells with its neighbours every step. Rank 1
 //! is killed mid-run; causal message logging restores it from its last
-//! checkpoint and replays its receptions. The final temperature profile
-//! is compared against a sequential reference computed in plain Rust —
+//! checkpoint and replays its receptions. Each rank records its final
+//! cells ([`vlog_vmpi::Mpi::record`]), and the temperature profile read
+//! off the run's report is compared against a sequential reference
+//! computed in plain Rust —
 //! bitwise equality demonstrates that recovery is exact, not just
 //! approximate.
 //!
@@ -13,6 +15,7 @@
 //! cargo run --release -p vlog-bench --example fault_tolerant_stencil
 //! ```
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use vlog_core::{CausalSuite, Technique};
@@ -62,72 +65,67 @@ fn unpack_state(bytes: &[u8]) -> (u64, Vec<f64>) {
 }
 
 fn main() {
-    let gathered: Arc<std::sync::Mutex<Vec<Vec<f64>>>> =
-        Arc::new(std::sync::Mutex::new(vec![Vec::new(); RANKS]));
-    let sink = gathered.clone();
-
-    let program = app(move |mpi| {
-        let sink = sink.clone();
-        async move {
-            let me = mpi.rank();
-            let n = mpi.size();
-            // Restore from a checkpoint image or start fresh.
-            let (start, mut cells) = match mpi.restored() {
-                Some(bytes) => unpack_state(bytes),
-                None => (
-                    0,
-                    (0..CELLS_PER_RANK)
-                        .map(|i| init_temp(me * CELLS_PER_RANK + i))
-                        .collect(),
-                ),
+    let program = app(|mpi| async move {
+        let me = mpi.rank();
+        let n = mpi.size();
+        // Restore from a checkpoint image or start fresh.
+        let (start, mut cells) = match mpi.restored() {
+            Some(bytes) => unpack_state(bytes),
+            None => (
+                0,
+                (0..CELLS_PER_RANK)
+                    .map(|i| init_temp(me * CELLS_PER_RANK + i))
+                    .collect(),
+            ),
+        };
+        if start > 0 {
+            println!("rank {me}: restored at step {start}");
+        }
+        for step in start..STEPS {
+            // Offer a checkpoint every iteration; the scheduler decides.
+            mpi.checkpoint_point(pack_state(step, &cells)).await;
+            // Halo exchange (boundary ranks mirror their edge cell).
+            let left_halo = if me > 0 {
+                let m = mpi
+                    .sendrecv(
+                        me - 1,
+                        0,
+                        Payload::new(encode_f64s(&cells[..1])),
+                        RecvSelector::of(me - 1, 1),
+                    )
+                    .await;
+                decode_f64s(&m.payload.data)[0]
+            } else {
+                cells[0]
             };
-            if start > 0 {
-                println!("rank {me}: restored at step {start}");
-            }
-            for step in start..STEPS {
-                // Offer a checkpoint every iteration; the scheduler decides.
-                mpi.checkpoint_point(pack_state(step, &cells)).await;
-                // Halo exchange (boundary ranks mirror their edge cell).
-                let left_halo = if me > 0 {
-                    let m = mpi
-                        .sendrecv(
-                            me - 1,
-                            0,
-                            Payload::new(encode_f64s(&cells[..1])),
-                            RecvSelector::of(me - 1, 1),
-                        )
-                        .await;
-                    decode_f64s(&m.payload.data)[0]
+            let right_halo = if me + 1 < n {
+                let m = mpi
+                    .sendrecv(
+                        me + 1,
+                        1,
+                        Payload::new(encode_f64s(&cells[CELLS_PER_RANK - 1..])),
+                        RecvSelector::of(me + 1, 0),
+                    )
+                    .await;
+                decode_f64s(&m.payload.data)[0]
+            } else {
+                cells[CELLS_PER_RANK - 1]
+            };
+            // Explicit Euler step.
+            let prev = cells.clone();
+            for i in 0..CELLS_PER_RANK {
+                let l = if i == 0 { left_halo } else { prev[i - 1] };
+                let r = if i == CELLS_PER_RANK - 1 {
+                    right_halo
                 } else {
-                    cells[0]
+                    prev[i + 1]
                 };
-                let right_halo = if me + 1 < n {
-                    let m = mpi
-                        .sendrecv(
-                            me + 1,
-                            1,
-                            Payload::new(encode_f64s(&cells[CELLS_PER_RANK - 1..])),
-                            RecvSelector::of(me + 1, 0),
-                        )
-                        .await;
-                    decode_f64s(&m.payload.data)[0]
-                } else {
-                    cells[CELLS_PER_RANK - 1]
-                };
-                // Explicit Euler step.
-                let prev = cells.clone();
-                for i in 0..CELLS_PER_RANK {
-                    let l = if i == 0 { left_halo } else { prev[i - 1] };
-                    let r = if i == CELLS_PER_RANK - 1 {
-                        right_halo
-                    } else {
-                        prev[i + 1]
-                    };
-                    cells[i] = prev[i] + ALPHA * (l - 2.0 * prev[i] + r);
-                }
-                mpi.compute(2_000.0 * CELLS_PER_RANK as f64).await;
+                cells[i] = prev[i] + ALPHA * (l - 2.0 * prev[i] + r);
             }
-            sink.lock().unwrap()[me] = cells;
+            mpi.compute(2_000.0 * CELLS_PER_RANK as f64).await;
+        }
+        for (i, &cell) in cells.iter().enumerate() {
+            mpi.record("cell", i as u64, cell);
         }
     });
 
@@ -141,7 +139,13 @@ fn main() {
     let report = run_cluster(&cfg, suite, program, &faults);
 
     assert!(report.completed, "run did not complete");
-    let parallel: Vec<f64> = gathered.lock().unwrap().concat();
+    // The last value each (rank, cell) recorded, in rod order.
+    let rod: BTreeMap<_, _> = report
+        .recorded
+        .iter()
+        .map(|r| ((r.rank, r.key), r.value))
+        .collect();
+    let parallel: Vec<f64> = rod.into_values().collect();
     let serial = reference();
     let max_err = parallel
         .iter()

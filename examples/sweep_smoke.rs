@@ -1,6 +1,7 @@
 //! Sweep-driver smoke test: runs a small grid of independent cluster
 //! runs sequentially and on a worker pool, and checks that the two
-//! sweeps produce byte-identical reports.
+//! sweeps produce byte-identical reports, and that no two runs of the
+//! grid produce the same report.
 //!
 //! ```text
 //! cargo run --release --example sweep_smoke -- --threads 2
@@ -9,6 +10,7 @@
 //! CI runs this with `--threads 2` on every push so the parallel path
 //! (and the `Send` core underneath it) is exercised continuously.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use vlog_bench::{default_threads, run_many};
@@ -27,7 +29,11 @@ fn parse_threads() -> usize {
     default_threads()
 }
 
-fn run_one(technique: Technique, el: bool, seed: u64, with_fault: bool) -> RunReport {
+/// Which rank is killed when (µs): none, rank 1 early or late, rank 2
+/// late.
+const KILLS: [Option<(usize, u64)>; 4] = [None, Some((1, 700)), Some((1, 1300)), Some((2, 1300))];
+
+fn run_one(technique: Technique, el: bool, kill: Option<(usize, u64)>) -> RunReport {
     let prog = app(|mpi| async move {
         let me = mpi.rank();
         let n = mpi.size();
@@ -51,18 +57,21 @@ fn run_one(technique: Technique, el: bool, seed: u64, with_fault: bool) -> RunRe
         }
     });
     let mut cfg = ClusterConfig::new(3);
-    cfg.seed = seed;
     cfg.detect_delay = SimDuration::from_millis(8);
     cfg.event_limit = Some(50_000_000);
     let suite =
-        Arc::new(CausalSuite::new(technique, el).with_checkpoints(SimDuration::from_millis(6)));
-    let faults = if with_fault {
-        FaultPlan::kill_at(SimDuration::from_millis(5), 1)
-    } else {
-        FaultPlan::none()
+        Arc::new(CausalSuite::new(technique, el).with_checkpoints(SimDuration::from_micros(500)));
+    let faults = match kill {
+        Some((rank, us)) => FaultPlan::kill_at(SimDuration::from_micros(us), rank),
+        None => FaultPlan::none(),
     };
     let report = run_cluster(&cfg, suite, prog, &faults);
     assert!(report.completed, "sweep job did not complete");
+    assert!(
+        report.all_landed(&faults),
+        "a kill missed: {:?}",
+        report.fired
+    );
     report
 }
 
@@ -71,21 +80,21 @@ fn main() {
     let mut jobs = Vec::new();
     for technique in [Technique::Vcausal, Technique::Manetho, Technique::LogOn] {
         for el in [true, false] {
-            for seed in [1u64, 7] {
-                for with_fault in [false, true] {
-                    jobs.push((technique, el, seed, with_fault));
-                }
+            for kill in KILLS {
+                jobs.push((technique, el, kill));
             }
         }
     }
     let n_jobs = jobs.len();
     let runner =
-        |(t, el, seed, f): (Technique, bool, u64, bool)| run_one(t, el, seed, f).fingerprint();
+        |(t, el, kill): (Technique, bool, Option<(usize, u64)>)| run_one(t, el, kill).fingerprint();
     let sequential = run_many(jobs.clone(), 1, runner);
     let sharded = run_many(jobs, threads, runner);
     assert_eq!(
         sequential, sharded,
         "sweep on {threads} threads diverged from the sequential sweep"
     );
+    let distinct = sequential.iter().collect::<BTreeSet<_>>().len();
+    assert_eq!(distinct, n_jobs, "two jobs of the grid ran the same run");
     println!("sweep_smoke: {n_jobs} runs byte-identical on 1 and {threads} thread(s)");
 }

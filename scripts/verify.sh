@@ -27,7 +27,7 @@ for knob in $knobs; do
 done
 echo "    knob inventory: ok ($(echo "$knobs" | wc -w) names, all documented)"
 
-echo "==> boundary gate (no Mutex, no unsafe at the task<->daemon boundary; no lock or atomic around what a cluster run shares; no thread-local or process state behind the causality log; no lock, closure or trait object around a run's schedule)"
+echo "==> boundary gate (no Mutex, no unsafe at the task<->daemon boundary; no lock or atomic around what a cluster run shares; no thread-local or process state behind the causality log; no lock, closure or trait object around a run's schedule; no side channel out of a run)"
 # Comment lines may name what the code may not use.
 boundary_gate() { # <words> <what to say> <files...>
     local words=$1 say=$2
@@ -70,6 +70,24 @@ boundary_gate 'thread_local|AtomicBool|OnceLock|BTreeMap' "the causality log bel
 # policy trait means a config stopped being plain cloneable data.
 boundary_gate 'Mutex|dyn Fn|dyn SchedulePolicy' "a schedule goes in as data on the config and comes out as data on the report" \
     crates/sim/src/schedule.rs crates/explore/src/lib.rs
+# What a run produces comes back on its RunReport (crates/vmpi/src/
+# cluster.rs, "Data in, data out"): a program records through its pipe
+# (Mpi::record), and only the config switches what a run collects. So the
+# non-test code of the simulator crates shares nothing through a lock, an
+# atomic or a thread-local, and reads no process environment. Allowed:
+# crates/sim/src/exec.rs, whose thread-local lends a task its port for
+# one poll; crates/sim/src/profiler.rs, whose accumulators benchmark/
+# reads; crates/sim/src/env_knob.rs, the knob parser harnesses call.
+side_words='\b(Mutex|RwLock|[Aa]tomic[A-Za-z0-9]*|thread_local)\b|std::env\b|env_knob::'
+side_files=$(find crates/sim/src crates/vmpi/src crates/core/src crates/workloads/src -name '*.rs' |
+    grep -vxE 'crates/sim/src/(exec|profiler|env_knob)\.rs' | sort)
+# shellcheck disable=SC2086 # one path per word
+if awk "$non_test"' { print FILENAME ":" FNR ": " $0 }' $side_files |
+    grep -vE '^[^ ]+ +//' | grep -E "$side_words"; then
+    echo "a side channel out of a run (lines above): record through Mpi::record and read RunReport::recorded, or put the switch on ClusterConfig" >&2
+    exit 1
+fi
+echo "    boundary gate: ok (no lock, atomic, thread-local or environment read in the non-test code of crates/{sim,vmpi,core,workloads}/src, besides exec.rs, profiler.rs and env_knob.rs)"
 # A planned fault takes effect in one place (crates/vmpi/src/fault.rs
 # module docs), which is what lets RunReport::fired say what landed. So
 # under crates/vmpi/src only the fault module crashes a node, apart from
