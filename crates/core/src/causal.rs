@@ -19,9 +19,8 @@
 //! deliveries are replayed in determinant order; messages that arrive
 //! meanwhile are buffered and re-accepted afterwards.
 
-use std::sync::Arc;
-
 use vlog_sim::{profiler, SimDuration};
+use vlog_vmpi::control::Body;
 use vlog_vmpi::{
     AppMsg, Ctx, Payload, PiggybackBlob, ProtoBlob, RClock, Rank, RecvGate, SendGate, Ssn, Tag,
     VProtocol,
@@ -47,12 +46,12 @@ pub struct CausalBlob {
     stable: Vec<RClock>,
 }
 
-impl CausalBlob {
-    fn wire_bytes(&self, n: usize) -> u64 {
+impl Body for CausalBlob {
+    fn wire_bytes(&self) -> u64 {
         Determinant::BODY_BYTES * self.red.retained_count() as u64
             + self.slog.payload_bytes()
             + 16 * self.slog.len() as u64
-            + 16 * n as u64
+            + 16 * self.stable.len() as u64
     }
 }
 
@@ -320,11 +319,7 @@ impl VProtocol for CausalProtocol {
             rclock: self.log.rclock,
             stable: self.stable.clone(),
         };
-        let bytes = blob.wire_bytes(self.log.n);
-        ProtoBlob {
-            body: Some(Arc::new(blob)),
-            bytes,
-        }
+        ProtoBlob::new(blob)
     }
 
     fn on_checkpoint_committed(&mut self, ctx: &mut Ctx<'_>, version: u64) {
@@ -345,5 +340,41 @@ impl VProtocol for CausalProtocol {
             self.handle_ctl(ctx, ctl);
         }
         self.replay(ctx);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::reduction::make_reduction;
+
+    /// The image section's wire size at two shapes (`k` retained
+    /// determinants, a sender log of 100-byte payloads, `n` ranks), as
+    /// plain numbers.
+    #[test]
+    fn image_section_size_is_pinned() {
+        for (k, logged, n, bytes) in [(0, 0, 4, 64), (5, 2, 16, 558)] {
+            let mut red = make_reduction(Technique::Vcausal, n);
+            for clock in 1..=k {
+                red.add_local(Determinant {
+                    receiver: 0,
+                    clock,
+                    sender: 1,
+                    ssn: clock,
+                    cause: 0,
+                });
+            }
+            let mut slog = SenderLog::new(n);
+            for ssn in 0..logged {
+                slog.insert(1, ssn, 0, &Payload::synthetic(100));
+            }
+            let blob = CausalBlob {
+                red,
+                slog,
+                rclock: k,
+                stable: vec![0; n],
+            };
+            assert_eq!(blob.wire_bytes(), bytes, "k = {k}, n = {n}");
+        }
     }
 }

@@ -24,10 +24,9 @@
 //! numbers) — consistent for piecewise-deterministic programs, the same
 //! assumption message logging already makes.
 
-use std::sync::Arc;
-
 use vlog_sim::causality::Edge;
 use vlog_sim::SimDuration;
+use vlog_vmpi::control::Body;
 use vlog_vmpi::{
     AppMsg, ClusterState, Ctx, Payload, ProtoBlob, ProtoPhase, Rank, RecvGate, SchedulerCmd, Ssn,
     Tag, VProtocol,
@@ -39,6 +38,12 @@ pub struct MarkerCtl {
     pub from: Rank,
     pub id: u64,
     pub upto_ssn: Ssn,
+}
+
+impl Body for MarkerCtl {
+    fn wire_bytes(&self) -> u64 {
+        24
+    }
 }
 
 /// Channel recording state for one snapshot.
@@ -58,7 +63,7 @@ pub struct CoordBlob {
     logs: Vec<Vec<(Ssn, Tag, Payload)>>,
 }
 
-impl CoordBlob {
+impl Body for CoordBlob {
     fn wire_bytes(&self) -> u64 {
         8 + self
             .logs
@@ -131,16 +136,12 @@ impl CoordinatedProtocol {
         for peer in 0..self.n {
             if peer != self.rank {
                 vlog_sim::event!(ctx.sim, "marker" { from = self.rank, to = peer, id = id });
-                ctx.core.control_to_rank(
-                    ctx.sim,
-                    peer,
-                    24,
-                    Box::new(MarkerCtl {
-                        from: self.rank,
-                        id,
-                        upto_ssn: sent[peer],
-                    }),
-                );
+                let marker = MarkerCtl {
+                    from: self.rank,
+                    id,
+                    upto_ssn: sent[peer],
+                };
+                ctx.core.control_to_rank(ctx.sim, peer, marker);
             }
         }
         ctx.phase_boundary(ProtoPhase::MarkerSent);
@@ -297,11 +298,7 @@ impl VProtocol for CoordinatedProtocol {
                 logs: vec![Vec::new(); self.n],
             },
         };
-        let bytes = blob.wire_bytes();
-        ProtoBlob {
-            body: Some(Arc::new(blob)),
-            bytes,
-        }
+        ProtoBlob::new(blob)
     }
 
     fn on_restart(&mut self, ctx: &mut Ctx<'_>, blob: Option<ProtoBlob>) {
@@ -334,6 +331,26 @@ impl VProtocol for CoordinatedProtocol {
             // record the id, so markers for it that are still in flight
             // cannot trigger a second broadcast.
             self.close_finished(ctx, id);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The image section's wire size with no recorded message on `n`
+    /// channels and with three 100-byte messages recorded, as plain
+    /// numbers.
+    #[test]
+    fn image_section_size_is_pinned() {
+        for (n, recorded, bytes) in [(4, 0, 8), (16, 3, 356)] {
+            let mut logs = vec![Vec::new(); n];
+            for ssn in 0..recorded {
+                logs[1].push((ssn, 0, Payload::synthetic(100)));
+            }
+            let blob = CoordBlob { logs };
+            assert_eq!(blob.wire_bytes(), bytes, "n = {n}");
         }
     }
 }

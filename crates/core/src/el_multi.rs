@@ -1,5 +1,5 @@
-//! The Event Logger (paper §IV-B.4): its messages and wire sizes, the
-//! server with its saturation gauges, and the client-side record batcher.
+//! The Event Logger (paper §IV-B.4): its messages and their [`Body`]
+//! sizes, the server with its saturation gauges, and the client-side batcher.
 //!
 //! *"The Event Logger is a component specific to the message logging
 //! protocols we developed. It acts as a reliable storage for all
@@ -36,28 +36,10 @@
 use vlog_sim::{
     Actor, ActorId, Counter, Delivery, Gauge, NodeId, Sim, SimDuration, Timer, TimerHandle,
 };
-use vlog_vmpi::{control, topo, ClusterState, RClock, Rank};
+use vlog_vmpi::control::{self, Body};
+use vlog_vmpi::{topo, ClusterState, RClock, Rank};
 
 use crate::event::Determinant;
-
-/// Wire size of one event record (determinant body + rank + framing).
-pub const EL_RECORD_BYTES: u64 = 20;
-
-/// Wire size of a record batch carrying `k` determinants (batch framing
-/// plus the records themselves).
-pub fn el_batch_bytes(k: usize) -> u64 {
-    8 + EL_RECORD_BYTES * k as u64
-}
-
-/// Wire size of an acknowledgement for `n` ranks (stable clock vector).
-pub fn el_ack_bytes(n: usize) -> u64 {
-    8 + 4 * n as u64
-}
-
-/// Wire size of a query response carrying `k` determinants.
-pub fn el_resp_bytes(k: usize, n: usize) -> u64 {
-    8 + Determinant::BODY_BYTES * k as u64 + 2 * k as u64 + 4 * n as u64
-}
 
 /// Messages understood by the Event Logger.
 pub enum ElMsg {
@@ -74,6 +56,19 @@ pub enum ElMsg {
         from: RClock,
         reply_to: ActorId,
     },
+    /// Gossip from a peer shard: its locally stable clock vector.
+    Gossip { stable: Vec<RClock> },
+}
+
+impl Body for ElMsg {
+    fn wire_bytes(&self) -> u64 {
+        match self {
+            // Batch framing + 20 B a record (determinant, rank, framing).
+            ElMsg::Record { dets, .. } => 8 + 20 * dets.len() as u64,
+            ElMsg::Query { .. } => 16,
+            ElMsg::Gossip { stable } => 8 + 4 * stable.len() as u64,
+        }
+    }
 }
 
 /// Messages the Event Logger sends back: the delivery body itself, which
@@ -89,10 +84,15 @@ pub enum ElReply {
     },
 }
 
-/// Gossip between Event Logger instances: a stable-clock vector.
-pub struct ElGossip {
-    pub from_el: usize,
-    pub stable: Vec<RClock>,
+impl Body for ElReply {
+    fn wire_bytes(&self) -> u64 {
+        match self {
+            ElReply::Ack { stable } => 8 + 4 * stable.len() as u64,
+            ElReply::QueryResp { dets, stable } => {
+                8 + (Determinant::BODY_BYTES + 2) * dets.len() as u64 + 4 * stable.len() as u64
+            }
+        }
+    }
 }
 
 /// Per-determinant cost of building a recovery response.
@@ -122,7 +122,6 @@ pub fn record_el_outstanding(sim: &mut Sim, shipped: RClock, acked: RClock) {
 pub struct ElShard {
     index: usize,
     node: NodeId,
-    n: usize,
     /// Events of the ranks assigned here.
     stored: Vec<Vec<Determinant>>,
     /// Locally observed stable clocks (own ranks).
@@ -142,12 +141,8 @@ impl ElShard {
         for i in 0..topo(sim).el_count() {
             if i != self.index {
                 let (actor, _) = topo(sim).el_at(i).expect("index below el_count");
-                let gossip = ElGossip {
-                    from_el: self.index,
-                    stable: self.local_stable.clone(),
-                };
-                let bytes = 8 + 4 * self.n as u64;
-                control::send(sim, self.node, actor, bytes, Box::new(gossip));
+                let stable = self.local_stable.clone();
+                control::send(sim, self.node, actor, ElMsg::Gossip { stable });
             }
         }
     }
@@ -173,73 +168,65 @@ impl ElShard {
 
 impl Actor for ElShard {
     fn on_deliver(&mut self, sim: &mut Sim, _me: ActorId, msg: Delivery) {
-        let body = msg.body;
-        let body = match body.downcast::<ElMsg>() {
-            Ok(m) => {
-                match *m {
-                    ElMsg::Record {
-                        from,
-                        dets,
-                        reply_to,
-                    } => {
-                        let batch_len = dets.len();
-                        sim.stats_mut().bump(Counter::ElBatches);
-                        for det in dets {
-                            let seq = &mut self.stored[from];
-                            // Records arrive in clock order per creator
-                            // (FIFO channel); replay re-ships may
-                            // duplicate.
-                            if seq.last().is_none_or(|last| last.clock < det.clock) {
-                                seq.push(det);
-                                self.local_stable[from] = det.clock;
-                                self.merged_stable[from] = self.merged_stable[from].max(det.clock);
-                                sim.stats_mut().bump(Counter::ElRecords);
-                            } else {
-                                sim.stats_mut().bump(Counter::ElDuplicateRecords);
-                            }
-                        }
-                        let arrived = sim.now();
-                        let end = sim.charge_cpu(
-                            self.node,
-                            SimDuration::from_nanos(EL_SERVICE_NS * batch_len.max(1) as u64),
-                        );
-                        self.record_el_saturation(sim, end.saturating_since(arrived), batch_len);
-                        let ack = ElReply::Ack {
-                            stable: self.merged_stable.clone(),
-                        };
-                        let bytes = el_ack_bytes(self.n);
-                        control::send_at(sim, end, self.node, reply_to, bytes, Box::new(ack));
-                    }
-                    ElMsg::Query {
-                        victim,
-                        from,
-                        reply_to,
-                    } => {
-                        let dets: Vec<Determinant> = self.stored[victim]
-                            .iter()
-                            .filter(|d| d.clock > from)
-                            .copied()
-                            .collect();
-                        let cost = SimDuration::from_nanos(
-                            EL_SERVICE_NS + EL_RESP_NS_PER_DET * dets.len() as u64,
-                        );
-                        let end = sim.charge_cpu(self.node, cost);
-                        let bytes = el_resp_bytes(dets.len(), self.n);
-                        let stable = self.merged_stable.clone();
-                        sim.stats_mut().bump(Counter::ElQueries);
-                        let resp = ElReply::QueryResp { dets, stable };
-                        control::send_at(sim, end, self.node, reply_to, bytes, Box::new(resp));
+        let Ok(m) = msg.body.downcast::<ElMsg>() else {
+            return;
+        };
+        match *m {
+            ElMsg::Record {
+                from,
+                dets,
+                reply_to,
+            } => {
+                let batch_len = dets.len();
+                sim.stats_mut().bump(Counter::ElBatches);
+                for det in dets {
+                    let seq = &mut self.stored[from];
+                    // Records arrive in clock order per creator (FIFO
+                    // channel); replay re-ships may duplicate.
+                    if seq.last().is_none_or(|last| last.clock < det.clock) {
+                        seq.push(det);
+                        self.local_stable[from] = det.clock;
+                        self.merged_stable[from] = self.merged_stable[from].max(det.clock);
+                        sim.stats_mut().bump(Counter::ElRecords);
+                    } else {
+                        sim.stats_mut().bump(Counter::ElDuplicateRecords);
                     }
                 }
-                return;
+                let arrived = sim.now();
+                let end = sim.charge_cpu(
+                    self.node,
+                    SimDuration::from_nanos(EL_SERVICE_NS * batch_len.max(1) as u64),
+                );
+                self.record_el_saturation(sim, end.saturating_since(arrived), batch_len);
+                let ack = ElReply::Ack {
+                    stable: self.merged_stable.clone(),
+                };
+                control::send_at(sim, end, self.node, reply_to, ack);
             }
-            Err(b) => b,
-        };
-        if let Ok(g) = body.downcast::<ElGossip>() {
-            for c in 0..self.n {
-                self.merged_stable[c] = self.merged_stable[c].max(g.stable[c]);
+            ElMsg::Query {
+                victim,
+                from,
+                reply_to,
+            } => {
+                let dets: Vec<Determinant> = self.stored[victim]
+                    .iter()
+                    .filter(|d| d.clock > from)
+                    .copied()
+                    .collect();
+                let cost =
+                    SimDuration::from_nanos(EL_SERVICE_NS + EL_RESP_NS_PER_DET * dets.len() as u64);
+                let end = sim.charge_cpu(self.node, cost);
+                let stable = self.merged_stable.clone();
+                sim.stats_mut().bump(Counter::ElQueries);
+                let resp = ElReply::QueryResp { dets, stable };
+                control::send_at(sim, end, self.node, reply_to, resp);
             }
-            sim.stats_mut().bump(Counter::ElGossipMsgs);
+            ElMsg::Gossip { stable } => {
+                for (merged, gossiped) in self.merged_stable.iter_mut().zip(stable) {
+                    *merged = (*merged).max(gossiped);
+                }
+                sim.stats_mut().bump(Counter::ElGossipMsgs);
+            }
         }
     }
 
@@ -278,7 +265,6 @@ pub fn install_distributed_el(
             let mut shard = ElShard {
                 index,
                 node,
-                n,
                 stored: vec![Vec::new(); n],
                 local_stable: vec![0; n],
                 merged_stable: vec![0; n],
@@ -371,8 +357,10 @@ impl ElBatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coordinated::MarkerCtl;
+    use crate::logcore::CausalCtl;
     use std::sync::{Arc, Mutex};
-    use vlog_sim::{SimTime, WireSize};
+    use vlog_sim::SimTime;
 
     #[derive(Default)]
     struct Replies {
@@ -439,16 +427,13 @@ mod tests {
     }
 
     fn record(rig: &mut Rig, from: Rank, dets: Vec<Determinant>) {
-        rig.sim.net_send(
-            rig.client_node,
-            rig.el,
-            WireSize::control(el_batch_bytes(dets.len())),
-            Box::new(ElMsg::Record {
-                from,
-                dets,
-                reply_to: rig.probe,
-            }),
-        );
+        let reply_to = rig.probe;
+        let record = ElMsg::Record {
+            from,
+            dets,
+            reply_to,
+        };
+        control::send(&mut rig.sim, rig.client_node, rig.el, record);
     }
 
     #[test]
@@ -505,16 +490,12 @@ mod tests {
         }
         let (el, probe, client_node) = (rig.el, rig.probe, rig.client_node);
         rig.sim.after(SimDuration::from_millis(10), move |sim| {
-            sim.net_send(
-                client_node,
-                el,
-                WireSize::control(16),
-                Box::new(ElMsg::Query {
-                    victim: 0,
-                    from: 2,
-                    reply_to: probe,
-                }),
-            );
+            let query = ElMsg::Query {
+                victim: 0,
+                from: 2,
+                reply_to: probe,
+            };
+            control::send(sim, client_node, el, query);
         });
         rig.sim.run();
         let seen = rig.seen.lock().unwrap();
@@ -582,13 +563,101 @@ mod tests {
             .with_distributed_el(0, SimDuration::from_millis(2));
     }
 
+    /// Every core control message's wire size at two shapes, `k`
+    /// determinants and `n` ranks, as plain numbers: a layout change
+    /// that moves one names it here.
     #[test]
-    fn wire_sizes_scale_with_ranks_and_events() {
-        assert_eq!(el_ack_bytes(16), 8 + 64);
-        assert_eq!(el_batch_bytes(1), 8 + EL_RECORD_BYTES);
-        assert_eq!(el_batch_bytes(5), 8 + 5 * EL_RECORD_BYTES);
-        assert!(el_resp_bytes(100, 16) > el_resp_bytes(10, 16));
-        assert!(el_resp_bytes(0, 32) > 0);
+    fn control_sizes_are_pinned() {
+        let dets = |k: u64| (1..=k).map(|c| det(0, c)).collect::<Vec<_>>();
+        let clocks = |n: usize| vec![0; n];
+        let to: ActorId = 0;
+        let mut table: Vec<(&str, Box<dyn Body>, u64)> = Vec::new();
+        for (k, n, record, resp, reclaim, reclaim_resp, gossip_ack) in
+            [(0, 4, 8, 24, 64, 8, 24), (5, 16, 108, 152, 160, 88, 72)]
+        {
+            let row = |name, body: Box<dyn Body>, bytes| (name, body, bytes);
+            table.extend([
+                row(
+                    "record",
+                    Box::new(ElMsg::Record {
+                        from: 0,
+                        dets: dets(k),
+                        reply_to: to,
+                    }),
+                    record,
+                ),
+                row(
+                    "query",
+                    Box::new(ElMsg::Query {
+                        victim: 0,
+                        from: k,
+                        reply_to: to,
+                    }),
+                    16,
+                ),
+                row(
+                    "gossip",
+                    Box::new(ElMsg::Gossip { stable: clocks(n) }),
+                    gossip_ack,
+                ),
+                row(
+                    "ack",
+                    Box::new(ElReply::Ack { stable: clocks(n) }),
+                    gossip_ack,
+                ),
+                row(
+                    "query-resp",
+                    Box::new(ElReply::QueryResp {
+                        dets: dets(k),
+                        stable: clocks(n),
+                    }),
+                    resp,
+                ),
+                row(
+                    "reclaim",
+                    Box::new(CausalCtl::Reclaim {
+                        victim: 0,
+                        watermarks: clocks(n),
+                        recovery_id: 1,
+                    }),
+                    reclaim,
+                ),
+                row(
+                    "reclaim-resp",
+                    Box::new(CausalCtl::ReclaimResp {
+                        from: 0,
+                        dets: dets(k),
+                    }),
+                    reclaim_resp,
+                ),
+                row(
+                    "marker",
+                    Box::new(MarkerCtl {
+                        from: 0,
+                        id: k,
+                        upto_ssn: k,
+                    }),
+                    24,
+                ),
+            ]);
+        }
+        // A GC notice's stable vector rides RLE-compressed: a flat one
+        // costs 3 B at any `n`, a varied one more.
+        for (n, stable, bytes) in [
+            (4, vec![0; 4], 43),
+            (16, vec![0; 16], 139),
+            (16, (0..16).collect(), 169),
+        ] {
+            let notice = CausalCtl::GcNotice {
+                from: 0,
+                received: clocks(n),
+                stable,
+            };
+            table.push(("gc-notice", Box::new(notice), bytes));
+        }
+        for (name, body, bytes) in table {
+            assert_eq!(body.wire_bytes(), bytes, "{name}");
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! * **One Event Logger** ([`el_multi::ElShard`]): the paper's single EL
 //!   is the one-shard installation of the sharded server, through the
 //!   same [`install_distributed_el`] call; [`el_multi`] also holds its
-//!   messages, wire sizes, gauges and the client-side [`ElBatcher`].
+//!   messages with their wire sizes, gauges and the client-side [`ElBatcher`].
 //! * **One log-protocol core** ([`logcore::LogCore`]) shared by causal
 //!   and pessimistic logging: the EL client (batching, ack pairing,
 //!   re-shard handoff), the sender log, checkpoint GC notices and the
@@ -68,9 +68,7 @@ pub use bytes::Bytes;
 pub use causal::CausalProtocol;
 pub use coordinated::CoordinatedProtocol;
 pub use detseq::{ChunkPool, DetSeq, DetStore};
-pub use el_multi::{
-    el_batch_bytes, install_distributed_el, ElBatcher, ElMsg, ElReply, ElShard, EL_RECORD_BYTES,
-};
+pub use el_multi::{install_distributed_el, ElBatcher, ElMsg, ElReply, ElShard};
 pub use event::{Determinant, EventId};
 pub use graph::AGraph;
 pub use logcore::CausalCtl;

@@ -26,6 +26,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use vlog_sim::causality::{Edge, Key};
 use vlog_sim::{ActorId, SimDuration, SimTime, TimerHandle};
+use vlog_vmpi::control::{self, Body};
 use vlog_vmpi::{
     AppMsg, Ctx, ElReshard, Payload, PiggybackBlob, ProtoPhase, RClock, Rank, SchedulerCmd, Ssn,
     Tag,
@@ -33,7 +34,7 @@ use vlog_vmpi::{
 
 use crate::costs::{self, EL_ACK_NS, EVENT_CREATE_NS};
 use crate::detseq::DetSeq;
-use crate::el_multi::{el_batch_bytes, record_el_outstanding, ElBatcher, ElMsg};
+use crate::el_multi::{record_el_outstanding, ElBatcher, ElMsg};
 use crate::event::Determinant;
 use crate::piggyback::watermarks_len;
 use crate::sender_log::SenderLog;
@@ -62,6 +63,22 @@ pub enum CausalCtl {
         received: Vec<Ssn>,
         stable: Vec<RClock>,
     },
+}
+
+impl Body for CausalCtl {
+    fn wire_bytes(&self) -> u64 {
+        match self {
+            CausalCtl::Reclaim { watermarks, .. } => 32 + 8 * watermarks.len() as u64,
+            CausalCtl::ReclaimResp { dets, .. } => {
+                8 + (Determinant::BODY_BYTES + 2) * dets.len() as u64
+            }
+            // The stable vector rides RLE-compressed: it is mostly long
+            // flat runs, so it adds a few bytes, not 8 * n.
+            CausalCtl::GcNotice {
+                received, stable, ..
+            } => 8 + 8 * received.len() as u64 + watermarks_len(stable),
+        }
+    }
 }
 
 /// A message buffered while recovering.
@@ -229,17 +246,12 @@ impl LogCore {
                 owner: self.rank as u64,
             });
         }
-        let me = ctx.core.actor();
-        ctx.core.control_to_actor(
-            ctx.sim,
-            el,
-            el_batch_bytes(batch.len()),
-            Box::new(ElMsg::Record {
-                from: self.rank,
-                dets: batch,
-                reply_to: me,
-            }),
-        );
+        let record = ElMsg::Record {
+            from: self.rank,
+            dets: batch,
+            reply_to: ctx.core.actor(),
+        };
+        control::send(ctx.sim, ctx.core.node(), el, record);
     }
 
     /// First half of an EL acknowledgement: charges its CPU cost and
@@ -330,9 +342,8 @@ impl LogCore {
 
     /// Image `version` committed: tell every peer to prune its sender
     /// log, with exactly the committed version's watermarks (newer
-    /// in-flight images may never complete before a crash). The caller's
-    /// `stable` vector rides along RLE-compressed (it is mostly long
-    /// flat runs), so the notice grows by a few bytes, not 8*n.
+    /// in-flight images may never complete before a crash), and the
+    /// caller's `stable` vector.
     pub(crate) fn on_checkpoint_committed(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -343,20 +354,15 @@ impl LogCore {
             return;
         };
         self.ckpt_expected.retain(|v, _| *v > version);
-        let wire = 8 + 8 * self.n as u64 + watermarks_len(stable);
         for peer in 0..self.n {
             if peer != self.rank {
                 vlog_sim::event!(ctx.sim, "gc-notice" { from = self.rank, to = peer });
-                ctx.core.control_to_rank(
-                    ctx.sim,
-                    peer,
-                    wire,
-                    Box::new(CausalCtl::GcNotice {
-                        from: self.rank,
-                        received: received.clone(),
-                        stable: stable.to_vec(),
-                    }),
-                );
+                let notice = CausalCtl::GcNotice {
+                    from: self.rank,
+                    received: received.clone(),
+                    stable: stable.to_vec(),
+                };
+                ctx.core.control_to_rank(ctx.sim, peer, notice);
             }
         }
     }
@@ -384,16 +390,11 @@ impl LogCore {
         recovery_id: u64,
         dets: Vec<Determinant>,
     ) {
-        let bytes = 8 + (Determinant::BODY_BYTES + 2) * dets.len() as u64;
-        ctx.core.control_to_rank(
-            ctx.sim,
-            victim,
-            bytes,
-            Box::new(CausalCtl::ReclaimResp {
-                from: self.rank,
-                dets,
-            }),
-        );
+        let resp = CausalCtl::ReclaimResp {
+            from: self.rank,
+            dets,
+        };
+        ctx.core.control_to_rank(ctx.sim, victim, resp);
         let from_ssn = self
             .slog
             .replay_start(victim, recovery_id, watermarks[self.rank]);
@@ -494,16 +495,12 @@ impl LogCore {
                 waiter: vlog_sim::ckey!("recovery-started", rank = self.rank),
                 owner: self.rank as u64,
             });
-            ctx.core.control_to_rank(
-                ctx.sim,
-                peer,
-                32 + 8 * self.n as u64,
-                Box::new(CausalCtl::Reclaim {
-                    victim: self.rank,
-                    watermarks: watermarks.clone(),
-                    recovery_id,
-                }),
-            );
+            let reclaim = CausalCtl::Reclaim {
+                victim: self.rank,
+                watermarks: watermarks.clone(),
+                recovery_id,
+            };
+            ctx.core.control_to_rank(ctx.sim, peer, reclaim);
         }
         if need_el {
             ctx.sim.record(|| Edge::Expect {
@@ -512,17 +509,12 @@ impl LogCore {
                 owner: self.rank as u64,
             });
             if let Some(el) = self.el_actor(ctx) {
-                let me = ctx.core.actor();
-                ctx.core.control_to_actor(
-                    ctx.sim,
-                    el,
-                    16,
-                    Box::new(ElMsg::Query {
-                        victim: self.rank,
-                        from: wm,
-                        reply_to: me,
-                    }),
-                );
+                let query = ElMsg::Query {
+                    victim: self.rank,
+                    from: wm,
+                    reply_to: ctx.core.actor(),
+                };
+                control::send(ctx.sim, ctx.core.node(), el, query);
             }
         }
     }

@@ -11,9 +11,8 @@
 //! locally. No piggybacking at all; recovery gets every determinant from
 //! the EL and payloads from the senders' logs.
 
-use std::sync::Arc;
-
 use vlog_sim::SimDuration;
+use vlog_vmpi::control::Body;
 use vlog_vmpi::{
     AppMsg, Ctx, Payload, ProtoBlob, RClock, Rank, RecvGate, SendGate, Ssn, Tag, VProtocol,
 };
@@ -28,6 +27,12 @@ pub struct PessimisticBlob {
     slog: SenderLog,
     rclock: RClock,
     stable_own: RClock,
+}
+
+impl Body for PessimisticBlob {
+    fn wire_bytes(&self) -> u64 {
+        self.slog.payload_bytes() + 16 * self.slog.len() as u64 + 16
+    }
 }
 
 /// The pessimistic V-protocol for one rank: the shared [`LogCore`] plus
@@ -178,11 +183,7 @@ impl VProtocol for PessimisticProtocol {
             rclock: self.log.rclock,
             stable_own: self.stable_own,
         };
-        let bytes = blob.slog.payload_bytes() + 16 * blob.slog.len() as u64 + 16;
-        ProtoBlob {
-            body: Some(Arc::new(blob)),
-            bytes,
-        }
+        ProtoBlob::new(blob)
     }
 
     fn on_checkpoint_committed(&mut self, ctx: &mut Ctx<'_>, version: u64) {
@@ -211,5 +212,28 @@ impl VProtocol for PessimisticProtocol {
             self.handle_ctl(ctx, ctl);
         }
         self.replay(ctx);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The image section's wire size with an empty sender log and with
+    /// two 100-byte payloads logged, as plain numbers.
+    #[test]
+    fn image_section_size_is_pinned() {
+        for (logged, bytes) in [(0, 16), (2, 248)] {
+            let mut slog = SenderLog::new(4);
+            for ssn in 0..logged {
+                slog.insert(1, ssn, 0, &Payload::synthetic(100));
+            }
+            let blob = PessimisticBlob {
+                slog,
+                rclock: 0,
+                stable_own: 0,
+            };
+            assert_eq!(blob.wire_bytes(), bytes, "{logged} logged");
+        }
     }
 }

@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use vlog_sim::{Actor, ActorId, Delivery, NodeId, Sim};
 
-use crate::control;
+use crate::control::{self, Body};
 use crate::daemon::Channels;
 use crate::hooks::ProtoBlob;
 use crate::types::{Payload, Rank};
@@ -73,6 +73,15 @@ pub enum CkptRequest {
     QueryComplete { n: usize, reply_to: ActorId },
 }
 
+impl Body for CkptRequest {
+    fn wire_bytes(&self) -> u64 {
+        match self {
+            CkptRequest::Store { image, .. } => image.wire_bytes(),
+            CkptRequest::Fetch { .. } | CkptRequest::QueryComplete { .. } => 16,
+        }
+    }
+}
+
 /// Replies from the checkpoint server.
 pub enum CkptReply {
     StoreAck {
@@ -86,6 +95,15 @@ pub enum CkptReply {
     CompleteResp {
         version: u64,
     },
+}
+
+impl Body for CkptReply {
+    fn wire_bytes(&self) -> u64 {
+        match self {
+            CkptReply::FetchResp { image: Some(i), .. } => i.wire_bytes(),
+            _ => 16,
+        }
+    }
 }
 
 /// CPU cost per stored/served image byte on the server (disk + memcpy),
@@ -134,7 +152,7 @@ impl Actor for CkptServer {
                 }
                 // State already updated; ack after service time.
                 let reply = CkptReply::StoreAck { rank, version };
-                control::send_at(sim, end, self.node, reply_to, 16, Box::new(reply));
+                control::send_at(sim, end, self.node, reply_to, reply);
             }
             CkptRequest::Fetch {
                 rank,
@@ -145,13 +163,12 @@ impl Actor for CkptServer {
                     Some(v) => per_rank.get(&v).cloned(),
                     None => per_rank.values().next_back().cloned(),
                 });
-                let bytes = image.as_ref().map_or(16, |i| i.wire_bytes());
+                let reply = CkptReply::FetchResp { rank, image };
                 let cost = vlog_sim::SimDuration::from_nanos(
-                    SERVER_FIXED_NS + (bytes as f64 * SERVER_NS_PER_BYTE) as u64,
+                    SERVER_FIXED_NS + (reply.wire_bytes() as f64 * SERVER_NS_PER_BYTE) as u64,
                 );
                 let end = sim.charge_cpu(self.node, cost);
-                let reply = CkptReply::FetchResp { rank, image };
-                control::send_at(sim, end, self.node, reply_to, bytes, Box::new(reply));
+                control::send_at(sim, end, self.node, reply_to, reply);
             }
             CkptRequest::QueryComplete { n, reply_to } => {
                 // Highest v present for every rank 0..n.
@@ -173,7 +190,7 @@ impl Actor for CkptServer {
                     .max()
                     .unwrap_or(0);
                 let reply = CkptReply::CompleteResp { version };
-                control::send(sim, self.node, reply_to, 16, Box::new(reply));
+                control::send(sim, self.node, reply_to, reply);
             }
         }
     }
@@ -185,7 +202,6 @@ mod tests {
     use crate::daemon::HeldSend;
     use crate::types::RecvMsg;
     use std::sync::Mutex;
-    use vlog_sim::WireSize;
 
     fn image(rank: Rank, version: u64, bytes: u64) -> Arc<Image> {
         Arc::new(Image {
@@ -195,6 +211,15 @@ mod tests {
             channels: Channels::new(4),
             proto: ProtoBlob::empty(),
         })
+    }
+
+    /// A protocol section that states its size.
+    struct Section(u64);
+
+    impl Body for Section {
+        fn wire_bytes(&self) -> u64 {
+            self.0
+        }
     }
 
     struct Sink {
@@ -227,8 +252,8 @@ mod tests {
         (sim, server, client, got)
     }
 
-    fn send_req(sim: &mut Sim, server: ActorId, req: CkptRequest, bytes: u64) {
-        sim.net_send(1, server, WireSize::control(bytes), Box::new(req));
+    fn send_req(sim: &mut Sim, server: ActorId, req: CkptRequest) {
+        control::send(sim, 1, server, req);
     }
 
     #[test]
@@ -241,7 +266,6 @@ mod tests {
                 image: image(0, 1, 1000),
                 reply_to: client,
             },
-            1000,
         );
         sim.after(vlog_sim::SimDuration::from_millis(50), move |sim| {
             send_req(
@@ -252,7 +276,6 @@ mod tests {
                     version: None,
                     reply_to: client,
                 },
-                16,
             );
         });
         sim.run();
@@ -270,7 +293,6 @@ mod tests {
                 version: None,
                 reply_to: client,
             },
-            16,
         );
         sim.run();
         assert_eq!(&*got.lock().unwrap(), &["fetch 5 none"]);
@@ -287,7 +309,6 @@ mod tests {
                     image: image(0, v, 10),
                     reply_to: client,
                 },
-                10,
             );
         }
         sim.after(vlog_sim::SimDuration::from_millis(50), move |sim| {
@@ -299,7 +320,6 @@ mod tests {
                     version: Some(2),
                     reply_to: client,
                 },
-                16,
             );
             send_req(
                 sim,
@@ -309,7 +329,6 @@ mod tests {
                     version: Some(4),
                     reply_to: client,
                 },
-                16,
             );
         });
         sim.run();
@@ -330,7 +349,6 @@ mod tests {
                     image: image(r as Rank, v, 10),
                     reply_to: client,
                 },
-                10,
             );
         }
         sim.after(vlog_sim::SimDuration::from_millis(50), move |sim| {
@@ -341,7 +359,6 @@ mod tests {
                     n: 2,
                     reply_to: client,
                 },
-                16,
             );
         });
         sim.run();
@@ -356,11 +373,10 @@ mod tests {
             tag: 0,
             payload: Payload::synthetic(50),
         });
-        img.proto = ProtoBlob {
-            body: None,
-            bytes: 200,
-        };
-        let bytes = IMAGE_BASE_BYTES + 100 + 16 * 4 + (50 + 16) + 200;
+        let section = Section(200);
+        let section_bytes = section.wire_bytes();
+        img.proto = ProtoBlob::new(section);
+        let bytes = IMAGE_BASE_BYTES + 100 + 16 * 4 + (50 + 16) + section_bytes;
         assert_eq!(img.wire_bytes(), bytes);
         // A held send's payload is already in the protocol section's
         // sender log: carrying the send costs the image nothing.

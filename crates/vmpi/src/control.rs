@@ -5,7 +5,8 @@
 //! daemons only through control messages, and the daemons' protocols
 //! talk to each other and to them the same way. Every such message goes
 //! out through [`send`], or through [`send_at`] when it answers after
-//! the sender's service CPU. One function therefore decides the three
+//! the sender's service CPU, sized by its body's [`Body::wire_bytes`]
+//! (no caller states a size). One function therefore decides the three
 //! ways out:
 //!
 //! * same node: loopback, delivered after [`LOOPBACK`], with no NIC time
@@ -23,7 +24,13 @@ pub const LOOPBACK: SimDuration = SimDuration::from_micros(15);
 /// Chunk size of a large control's train.
 pub const STREAM_CHUNK_BYTES: u64 = 256 << 10;
 
-/// Sends a control message of `bytes` from `src_node` to `dst` now.
+/// A control message body: its wire size, counted as control traffic,
+/// stated once beside the body's type.
+pub trait Body: Any + Send {
+    fn wire_bytes(&self) -> u64;
+}
+
+/// Sends `body` from `src_node` to `dst` now, sized [`Body::wire_bytes`].
 ///
 /// A control larger than [`STREAM_CHUNK_BYTES`] crosses as a chunk train,
 /// so that concurrent flows interleave on the NIC instead of stalling
@@ -32,7 +39,12 @@ pub const STREAM_CHUNK_BYTES: u64 = 256 << 10;
 /// message (`record_message`); no delivery is scheduled for it. When it
 /// has arrived the next part leaves, and the real `body` crosses last,
 /// sized as the remainder, once the whole volume has crossed.
-pub fn send(sim: &mut Sim, src_node: NodeId, dst: ActorId, bytes: u64, body: Box<dyn Any + Send>) {
+pub fn send(sim: &mut Sim, src_node: NodeId, dst: ActorId, body: impl Body) {
+    route(sim, src_node, dst, body.wire_bytes(), Box::new(body));
+}
+
+/// Takes `bytes` of control out: loopback, one wire message or a train.
+fn route(sim: &mut Sim, src_node: NodeId, dst: ActorId, bytes: u64, body: Box<dyn Any + Send>) {
     let dst_node = sim.actor_node(dst);
     if dst_node == src_node {
         sim.local_send(src_node, dst, WireSize::control(bytes), body, LOOPBACK);
@@ -51,23 +63,16 @@ pub fn send(sim: &mut Sim, src_node: NodeId, dst: ActorId, bytes: u64, body: Box
     let rest = bytes - STREAM_CHUNK_BYTES;
     sim.schedule_at(
         chunk_arrival,
-        Event::closure(move |sim| send(sim, src_node, dst, rest, body)),
+        Event::closure(move |sim| route(sim, src_node, dst, rest, body)),
     );
 }
 
 /// [`send`] at `at`, typically the end of the sender's service CPU: one
 /// event at `at`, whatever the size, and the way out is decided then.
-pub fn send_at(
-    sim: &mut Sim,
-    at: SimTime,
-    src_node: NodeId,
-    dst: ActorId,
-    bytes: u64,
-    body: Box<dyn Any + Send>,
-) {
+pub fn send_at(sim: &mut Sim, at: SimTime, src_node: NodeId, dst: ActorId, body: impl Body) {
     sim.schedule_at(
         at,
-        Event::closure(move |sim| send(sim, src_node, dst, bytes, body)),
+        Event::closure(move |sim| send(sim, src_node, dst, body)),
     );
 }
 
@@ -106,15 +111,23 @@ mod tests {
         SimTime::ZERO + SimDuration::from_micros(us)
     }
 
+    /// A body that states its size.
+    struct Bulk(u64);
+
+    impl Body for Bulk {
+        fn wire_bytes(&self) -> u64 {
+            self.0
+        }
+    }
+
     #[test]
     fn a_same_node_control_takes_loopback() {
         let (mut sim, [(node, actor, log), (other, _, _)]) = rig();
-        send(&mut sim, node, actor, 4 * STREAM_CHUNK_BYTES, Box::new(()));
+        let body = Bulk(4 * STREAM_CHUNK_BYTES);
+        let bytes = body.wire_bytes();
+        send(&mut sim, node, actor, body);
         sim.run();
-        assert_eq!(
-            *log.lock().unwrap(),
-            [(SimTime::ZERO + LOOPBACK, 4 * STREAM_CHUNK_BYTES)]
-        );
+        assert_eq!(*log.lock().unwrap(), [(SimTime::ZERO + LOOPBACK, bytes)]);
         // Not a wire message: nothing recorded, and the NIC is free for
         // a wire message from that node at the same instant.
         assert_eq!(sim.stats().messages, 0);
@@ -126,27 +139,22 @@ mod tests {
     #[test]
     fn a_remote_control_up_to_one_chunk_is_one_wire_message() {
         let (mut sim, [(src, _, _), (_, dst, log)]) = rig();
-        send(&mut sim, src, dst, STREAM_CHUNK_BYTES, Box::new(()));
+        let body = Bulk(STREAM_CHUNK_BYTES);
+        let bytes = body.wire_bytes();
+        send(&mut sim, src, dst, body);
         sim.run();
         let got = log.lock().unwrap();
         assert_eq!(got.len(), 1);
-        assert_eq!(got[0].1, STREAM_CHUNK_BYTES);
+        assert_eq!(got[0].1, bytes);
         assert_eq!(sim.stats().messages, 1);
-        assert_eq!(sim.stats().bytes.control, STREAM_CHUNK_BYTES);
+        assert_eq!(sim.stats().bytes.control, bytes);
         assert_eq!(sim.events_processed(), 1);
     }
 
     #[test]
     fn a_deferred_send_is_one_event_at_its_instant() {
         let (mut sim, [(src, _, _), (_, dst, log)]) = rig();
-        send_at(
-            &mut sim,
-            at_us(50),
-            src,
-            dst,
-            3 * STREAM_CHUNK_BYTES,
-            Box::new(()),
-        );
+        send_at(&mut sim, at_us(50), src, dst, Bulk(3 * STREAM_CHUNK_BYTES));
         assert!(!sim.run_until(at_us(49)));
         assert_eq!(sim.events_processed(), 0);
         assert!(!sim.run_until(at_us(50)));
@@ -162,13 +170,142 @@ mod tests {
     #[test]
     fn a_three_chunk_body_arrives_after_the_whole_train() {
         let (mut sim, [(src, _, _), (_, dst, log)]) = rig();
-        send(&mut sim, src, dst, 3 * STREAM_CHUNK_BYTES, Box::new(()));
+        let body = Bulk(3 * STREAM_CHUNK_BYTES);
+        let bytes = body.wire_bytes();
+        send(&mut sim, src, dst, body);
         sim.run();
         let arrival = SimTime::ZERO + SimDuration::from_nanos(68_178_693);
         assert_eq!(*log.lock().unwrap(), [(arrival, STREAM_CHUNK_BYTES)]);
         assert_eq!(sim.stats().messages, 3);
-        assert_eq!(sim.stats().bytes.control, 3 * STREAM_CHUNK_BYTES);
+        // The train charges the body's size in total.
+        assert_eq!(sim.stats().bytes.control, bytes);
         // Two chunk hops and the body's delivery.
         assert_eq!(sim.events_processed(), 3);
+    }
+
+    /// Every vlog-vmpi control message's wire size, and the daemon's
+    /// rendezvous and eager sizes, at two shapes (`n` ranks, an image of
+    /// `app` state bytes), as plain numbers: a layout change that moves
+    /// one names it here.
+    #[test]
+    fn vmpi_sizes_are_pinned() {
+        use std::sync::Arc;
+
+        use crate::ckpt::{CkptReply, CkptRequest, Image};
+        use crate::daemon::Channels;
+        use crate::dispatcher::DispatcherMsg;
+        use crate::hooks::{ElReshard, ProtoBlob, SchedulerCmd};
+        use crate::types::{AppMsg, DaemonMsg, Payload, PiggybackBlob};
+
+        let to: ActorId = 0;
+        let mut table: Vec<(&str, Box<dyn Body>, u64)> = Vec::new();
+        for (n, app, image_bytes) in [(4, 0, 128), (16, 1000, 1320)] {
+            let image = || {
+                Arc::new(Image {
+                    rank: 0,
+                    version: 1,
+                    app_state: Payload::synthetic(app),
+                    channels: Channels::new(n),
+                    proto: ProtoBlob::empty(),
+                })
+            };
+            let row = |name, body: Box<dyn Body>, bytes| (name, body, bytes);
+            table.extend([
+                row(
+                    "store",
+                    Box::new(CkptRequest::Store {
+                        image: image(),
+                        reply_to: to,
+                    }),
+                    image_bytes,
+                ),
+                row(
+                    "fetch",
+                    Box::new(CkptRequest::Fetch {
+                        rank: 0,
+                        version: None,
+                        reply_to: to,
+                    }),
+                    16,
+                ),
+                row(
+                    "query-complete",
+                    Box::new(CkptRequest::QueryComplete { n, reply_to: to }),
+                    16,
+                ),
+                row(
+                    "store-ack",
+                    Box::new(CkptReply::StoreAck {
+                        rank: 0,
+                        version: 1,
+                    }),
+                    16,
+                ),
+                row(
+                    "fetch-resp",
+                    Box::new(CkptReply::FetchResp {
+                        rank: 0,
+                        image: Some(image()),
+                    }),
+                    image_bytes,
+                ),
+                row(
+                    "fetch-resp-none",
+                    Box::new(CkptReply::FetchResp {
+                        rank: 0,
+                        image: None,
+                    }),
+                    16,
+                ),
+                row(
+                    "complete-resp",
+                    Box::new(CkptReply::CompleteResp { version: 1 }),
+                    16,
+                ),
+                row("done", Box::new(DispatcherMsg::Done { rank: n }), 8),
+                row("fault", Box::new(DispatcherMsg::Fault { rank: n }), 8),
+                row("take-ckpt", Box::new(SchedulerCmd::TakeCheckpoint), 8),
+                row(
+                    "snapshot",
+                    Box::new(SchedulerCmd::GlobalSnapshot { id: 1 }),
+                    8,
+                ),
+                row("reshard", Box::new(ElReshard { dead_shard: 0 }), 16),
+            ]);
+        }
+        for (name, body, bytes) in table {
+            assert_eq!(body.wire_bytes(), bytes, "{name}");
+        }
+        // The daemon's messages: (control, total) bytes.
+        let eager = |payload, piggyback| {
+            DaemonMsg::App(AppMsg {
+                src: 0,
+                dst: 1,
+                tag: 0,
+                ssn: 0,
+                payload: Payload::synthetic(payload),
+                piggyback: PiggybackBlob {
+                    body: None,
+                    bytes: piggyback,
+                },
+                replayed: false,
+            })
+        };
+        let rts = DaemonMsg::Rts {
+            src: 0,
+            ssn: 0,
+            tag: 0,
+            len: 1 << 20,
+        };
+        let cts = DaemonMsg::Cts { dst: 0, ssn: 0 };
+        for (name, msg, bytes) in [
+            ("rts", rts, (16, 16)),
+            ("cts", cts, (16, 16)),
+            ("eager", eager(0, 0), (0, 32)),
+            ("eager-pb", eager(1000, 40), (0, 1072)),
+        ] {
+            let size = msg.wire_size();
+            assert_eq!((size.control, size.total()), bytes, "{name}");
+        }
     }
 }

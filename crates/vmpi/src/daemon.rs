@@ -28,7 +28,6 @@
 //! gates it, so its payload is already in the sender log the protocol
 //! section counts.
 
-use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
@@ -241,23 +240,10 @@ impl DaemonCore {
         self.channels.next_ssn.clone()
     }
 
-    /// Sends a protocol control message to the daemon of another rank.
-    pub fn control_to_rank(&self, sim: &mut Sim, dst: Rank, bytes: u64, body: Box<dyn Any + Send>) {
+    /// Sends a protocol control message to the daemon of rank `dst`.
+    pub fn control_to_rank(&self, sim: &mut Sim, dst: Rank, body: impl control::Body) {
         let actor = topo(sim).daemon(dst);
-        self.control_to_actor(sim, actor, bytes, body);
-    }
-
-    /// Sends a control message to an arbitrary actor (Event Logger,
-    /// checkpoint server...) the one way a control leaves a node
-    /// ([`control::send`]).
-    pub fn control_to_actor(
-        &self,
-        sim: &mut Sim,
-        actor: ActorId,
-        bytes: u64,
-        body: Box<dyn Any + Send>,
-    ) {
-        control::send(sim, self.node, actor, bytes, body);
+        control::send(sim, self.node, actor, body);
     }
 
     /// Retransmits a logged payload to a recovering peer. Replayed copies
@@ -539,16 +525,12 @@ impl Vdaemon {
                     self.finish_restart(sim, None);
                     return;
                 };
-                self.core.control_to_actor(
-                    sim,
-                    server,
-                    16,
-                    Box::new(CkptRequest::Fetch {
-                        rank: self.core.rank,
-                        version,
-                        reply_to: self.core.me,
-                    }),
-                );
+                let req = CkptRequest::Fetch {
+                    rank: self.core.rank,
+                    version,
+                    reply_to: self.core.me,
+                };
+                control::send(sim, self.core.node, server, req);
             }
         }
     }
@@ -687,7 +669,7 @@ impl Vdaemon {
             };
             let target = topo(sim).daemon(dst);
             let node = self.core.node;
-            sim.net_send_at(end, node, target, WireSize::control(16), Box::new(rts));
+            sim.net_send_at(end, node, target, rts.wire_size(), Box::new(rts));
         }
     }
 
@@ -825,15 +807,15 @@ impl Vdaemon {
             self.proto.checkpoint_blob(&mut ctx)
         };
         let image = Arc::new(image);
-        let bytes = image.wire_bytes();
-        let cost = SimDuration::from_nanos((bytes as f64 * SNAPSHOT_NS_PER_BYTE) as u64);
+        let cost =
+            SimDuration::from_nanos((image.wire_bytes() as f64 * SNAPSHOT_NS_PER_BYTE) as u64);
         let end = sim.charge_cpu(self.core.node, cost);
         if let Some((server, _)) = topo(sim).ckpt_server() {
             let req = CkptRequest::Store {
                 image,
                 reply_to: self.core.me,
             };
-            control::send_at(sim, end, self.core.node, server, bytes, Box::new(req));
+            control::send_at(sim, end, self.core.node, server, req);
         }
     }
 
@@ -908,7 +890,7 @@ impl Vdaemon {
                 };
                 let target = topo(sim).daemon(src);
                 let node = self.core.node;
-                sim.net_send_at(end, node, target, WireSize::control(16), Box::new(cts));
+                sim.net_send_at(end, node, target, cts.wire_size(), Box::new(cts));
             }
             DaemonMsg::Cts { dst, ssn } => {
                 if let Some(p) = self.core.pending_rdv.remove(&(dst, ssn)) {
@@ -1046,14 +1028,10 @@ impl Actor for Vdaemon {
                             self.proto.on_app_finished(&mut ctx);
                         }
                         if let Some((dispatcher, _)) = topo(sim).dispatcher() {
-                            self.core.control_to_actor(
-                                sim,
-                                dispatcher,
-                                8,
-                                Box::new(crate::dispatcher::DispatcherMsg::Done {
-                                    rank: self.core.rank,
-                                }),
-                            );
+                            let done = crate::dispatcher::DispatcherMsg::Done {
+                                rank: self.core.rank,
+                            };
+                            control::send(sim, self.core.node, dispatcher, done);
                         }
                     }
                 }

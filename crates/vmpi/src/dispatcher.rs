@@ -28,6 +28,12 @@ pub enum DispatcherMsg {
     Fault { rank: Rank },
 }
 
+impl control::Body for DispatcherMsg {
+    fn wire_bytes(&self) -> u64 {
+        8
+    }
+}
+
 /// The dispatcher actor. Which ranks are done is run state
 /// ([`ClusterState::done`]): the run's report asks the same set the
 /// dispatcher fills and, on a global rollback, empties.
@@ -68,7 +74,7 @@ impl Dispatcher {
                     n: state.topo.n_ranks(),
                     reply_to: me_actor,
                 };
-                control::send(sim, node, server, 16, Box::new(req));
+                control::send(sim, node, server, req);
             }
         }
     }

@@ -232,8 +232,7 @@ fn detected(sim: &mut Sim, fault: Fault) {
             sim.stats_mut().bump(Counter::ElReshards);
             for rank in 0..topo(sim).n_ranks() {
                 let daemon = topo(sim).daemon(rank);
-                let body = Box::new(ElReshard { dead_shard: shard });
-                control::send(sim, stable, daemon, 16, body);
+                control::send(sim, stable, daemon, ElReshard { dead_shard: shard });
             }
         }
         Fault::Rank(_, rank) | Fault::Phase(PhaseFault { rank, .. }) => {

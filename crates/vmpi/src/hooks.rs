@@ -34,6 +34,7 @@ use std::sync::Arc;
 use vlog_sim::{ActorId, NodeId, Sim, SimDuration, SimTime};
 
 use crate::cluster::ClusterState;
+use crate::control::Body;
 use crate::daemon::DaemonCore;
 use crate::fault::{self, ProtoPhase};
 use crate::types::{AppMsg, Payload, PiggybackBlob, Rank, Ssn};
@@ -235,12 +236,13 @@ pub enum RecvGate {
 
 /// Protocol section of a checkpoint image: structured state plus the wire
 /// size it would occupy (counted as control traffic when the image moves).
-/// The body is reference-counted because the checkpoint server keeps it;
-/// `Send + Sync` so checkpoint images move with a sharded cluster run.
+/// The body is reference-counted because the checkpoint server keeps the
+/// image behind an `Arc`, and `Send + Sync` so that `Arc` is `Send`:
+/// `run_many` (`vlog-bench`) moves a `ClusterRun` to a worker thread.
 #[derive(Clone)]
 pub struct ProtoBlob {
     pub body: Option<Arc<dyn Any + Send + Sync>>,
-    pub bytes: u64,
+    pub(crate) bytes: u64,
 }
 
 impl ProtoBlob {
@@ -248,6 +250,14 @@ impl ProtoBlob {
         ProtoBlob {
             body: None,
             bytes: 0,
+        }
+    }
+
+    /// Wraps a protocol's image section, sized by its [`Body`].
+    pub fn new(section: impl Body + Sync) -> Self {
+        ProtoBlob {
+            bytes: section.wire_bytes(),
+            body: Some(Arc::new(section)),
         }
     }
 }
@@ -431,6 +441,12 @@ pub struct ElReshard {
     pub dead_shard: usize,
 }
 
+impl Body for ElReshard {
+    fn wire_bytes(&self) -> u64 {
+        16
+    }
+}
+
 /// Command sent by the checkpoint scheduler to a daemon (forwarded to the
 /// protocol through `on_control`).
 #[derive(Debug, Clone, Copy)]
@@ -439,6 +455,12 @@ pub enum SchedulerCmd {
     TakeCheckpoint,
     /// Begin global snapshot `id` (coordinated checkpointing).
     GlobalSnapshot { id: u64 },
+}
+
+impl Body for SchedulerCmd {
+    fn wire_bytes(&self) -> u64 {
+        8
+    }
 }
 
 #[cfg(test)]

@@ -95,7 +95,7 @@ impl CkptScheduler {
 
     fn command(&self, sim: &mut Sim, rank: usize, cmd: SchedulerCmd) {
         let daemon = topo(sim).daemon(rank);
-        control::send(sim, self.node, daemon, 8, Box::new(cmd));
+        control::send(sim, self.node, daemon, cmd);
     }
 }
 

@@ -147,6 +147,16 @@ pub enum DaemonMsg {
     Cts { dst: Rank, ssn: Ssn },
 }
 
+impl DaemonMsg {
+    /// Wire size: an eager message's own; 16 control bytes for RTS / CTS.
+    pub fn wire_size(&self) -> vlog_sim::WireSize {
+        match self {
+            DaemonMsg::App(m) => m.wire_size(),
+            DaemonMsg::Rts { .. } | DaemonMsg::Cts { .. } => vlog_sim::WireSize::control(16),
+        }
+    }
+}
+
 /// A message as delivered to the application.
 #[derive(Debug, Clone)]
 pub struct RecvMsg {

@@ -107,16 +107,16 @@ if find crates/vmpi/src -name '*.rs' -print0 | xargs -0 awk "$fault_gate" | grep
 fi
 echo "    boundary gate: ok (crash_node( and DispatcherMsg::Fault built only in crates/vmpi/src/fault.rs, besides rollback_all)"
 # A control message leaves its node one way (crates/vmpi/src/control.rs
-# module docs): control::send decides loopback, wire or chunk train. So
-# under crates/vmpi/src and crates/core/src a loopback is taken only
-# there, by the daemon's AppFinished self-notify (spawn_app) and by the
-# fault module's detection notice (detected), which models detection,
-# not a hop.
+# module docs): control::send sizes the body and its private route
+# decides loopback, wire or chunk train. So under crates/vmpi/src and
+# crates/core/src a loopback is taken only there, by the daemon's
+# AppFinished self-notify (spawn_app) and by the fault module's
+# detection notice (detected), which models detection, not a hop.
 loopback_gate='FNR == 1 { live = 1; fn_name = "" }
     /^#\[cfg\(test\)\]/ { live = 0 }
     !live || /^[[:space:]]*\/\// { next }
     match($0, /fn [a-z_0-9]+\(/) { fn_name = substr($0, RSTART + 3, RLENGTH - 4) }
-    FILENAME ~ /\/control\.rs$/ && fn_name == "send" { next }
+    FILENAME ~ /\/control\.rs$/ && fn_name == "route" { next }
     FILENAME ~ /\/daemon\.rs$/ && fn_name == "spawn_app" { next }
     FILENAME ~ /\/fault\.rs$/ && fn_name == "detected" { next }
     /local_send\(/ { print FILENAME ":" FNR ": " $0 }'
@@ -124,7 +124,7 @@ if find crates/vmpi/src crates/core/src -name '*.rs' -print0 | xargs -0 awk "$lo
     echo "a control message takes loopback outside crates/vmpi/src/control.rs (lines above): send it through control::send or control::send_at" >&2
     exit 1
 fi
-echo "    boundary gate: ok (local_send( under crates/vmpi/src and crates/core/src only in control::send, spawn_app's AppFinished and fault::detected)"
+echo "    boundary gate: ok (local_send( under crates/vmpi/src and crates/core/src only in control::send's route, spawn_app's AppFinished and fault::detected)"
 # A metric is named by its typed id (crates/sim/src/stats.rs: Counter,
 # Gauge, Timer), whose name() is the one place a name is spelled, so a
 # misspelt or wrong-kind metric fails to compile. Stats::get(&str) stays
@@ -148,6 +148,24 @@ if grep -rn 'liveness[_]watchdog' crates tests examples; then
     exit 1
 fi
 echo "    boundary gate: ok (no liveness watchdog under crates/ tests/ examples/)"
+# A control message's size is its body's (crates/vmpi/src/control.rs
+# module docs): control::send reads control::Body::wire_bytes, written
+# once beside each body type, so no send site states a size. A control
+# size is built only by control.rs itself and by types.rs's
+# DaemonMsg::wire_size, and the hand-written size helpers, the
+# size-forwarding actor send and the separate gossip type stay gone.
+# (The brackets keep this script out of a grep of the tree for the names.)
+if find crates/vmpi/src crates/core/src -name '*.rs' ! -name control.rs ! -name types.rs -print0 |
+    xargs -0 awk "$non_test"' { print FILENAME ":" FNR ": " $0 }' |
+    grep -vE '^[^ ]+ +//' | grep -E 'WireSize::control[(]'; then
+    echo "a send site states a control size (lines above): implement vlog_vmpi::control::Body for the body and call control::send" >&2
+    exit 1
+fi
+if grep -rnwE 'el_(batch|ack|resp)_byte[s]|EL_RECORD_BYTE[S]|control_to_acto[r]|ElGossi[p]' crates tests examples; then
+    echo "a hand-written control size helper, control_to_actor or ElGossip is back (lines above): a control body states its size in its Body impl" >&2
+    exit 1
+fi
+echo "    boundary gate: ok (WireSize::control( only in control.rs and types.rs; no EL size helper, control_to_actor or ElGossip under crates/ tests/ examples/)"
 
 echo "==> cargo build --release (RUSTFLAGS=-D warnings from here on)"
 cargo build --release --offline
