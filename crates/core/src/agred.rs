@@ -26,22 +26,21 @@
 
 use vlog_vmpi::{RClock, Rank};
 
-use crate::detseq::{runs, ChunkPool};
+use crate::detseq::{runs, ChunkPool, PeerTable};
 use crate::event::Determinant;
 use crate::graph::AGraph;
 use crate::reduction::{Reduction, Technique, Work};
 
-#[derive(Clone)]
 pub struct GraphRed {
     kind: Technique,
     n: usize,
     graph: AGraph,
-    /// `known[peer][creator]`: clock up to which `peer` provably holds
-    /// `creator`'s events (sent-to or received-from knowledge).
-    known: Vec<Vec<RClock>>,
-    /// Scratch reused by every `build` (meaningless between calls): the
-    /// receiver bound, the traversal stack, and LogOn's per-creator
-    /// emission cursors and emitted-up-to clocks.
+    /// `known.row(peer)[creator]`: clock up to which `peer` provably
+    /// holds `creator`'s events (sent-to or received-from knowledge).
+    known: PeerTable,
+    /// Scratch reused by every `build` (meaningless between calls, so a
+    /// clone starts them empty): the receiver bound, the traversal stack,
+    /// and LogOn's per-creator emission cursors and emitted-up-to clocks.
     bound: Vec<RClock>,
     stack: Vec<(Rank, RClock)>,
     cursor: Vec<usize>,
@@ -55,7 +54,7 @@ impl GraphRed {
             kind,
             n,
             graph: AGraph::new(n),
-            known: vec![vec![0; n]; n],
+            known: PeerTable::new(n),
             bound: Vec::with_capacity(n),
             stack: Vec::new(),
             cursor: Vec::with_capacity(n),
@@ -75,11 +74,11 @@ impl GraphRed {
     /// vertices visited.
     fn receiver_bound(&mut self, dst: Rank) -> u64 {
         // The floor on dst's own range is the dst-head at the previous
-        // build on this channel (`known[dst][dst]`): older dst events
+        // build on this channel (`known.row(dst)[dst]`): older dst events
         // were walked then and their pasts are below the cache bound
         // anyway. Everything newer — including a first-ever send, where
         // the floor is zero — is walked to discover the receiver's past.
-        let known = &self.known[dst];
+        let known = self.known.row(dst);
         self.bound.clear();
         self.bound
             .extend((0..self.n).map(|c| known[c].max(self.graph.stable(c))));
@@ -161,15 +160,17 @@ impl Reduction for GraphRed {
 
     fn integrate(&mut self, from: Rank, sender_clock: RClock, dets: &[Determinant]) -> Work {
         // One pass: each run of a creator's consecutive clocks is deduped
-        // against the graph at once and raises what `from` provably holds.
-        let known = &mut self.known[from];
+        // against the graph at once and raises what `from` provably holds
+        // (`PeerTable::raise` reads every run).
         let mut inserts = 0;
-        for run in runs(dets) {
-            inserts += self.graph.insert_run(run) as u64;
+        let graph = &mut self.graph;
+        let learned = runs(dets).map(|run| {
+            inserts += graph.insert_run(run) as u64;
             let last = run[run.len() - 1];
-            known[last.receiver] = known[last.receiver].max(last.clock);
-        }
-        known[from] = known[from].max(sender_clock);
+            (last.receiver, last.clock)
+        });
+        self.known
+            .raise(from, learned.chain([(from, sender_clock)]));
         // Manetho pays a second pass generating edges after insertion;
         // LogOn's partial order lets it link in the same crossing.
         let visits = match self.kind {
@@ -201,9 +202,8 @@ impl Reduction for GraphRed {
             _ => out.len() as u64 + 1,
         };
         // Everything we hold is now known to dst.
-        for (c, k) in self.known[dst].iter_mut().enumerate() {
-            *k = (*k).max(self.graph.head(c));
-        }
+        let heads = (0..self.n).map(|c| (c, self.graph.head(c)));
+        self.known.raise(dst, heads);
         (out, Work::visits(visits))
     }
 
@@ -217,9 +217,8 @@ impl Reduction for GraphRed {
         // vector, so it folds into the per-channel `known` floor. The
         // traversal in `receiver_bound` starts above that floor, making
         // GC notices also *cheapen* fresh-channel sends.
-        for (k, &s) in self.known[peer].iter_mut().zip(stable) {
-            *k = (*k).max(s);
-        }
+        let stable = stable.iter().copied().enumerate().take(self.n);
+        self.known.raise(peer, stable);
     }
 
     fn retained(&self) -> Vec<Determinant> {
@@ -239,7 +238,16 @@ impl Reduction for GraphRed {
     }
 
     fn clone_box(&self) -> Box<dyn Reduction> {
-        Box::new(self.clone())
+        Box::new(GraphRed {
+            kind: self.kind,
+            n: self.n,
+            graph: self.graph.clone(),
+            known: self.known.clone(),
+            bound: Vec::new(),
+            stack: Vec::new(),
+            cursor: Vec::new(),
+            emitted: Vec::new(),
+        })
     }
 }
 
@@ -465,6 +473,25 @@ mod tests {
             assert_eq!(snap.retained(), before, "{kind:?}");
             assert_eq!(snap.retained_count(), 147);
             assert_eq!(snap.retained_of(0, 9)[..12], before[9..21]);
+        }
+    }
+
+    #[test]
+    fn a_clone_builds_what_its_original_builds() {
+        for kind in [Technique::Vcausal, Technique::Manetho, Technique::LogOn] {
+            let mut reds: Vec<Box<dyn Reduction>> =
+                (0..4).map(|_| make_reduction(kind, 4)).collect();
+            let mut clocks = vec![0; 4];
+            for (from, to) in [(1, 0), (0, 1), (1, 2), (2, 1), (1, 3), (0, 3), (3, 2)] {
+                exchange(&mut reds, &mut clocks, from, to);
+            }
+            reds[3].note_peer_stable(1, &[1, 0, 0, 0]);
+            // The original's build scratch is filled; the clone's is not.
+            let mut snap = reds[3].clone_box();
+            for dst in [0, 1, 2, 0] {
+                let want = reds[3].build(dst, clocks[3]);
+                assert_eq!(snap.build(dst, clocks[3]), want, "{kind:?} to {dst}");
+            }
         }
     }
 

@@ -315,7 +315,7 @@ impl VProtocol for CausalProtocol {
     fn checkpoint_blob(&mut self, _ctx: &mut Ctx<'_>) -> ProtoBlob {
         let blob = CausalBlob {
             red: self.red.clone_box(),
-            slog: self.log.slog.clone(),
+            slog: self.log.slog.snapshot(),
             rclock: self.log.rclock,
             stable: self.stable.clone(),
         };

@@ -45,6 +45,10 @@
 //!   chunk it lands in. Gaps and differing copies come only from
 //!   recovery.
 //!
+//! [`PeerTable`] applies the same rule to the reductions' per-peer
+//! watermark rows: a clone shares every row, and a raise copies only the
+//! row it moves.
+//!
 //! # One copy per run: the chunk pool
 //!
 //! A determinant `(creator, clock)` has one content per run, so chunk j of
@@ -528,6 +532,47 @@ impl DetStore {
     }
 }
 
+/// Per-peer watermark rows, `row(peer)[creator]`, under the rule the
+/// sequences follow: a clone shares every row, and a raise copies its row
+/// only when an entry actually rises while a clone still holds it. A rank
+/// sends to few peers between two checkpoints, so an image shares every
+/// row that did not move.
+#[derive(Debug, Clone)]
+pub struct PeerTable {
+    rows: Vec<Arc<[RClock]>>,
+}
+
+impl PeerTable {
+    /// An `n` × `n` table of zeros: every row is one shared zero row.
+    pub fn new(n: usize) -> Self {
+        let zero: Arc<[RClock]> = Arc::from(vec![0; n]);
+        PeerTable {
+            rows: vec![zero; n],
+        }
+    }
+
+    pub fn row(&self, peer: Rank) -> &[RClock] {
+        &self.rows[peer]
+    }
+
+    /// Raises `row(peer)[creator]` to `clock` for every `(creator, clock)`
+    /// of `raises` that is higher. Every item is read; the row is made
+    /// writable once, at the first item that rises, and copied then only
+    /// if a clone shares it.
+    pub fn raise(&mut self, peer: Rank, raises: impl IntoIterator<Item = (Rank, RClock)>) {
+        let mut raises = raises.into_iter();
+        let row = &self.rows[peer];
+        let Some((c, clock)) = raises.find(|&(c, clock)| clock > row[c]) else {
+            return;
+        };
+        let row = Arc::make_mut(&mut self.rows[peer]);
+        row[c] = clock;
+        for (c, clock) in raises {
+            row[c] = row[c].max(clock);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -718,6 +763,38 @@ mod tests {
         // pool near one round's worth, and it keeps no chunk alive.
         assert!(pool.chunks.len() <= 2 * 40, "{} entries", pool.chunks.len());
         assert!(pool.chunks.values().all(|chunk| chunk.strong_count() == 0));
+    }
+
+    #[test]
+    fn a_peer_table_clone_shares_every_row_until_one_rises() {
+        let mut live = PeerTable::new(3);
+        assert!(Arc::ptr_eq(&live.rows[0], &live.rows[2]));
+        live.raise(1, [(2, 4)]);
+        let snap = live.clone();
+        let shared = |a: &PeerTable, b: &PeerTable| -> Vec<bool> {
+            (0..3)
+                .map(|p| Arc::ptr_eq(&a.rows[p], &b.rows[p]))
+                .collect()
+        };
+        assert_eq!(shared(&live, &snap), [true; 3]);
+        // A raise that moves nothing copies nothing.
+        live.raise(1, [(2, 3)]);
+        live.raise(1, [(0, 0), (1, 0), (2, 4)]);
+        assert_eq!(shared(&live, &snap), [true; 3]);
+        // A raise copies its own row only.
+        live.raise(1, [(0, 5), (1, 0), (2, 1), (0, 3)]);
+        assert_eq!(shared(&live, &snap), [true, false, true]);
+        live.raise(2, [(0, 1)]);
+        assert_eq!(shared(&live, &snap), [true, false, false]);
+        assert_eq!((live.row(1), live.row(2)), (&[5, 0, 4][..], &[1, 0, 0][..]));
+        assert_eq!((snap.row(1), snap.row(2)), (&[0, 0, 4][..], &[0, 0, 0][..]));
+        // A row nothing else holds is raised in place.
+        let before = Arc::as_ptr(&live.rows[1]);
+        live.raise(1, (0..3).map(|c| (c, 9)));
+        assert_eq!(
+            (Arc::as_ptr(&live.rows[1]), live.row(1)),
+            (before, &[9; 3][..])
+        );
     }
 
     #[test]

@@ -179,7 +179,7 @@ impl VProtocol for PessimisticProtocol {
 
     fn checkpoint_blob(&mut self, _ctx: &mut Ctx<'_>) -> ProtoBlob {
         let blob = PessimisticBlob {
-            slog: self.log.slog.clone(),
+            slog: self.log.slog.snapshot(),
             rclock: self.log.rclock,
             stable_own: self.stable_own,
         };

@@ -8,8 +8,37 @@
 //! checkpoint images (the paper includes "the payload of some messages"
 //! in the image) and is garbage-collected when a *receiver* commits a
 //! checkpoint covering the logged receptions.
+//!
+//! # Images share frozen runs
+//!
+//! A real process puts its log into an image by fork and copy-on-write,
+//! so an image costs only what changed since the previous one; the
+//! causality stores do the same (`detseq.rs`). Each destination's log,
+//! ascending by ssn, is a list of frozen runs behind an `Arc` plus an
+//! owned tail `Vec`:
+//!
+//! * A fault-free send has the highest ssn yet and is pushed on the tail.
+//!   The tail freezes into a run when it holds `RUN` (64) entries, and
+//!   at each snapshot. Freezing moves the tail's buffer behind the `Arc`
+//!   and copies no entry.
+//! * [`SenderLog::snapshot`], which both protocols call to build an
+//!   image, freezes every non-empty tail and returns a log of pointer
+//!   copies: one per run. The image and the live log then share every
+//!   run. Restoring an image clones it; its tails are empty, so that is
+//!   pointer copies too.
+//! * Pruning drops whole runs and advances `skip` into the first one. A
+//!   partly pruned run stays allocated until its last entry is pruned.
+//! * A fault-free run logs each channel's sends in ssn order (a held
+//!   send is logged when first accepted, and re-gating it finds it
+//!   present), so only recovery can log an ssn that is absent and below
+//!   the last one. That destination's log is then rebuilt as one owned
+//!   tail: one copy of its live entries, shared with no image until the
+//!   next snapshot.
+//!
+//! The entry count and the payload bytes are maintained counters, so an
+//! image's size costs O(1).
 
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use vlog_vmpi::{Payload, Rank, Ssn, Tag};
 
@@ -20,10 +49,116 @@ pub struct LogEntry {
     pub payload: Payload,
 }
 
+type Logged = (Ssn, LogEntry);
+
+/// Entries at which a tail freezes while logging (module docs). Short
+/// runs keep what a partly pruned run pins, and the growth slack a run
+/// frozen by a snapshot keeps, small.
+const RUN: usize = 64;
+
+/// One destination's log, ascending by ssn (module docs).
+#[derive(Debug, Clone, Default)]
+struct DstLog {
+    /// Non-empty frozen runs, shared with every image taken since.
+    runs: Vec<Arc<Vec<Logged>>>,
+    /// Pruned entries at the front of `runs[0]`, fewer than its length;
+    /// 0 when there is no run.
+    skip: usize,
+    /// The newest entries, not yet frozen.
+    tail: Vec<Logged>,
+}
+
+impl DstLog {
+    /// The live entries as ascending pieces: the runs, then the tail.
+    fn pieces(&self) -> impl DoubleEndedIterator<Item = &[Logged]> {
+        let (first, rest) = match self.runs.split_first() {
+            Some((first, rest)) => (&first[self.skip..], rest),
+            None => (&[][..], &[][..]),
+        };
+        std::iter::once(first)
+            .chain(rest.iter().map(|run| &run[..]))
+            .chain(std::iter::once(&self.tail[..]))
+    }
+
+    fn back(&self) -> Option<Ssn> {
+        let last = self.tail.last().or_else(|| self.runs.last()?.last());
+        last.map(|(ssn, _)| *ssn)
+    }
+
+    /// Searches only the last piece starting at or below `ssn`: a
+    /// re-gated held send finds itself in the tail.
+    fn contains(&self, ssn: Ssn) -> bool {
+        self.pieces()
+            .rev()
+            .find(|piece| piece.first().is_some_and(|(s, _)| *s <= ssn))
+            .is_some_and(|piece| piece.binary_search_by_key(&ssn, |(s, _)| *s).is_ok())
+    }
+
+    /// Logs `ssn` unless present (module docs: appended in the fault-free
+    /// case, rebuilt in recovery).
+    fn insert(&mut self, ssn: Ssn, entry: LogEntry) -> bool {
+        if self.back().is_none_or(|back| ssn > back) {
+            self.tail.push((ssn, entry));
+            if self.tail.len() >= RUN {
+                self.freeze();
+            }
+            return true;
+        }
+        if self.contains(ssn) {
+            return false;
+        }
+        let mut all: Vec<Logged> = self.pieces().flatten().cloned().collect();
+        all.insert(all.partition_point(|(s, _)| *s < ssn), (ssn, entry));
+        *self = DstLog {
+            tail: all,
+            ..DstLog::default()
+        };
+        true
+    }
+
+    /// Drops the entries with `ssn < below`; returns them counted as
+    /// (entries, payload bytes).
+    fn prune_below(&mut self, below: Ssn) -> (usize, u64) {
+        let mut dropped = (0, 0);
+        let mut tally = |gone: &[Logged]| {
+            dropped.0 += gone.len();
+            dropped.1 += gone.iter().map(|(_, e)| e.payload.len()).sum::<u64>();
+        };
+        let mut whole = 0;
+        for run in &self.runs {
+            let live = &run[self.skip..];
+            let k = live.partition_point(|(s, _)| *s < below);
+            tally(&live[..k]);
+            if k < live.len() {
+                self.skip += k;
+                break;
+            }
+            whole += 1;
+            self.skip = 0;
+        }
+        self.runs.drain(..whole);
+        if self.runs.is_empty() {
+            let k = self.tail.partition_point(|(s, _)| *s < below);
+            tally(&self.tail[..k]);
+            self.tail.drain(..k);
+        }
+        dropped
+    }
+
+    /// Freezes a non-empty tail into a run: its buffer moves behind the
+    /// `Arc`, so no entry is copied.
+    fn freeze(&mut self) {
+        if !self.tail.is_empty() {
+            self.runs.push(Arc::new(std::mem::take(&mut self.tail)));
+        }
+    }
+}
+
 /// Per-destination sender-based message log.
 #[derive(Debug, Clone)]
 pub struct SenderLog {
-    per_dst: Vec<BTreeMap<Ssn, LogEntry>>,
+    per_dst: Vec<DstLog>,
+    len: usize,
     bytes: u64,
     /// Per-destination replay-shipment marker: the recovery incarnation
     /// last served and the next ssn to ship it. Retried reclaims of the
@@ -35,7 +170,8 @@ pub struct SenderLog {
 impl SenderLog {
     pub fn new(n: usize) -> Self {
         SenderLog {
-            per_dst: vec![BTreeMap::new(); n],
+            per_dst: vec![DstLog::default(); n],
+            len: 0,
             bytes: 0,
             shipped: vec![None; n],
         }
@@ -44,28 +180,34 @@ impl SenderLog {
     /// Logs a message; idempotent on (dst, ssn) so held-send re-gating and
     /// replay re-sends don't double-count.
     pub fn insert(&mut self, dst: Rank, ssn: Ssn, tag: Tag, payload: &Payload) -> bool {
-        if self.per_dst[dst].contains_key(&ssn) {
+        let entry = LogEntry {
+            tag,
+            payload: payload.clone(),
+        };
+        if !self.per_dst[dst].insert(ssn, entry) {
             return false;
         }
+        self.len += 1;
         self.bytes += payload.len();
-        self.per_dst[dst].insert(
-            ssn,
-            LogEntry {
-                tag,
-                payload: payload.clone(),
-            },
-        );
         true
     }
 
     /// Drops entries to `dst` with `ssn < below` — the receiver's
     /// committed checkpoint covers them.
     pub fn prune_below(&mut self, dst: Rank, below: Ssn) {
-        let keep = self.per_dst[dst].split_off(&below);
-        let dropped = std::mem::replace(&mut self.per_dst[dst], keep);
-        for e in dropped.values() {
-            self.bytes -= e.payload.len();
+        let (len, bytes) = self.per_dst[dst].prune_below(below);
+        self.len -= len;
+        self.bytes -= bytes;
+    }
+
+    /// The log as a checkpoint image holds it: every tail is frozen into
+    /// a run first, so the copy shares every entry with `self` (module
+    /// docs).
+    pub fn snapshot(&mut self) -> SenderLog {
+        for dst in &mut self.per_dst {
+            dst.freeze();
         }
+        self.clone()
     }
 
     /// Where a replay to `dst` for `recovery_id` should start: the stored
@@ -92,7 +234,10 @@ impl SenderLog {
     /// Logged messages to `dst` with `ssn >= from`, ascending (the replay
     /// stream for a recovering receiver).
     pub fn entries_from(&self, dst: Rank, from: Ssn) -> impl Iterator<Item = (Ssn, &LogEntry)> {
-        self.per_dst[dst].range(from..).map(|(s, e)| (*s, e))
+        self.per_dst[dst]
+            .pieces()
+            .flat_map(move |piece| &piece[piece.partition_point(|(s, _)| *s < from)..])
+            .map(|(ssn, e)| (*ssn, e))
     }
 
     /// Total payload bytes held (image sizing and memory metrics).
@@ -102,11 +247,11 @@ impl SenderLog {
 
     /// Total number of logged messages.
     pub fn len(&self) -> usize {
-        self.per_dst.iter().map(|m| m.len()).sum()
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 }
 
@@ -172,5 +317,47 @@ mod tests {
         assert_eq!(log.replay_start(1, 9, 3), 5);
         // Other destinations carry independent markers.
         assert_eq!(log.replay_start(0, 9, 0), 0);
+    }
+
+    #[test]
+    fn a_snapshot_shares_frozen_runs_and_keeps_its_entries() {
+        let ssns =
+            |log: &SenderLog, dst| log.entries_from(dst, 0).map(|(s, _)| s).collect::<Vec<_>>();
+        let mut live = SenderLog::new(3);
+        for ssn in 0..6 {
+            live.insert(1, ssn, 0, &payload(10));
+        }
+        live.insert(2, 0, 0, &payload(7));
+        let snap = live.snapshot();
+        assert!(Arc::ptr_eq(
+            &snap.per_dst[1].runs[0],
+            &live.per_dst[1].runs[0]
+        ));
+        assert!(snap.per_dst.iter().all(|d| d.tail.is_empty()));
+        // The live side appends, prunes into the shared run and logs an
+        // absent ssn below its back (recovery), which rebuilds only that
+        // destination.
+        for ssn in 6..9 {
+            live.insert(1, ssn, 0, &payload(10));
+        }
+        live.prune_below(1, 2);
+        assert_eq!((live.per_dst[1].runs.len(), live.per_dst[1].skip), (1, 2));
+        live.prune_below(1, 7);
+        assert!(live.per_dst[1].runs.is_empty());
+        live.insert(2, 5, 0, &payload(7));
+        assert!(live.insert(2, 3, 0, &payload(7)));
+        assert!(!live.insert(2, 3, 0, &payload(7)));
+        assert_eq!(ssns(&live, 1), [7, 8]);
+        assert_eq!(ssns(&live, 2), [0, 3, 5]);
+        assert_eq!((live.len(), live.payload_bytes()), (5, 41));
+        // The snapshot, and a clone of it, read what was logged at
+        // snapshot time.
+        for image in [&snap, &snap.clone()] {
+            assert_eq!(ssns(image, 1), (0..6).collect::<Vec<_>>());
+            assert_eq!(ssns(image, 2), [0]);
+            assert_eq!((image.len(), image.payload_bytes()), (7, 67));
+        }
+        let from: Vec<Ssn> = snap.entries_from(1, 4).map(|(s, _)| s).collect();
+        assert_eq!(from, [4, 5]);
     }
 }

@@ -25,25 +25,25 @@
 
 use vlog_vmpi::{RClock, Rank};
 
-use crate::detseq::{ChunkPool, DetStore};
+use crate::detseq::{ChunkPool, DetStore, PeerTable};
 use crate::event::Determinant;
 use crate::reduction::{Reduction, Technique, Work};
 
-#[derive(Clone)]
 pub struct VcausalRed {
     /// The paper's "one sequence of events per process", with the highest
     /// clock ever seen per creator and the EL stability watermarks.
     store: DetStore,
-    /// `sent[peer][creator]`: highest clock of `creator`'s events this
-    /// node has piggybacked to `peer` (send-side watermark only — the
+    /// `sent.row(peer)[creator]`: highest clock of `creator`'s events
+    /// this node has piggybacked to `peer` (send-side watermark only — the
     /// paper's Vcausal cannot infer what a peer learned elsewhere).
-    sent: Vec<Vec<RClock>>,
-    /// `peer_stable[peer][creator]`: stability `peer` itself reported
+    sent: PeerTable,
+    /// `peer_stable.row(peer)[creator]`: stability `peer` itself reported
     /// (via GC notices). Send-side pruning floor for that channel only —
     /// the peer already knows these events are safely logged, so they
     /// never need to reach it again.
-    peer_stable: Vec<Vec<RClock>>,
-    /// Scratch reused by every `build`: the per-creator channel watermark.
+    peer_stable: PeerTable,
+    /// Scratch reused by every `build` (meaningless between calls, so a
+    /// clone starts it empty): the per-creator channel watermark.
     bound: Vec<RClock>,
 }
 
@@ -51,8 +51,8 @@ impl VcausalRed {
     pub fn new(n: usize) -> Self {
         VcausalRed {
             store: DetStore::new(n),
-            sent: vec![vec![0; n]; n],
-            peer_stable: vec![vec![0; n]; n],
+            sent: PeerTable::new(n),
+            peer_stable: PeerTable::new(n),
             bound: Vec::with_capacity(n),
         }
     }
@@ -98,15 +98,14 @@ impl Reduction for VcausalRed {
     }
 
     fn build(&mut self, dst: Rank, _my_clock: RClock) -> (Vec<Determinant>, Work) {
-        let (sent, peer_stable) = (&mut self.sent[dst], &self.peer_stable[dst]);
+        let (sent, peer_stable) = (self.sent.row(dst), self.peer_stable.row(dst));
         self.bound.clear();
         self.bound.extend(
             (0..self.store.n()).map(|c| sent[c].max(self.store.stable(c)).max(peer_stable[c])),
         );
         let out = self.store.collect_above(&self.bound);
-        for (c, s) in sent.iter_mut().enumerate() {
-            *s = (*s).max(self.store.head(c));
-        }
+        let heads = (0..self.store.n()).map(|c| (c, self.store.head(c)));
+        self.sent.raise(dst, heads);
         // Every emitted entry was walked back from the newest one.
         let visits = out.len() as u64;
         (out, Work::visits(visits))
@@ -117,9 +116,8 @@ impl Reduction for VcausalRed {
     }
 
     fn note_peer_stable(&mut self, peer: Rank, stable: &[RClock]) {
-        for (k, &s) in self.peer_stable[peer].iter_mut().zip(stable) {
-            *k = (*k).max(s);
-        }
+        let stable = stable.iter().copied().enumerate().take(self.store.n());
+        self.peer_stable.raise(peer, stable);
     }
 
     fn retained(&self) -> Vec<Determinant> {
@@ -144,7 +142,12 @@ impl Reduction for VcausalRed {
     }
 
     fn clone_box(&self) -> Box<dyn Reduction> {
-        Box::new(self.clone())
+        Box::new(VcausalRed {
+            store: self.store.clone(),
+            sent: self.sent.clone(),
+            peer_stable: self.peer_stable.clone(),
+            bound: Vec::new(),
+        })
     }
 }
 

@@ -166,6 +166,22 @@ if grep -rnwE 'el_(batch|ack|resp)_byte[s]|EL_RECORD_BYTE[S]|control_to_acto[r]|
     exit 1
 fi
 echo "    boundary gate: ok (WireSize::control( only in control.rs and types.rs; no EL size helper, control_to_actor or ElGossip under crates/ tests/ examples/)"
+# A checkpoint image costs only what its rank changed since the last one
+# (crates/core/src/sender_log.rs, "Images share frozen runs"; detseq.rs,
+# PeerTable): the per-peer watermark tables are rows shared copy-on-write,
+# and a checkpoint_blob takes the sender log with SenderLog::snapshot,
+# never with a deep clone.
+cow_gate='FNR == 1 { live = 1; fn_name = "" }
+    /^#\[cfg\(test\)\]/ { live = 0 }
+    !live || /^[[:space:]]*\/\// { next }
+    match($0, /fn [a-z_0-9]+\(/) { fn_name = substr($0, RSTART + 3, RLENGTH - 4) }
+    /Vec<Vec<RClock>>/ { print FILENAME ":" FNR ": " $0 }
+    fn_name == "checkpoint_blob" && /slog\.clone\(\)/ { print FILENAME ":" FNR ": " $0 }'
+if find crates/core/src -name '*.rs' -print0 | xargs -0 awk "$cow_gate" | grep .; then
+    echo "a checkpoint image deep-copies what its rank did not change (lines above): keep per-peer watermarks in a PeerTable and take the sender log with SenderLog::snapshot" >&2
+    exit 1
+fi
+echo "    boundary gate: ok (no Vec<Vec<RClock>> in the non-test code of crates/core/src; no slog.clone() in a checkpoint_blob)"
 
 echo "==> cargo build --release (RUSTFLAGS=-D warnings from here on)"
 cargo build --release --offline
