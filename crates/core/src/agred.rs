@@ -1,6 +1,7 @@
 //! Antecedence-graph piggyback reductions: Manetho and LogOn.
 //!
-//! Both maintain the [`AGraph`] and guarantee no event is ever sent twice
+//! Both maintain the antecedence graph ([`crate::graph`]: a [`DetStore`]
+//! walked by [`extend_past`]) and guarantee no event is ever sent twice
 //! to the same peer; they differ in how the border of the piggyback is
 //! computed and in what the receiver pays (paper §III-B.2):
 //!
@@ -26,15 +27,15 @@
 
 use vlog_vmpi::{RClock, Rank};
 
-use crate::detseq::{runs, ChunkPool, PeerTable};
+use crate::detseq::{runs, ChunkPool, DetStore, PeerTable};
 use crate::event::Determinant;
-use crate::graph::AGraph;
+use crate::graph::extend_past;
 use crate::reduction::{Reduction, Technique, Work};
 
 pub struct GraphRed {
     kind: Technique,
-    n: usize,
-    graph: AGraph,
+    /// The antecedence graph's vertices.
+    store: DetStore,
     /// `known.row(peer)[creator]`: clock up to which `peer` provably
     /// holds `creator`'s events (sent-to or received-from knowledge).
     known: PeerTable,
@@ -52,18 +53,13 @@ impl GraphRed {
         assert!(matches!(kind, Technique::Manetho | Technique::LogOn));
         GraphRed {
             kind,
-            n,
-            graph: AGraph::new(n),
+            store: DetStore::new(n),
             known: PeerTable::new(n),
             bound: Vec::with_capacity(n),
             stack: Vec::new(),
             cursor: Vec::with_capacity(n),
             emitted: Vec::with_capacity(n),
         }
-    }
-
-    pub fn graph(&self) -> &AGraph {
-        &self.graph
     }
 
     /// Fills `self.bound` with the per-creator bound of what `dst`
@@ -81,10 +77,10 @@ impl GraphRed {
         let known = self.known.row(dst);
         self.bound.clear();
         self.bound
-            .extend((0..self.n).map(|c| known[c].max(self.graph.stable(c))));
+            .extend((0..self.store.n()).map(|c| known[c].max(self.store.stable(c))));
         self.stack.clear();
-        self.stack.push((dst, self.graph.head(dst)));
-        let visits = self.graph.extend_past(&mut self.bound, &mut self.stack);
+        self.stack.push((dst, self.store.head(dst)));
+        let visits = extend_past(&self.store, &mut self.bound, &mut self.stack);
         self.bound[dst] = RClock::MAX;
         visits
     }
@@ -95,13 +91,12 @@ impl GraphRed {
     /// the store's own ascending sequence — no copy, no sort.
     fn logon_emit(&mut self) -> Vec<Determinant> {
         let GraphRed {
-            graph,
+            store,
             bound,
             cursor,
             emitted,
             ..
         } = self;
-        let store = graph.store();
         cursor.clear();
         emitted.clear();
         let mut total = 0;
@@ -154,7 +149,7 @@ impl Reduction for GraphRed {
     }
 
     fn add_local(&mut self, det: Determinant) -> Work {
-        let added = self.graph.insert(det);
+        let added = self.store.insert(det);
         Work::inserts(added as u64)
     }
 
@@ -163,9 +158,9 @@ impl Reduction for GraphRed {
         // against the graph at once and raises what `from` provably holds
         // (`PeerTable::raise` reads every run).
         let mut inserts = 0;
-        let graph = &mut self.graph;
+        let store = &mut self.store;
         let learned = runs(dets).map(|run| {
-            inserts += graph.insert_run(run) as u64;
+            inserts += store.insert_run(run) as u64;
             let last = run[run.len() - 1];
             (last.receiver, last.clock)
         });
@@ -182,7 +177,7 @@ impl Reduction for GraphRed {
 
     fn absorb(&mut self, dets: &[Determinant]) {
         for det in dets {
-            self.graph.insert(*det);
+            self.store.insert(*det);
         }
     }
 
@@ -191,7 +186,7 @@ impl Reduction for GraphRed {
         let out = match self.kind {
             Technique::LogOn => self.logon_emit(),
             // (creator, clock) ascending: maximal factoring
-            _ => self.graph.store().collect_above(&self.bound),
+            _ => self.store.collect_above(&self.bound),
         };
         let visits = match self.kind {
             // Manetho crosses the receiver's past from its last known
@@ -202,13 +197,13 @@ impl Reduction for GraphRed {
             _ => out.len() as u64 + 1,
         };
         // Everything we hold is now known to dst.
-        let heads = (0..self.n).map(|c| (c, self.graph.head(c)));
+        let heads = (0..self.store.n()).map(|c| (c, self.store.head(c)));
         self.known.raise(dst, heads);
         (out, Work::visits(visits))
     }
 
     fn apply_stable(&mut self, stable: &[RClock]) {
-        self.graph.apply_stable(stable);
+        self.store.apply_stable(stable);
     }
 
     fn note_peer_stable(&mut self, peer: Rank, stable: &[RClock]) {
@@ -217,31 +212,30 @@ impl Reduction for GraphRed {
         // vector, so it folds into the per-channel `known` floor. The
         // traversal in `receiver_bound` starts above that floor, making
         // GC notices also *cheapen* fresh-channel sends.
-        let stable = stable.iter().copied().enumerate().take(self.n);
+        let stable = stable.iter().copied().enumerate().take(self.store.n());
         self.known.raise(peer, stable);
     }
 
     fn retained(&self) -> Vec<Determinant> {
-        self.graph.retained()
+        self.store.retained()
     }
 
     fn retained_of(&self, creator: Rank, above: RClock) -> Vec<Determinant> {
-        self.graph.above(creator, above).copied().collect()
+        self.store.above(creator, above)
     }
 
     fn retained_count(&self) -> usize {
-        self.graph.len()
+        self.store.len()
     }
 
     fn share(&mut self, pool: &mut ChunkPool) {
-        self.graph.share(pool);
+        self.store.share(pool);
     }
 
     fn clone_box(&self) -> Box<dyn Reduction> {
         Box::new(GraphRed {
             kind: self.kind,
-            n: self.n,
-            graph: self.graph.clone(),
+            store: self.store.clone(),
             known: self.known.clone(),
             bound: Vec::new(),
             stack: Vec::new(),

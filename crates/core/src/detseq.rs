@@ -1,6 +1,8 @@
 //! Dense, clock-indexed determinant sequences: the one container behind
-//! both causality stores ([`crate::graph::AGraph`] and
-//! [`crate::vcausal::VcausalRed`]).
+//! every determinant store — the antecedence graph of
+//! [`crate::agred::GraphRed`], the sequences of
+//! [`crate::vcausal::VcausalRed`] and the Event Logger's
+//! [`crate::el_multi::ElShard`].
 //!
 //! Reception clocks are dense by construction: a process numbers its
 //! receptions 1, 2, 3, … and every piggyback carries a creator's events
@@ -404,8 +406,8 @@ fn above(run: &[Determinant], wm: RClock) -> &[Determinant] {
     &run[skip.min(run.len() as u64) as usize..]
 }
 
-/// Per-creator [`DetSeq`]s with the bookkeeping both causality stores
-/// need: the highest clock ever seen per creator (survives pruning), the
+/// Per-creator [`DetSeq`]s with the bookkeeping every determinant store
+/// needs: the highest clock ever seen per creator (survives pruning), the
 /// stability watermarks, and a maintained total so `len()` is O(1).
 #[derive(Debug, Clone)]
 pub struct DetStore {
@@ -459,6 +461,11 @@ impl DetStore {
         self.heads[creator]
     }
 
+    /// [`DetStore::head`] of every creator.
+    pub fn heads(&self) -> &[RClock] {
+        &self.heads
+    }
+
     /// Stability watermark of `creator` (entries at or below are pruned).
     pub fn stable(&self, creator: Rank) -> RClock {
         self.stable[creator]
@@ -486,6 +493,13 @@ impl DetStore {
         self.len += added as usize;
         self.note(c);
         added
+    }
+
+    /// Inserts `det` only if its clock is above its creator's head: a store
+    /// fed each creator's events in clock order takes anything at or below
+    /// the head as known already, keeps the copy it has and returns false.
+    pub fn append(&mut self, det: Determinant) -> bool {
+        det.clock > self.heads[det.receiver] && self.insert(det)
     }
 
     /// [`DetStore::insert`] for a whole run (see [`runs`]); returns how
@@ -521,6 +535,17 @@ impl DetStore {
             for piece in seq.above_slices(lo) {
                 out.extend_from_slice(piece);
             }
+        }
+        out
+    }
+
+    /// Retained determinants of `creator` with clock strictly above `lo`,
+    /// ascending, in one exact-capacity allocation.
+    pub fn above(&self, creator: Rank, lo: RClock) -> Vec<Determinant> {
+        let seq = &self.seqs[creator];
+        let mut out = Vec::with_capacity(seq.len() - seq.through(lo));
+        for piece in seq.above_slices(lo) {
+            out.extend_from_slice(piece);
         }
         out
     }
@@ -832,5 +857,29 @@ mod tests {
         store.apply_stable(&[RClock::MAX]);
         store.apply_stable(&[0, 0, 5]);
         assert_eq!((store.len(), store.head(0)), (1, 3));
+    }
+
+    #[test]
+    fn append_refuses_anything_at_or_below_the_head() {
+        let mut store = DetStore::new(2);
+        assert!(store.append(det(0, 1)));
+        assert!(store.append(det(0, 4)));
+        // Clocks 2 and 3 are missing, yet below the head: refused, and
+        // neither the head nor the total moves.
+        for clock in [0, 1, 2, 3, 4] {
+            assert!(!store.append(det(0, clock)));
+        }
+        assert_eq!((store.len(), store.head(0)), (2, 4));
+        assert_eq!(store.above(0, 0), [det(0, 1), det(0, 4)]);
+        // The copy appended first is kept.
+        let newer = Determinant {
+            cause: 9,
+            ..det(0, 4)
+        };
+        assert!(!store.append(newer));
+        assert_eq!(store.above(0, 1), [det(0, 4)]);
+        assert!(store.append(det(1, 2)));
+        assert_eq!(store.heads(), [4, 2]);
+        assert_eq!(store.above(1, RClock::MAX), []);
     }
 }

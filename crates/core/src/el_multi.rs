@@ -39,14 +39,15 @@ use vlog_sim::{
 use vlog_vmpi::control::{self, Body};
 use vlog_vmpi::{topo, ClusterState, RClock, Rank};
 
+use crate::detseq::DetStore;
 use crate::event::Determinant;
 
 /// Messages understood by the Event Logger.
 pub enum ElMsg {
-    /// Asynchronous batch of event records from a daemon (clock order;
-    /// one coalesced acknowledgement covers the whole batch).
+    /// Asynchronous batch of a daemon's own event records (clock order;
+    /// one coalesced acknowledgement covers the whole batch). Each record
+    /// names its creator as its `receiver`.
     Record {
-        from: Rank,
         dets: Vec<Determinant>,
         reply_to: ActorId,
     },
@@ -119,13 +120,18 @@ pub fn record_el_outstanding(sim: &mut Sim, shipped: RClock, acked: RClock) {
 
 /// One Event Logger server instance: the only one of a single-EL
 /// configuration, or one shard of a distributed one.
+///
+/// Its records live in a [`DetStore`], the container the ranks' causality
+/// stores use, fed through [`DetStore::append`]: each creator's records
+/// arrive in clock order (FIFO channel), so a record at or below the
+/// creator's head is a re-shipped duplicate, and the first copy stays.
+/// Nothing here is ever stable, so nothing is pruned, and the store's
+/// heads are the locally logged clocks an ack reports and gossip carries.
 pub struct ElShard {
     index: usize,
     node: NodeId,
     /// Events of the ranks assigned here.
-    stored: Vec<Vec<Determinant>>,
-    /// Locally observed stable clocks (own ranks).
-    local_stable: Vec<RClock>,
+    store: DetStore,
     /// Merged view including gossiped clocks from peer shards.
     merged_stable: Vec<RClock>,
     gossip: SimDuration,
@@ -141,7 +147,7 @@ impl ElShard {
         for i in 0..topo(sim).el_count() {
             if i != self.index {
                 let (actor, _) = topo(sim).el_at(i).expect("index below el_count");
-                let stable = self.local_stable.clone();
+                let stable = self.store.heads().to_vec();
                 control::send(sim, self.node, actor, ElMsg::Gossip { stable });
             }
         }
@@ -172,21 +178,13 @@ impl Actor for ElShard {
             return;
         };
         match *m {
-            ElMsg::Record {
-                from,
-                dets,
-                reply_to,
-            } => {
+            ElMsg::Record { dets, reply_to } => {
                 let batch_len = dets.len();
                 sim.stats_mut().bump(Counter::ElBatches);
                 for det in dets {
-                    let seq = &mut self.stored[from];
-                    // Records arrive in clock order per creator (FIFO
-                    // channel); replay re-ships may duplicate.
-                    if seq.last().is_none_or(|last| last.clock < det.clock) {
-                        seq.push(det);
-                        self.local_stable[from] = det.clock;
-                        self.merged_stable[from] = self.merged_stable[from].max(det.clock);
+                    if self.store.append(det) {
+                        let merged = &mut self.merged_stable[det.receiver];
+                        *merged = (*merged).max(det.clock);
                         sim.stats_mut().bump(Counter::ElRecords);
                     } else {
                         sim.stats_mut().bump(Counter::ElDuplicateRecords);
@@ -208,11 +206,7 @@ impl Actor for ElShard {
                 from,
                 reply_to,
             } => {
-                let dets: Vec<Determinant> = self.stored[victim]
-                    .iter()
-                    .filter(|d| d.clock > from)
-                    .copied()
-                    .collect();
+                let dets = self.store.above(victim, from);
                 let cost =
                     SimDuration::from_nanos(EL_SERVICE_NS + EL_RESP_NS_PER_DET * dets.len() as u64);
                 let end = sim.charge_cpu(self.node, cost);
@@ -265,8 +259,7 @@ pub fn install_distributed_el(
             let mut shard = ElShard {
                 index,
                 node,
-                stored: vec![Vec::new(); n],
-                local_stable: vec![0; n],
+                store: DetStore::new(n),
                 merged_stable: vec![0; n],
                 gossip,
                 gossip_timer: None,
@@ -426,13 +419,9 @@ mod tests {
         }
     }
 
-    fn record(rig: &mut Rig, from: Rank, dets: Vec<Determinant>) {
+    fn record(rig: &mut Rig, dets: Vec<Determinant>) {
         let reply_to = rig.probe;
-        let record = ElMsg::Record {
-            from,
-            dets,
-            reply_to,
-        };
+        let record = ElMsg::Record { dets, reply_to };
         control::send(&mut rig.sim, rig.client_node, rig.el, record);
     }
 
@@ -440,7 +429,7 @@ mod tests {
     fn records_are_acked_with_stable_vector() {
         let mut rig = setup();
         for clock in 1..=3 {
-            record(&mut rig, 1, vec![det(1, clock)]);
+            record(&mut rig, vec![det(1, clock)]);
         }
         rig.sim.run();
         let seen = rig.seen.lock().unwrap();
@@ -452,7 +441,7 @@ mod tests {
     #[test]
     fn a_single_shard_never_gossips_and_arms_no_timer() {
         let mut rig = setup();
-        record(&mut rig, 1, vec![det(1, 1)]);
+        record(&mut rig, vec![det(1, 1)]);
         // A gossip timer re-arms itself forever; a calendar that drains
         // before a far deadline proves none was armed.
         let drained = rig
@@ -474,7 +463,7 @@ mod tests {
     fn duplicate_records_are_detected() {
         let mut rig = setup();
         for _ in 0..2 {
-            record(&mut rig, 2, vec![det(2, 1)]);
+            record(&mut rig, vec![det(2, 1)]);
         }
         rig.sim.run();
         assert_eq!(rig.sim.stats().counter(Counter::ElRecords), 1);
@@ -486,7 +475,7 @@ mod tests {
     fn query_returns_suffix_after_watermark() {
         let mut rig = setup();
         for clock in 1..=5 {
-            record(&mut rig, 0, vec![det(0, clock)]);
+            record(&mut rig, vec![det(0, clock)]);
         }
         let (el, probe, client_node) = (rig.el, rig.probe, rig.client_node);
         rig.sim.after(SimDuration::from_millis(10), move |sim| {
@@ -513,7 +502,7 @@ mod tests {
         // the gauges must see both the queue and the inflated latency.
         rig.sim
             .charge_cpu(rig.el_node, SimDuration::from_micros(200));
-        record(&mut rig, 1, vec![det(1, 1)]);
+        record(&mut rig, vec![det(1, 1)]);
         rig.sim.run();
         assert_eq!(rig.seen.lock().unwrap().acks.len(), 1);
         let stats = rig.sim.stats();
@@ -535,7 +524,7 @@ mod tests {
     #[test]
     fn batched_records_get_one_coalesced_ack() {
         let mut rig = setup();
-        record(&mut rig, 1, vec![det(1, 1), det(1, 2), det(1, 3)]);
+        record(&mut rig, vec![det(1, 1), det(1, 2), det(1, 3)]);
         rig.sim.run();
         let seen = rig.seen.lock().unwrap();
         assert_eq!(seen.acks.len(), 1, "a batch is acknowledged exactly once");
@@ -580,7 +569,6 @@ mod tests {
                 row(
                     "record",
                     Box::new(ElMsg::Record {
-                        from: 0,
                         dets: dets(k),
                         reply_to: to,
                     }),

@@ -8,9 +8,9 @@
 //!   three piggyback-reduction techniques the paper compares —
 //!   [`vcausal::VcausalRed`] (sequences + channel watermarks),
 //!   Manetho and LogOn ([`agred::GraphRed`] over the antecedence
-//!   graph [`graph::AGraph`]) — each runnable **with or without** the
-//!   Event Logger. Both kinds of store keep their determinants in the
-//!   dense clock-indexed sequences of [`detseq`].
+//!   graph, walked by [`graph::extend_past`]) — each runnable **with or
+//!   without** the Event Logger. Every determinant store, the Event
+//!   Logger's included, is a [`DetStore`] of [`detseq`].
 //! * **One Event Logger** ([`el_multi::ElShard`]): the paper's single EL
 //!   is the one-shard installation of the sharded server, through the
 //!   same [`install_distributed_el`] call; [`el_multi`] also holds its
@@ -70,7 +70,6 @@ pub use coordinated::CoordinatedProtocol;
 pub use detseq::{ChunkPool, DetSeq, DetStore};
 pub use el_multi::{install_distributed_el, ElBatcher, ElMsg, ElReply, ElShard};
 pub use event::{Determinant, EventId};
-pub use graph::AGraph;
 pub use logcore::CausalCtl;
 pub use pessimistic::PessimisticProtocol;
 pub use piggyback::{

@@ -247,7 +247,6 @@ impl LogCore {
             });
         }
         let record = ElMsg::Record {
-            from: self.rank,
             dets: batch,
             reply_to: ctx.core.actor(),
         };

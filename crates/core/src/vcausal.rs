@@ -20,8 +20,9 @@
 //! and why it depends so strongly on one.
 //!
 //! The sequences are a [`DetStore`] — the same dense clock-indexed
-//! container that holds the antecedence graph's vertices — used
-//! append-only: a sequence never learns anything at or below its head.
+//! container that holds the antecedence graph's vertices and the Event
+//! Logger's records — fed through [`DetStore::append`]: a sequence never
+//! learns anything at or below its head.
 
 use vlog_vmpi::{RClock, Rank};
 
@@ -56,12 +57,6 @@ impl VcausalRed {
             bound: Vec::with_capacity(n),
         }
     }
-
-    /// Sequences only ever grow at the end: anything at or below the
-    /// creator's head is taken as already known (or already stable).
-    fn push(&mut self, det: Determinant) -> bool {
-        det.clock > self.store.head(det.receiver) && self.store.insert(det)
-    }
 }
 
 impl Reduction for VcausalRed {
@@ -70,7 +65,7 @@ impl Reduction for VcausalRed {
     }
 
     fn add_local(&mut self, det: Determinant) -> Work {
-        let added = self.push(det);
+        let added = self.store.append(det);
         Work::inserts(added as u64)
     }
 
@@ -80,7 +75,7 @@ impl Reduction for VcausalRed {
         // sequences cannot represent peer knowledge.
         let mut inserts = 0;
         for det in dets {
-            inserts += self.push(*det) as u64;
+            inserts += self.store.append(*det) as u64;
         }
         Work {
             visits: dets.len() as u64,
@@ -93,7 +88,7 @@ impl Reduction for VcausalRed {
         let mut sorted: Vec<_> = dets.to_vec();
         sorted.sort_by_key(|d| (d.receiver, d.clock));
         for det in sorted {
-            self.push(det);
+            self.store.append(det);
         }
     }
 
@@ -125,12 +120,7 @@ impl Reduction for VcausalRed {
     }
 
     fn retained_of(&self, creator: Rank, above: RClock) -> Vec<Determinant> {
-        self.store
-            .seq(creator)
-            .above_slices(above)
-            .flatten()
-            .copied()
-            .collect()
+        self.store.above(creator, above)
     }
 
     fn retained_count(&self) -> usize {

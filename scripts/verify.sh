@@ -170,18 +170,27 @@ echo "    boundary gate: ok (WireSize::control( only in control.rs and types.rs;
 # (crates/core/src/sender_log.rs, "Images share frozen runs"; detseq.rs,
 # PeerTable): the per-peer watermark tables are rows shared copy-on-write,
 # and a checkpoint_blob takes the sender log with SenderLog::snapshot,
-# never with a deep clone.
+# never with a deep clone. Every determinant store is a DetStore
+# (detseq.rs module docs), the Event Logger's included, so no per-creator
+# Vec of determinants comes back beside it.
 cow_gate='FNR == 1 { live = 1; fn_name = "" }
     /^#\[cfg\(test\)\]/ { live = 0 }
     !live || /^[[:space:]]*\/\// { next }
     match($0, /fn [a-z_0-9]+\(/) { fn_name = substr($0, RSTART + 3, RLENGTH - 4) }
-    /Vec<Vec<RClock>>/ { print FILENAME ":" FNR ": " $0 }
+    /Vec<Vec<(RClock|Determinant)>>/ { print FILENAME ":" FNR ": " $0 }
     fn_name == "checkpoint_blob" && /slog\.clone\(\)/ { print FILENAME ":" FNR ": " $0 }'
 if find crates/core/src -name '*.rs' -print0 | xargs -0 awk "$cow_gate" | grep .; then
-    echo "a checkpoint image deep-copies what its rank did not change (lines above): keep per-peer watermarks in a PeerTable and take the sender log with SenderLog::snapshot" >&2
+    echo "a checkpoint image deep-copies what its rank did not change, or a determinant store bypasses DetStore (lines above): keep per-peer watermarks in a PeerTable, take the sender log with SenderLog::snapshot and keep determinants in a DetStore" >&2
     exit 1
 fi
-echo "    boundary gate: ok (no Vec<Vec<RClock>> in the non-test code of crates/core/src; no slog.clone() in a checkpoint_blob)"
+# The antecedence graph is a DetStore walked by graph::extend_past, with
+# no wrapper type. (The bracket keeps this script out of a grep of the
+# tree for the name.)
+if grep -rnw 'AGrap[h]' crates tests examples; then
+    echo "the antecedence-graph wrapper is back (lines above): hold a DetStore and walk it with vlog_core::graph::extend_past" >&2
+    exit 1
+fi
+echo "    boundary gate: ok (no Vec<Vec<RClock>> or Vec<Vec<Determinant>> in the non-test code of crates/core/src; no slog.clone() in a checkpoint_blob; no AGraph under crates/ tests/ examples/)"
 
 echo "==> cargo build --release (RUSTFLAGS=-D warnings from here on)"
 cargo build --release --offline
