@@ -1,14 +1,14 @@
 //! The arena-backed event calendar: a slab of event slots addressed by
-//! stable [`EventKey`] handles, a hierarchical timer wheel for near-future
-//! events, and a plain binary heap kept only as far-future overflow.
+//! stable [`EventKey`] handles, filed in one hierarchical timer wheel
+//! whose levels span every representable [`SimTime`].
 //!
 //! # Ordering contract
 //!
 //! The calendar dispatches in **exact `(time, seq)` order**, byte-for-byte
-//! identical to a global `BinaryHeap` ordered the same way. The wheel only
-//! *partitions* events into time ranges; whenever a range becomes current
-//! its entries are moved into a small exact-order staging buffer (`cur`)
-//! that produces the final order. Determinism therefore does not depend on
+//! identical to one global priority queue ordered the same way. The wheel
+//! only *partitions* events into time ranges; whenever a range becomes
+//! current its entries are moved into a small exact-order staging buffer
+//! (`cur`) that produces the final order. Determinism therefore does not depend on
 //! bucket granularity, cascade timing or insertion pattern.
 //!
 //! # Structure
@@ -16,55 +16,45 @@
 //! * **Arena.** Every scheduled event lives in a slab slot — payload,
 //!   `(time, seq)` and an intrusive chain link — recycled through a free
 //!   list, so the steady-state run loop allocates nothing per event. The
-//!   `(idx, gen)` pair is the public [`EventKey`]: stale keys (popped,
-//!   cancelled or recycled slots) are detected by a generation mismatch.
+//!   `(idx, gen)` pair is the public [`EventKey`]: stale keys (popped or
+//!   recycled slots) are detected by a generation mismatch.
 //! * **Wheel.** [`LEVELS`] levels of 64 slots; a wheel slot is just the
 //!   `u32` head of a chain threaded through the arena's link fields, so
 //!   parking an event is two stores and no allocation. A level-`k` slot
 //!   spans `64^k` ticks of [`TICK_NS`] nanoseconds; level `k` covers the
-//!   next `64^(k+1)` ticks. Insertion picks the level by distance from
-//!   the wheel's current tick (O(1)); per-level occupancy bitmaps make
-//!   "find the earliest non-empty slot" O(1). Entering a level-`k>0`
+//!   next `64^(k+1)` ticks, and the top level covers every tick of the
+//!   `u64` nanosecond clock, so any event, however far ahead, has a
+//!   level and nothing waits outside the wheel (Varghese & Lauck's
+//!   hierarchical timing wheel). Insertion picks the level by distance
+//!   from the wheel's current tick (O(1)); per-level occupancy bitmaps
+//!   make "find the earliest non-empty slot" O(1). Entering a level-`k>0`
 //!   slot cascades its chain one level down; entering a level-0 slot
 //!   moves it into `cur` (one bulk sort per bucket, O(1) tail pops).
 //!   Empty stretches of virtual time are skipped without touching any
 //!   slot.
-//! * **Overflow.** Events farther than the wheel horizon (~68 s of
-//!   virtual time) wait in a binary heap and are folded into the wheel
-//!   as the clock approaches them. Experiments in this repo rarely put
-//!   anything there; it exists so the wheel never needs resizing.
 //!
-//! # Cancellation
+//! # Withdrawal
 //!
-//! Entries are removed lazily (the industry-standard tombstone scheme —
-//! eagerly unlinking from a wheel chain or a heap would be O(n)):
-//!
-//! * [`EventCalendar::cancel`] frees the payload now and leaves a
-//!   tombstone that is silently dropped — it never surfaces from
-//!   [`EventCalendar::pop`] and its arena slot returns to the free list
-//!   as soon as its container releases it.
-//! * [`EventCalendar::detach`] frees the payload now but keeps the
-//!   dispatch slot: `pop` still yields `(time, seq, None)` at the
-//!   scheduled instant. The kernel uses this for timers of dead actor
-//!   incarnations so that event accounting (`events_processed`, clock
-//!   advancement) stays byte-identical to the historical behaviour of
-//!   dropping them at dispatch time via a generation check.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! An event is withdrawn one way: [`EventCalendar::detach`] hands back
+//! the payload now but keeps the dispatch slot, so `pop` still yields
+//! `(time, seq, None)` at the scheduled instant. The kernel uses this for
+//! cancelled timers and for the timers of dead actor incarnations, so
+//! event accounting (`events_processed`, clock advancement) is the same
+//! as if the handler had been dropped at dispatch by a generation check.
 
 use crate::time::SimTime;
 
 /// Nanoseconds per wheel tick (level-0 slot width). Events inside the
 /// same tick are ordered exactly by the `cur` staging buffer, so this is
 /// a pure performance knob, not a resolution limit.
-pub const TICK_NS: u64 = 1 << 12; // 4.096 us
+pub const TICK_NS: u64 = 1 << TICK_SHIFT; // 4.096 us
 const TICK_SHIFT: u32 = 12;
 /// Bits per wheel level (64 slots each).
 const LEVEL_BITS: u32 = 6;
 const SLOTS: usize = 1 << LEVEL_BITS;
-/// Number of wheel levels; the horizon is `64^LEVELS` ticks (~68.7 s).
-pub const LEVELS: usize = 4;
+/// Number of wheel levels: enough for `64^LEVELS` ticks to cover every
+/// tick of a `u64` nanosecond clock (9 levels, `2^54` ticks).
+pub const LEVELS: usize = (64 - TICK_SHIFT).div_ceil(LEVEL_BITS) as usize;
 /// End-of-chain marker for the intrusive wheel lists.
 const NIL: u32 = u32::MAX;
 
@@ -86,16 +76,15 @@ fn tick_of(t: SimTime) -> u64 {
 }
 
 /// Stable handle on a scheduled event. Survives any amount of wheel
-/// cascading; invalidated when the event pops, is cancelled, or (for
-/// detached events) finally dispatches.
+/// cascading; invalidated when the event pops (detached events included).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventKey {
     idx: u32,
     gen: u32,
 }
 
-/// Ordering data plus the arena address, as staged in `cur` and the
-/// overflow heap. 24 bytes, `Copy`.
+/// Ordering data plus the arena address, as staged in `cur`. 24 bytes,
+/// `Copy`.
 #[derive(Clone, Copy, PartialEq, Eq)]
 struct Entry {
     time: SimTime,
@@ -116,17 +105,15 @@ impl Ord for Entry {
 
 /// One arena slot: the event itself plus its chain link.
 ///
-/// `payload == None` means detached (still dispatches as a counted
-/// no-op) or, with `tombstone` set, cancelled (silently dropped). A slot
-/// is only returned to the free list by whichever container holds it —
-/// a wheel chain, `cur`, or the overflow heap — so chains never dangle.
+/// `payload == None` means detached: the slot still dispatches as a
+/// counted no-op. A slot returns to the free list only when it pops, so
+/// chains never dangle.
 struct ArenaSlot<T> {
     gen: u32,
     next: u32,
     time: SimTime,
     seq: u64,
     payload: Option<T>,
-    tombstone: bool,
 }
 
 /// See module docs. `T` is the event payload; the simulation kernel uses
@@ -145,18 +132,15 @@ pub struct EventCalendar<T> {
     cur: Vec<Entry>,
     cur_head: usize,
     /// Exclusive end of the active window: every pending entry with
-    /// `time < cur_end` is in `cur`; everything in the wheel or overflow
-    /// is at `cur_end` or later.
+    /// `time < cur_end` is in `cur`; everything in the wheel is at
+    /// `cur_end` or later.
     cur_end: SimTime,
     /// Chain heads into the arena, one per wheel slot.
     heads: [[u32; SLOTS]; LEVELS],
     occupied: [u64; LEVELS],
     /// Current wheel position in ticks; never exceeds the earliest
-    /// pending wheel/overflow entry's tick.
+    /// pending wheel entry's tick.
     wheel_tick: u64,
-    overflow: BinaryHeap<Reverse<Entry>>,
-    /// Pending pops: live + detached entries (tombstones excluded).
-    len: usize,
 }
 
 impl<T> Default for EventCalendar<T> {
@@ -177,18 +161,7 @@ impl<T> EventCalendar<T> {
             heads: [[NIL; SLOTS]; LEVELS],
             occupied: [0; LEVELS],
             wheel_tick: 0,
-            overflow: BinaryHeap::new(),
-            len: 0,
         }
-    }
-
-    /// Number of pending dispatches (live and detached events).
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Schedules `payload` at `time`. Events are dispatched in `(time,
@@ -200,7 +173,7 @@ impl<T> EventCalendar<T> {
         let idx = match self.free.pop() {
             Some(i) => {
                 let slot = &mut self.slots[i as usize];
-                debug_assert!(slot.payload.is_none() && !slot.tombstone);
+                debug_assert!(slot.payload.is_none());
                 slot.time = time;
                 slot.seq = seq;
                 slot.payload = Some(payload);
@@ -214,53 +187,31 @@ impl<T> EventCalendar<T> {
                     time,
                     seq,
                     payload: Some(payload),
-                    tombstone: false,
                 });
                 (self.slots.len() - 1) as u32
             }
         };
         let gen = self.slots[idx as usize].gen;
         self.insert(Entry { time, seq, idx });
-        self.len += 1;
         EventKey { idx, gen }
     }
 
     /// The `(time, seq)` dispatch position of a pending live entry, or
-    /// `None` for a stale key (popped, cancelled, or detached). The
-    /// schedule-policy seam uses this to hand a policy the authoritative
-    /// dispatch position of an event it just deferred.
+    /// `None` for a stale key (popped or detached). The schedule-policy
+    /// seam uses this to hand a policy the authoritative dispatch
+    /// position of an event it just deferred.
     pub fn position_of(&self, key: EventKey) -> Option<(SimTime, u64)> {
         let slot = self.slots.get(key.idx as usize)?;
-        (slot.gen == key.gen && slot.payload.is_some() && !slot.tombstone)
-            .then(|| (slot.time, slot.seq))
+        (slot.gen == key.gen && slot.payload.is_some()).then_some((slot.time, slot.seq))
     }
 
-    /// Cancels a pending event: the payload is freed immediately and the
-    /// event will never be observed by `pop` (the arena slot is recycled
-    /// once its container releases the tombstone). Returns the payload,
-    /// or `None` if the key is stale (already popped, cancelled, or
-    /// detached).
-    pub fn cancel(&mut self, key: EventKey) -> Option<T> {
-        let slot = self.slots.get_mut(key.idx as usize)?;
-        if slot.gen != key.gen || slot.payload.is_none() {
-            return None;
-        }
-        let payload = slot.payload.take();
-        slot.tombstone = true;
-        // Invalidate every copy of the key right away; the slot itself
-        // stays parked until the wheel/heap/cur naturally reaches it.
-        slot.gen = slot.gen.wrapping_add(1);
-        self.len -= 1;
-        payload
-    }
-
-    /// Detaches a pending event: the payload is freed immediately but the
+    /// Detaches a pending event: the payload is handed back now but the
     /// dispatch slot is kept — `pop` still yields `(time, seq, None)` at
-    /// the scheduled instant. Returns the payload, or `None` for a stale
-    /// key.
+    /// the scheduled instant. Returns `None` for a stale key (popped or
+    /// already detached).
     pub fn detach(&mut self, key: EventKey) -> Option<T> {
         let slot = self.slots.get_mut(key.idx as usize)?;
-        if slot.gen != key.gen || slot.tombstone {
+        if slot.gen != key.gen {
             return None;
         }
         slot.payload.take()
@@ -268,11 +219,7 @@ impl<T> EventCalendar<T> {
 
     /// Time of the next dispatch (live or detached), if any.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        if self.prepare() {
-            self.cur.get(self.cur_head).map(|e| e.time)
-        } else {
-            None
-        }
+        self.prepare().then(|| self.cur[self.cur_head].time)
     }
 
     /// Pops the next entry in exact `(time, seq)` order. The payload is
@@ -281,54 +228,30 @@ impl<T> EventCalendar<T> {
         if !self.prepare() {
             return None;
         }
-        let e = self.cur_pop().expect("prepare guaranteed a head");
-        let gen = self.slots[e.idx as usize].gen;
-        let payload = self.release(e.idx);
-        self.len -= 1;
-        Some((e.time, e.seq, EventKey { idx: e.idx, gen }, payload))
+        let e = self.cur[self.cur_head];
+        self.cur_head += 1;
+        if self.cur_head == self.cur.len() {
+            self.cur.clear();
+            self.cur_head = 0;
+        }
+        let slot = &mut self.slots[e.idx as usize];
+        let key = EventKey {
+            idx: e.idx,
+            gen: slot.gen,
+        };
+        let payload = slot.payload.take();
+        slot.gen = slot.gen.wrapping_add(1);
+        self.free.push(e.idx);
+        Some((e.time, e.seq, key, payload))
     }
 
     // ------------------------------------------------------------------
     // Internals
     // ------------------------------------------------------------------
 
-    #[inline]
-    fn is_tombstone(&self, e: &Entry) -> bool {
-        self.slots[e.idx as usize].tombstone
-    }
-
-    /// Advances past the staging head, reclaiming the buffer once the
-    /// consumed prefix reaches the end.
-    #[inline]
-    fn cur_pop(&mut self) -> Option<Entry> {
-        let e = self.cur.get(self.cur_head).copied()?;
-        self.cur_head += 1;
-        if self.cur_head == self.cur.len() {
-            self.cur.clear();
-            self.cur_head = 0;
-        }
-        Some(e)
-    }
-
-    /// Frees an arena slot and returns whatever payload it still held.
-    #[inline]
-    fn release(&mut self, idx: u32) -> Option<T> {
-        let slot = &mut self.slots[idx as usize];
-        let payload = slot.payload.take();
-        slot.tombstone = false;
-        slot.gen = slot.gen.wrapping_add(1);
-        self.free.push(idx);
-        payload
-    }
-
-    /// Routes an entry to the staging buffer, a wheel chain, or overflow.
+    /// Routes an entry to the staging buffer or a wheel chain.
     fn insert(&mut self, e: Entry) {
-        let t = tick_of(e.time);
-        // Into the active exact-order window — or behind the wheel
-        // position (possible when tombstone purging advanced the wheel
-        // past a fully-cancelled future): `cur` keeps exact order either
-        // way, and everything in the wheel/overflow is provably later.
-        if e.time < self.cur_end || t < self.wheel_tick {
+        if e.time < self.cur_end {
             // Ascending order: find the first pending entry that sorts
             // after the newcomer. New events carry the highest sequence
             // number, so a same-time burst lands at the end — a plain
@@ -338,6 +261,11 @@ impl<T> EventCalendar<T> {
             self.cur.insert(pos, e);
             return;
         }
+        // Every refill that moves the wheel ends with a level-0 take
+        // whose window reaches past `wheel_tick`, so anything that missed
+        // the window is at or ahead of the wheel.
+        let t = tick_of(e.time);
+        debug_assert!(t >= self.wheel_tick, "event behind the wheel");
         let delta = t - self.wheel_tick;
         for level in 0..LEVELS {
             if delta < level_span(level) {
@@ -348,7 +276,7 @@ impl<T> EventCalendar<T> {
                 return;
             }
         }
-        self.overflow.push(Reverse(e));
+        unreachable!("the top wheel level spans every tick");
     }
 
     /// Earliest candidate wheel slot as `(lower_bound_tick, level, slot)`,
@@ -435,128 +363,53 @@ impl<T> EventCalendar<T> {
         head
     }
 
-    /// Refills `cur` from the wheel/overflow. Returns false when the
-    /// calendar has nothing pending at all. `cur` must be empty.
+    /// The staging entry for the chain link `idx`, and the link after it.
+    #[inline]
+    fn entry_at(&self, idx: u32) -> (Entry, u32) {
+        let slot = &self.slots[idx as usize];
+        let e = Entry {
+            time: slot.time,
+            seq: slot.seq,
+            idx,
+        };
+        (e, slot.next)
+    }
+
+    /// Refills `cur` from the wheel. Returns false when the calendar has
+    /// nothing pending at all. `cur` must be empty.
     fn refill(&mut self) -> bool {
         debug_assert!(self.cur.is_empty());
-        loop {
-            // Drop cancelled overflow heads so they never steer refill.
-            while let Some(Reverse(e)) = self.overflow.peek() {
-                if self.is_tombstone(e) {
-                    let idx = e.idx;
-                    self.overflow.pop();
-                    self.release(idx);
-                } else {
-                    break;
+        while let Some((wt, level, slot)) = self.earliest_wheel_slot() {
+            debug_assert!(wt >= self.wheel_tick);
+            self.wheel_tick = wt;
+            let mut link = self.take_chain(level, slot);
+            if level == 0 {
+                // This tick becomes the active window.
+                self.cur_end = SimTime::from_nanos((wt << TICK_SHIFT).saturating_add(TICK_NS));
+                while link != NIL {
+                    let (e, next) = self.entry_at(link);
+                    self.cur.push(e);
+                    link = next;
                 }
+                self.cur.sort_unstable();
+                return true;
             }
-            let wheel_next = self.earliest_wheel_slot();
-            let overflow_next = self.overflow.peek().map(|Reverse(e)| tick_of(e.time));
-            match (wheel_next, overflow_next) {
-                (None, None) => return false,
-                // Wheel empty: jump straight to the overflow head (no
-                // occupied slot exists, so no cascade is owed) and fold
-                // one level-0 frame's worth of overflow in.
-                (None, Some(ot)) => {
-                    debug_assert!(ot >= self.wheel_tick);
-                    self.wheel_tick = ot;
-                    self.fold_overflow_upto(ot + slot_span(1));
-                }
-                // Overflow head is at or before the earliest wheel slot:
-                // fold it (and everything up to that slot) into the wheel
-                // so the ordinary wheel path below sees all of it.
-                (Some((wt, _, _)), Some(ot)) if ot <= wt => {
-                    self.fold_overflow_upto(wt + 1);
-                }
-                (Some((wt, level, slot)), _) => {
-                    debug_assert!(wt >= self.wheel_tick);
-                    self.wheel_tick = wt;
-                    let mut link = self.take_chain(level, slot);
-                    if level == 0 {
-                        // This tick becomes the active window.
-                        self.cur_end =
-                            SimTime::from_nanos((wt << TICK_SHIFT).saturating_add(TICK_NS));
-                        while link != NIL {
-                            let slot = &self.slots[link as usize];
-                            let (e, next) = (
-                                Entry {
-                                    time: slot.time,
-                                    seq: slot.seq,
-                                    idx: link,
-                                },
-                                slot.next,
-                            );
-                            if slot.tombstone {
-                                self.release(link);
-                            } else {
-                                self.cur.push(e);
-                            }
-                            link = next;
-                        }
-                        if !self.cur.is_empty() {
-                            self.cur.sort_unstable();
-                            return true;
-                        }
-                        // Chain held only tombstones; keep searching.
-                    } else {
-                        // Cascade one level down (strictly: re-insertion
-                        // lands below `level` because the slot spans
-                        // fewer ticks than `level`'s own span).
-                        while link != NIL {
-                            let slot = &self.slots[link as usize];
-                            let (e, next) = (
-                                Entry {
-                                    time: slot.time,
-                                    seq: slot.seq,
-                                    idx: link,
-                                },
-                                slot.next,
-                            );
-                            if slot.tombstone {
-                                self.release(link);
-                            } else {
-                                self.insert(e);
-                            }
-                            link = next;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Moves overflow entries with `tick < bound` into the wheel.
-    fn fold_overflow_upto(&mut self, bound: u64) {
-        while let Some(Reverse(e)) = self.overflow.peek() {
-            if tick_of(e.time) >= bound {
-                break;
-            }
-            let Reverse(e) = self.overflow.pop().unwrap();
-            if self.is_tombstone(&e) {
-                self.release(e.idx);
-            } else {
+            // Cascade one level down (strictly: re-insertion lands below
+            // `level` because the slot spans fewer ticks than `level`'s
+            // own span).
+            while link != NIL {
+                let (e, next) = self.entry_at(link);
                 self.insert(e);
+                link = next;
             }
         }
+        false
     }
 
-    /// Ensures the head of `cur` is a live or detached entry. Returns
-    /// false when the calendar is fully drained.
+    /// Ensures `cur` has a head. Returns false when the calendar is fully
+    /// drained.
     fn prepare(&mut self) -> bool {
-        loop {
-            while let Some(e) = self.cur.get(self.cur_head) {
-                if self.is_tombstone(e) {
-                    let idx = e.idx;
-                    self.cur_pop();
-                    self.release(idx);
-                } else {
-                    return true;
-                }
-            }
-            if !self.refill() {
-                return false;
-            }
-        }
+        self.cur_head < self.cur.len() || self.refill()
     }
 }
 
@@ -591,9 +444,9 @@ mod tests {
     }
 
     #[test]
-    fn spans_every_level_and_overflow() {
-        // One event per magnitude: same tick, next tick, each wheel
-        // level, far beyond the horizon.
+    fn spans_every_level() {
+        // One event per magnitude: same tick, next tick, each of the
+        // lower wheel levels.
         let times: Vec<u64> = vec![
             1,
             TICK_NS + 1,
@@ -601,7 +454,7 @@ mod tests {
             TICK_NS * 5_000,
             TICK_NS * 300_000,
             TICK_NS * 10_000_000,
-            TICK_NS * (1 << 25), // beyond the 64^4-tick horizon
+            TICK_NS * (1 << 25),
         ];
         let mut cal = EventCalendar::new();
         for (i, t) in times.iter().enumerate().rev() {
@@ -614,22 +467,42 @@ mod tests {
     }
 
     #[test]
-    fn cancel_removes_detach_keeps_slot() {
+    fn orders_events_across_the_whole_clock() {
+        // Both sides of level 3's reach (64^4 ticks, ~68.7 s), hours
+        // ahead and the clock's last nanosecond: the upper levels.
+        let level3_reach = TICK_NS << 24;
+        let hour = 3_600_000_000_000;
+        let times: Vec<u64> = vec![
+            0,
+            level3_reach - 1,
+            level3_reach,
+            level3_reach + TICK_NS,
+            5 * hour,
+            u64::MAX - 1,
+        ];
+        let mut cal = EventCalendar::new();
+        for (i, t) in times.iter().enumerate().rev() {
+            cal.schedule(SimTime::from_nanos(*t), i as u32);
+        }
+        let expect: Vec<_> = (0..times.len())
+            .map(|i| (times[i], (times.len() - 1 - i) as u64, Some(i as u32)))
+            .collect();
+        assert_eq!(drain(&mut cal), expect);
+    }
+
+    #[test]
+    fn detach_keeps_the_dispatch_slot() {
         let mut cal = EventCalendar::new();
         let a = cal.schedule(SimTime::from_nanos(10), 1u32);
-        let b = cal.schedule(SimTime::from_nanos(20), 2);
-        let c = cal.schedule(SimTime::from_nanos(30), 3);
-        assert_eq!(cal.cancel(a), Some(1));
-        assert_eq!(cal.cancel(a), None, "double cancel is a no-op");
-        assert_eq!(cal.detach(b), Some(2));
-        assert_eq!(cal.detach(b), None, "double detach is a no-op");
-        assert_eq!(cal.len(), 2);
+        cal.schedule(SimTime::from_nanos(20), 2);
+        assert_eq!(cal.detach(a), Some(1));
+        assert_eq!(cal.detach(a), None, "double detach is a no-op");
+        assert_eq!(cal.position_of(a), None, "a detached key has no position");
         assert_eq!(
             drain(&mut cal),
-            vec![(20, 1, None), (30, 2, Some(3))],
-            "cancelled entry vanished, detached entry kept its dispatch slot"
+            vec![(10, 0, None), (20, 1, Some(2))],
+            "the detached entry kept its dispatch slot"
         );
-        let _ = c;
     }
 
     #[test]
@@ -637,11 +510,12 @@ mod tests {
         let mut cal = EventCalendar::new();
         let a = cal.schedule(SimTime::from_nanos(5), 1u32);
         assert!(cal.pop().is_some());
-        assert_eq!(cal.cancel(a), None, "popped key is stale");
+        assert_eq!(cal.detach(a), None, "popped key is stale");
         // The freed slot is recycled with a new generation.
         let b = cal.schedule(SimTime::from_nanos(9), 2);
         assert_ne!(a, b);
-        assert_eq!(cal.cancel(b), Some(2));
+        assert_eq!(cal.detach(a), None, "a recycled slot ignores the old key");
+        assert_eq!(cal.detach(b), Some(2));
     }
 
     #[test]
@@ -678,7 +552,6 @@ mod tests {
     #[test]
     fn empty_calendar_behaves() {
         let mut cal = EventCalendar::<u32>::new();
-        assert!(cal.is_empty());
         assert_eq!(cal.peek_time(), None);
         assert!(cal.pop().is_none());
     }

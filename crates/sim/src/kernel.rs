@@ -65,11 +65,10 @@
 //!
 //! # The calendar
 //!
-//! Events live in the arena-backed [`EventCalendar`]:
-//! a slab with free-list reuse addressed by stable
-//! [`EventKey`] handles, a hierarchical timer
-//! wheel for near-future events, and a binary heap kept only as
-//! far-future overflow. Dispatch order is exact `(time, seq)` — see the
+//! Events live in the arena-backed [`EventCalendar`]: a slab with
+//! free-list reuse addressed by stable [`EventKey`] handles, filed in one
+//! hierarchical timer wheel whose nine levels span every [`SimTime`].
+//! Dispatch order is exact `(time, seq)` — see the
 //! [`calendar`](crate::calendar) module docs for the determinism
 //! argument.
 
@@ -349,14 +348,6 @@ impl Sim {
         &mut self.stats
     }
 
-    pub fn net(&self) -> &Network {
-        &self.net
-    }
-
-    pub fn net_mut(&mut self) -> &mut Network {
-        &mut self.net
-    }
-
     /// Handle for task context (staging, ops, sleeps). It holds nothing:
     /// what it reaches is whatever the kernel lent the poll in progress.
     pub fn exec(&self) -> ExecHandle {
@@ -457,8 +448,9 @@ impl Sim {
     // Scheduling
     // ------------------------------------------------------------------
 
-    /// Schedules an event `delay` from now. The returned key can cancel
-    /// it through the calendar while it is still pending.
+    /// Schedules an event `delay` from now. The returned key can detach
+    /// it through the calendar while it is still pending: its payload
+    /// comes back and its dispatch stays as a counted no-op.
     pub fn schedule(&mut self, delay: SimDuration, event: Event) -> EventKey {
         self.schedule_at(self.now + delay, event)
     }
@@ -528,10 +520,24 @@ impl Sim {
     // Communication
     // ------------------------------------------------------------------
 
-    /// Sends a message across the network. Consumes NIC/link time on both
-    /// ends according to the Ethernet model; the delivery fires when the
-    /// last byte reaches the destination. Panics on same-node sends — use
-    /// [`Sim::local_send`] for those.
+    /// Books a message on the wire now and returns the instant its last
+    /// byte reaches `dst_node`: NIC/link time on both ends according to
+    /// the Ethernet model, and one message in the statistics. Schedules
+    /// nothing; [`Sim::net_send`] is this plus the delivery. Panics on
+    /// same-node sends.
+    pub fn net_book(&mut self, src_node: NodeId, dst_node: NodeId, size: WireSize) -> SimTime {
+        let arrival = {
+            let _p = profiler::scope(profiler::Phase::Net);
+            self.net.send(self.now, src_node, dst_node, size.total())
+        };
+        let _p = profiler::scope(profiler::Phase::Stats);
+        self.stats.record_message(size);
+        arrival
+    }
+
+    /// Sends a message across the network: [`Sim::net_book`], then the
+    /// delivery when the last byte reaches the destination. Panics on
+    /// same-node sends — use [`Sim::local_send`] for those.
     pub fn net_send(
         &mut self,
         src_node: NodeId,
@@ -540,16 +546,8 @@ impl Sim {
         body: Box<dyn Any + Send>,
     ) {
         let slot = &self.actors[dst_actor];
-        let dst_node = slot.node;
-        let gen = slot.gen;
-        let arrival = {
-            let _p = profiler::scope(profiler::Phase::Net);
-            self.net.send(self.now, src_node, dst_node, size.total())
-        };
-        {
-            let _p = profiler::scope(profiler::Phase::Stats);
-            self.stats.record_message(size);
-        }
+        let (dst_node, gen) = (slot.node, slot.gen);
+        let arrival = self.net_book(src_node, dst_node, size);
         self.schedule_at(
             arrival,
             Event::Deliver {

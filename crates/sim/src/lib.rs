@@ -5,9 +5,9 @@
 //!
 //! * a **virtual clock** with nanosecond resolution ([`SimTime`]),
 //! * a deterministic **event calendar** and run loop ([`Sim`]): an
-//!   arena-backed slab of events plus a hierarchical timer wheel with a
-//!   far-future overflow heap ([`calendar`]), dispatching in exact
-//!   `(time, sequence)` order with O(1) scheduling and cancellation,
+//!   arena-backed slab of events filed in one hierarchical timer wheel
+//!   that spans the whole clock ([`calendar`]), dispatching in exact
+//!   `(time, sequence)` order with O(1) scheduling and detaching,
 //! * an **actor** model for message/timer-driven services such as
 //!   communication daemons, the Event Logger, the checkpoint server and the
 //!   dispatcher ([`Actor`]),

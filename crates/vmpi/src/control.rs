@@ -35,10 +35,11 @@ pub trait Body: Any + Send {
 /// A control larger than [`STREAM_CHUNK_BYTES`] crosses as a chunk train,
 /// so that concurrent flows interleave on the NIC instead of stalling
 /// behind one multi-megabyte booking (TCP interleaves flows at packet
-/// granularity). Each full chunk only books the NIC and counts as a
-/// message (`record_message`); no delivery is scheduled for it. When it
-/// has arrived the next part leaves, and the real `body` crosses last,
-/// sized as the remainder, once the whole volume has crossed.
+/// granularity). Each full chunk is only booked, through
+/// [`Sim::net_book`] (NIC time and one message in the statistics); no
+/// delivery is scheduled for it. When it has arrived the next part
+/// leaves, and the real `body` crosses last, sized as the remainder, once
+/// the whole volume has crossed.
 pub fn send(sim: &mut Sim, src_node: NodeId, dst: ActorId, body: impl Body) {
     route(sim, src_node, dst, body.wire_bytes(), Box::new(body));
 }
@@ -54,12 +55,7 @@ fn route(sim: &mut Sim, src_node: NodeId, dst: ActorId, bytes: u64, body: Box<dy
         sim.net_send(src_node, dst, WireSize::control(bytes), body);
         return;
     }
-    let now = sim.now();
-    let chunk_arrival = sim
-        .net_mut()
-        .send(now, src_node, dst_node, STREAM_CHUNK_BYTES);
-    sim.stats_mut()
-        .record_message(WireSize::control(STREAM_CHUNK_BYTES));
+    let chunk_arrival = sim.net_book(src_node, dst_node, WireSize::control(STREAM_CHUNK_BYTES));
     let rest = bytes - STREAM_CHUNK_BYTES;
     sim.schedule_at(
         chunk_arrival,
@@ -80,7 +76,7 @@ pub fn send_at(sim: &mut Sim, at: SimTime, src_node: NodeId, dst: ActorId, body:
 mod tests {
     use std::sync::{Arc, Mutex};
 
-    use vlog_sim::{Actor, Delivery};
+    use vlog_sim::{Actor, Delivery, NetProfile, Network};
 
     use super::*;
 
@@ -129,11 +125,11 @@ mod tests {
         sim.run();
         assert_eq!(*log.lock().unwrap(), [(SimTime::ZERO + LOOPBACK, bytes)]);
         // Not a wire message: nothing recorded, and the NIC is free for
-        // a wire message from that node at the same instant.
+        // a wire message from that node the moment the control lands.
         assert_eq!(sim.stats().messages, 0);
-        let net = sim.net_mut();
-        let wire = net.send(SimTime::ZERO, node, other, 64);
-        assert_eq!(wire, SimTime::ZERO + net.uncontended_one_way(64));
+        let wire = sim.net_book(node, other, WireSize::control(64));
+        let free = Network::new(NetProfile::default()).uncontended_one_way(64);
+        assert_eq!(wire, SimTime::ZERO + LOOPBACK + free);
     }
 
     #[test]

@@ -191,6 +191,23 @@ if grep -rnw 'AGrap[h]' crates tests examples; then
     exit 1
 fi
 echo "    boundary gate: ok (no Vec<Vec<RClock>> or Vec<Vec<Determinant>> in the non-test code of crates/core/src; no slog.clone() in a checkpoint_blob; no AGraph under crates/ tests/ examples/)"
+# The event calendar is one timer wheel whose levels span every SimTime
+# (crates/sim/src/calendar.rs module docs), and detach is its one way to
+# withdraw an event: no tombstone cancel, no far-future heap beside it.
+# (The brackets keep this script out of a grep of the tree for the names.)
+if awk "$non_test"' { print FILENAME ":" FNR ": " $0 }' crates/sim/src/calendar.rs |
+    grep -E 'tombston[e]|BinaryHea[p]|overflo[w]|fn cance[l]'; then
+    echo "the calendar grew a second withdrawal or a structure beside the wheel (lines above): withdraw with detach and file every event in the wheel" >&2
+    exit 1
+fi
+# A message goes on the wire through the kernel (Sim::net_send, or
+# Sim::net_book for a booking with no delivery), which profiles and
+# counts it; nothing reaches the network model past it.
+if grep -rnE 'net_mu[t]\(|\.ne[t]\(\)' crates tests examples; then
+    echo "code reaches the network model past the kernel (lines above): book through Sim::net_book or Sim::net_send" >&2
+    exit 1
+fi
+echo "    boundary gate: ok (no tombstone, BinaryHeap, overflow or fn cancel in the non-test code of crates/sim/src/calendar.rs; no net_mut( or .net() under crates/ tests/ examples/)"
 
 echo "==> cargo build --release (RUSTFLAGS=-D warnings from here on)"
 cargo build --release --offline
