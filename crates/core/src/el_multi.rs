@@ -33,9 +33,7 @@
 //! select-loop Event Logger — every suite installs its EL through
 //! [`install_distributed_el`], whatever the shard count.
 
-use vlog_sim::{
-    Actor, ActorId, Counter, Delivery, Gauge, NodeId, Sim, SimDuration, Timer, TimerHandle,
-};
+use vlog_sim::{Actor, ActorId, Counter, Delivery, Gauge, NodeId, Sim, SimDuration, Timer};
 use vlog_vmpi::control::{self, Body};
 use vlog_vmpi::{topo, ClusterState, RClock, Rank};
 
@@ -135,9 +133,6 @@ pub struct ElShard {
     /// Merged view including gossiped clocks from peer shards.
     merged_stable: Vec<RClock>,
     gossip: SimDuration,
-    /// Cancellable wheel handle of the armed gossip timer (rearmed at
-    /// every firing; cancelled if the shard's node crashes).
-    gossip_timer: Option<TimerHandle>,
 }
 
 impl ElShard {
@@ -226,13 +221,7 @@ impl Actor for ElShard {
 
     fn on_timer(&mut self, sim: &mut Sim, me: ActorId, token: u64) {
         self.multicast_gossip(sim);
-        self.gossip_timer = Some(sim.set_timer(me, self.gossip, token));
-    }
-
-    fn on_crash(&mut self, sim: &mut Sim, _me: ActorId) {
-        if let Some(h) = self.gossip_timer.take() {
-            sim.cancel_timer(h);
-        }
+        sim.set_timer(me, self.gossip, token);
     }
 }
 
@@ -255,23 +244,19 @@ pub fn install_distributed_el(
         } else {
             sim.add_node()
         };
-        let id = sim.add_actor_with(node, |sim, id| {
-            let mut shard = ElShard {
-                index,
-                node,
-                store: DetStore::new(n),
-                merged_stable: vec![0; n],
-                gossip,
-                gossip_timer: None,
-            };
-            if k > 1 {
-                // Stagger the gossip timers so shards do not synchronize.
-                let first =
-                    SimDuration::from_nanos(gossip.as_nanos() * (index as u64 + 1) / k as u64);
-                shard.gossip_timer = Some(sim.set_timer(id, first, 0));
-            }
-            Box::new(shard)
-        });
+        let shard = ElShard {
+            index,
+            node,
+            store: DetStore::new(n),
+            merged_stable: vec![0; n],
+            gossip,
+        };
+        let id = sim.add_actor(node, Box::new(shard));
+        if k > 1 {
+            // Stagger the gossip timers so shards do not synchronize.
+            let first = SimDuration::from_nanos(gossip.as_nanos() * (index as u64 + 1) / k as u64);
+            sim.set_timer(id, first, 0);
+        }
         els.push((id, node));
     }
     ClusterState::of(sim).topo.set_els(els.clone());

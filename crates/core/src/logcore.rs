@@ -569,7 +569,7 @@ impl LogCore {
         }
         // Collection is done: the retry timer has nothing left to retry.
         if let Some(h) = self.reclaim_timer.take() {
-            ctx.core.cancel_proto_timer(ctx.sim, h);
+            ctx.sim.cancel_timer(h);
         }
         if rec.collecting {
             rec.collecting = false;

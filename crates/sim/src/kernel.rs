@@ -56,12 +56,13 @@
 //! the *same slot* with a bumped generation. Deliveries capture the
 //! generation of their target at creation: anything addressed to a dead
 //! incarnation is silently dropped, which models TCP connections dying
-//! with the process. Timers are tracked per actor slot as cancellable
-//! [`TimerHandle`]s: crashing or replacing an actor *detaches* its
-//! outstanding timers at once (the payload is freed and the handler will
-//! never run), while the calendar entry keeps its dispatch position so
-//! event accounting is identical to the historical drop-at-dispatch
-//! behaviour.
+//! with the process. Timers capture it the same way, and that one check is
+//! how a dead incarnation's timers die: each still pops at its
+//! `(time, seq)` position and counts as a dispatched event, but its
+//! handler never runs and it records nothing. The kernel keeps no
+//! per-actor list of timers and tells no actor that it is crashing;
+//! [`Sim::cancel_timer`] is only for a live incarnation withdrawing a
+//! timer it no longer needs.
 //!
 //! # The calendar
 //!
@@ -148,36 +149,23 @@ pub trait Actor: Send + 'static {
     fn on_poke(&mut self, sim: &mut Sim, me: ActorId, token: u64) {
         let _ = (sim, me, token);
     }
-    /// A timer set by this actor fired.
+    /// A timer set by this incarnation fired.
     fn on_timer(&mut self, sim: &mut Sim, me: ActorId, token: u64) {
         let _ = (sim, me, token);
     }
-    /// The hosting node is crashing; the actor is dropped right after.
-    /// Most actors need no cleanup — volatile state dies with them.
-    fn on_crash(&mut self, sim: &mut Sim, me: ActorId) {
-        let _ = (sim, me);
-    }
 }
 
-/// Cancellable handle on a pending timer, returned by [`Sim::set_timer`].
-/// Stale handles (fired, cancelled, or belonging to a dead incarnation)
-/// are detected and ignored by [`Sim::cancel_timer`].
+/// Handle on a pending timer, returned by [`Sim::set_timer`], with which
+/// a live incarnation withdraws it ([`Sim::cancel_timer`]). A handle
+/// that already fired or was cancelled is stale and ignored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimerHandle {
-    key: EventKey,
-    actor: ActorId,
-}
+pub struct TimerHandle(EventKey);
 
 struct ActorSlot {
     actor: Option<Box<dyn Actor>>,
     node: NodeId,
     gen: u32,
     alive: bool,
-    /// Calendar keys of this incarnation's outstanding timers. Fired
-    /// timers are unregistered at dispatch; crash/replace detaches the
-    /// rest wholesale instead of letting each one reach dispatch just to
-    /// fail a generation check.
-    timers: Vec<EventKey>,
 }
 
 /// Simulation parameters.
@@ -377,58 +365,27 @@ impl Sim {
         id
     }
 
-    pub fn node_count(&self) -> usize {
-        self.nodes
-    }
-
     /// Registers an actor on `node`; the returned id is stable across
     /// crash/restart cycles of that slot.
     pub fn add_actor(&mut self, node: NodeId, actor: Box<dyn Actor>) -> ActorId {
-        self.add_actor_with(node, |_, _| actor)
-    }
-
-    /// Registers an actor whose constructor needs its own [`ActorId`] —
-    /// e.g. to arm timers for itself and keep the returned cancellable
-    /// handles. The slot is allocated first, `build` runs with the kernel
-    /// re-borrowable (it may call [`Sim::set_timer`] for `id`), and the
-    /// actor it returns is installed in the slot.
-    pub fn add_actor_with<F>(&mut self, node: NodeId, build: F) -> ActorId
-    where
-        F: FnOnce(&mut Sim, ActorId) -> Box<dyn Actor>,
-    {
         assert!(node < self.nodes, "unknown node");
-        let id = self.actors.len();
         self.actors.push(ActorSlot {
-            actor: None,
+            actor: Some(actor),
             node,
             gen: 0,
             alive: true,
-            timers: Vec::new(),
         });
-        let actor = build(self, id);
-        self.actors[id].actor = Some(actor);
-        id
+        self.actors.len() - 1
     }
 
     /// Installs a fresh actor in an existing slot (restart). Bumps the
-    /// generation so stale deliveries are dropped, and detaches the old
-    /// incarnation's timers.
+    /// generation, so the old incarnation's deliveries and timers are
+    /// dropped when they pop.
     pub fn replace_actor(&mut self, id: ActorId, actor: Box<dyn Actor>) {
-        self.detach_actor_timers(id);
         let slot = &mut self.actors[id];
         slot.gen += 1;
         slot.actor = Some(actor);
         slot.alive = true;
-    }
-
-    /// Detaches every outstanding timer of an actor slot: payloads are
-    /// freed now and the handlers never run, while the calendar entries
-    /// keep their dispatch positions (see [`Sim::cancel_timer`]).
-    fn detach_actor_timers(&mut self, id: ActorId) {
-        let timers = std::mem::take(&mut self.actors[id].timers);
-        for key in timers {
-            self.calendar.detach(key);
-        }
     }
 
     /// Current generation of an actor slot.
@@ -474,41 +431,21 @@ impl Sim {
         self.schedule(delay, Event::closure(f));
     }
 
-    /// Sets a timer for an actor; detached (never fires) if the actor is
-    /// crashed or restarted first, cancellable through the returned
-    /// handle.
+    /// Sets a timer for the current incarnation of an actor. If that
+    /// incarnation crashes or is replaced first, the timer still pops as a
+    /// counted event but its handler never runs (the generation check).
     pub fn set_timer(&mut self, actor: ActorId, delay: SimDuration, token: u64) -> TimerHandle {
         let gen = self.actors[actor].gen;
-        let key = self.schedule(delay, Event::Timer { actor, gen, token });
-        self.actors[actor].timers.push(key);
-        TimerHandle { key, actor }
+        TimerHandle(self.schedule(delay, Event::Timer { actor, gen, token }))
     }
 
-    /// Cancels a pending timer: its handler will not run. Returns false
-    /// for stale handles (already fired, cancelled, or detached by a
-    /// crash/restart of the owning actor).
-    ///
-    /// The calendar entry keeps its `(time, seq)` dispatch position and
-    /// is popped as a counted no-op — exactly the accounting of the
-    /// legacy path where a dead incarnation's timer reached dispatch and
-    /// failed the generation check. Cancellation therefore never shifts
-    /// `events_processed` or the virtual clock relative to the
-    /// generation-drop behaviour it replaces.
+    /// Withdraws a live incarnation's pending timer: its handler will not
+    /// run. The calendar entry keeps its `(time, seq)` position and pops
+    /// as a counted no-op, so a cancel moves neither `events_processed`
+    /// nor the clock. Returns false for a stale handle (already fired or
+    /// cancelled).
     pub fn cancel_timer(&mut self, handle: TimerHandle) -> bool {
-        if self.calendar.detach(handle.key).is_none() {
-            return false;
-        }
-        self.unregister_timer(handle.actor, handle.key);
-        true
-    }
-
-    /// Removes a timer key from its actor's outstanding-timer registry
-    /// (at cancellation, or when a live timer reaches dispatch).
-    fn unregister_timer(&mut self, actor: ActorId, key: EventKey) {
-        let timers = &mut self.actors[actor].timers;
-        if let Some(pos) = timers.iter().position(|k| *k == key) {
-            timers.swap_remove(pos);
-        }
+        self.calendar.detach(handle.0).is_some()
     }
 
     /// Requests the run loop to exit at the next dispatch boundary.
@@ -727,9 +664,9 @@ impl Sim {
     // Faults
     // ------------------------------------------------------------------
 
-    /// Fail-stop crash of a machine: every task bound to the node is
-    /// dropped, every actor gets `on_crash` and is dropped (slot kept, not
-    /// alive), and the node's NIC and CPU state is reset.
+    /// Fail-stop crash of a machine: every task and actor bound to the
+    /// node is dropped (an actor keeps its slot, not alive, with a bumped
+    /// generation), and the node's NIC and CPU state is reset.
     pub fn crash_node(&mut self, node: NodeId) {
         // Kill tasks first so actors observe a world without them.
         for i in 0..self.tasks.len() {
@@ -738,15 +675,11 @@ impl Sim {
             }
         }
         for id in 0..self.actors.len() {
-            if self.actors[id].node == node && self.actors[id].alive {
-                if let Some(mut a) = self.actors[id].actor.take() {
-                    a.on_crash(self, id);
-                }
-                // Timers die with the incarnation — including any the
-                // actor armed from `on_crash` just above.
-                self.detach_actor_timers(id);
-                self.actors[id].alive = false;
-                self.actors[id].gen += 1;
+            let slot = &mut self.actors[id];
+            if slot.node == node && slot.alive {
+                slot.actor = None;
+                slot.alive = false;
+                slot.gen += 1;
             }
         }
         self.net.reset_node(node);
@@ -792,7 +725,7 @@ impl Sim {
                 ));
                 return true;
             }
-            let (time, seq, key, mut event) = {
+            let (time, seq, _, mut event) = {
                 let _p = profiler::scope(profiler::Phase::Calendar);
                 self.calendar.pop().unwrap()
             };
@@ -805,12 +738,11 @@ impl Sim {
             }
             self.now = time;
             // A detached event (None payload) still advances the clock
-            // and the event counter: it occupies the dispatch slot a
-            // dead incarnation's timer would have burned anyway.
+            // and the event counter.
             {
                 let _p = profiler::scope(profiler::Phase::Dispatch);
                 if let Some(event) = event {
-                    self.dispatch(key, event);
+                    self.dispatch(event);
                 }
                 self.drain_tasks();
             }
@@ -848,7 +780,7 @@ impl Sim {
         })
     }
 
-    fn dispatch(&mut self, key: EventKey, event: Event) {
+    fn dispatch(&mut self, event: Event) {
         match event {
             Event::Closure(f) => f(self),
             Event::Complete(op) => self.complete(op),
@@ -862,12 +794,12 @@ impl Sim {
                 self.with_actor(actor, None, |a, sim, me| a.on_poke(sim, me, token));
             }
             Event::Timer { actor, gen, token } => {
-                // A live (non-detached) timer always belongs to the
-                // current generation: stale ones were detached wholesale
-                // when the incarnation died.
-                self.unregister_timer(actor, key);
-                crate::event!(self, "timer-fired" { actor = actor, token = token });
-                self.with_actor(actor, Some(gen), |a, sim, me| a.on_timer(sim, me, token));
+                // A dead incarnation's timer runs nothing and records
+                // nothing.
+                self.with_actor(actor, Some(gen), |a, sim, me| {
+                    crate::event!(sim, "timer-fired" { actor = me, token = token });
+                    a.on_timer(sim, me, token)
+                });
             }
             Event::Deliver { actor, gen, msg } => {
                 crate::event!(self, "sim-deliver" { actor = actor });
@@ -1014,8 +946,8 @@ mod tests {
         sim.set_timer(a, SimDuration::from_micros(20), 2);
         sim.run();
         assert_eq!(&*got.lock().unwrap(), &[(usize::MAX, 2u64)]);
-        // The detached timer still burned its dispatch slot, exactly as
-        // the old generation-check drop did.
+        // The old incarnation's timer popped and counted, but its
+        // generation no longer matched, so no handler ran.
         assert_eq!(sim.events_processed(), 2);
     }
 
@@ -1042,21 +974,7 @@ mod tests {
     }
 
     #[test]
-    fn add_actor_with_can_arm_its_own_timers() {
-        let mut sim = Sim::new();
-        let n0 = sim.add_node();
-        let got = Arc::new(Mutex::new(Vec::new()));
-        let a = sim.add_actor_with(n0, |sim, me| {
-            sim.set_timer(me, SimDuration::from_micros(5), 77);
-            Box::new(Echo { got: got.clone() })
-        });
-        sim.run();
-        assert_eq!(&*got.lock().unwrap(), &[(usize::MAX, 77u64)]);
-        let _ = a;
-    }
-
-    #[test]
-    fn crash_detaches_timers_but_counts_their_slots() {
+    fn crash_drops_timers_by_generation_but_counts_them() {
         let mut sim = Sim::new();
         let n0 = sim.add_node();
         let got = Arc::new(Mutex::new(Vec::new()));
@@ -1066,9 +984,35 @@ mod tests {
         sim.after(SimDuration::from_micros(1), move |sim| sim.crash_node(0));
         sim.run();
         assert!(got.lock().unwrap().is_empty());
-        // crash closure + two detached timer slots.
+        // crash closure + two timers of the dead incarnation.
         assert_eq!(sim.events_processed(), 3);
         assert_eq!(sim.now().as_nanos(), 12_000);
+    }
+
+    /// A dead incarnation's timer — crashed or replaced — pops and counts
+    /// like any event, but runs no handler and records no "timer-fired".
+    #[test]
+    fn a_dead_incarnations_timer_records_nothing() {
+        let mut sim = Sim::new();
+        sim.enable_causality();
+        let (n0, n1) = (sim.add_node(), sim.add_node());
+        let got = Arc::new(Mutex::new(Vec::new()));
+        let crashed = sim.add_actor(n0, Box::new(Echo { got: got.clone() }));
+        let replaced = sim.add_actor(n1, Box::new(Echo { got: got.clone() }));
+        let us = SimDuration::from_micros;
+        sim.set_timer(crashed, us(10), 1);
+        sim.set_timer(replaced, us(11), 2);
+        sim.replace_actor(replaced, Box::new(Echo { got: got.clone() }));
+        sim.set_timer(replaced, us(12), 3);
+        sim.after(us(1), move |sim| sim.crash_node(n0));
+        sim.run();
+        assert_eq!(&*got.lock().unwrap(), &[(usize::MAX, 3u64)]);
+        // The crash closure, the two dead timers and the live one.
+        assert_eq!(sim.events_processed(), 4);
+        assert_eq!(sim.now().as_nanos(), 12_000);
+        // "node-crashed" and the live timer's "timer-fired".
+        let analysis = sim.causality().unwrap().analyze();
+        assert_eq!(analysis.produced_events, 2);
     }
 
     #[test]

@@ -94,15 +94,15 @@ fn run_mesh(script: Option<&[(u64, u64)]>) -> (Vec<LogEntry>, String) {
     }
     for node in 0..RANKS {
         let log = log.clone();
-        sim.add_actor_with(node, |sim, id| {
-            sim.set_timer(id, SimDuration::from_micros(1), 0);
-            Box::new(Peer {
-                me: id,
-                seq: vec![0; RANKS],
-                rounds_left: ROUNDS - 1,
-                log,
-            })
-        });
+        let me = node;
+        let peer = Peer {
+            me,
+            seq: vec![0; RANKS],
+            rounds_left: ROUNDS - 1,
+            log,
+        };
+        assert_eq!(sim.add_actor(node, Box::new(peer)), me);
+        sim.set_timer(me, SimDuration::from_micros(1), 0);
     }
     sim.run();
     let log = log.lock().unwrap().clone();

@@ -336,19 +336,11 @@ impl DaemonCore {
     }
 
     /// Sets a protocol timer; it arrives at `VProtocol::on_timer` with the
-    /// given token. The returned wheel handle cancels it — protocols that
-    /// arm retry/timeout timers should cancel them once the awaited event
-    /// arrives instead of letting a stale no-op fire.
+    /// given token. [`Sim::cancel_timer`] withdraws it through the
+    /// returned handle: a protocol that arms a retry or timeout timer
+    /// cancels it once the awaited event arrives.
     pub fn set_proto_timer(&self, sim: &mut Sim, delay: SimDuration, token: u64) -> TimerHandle {
         sim.set_timer(self.me, delay, PROTO_TIMER_BASE + token)
-    }
-
-    /// Cancels a protocol timer set through [`DaemonCore::set_proto_timer`].
-    /// Stale handles (fired, already cancelled, or detached because the
-    /// daemon's incarnation died) are ignored; returns whether a live
-    /// timer was cancelled.
-    pub fn cancel_proto_timer(&self, sim: &mut Sim, handle: TimerHandle) -> bool {
-        sim.cancel_timer(handle)
     }
 
     // ---- internal helpers -------------------------------------------
@@ -535,6 +527,15 @@ impl Vdaemon {
         }
     }
 
+    /// Runs one protocol hook with the daemon's context.
+    fn hook<R>(&mut self, sim: &mut Sim, f: impl FnOnce(&mut dyn VProtocol, &mut Ctx) -> R) -> R {
+        let mut ctx = Ctx {
+            sim,
+            core: &mut self.core,
+        };
+        f(&mut *self.proto, &mut ctx)
+    }
+
     fn finish_restart(&mut self, sim: &mut Sim, image: Option<Arc<Image>>) {
         let (restored, blob) = match image {
             Some(img) => {
@@ -551,13 +552,7 @@ impl Vdaemon {
         };
         vlog_sim::event!(sim, "image-fetched" { rank = self.core.rank }
             caused_by "restart-boot" { rank = self.core.rank });
-        {
-            let mut ctx = Ctx {
-                sim,
-                core: &mut self.core,
-            };
-            self.proto.on_restart(&mut ctx, blob);
-        }
+        self.hook(sim, |proto, ctx| proto.on_restart(ctx, blob));
         self.core.spawn_app(sim, restored);
         // The restored image (or scratch state) is in place: the
         // ImageFetched boundary. Faults armed here model a crash during
@@ -610,13 +605,9 @@ impl Vdaemon {
         let ssn = self.core.channels.next_ssn[dst];
         self.core.channels.next_ssn[dst] = ssn + 1;
         let eager = payload.len() <= self.core.profile.eager_threshold;
-        let gate = {
-            let mut ctx = Ctx {
-                sim,
-                core: &mut self.core,
-            };
-            self.proto.on_send_accept(&mut ctx, dst, tag, ssn, &payload)
-        };
+        let gate = self.hook(sim, |proto, ctx| {
+            proto.on_send_accept(ctx, dst, tag, ssn, &payload)
+        });
         // Eager sends complete for the application at acceptance.
         let done = match done {
             Some(done) if eager => {
@@ -683,13 +674,7 @@ impl Vdaemon {
         gate_cost: SimDuration,
         done: Option<OpId>,
     ) {
-        let (pb, pb_cost) = {
-            let mut ctx = Ctx {
-                sim,
-                core: &mut self.core,
-            };
-            self.proto.on_transmit(&mut ctx, dst, ssn)
-        };
+        let (pb, pb_cost) = self.hook(sim, |proto, ctx| proto.on_transmit(ctx, dst, ssn));
         {
             let st = &mut ClusterState::of(sim).rank_stats[self.core.rank];
             st.app_msgs_sent += 1;
@@ -751,13 +736,7 @@ impl Vdaemon {
             self.core.complete_checkpoint(sim, done, None);
             return;
         }
-        let due = {
-            let mut ctx = Ctx {
-                sim,
-                core: &mut self.core,
-            };
-            self.proto.checkpoint_due(&mut ctx)
-        };
+        let due = self.hook(sim, |proto, ctx| proto.checkpoint_due(ctx));
         if !due {
             self.core.complete_checkpoint(sim, done, None);
             return;
@@ -786,11 +765,7 @@ impl Vdaemon {
         let cost = SimDuration::from_nanos((state_bytes as f64 * SNAPSHOT_NS_PER_BYTE) as u64);
         let end = sim.charge_cpu(self.core.node, cost);
         self.core.complete_checkpoint(sim, done, Some(end));
-        let mut ctx = Ctx {
-            sim,
-            core: &mut self.core,
-        };
-        self.proto.on_image_assembled(&mut ctx, version);
+        self.hook(sim, |proto, ctx| proto.on_image_assembled(ctx, version));
     }
 
     /// Ships the pending image: fetches the protocol blob and streams the
@@ -799,13 +774,7 @@ impl Vdaemon {
         let Some(mut image) = self.core.pending_image.take() else {
             return;
         };
-        image.proto = {
-            let mut ctx = Ctx {
-                sim,
-                core: &mut self.core,
-            };
-            self.proto.checkpoint_blob(&mut ctx)
-        };
+        image.proto = self.hook(sim, |proto, ctx| proto.checkpoint_blob(ctx));
         let image = Arc::new(image);
         let cost =
             SimDuration::from_nanos((image.wire_bytes() as f64 * SNAPSHOT_NS_PER_BYTE) as u64);
@@ -915,14 +884,9 @@ impl Vdaemon {
                 // whose preceding events became stable).
                 let held: Vec<HeldSend> = self.core.channels.held.drain(..).collect();
                 for h in held {
-                    let gate = {
-                        let mut ctx = Ctx {
-                            sim,
-                            core: &mut self.core,
-                        };
-                        self.proto
-                            .on_send_accept(&mut ctx, h.dst, h.tag, h.ssn, &h.payload)
-                    };
+                    let gate = self.hook(sim, |proto, ctx| {
+                        proto.on_send_accept(ctx, h.dst, h.tag, h.ssn, &h.payload)
+                    });
                     match gate {
                         SendGate::Go { cost } => {
                             self.transmit(sim, h.dst, h.tag, h.payload, h.ssn, cost, h.done);
@@ -955,13 +919,7 @@ impl Vdaemon {
     /// hook (it may create a determinant now) but skips duplicate
     /// detection, which already happened on first arrival.
     fn accept_reinjected(&mut self, sim: &mut Sim, mut msg: AppMsg) {
-        let gate = {
-            let mut ctx = Ctx {
-                sim,
-                core: &mut self.core,
-            };
-            self.proto.on_app_msg(&mut ctx, &mut msg)
-        };
+        let gate = self.hook(sim, |proto, ctx| proto.on_app_msg(ctx, &mut msg));
         if let RecvGate::Deliver { cost } = gate {
             // Through the work queue, never synchronously: replay
             // injections queued by the protocol hook above must reach the
@@ -987,11 +945,9 @@ impl Actor for Vdaemon {
 
     fn on_timer(&mut self, sim: &mut Sim, _me: ActorId, token: u64) {
         if token >= PROTO_TIMER_BASE {
-            let mut ctx = Ctx {
-                sim,
-                core: &mut self.core,
-            };
-            self.proto.on_timer(&mut ctx, token - PROTO_TIMER_BASE);
+            self.hook(sim, |proto, ctx| {
+                proto.on_timer(ctx, token - PROTO_TIMER_BASE)
+            });
             self.pump(sim);
         }
     }
@@ -1020,13 +976,7 @@ impl Actor for Vdaemon {
                             owner: self.core.rank as u64,
                         });
                         vlog_sim::event!(sim, "rank-finished" { rank = self.core.rank });
-                        {
-                            let mut ctx = Ctx {
-                                sim,
-                                core: &mut self.core,
-                            };
-                            self.proto.on_app_finished(&mut ctx);
-                        }
+                        self.hook(sim, |proto, ctx| proto.on_app_finished(ctx));
                         if let Some((dispatcher, _)) = topo(sim).dispatcher() {
                             let done = crate::dispatcher::DispatcherMsg::Done {
                                 rank: self.core.rank,
@@ -1050,11 +1000,9 @@ impl Actor for Vdaemon {
                     }
                     CkptReply::StoreAck { version, .. } => {
                         ClusterState::of(sim).rank_stats[self.core.rank].checkpoints += 1;
-                        let mut ctx = Ctx {
-                            sim,
-                            core: &mut self.core,
-                        };
-                        self.proto.on_checkpoint_committed(&mut ctx, version);
+                        self.hook(sim, |proto, ctx| {
+                            proto.on_checkpoint_committed(ctx, version)
+                        });
                     }
                     CkptReply::CompleteResp { .. } => {}
                 }
@@ -1067,11 +1015,7 @@ impl Actor for Vdaemon {
         // scheduler commands, markers, reclaim traffic ...): the body is
         // the protocol's own type, and a protocol ignores what it does
         // not know.
-        let mut ctx = Ctx {
-            sim,
-            core: &mut self.core,
-        };
-        self.proto.on_control(&mut ctx, body);
+        self.hook(sim, |proto, ctx| proto.on_control(ctx, body));
         self.pump(sim);
     }
 }

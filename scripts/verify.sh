@@ -208,6 +208,16 @@ if grep -rnE 'net_mu[t]\(|\.ne[t]\(\)' crates tests examples; then
     exit 1
 fi
 echo "    boundary gate: ok (no tombstone, BinaryHeap, overflow or fn cancel in the non-test code of crates/sim/src/calendar.rs; no net_mut( or .net() under crates/ tests/ examples/)"
+# A dead incarnation's timers die by the generation check alone
+# (crates/sim/src/kernel.rs, "Actors and generations"): the kernel keeps
+# no per-actor timer list, an actor gets no crash hook, and no actor
+# arms timers from inside its own registration to keep their handles.
+# (The brackets keep this script out of a grep of the tree for the names.)
+if grep -rnE 'fn on_cras[h]\b|\b(add_actor_wit[h]|detach_actor_timer[s]|unregister_time[r]|cancel_proto_time[r])\b' crates tests examples; then
+    echo "a second way to drop a dead incarnation's timers is back (lines above): let Event::Timer's generation check drop them, and install an actor with add_actor, then set_timer" >&2
+    exit 1
+fi
+echo "    boundary gate: ok (no fn on_crash, add_actor_with, detach_actor_timers, unregister_timer or cancel_proto_timer under crates/ tests/ examples/)"
 
 echo "==> cargo build --release (RUSTFLAGS=-D warnings from here on)"
 cargo build --release --offline
