@@ -245,11 +245,7 @@ impl VProtocol for CoordinatedProtocol {
         }
     }
 
-    fn checkpoint_due(&mut self, _ctx: &mut Ctx<'_>) -> bool {
-        self.pending.is_some()
-    }
-
-    fn snapshot_version(&mut self) -> Option<u64> {
+    fn checkpoint_due(&mut self, _ctx: &mut Ctx<'_>, _next: u64) -> Option<u64> {
         self.pending
     }
 

@@ -169,8 +169,8 @@ impl VProtocol for PessimisticProtocol {
         self.log.on_timer(ctx, token);
     }
 
-    fn checkpoint_due(&mut self, _ctx: &mut Ctx<'_>) -> bool {
-        self.log.take_ckpt_due()
+    fn checkpoint_due(&mut self, _ctx: &mut Ctx<'_>, next: u64) -> Option<u64> {
+        self.log.take_ckpt_due().then_some(next)
     }
 
     fn on_image_assembled(&mut self, ctx: &mut Ctx<'_>, version: u64) {

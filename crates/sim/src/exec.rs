@@ -14,11 +14,16 @@
 //! port, pending operations are abandoned, and completions racing with the
 //! kill are discarded thanks to per-task generation counters.
 //!
-//! Task code must not touch the [`Sim`] directly — it would be mutably
-//! borrowed by the run loop. Instead tasks *stage* events into their port;
-//! the run loop moves staged events into the calendar right after the
-//! poll. This mirrors the paper's architecture where the MPI process only
-//! talks to its communication daemon through a pipe.
+//! Task code must not touch the [`Sim`](crate::Sim) directly — it would
+//! be mutably borrowed by the run loop. Instead tasks *stage* events into
+//! their port; the run loop moves staged events into the calendar right
+//! after the poll. This mirrors the paper's architecture where the MPI
+//! process only talks to its communication daemon through a pipe. A task
+//! wakes an actor by staging an [`Event::Timer`] that names the actor's
+//! incarnation, so a wake-up staged for an incarnation that dies before it
+//! pops is dropped. A task's end is reported the same way: a program whose
+//! daemon must learn that it finished stages the notice as its last act,
+//! which a kill never reaches.
 //!
 //! # Ownership and `Send`
 //!
@@ -32,7 +37,8 @@
 //! reference-counted and nothing is locked:
 //!
 //! * kernel context reaches a port through the `&mut Sim` every handler is
-//!   handed ([`Sim::port_mut`], [`Sim::complete`]);
+//!   handed ([`Sim::port_mut`](crate::Sim::port_mut),
+//!   [`Sim::complete`](crate::Sim::complete));
 //! * task context reaches it because the kernel **lends** it, together
 //!   with the task's id and the clock reading, for exactly the duration of
 //!   one poll: the port is moved into a thread-local [`TaskCx`] before
@@ -56,7 +62,7 @@ use std::future::Future;
 use std::pin::Pin;
 use std::task::{Context, Poll};
 
-use crate::kernel::{Event, NodeId, Sim};
+use crate::kernel::{Event, NodeId};
 use crate::time::{SimDuration, SimTime};
 
 /// Identifier of a spawned task. The generation distinguishes incarnations
@@ -68,7 +74,7 @@ pub struct TaskId {
 }
 
 /// Kernel-side name of one operation of one task incarnation: what a
-/// daemon keeps to complete it later ([`Sim::complete`],
+/// daemon keeps to complete it later ([`Sim::complete`](crate::Sim::complete),
 /// [`Event::Complete`]). Plain data.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct OpId {
@@ -112,8 +118,6 @@ pub struct Port {
     free: Vec<u32>,
     /// Events staged by the poll in progress, flushed right after it.
     staged: Vec<(SimDuration, Event)>,
-    /// Set from task context to stop the simulation loop.
-    stop: bool,
     /// The half typed by the layer above (see [`Port::install`]).
     ext: Option<Box<dyn Any + Send>>,
 }
@@ -215,12 +219,11 @@ impl Port {
     }
 
     /// What the last poll staged: drains the events into `sink` in
-    /// staging order and returns whether a stop was requested.
-    pub(crate) fn take_staged(&mut self, mut sink: impl FnMut(SimDuration, Event)) -> bool {
+    /// staging order.
+    pub(crate) fn take_staged(&mut self, mut sink: impl FnMut(SimDuration, Event)) {
         for (delay, ev) in self.staged.drain(..) {
             sink(delay, ev);
         }
-        std::mem::take(&mut self.stop)
     }
 
     /// Forgets everything (the incarnation is gone), keeping the buffers
@@ -229,7 +232,6 @@ impl Port {
         self.ops.clear();
         self.free.clear();
         self.staged.clear();
-        self.stop = false;
         self.ext = None;
     }
 }
@@ -304,8 +306,8 @@ thread_local! {
     static LENT: RefCell<Option<TaskCx>> = const { RefCell::new(None) };
 }
 
-/// Polls a task with `port` lent to it, and returns the port with what
-/// the poll staged: the events, and whether a stop was requested.
+/// Polls a task with `port` lent to it, and returns the port with the
+/// events the poll staged.
 ///
 /// Whatever was lent before (normally nothing) is put back afterwards,
 /// also when `poll` unwinds — a panicking program must not leave its port
@@ -356,11 +358,6 @@ impl ExecHandle {
     /// the run loop moves it into the calendar right after this poll.
     pub fn stage(&self, delay: SimDuration, ev: Event) {
         with_task("ExecHandle::stage", |cx| cx.stage(delay, ev));
-    }
-
-    /// Requests the simulation loop to stop at the next opportunity.
-    pub fn stage_stop(&self) {
-        with_task("ExecHandle::stage_stop", |cx| cx.port.stop = true);
     }
 
     /// Suspends the calling task for `dur` of virtual time.
@@ -440,7 +437,6 @@ pub(crate) struct TaskSlot {
     pub(crate) fut: Option<Pin<Box<dyn Future<Output = ()> + Send>>>,
     pub(crate) gen: u32,
     pub(crate) node: Option<NodeId>,
-    pub(crate) on_exit: Option<Box<dyn FnOnce(&mut Sim) + Send>>,
     pub(crate) port: Port,
 }
 
@@ -451,14 +447,13 @@ impl TaskSlot {
     /// with a typed port half stays taken until its incarnation is
     /// killed — with its node, like everything else on it.
     pub(crate) fn is_free(&self) -> bool {
-        self.fut.is_none() && self.on_exit.is_none() && self.port.ext.is_none()
+        self.fut.is_none() && self.port.ext.is_none()
     }
 
     /// Fail-stop: drops the future and everything in the port, and
     /// invalidates queued wake-ups and in-flight completions.
     pub(crate) fn kill(&mut self) {
         self.fut = None;
-        self.on_exit = None;
         self.gen += 1;
         self.port.reset();
     }
@@ -483,7 +478,7 @@ mod tests {
     fn op_cell_completes_before_wait() {
         let mut sim = Sim::new();
         let h = sim.exec();
-        sim.spawn_detached(async move {
+        sim.spawn(None, async move {
             let op = h.new_op();
             h.stage(us(1), complete(op.id()));
             h.sleep(us(5)).await;
@@ -501,7 +496,7 @@ mod tests {
         let h = sim.exec();
         let resumed = Arc::new(Mutex::new(None));
         let r = resumed.clone();
-        sim.spawn_detached(async move {
+        sim.spawn(None, async move {
             let op = h.new_op();
             h.stage(us(5), complete(op.id()));
             op.await;
@@ -516,7 +511,7 @@ mod tests {
     fn double_complete_panics() {
         let mut sim = Sim::new();
         let h = sim.exec();
-        sim.spawn_detached(async move {
+        sim.spawn(None, async move {
             let op = h.new_op();
             let id = op.id();
             h.stage(
@@ -540,7 +535,7 @@ mod tests {
         let h = sim.exec();
         let out = Arc::new(Mutex::new(None));
         let o = out.clone();
-        sim.spawn_detached(async move { *o.lock().unwrap() = Some(h.new_op()) });
+        sim.spawn(None, async move { *o.lock().unwrap() = Some(h.new_op()) });
         sim.run();
         let mut op = out.lock().unwrap().take().unwrap();
         let mut cx = Context::from_waker(std::task::Waker::noop());
@@ -551,7 +546,7 @@ mod tests {
     fn task_context_calls_outside_a_poll_panic_by_name() {
         let h = Sim::new().exec();
         type Call = Box<dyn Fn()>;
-        let calls: [(&str, Call); 5] = [
+        let calls: [(&str, Call); 4] = [
             ("ExecHandle::new_op", Box::new(move || drop(h.new_op()))),
             ("ExecHandle::sleep", Box::new(move || drop(h.sleep(us(1))))),
             ("ExecHandle::now", Box::new(move || _ = h.now())),
@@ -559,7 +554,6 @@ mod tests {
                 "ExecHandle::stage",
                 Box::new(move || h.stage(us(1), Event::closure(|_| {}))),
             ),
-            ("ExecHandle::stage_stop", Box::new(move || h.stage_stop())),
         ];
         for (name, call) in calls {
             let err = catch_unwind(AssertUnwindSafe(call)).expect_err(name);
@@ -576,7 +570,7 @@ mod tests {
         let spawned: Vec<TaskId> = (0..3)
             .map(|_| {
                 let s = seen.clone();
-                sim.spawn_detached(async move {
+                sim.spawn(None, async move {
                     h.sleep(us(1)).await;
                     s.lock().unwrap().push(h.new_op().id().task());
                 })
@@ -594,7 +588,7 @@ mod tests {
         let h = sim.exec();
         let got = Arc::new(Mutex::new(Vec::new()));
         let g = got.clone();
-        let task = sim.spawn_detached(async move {
+        let task = sim.spawn(None, async move {
             let (a, b) = (h.new_op(), h.new_op());
             let (ida, idb) = (a.id(), b.id());
             h.stage(us(2), Event::Complete(ida));
@@ -626,7 +620,7 @@ mod tests {
         let h = sim.exec();
         let resumed = Arc::new(Mutex::new(Vec::new()));
         let r = resumed.clone();
-        let old = sim.spawn_detached(async move {
+        let old = sim.spawn(None, async move {
             h.sleep(us(10)).await;
             r.lock().unwrap().push("old");
         });
@@ -636,7 +630,7 @@ mod tests {
             assert!(sim.port_mut(old).is_none());
             // The successor takes the same slot, and its first op the
             // same op slot the dead sleep held.
-            let new = sim.spawn_detached(async move {
+            let new = sim.spawn(None, async move {
                 h.sleep(us(20)).await;
                 r.lock().unwrap().push("new");
             });
@@ -653,7 +647,7 @@ mod tests {
     fn an_abandoned_op_gives_its_slot_back_at_completion() {
         let mut sim = Sim::new();
         let h = sim.exec();
-        sim.spawn_detached(async move {
+        sim.spawn(None, async move {
             let op = h.new_op();
             let id = op.id();
             h.stage(us(1), Event::Complete(id));
@@ -678,7 +672,7 @@ mod tests {
         let h = sim.exec();
         let seen = Arc::new(Mutex::new(Vec::new()));
         let s = seen.clone();
-        sim.spawn_detached(async move {
+        sim.spawn(None, async move {
             s.lock().unwrap().push(h.now());
             for us in [10, 5] {
                 h.sleep(SimDuration::from_micros(us)).await;
@@ -702,7 +696,7 @@ mod tests {
     fn sleep_advances_virtual_time() {
         let mut sim = Sim::new();
         let h = sim.exec();
-        sim.spawn_detached(async move {
+        sim.spawn(None, async move {
             h.sleep(SimDuration::from_micros(10)).await;
             h.sleep(SimDuration::from_micros(5)).await;
         });
@@ -717,7 +711,7 @@ mod tests {
         for (name, step) in [("a", 3u64), ("b", 5u64)] {
             let h = sim.exec();
             let log = log.clone();
-            sim.spawn_detached(async move {
+            sim.spawn(None, async move {
                 for _ in 0..3 {
                     h.sleep(SimDuration::from_micros(step)).await;
                     log.lock().unwrap().push((step, name));
@@ -740,7 +734,7 @@ mod tests {
     fn ticking_sim(tag: u32, step: u64, log: &TickLog) -> Sim {
         let mut sim = Sim::new();
         let (h, log) = (sim.exec(), log.clone());
-        let task = sim.spawn_detached(async move {
+        let task = sim.spawn(None, async move {
             for _ in 0..6 {
                 h.sleep(us(step)).await;
                 assert_eq!(with_task("test", |cx| *cx.ext::<u32>()), tag);
@@ -780,7 +774,7 @@ mod tests {
     fn a_poll_that_panics_does_not_poison_the_next_run_on_that_thread() {
         let mut doomed = Sim::new();
         let h = doomed.exec();
-        doomed.spawn_detached(async move {
+        doomed.spawn(None, async move {
             let _op = h.new_op();
             panic!("program bug");
         });

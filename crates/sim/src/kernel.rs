@@ -53,16 +53,17 @@
 //! Services (communication daemons, the Event Logger, the checkpoint
 //! server, the dispatcher) are [`Actor`]s registered on a node. Crashing a
 //! node drops its actors and tasks; restarting installs a fresh actor in
-//! the *same slot* with a bumped generation. Deliveries capture the
-//! generation of their target at creation: anything addressed to a dead
-//! incarnation is silently dropped, which models TCP connections dying
-//! with the process. Timers capture it the same way, and that one check is
-//! how a dead incarnation's timers die: each still pops at its
-//! `(time, seq)` position and counts as a dispatched event, but its
-//! handler never runs and it records nothing. The kernel keeps no
-//! per-actor list of timers and tells no actor that it is crashing;
-//! [`Sim::cancel_timer`] is only for a live incarnation withdrawing a
-//! timer it no longer needs.
+//! the *same slot* with a bumped generation. Every event addressed to an
+//! actor names the incarnation it is for: a delivery captures its
+//! target's generation when it is sent, a timer when it is set — the
+//! pipe wake-up a program stages for its daemon included, which is a
+//! timer set on the daemon incarnation that spawned it. Anything
+//! addressed to a dead incarnation is dropped when it pops, which models
+//! TCP connections and pipes dying with the process: it still counts as
+//! a dispatched event at its `(time, seq)` position, but no handler runs
+//! and a timer records nothing. The kernel keeps no per-actor list of
+//! timers and tells no actor that it is crashing; [`Sim::cancel_timer`]
+//! is only for a live incarnation withdrawing a timer it no longer needs.
 //!
 //! # The calendar
 //!
@@ -108,9 +109,10 @@ pub enum Event {
     /// was parked in the task's port when this was scheduled, and becomes
     /// the task's now.
     Complete(OpId),
-    /// Wakes an actor without carrying data (pipe readable, batch flush...).
-    Poke { actor: ActorId, token: u64 },
-    /// A timer set through [`Sim::set_timer`].
+    /// Wakes one incarnation of an actor without carrying data: a timer
+    /// set through [`Sim::set_timer`], or staged by a task that holds the
+    /// incarnation's generation (a program's pipe wake-up for its
+    /// daemon). The kernel's only data-less wake-up.
     Timer {
         actor: ActorId,
         gen: u32,
@@ -145,11 +147,8 @@ impl Event {
 pub trait Actor: Send + 'static {
     /// A message addressed to this actor arrived.
     fn on_deliver(&mut self, sim: &mut Sim, me: ActorId, msg: Delivery);
-    /// A poke (data-less wake-up) arrived.
-    fn on_poke(&mut self, sim: &mut Sim, me: ActorId, token: u64) {
-        let _ = (sim, me, token);
-    }
-    /// A timer set by this incarnation fired.
+    /// A timer set on this incarnation fired: one it set itself, or a
+    /// wake-up staged for it (see [`Event::Timer`]).
     fn on_timer(&mut self, sim: &mut Sim, me: ActorId, token: u64) {
         let _ = (sim, me, token);
     }
@@ -560,39 +559,14 @@ impl Sim {
     // Tasks
     // ------------------------------------------------------------------
 
-    /// Spawns a task bound to a node (killed when the node crashes).
+    /// Spawns a task, bound to a node (killed when the node crashes) or
+    /// to none (`None`).
     pub fn spawn(
         &mut self,
         node: Option<NodeId>,
         fut: impl std::future::Future<Output = ()> + Send + 'static,
     ) -> TaskId {
-        self.spawn_inner(node, Box::pin(fut), None)
-    }
-
-    /// Spawns a task and registers a callback to run on normal completion.
-    pub fn spawn_with_exit(
-        &mut self,
-        node: Option<NodeId>,
-        fut: impl std::future::Future<Output = ()> + Send + 'static,
-        on_exit: impl FnOnce(&mut Sim) + Send + 'static,
-    ) -> TaskId {
-        self.spawn_inner(node, Box::pin(fut), Some(Box::new(on_exit)))
-    }
-
-    /// Spawns a task bound to no node (test harness helpers).
-    pub fn spawn_detached(
-        &mut self,
-        fut: impl std::future::Future<Output = ()> + Send + 'static,
-    ) -> TaskId {
-        self.spawn(None, fut)
-    }
-
-    fn spawn_inner(
-        &mut self,
-        node: Option<NodeId>,
-        fut: std::pin::Pin<Box<dyn std::future::Future<Output = ()> + Send>>,
-        on_exit: Option<Box<dyn FnOnce(&mut Sim) + Send>>,
-    ) -> TaskId {
+        let fut = Box::pin(fut);
         // Reuse a dead slot if possible to keep indices small.
         let idx = self.tasks.iter().position(TaskSlot::is_free);
         let (idx, gen) = match idx {
@@ -602,7 +576,6 @@ impl Sim {
                 slot.port.reset();
                 slot.fut = Some(fut);
                 slot.node = node;
-                slot.on_exit = on_exit;
                 (i, slot.gen)
             }
             None => {
@@ -610,7 +583,6 @@ impl Sim {
                     fut: Some(fut),
                     gen: 0,
                     node,
-                    on_exit,
                     port: Port::default(),
                 });
                 (self.tasks.len() - 1, 0)
@@ -646,8 +618,8 @@ impl Sim {
         }
     }
 
-    /// Drops a task's future (fail-stop kill). Its exit callback does not
-    /// run; pending completions addressed to it are discarded.
+    /// Drops a task's future (fail-stop kill): it never resumes, and
+    /// pending completions addressed to it are discarded.
     pub fn kill_task(&mut self, id: TaskId) {
         let slot = &mut self.tasks[id.idx as usize];
         if slot.gen == id.gen {
@@ -790,21 +762,17 @@ impl Sim {
                 size,
                 body,
             } => self.net_send(src_node, dst_actor, size, body),
-            Event::Poke { actor, token } => {
-                self.with_actor(actor, None, |a, sim, me| a.on_poke(sim, me, token));
-            }
             Event::Timer { actor, gen, token } => {
                 // A dead incarnation's timer runs nothing and records
                 // nothing.
-                self.with_actor(actor, Some(gen), |a, sim, me| {
+                self.with_actor(actor, gen, |a, sim, me| {
                     crate::event!(sim, "timer-fired" { actor = me, token = token });
                     a.on_timer(sim, me, token)
                 });
             }
             Event::Deliver { actor, gen, msg } => {
                 crate::event!(self, "sim-deliver" { actor = actor });
-                let matched =
-                    self.with_actor(actor, Some(gen), |a, sim, me| a.on_deliver(sim, me, msg));
+                let matched = self.with_actor(actor, gen, |a, sim, me| a.on_deliver(sim, me, msg));
                 if !matched {
                     self.stats.bump(Counter::NetDroppedDeadTarget);
                 }
@@ -812,15 +780,15 @@ impl Sim {
         }
     }
 
-    /// Runs `f` on a live actor with the kernel re-borrowable. Returns
-    /// false if the actor is dead or from another generation.
-    fn with_actor<F>(&mut self, id: ActorId, gen: Option<u32>, f: F) -> bool
+    /// Runs `f` on incarnation `gen` of an actor with the kernel
+    /// re-borrowable. Returns false if that incarnation is dead.
+    fn with_actor<F>(&mut self, id: ActorId, gen: u32, f: F) -> bool
     where
         F: FnOnce(&mut dyn Actor, &mut Sim, ActorId),
     {
         {
             let slot = &self.actors[id];
-            if !slot.alive || gen.is_some_and(|g| g != slot.gen) {
+            if !slot.alive || gen != slot.gen {
                 return false;
             }
         }
@@ -862,25 +830,15 @@ impl Sim {
         // waker, so the poll gets the one that does nothing.
         let mut cx = std::task::Context::from_waker(std::task::Waker::noop());
         let (poll, mut port) = exec::lend(id, self.now, port, || fut.as_mut().poll(&mut cx));
-        match poll {
-            std::task::Poll::Pending => self.tasks[idx].fut = Some(fut),
-            std::task::Poll::Ready(()) => {
-                drop(fut);
-                if let Some(cb) = self.tasks[idx].on_exit.take() {
-                    cb(self);
-                }
-            }
+        if poll.is_pending() {
+            self.tasks[idx].fut = Some(fut);
         }
-        let stop = port.take_staged(|delay, ev| {
+        port.take_staged(|delay, ev| {
             self.schedule(delay, ev);
         });
-        self.stop |= stop;
-        // The exit callback may already have spawned the slot's next
-        // tenant, which then has a port of its own.
-        let slot = &mut self.tasks[idx];
-        if slot.gen == id.gen {
-            slot.port = port;
-        }
+        // A poll cannot reach its own slot, so the slot is still this
+        // incarnation's.
+        self.tasks[idx].port = port;
     }
 }
 
@@ -1086,29 +1044,12 @@ mod tests {
     }
 
     #[test]
-    fn exit_callback_runs_on_completion_only() {
-        let mut sim = Sim::new();
-        let done = Arc::new(Mutex::new(0));
-        let d = done.clone();
-        let h = sim.exec();
-        sim.spawn_with_exit(
-            None,
-            async move {
-                h.sleep(SimDuration::from_micros(1)).await;
-            },
-            move |_| *d.lock().unwrap() += 1,
-        );
-        sim.run();
-        assert_eq!(*done.lock().unwrap(), 1);
-    }
-
-    #[test]
     fn run_until_pauses_and_resumes() {
         let mut sim = Sim::new();
         let h = sim.exec();
         let count = Arc::new(Mutex::new(0));
         let c = count.clone();
-        sim.spawn_detached(async move {
+        sim.spawn(None, async move {
             for _ in 0..10 {
                 h.sleep(SimDuration::from_micros(10)).await;
                 *c.lock().unwrap() += 1;
@@ -1208,26 +1149,16 @@ mod tests {
         // polled after it in that drain.
         let h = sim.exec();
         let ev = mark(&fired);
-        sim.spawn_detached(async move { h.stage(us(1), ev) });
+        sim.spawn(None, async move { h.stage(us(1), ev) });
         sim.after(us(5), |_| {});
         assert!(!sim.run_until(SimTime::from_nanos(3_000)));
         assert_eq!(*fired.lock().unwrap(), [1_000]);
         // (b) Paused at 3us with the decoy still pending at 5us.
         let ev = mark(&fired);
-        sim.spawn_detached(async move { h.stage(us(1), ev) });
+        sim.spawn(None, async move { h.stage(us(1), ev) });
         sim.run();
         assert_eq!(*fired.lock().unwrap(), [1_000, 4_000]);
         assert_eq!(sim.events_processed(), 3);
-    }
-
-    #[test]
-    fn a_stop_staged_by_the_first_poll_stops_the_run_before_any_pop() {
-        let mut sim = Sim::new();
-        sim.after(SimDuration::from_micros(1), |_| {});
-        let h = sim.exec();
-        sim.spawn_detached(async move { h.stage_stop() });
-        assert!(sim.run_until(SimTime::MAX));
-        assert_eq!(sim.events_processed(), 0);
     }
 
     #[test]
@@ -1270,16 +1201,16 @@ mod tests {
             crate::exec::with_task("test", |cx| *cx.ext::<u32>() = 42);
         });
         sim.port_mut(writer).expect("just spawned").install(0u32);
-        let plain = sim.spawn_detached(async {});
+        let plain = sim.spawn(None, async {});
         sim.run();
         assert!(!sim.task_alive(writer) && !sim.task_alive(plain));
         // The plain task's slot is free again, the writer's is not.
-        let next = sim.spawn_detached(async {});
+        let next = sim.spawn(None, async {});
         assert_eq!(next.idx, plain.idx);
         assert_eq!(*sim.port_mut(writer).expect("kept").ext::<u32>(), 42);
         sim.crash_node(n0);
         assert!(sim.port_mut(writer).is_none());
-        assert_eq!(sim.spawn_detached(async {}).idx, writer.idx);
+        assert_eq!(sim.spawn(None, async {}).idx, writer.idx);
     }
 
     #[test]
@@ -1421,10 +1352,10 @@ mod tests {
         assert_eq!(drained.now().as_nanos(), 10_000);
     }
 
-    /// Only message deliveries are offered to the run's script: a timer,
-    /// a poke, a closure, a deferred send and a completion all pop before
-    /// the one delivery here, none of them takes a delivery index and
-    /// none of them moves.
+    /// Only message deliveries are offered to the run's script: a timer
+    /// set by the kernel, one staged by a task, a closure, a deferred send
+    /// and a completion all pop before the one delivery here, none of them
+    /// takes a delivery index and none of them moves.
     #[test]
     fn a_script_is_offered_deliveries_and_nothing_else() {
         let run = |script: Option<Vec<Decision>>| {
@@ -1437,7 +1368,6 @@ mod tests {
             }
             let us = SimDuration::from_micros;
             sim.set_timer(a, us(1), 1);
-            sim.schedule(us(2), Event::Poke { actor: a, token: 0 });
             let fired = got.clone();
             sim.after(us(3), move |sim| {
                 fired
@@ -1448,6 +1378,14 @@ mod tests {
             let h = sim.exec();
             sim.spawn(Some(n0), async move {
                 let op = h.new_op();
+                h.stage(
+                    us(2),
+                    Event::Timer {
+                        actor: a,
+                        gen: 0,
+                        token: 2,
+                    },
+                );
                 h.stage(us(4), Event::Complete(op.id()));
                 op.await;
             });
@@ -1477,7 +1415,8 @@ mod tests {
         assert!(none_applied.is_empty());
         assert_eq!(applied, [hold]);
         assert_eq!(plain, held);
-        assert_eq!(plain, [(usize::MAX, 1), (usize::MAX, 3_000), (0, 42)]);
+        let timers = [(usize::MAX, 1), (usize::MAX, 2), (usize::MAX, 3_000)];
+        assert_eq!(plain, [&timers[..], &[(0, 42)]].concat());
         // A deferral re-inserts: it is not a dispatch, only the clock of
         // the delivery moved.
         assert_eq!(plain_events, held_events);

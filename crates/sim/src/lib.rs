@@ -49,7 +49,7 @@
 //!
 //! let mut sim = Sim::new();
 //! let h = sim.exec();
-//! sim.spawn_detached(async move {
+//! sim.spawn(None, async move {
 //!     // Task context: the op is a slot in this task's own port, which
 //!     // the kernel lent to this poll. The staged event reaches the
 //!     // calendar right after it.
@@ -59,7 +59,6 @@
 //!     // kernel's ready queue and is polled right after that event.
 //!     op.await;
 //!     assert_eq!(h.now().as_nanos(), 5_000);
-//!     h.stage_stop();
 //! });
 //! sim.run();
 //! assert_eq!(sim.now().as_nanos(), 5_000);

@@ -13,8 +13,8 @@
 //! **Data in, data out.** [`crate::Sim::set_schedule`] hands the run its
 //! decisions, the run loop offers the script every
 //! [`Event::Deliver`](crate::Event::Deliver) it pops — and no other
-//! event: timers, pokes, closures and completions always dispatch in
-//! place — and [`crate::Sim::applied`] reads back which decisions
+//! event: timers (a task's wake-ups included), closures and completions
+//! always dispatch in place — and [`crate::Sim::applied`] reads back which decisions
 //! fired. The script is a plain value in a field of the `Sim`, reached
 //! through the `&mut Sim` the run loop already holds: no trait object,
 //! no lock, no handle that outlives the run.

@@ -18,10 +18,13 @@
 //! keeps application code oblivious to the fault-tolerance protocol
 //! underneath — exactly the transparency the paper's framework provides.
 //!
-//! The handle is plain data (who am I, who is my daemon). The pipe it
-//! talks through is the task's kernel-owned port, which is only there
-//! while the kernel polls the application ([`crate::pipe`]): an `Mpi`
-//! call made anywhere else panics rather than reach another run's state.
+//! The handle is plain data (who am I, which daemon incarnation spawned
+//! me). The pipe it talks through is the task's kernel-owned port, which
+//! is only there while the kernel polls the application
+//! ([`crate::pipe`]): an `Mpi` call made anywhere else panics rather than
+//! reach another run's state. Each request wakes that daemon incarnation
+//! by a timer staged on it, so a killed program's last requests wake
+//! nobody.
 
 use bytes::Bytes;
 use vlog_sim::{with_task, ActorId, Event, ExecHandle, Op, OpId, OpValues, SimDuration, SimTime};
@@ -72,7 +75,9 @@ async fn result_of<T>(op: Op, what: &str, values: fn(&mut AppPort) -> &mut OpVal
 pub struct Mpi {
     rank: Rank,
     n: usize,
-    daemon: ActorId,
+    /// The daemon incarnation that spawned this program: its slot and
+    /// generation.
+    daemon: (ActorId, u32),
     profile: Arc<StackProfile>,
     restored: Option<Bytes>,
 }
@@ -81,7 +86,7 @@ impl Mpi {
     pub(crate) fn new(
         rank: Rank,
         n: usize,
-        daemon: ActorId,
+        daemon: (ActorId, u32),
         profile: Arc<StackProfile>,
         restored: Option<Bytes>,
     ) -> Mpi {
@@ -116,18 +121,22 @@ impl Mpi {
     }
 
     /// Writes one request into the pipe: queues it in the port and stages
-    /// the poke that makes the daemon read it `pipe_bytes` of crossing
-    /// later. Returns the operation the daemon will complete.
+    /// the wake-up that makes the daemon read it `pipe_bytes` of crossing
+    /// later — a timer on the daemon incarnation that spawned this
+    /// program, so it dies with the program's pipe. Returns the operation
+    /// the daemon will complete.
     fn post(&self, pipe_bytes: u64, req: impl FnOnce(OpId) -> AppRequest) -> Op {
         let delay = self.profile.pipe_cost(pipe_bytes);
         with_task("Mpi request", |cx| {
             let op = cx.new_op();
             cx.ext::<AppPort>().requests.push_back(req(op.id()));
-            let poke = Event::Poke {
-                actor: self.daemon,
+            let (actor, gen) = self.daemon;
+            let wake = Event::Timer {
+                actor,
+                gen,
                 token: TOKEN_PIPE,
             };
-            cx.stage(delay, poke);
+            cx.stage(delay, wake);
             op
         })
     }

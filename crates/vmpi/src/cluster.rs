@@ -59,8 +59,8 @@ use std::sync::Arc;
 
 use vlog_sim::causality::LivenessReport;
 use vlog_sim::{
-    ActorId, Counter, Decision, Event, Gauge, NetProfile, NodeId, Sim, SimConfig, SimDuration,
-    SimTime, Stats, StopReason, Timer,
+    ActorId, Counter, Decision, Gauge, NetProfile, NodeId, Sim, SimConfig, SimDuration, SimTime,
+    Stats, StopReason, Timer,
 };
 
 use crate::ckpt::CkptServer;
@@ -402,13 +402,7 @@ pub(crate) fn launch_rank(sim: &mut Sim, rank: Rank, mode: BootMode) {
     );
     let me = state.topo.daemon(rank);
     sim.replace_actor(me, Box::new(daemon));
-    sim.schedule(
-        SimDuration::ZERO,
-        Event::Poke {
-            actor: me,
-            token: TOKEN_BOOT,
-        },
-    );
+    sim.set_timer(me, SimDuration::ZERO, TOKEN_BOOT);
 }
 
 /// A fully built, not-yet-executed cluster run. Owns the simulation,

@@ -10,7 +10,8 @@
 //!
 //! This module is that daemon. It owns:
 //!
-//! * the pipe to the local MPI process (requests drained on pokes),
+//! * the pipe to the local MPI process (requests drained when the
+//!   program's pipe wake-up fires),
 //! * per-channel sequence numbers, duplicate dropping and reordering,
 //! * the eager/rendezvous transport,
 //! * the matching engine (posted receives / unexpected queue),
@@ -36,8 +37,8 @@ use std::sync::Arc;
 use bytes::Bytes;
 use vlog_sim::causality::Edge;
 use vlog_sim::{
-    Actor, ActorId, Counter, Delivery, Event, NodeId, OpId, Sim, SimDuration, SimTime, TaskId,
-    TimerHandle, WireSize,
+    Actor, ActorId, Counter, Delivery, Event, ExecHandle, NodeId, OpId, Sim, SimDuration, SimTime,
+    TaskId, TimerHandle,
 };
 
 use crate::api::Mpi;
@@ -52,14 +53,16 @@ use crate::types::{
     AppMsg, DaemonMsg, Payload, PiggybackBlob, Rank, RecvMsg, RecvSelector, Ssn, Tag,
 };
 
-/// Poke token: the pipe has requests.
+/// Timer token: the pipe has requests (staged by the program).
 pub const TOKEN_PIPE: u64 = 0;
-/// Poke token: boot the daemon (spawn or recover the application).
+/// Timer token: boot the daemon (spawn or recover the application).
 pub const TOKEN_BOOT: u64 = 1;
+/// Timer token: the program finished (staged by its last poll).
+const TOKEN_FINISHED: u64 = 2;
 /// Timer tokens at or above this value belong to the protocol.
 pub const PROTO_TIMER_BASE: u64 = 1_000;
 
-/// Loopback delay of the daemon's `AppFinished` self-notify.
+/// Delay of a program's finish notice to its daemon.
 const SELF_DELAY: SimDuration = SimDuration::from_micros(1);
 /// Local snapshot memcpy cost (ns per image byte).
 const SNAPSHOT_NS_PER_BYTE: f64 = 2.0;
@@ -154,11 +157,6 @@ enum Inject {
     Reaccept(AppMsg),
 }
 
-/// Daemon-internal self messages.
-enum Internal {
-    AppFinished,
-}
-
 /// The generic (protocol-independent) part of a daemon. Exposed to
 /// protocols through [`Ctx`].
 pub struct DaemonCore {
@@ -172,7 +170,8 @@ pub struct DaemonCore {
     /// The application incarnation; its kernel-owned port is the pipe
     /// ([`crate::pipe`]).
     app_task: Option<TaskId>,
-    /// Requests taken off the pipe, being handled (empty between pokes).
+    /// Requests taken off the pipe, being handled (empty between pipe
+    /// wake-ups).
     pipe_batch: VecDeque<AppRequest>,
 
     channels: Channels,
@@ -345,20 +344,28 @@ impl DaemonCore {
 
     // ---- internal helpers -------------------------------------------
 
+    /// Spawns a program incarnation. Its wake-ups — one per pipe write,
+    /// and the finish notice its last poll stages — are timers on this
+    /// daemon incarnation, so a killed program's die with it.
     fn spawn_app(&mut self, sim: &mut Sim, restored: Option<Bytes>) {
         self.finished = false;
-        let mpi = Mpi::new(self.rank, self.n, self.me, self.profile.clone(), restored);
-        let fut = (self.app_spec)(mpi);
-        let node = self.node;
-        let me = self.me;
-        let task = sim.spawn_with_exit(Some(self.node), fut, move |sim| {
-            sim.local_send(
-                node,
-                me,
-                WireSize::default(),
-                Box::new(Internal::AppFinished),
-                SELF_DELAY,
-            );
+        let gen = sim.actor_gen(self.me);
+        let mpi = Mpi::new(
+            self.rank,
+            self.n,
+            (self.me, gen),
+            self.profile.clone(),
+            restored,
+        );
+        let program = (self.app_spec)(mpi);
+        let finished = Event::Timer {
+            actor: self.me,
+            gen,
+            token: TOKEN_FINISHED,
+        };
+        let task = sim.spawn(Some(self.node), async move {
+            program.await;
+            ExecHandle.stage(SELF_DELAY, finished);
         });
         sim.port_mut(task)
             .expect("just spawned")
@@ -569,6 +576,27 @@ impl Vdaemon {
         self.pump(sim);
     }
 
+    /// The program ended: what it recorded last goes to the report, the
+    /// protocol and the dispatcher learn of it.
+    fn app_finished(&mut self, sim: &mut Sim) {
+        self.core.finished = true;
+        self.core.take_recorded(sim);
+        // Nothing waits on a finished rank's progress: withdraw its
+        // pending expectations (e.g. a final determinant batch whose ack
+        // is still in flight when the program completes).
+        sim.record(|| Edge::CancelOwner {
+            owner: self.core.rank as u64,
+        });
+        vlog_sim::event!(sim, "rank-finished" { rank = self.core.rank });
+        self.hook(sim, |proto, ctx| proto.on_app_finished(ctx));
+        if let Some((dispatcher, _)) = topo(sim).dispatcher() {
+            let done = crate::dispatcher::DispatcherMsg::Done {
+                rank: self.core.rank,
+            };
+            control::send(sim, self.core.node, dispatcher, done);
+        }
+    }
+
     fn drain_pipe(&mut self, sim: &mut Sim) {
         // The whole batch at once (nothing can push meanwhile: the
         // application task only runs between event dispatches); swapping
@@ -736,17 +764,12 @@ impl Vdaemon {
             self.core.complete_checkpoint(sim, done, None);
             return;
         }
-        let due = self.hook(sim, |proto, ctx| proto.checkpoint_due(ctx));
-        if !due {
+        let next = self.core.ckpt_counter + 1;
+        let Some(version) = self.hook(sim, |proto, ctx| proto.checkpoint_due(ctx, next)) else {
             self.core.complete_checkpoint(sim, done, None);
             return;
-        }
-        let version = {
-            let snap = self.proto.snapshot_version();
-            let v = snap.unwrap_or(self.core.ckpt_counter + 1);
-            self.core.ckpt_counter = self.core.ckpt_counter.max(v);
-            v
         };
+        self.core.ckpt_counter = self.core.ckpt_counter.max(version);
         // Capture the generic sections at the application-safe point; the
         // protocol decides when the image ships (immediately by default).
         let state_bytes = state.len();
@@ -935,21 +958,14 @@ impl Vdaemon {
 }
 
 impl Actor for Vdaemon {
-    fn on_poke(&mut self, sim: &mut Sim, _me: ActorId, token: u64) {
+    fn on_timer(&mut self, sim: &mut Sim, _me: ActorId, token: u64) {
         match token {
+            TOKEN_PIPE => self.drain_pipe(sim),
             TOKEN_BOOT => self.boot(sim),
-            _ => self.drain_pipe(sim),
+            TOKEN_FINISHED => self.app_finished(sim),
+            proto => self.hook(sim, |p, ctx| p.on_timer(ctx, proto - PROTO_TIMER_BASE)),
         }
         self.pump(sim);
-    }
-
-    fn on_timer(&mut self, sim: &mut Sim, _me: ActorId, token: u64) {
-        if token >= PROTO_TIMER_BASE {
-            self.hook(sim, |proto, ctx| {
-                proto.on_timer(ctx, token - PROTO_TIMER_BASE)
-            });
-            self.pump(sim);
-        }
     }
 
     fn on_deliver(&mut self, sim: &mut Sim, _me: ActorId, msg: Delivery) {
@@ -957,34 +973,6 @@ impl Actor for Vdaemon {
         let body = match body.downcast::<DaemonMsg>() {
             Ok(dm) => {
                 self.handle_daemon_msg(sim, *dm);
-                self.pump(sim);
-                return;
-            }
-            Err(b) => b,
-        };
-        let body = match body.downcast::<Internal>() {
-            Ok(internal) => {
-                match *internal {
-                    Internal::AppFinished => {
-                        self.core.finished = true;
-                        self.core.take_recorded(sim);
-                        // Nothing waits on a finished rank's progress:
-                        // withdraw its pending expectations (e.g. a
-                        // final determinant batch whose ack is still in
-                        // flight when the program completes).
-                        sim.record(|| Edge::CancelOwner {
-                            owner: self.core.rank as u64,
-                        });
-                        vlog_sim::event!(sim, "rank-finished" { rank = self.core.rank });
-                        self.hook(sim, |proto, ctx| proto.on_app_finished(ctx));
-                        if let Some((dispatcher, _)) = topo(sim).dispatcher() {
-                            let done = crate::dispatcher::DispatcherMsg::Done {
-                                rank: self.core.rank,
-                            };
-                            control::send(sim, self.core.node, dispatcher, done);
-                        }
-                    }
-                }
                 self.pump(sim);
                 return;
             }

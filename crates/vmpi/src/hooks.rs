@@ -319,24 +319,19 @@ pub trait VProtocol: Send {
     /// A timer set through [`DaemonCore::set_proto_timer`] fired.
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {}
 
-    /// The application reached a checkpoint point. Return true to take a
-    /// checkpoint now (uncoordinated protocols follow their scheduler,
-    /// coordinated ones their marker state).
-    fn checkpoint_due(&mut self, ctx: &mut Ctx<'_>) -> bool {
-        false
+    /// The application reached a checkpoint point. Return the version of
+    /// the checkpoint to take now, or `None` to decline: uncoordinated
+    /// protocols follow their scheduler and take `next`, the daemon's
+    /// local counter plus one; coordinated ones follow their marker state
+    /// and take the global snapshot id.
+    fn checkpoint_due(&mut self, ctx: &mut Ctx<'_>, next: u64) -> Option<u64> {
+        None
     }
 
     /// The daemon is assembling a checkpoint image: contribute the
     /// protocol section (sender log, causality information, clocks).
     fn checkpoint_blob(&mut self, ctx: &mut Ctx<'_>) -> ProtoBlob {
         ProtoBlob::empty()
-    }
-
-    /// Version override for the checkpoint being taken. Coordinated
-    /// snapshots return the global snapshot id; `None` uses the daemon's
-    /// local counter (uncoordinated checkpoints).
-    fn snapshot_version(&mut self) -> Option<u64> {
-        None
     }
 
     /// The generic image sections were captured at the checkpoint point.

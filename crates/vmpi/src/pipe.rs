@@ -3,14 +3,17 @@
 //! In MPICH-V the MPI process never touches the network: it talks to the
 //! Vdaemon through a pair of system pipes (paper §IV-A). Here the pipe is
 //! the typed half of the application task's kernel-owned port
-//! ([`vlog_sim::Port`]): the task pushes a request and stages a *poke* for
-//! the daemon actor, delayed by the modelled pipe crossing cost; the
-//! daemon drains the queue when the poke fires, and parks what flows back
+//! ([`vlog_sim::Port`]): the task pushes a request and stages a wake-up
+//! for the daemon, delayed by the modelled pipe crossing cost; the daemon
+//! drains the queue when the wake-up fires, and parks what flows back
 //! (received messages, checkpoint verdicts) beside it until the
-//! operation's completion event makes it the application's. What the
-//! application records for the harness ([`crate::Mpi::record`]) rides
-//! the same pipe without a poke: the daemon moves it into the run state
-//! whenever it drains the requests and when the program finishes.
+//! operation's completion event makes it the application's. The wake-up
+//! is a timer on the daemon incarnation that spawned the program, as is
+//! the finish notice the program's last poll stages, so both die with
+//! that incarnation. What the application records for the harness
+//! ([`crate::Mpi::record`]) rides the same pipe without a wake-up of its
+//! own: the daemon moves it into the run state whenever it drains the
+//! requests and when the program finishes.
 //!
 //! # Ownership and `Send`
 //!
@@ -21,7 +24,9 @@
 //! port to each poll (`vlog_sim::exec`) — no `Arc`, no `Mutex`, and the
 //! whole cluster run stays `Send`. The port is installed when the daemon
 //! spawns an incarnation and dropped when that incarnation dies, so
-//! requests from a killed incarnation can never leak into its successor.
+//! requests from a killed incarnation can never leak into its successor,
+//! and neither can its wake-ups: the daemon was relaunched under a new
+//! generation, so they pop for a dead incarnation and are dropped.
 
 use std::collections::VecDeque;
 
@@ -53,12 +58,12 @@ pub enum AppRequest {
 /// Both directions of one incarnation's pipe.
 #[derive(Default)]
 pub struct AppPort {
-    /// Application → daemon, drained when the pipe poke fires.
+    /// Application → daemon, drained when the pipe wake-up fires.
     pub requests: VecDeque<AppRequest>,
     /// Daemon → application: the message each posted receive matched.
     pub received: OpValues<RecvMsg>,
     /// Daemon → application: whether each offered checkpoint was taken.
     pub checkpointed: OpValues<bool>,
-    /// Application → harness, in recording order; no poke of its own.
+    /// Application → harness, in recording order; no wake-up of its own.
     pub recorded: Vec<Recorded>,
 }

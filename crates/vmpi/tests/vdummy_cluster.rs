@@ -424,8 +424,8 @@ impl VProtocol for CheckpointEveryOffer {
         "checkpoint-every-offer".into()
     }
 
-    fn checkpoint_due(&mut self, _ctx: &mut Ctx<'_>) -> bool {
-        true
+    fn checkpoint_due(&mut self, _ctx: &mut Ctx<'_>, next: u64) -> Option<u64> {
+        Some(next)
     }
 }
 

@@ -109,22 +109,21 @@ echo "    boundary gate: ok (crash_node( and DispatcherMsg::Fault built only in 
 # A control message leaves its node one way (crates/vmpi/src/control.rs
 # module docs): control::send sizes the body and its private route
 # decides loopback, wire or chunk train. So under crates/vmpi/src and
-# crates/core/src a loopback is taken only there, by the daemon's
-# AppFinished self-notify (spawn_app) and by the fault module's
-# detection notice (detected), which models detection, not a hop.
+# crates/core/src a loopback is taken only there and by the fault
+# module's detection notice (detected), which models detection, not a
+# hop.
 loopback_gate='FNR == 1 { live = 1; fn_name = "" }
     /^#\[cfg\(test\)\]/ { live = 0 }
     !live || /^[[:space:]]*\/\// { next }
     match($0, /fn [a-z_0-9]+\(/) { fn_name = substr($0, RSTART + 3, RLENGTH - 4) }
     FILENAME ~ /\/control\.rs$/ && fn_name == "route" { next }
-    FILENAME ~ /\/daemon\.rs$/ && fn_name == "spawn_app" { next }
     FILENAME ~ /\/fault\.rs$/ && fn_name == "detected" { next }
     /local_send\(/ { print FILENAME ":" FNR ": " $0 }'
 if find crates/vmpi/src crates/core/src -name '*.rs' -print0 | xargs -0 awk "$loopback_gate" | grep .; then
     echo "a control message takes loopback outside crates/vmpi/src/control.rs (lines above): send it through control::send or control::send_at" >&2
     exit 1
 fi
-echo "    boundary gate: ok (local_send( under crates/vmpi/src and crates/core/src only in control::send's route, spawn_app's AppFinished and fault::detected)"
+echo "    boundary gate: ok (local_send( under crates/vmpi/src and crates/core/src only in control::send's route and fault::detected)"
 # A metric is named by its typed id (crates/sim/src/stats.rs: Counter,
 # Gauge, Timer), whose name() is the one place a name is spelled, so a
 # misspelt or wrong-kind metric fails to compile. Stats::get(&str) stays
@@ -218,6 +217,19 @@ if grep -rnE 'fn on_cras[h]\b|\b(add_actor_wit[h]|detach_actor_timer[s]|unregist
     exit 1
 fi
 echo "    boundary gate: ok (no fn on_crash, add_actor_with, detach_actor_timers, unregister_timer or cancel_proto_timer under crates/ tests/ examples/)"
+# Every actor wake-up names its incarnation (crates/sim/src/kernel.rs,
+# "Actors and generations"): Event::Timer is the kernel's one data-less
+# wake-up, a program's pipe wake-up and finish notice are timers on the
+# daemon incarnation that spawned it, and a program's end is the last
+# thing it stages. So no generation-less poke, task exit callback, task
+# stop request or daemon self-message is left, and a protocol names the
+# checkpoint it takes in the one checkpoint_due hook.
+# (The brackets keep this script out of a grep of the tree for the names.)
+if grep -rnE 'Event::Pok[e]\b|fn on_pok[e]\b|\b(spawn_with_exi[t]|on_exi[t]|stage_sto[p]|snapshot_versio[n])\b|enum Interna[l]\b' crates tests examples; then
+    echo "a wake-up that names no incarnation is back (lines above): stage an Event::Timer with the incarnation's generation, and report a program's end as the last thing it stages" >&2
+    exit 1
+fi
+echo "    boundary gate: ok (no Event::Poke, fn on_poke, spawn_with_exit, on_exit, stage_stop, snapshot_version or enum Internal under crates/ tests/ examples/)"
 
 echo "==> cargo build --release (RUSTFLAGS=-D warnings from here on)"
 cargo build --release --offline
