@@ -124,7 +124,7 @@ impl GraphRed {
                         break;
                     }
                     emitted[c] = d.clock;
-                    out.push(*d);
+                    out.push(d);
                     cursor[c] += 1;
                     progressed = true;
                 }

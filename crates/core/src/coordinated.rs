@@ -133,13 +133,13 @@ impl CoordinatedProtocol {
 
     fn send_markers(&mut self, ctx: &mut Ctx<'_>, id: u64) {
         let sent = ctx.core.next_ssn_watermarks();
-        for peer in 0..self.n {
+        for (peer, &upto_ssn) in sent.iter().enumerate().take(self.n) {
             if peer != self.rank {
                 vlog_sim::event!(ctx.sim, "marker" { from = self.rank, to = peer, id = id });
                 let marker = MarkerCtl {
                     from: self.rank,
                     id,
-                    upto_ssn: sent[peer],
+                    upto_ssn,
                 };
                 ctx.core.control_to_rank(ctx.sim, peer, marker);
             }

@@ -18,6 +18,18 @@
 //! history re-creates those clocks with new content, and the copy that
 //! arrives last must win everywhere for runs to stay reproducible.
 //!
+//! # Packed entries
+//!
+//! A sequence stores each determinant as a [`PackedDet`]: five `u32`
+//! fields, 20 bytes, against the 40 of the [`Determinant`] that piggyback
+//! bodies, the reductions and the codec pass around. Only the writes
+//! (`insert`, `insert_run`, and the appends under them) pack, through the
+//! checked [`PackedDet::try_from`]. The readers that hand determinants
+//! out (`at`, `get`, `last`, `iter`, [`DetStore::collect_above`],
+//! [`DetStore::above`]) widen them back, while the clock lookups, the
+//! pool's chunk compare and [`crate::graph::extend_past`]'s cause walk
+//! read the packed entries as they are.
+//!
 //! # Shared chunks and an owned tail
 //!
 //! Every checkpoint clones the causality store into its image
@@ -25,7 +37,8 @@
 //! real system snapshots by fork and copy-on-write, and so does this
 //! container: a sequence is a list of full chunks of `CHUNK` (64) entries
 //! behind an `Arc`, written only copy-on-write, plus an owned `tail`
-//! `Vec`. A clone bumps one
+//! `Vec`. A chunk is a fixed-size array, so its `Arc` is one word. A
+//! clone bumps one
 //! reference count per chunk and copies at most one chunk's worth of
 //! tail, and the image and the live rank share every chunk until one
 //! side changes it. The invariants:
@@ -84,23 +97,35 @@ use std::sync::{Arc, Weak};
 
 use vlog_vmpi::{RClock, Rank};
 
-use crate::event::Determinant;
+use crate::event::{Determinant, PackedDet};
 
 /// Entries per shared chunk. A power of two, so an index splits into a
-/// chunk and an offset by a shift and a mask. 64 × 40-byte determinants
-/// is 2.5 KB a chunk: a clone of a long sequence costs 16 bytes per 64
-/// entries, and a frozen store's only waste is its last partial chunk.
+/// chunk and an offset by a shift and a mask. 64 × 20-byte packed
+/// determinants is 1.25 KB a chunk: a clone of a long sequence costs 8
+/// bytes per 64 entries, and a frozen store's only waste is its last
+/// partial chunk.
 const CHUNK: usize = 64;
+
+/// A full, frozen run of `CHUNK` entries.
+type Chunk = [PackedDet; CHUNK];
+
+/// Packs `det` for storage.
+fn pack(det: &Determinant) -> PackedDet {
+    PackedDet::try_from(det).expect(
+        "a stored determinant fits u32 fields: a rank's clock is bounded by its receptions \
+         and a channel's ssn by its sends",
+    )
+}
 
 /// One creator's retained determinants: ascending by clock, no duplicates.
 #[derive(Debug, Clone, Default)]
 pub struct DetSeq {
-    /// Full chunks of `CHUNK` entries, shared with every clone.
-    chunks: Vec<Arc<[Determinant]>>,
+    /// Full chunks, shared with every clone.
+    chunks: Vec<Arc<Chunk>>,
     /// Pruned entries at the front of `chunks[0]`.
     skip: usize,
     /// The newest entries, fewer than `CHUNK`.
-    tail: Vec<Determinant>,
+    tail: Vec<PackedDet>,
     /// `chunks[..pooled]` have been offered to a [`ChunkPool`]; the rest
     /// were frozen or rewritten since.
     pooled: usize,
@@ -120,7 +145,14 @@ impl DetSeq {
     }
 
     /// The `i`-th retained determinant in clock order.
-    pub fn at(&self, i: usize) -> Option<&Determinant> {
+    #[inline]
+    pub fn at(&self, i: usize) -> Option<Determinant> {
+        self.entry(i).copied().map(Determinant::from)
+    }
+
+    /// [`DetSeq::at`], packed.
+    #[inline]
+    fn entry(&self, i: usize) -> Option<&PackedDet> {
         let p = self.skip.checked_add(i)?;
         match self.chunks.get(p / CHUNK) {
             Some(chunk) => Some(&chunk[p % CHUNK]),
@@ -128,28 +160,38 @@ impl DetSeq {
         }
     }
 
-    pub fn last(&self) -> Option<&Determinant> {
+    #[inline]
+    pub fn last(&self) -> Option<Determinant> {
+        self.last_entry().copied().map(Determinant::from)
+    }
+
+    /// [`DetSeq::last`], packed.
+    #[inline]
+    fn last_entry(&self) -> Option<&PackedDet> {
         self.tail
             .last()
             .or_else(|| self.chunks.last().and_then(|chunk| chunk.last()))
     }
 
     /// The first and the last entry; `None` when empty.
-    fn ends(&self) -> Option<(&Determinant, &Determinant)> {
+    fn ends(&self) -> Option<(&PackedDet, &PackedDet)> {
         let front = match self.chunks.first() {
             Some(chunk) => &chunk[self.skip],
             None => self.tail.first()?,
         };
-        Some((front, self.last()?))
+        Some((front, self.last_entry()?))
     }
 
     /// Whether the clocks form one gap-free range `front..=back`.
-    fn is_contiguous(&self, front: &Determinant, back: &Determinant) -> bool {
-        back.clock - front.clock == self.len() as u64 - 1
+    fn is_contiguous(&self, front: &PackedDet, back: &PackedDet) -> bool {
+        back.clock() - front.clock() == self.len() as u64 - 1
     }
 
-    pub fn iter(&self) -> impl Iterator<Item = &Determinant> + '_ {
-        self.slices(0, self.len()).flatten()
+    pub fn iter(&self) -> impl Iterator<Item = Determinant> + '_ {
+        self.slices(0, self.len())
+            .flatten()
+            .copied()
+            .map(Determinant::from)
     }
 
     /// Number of entries with clock strictly below `clock` — the index
@@ -158,12 +200,12 @@ impl DetSeq {
         let Some((front, back)) = self.ends() else {
             return 0;
         };
-        if clock <= front.clock {
+        if clock <= front.clock() {
             0
-        } else if clock > back.clock {
+        } else if clock > back.clock() {
             self.len()
         } else if self.is_contiguous(front, back) {
-            (clock - front.clock) as usize
+            (clock - front.clock()) as usize
         } else {
             self.search(clock)
         }
@@ -176,13 +218,13 @@ impl DetSeq {
     fn search(&self, clock: RClock) -> usize {
         let c = self
             .chunks
-            .partition_point(|chunk| chunk[CHUNK - 1].clock < clock);
+            .partition_point(|chunk| chunk[CHUNK - 1].clock() < clock);
         let from = if c == 0 { self.skip } else { 0 };
         let block = self
             .chunks
             .get(c)
             .map_or(&self.tail[..], |chunk| &chunk[..]);
-        c * CHUNK + from + block[from..].partition_point(|d| d.clock < clock) - self.skip
+        c * CHUNK + from + block[from..].partition_point(|d| d.clock() < clock) - self.skip
     }
 
     /// Number of entries with clock at or below `clock`.
@@ -193,23 +235,28 @@ impl DetSeq {
         }
     }
 
-    pub fn get(&self, clock: RClock) -> Option<&Determinant> {
-        self.at(self.below(clock)).filter(|d| d.clock == clock)
+    #[inline]
+    pub fn get(&self, clock: RClock) -> Option<Determinant> {
+        let d = *self.entry(self.below(clock))?;
+        (d.clock() == clock).then(|| d.into())
     }
 
     /// Inserts `det` at its clock; when that clock is already present the
     /// stored copy is replaced and false is returned.
     pub fn insert(&mut self, det: Determinant) -> bool {
-        if self.last().is_none_or(|back| det.clock > back.clock) {
+        if self
+            .last_entry()
+            .is_none_or(|back| det.clock > back.clock())
+        {
             self.extend(&[det]);
             return true;
         }
         let i = self.below(det.clock);
-        if self.at(i).is_some_and(|d| d.clock == det.clock) {
-            self.overwrite(i, det);
+        if self.entry(i).is_some_and(|d| d.clock() == det.clock) {
+            self.overwrite(i, &det);
             return false;
         }
-        self.insert_at(i, det);
+        self.insert_at(i, &det);
         true
     }
 
@@ -225,15 +272,15 @@ impl DetSeq {
             self.extend(run);
             return run.len();
         };
-        if first.clock > back.clock
-            || (first.clock >= front.clock && self.is_contiguous(front, back))
+        if first.clock > back.clock()
+            || (first.clock >= front.clock() && self.is_contiguous(front, back))
         {
-            let fresh = above(run, back.clock);
+            let fresh = above(run, back.clock());
             // Only read when part of the run is present, that is on the
             // contiguous path, where it is the index of `first`.
-            let at = (first.clock - front.clock) as usize;
+            let at = (first.clock - front.clock()) as usize;
             for (i, det) in (at..).zip(&run[..run.len() - fresh.len()]) {
-                self.overwrite(i, *det);
+                self.overwrite(i, det);
             }
             self.extend(fresh);
             return fresh.len();
@@ -243,10 +290,11 @@ impl DetSeq {
 
     /// Replaces entry `i` by `det` unless they are equal, copying the
     /// chunk that holds it first if a clone still shares that chunk.
-    fn overwrite(&mut self, i: usize, det: Determinant) {
-        if self.at(i) == Some(&det) {
+    fn overwrite(&mut self, i: usize, det: &Determinant) {
+        if self.at(i).as_ref() == Some(det) {
             return;
         }
+        let det = pack(det);
         let p = self.skip + i;
         let slot = match self.chunks.get_mut(p / CHUNK) {
             Some(chunk) => {
@@ -258,36 +306,45 @@ impl DetSeq {
         *slot = det;
     }
 
-    /// Appends entries above `back`, freezing the tail each time it fills.
+    /// Appends entries above `back`, packing them a tail's room at a time
+    /// and freezing the tail each time it fills.
     fn extend(&mut self, mut dets: &[Determinant]) {
         while !dets.is_empty() {
             let (now, rest) = dets.split_at(dets.len().min(CHUNK - self.tail.len()));
-            self.tail.extend_from_slice(now);
-            if self.tail.len() == CHUNK {
-                self.chunks.push(Arc::from(self.tail.as_slice()));
-                self.tail.clear();
-            }
+            self.tail.extend(now.iter().map(pack));
+            self.freeze();
             dets = rest;
+        }
+    }
+
+    /// Moves a full tail into a new chunk.
+    fn freeze(&mut self) {
+        if let Ok(chunk) = Chunk::try_from(&self.tail[..]) {
+            self.chunks.push(Arc::new(chunk));
+            self.tail.clear();
         }
     }
 
     /// Inserts `det` before entry `i`: everything from `i` on shifts by
     /// one, so the sequence is re-chunked from the chunk `i` sits in.
-    fn insert_at(&mut self, i: usize, det: Determinant) {
+    fn insert_at(&mut self, i: usize, det: &Determinant) {
         let c = (self.skip + i) / CHUNK;
         self.pooled = self.pooled.min(c);
         let mut rest = Vec::new();
         for chunk in self.chunks.drain(c..) {
-            rest.extend_from_slice(&chunk);
+            rest.extend_from_slice(&chunk[..]);
         }
         rest.append(&mut self.tail);
-        rest.insert(self.skip + i - c * CHUNK, det);
-        self.extend(&rest);
+        rest.insert(self.skip + i - c * CHUNK, pack(det));
+        for piece in rest.chunks(CHUNK) {
+            self.tail.extend_from_slice(piece);
+            self.freeze();
+        }
     }
 
     /// Entries `from..to` (indices in clock order) as the pieces of the
-    /// chunks and tail they span, ascending, for `extend_from_slice`.
-    fn slices(&self, from: usize, to: usize) -> impl Iterator<Item = &[Determinant]> + '_ {
+    /// chunks and tail they span, ascending.
+    fn slices(&self, from: usize, to: usize) -> impl Iterator<Item = &[PackedDet]> + '_ {
         let (mut pos, end) = (self.skip + from, self.skip + to);
         std::iter::from_fn(move || {
             if pos >= end {
@@ -306,16 +363,12 @@ impl DetSeq {
     }
 
     /// Entries with clock strictly above `lo`, ascending.
-    pub fn above_slices(&self, lo: RClock) -> impl Iterator<Item = &[Determinant]> + '_ {
+    pub fn above_slices(&self, lo: RClock) -> impl Iterator<Item = &[PackedDet]> + '_ {
         self.slices(self.through(lo), self.len())
     }
 
     /// Entries with `lo < clock <= hi`, ascending.
-    pub fn range_slices(
-        &self,
-        lo: RClock,
-        hi: RClock,
-    ) -> impl Iterator<Item = &[Determinant]> + '_ {
+    pub fn range_slices(&self, lo: RClock, hi: RClock) -> impl Iterator<Item = &[PackedDet]> + '_ {
         let from = self.through(lo);
         self.slices(from, self.through(hi).max(from))
     }
@@ -355,7 +408,7 @@ impl DetSeq {
 #[derive(Debug, Default)]
 pub struct ChunkPool {
     /// `(creator, first clock)` → the chunk registered last under it.
-    chunks: HashMap<(Rank, RClock), Weak<[Determinant]>>,
+    chunks: HashMap<(Rank, RClock), Weak<Chunk>>,
     /// Registrations since the last sweep.
     fresh: usize,
     /// Entries that survived the last sweep.
@@ -373,8 +426,8 @@ impl ChunkPool {
 
     /// Puts the pooled copy of `chunk` in its place when a live one equal
     /// in content exists; registers `chunk` otherwise.
-    fn intern(&mut self, creator: Rank, chunk: &mut Arc<[Determinant]>) {
-        let key = (creator, chunk[0].clock);
+    fn intern(&mut self, creator: Rank, chunk: &mut Arc<Chunk>) {
+        let key = (creator, chunk[0].clock());
         if let Some(pooled) = self.chunks.get(&key).and_then(Weak::upgrade) {
             if Arc::ptr_eq(&pooled, chunk) || pooled[..] == chunk[..] {
                 *chunk = pooled;
@@ -526,27 +579,23 @@ impl DetStore {
 
     /// Everything retained strictly above the per-creator `bound`
     /// (`RClock::MAX` excludes a creator), ordered by (creator, clock),
-    /// in one exact-capacity allocation.
+    /// widened in one pass into one exact-capacity allocation.
     pub fn collect_above(&self, bound: &[RClock]) -> Vec<Determinant> {
         let count = |(seq, &lo): (&DetSeq, &RClock)| seq.len() - seq.through(lo);
         let total = self.seqs.iter().zip(bound).map(count).sum();
         let mut out = Vec::with_capacity(total);
         for (seq, &lo) in self.seqs.iter().zip(bound) {
-            for piece in seq.above_slices(lo) {
-                out.extend_from_slice(piece);
-            }
+            widen_into(&mut out, seq.above_slices(lo));
         }
         out
     }
 
     /// Retained determinants of `creator` with clock strictly above `lo`,
-    /// ascending, in one exact-capacity allocation.
+    /// ascending, widened into one exact-capacity allocation.
     pub fn above(&self, creator: Rank, lo: RClock) -> Vec<Determinant> {
         let seq = &self.seqs[creator];
         let mut out = Vec::with_capacity(seq.len() - seq.through(lo));
-        for piece in seq.above_slices(lo) {
-            out.extend_from_slice(piece);
-        }
+        widen_into(&mut out, seq.above_slices(lo));
         out
     }
 
@@ -554,6 +603,13 @@ impl DetStore {
     /// or below a stability watermark is ever held.
     pub fn retained(&self) -> Vec<Determinant> {
         self.collect_above(&self.stable)
+    }
+}
+
+/// Appends the packed `pieces` to `out`, widened.
+fn widen_into<'a>(out: &mut Vec<Determinant>, pieces: impl Iterator<Item = &'a [PackedDet]>) {
+    for piece in pieces {
+        out.extend(piece.iter().copied().map(Determinant::from));
     }
 }
 
@@ -631,7 +687,7 @@ mod tests {
         assert_eq!(clocks(&seq), [2, 5, 6, 7, 8, 10]);
         assert_eq!((seq.below(4), seq.below(9), seq.through(9)), (1, 5, 5));
         assert_eq!(seq.get(9), None);
-        assert_eq!(seq.get(10), Some(&det(0, 10)));
+        assert_eq!(seq.get(10), Some(det(0, 10)));
         assert_eq!(seq.at(6), None);
         // Pruning the front restores arithmetic lookup on what is left.
         assert_eq!(seq.prune_through(4), 1);
@@ -648,15 +704,15 @@ mod tests {
             ..det(0, 2)
         };
         assert!(!seq.insert(newer));
-        assert_eq!(seq.get(2), Some(&newer));
+        assert_eq!(seq.get(2), Some(newer));
         let run = [det(0, 2), det(0, 3), det(0, 4)];
         assert_eq!(seq.insert_run(&run), 1);
-        assert_eq!(seq.get(2), Some(&det(0, 2)));
+        assert_eq!(seq.get(2), Some(det(0, 2)));
         assert_eq!(clocks(&seq), [1, 2, 3, 4]);
     }
 
-    fn flat<'a>(pieces: impl Iterator<Item = &'a [Determinant]>) -> Vec<RClock> {
-        pieces.flatten().map(|d| d.clock).collect()
+    fn flat<'a>(pieces: impl Iterator<Item = &'a [PackedDet]>) -> Vec<RClock> {
+        pieces.flatten().map(|d| d.clock()).collect()
     }
 
     #[test]
@@ -679,8 +735,8 @@ mod tests {
         assert_eq!(range(2 * c + 1, 2 * c - 2), [] as [RClock; 0]);
         assert_eq!(range(3 * c + 4, RClock::MAX), [3 * c + 5]);
         assert_eq!(above(RClock::MAX), [] as [RClock; 0]);
-        assert_eq!(seq.at(0), Some(&det(0, c + 2)));
-        assert_eq!(seq.get(2 * c + 7), Some(&det(0, 2 * c + 7)));
+        assert_eq!(seq.at(0), Some(det(0, c + 2)));
+        assert_eq!(seq.get(2 * c + 7), Some(det(0, 2 * c + 7)));
         // Pruning into the tail drops every chunk and drains the tail.
         assert_eq!(seq.prune_through(3 * c + 2), 2 * CHUNK + 1);
         assert_eq!(
@@ -709,7 +765,7 @@ mod tests {
         assert!(!live.insert(newer));
         assert!(!Arc::ptr_eq(&snap.chunks[0], &live.chunks[0]));
         assert!(Arc::ptr_eq(&snap.chunks[1], &live.chunks[1]));
-        assert_eq!((live.get(5), snap.get(5)), (Some(&newer), Some(&det(0, 5))));
+        assert_eq!((live.get(5), snap.get(5)), (Some(newer), Some(det(0, 5))));
         // A gap insert re-chunks from its chunk on; the snapshot keeps
         // its clocks, and the live side keeps every chunk full.
         live.prune_through(2 * c + 3);
@@ -752,7 +808,7 @@ mod tests {
         assert!(!shared(&a, &b, 1) && shared(&a, &b, 0) && shared(&a, &b, 2));
         assert_eq!(
             (a.seq(1).get(c + 3), b.seq(1).get(c + 3)),
-            (Some(&det(1, c + 3)), Some(&newer))
+            (Some(det(1, c + 3)), Some(newer))
         );
         // Once `a` learns the same copy, the pool hands it `b`'s chunk.
         a.insert(newer);

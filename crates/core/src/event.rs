@@ -9,6 +9,7 @@
 //! before the emission).
 
 use crate::codec; // byte-level encode/decode helpers
+use crate::piggyback::PbCodecError;
 use bytes::Bytes;
 use vlog_vmpi::{RClock, Rank, Ssn};
 
@@ -77,6 +78,72 @@ impl Determinant {
     }
 }
 
+/// A determinant as the determinant stores keep it: every field in 32
+/// bits, 20 bytes against [`Determinant`]'s 40. Built only through the
+/// checked [`PackedDet::try_from`], and widened back with
+/// [`Determinant::from`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PackedDet {
+    receiver: u32,
+    clock: u32,
+    sender: u32,
+    ssn: u32,
+    cause: u32,
+}
+
+impl PackedDet {
+    #[inline]
+    pub fn clock(&self) -> RClock {
+        self.clock.into()
+    }
+
+    /// [`Determinant::cause_id`], read without widening the rest.
+    #[inline]
+    pub fn cause_id(&self) -> Option<EventId> {
+        (self.cause > 0).then_some(EventId {
+            creator: self.sender as Rank,
+            clock: self.cause.into(),
+        })
+    }
+}
+
+impl TryFrom<&Determinant> for PackedDet {
+    type Error = PbCodecError;
+
+    /// Refuses a field wider than 32 bits with an overflow naming it,
+    /// checking the fields in wire order.
+    #[inline]
+    fn try_from(det: &Determinant) -> Result<Self, PbCodecError> {
+        let narrow = |field, value: u64| {
+            u32::try_from(value).map_err(|_| PbCodecError::Overflow {
+                field,
+                value,
+                wire_bits: 32,
+            })
+        };
+        Ok(PackedDet {
+            receiver: narrow("receiver", det.receiver as u64)?,
+            clock: narrow("clock", det.clock)?,
+            sender: narrow("sender", det.sender as u64)?,
+            ssn: narrow("ssn", det.ssn)?,
+            cause: narrow("cause", det.cause)?,
+        })
+    }
+}
+
+impl From<PackedDet> for Determinant {
+    #[inline]
+    fn from(p: PackedDet) -> Determinant {
+        Determinant {
+            receiver: p.receiver as Rank,
+            clock: p.clock.into(),
+            sender: p.sender as Rank,
+            ssn: p.ssn.into(),
+            cause: p.cause.into(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,6 +197,62 @@ mod tests {
             Determinant::decode_body(7, &mut short).unwrap_err().field(),
             "ssn"
         );
+    }
+
+    const FIELDS: [&str; 5] = ["receiver", "clock", "sender", "ssn", "cause"];
+
+    /// A determinant whose every field is `value`, but field `which` is
+    /// `wide`.
+    fn with_field(value: u64, which: usize, wide: u64) -> Determinant {
+        let f = |i| if i == which { wide } else { value };
+        Determinant {
+            receiver: f(0) as Rank,
+            clock: f(1),
+            sender: f(2) as Rank,
+            ssn: f(3),
+            cause: f(4),
+        }
+    }
+
+    #[test]
+    fn a_packed_determinant_is_twenty_bytes() {
+        assert_eq!(std::mem::size_of::<PackedDet>(), 20);
+    }
+
+    #[test]
+    fn each_field_round_trips_at_the_u32_limit() {
+        let max = u32::MAX as u64;
+        for (which, field) in FIELDS.into_iter().enumerate() {
+            let det = with_field(7, which, max);
+            let packed = PackedDet::try_from(&det).unwrap();
+            assert_eq!(Determinant::from(packed), det, "{field}");
+        }
+        let all = with_field(max, 0, max);
+        let packed = PackedDet::try_from(&all).unwrap();
+        assert_eq!(packed.clock(), max);
+        assert_eq!(
+            packed.cause_id(),
+            Some(EventId {
+                creator: u32::MAX as Rank,
+                clock: max,
+            })
+        );
+        assert_eq!(Determinant::from(packed), all);
+    }
+
+    #[test]
+    fn a_field_past_u32_is_refused_by_name() {
+        let wide = u32::MAX as u64 + 1;
+        for (which, field) in FIELDS.into_iter().enumerate() {
+            assert_eq!(
+                PackedDet::try_from(&with_field(7, which, wide)),
+                Err(PbCodecError::Overflow {
+                    field,
+                    value: wide,
+                    wire_bits: 32,
+                })
+            );
+        }
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub use causal::CausalProtocol;
 pub use coordinated::CoordinatedProtocol;
 pub use detseq::{ChunkPool, DetSeq, DetStore};
 pub use el_multi::{install_distributed_el, ElBatcher, ElMsg, ElReply, ElShard};
-pub use event::{Determinant, EventId};
+pub use event::{Determinant, EventId, PackedDet};
 pub use logcore::CausalCtl;
 pub use pessimistic::PessimisticProtocol;
 pub use piggyback::{

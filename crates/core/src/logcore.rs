@@ -301,7 +301,7 @@ impl LogCore {
             handoff.insert(det);
         }
         for det in handoff.iter() {
-            if let Some(batch) = self.batcher.offer(*det) {
+            if let Some(batch) = self.batcher.offer(det) {
                 self.send_batch(ctx, batch);
             }
         }
@@ -618,7 +618,7 @@ impl LogCore {
             if rec.collecting {
                 return;
             }
-            let Some(det) = rec.collected.get(rec.next).copied() else {
+            let Some(det) = rec.collected.get(rec.next) else {
                 // No determinant at `next`: either replay is complete
                 // or a gap means the tail was lost consistently with
                 // the rest of the system — both end the replay.

@@ -60,10 +60,12 @@ pub const FLAT_EVENT_BYTES: u64 = 2 + EVENT_BODY_BYTES;
 pub const GROUP_MAX_EVENTS: usize = u16::MAX as usize;
 
 /// A piggyback wire-codec failure: a value that does not fit its wire
-/// field on encode, or a buffer that ends mid-field on decode.
+/// field on encode, or a buffer that ends mid-field on decode. A store's
+/// packed entry ([`crate::event::PackedDet`]) refuses a field wider than
+/// 32 bits with the same overflow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PbCodecError {
-    /// A determinant field does not fit its wire representation.
+    /// A determinant field does not fit its wire (or packed) representation.
     Overflow {
         /// Which wire field overflowed ("receiver", "sender", "clock", ...).
         field: &'static str,
@@ -412,7 +414,7 @@ pub fn decode_watermarks(mut buf: Bytes) -> Result<Vec<RClock>, PbCodecError> {
         }
         let z = codec::get_uvarint(&mut buf, "wm_delta")?;
         let v = prev.wrapping_add(codec::unzigzag(z) as u64);
-        wm.extend(std::iter::repeat(v).take(run));
+        wm.extend(std::iter::repeat_n(v, run));
         prev = v;
     }
     Ok(wm)

@@ -171,15 +171,18 @@ echo "    boundary gate: ok (WireSize::control( only in control.rs and types.rs;
 # and a checkpoint_blob takes the sender log with SenderLog::snapshot,
 # never with a deep clone. Every determinant store is a DetStore
 # (detseq.rs module docs), the Event Logger's included, so no per-creator
-# Vec of determinants comes back beside it.
+# Vec of determinants comes back beside it, and a DetSeq keeps packed
+# 20-byte entries ("Packed entries"), so no field of detseq.rs holds the
+# 40-byte Determinant in a chunk, a tail or a pool slot.
 cow_gate='FNR == 1 { live = 1; fn_name = "" }
     /^#\[cfg\(test\)\]/ { live = 0 }
     !live || /^[[:space:]]*\/\// { next }
     match($0, /fn [a-z_0-9]+\(/) { fn_name = substr($0, RSTART + 3, RLENGTH - 4) }
     /Vec<Vec<(RClock|Determinant)>>/ { print FILENAME ":" FNR ": " $0 }
+    FILENAME ~ /detseq\.rs$/ && /^[[:space:]]*(pub[^ ]* )?[a-z_0-9]+: .*(<\[Determinant[];]|Vec<Determinant>)/ { print FILENAME ":" FNR ": " $0 }
     fn_name == "checkpoint_blob" && /slog\.clone\(\)/ { print FILENAME ":" FNR ": " $0 }'
 if find crates/core/src -name '*.rs' -print0 | xargs -0 awk "$cow_gate" | grep .; then
-    echo "a checkpoint image deep-copies what its rank did not change, or a determinant store bypasses DetStore (lines above): keep per-peer watermarks in a PeerTable, take the sender log with SenderLog::snapshot and keep determinants in a DetStore" >&2
+    echo "a checkpoint image deep-copies what its rank did not change, or a determinant store bypasses DetStore or its packed entries (lines above): keep per-peer watermarks in a PeerTable, take the sender log with SenderLog::snapshot and keep determinants in a DetStore, as PackedDet" >&2
     exit 1
 fi
 # The antecedence graph is a DetStore walked by graph::extend_past, with
@@ -189,7 +192,7 @@ if grep -rnw 'AGrap[h]' crates tests examples; then
     echo "the antecedence-graph wrapper is back (lines above): hold a DetStore and walk it with vlog_core::graph::extend_past" >&2
     exit 1
 fi
-echo "    boundary gate: ok (no Vec<Vec<RClock>> or Vec<Vec<Determinant>> in the non-test code of crates/core/src; no slog.clone() in a checkpoint_blob; no AGraph under crates/ tests/ examples/)"
+echo "    boundary gate: ok (no Vec<Vec<RClock>> or Vec<Vec<Determinant>> in the non-test code of crates/core/src, and no Arc<[Determinant]>/Vec<Determinant> field in detseq.rs; no slog.clone() in a checkpoint_blob; no AGraph under crates/ tests/ examples/)"
 # The event calendar is one timer wheel whose levels span every SimTime
 # (crates/sim/src/calendar.rs module docs), and detach is its one way to
 # withdraw an event: no tombstone cancel, no far-future heap beside it.

@@ -17,7 +17,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicI64, Ordering};
 
-use vlog_core::{ChunkPool, DetStore, Determinant};
+use vlog_core::{ChunkPool, DetStore, Determinant, PackedDet};
 
 struct Counting;
 
@@ -64,8 +64,9 @@ static GLOBAL: Counting = Counting;
 const CREATORS: usize = 16;
 const STORES: usize = 16;
 const PER_CREATOR: u64 = 6_250;
-/// A sequence's partial tail keeps room for one chunk of 64.
-const TAIL_BYTES: usize = 64 * std::mem::size_of::<Determinant>();
+/// A sequence's partial tail keeps room for one chunk of 64 packed
+/// determinants.
+const TAIL_BYTES: usize = 64 * std::mem::size_of::<PackedDet>();
 
 /// Creator `c`'s event `clock`: one content per run, whoever learns it.
 fn det(c: usize, clock: u64) -> Determinant {
@@ -89,7 +90,7 @@ fn message(s: usize, round: usize, next: &[u64; CREATORS]) -> Vec<Determinant> {
 
 #[test]
 fn sixteen_stores_fed_one_history_hold_about_one_copy() {
-    let copy = CREATORS * PER_CREATOR as usize * std::mem::size_of::<Determinant>();
+    let copy = CREATORS * PER_CREATOR as usize * std::mem::size_of::<PackedDet>();
     let tails = STORES * CREATORS * TAIL_BYTES;
     COUNTED.with(|c| c.set(true));
     let before = LIVE.load(Ordering::Relaxed);

@@ -30,7 +30,7 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use vlog_core::graph::extend_past;
-use vlog_core::{ChunkPool, DetSeq, DetStore, Determinant};
+use vlog_core::{ChunkPool, DetSeq, DetStore, Determinant, PackedDet};
 
 use oracle::OldGraph;
 
@@ -50,8 +50,8 @@ fn det(receiver: usize, clock: u64, salt: u64) -> Determinant {
     }
 }
 
-fn flat<'a>(pieces: impl Iterator<Item = &'a [Determinant]>) -> Vec<Determinant> {
-    pieces.flatten().copied().collect()
+fn flat<'a>(pieces: impl Iterator<Item = &'a [PackedDet]>) -> Vec<Determinant> {
+    pieces.flatten().copied().map(Determinant::from).collect()
 }
 
 /// Maps a script value in `0..48` onto `0..=top`, so inserts, prunes and
@@ -169,15 +169,15 @@ proptest! {
                     prop_assert_eq!(flat(seq.range_slices(pos, hi)), want);
                 }
                 _ => {
-                    prop_assert_eq!(seq.get(pos), map.get(&pos));
+                    prop_assert_eq!(seq.get(pos), map.get(&pos).copied());
                     let i = b as usize % (map.len() + 1);
-                    prop_assert_eq!(seq.at(i), map.values().nth(i));
+                    prop_assert_eq!(seq.at(i), map.values().nth(i).copied());
                 }
             }
             for (seq, map) in &sides {
                 prop_assert_eq!(seq.len(), map.len());
-                prop_assert_eq!(seq.last(), map.values().next_back());
-                prop_assert!(seq.iter().eq(map.values()));
+                prop_assert_eq!(seq.last(), map.values().next_back().copied());
+                prop_assert!(seq.iter().eq(map.values().copied()));
             }
         }
     }

@@ -4,7 +4,7 @@
 //! from that image. The sequence keeps its full chunks behind shared
 //! pointers, so a clone allocates one pointer per chunk plus a copy of the
 //! partial tail, not the determinants themselves: a deep copy of 100,000
-//! 40-byte determinants would allocate 4 MB.
+//! packed 20-byte determinants would allocate 2 MB.
 //!
 //! The file is its own test binary with a single test, because the
 //! counting allocator is process-wide: nothing else may allocate on the
@@ -14,7 +14,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use vlog_core::{DetSeq, Determinant};
+use vlog_core::{DetSeq, Determinant, PackedDet};
 
 struct Counting;
 
@@ -68,7 +68,7 @@ fn cloning_a_long_sequence_allocates_under_one_percent_of_a_deep_copy() {
             cause: clock - 1,
         });
     }
-    let deep = DETS * std::mem::size_of::<Determinant>() as u64;
+    let deep = DETS * std::mem::size_of::<PackedDet>() as u64;
     let before = BYTES.load(Ordering::Relaxed);
     COUNTED.with(|c| c.set(true));
     let snap = seq.clone();
