@@ -26,7 +26,7 @@ use vlog_workloads::netpipe::{self, NetpipePoint};
 use vlog_workloads::runner::faults;
 use vlog_workloads::{run_workload, Class, NasBench, NasConfig, WorkloadRun};
 
-use crate::report::{self, md_table, Record, Slot};
+use crate::report::{self, md_table, Field, Record, Slot};
 use crate::{fmt3, run_many, Scale, Stack, SuiteKind};
 
 // ---- Cell runners ---------------------------------------------------
@@ -422,7 +422,7 @@ impl PaperRow {
 }
 
 impl Record for PaperRow {
-    const SCHEMA: &'static [(&'static str, fn(&mut PaperRow) -> Slot<'_>)] = &[
+    const SCHEMA: &'static [Field<PaperRow>] = &[
         ("figure", |r| Slot::Str(&mut r.figure)),
         ("panel", |r| Slot::Str(&mut r.panel)),
         ("series", |r| Slot::Str(&mut r.series)),
@@ -942,7 +942,7 @@ pub struct ClaimRow {
 }
 
 impl Record for ClaimRow {
-    const SCHEMA: &'static [(&'static str, fn(&mut ClaimRow) -> Slot<'_>)] = &[
+    const SCHEMA: &'static [Field<ClaimRow>] = &[
         ("id", |r| Slot::Str(&mut r.id)),
         ("claim", |r| Slot::Str(&mut r.claim)),
         ("verdict", |r| Slot::Str(&mut r.verdict)),

@@ -145,6 +145,10 @@ pub(crate) enum Slot<'a> {
 }
 use Slot::{Bool, Str, F64, U64};
 
+/// One schema entry of a [`Record`]: the JSON key and the accessor that
+/// lends the field it names.
+pub(crate) type Field<R> = (&'static str, fn(&mut R) -> Slot<'_>);
+
 /// A row type of a committed `BENCH_*.json` document. The schema lists
 /// the fields of a result object after its leading derived `"name"`:
 /// key, field, type and print precision, in document order.
@@ -152,14 +156,14 @@ use Slot::{Bool, Str, F64, U64};
 /// added (or its precision changed) in one place.
 pub(crate) trait Record: Clone + Default + 'static {
     /// The schema table.
-    const SCHEMA: &'static [(&'static str, fn(&mut Self) -> Slot<'_>)];
+    const SCHEMA: &'static [Field<Self>];
 
     /// The name identifying this row in its array.
     fn name(&self) -> String;
 }
 
 impl Record for RegimeRow {
-    const SCHEMA: &'static [(&'static str, fn(&mut RegimeRow) -> Slot<'_>)] = &[
+    const SCHEMA: &'static [Field<RegimeRow>] = &[
         ("family", |r| Str(&mut r.family)),
         ("label", |r| Str(&mut r.label)),
         ("suite", |r| Str(&mut r.suite)),
@@ -299,7 +303,7 @@ impl JsonValue {
     fn as_u64(&self, key: &str) -> Result<u64, String> {
         const EXACT: f64 = (1u64 << 53) as f64;
         let x = self.as_f64(key)?;
-        if x >= 0.0 && x < EXACT && x.fract() == 0.0 {
+        if (0.0..EXACT).contains(&x) && x.fract() == 0.0 {
             Ok(x as u64)
         } else {
             Err(format!(

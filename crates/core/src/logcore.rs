@@ -12,7 +12,9 @@
 //!   checkpoint bookkeeping (per-version receive watermarks, GC-notice
 //!   fan-out, reclaim-serving payload re-sends);
 //! * the whole **recovery state machine** (paper §III-A): collect
-//!   determinants from the EL and every alive peer (with a retry timer),
+//!   determinants from the EL and every alive peer (with a retry timer
+//!   that is never withdrawn: it checks, when it fires, whether anyone
+//!   is still to answer),
 //!   replay deliveries in determinant order from re-sent payloads, then
 //!   re-accept the live traffic buffered meanwhile.
 //!
@@ -25,7 +27,7 @@ use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use vlog_sim::causality::{Edge, Key};
-use vlog_sim::{ActorId, SimDuration, SimTime, TimerHandle};
+use vlog_sim::{ActorId, SimDuration, SimTime};
 use vlog_vmpi::control::{self, Body};
 use vlog_vmpi::{
     AppMsg, Ctx, ElReshard, Payload, PiggybackBlob, ProtoPhase, RClock, Rank, SchedulerCmd, Ssn,
@@ -138,9 +140,6 @@ pub struct LogCore {
     /// Peers' reclaims that arrived in this rank's restart window, held
     /// until recovery begins (see [`LogCore::hold_in_restart_window`]).
     window_reclaims: Vec<CausalCtl>,
-    /// Wheel handle of the armed reclaim retry timer, cancelled as soon
-    /// as collection completes instead of left to fire as a stale no-op.
-    reclaim_timer: Option<TimerHandle>,
     /// Ack-clocked record batcher on the ship-to-EL path.
     batcher: ElBatcher,
     /// Monotone count of record batches put on the wire — the causality
@@ -163,7 +162,6 @@ impl LogCore {
             ckpt_expected: BTreeMap::new(),
             rec: None,
             window_reclaims: Vec::new(),
-            reclaim_timer: None,
             batcher: ElBatcher::new(),
             batches_sent: 0,
             el_outstanding: VecDeque::new(),
@@ -457,23 +455,20 @@ impl LogCore {
             ctx.rank_stats().recovery_collect.push(SimDuration::ZERO);
         } else {
             self.send_reclaims(ctx);
-            self.reclaim_timer = Some(ctx.core.set_proto_timer(
-                ctx.sim,
-                RECLAIM_RETRY,
-                TIMER_RECLAIM,
-            ));
+            ctx.core
+                .set_proto_timer(ctx.sim, RECLAIM_RETRY, TIMER_RECLAIM);
         }
         std::mem::take(&mut self.window_reclaims)
     }
 
+    /// The reclaim retry: re-asks whoever has not answered yet, and arms
+    /// the next retry. A retry that outlives its collection — every
+    /// answer arrived, or the recovery already finished — does nothing.
     pub(crate) fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         if token == TIMER_RECLAIM && self.rec.as_ref().is_some_and(|r| r.collecting) {
             self.send_reclaims(ctx);
-            self.reclaim_timer = Some(ctx.core.set_proto_timer(
-                ctx.sim,
-                RECLAIM_RETRY,
-                TIMER_RECLAIM,
-            ));
+            ctx.core
+                .set_proto_timer(ctx.sim, RECLAIM_RETRY, TIMER_RECLAIM);
         }
     }
 
@@ -567,10 +562,7 @@ impl LogCore {
         if rec.resp_from.len() != self.n - 1 || (self.el && !rec.resp_el) {
             return;
         }
-        // Collection is done: the retry timer has nothing left to retry.
-        if let Some(h) = self.reclaim_timer.take() {
-            ctx.sim.cancel_timer(h);
-        }
+        // Collection is done; a pending retry now finds nothing to retry.
         if rec.collecting {
             rec.collecting = false;
             rec.max_clock = rec.collected.last().map_or(rec.wm, |d| d.clock);
@@ -700,7 +692,9 @@ mod tests {
         batches: Vec<Vec<RClock>>,
         /// Ssn of each re-sent payload, in arrival order.
         replays: Vec<Ssn>,
+        reclaims: usize,
         reclaim_resps: usize,
+        queries: usize,
     }
 
     struct Probe(Arc<Mutex<Seen>>);
@@ -710,8 +704,12 @@ mod tests {
             let mut seen = self.0.lock().unwrap();
             let body = match msg.body.downcast::<ElMsg>() {
                 Ok(m) => {
-                    if let ElMsg::Record { dets, .. } = *m {
-                        seen.batches.push(dets.iter().map(|d| d.clock).collect());
+                    match *m {
+                        ElMsg::Record { dets, .. } => {
+                            seen.batches.push(dets.iter().map(|d| d.clock).collect())
+                        }
+                        ElMsg::Query { victim: 0, .. } => seen.queries += 1,
+                        _ => {}
                     }
                     return;
                 }
@@ -727,8 +725,11 @@ mod tests {
                 Err(b) => b,
             };
             if let Ok(ctl) = body.downcast::<CausalCtl>() {
-                assert!(matches!(*ctl, CausalCtl::ReclaimResp { from: 0, .. }));
-                seen.reclaim_resps += 1;
+                match *ctl {
+                    CausalCtl::Reclaim { victim: 0, .. } => seen.reclaims += 1,
+                    CausalCtl::ReclaimResp { from: 0, .. } => seen.reclaim_resps += 1,
+                    _ => panic!("rank 0 sent an unexpected control message"),
+                }
             }
         }
     }
@@ -907,5 +908,41 @@ mod tests {
         // A later crash is a new incarnation: everything from its
         // watermark again.
         assert_eq!(reclaim(&mut rig, 9), vec![1, 2, 3]);
+    }
+
+    /// The reclaim retry is never withdrawn: when it fires it re-asks
+    /// only whoever has not answered, and once collection is closed —
+    /// or the whole recovery is over — it sends nothing.
+    #[test]
+    fn a_reclaim_retry_re_asks_only_who_has_not_answered() {
+        let mut rig = rig();
+        // (Reclaims at the peer, Queries at shard 0) since the last look.
+        let asked = |rig: &Rig| {
+            let reclaims = std::mem::take(&mut rig.peer.lock().unwrap().reclaims);
+            let queries = std::mem::take(&mut rig.shards[0].lock().unwrap().queries);
+            (reclaims, queries)
+        };
+        let retry = |rig: &mut Rig| drive(rig, |log, ctx| log.on_timer(ctx, TIMER_RECLAIM));
+        drive(&mut rig, |log, ctx| log.begin_recovery(ctx, 0));
+        assert_eq!(asked(&rig), (1, 1));
+        // The peer answers, the Event Logger does not: only the Query
+        // goes out again.
+        drive(&mut rig, |log, ctx| log.on_reclaim_resp(ctx, 1, &[]));
+        retry(&mut rig);
+        assert_eq!(asked(&rig), (0, 1));
+        // Both answered: collection is closed, a retry sends nothing.
+        drive(&mut rig, |log, ctx| log.on_query_resp(ctx, &[]));
+        retry(&mut rig);
+        assert_eq!(asked(&rig), (0, 0));
+        // Nothing to replay: the recovery ends, and a retry that
+        // outlives it still sends nothing.
+        assert!(rig.log.recovering());
+        drive(&mut rig, |log, ctx| {
+            log.try_replay(ctx, |_, _, _| {}, |_| {})
+        });
+        assert!(!rig.log.recovering());
+        retry(&mut rig);
+        assert_eq!(asked(&rig), (0, 0));
+        assert_eq!(rig.shards[1].lock().unwrap().queries, 0);
     }
 }

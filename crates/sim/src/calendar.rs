@@ -37,10 +37,14 @@
 //!
 //! An event is withdrawn one way: [`EventCalendar::detach`] hands back
 //! the payload now but keeps the dispatch slot, so `pop` still yields
-//! `(time, seq, None)` at the scheduled instant. The kernel uses this for
-//! cancelled timers and for the timers of dead actor incarnations, so
-//! event accounting (`events_processed`, clock advancement) is the same
-//! as if the handler had been dropped at dispatch by a generation check.
+//! `(time, seq, None)` at the scheduled instant, and event accounting
+//! (`events_processed`, clock advancement) is the same as if the event
+//! had run a handler that did nothing. The kernel exposes no withdrawal:
+//! a timer, once set, pops, and its handler decides whether it still
+//! matters; a dead incarnation's timer fails the generation check at
+//! dispatch. `detach` stays as the calendar primitive a kernel-side
+//! revision of a booked arrival needs (detach, then schedule at the new
+//! instant), and the property tests keep it exact.
 
 use crate::time::SimTime;
 

@@ -345,6 +345,8 @@ pub fn with_task<R>(what: &str, f: impl FnOnce(&mut TaskCx) -> R) -> R {
 }
 
 /// Handle on the executor, usable from task context only (inside a poll).
+/// It holds nothing and belongs to no [`Sim`](crate::Sim): what it
+/// reaches is whatever task the thread's current poll has lent.
 #[derive(Clone, Copy)]
 pub struct ExecHandle;
 
@@ -477,7 +479,7 @@ mod tests {
     #[test]
     fn op_cell_completes_before_wait() {
         let mut sim = Sim::new();
-        let h = sim.exec();
+        let h = ExecHandle;
         sim.spawn(None, async move {
             let op = h.new_op();
             h.stage(us(1), complete(op.id()));
@@ -493,7 +495,7 @@ mod tests {
     #[test]
     fn op_awaited_first_resumes_at_its_completion() {
         let mut sim = Sim::new();
-        let h = sim.exec();
+        let h = ExecHandle;
         let resumed = Arc::new(Mutex::new(None));
         let r = resumed.clone();
         sim.spawn(None, async move {
@@ -510,7 +512,7 @@ mod tests {
     #[should_panic(expected = "Op completed twice")]
     fn double_complete_panics() {
         let mut sim = Sim::new();
-        let h = sim.exec();
+        let h = ExecHandle;
         sim.spawn(None, async move {
             let op = h.new_op();
             let id = op.id();
@@ -532,7 +534,7 @@ mod tests {
     #[should_panic(expected = "Op polled outside task context")]
     fn op_future_under_a_foreign_waker_panics() {
         let mut sim = Sim::new();
-        let h = sim.exec();
+        let h = ExecHandle;
         let out = Arc::new(Mutex::new(None));
         let o = out.clone();
         sim.spawn(None, async move { *o.lock().unwrap() = Some(h.new_op()) });
@@ -544,7 +546,7 @@ mod tests {
 
     #[test]
     fn task_context_calls_outside_a_poll_panic_by_name() {
-        let h = Sim::new().exec();
+        let h = ExecHandle;
         type Call = Box<dyn Fn()>;
         let calls: [(&str, Call); 4] = [
             ("ExecHandle::new_op", Box::new(move || drop(h.new_op()))),
@@ -565,7 +567,7 @@ mod tests {
     #[test]
     fn ops_carry_the_id_of_the_task_being_polled() {
         let mut sim = Sim::new();
-        let h = sim.exec();
+        let h = ExecHandle;
         let seen = Arc::new(Mutex::new(Vec::new()));
         let spawned: Vec<TaskId> = (0..3)
             .map(|_| {
@@ -585,7 +587,7 @@ mod tests {
     #[test]
     fn a_parked_value_is_not_observable_before_its_event_fires() {
         let mut sim = Sim::new();
-        let h = sim.exec();
+        let h = ExecHandle;
         let got = Arc::new(Mutex::new(Vec::new()));
         let g = got.clone();
         let task = sim.spawn(None, async move {
@@ -617,7 +619,7 @@ mod tests {
     #[test]
     fn a_completion_for_a_dead_incarnation_pops_as_a_counted_no_op() {
         let mut sim = Sim::new();
-        let h = sim.exec();
+        let h = ExecHandle;
         let resumed = Arc::new(Mutex::new(Vec::new()));
         let r = resumed.clone();
         let old = sim.spawn(None, async move {
@@ -646,7 +648,7 @@ mod tests {
     #[test]
     fn an_abandoned_op_gives_its_slot_back_at_completion() {
         let mut sim = Sim::new();
-        let h = sim.exec();
+        let h = ExecHandle;
         sim.spawn(None, async move {
             let op = h.new_op();
             let id = op.id();
@@ -669,7 +671,7 @@ mod tests {
     #[test]
     fn now_in_task_context_is_the_kernel_clock_at_that_poll() {
         let mut sim = Sim::new();
-        let h = sim.exec();
+        let h = ExecHandle;
         let seen = Arc::new(Mutex::new(Vec::new()));
         let s = seen.clone();
         sim.spawn(None, async move {
@@ -695,7 +697,7 @@ mod tests {
     #[test]
     fn sleep_advances_virtual_time() {
         let mut sim = Sim::new();
-        let h = sim.exec();
+        let h = ExecHandle;
         sim.spawn(None, async move {
             h.sleep(SimDuration::from_micros(10)).await;
             h.sleep(SimDuration::from_micros(5)).await;
@@ -709,7 +711,7 @@ mod tests {
         let mut sim = Sim::new();
         let log: Arc<Mutex<Vec<(u64, &'static str)>>> = Arc::new(Mutex::new(Vec::new()));
         for (name, step) in [("a", 3u64), ("b", 5u64)] {
-            let h = sim.exec();
+            let h = ExecHandle;
             let log = log.clone();
             sim.spawn(None, async move {
                 for _ in 0..3 {
@@ -733,7 +735,7 @@ mod tests {
     /// logs `tag` through a staged closure, every `step` microseconds.
     fn ticking_sim(tag: u32, step: u64, log: &TickLog) -> Sim {
         let mut sim = Sim::new();
-        let (h, log) = (sim.exec(), log.clone());
+        let (h, log) = (ExecHandle, log.clone());
         let task = sim.spawn(None, async move {
             for _ in 0..6 {
                 h.sleep(us(step)).await;
@@ -773,7 +775,7 @@ mod tests {
     #[test]
     fn a_poll_that_panics_does_not_poison_the_next_run_on_that_thread() {
         let mut doomed = Sim::new();
-        let h = doomed.exec();
+        let h = ExecHandle;
         doomed.spawn(None, async move {
             let _op = h.new_op();
             panic!("program bug");

@@ -62,13 +62,14 @@
 //! TCP connections and pipes dying with the process: it still counts as
 //! a dispatched event at its `(time, seq)` position, but no handler runs
 //! and a timer records nothing. The kernel keeps no per-actor list of
-//! timers and tells no actor that it is crashing; [`Sim::cancel_timer`]
-//! is only for a live incarnation withdrawing a timer it no longer needs.
+//! timers and tells no actor that it is crashing. No timer is withdrawn;
+//! its handler decides whether it still matters.
 //!
 //! # The calendar
 //!
 //! Events live in the arena-backed [`EventCalendar`]: a slab with
-//! free-list reuse addressed by stable [`EventKey`] handles, filed in one
+//! free-list reuse addressed by stable
+//! [`EventKey`](crate::calendar::EventKey) handles, filed in one
 //! hierarchical timer wheel whose nine levels span every [`SimTime`].
 //! Dispatch order is exact `(time, seq)` — see the
 //! [`calendar`](crate::calendar) module docs for the determinism
@@ -77,9 +78,9 @@
 use std::any::Any;
 use std::collections::VecDeque;
 
-use crate::calendar::{EventCalendar, EventKey};
+use crate::calendar::EventCalendar;
 use crate::causality::{Edge, Log};
-use crate::exec::{self, ExecHandle, OpId, Port, TaskId, TaskSlot};
+use crate::exec::{self, OpId, Port, TaskId, TaskSlot};
 use crate::net::{NetProfile, Network, WireSize};
 use crate::profiler;
 use crate::schedule::{Decision, Script};
@@ -153,12 +154,6 @@ pub trait Actor: Send + 'static {
         let _ = (sim, me, token);
     }
 }
-
-/// Handle on a pending timer, returned by [`Sim::set_timer`], with which
-/// a live incarnation withdraws it ([`Sim::cancel_timer`]). A handle
-/// that already fired or was cancelled is stale and ignored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimerHandle(EventKey);
 
 struct ActorSlot {
     actor: Option<Box<dyn Actor>>,
@@ -335,12 +330,6 @@ impl Sim {
         &mut self.stats
     }
 
-    /// Handle for task context (staging, ops, sleeps). It holds nothing:
-    /// what it reaches is whatever the kernel lent the poll in progress.
-    pub fn exec(&self) -> ExecHandle {
-        ExecHandle
-    }
-
     /// Number of events dispatched so far.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
@@ -404,16 +393,16 @@ impl Sim {
     // Scheduling
     // ------------------------------------------------------------------
 
-    /// Schedules an event `delay` from now. The returned key can detach
-    /// it through the calendar while it is still pending: its payload
-    /// comes back and its dispatch stays as a counted no-op.
-    pub fn schedule(&mut self, delay: SimDuration, event: Event) -> EventKey {
+    /// Schedules an event `delay` from now. Once scheduled it pops at its
+    /// `(time, seq)` position: the kernel withdraws nothing, so whoever
+    /// handles it decides whether it still matters.
+    pub fn schedule(&mut self, delay: SimDuration, event: Event) {
         self.schedule_at(self.now + delay, event)
     }
 
     /// Schedules an event at an absolute instant (must not be in the past,
     /// must not be the [`SimTime::MAX`] sentinel).
-    pub fn schedule_at(&mut self, time: SimTime, event: Event) -> EventKey {
+    pub fn schedule_at(&mut self, time: SimTime, event: Event) {
         // MAX is the "run forever" deadline / "never" timeout sentinel;
         // an event actually scheduled there is always a saturated (or
         // formerly wrapped) arithmetic bug upstream.
@@ -422,7 +411,7 @@ impl Sim {
             "attempted to schedule an event at the SimTime::MAX sentinel"
         );
         debug_assert!(time >= self.now, "scheduling into the past");
-        self.calendar.schedule(time, event)
+        self.calendar.schedule(time, event);
     }
 
     /// Schedules kernel-context work `delay` from now.
@@ -433,18 +422,10 @@ impl Sim {
     /// Sets a timer for the current incarnation of an actor. If that
     /// incarnation crashes or is replaced first, the timer still pops as a
     /// counted event but its handler never runs (the generation check).
-    pub fn set_timer(&mut self, actor: ActorId, delay: SimDuration, token: u64) -> TimerHandle {
+    /// A live incarnation's timer always reaches its handler.
+    pub fn set_timer(&mut self, actor: ActorId, delay: SimDuration, token: u64) {
         let gen = self.actors[actor].gen;
-        TimerHandle(self.schedule(delay, Event::Timer { actor, gen, token }))
-    }
-
-    /// Withdraws a live incarnation's pending timer: its handler will not
-    /// run. The calendar entry keeps its `(time, seq)` position and pops
-    /// as a counted no-op, so a cancel moves neither `events_processed`
-    /// nor the clock. Returns false for a stale handle (already fired or
-    /// cancelled).
-    pub fn cancel_timer(&mut self, handle: TimerHandle) -> bool {
-        self.calendar.detach(handle.0).is_some()
+        self.schedule(delay, Event::Timer { actor, gen, token });
     }
 
     /// Requests the run loop to exit at the next dispatch boundary.
@@ -709,13 +690,9 @@ impl Sim {
                 continue;
             }
             self.now = time;
-            // A detached event (None payload) still advances the clock
-            // and the event counter.
             {
                 let _p = profiler::scope(profiler::Phase::Dispatch);
-                if let Some(event) = event {
-                    self.dispatch(event);
-                }
+                self.dispatch(event.expect("the kernel detaches no event"));
                 self.drain_tasks();
             }
             self.events_processed += 1;
@@ -729,8 +706,8 @@ impl Sim {
     }
 
     /// Offers the event popped at `at` to the run's script if it is a
-    /// message delivery — the only kind a script may move; detached slots
-    /// and every other event dispatch in place. True when the script
+    /// message delivery — the only kind a script may move; every other
+    /// event dispatches in place. True when the script
     /// deferred it: the delivery left `event` for the calendar, at the
     /// script's target with a fresh (highest) sequence number — behind
     /// its same-time peers for a zero delay.
@@ -833,9 +810,7 @@ impl Sim {
         if poll.is_pending() {
             self.tasks[idx].fut = Some(fut);
         }
-        port.take_staged(|delay, ev| {
-            self.schedule(delay, ev);
-        });
+        port.take_staged(|delay, ev| self.schedule(delay, ev));
         // A poll cannot reach its own slot, so the slot is still this
         // incarnation's.
         self.tasks[idx].port = port;
@@ -853,6 +828,7 @@ fn no_run_state<S>() -> ! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::ExecHandle;
     use std::sync::{Arc, Mutex};
 
     struct Echo {
@@ -907,28 +883,6 @@ mod tests {
         // The old incarnation's timer popped and counted, but its
         // generation no longer matched, so no handler ran.
         assert_eq!(sim.events_processed(), 2);
-    }
-
-    #[test]
-    fn cancelled_timer_never_fires_but_keeps_accounting() {
-        let mut sim = Sim::new();
-        let n0 = sim.add_node();
-        let got = Arc::new(Mutex::new(Vec::new()));
-        let a = sim.add_actor(n0, Box::new(Echo { got: got.clone() }));
-        let h1 = sim.set_timer(a, SimDuration::from_micros(10), 1);
-        sim.set_timer(a, SimDuration::from_micros(20), 2);
-        assert!(sim.cancel_timer(h1));
-        assert!(!sim.cancel_timer(h1), "double cancel is a no-op");
-        sim.run();
-        assert_eq!(&*got.lock().unwrap(), &[(usize::MAX, 2u64)]);
-        assert_eq!(sim.events_processed(), 2);
-        // A fired timer's handle is stale.
-        let mut sim2 = Sim::new();
-        let n = sim2.add_node();
-        let a2 = sim2.add_actor(n, Box::new(Echo { got: got.clone() }));
-        let h = sim2.set_timer(a2, SimDuration::from_micros(1), 9);
-        sim2.run();
-        assert!(!sim2.cancel_timer(h));
     }
 
     #[test]
@@ -1030,7 +984,7 @@ mod tests {
     fn killed_task_never_resumes() {
         let mut sim = Sim::new();
         let n0 = sim.add_node();
-        let h = sim.exec();
+        let h = ExecHandle;
         let hit = Arc::new(Mutex::new(false));
         let hit2 = hit.clone();
         let id = sim.spawn(Some(n0), async move {
@@ -1046,7 +1000,7 @@ mod tests {
     #[test]
     fn run_until_pauses_and_resumes() {
         let mut sim = Sim::new();
-        let h = sim.exec();
+        let h = ExecHandle;
         let count = Arc::new(Mutex::new(0));
         let c = count.clone();
         sim.spawn(None, async move {
@@ -1083,7 +1037,7 @@ mod tests {
         let b = sim.add_actor(n1, Box::new(Bounce(a)));
         assert_eq!(b, 1);
         sim.net_send(n0, b, small(64), Box::new(40u64));
-        let h = sim.exec();
+        let h = ExecHandle;
         // The receiver's op, published by its first poll at time zero.
         let ball = Arc::new(Mutex::new(None));
         let tx = ball.clone();
@@ -1147,7 +1101,7 @@ mod tests {
         let us = SimDuration::from_micros;
         // (a) The task's only poll stages and finishes: nothing is
         // polled after it in that drain.
-        let h = sim.exec();
+        let h = ExecHandle;
         let ev = mark(&fired);
         sim.spawn(None, async move { h.stage(us(1), ev) });
         sim.after(us(5), |_| {});
@@ -1165,7 +1119,7 @@ mod tests {
     fn crash_between_complete_and_poll_drops_the_stale_wakeup() {
         let mut sim = Sim::new();
         let n0 = sim.add_node();
-        let h = sim.exec();
+        let h = ExecHandle;
         let resumed = Arc::new(Mutex::new(Vec::new()));
         let op_id = Arc::new(Mutex::new(None));
         let (tx, r) = (op_id.clone(), resumed.clone());
@@ -1375,7 +1329,7 @@ mod tests {
                     .unwrap()
                     .push((usize::MAX, sim.now().as_nanos()));
             });
-            let h = sim.exec();
+            let h = ExecHandle;
             sim.spawn(Some(n0), async move {
                 let op = h.new_op();
                 h.stage(

@@ -7,7 +7,8 @@
 //! * a deterministic **event calendar** and run loop ([`Sim`]): an
 //!   arena-backed slab of events filed in one hierarchical timer wheel
 //!   that spans the whole clock ([`calendar`]), dispatching in exact
-//!   `(time, sequence)` order with O(1) scheduling and detaching,
+//!   `(time, sequence)` order with O(1) scheduling; a scheduled event
+//!   always pops, and its handler decides whether it still matters,
 //! * an **actor** model for message/timer-driven services such as
 //!   communication daemons, the Event Logger, the checkpoint server and the
 //!   dispatcher ([`Actor`]),
@@ -45,10 +46,12 @@
 //! ## Example
 //!
 //! ```
-//! use vlog_sim::{Event, Sim, SimDuration};
+//! use vlog_sim::{Event, ExecHandle, Sim, SimDuration};
 //!
 //! let mut sim = Sim::new();
-//! let h = sim.exec();
+//! // The handle belongs to no `Sim`: it reaches whichever task the
+//! // thread's current poll has lent.
+//! let h = ExecHandle;
 //! sim.spawn(None, async move {
 //!     // Task context: the op is a slot in this task's own port, which
 //!     // the kernel lent to this poll. The staged event reaches the
@@ -78,9 +81,7 @@ pub mod time;
 
 pub use calendar::{EventCalendar, EventKey};
 pub use exec::{with_task, ExecHandle, Op, OpId, OpValues, Port, TaskCx, TaskId};
-pub use kernel::{
-    Actor, ActorId, Delivery, Event, NodeId, Sim, SimConfig, StopReason, TimerHandle,
-};
+pub use kernel::{Actor, ActorId, Delivery, Event, NodeId, Sim, SimConfig, StopReason};
 pub use net::{EthernetParams, HeteroLinks, NetProfile, Network, WireSize, SERVICE_BOUNDARY};
 pub use schedule::Decision;
 pub use stats::{Counter, Gauge, MsgHistogram, Stats, Timer};

@@ -256,7 +256,7 @@ pub fn encode_f64s(values: &[f64]) -> Bytes {
 
 /// Decodes little-endian f64 bytes produced by [`encode_f64s`].
 pub fn decode_f64s(data: &Bytes) -> Vec<f64> {
-    assert!(data.len() % 8 == 0, "truncated f64 payload");
+    assert!(data.len().is_multiple_of(8), "truncated f64 payload");
     data.chunks_exact(8)
         .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
         .collect()

@@ -469,11 +469,10 @@ impl ClusterRun {
         impl vlog_sim::Actor for Placeholder {
             fn on_deliver(&mut self, _: &mut Sim, _: vlog_sim::ActorId, _: vlog_sim::Delivery) {}
         }
-        let mut daemon_ids = Vec::with_capacity(n);
-        for rank in 0..n {
-            let me = sim.add_actor(rank_nodes[rank], Box::new(Placeholder));
-            daemon_ids.push(me);
-        }
+        let daemon_ids: Vec<_> = rank_nodes
+            .iter()
+            .map(|&node| sim.add_actor(node, Box::new(Placeholder)))
+            .collect();
 
         let mut state = ClusterState::with_ranks(daemon_ids, rank_nodes);
         state.topo.set_ckpt_server(ckpt, stable_a);

@@ -231,10 +231,9 @@ impl Mpi {
             let mut out: Vec<Payload> = vec![Payload::default(); n];
             out[me] = mine;
             // Receive in deterministic source order.
-            for src in 0..n {
+            for (src, slot) in out.iter_mut().enumerate() {
                 if src != root {
-                    let m = self.recv_from(src, TAG_GATHER).await;
-                    out[src] = m.payload;
+                    *slot = self.recv_from(src, TAG_GATHER).await.payload;
                 }
             }
             Some(out)

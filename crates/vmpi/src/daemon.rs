@@ -38,7 +38,7 @@ use bytes::Bytes;
 use vlog_sim::causality::Edge;
 use vlog_sim::{
     Actor, ActorId, Counter, Delivery, Event, ExecHandle, NodeId, OpId, Sim, SimDuration, SimTime,
-    TaskId, TimerHandle,
+    TaskId,
 };
 
 use crate::api::Mpi;
@@ -91,12 +91,10 @@ pub enum BootMode {
     Recover { version: Option<u64> },
 }
 
-struct PendingRdv {
-    tag: Tag,
-    payload: Payload,
-    done: Option<OpId>,
-}
-
+/// An accepted send with its ssn: held by the protocol's gate, waiting
+/// for its clear-to-send, or on its way out. `done` is the application's
+/// completion for a rendezvous send (an eager one completed at
+/// acceptance).
 #[derive(Clone)]
 pub(crate) struct HeldSend {
     pub(crate) dst: Rank,
@@ -176,7 +174,7 @@ pub struct DaemonCore {
 
     channels: Channels,
     reorder: Vec<BTreeMap<Ssn, AppMsg>>,
-    pending_rdv: BTreeMap<(Rank, Ssn), PendingRdv>,
+    pending_rdv: BTreeMap<(Rank, Ssn), HeldSend>,
     posted: VecDeque<PostedRecv>,
 
     ckpt_counter: u64,
@@ -335,11 +333,11 @@ impl DaemonCore {
     }
 
     /// Sets a protocol timer; it arrives at `VProtocol::on_timer` with the
-    /// given token. [`Sim::cancel_timer`] withdraws it through the
-    /// returned handle: a protocol that arms a retry or timeout timer
-    /// cancels it once the awaited event arrives.
-    pub fn set_proto_timer(&self, sim: &mut Sim, delay: SimDuration, token: u64) -> TimerHandle {
-        sim.set_timer(self.me, delay, PROTO_TIMER_BASE + token)
+    /// given token. It is never withdrawn: a protocol that arms a retry or
+    /// timeout timer checks, when it fires, whether the awaited event has
+    /// arrived meanwhile.
+    pub fn set_proto_timer(&self, sim: &mut Sim, delay: SimDuration, token: u64) {
+        sim.set_timer(self.me, delay, PROTO_TIMER_BASE + token);
     }
 
     // ---- internal helpers -------------------------------------------
@@ -644,64 +642,48 @@ impl Vdaemon {
             }
             rendezvous => rendezvous,
         };
+        let send = HeldSend {
+            dst,
+            tag,
+            payload,
+            ssn,
+            done,
+        };
         match gate {
-            SendGate::Go { cost } => {
-                self.transmit(sim, dst, tag, payload, ssn, cost, done);
-            }
-            SendGate::Hold => {
-                self.core.channels.held.push_back(HeldSend {
-                    dst,
-                    tag,
-                    payload,
-                    ssn,
-                    done,
-                });
-            }
+            SendGate::Go { cost } => self.transmit(sim, send, cost),
+            SendGate::Hold => self.core.channels.held.push_back(send),
         }
     }
 
     /// The transmit path: eager messages get their piggyback and leave;
     /// large messages go through RTS/CTS first.
-    fn transmit(
-        &mut self,
-        sim: &mut Sim,
-        dst: Rank,
-        tag: Tag,
-        payload: Payload,
-        ssn: Ssn,
-        gate_cost: SimDuration,
-        done: Option<OpId>,
-    ) {
-        if payload.len() <= self.core.profile.eager_threshold {
-            self.transmit_data(sim, dst, tag, payload, ssn, gate_cost, done);
+    fn transmit(&mut self, sim: &mut Sim, send: HeldSend, gate_cost: SimDuration) {
+        if send.payload.len() <= self.core.profile.eager_threshold {
+            self.transmit_data(sim, send, gate_cost);
         } else {
-            self.core
-                .pending_rdv
-                .insert((dst, ssn), PendingRdv { tag, payload, done });
             let cost = self.core.profile.msg_cost(0) + gate_cost;
             let end = sim.charge_cpu(self.core.node, cost);
             let rts = DaemonMsg::Rts {
                 src: self.core.rank,
-                ssn,
-                tag,
-                len: self.core.pending_rdv[&(dst, ssn)].payload.len(),
+                ssn: send.ssn,
+                tag: send.tag,
+                len: send.payload.len(),
             };
-            let target = topo(sim).daemon(dst);
+            let target = topo(sim).daemon(send.dst);
+            self.core.pending_rdv.insert((send.dst, send.ssn), send);
             let node = self.core.node;
             sim.net_send_at(end, node, target, rts.wire_size(), Box::new(rts));
         }
     }
 
-    fn transmit_data(
-        &mut self,
-        sim: &mut Sim,
-        dst: Rank,
-        tag: Tag,
-        payload: Payload,
-        ssn: Ssn,
-        gate_cost: SimDuration,
-        done: Option<OpId>,
-    ) {
+    fn transmit_data(&mut self, sim: &mut Sim, send: HeldSend, gate_cost: SimDuration) {
+        let HeldSend {
+            dst,
+            tag,
+            payload,
+            ssn,
+            done,
+        } = send;
         let (pb, pb_cost) = self.hook(sim, |proto, ctx| proto.on_transmit(ctx, dst, ssn));
         {
             let st = &mut ClusterState::of(sim).rank_stats[self.core.rank];
@@ -885,8 +867,8 @@ impl Vdaemon {
                 sim.net_send_at(end, node, target, cts.wire_size(), Box::new(cts));
             }
             DaemonMsg::Cts { dst, ssn } => {
-                if let Some(p) = self.core.pending_rdv.remove(&(dst, ssn)) {
-                    self.transmit_data(sim, dst, p.tag, p.payload, ssn, SimDuration::ZERO, p.done);
+                if let Some(send) = self.core.pending_rdv.remove(&(dst, ssn)) {
+                    self.transmit_data(sim, send, SimDuration::ZERO);
                 }
             }
         }
@@ -911,9 +893,7 @@ impl Vdaemon {
                         proto.on_send_accept(ctx, h.dst, h.tag, h.ssn, &h.payload)
                     });
                     match gate {
-                        SendGate::Go { cost } => {
-                            self.transmit(sim, h.dst, h.tag, h.payload, h.ssn, cost, h.done);
-                        }
+                        SendGate::Go { cost } => self.transmit(sim, h, cost),
                         SendGate::Hold => self.core.channels.held.push_back(h),
                     }
                 }

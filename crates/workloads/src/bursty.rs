@@ -395,7 +395,7 @@ impl Workload for BurstyConfig {
                     let total = cfg.total_requests_for(me);
                     let mut served = restored_u64(&mpi);
                     while served < total {
-                        if cfg.checkpoints && served % cfg.ckpt_every == 0 {
+                        if cfg.checkpoints && served.is_multiple_of(cfg.ckpt_every) {
                             mpi.checkpoint_point(ckpt_payload(cfg.state_bytes, served))
                                 .await;
                         }

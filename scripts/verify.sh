@@ -214,12 +214,16 @@ echo "    boundary gate: ok (no tombstone, BinaryHeap, overflow or fn cancel in 
 # (crates/sim/src/kernel.rs, "Actors and generations"): the kernel keeps
 # no per-actor timer list, an actor gets no crash hook, and no actor
 # arms timers from inside its own registration to keep their handles.
+# A live incarnation's timer, once set, pops too: the kernel hands out
+# no timer handle and withdraws nothing, and the handler decides whether
+# the timer still matters. Task context reaches its poll through the
+# free-standing ExecHandle, not through a Sim.
 # (The brackets keep this script out of a grep of the tree for the names.)
-if grep -rnE 'fn on_cras[h]\b|\b(add_actor_wit[h]|detach_actor_timer[s]|unregister_time[r]|cancel_proto_time[r])\b' crates tests examples; then
-    echo "a second way to drop a dead incarnation's timers is back (lines above): let Event::Timer's generation check drop them, and install an actor with add_actor, then set_timer" >&2
+if grep -rnE 'fn on_cras[h]\b|\b(add_actor_wit[h]|detach_actor_timer[s]|unregister_time[r]|cancel_proto_time[r]|cancel_time[r]|TimerHandl[e])\b|fn exe[c]\(' crates tests examples; then
+    echo "a way to withdraw or drop a timer besides its own handler and the generation check is back (lines above): let Event::Timer's generation check drop a dead incarnation's timers, let a live one's handler ignore a timer it no longer needs, install an actor with add_actor, then set_timer, and name ExecHandle directly" >&2
     exit 1
 fi
-echo "    boundary gate: ok (no fn on_crash, add_actor_with, detach_actor_timers, unregister_timer or cancel_proto_timer under crates/ tests/ examples/)"
+echo "    boundary gate: ok (no fn on_crash, add_actor_with, detach_actor_timers, unregister_timer, cancel_proto_timer, cancel_timer, TimerHandle or fn exec( under crates/ tests/ examples/)"
 # Every actor wake-up names its incarnation (crates/sim/src/kernel.rs,
 # "Actors and generations"): Event::Timer is the kernel's one data-less
 # wake-up, a program's pipe wake-up and finish notice are timers on the
@@ -236,6 +240,18 @@ echo "    boundary gate: ok (no Event::Poke, fn on_poke, spawn_with_exit, on_exi
 
 echo "==> cargo build --release (RUSTFLAGS=-D warnings from here on)"
 cargo build --release --offline
+
+echo "==> cargo clippy (lib and bin targets of the crates/ packages, -D warnings)"
+if cargo clippy --version >/dev/null 2>&1; then
+    cargo clippy --release --offline --no-deps -p vlog-sim -p vlog-core -p vlog-vmpi \
+        -p vlog-workloads -p vlog-bench -p vlog-explore --lib --bins -- -D warnings || {
+        echo "clippy flags the crates/ lib or bin code (sites above)" >&2
+        exit 1
+    }
+    echo "    clippy: ok"
+else
+    echo "    clippy: skipped (no cargo-clippy)"
+fi
 
 echo "==> cargo test -q"
 cargo test -q --offline
