@@ -34,7 +34,7 @@ pub mod paper;
 pub mod report;
 pub mod sweep;
 pub use report::{md_table, out_dir, parse_json, render_markdown, write_json, RegimeRow};
-pub use sweep::{default_threads, parse_threads_override, run_many, ThreadsOverrideError};
+pub use sweep::{default_threads, run_many};
 
 /// One software stack of the paper's comparison: the three
 /// fault-intolerant baselines, or a fault-tolerant [`SuiteKind`] on the

@@ -19,8 +19,8 @@
 use std::fmt::Write as _;
 
 use vlog_core::{reduction::figure3, Technique};
+use vlog_sim::net::STREAM_CHUNK_BYTES;
 use vlog_sim::{Counter, EthernetParams, SimDuration};
-use vlog_vmpi::control::STREAM_CHUNK_BYTES;
 use vlog_vmpi::{ClusterConfig, FaultPlan, RankStats, RunReport};
 use vlog_workloads::netpipe::{self, NetpipePoint};
 use vlog_workloads::runner::faults;

@@ -16,19 +16,6 @@
 
 use std::sync::Mutex;
 
-/// Why a `VLOG_THREADS` override was rejected. An alias of the shared
-/// [`vlog_sim::env_knob::KnobError`]: every `VLOG_*` knob in the
-/// workspace rejects (and warns about) the same two failure modes.
-pub use vlog_sim::env_knob::KnobError as ThreadsOverrideError;
-
-/// Parses a `VLOG_THREADS` override. Pure so both failure modes are unit
-/// testable without touching the (process-global, race-prone)
-/// environment. `0` is rejected because a zero-worker pool would leave
-/// every job unclaimed forever.
-pub fn parse_threads_override(raw: &str) -> Result<usize, ThreadsOverrideError> {
-    vlog_sim::env_knob::parse_positive(raw).map(|n| n as usize)
-}
-
 fn hardware_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -147,33 +134,5 @@ mod tests {
     #[test]
     fn default_threads_is_positive() {
         assert!(default_threads() >= 1);
-    }
-
-    #[test]
-    fn zero_thread_override_is_rejected() {
-        // Regression: VLOG_THREADS=0 must not configure a zero-worker
-        // pool (which would leave every job unclaimed forever).
-        assert_eq!(parse_threads_override("0"), Err(ThreadsOverrideError::Zero));
-        assert_eq!(
-            parse_threads_override(" 0 "),
-            Err(ThreadsOverrideError::Zero)
-        );
-    }
-
-    #[test]
-    fn non_numeric_thread_override_is_rejected() {
-        for raw in ["four", "", "4x", "-2", "1.5"] {
-            assert_eq!(
-                parse_threads_override(raw),
-                Err(ThreadsOverrideError::NotANumber(raw.to_string())),
-                "raw={raw:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn valid_thread_overrides_parse() {
-        assert_eq!(parse_threads_override("1"), Ok(1));
-        assert_eq!(parse_threads_override(" 16 "), Ok(16));
     }
 }

@@ -144,10 +144,6 @@ impl GraphRed {
 }
 
 impl Reduction for GraphRed {
-    fn technique(&self) -> Technique {
-        self.kind
-    }
-
     fn add_local(&mut self, det: Determinant) -> Work {
         let added = self.store.insert(det);
         Work::inserts(added as u64)

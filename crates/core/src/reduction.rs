@@ -81,8 +81,6 @@ impl Work {
 /// `Send + Sync` because causality stores travel inside checkpoint images
 /// (`ProtoBlob`) that the checkpoint server shares across a `Send` run.
 pub trait Reduction: Send + Sync {
-    fn technique(&self) -> Technique;
-
     /// Records a reception event created locally.
     fn add_local(&mut self, det: Determinant) -> Work;
 

@@ -28,7 +28,7 @@ use vlog_vmpi::{RClock, Rank};
 
 use crate::detseq::{ChunkPool, DetStore, PeerTable};
 use crate::event::Determinant;
-use crate::reduction::{Reduction, Technique, Work};
+use crate::reduction::{Reduction, Work};
 
 pub struct VcausalRed {
     /// The paper's "one sequence of events per process", with the highest
@@ -60,10 +60,6 @@ impl VcausalRed {
 }
 
 impl Reduction for VcausalRed {
-    fn technique(&self) -> Technique {
-        Technique::Vcausal
-    }
-
     fn add_local(&mut self, det: Determinant) -> Work {
         let added = self.store.append(det);
         Work::inserts(added as u64)

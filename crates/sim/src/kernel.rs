@@ -81,7 +81,7 @@ use std::collections::VecDeque;
 use crate::calendar::EventCalendar;
 use crate::causality::{Edge, Log};
 use crate::exec::{self, OpId, Port, TaskId, TaskSlot};
-use crate::net::{NetProfile, Network, WireSize};
+use crate::net::{NetProfile, Network, WireSize, LOOPBACK, STREAM_CHUNK_BYTES};
 use crate::profiler;
 use crate::schedule::{Decision, Script};
 use crate::stats::{Counter, Stats};
@@ -104,7 +104,8 @@ pub struct Delivery {
 
 /// An entry in the simulation calendar.
 pub enum Event {
-    /// Arbitrary kernel-context work (fault injection, paced streams, ...).
+    /// Arbitrary kernel-context work (fault injection, a rendezvous send
+    /// that completes its operation, ...).
     Closure(Box<dyn FnOnce(&mut Sim) + Send>),
     /// A deferred [`Sim::complete`]: whatever result the operation carries
     /// was parked in the task's port when this was scheduled, and becomes
@@ -125,8 +126,9 @@ pub enum Event {
         gen: u32,
         msg: Delivery,
     },
-    /// A deferred [`Sim::net_send`] (see [`Sim::net_send_at`]).
-    NetSend {
+    /// A deferred [`Sim::send`] (see [`Sim::send_at`]), and the next hop
+    /// of a chunk train: its way out is decided when it pops.
+    Send {
         src_node: NodeId,
         dst_actor: ActorId,
         size: WireSize,
@@ -437,25 +439,24 @@ impl Sim {
     // Communication
     // ------------------------------------------------------------------
 
-    /// Books a message on the wire now and returns the instant its last
-    /// byte reaches `dst_node`: NIC/link time on both ends according to
-    /// the Ethernet model, and one message in the statistics. Schedules
-    /// nothing; [`Sim::net_send`] is this plus the delivery. Panics on
-    /// same-node sends.
-    pub fn net_book(&mut self, src_node: NodeId, dst_node: NodeId, size: WireSize) -> SimTime {
-        let arrival = {
-            let _p = profiler::scope(profiler::Phase::Net);
-            self.net.send(self.now, src_node, dst_node, size.total())
-        };
-        let _p = profiler::scope(profiler::Phase::Stats);
-        self.stats.record_message(size);
-        arrival
-    }
-
-    /// Sends a message across the network: [`Sim::net_book`], then the
-    /// delivery when the last byte reaches the destination. Panics on
-    /// same-node sends — use [`Sim::local_send`] for those.
-    pub fn net_send(
+    /// Takes a message out of `src_node` to `dst_actor` now. This is the
+    /// one way out of a node, and it decides among three:
+    ///
+    /// * same node: loopback ([`Sim::local_send`]), delivered after
+    ///   [`LOOPBACK`], with no NIC time and no message statistics;
+    /// * another node, with up to [`STREAM_CHUNK_BYTES`] of control: one
+    ///   wire booking, then the delivery when the last byte arrives;
+    /// * another node, with more control than that: a chunk train, so
+    ///   that concurrent flows interleave on the NIC instead of stalling
+    ///   behind one multi-megabyte booking (TCP interleaves flows at
+    ///   packet granularity). A full chunk is only booked (NIC time and
+    ///   one message in the statistics); when it has arrived the rest
+    ///   leaves as an [`Event::Send`], and the body crosses last, sized as
+    ///   the remainder, once the whole volume has crossed.
+    ///
+    /// Only control bytes ride a train: a payload of any size is one
+    /// booking.
+    pub fn send(
         &mut self,
         src_node: NodeId,
         dst_actor: ActorId,
@@ -464,6 +465,19 @@ impl Sim {
     ) {
         let slot = &self.actors[dst_actor];
         let (dst_node, gen) = (slot.node, slot.gen);
+        if dst_node == src_node {
+            self.local_send(src_node, dst_actor, size, body, LOOPBACK);
+            return;
+        }
+        if size.control > STREAM_CHUNK_BYTES {
+            let arrival = self.net_book(src_node, dst_node, WireSize::control(STREAM_CHUNK_BYTES));
+            let size = WireSize {
+                control: size.control - STREAM_CHUNK_BYTES,
+                ..size
+            };
+            self.send_at(arrival, src_node, dst_actor, size, body);
+            return;
+        }
         let arrival = self.net_book(src_node, dst_node, size);
         self.schedule_at(
             arrival,
@@ -479,10 +493,11 @@ impl Sim {
         );
     }
 
-    /// [`Sim::net_send`] deferred to the instant `at` (typically the end of
-    /// the sender's CPU work): NIC booking, statistics and the target's
-    /// generation are all taken then, not now.
-    pub fn net_send_at(
+    /// [`Sim::send`] at the instant `at` (typically the end of the
+    /// sender's service CPU): one [`Event::Send`] at `at`, whatever the
+    /// size. The way out, the NIC booking, the statistics and the
+    /// target's generation are all taken when it pops, not now.
+    pub fn send_at(
         &mut self,
         at: SimTime,
         src_node: NodeId,
@@ -492,13 +507,27 @@ impl Sim {
     ) {
         self.schedule_at(
             at,
-            Event::NetSend {
+            Event::Send {
                 src_node,
                 dst_actor,
                 size,
                 body,
             },
         );
+    }
+
+    /// Books a message on the wire now and returns the instant its last
+    /// byte reaches `dst_node`: NIC/link time on both ends according to
+    /// the Ethernet model, and one message in the statistics. Schedules
+    /// nothing.
+    fn net_book(&mut self, src_node: NodeId, dst_node: NodeId, size: WireSize) -> SimTime {
+        let arrival = {
+            let _p = profiler::scope(profiler::Phase::Net);
+            self.net.send(self.now, src_node, dst_node, size.total())
+        };
+        let _p = profiler::scope(profiler::Phase::Stats);
+        self.stats.record_message(size);
+        arrival
     }
 
     /// Delivers a message to an actor on the *same* node through loopback:
@@ -733,12 +762,12 @@ impl Sim {
         match event {
             Event::Closure(f) => f(self),
             Event::Complete(op) => self.complete(op),
-            Event::NetSend {
+            Event::Send {
                 src_node,
                 dst_actor,
                 size,
                 body,
-            } => self.net_send(src_node, dst_actor, size, body),
+            } => self.send(src_node, dst_actor, size, body),
             Event::Timer { actor, gen, token } => {
                 // A dead incarnation's timer runs nothing and records
                 // nothing.
@@ -860,7 +889,7 @@ mod tests {
         let n1 = sim.add_node();
         let got = Arc::new(Mutex::new(Vec::new()));
         let a = sim.add_actor(n1, Box::new(Echo { got: got.clone() }));
-        sim.net_send(n0, a, small(100), Box::new(42u64));
+        sim.send(n0, a, small(100), Box::new(42u64));
         sim.run();
         assert_eq!(&*got.lock().unwrap(), &[(n0, 42u64)]);
         assert_eq!(sim.stats().messages, 1);
@@ -943,7 +972,7 @@ mod tests {
         let n1 = sim.add_node();
         let got = Arc::new(Mutex::new(Vec::new()));
         let a = sim.add_actor(n1, Box::new(Echo { got: got.clone() }));
-        sim.net_send(n0, a, small(10), Box::new(1u64));
+        sim.send(n0, a, small(10), Box::new(1u64));
         // Crash the receiver before delivery.
         sim.after(SimDuration::from_nanos(1), move |sim| sim.crash_node(1));
         sim.run();
@@ -963,7 +992,7 @@ mod tests {
         let got2 = got.clone();
         sim.after(SimDuration::from_micros(2), move |sim| {
             sim.replace_actor(a, Box::new(Echo { got: got2.clone() }));
-            sim.net_send(0, a, small(10), Box::new(9u64));
+            sim.send(0, a, small(10), Box::new(9u64));
         });
         sim.run();
         assert_eq!(&*got.lock().unwrap(), &[(n0, 9u64)]);
@@ -1026,7 +1055,7 @@ mod tests {
                 let hops = *msg.body.downcast::<u64>().unwrap();
                 if hops > 0 {
                     let (at, node) = (sim.now() + SimDuration::from_micros(3), sim.actor_node(me));
-                    sim.net_send_at(at, node, self.0, small(64), Box::new(hops - 1));
+                    sim.send_at(at, node, self.0, small(64), Box::new(hops - 1));
                 }
             }
         }
@@ -1036,7 +1065,7 @@ mod tests {
         let a = sim.add_actor(n0, Box::new(Bounce(1)));
         let b = sim.add_actor(n1, Box::new(Bounce(a)));
         assert_eq!(b, 1);
-        sim.net_send(n0, b, small(64), Box::new(40u64));
+        sim.send(n0, b, small(64), Box::new(40u64));
         let h = ExecHandle;
         // The receiver's op, published by its first poll at time zero.
         let ball = Arc::new(Mutex::new(None));
@@ -1168,7 +1197,7 @@ mod tests {
     }
 
     #[test]
-    fn net_send_at_is_net_send_in_a_closure() {
+    fn send_at_is_send_in_a_closure() {
         let run = |deferred: bool| {
             let mut sim = Sim::new();
             let (n0, n1) = (sim.add_node(), sim.add_node());
@@ -1176,11 +1205,11 @@ mod tests {
             let a = sim.add_actor(n1, Box::new(Echo { got: got.clone() }));
             let at = SimTime::from_nanos(2_000);
             if deferred {
-                sim.net_send_at(at, n0, a, small(100), Box::new(42u64));
+                sim.send_at(at, n0, a, small(100), Box::new(42u64));
             } else {
                 sim.schedule_at(
                     at,
-                    Event::closure(move |sim| sim.net_send(n0, a, small(100), Box::new(42u64))),
+                    Event::closure(move |sim| sim.send(n0, a, small(100), Box::new(42u64))),
                 );
             }
             sim.run();
@@ -1192,6 +1221,34 @@ mod tests {
             )
         };
         assert_eq!(run(true), run(false));
+    }
+
+    /// Only control bytes ride a chunk train: a control message of three
+    /// chunks crosses as three wire messages (two chunk hops, then the
+    /// body), a payload message of the same size as one booking.
+    #[test]
+    fn only_a_large_control_crosses_as_a_train() {
+        let bytes = 3 * STREAM_CHUNK_BYTES;
+        let run = |size: WireSize| {
+            let mut sim = Sim::new();
+            let (n0, n1) = (sim.add_node(), sim.add_node());
+            let got = Arc::new(Mutex::new(Vec::new()));
+            let a = sim.add_actor(n1, Box::new(Echo { got: got.clone() }));
+            sim.send(n0, a, size, Box::new(7u64));
+            sim.run();
+            assert_eq!(&*got.lock().unwrap(), &[(n0, 7u64)]);
+            assert_eq!(sim.stats().bytes.total(), bytes);
+            (sim.stats().messages, sim.events_processed())
+        };
+        assert_eq!(run(WireSize::control(bytes)), (3, 3));
+        assert_eq!(run(WireSize::payload(bytes)), (1, 1));
+    }
+
+    /// Every calendar slot holds an `Event`: a field added to a variant
+    /// (a deferred send's sender incarnation, say) grows them all.
+    #[test]
+    fn an_event_is_72_bytes() {
+        assert_eq!(std::mem::size_of::<Event>(), 72);
     }
 
     #[test]
@@ -1343,7 +1400,7 @@ mod tests {
                 h.stage(us(4), Event::Complete(op.id()));
                 op.await;
             });
-            sim.net_send_at(
+            sim.send_at(
                 SimTime::from_nanos(5_000),
                 n0,
                 a,

@@ -31,6 +31,14 @@
 
 use crate::time::{SimDuration, SimTime};
 
+/// Loopback delay of a message between two actors on one node (see
+/// [`Sim::send`](crate::Sim::send)).
+pub const LOOPBACK: SimDuration = SimDuration::from_micros(15);
+
+/// Chunk size of a large control message's train (see
+/// [`Sim::send`](crate::Sim::send)).
+pub const STREAM_CHUNK_BYTES: u64 = 256 << 10;
+
 /// Wire-size accounting, split by category so Figure 7 (piggyback bytes as
 /// % of total exchanged bytes) can be computed exactly.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -299,11 +307,6 @@ impl Network {
             nics: 1,
             hetero: None,
         })
-    }
-
-    /// The base link-class parameters of the fabric.
-    pub fn params(&self) -> &EthernetParams {
-        &self.profile.base
     }
 
     /// The fabric profile.

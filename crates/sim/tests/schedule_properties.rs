@@ -67,7 +67,7 @@ impl Actor for Peer {
                 payload: 64 + 32 * ((seq + dst as u64) % 5),
                 ..WireSize::default()
             };
-            sim.net_send(self.me, dst, size, Box::new((me, seq)));
+            sim.send(self.me, dst, size, Box::new((me, seq)));
         }
         if self.rounds_left > 0 {
             self.rounds_left -= 1;

@@ -1,4 +1,4 @@
-//! How a control message leaves its node.
+//! How a control message is sized and handed to the kernel.
 //!
 //! In the paper's deployment (Fig. 5) the stable components — checkpoint
 //! server, dispatcher, checkpoint scheduler, Event Logger — talk to the
@@ -6,23 +6,13 @@
 //! talk to each other and to them the same way. Every such message goes
 //! out through [`send`], or through [`send_at`] when it answers after
 //! the sender's service CPU, sized by its body's [`Body::wire_bytes`]
-//! (no caller states a size). One function therefore decides the three
-//! ways out:
-//!
-//! * same node: loopback, delivered after [`LOOPBACK`], with no NIC time
-//!   and no message statistics;
-//! * another node, up to [`STREAM_CHUNK_BYTES`]: one wire message;
-//! * another node, larger: a chunk train (see [`send`]).
+//! (no caller states a size). Both box the body once and call the
+//! kernel's [`Sim::send`], which decides the way out of the node:
+//! loopback, one wire message or a chunk train.
 
 use std::any::Any;
 
-use vlog_sim::{ActorId, Event, NodeId, Sim, SimDuration, SimTime, WireSize};
-
-/// Loopback delay of a control message between two actors on one node.
-pub const LOOPBACK: SimDuration = SimDuration::from_micros(15);
-
-/// Chunk size of a large control's train.
-pub const STREAM_CHUNK_BYTES: u64 = 256 << 10;
+use vlog_sim::{ActorId, NodeId, Sim, SimTime, WireSize};
 
 /// A control message body: its wire size, counted as control traffic,
 /// stated once beside the body's type.
@@ -30,53 +20,26 @@ pub trait Body: Any + Send {
     fn wire_bytes(&self) -> u64;
 }
 
-/// Sends `body` from `src_node` to `dst` now, sized [`Body::wire_bytes`].
-///
-/// A control larger than [`STREAM_CHUNK_BYTES`] crosses as a chunk train,
-/// so that concurrent flows interleave on the NIC instead of stalling
-/// behind one multi-megabyte booking (TCP interleaves flows at packet
-/// granularity). Each full chunk is only booked, through
-/// [`Sim::net_book`] (NIC time and one message in the statistics); no
-/// delivery is scheduled for it. When it has arrived the next part
-/// leaves, and the real `body` crosses last, sized as the remainder, once
-/// the whole volume has crossed.
+/// Sends `body` from `src_node` to `dst` now, sized [`Body::wire_bytes`]
+/// (see [`Sim::send`] for the way out).
 pub fn send(sim: &mut Sim, src_node: NodeId, dst: ActorId, body: impl Body) {
-    route(sim, src_node, dst, body.wire_bytes(), Box::new(body));
-}
-
-/// Takes `bytes` of control out: loopback, one wire message or a train.
-fn route(sim: &mut Sim, src_node: NodeId, dst: ActorId, bytes: u64, body: Box<dyn Any + Send>) {
-    let dst_node = sim.actor_node(dst);
-    if dst_node == src_node {
-        sim.local_send(src_node, dst, WireSize::control(bytes), body, LOOPBACK);
-        return;
-    }
-    if bytes <= STREAM_CHUNK_BYTES {
-        sim.net_send(src_node, dst, WireSize::control(bytes), body);
-        return;
-    }
-    let chunk_arrival = sim.net_book(src_node, dst_node, WireSize::control(STREAM_CHUNK_BYTES));
-    let rest = bytes - STREAM_CHUNK_BYTES;
-    sim.schedule_at(
-        chunk_arrival,
-        Event::closure(move |sim| route(sim, src_node, dst, rest, body)),
-    );
+    let size = WireSize::control(body.wire_bytes());
+    sim.send(src_node, dst, size, Box::new(body));
 }
 
 /// [`send`] at `at`, typically the end of the sender's service CPU: one
 /// event at `at`, whatever the size, and the way out is decided then.
 pub fn send_at(sim: &mut Sim, at: SimTime, src_node: NodeId, dst: ActorId, body: impl Body) {
-    sim.schedule_at(
-        at,
-        Event::closure(move |sim| send(sim, src_node, dst, body)),
-    );
+    let size = WireSize::control(body.wire_bytes());
+    sim.send_at(at, src_node, dst, size, Box::new(body));
 }
 
 #[cfg(test)]
 mod tests {
     use std::sync::{Arc, Mutex};
 
-    use vlog_sim::{Actor, Delivery, NetProfile, Network};
+    use vlog_sim::net::{LOOPBACK, STREAM_CHUNK_BYTES};
+    use vlog_sim::{Actor, Delivery, NetProfile, Network, SimDuration};
 
     use super::*;
 
@@ -118,18 +81,20 @@ mod tests {
 
     #[test]
     fn a_same_node_control_takes_loopback() {
-        let (mut sim, [(node, actor, log), (other, _, _)]) = rig();
+        let (mut sim, [(node, actor, log), (_, other, other_log)]) = rig();
         let body = Bulk(4 * STREAM_CHUNK_BYTES);
         let bytes = body.wire_bytes();
         send(&mut sim, node, actor, body);
         sim.run();
-        assert_eq!(*log.lock().unwrap(), [(SimTime::ZERO + LOOPBACK, bytes)]);
+        let landed = SimTime::ZERO + LOOPBACK;
+        assert_eq!(*log.lock().unwrap(), [(landed, bytes)]);
         // Not a wire message: nothing recorded, and the NIC is free for
         // a wire message from that node the moment the control lands.
         assert_eq!(sim.stats().messages, 0);
-        let wire = sim.net_book(node, other, WireSize::control(64));
+        send(&mut sim, node, other, Bulk(64));
+        sim.run();
         let free = Network::new(NetProfile::default()).uncontended_one_way(64);
-        assert_eq!(wire, SimTime::ZERO + LOOPBACK + free);
+        assert_eq!(*other_log.lock().unwrap(), [(landed + free, 64)]);
     }
 
     #[test]

@@ -274,7 +274,7 @@ impl DaemonCore {
         };
         let target = topo(sim).daemon(dst);
         let size = msg.wire_size();
-        sim.net_send_at(end, self.node, target, size, Box::new(DaemonMsg::App(msg)));
+        sim.send_at(end, self.node, target, size, Box::new(DaemonMsg::App(msg)));
     }
 
     /// Queues a replay-ordered delivery (bypasses the protocol hooks).
@@ -672,7 +672,7 @@ impl Vdaemon {
             let target = topo(sim).daemon(send.dst);
             self.core.pending_rdv.insert((send.dst, send.ssn), send);
             let node = self.core.node;
-            sim.net_send_at(end, node, target, rts.wire_size(), Box::new(rts));
+            sim.send_at(end, node, target, rts.wire_size(), Box::new(rts));
         }
     }
 
@@ -710,14 +710,15 @@ impl Vdaemon {
         let size = msg.wire_size();
         let body = Box::new(DaemonMsg::App(msg));
         match done {
-            None => sim.net_send_at(end, src_node, target, size, body),
+            None => sim.send_at(end, src_node, target, size, body),
             // A rendezvous send completes for the application when the
-            // data leaves.
+            // data leaves. A closure, because an `OpId` carried in
+            // `Event::Send` would grow every calendar slot.
             Some(done) => {
                 sim.schedule_at(
                     end,
                     Event::closure(move |sim| {
-                        sim.net_send(src_node, target, size, body);
+                        sim.send(src_node, target, size, body);
                         sim.complete(done);
                     }),
                 );
@@ -864,7 +865,7 @@ impl Vdaemon {
                 };
                 let target = topo(sim).daemon(src);
                 let node = self.core.node;
-                sim.net_send_at(end, node, target, cts.wire_size(), Box::new(cts));
+                sim.send_at(end, node, target, cts.wire_size(), Box::new(cts));
             }
             DaemonMsg::Cts { dst, ssn } => {
                 if let Some(send) = self.core.pending_rdv.remove(&(dst, ssn)) {

@@ -106,24 +106,39 @@ if find crates/vmpi/src -name '*.rs' -print0 | xargs -0 awk "$fault_gate" | grep
     exit 1
 fi
 echo "    boundary gate: ok (crash_node( and DispatcherMsg::Fault built only in crates/vmpi/src/fault.rs, besides rollback_all)"
-# A control message leaves its node one way (crates/vmpi/src/control.rs
-# module docs): control::send sizes the body and its private route
-# decides loopback, wire or chunk train. So under crates/vmpi/src and
-# crates/core/src a loopback is taken only there and by the fault
-# module's detection notice (detected), which models detection, not a
-# hop.
+# A message leaves its node one way (crates/sim/src/kernel.rs,
+# Sim::send): the kernel decides loopback, wire or chunk train, and
+# vlog_vmpi::control only sizes a body, boxes it once and calls it. So
+# under crates/vmpi/src and crates/core/src a loopback is taken only by
+# the fault module's detection notice (detected), which models
+# detection, not a hop.
 loopback_gate='FNR == 1 { live = 1; fn_name = "" }
     /^#\[cfg\(test\)\]/ { live = 0 }
     !live || /^[[:space:]]*\/\// { next }
     match($0, /fn [a-z_0-9]+\(/) { fn_name = substr($0, RSTART + 3, RLENGTH - 4) }
-    FILENAME ~ /\/control\.rs$/ && fn_name == "route" { next }
     FILENAME ~ /\/fault\.rs$/ && fn_name == "detected" { next }
     /local_send\(/ { print FILENAME ":" FNR ": " $0 }'
 if find crates/vmpi/src crates/core/src -name '*.rs' -print0 | xargs -0 awk "$loopback_gate" | grep .; then
-    echo "a control message takes loopback outside crates/vmpi/src/control.rs (lines above): send it through control::send or control::send_at" >&2
+    echo "a message takes loopback outside Sim::send (lines above): send it through control::send or control::send_at" >&2
     exit 1
 fi
-echo "    boundary gate: ok (local_send( under crates/vmpi/src and crates/core/src only in control::send's route and fault::detected)"
+echo "    boundary gate: ok (local_send( under crates/vmpi/src and crates/core/src only in fault::detected)"
+# The same decision has no second home: a deferred send is Sim::send_at
+# (one Event::Send, decided when it pops), the wire booking is the
+# kernel's private net_book, and control.rs hands its body to the kernel
+# without a closure of its own.
+# (The brackets keep this script out of its own grep.)
+if {
+    grep -rnE 'net_sen[d](_at)?\(|NetSen[d]' crates tests examples
+    grep -rn 'net_boo[k](' crates tests examples | grep -v '^crates/sim/src/kernel\.rs:'
+    awk "$non_test"' { print FILENAME ":" FNR ": " $0 }' crates/vmpi/src/control.rs |
+        grep -vE '^[^ ]+ +//' | grep -E 'Event::[cC]losur[e]'
+    true # the verdict is the last grep's, not the group's (pipefail)
+} | grep .; then
+    echo "a second way out of a node is back (lines above): send through Sim::send or Sim::send_at, and let control.rs size and box a body for them" >&2
+    exit 1
+fi
+echo "    boundary gate: ok (no net_send(, net_send_at( or NetSend under crates/ tests/ examples/; net_book( only in kernel.rs; no Event::closure in control.rs's non-test code)"
 # A metric is named by its typed id (crates/sim/src/stats.rs: Counter,
 # Gauge, Timer), whose name() is the one place a name is spelled, so a
 # misspelt or wrong-kind metric fails to compile. Stats::get(&str) stays
@@ -202,11 +217,10 @@ if awk "$non_test"' { print FILENAME ":" FNR ": " $0 }' crates/sim/src/calendar.
     echo "the calendar grew a second withdrawal or a structure beside the wheel (lines above): withdraw with detach and file every event in the wheel" >&2
     exit 1
 fi
-# A message goes on the wire through the kernel (Sim::net_send, or
-# Sim::net_book for a booking with no delivery), which profiles and
-# counts it; nothing reaches the network model past it.
+# A message goes on the wire through the kernel (Sim::send), which
+# profiles and counts it; nothing reaches the network model past it.
 if grep -rnE 'net_mu[t]\(|\.ne[t]\(\)' crates tests examples; then
-    echo "code reaches the network model past the kernel (lines above): book through Sim::net_book or Sim::net_send" >&2
+    echo "code reaches the network model past the kernel (lines above): send through Sim::send" >&2
     exit 1
 fi
 echo "    boundary gate: ok (no tombstone, BinaryHeap, overflow or fn cancel in the non-test code of crates/sim/src/calendar.rs; no net_mut( or .net() under crates/ tests/ examples/)"

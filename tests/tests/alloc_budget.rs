@@ -1,17 +1,20 @@
 //! Allocation budget of the per-message path.
 //!
 //! A message crossing the stack may cost one heap allocation: the boxed
-//! body the kernel carries from `net_send` to `on_deliver`. Everything
+//! body the kernel carries from `Sim::send` to `on_deliver`. Everything
 //! around it — the application's request, the operation it awaits, the
 //! pipe, the completion event — lives in memory the kernel already owns
-//! (`vlog_sim::exec`), and a protocol control message is boxed once, not
-//! wrapped in a second envelope. The budget is checked as a difference:
+//! (`vlog_sim::exec`), a protocol control message is boxed once, not
+//! wrapped in a second envelope, and a deferred send is one typed
+//! `Event::Send` in the calendar, not a closure around the body. The
+//! budget is checked as a difference:
 //! the same cluster runs twice as long, and the extra allocations are
 //! divided by the extra messages, so build cost and one-off buffer
 //! set-up cancel and only the steady state (plus amortised growth) is
 //! left. 1.25 leaves that growth some room (the ring reads 1.000, the
 //! marker waves 1.07); the `Arc`-per-request, closure-per-completion,
-//! box-in-a-box stack this replaced read 4.000 on the same ring.
+//! box-in-a-box stack this replaced read 4.000 on the same ring, and a
+//! deferred control send boxed in a closure reads 2.000.
 //!
 //! The file is its own test binary with a single test, because the
 //! counting allocator is process-wide: nothing else may allocate on the
@@ -23,9 +26,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use vlog_core::CoordinatedSuite;
-use vlog_sim::SimDuration;
+use vlog_sim::{Actor, ActorId, Delivery, Sim, SimDuration, SimTime};
+use vlog_vmpi::control::{self, Body};
 use vlog_vmpi::{
-    app, AppSpec, ClusterConfig, ClusterRun, FaultPlan, RecvSelector, RunReport, Suite, VdummySuite,
+    app, AppSpec, ClusterConfig, ClusterRun, FaultPlan, RecvSelector, Suite, VdummySuite,
 };
 
 struct Counting;
@@ -69,14 +73,45 @@ static GLOBAL: Counting = Counting;
 
 const RANKS: usize = 16;
 
-/// Builds and runs one cluster; returns (allocation calls, messages).
-fn measure(cfg: &ClusterConfig, suite: Arc<dyn Suite>, program: AppSpec) -> (u64, u64) {
+/// Counts the allocations of `run`, which returns the messages it sent:
+/// (allocation calls, messages).
+fn counted(run: impl FnOnce() -> u64) -> (u64, u64) {
     let before = ALLOCS.load(Ordering::Relaxed);
     COUNTED.with(|c| c.set(true));
-    let report: RunReport = ClusterRun::build(cfg, suite, program, &FaultPlan::none()).run();
+    let messages = run();
     COUNTED.with(|c| c.set(false));
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
-    (allocs, report.stats.messages)
+    (ALLOCS.load(Ordering::Relaxed) - before, messages)
+}
+
+/// Builds and runs one cluster; returns (allocation calls, messages).
+fn measure(cfg: &ClusterConfig, suite: Arc<dyn Suite>, program: AppSpec) -> (u64, u64) {
+    counted(|| {
+        let report = ClusterRun::build(cfg, suite, program, &FaultPlan::none()).run();
+        report.stats.messages
+    })
+}
+
+/// A control body that owns no heap memory: the hops it has left.
+struct Hops(u32);
+
+impl Body for Hops {
+    fn wire_bytes(&self) -> u64 {
+        8
+    }
+}
+
+/// Sends what it receives on to its peer through `control::send_at`,
+/// after 3 us of service, until no hop is left.
+struct Bounce(ActorId);
+
+impl Actor for Bounce {
+    fn on_deliver(&mut self, sim: &mut Sim, me: ActorId, msg: Delivery) {
+        let Hops(left) = *msg.body.downcast().expect("a Hops body");
+        if left > 0 {
+            let (at, node) = (sim.now() + SimDuration::from_micros(3), sim.actor_node(me));
+            control::send_at(sim, at, node, self.0, Hops(left - 1));
+        }
+    }
 }
 
 /// Extra allocations per extra message between a run and its double.
@@ -133,6 +168,31 @@ fn a_message_costs_one_allocation() {
     assert!(
         per_message <= 1.25,
         "{per_message:.3} allocations per marker or command delivered (budget 1.25): \
+         {short:?} -> {long:?}"
+    );
+
+    // Deferred control messages: two actors on two nodes bounce a body
+    // through `control::send_at`, N hops against 2N. Every extra message
+    // is one deferred send, its wire booking and its delivery.
+    let bounce = |hops: u32| {
+        counted(|| {
+            let mut sim = Sim::new();
+            let (n0, n1) = (sim.add_node(), sim.add_node());
+            let a = sim.add_actor(n0, Box::new(Bounce(1)));
+            let b = sim.add_actor(n1, Box::new(Bounce(a)));
+            control::send_at(&mut sim, SimTime::ZERO, n0, b, Hops(hops));
+            sim.run();
+            sim.stats().messages
+        })
+    };
+    bounce(10);
+    let (short, long) = (bounce(500), bounce(1000));
+    assert_eq!(long.1 - short.1, 500);
+    let per_message = marginal(short, long);
+    println!("deferred control: {per_message:.3} allocations ({short:?} -> {long:?})");
+    assert!(
+        per_message <= 1.25,
+        "{per_message:.3} allocations per deferred control message (budget 1.25): \
          {short:?} -> {long:?}"
     );
 }

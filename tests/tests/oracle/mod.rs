@@ -266,10 +266,6 @@ impl OldGraphRed {
 }
 
 impl Reduction for OldGraphRed {
-    fn technique(&self) -> Technique {
-        self.kind
-    }
-
     fn add_local(&mut self, det: Determinant) -> Work {
         let added = self.graph.insert(det);
         Work::inserts(added as u64)
@@ -396,10 +392,6 @@ impl OldVcausalRed {
 }
 
 impl Reduction for OldVcausalRed {
-    fn technique(&self) -> Technique {
-        Technique::Vcausal
-    }
-
     fn add_local(&mut self, det: Determinant) -> Work {
         let added = self.push(det);
         Work::inserts(added as u64)
