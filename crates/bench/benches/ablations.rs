@@ -17,7 +17,7 @@ use vlog_bench::{fmt3, md_table, Scale, Stack, SuiteKind};
 use vlog_core::{install_distributed_el, CausalSuite, Technique};
 use vlog_sim::{Counter, NodeId, Sim, SimDuration};
 use vlog_vmpi::{CkptScheduler, ClusterConfig, FaultPlan, RecoveryStyle, Suite, VProtocol};
-use vlog_workloads::{run_workload, Class, NasBench, NasConfig};
+use vlog_workloads::{mflops, run_workload, Class, NasBench, NasConfig};
 
 /// CausalSuite variant that co-locates the Event Logger with the
 /// checkpoint server on one stable node (stable_nodes[1]).
@@ -77,13 +77,13 @@ fn main() {
             }),
             &FaultPlan::none(),
         );
-        assert!(dedicated.report.completed && shared.report.completed);
+        assert!(dedicated.completed && shared.completed);
         t1.push(vec![
             np.to_string(),
-            fmt3(dedicated.report.piggyback_percent()),
-            fmt3(shared.report.piggyback_percent()),
-            fmt3(dedicated.mflops()),
-            fmt3(shared.mflops()),
+            fmt3(dedicated.piggyback_percent()),
+            fmt3(shared.piggyback_percent()),
+            fmt3(mflops(nas.total_flops(), dedicated.makespan)),
+            fmt3(mflops(nas.total_flops(), shared.makespan)),
         ]);
     }
     section(
@@ -110,7 +110,7 @@ fn main() {
             el: true,
         };
         let run = nas_kill_rank0(&nas, kind, |_| SimDuration::from_secs_f64(period_s), 0.5);
-        let st = &run.report.rank_stats[0];
+        let st = &run.rank_stats[0];
         t2.push(vec![
             fmt3(period_s),
             fmt3(st.recovery_total.first().map_or(0.0, |d| d.as_millis_f64())),
@@ -156,12 +156,12 @@ fn main() {
         let mut cfg = ClusterConfig::new(16);
         cfg.event_limit = Some(2_000_000_000);
         let run = run_workload(&nas, &cfg, Arc::new(suite), &FaultPlan::none());
-        assert!(run.report.completed);
+        assert!(run.completed);
         t4.push(vec![
             k.to_string(),
-            fmt3(run.report.piggyback_percent()),
-            fmt3(run.mflops()),
-            run.report.stats.counter(Counter::ElGossipMsgs).to_string(),
+            fmt3(run.piggyback_percent()),
+            fmt3(mflops(nas.total_flops(), run.makespan)),
+            run.stats.counter(Counter::ElGossipMsgs).to_string(),
         ]);
     }
     section(

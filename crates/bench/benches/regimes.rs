@@ -20,11 +20,9 @@ use vlog_bench::{
 };
 use vlog_core::{CausalSuite, PbFormat, Technique};
 use vlog_sim::{NetProfile, SimDuration};
-use vlog_vmpi::{ClusterConfig, FaultPlan};
+use vlog_vmpi::{ClusterConfig, FaultPlan, RunReport};
 use vlog_workloads::runner::faults;
-use vlog_workloads::{
-    net_axes, registry, run_workload, NetAxis, RegistryScale, Workload, WorkloadRun,
-};
+use vlog_workloads::{net_axes, registry, run_workload, NetAxis, RegistryScale, Workload};
 
 /// When the hub dies. Every Large entry runs well past this point under
 /// every suite, so the fault always lands mid-run.
@@ -57,17 +55,17 @@ fn run_cell(w: &Arc<dyn Workload>, kind: SuiteKind) -> RegimeRow {
     let cfg = cluster_for(w.as_ref(), NetProfile::fast_ethernet_2005());
     let free = run_workload(w.as_ref(), &cfg, kind.build(CKPT_EVERY), &FaultPlan::none());
     assert!(
-        free.report.completed,
+        free.completed,
         "{} under {} did not complete fault-free",
-        free.label,
+        w.label(),
         kind.label()
     );
     let plan = faults::hub_failure(w.as_ref(), HUB_FAULT_AT);
     let faulted = run_workload(w.as_ref(), &cfg, kind.build(CKPT_EVERY), &plan);
     assert!(
-        faulted.report.completed,
+        faulted.completed,
         "{} under {} did not recover from the hub failure",
-        faulted.label,
+        w.label(),
         kind.label()
     );
     let el = match kind {
@@ -111,9 +109,9 @@ fn run_scaling_cell(w: &Arc<dyn Workload>, axis: &NetAxis) -> RegimeRow {
     let cfg = cluster_for(w.as_ref(), axis.profile.clone());
     let free = run_workload(w.as_ref(), &cfg, suite(), &FaultPlan::none());
     assert!(
-        free.report.completed,
+        free.completed,
         "{} on {} did not complete fault-free",
-        free.label,
+        w.label(),
         axis.label()
     );
     let faulted = if axis.el_count >= 2 {
@@ -124,15 +122,15 @@ fn run_scaling_cell(w: &Arc<dyn Workload>, axis: &NetAxis) -> RegimeRow {
             &FaultPlan::kill_el_at(EL_FAULT_AT, 0),
         );
         assert!(
-            run.report.completed,
+            run.completed,
             "{} on {} did not survive the EL-shard failure",
-            run.label,
+            w.label(),
             axis.label()
         );
         assert!(
-            run.report.el_reshards() >= 1,
+            run.el_reshards() >= 1,
             "{} on {}: EL failure injected but no re-shard happened",
-            run.label,
+            w.label(),
             axis.label()
         );
         run
@@ -148,11 +146,11 @@ fn row_from_runs(
     causal: bool,
     el: bool,
     axis: &NetAxis,
-    free: &WorkloadRun,
-    faulted: &WorkloadRun,
+    free: &RunReport,
+    faulted: &RunReport,
 ) -> RegimeRow {
     let (pb_send, pb_recv) = free.pb_times();
-    let gauges = free.report.el_shard_gauges(axis.el_count);
+    let gauges = free.el_shard_gauges(axis.el_count);
     let el_shard_queues = gauges
         .iter()
         .map(|(q, _)| q.to_string())
@@ -163,37 +161,37 @@ fn row_from_runs(
         .map(|(_, ack)| ack.as_micros_f64())
         .fold(0.0, f64::max);
     RegimeRow {
-        family: free.family.to_string(),
-        label: free.label.clone(),
+        family: w.family().to_string(),
+        label: w.label(),
         suite,
         np: w.np() as u64,
         causal,
         el,
-        completed: free.report.completed && faulted.report.completed,
-        makespan_s: free.report.makespan.as_secs_f64(),
-        faulted_makespan_s: faulted.report.makespan.as_secs_f64(),
+        completed: free.completed && faulted.completed,
+        makespan_s: free.makespan.as_secs_f64(),
+        faulted_makespan_s: faulted.makespan.as_secs_f64(),
         hub_rank: w.hub_rank() as u64,
         pb_percent: free.piggyback_percent(),
         pb_send_us: pb_send.as_micros_f64(),
         pb_recv_us: pb_recv.as_micros_f64(),
-        messages: free.report.stats.messages,
-        total_bytes: free.report.stats.total_bytes(),
+        messages: free.stats.messages,
+        total_bytes: free.stats.total_bytes(),
         max_msg_bucket: free.msg_histogram().max_bucket_bytes(),
-        el_peak_queue: free.report.el_peak_queue_depth(),
-        el_peak_queue_faulted: faulted.report.el_peak_queue_depth(),
-        el_peak_outstanding: free.report.el_peak_outstanding(),
-        el_ack_mean_us: free.report.el_ack_latency_mean().as_micros_f64(),
-        el_records: free.report.el_acked_records(),
+        el_peak_queue: free.el_peak_queue_depth(),
+        el_peak_queue_faulted: faulted.el_peak_queue_depth(),
+        el_peak_outstanding: free.el_peak_outstanding(),
+        el_ack_mean_us: free.el_ack_latency_mean().as_micros_f64(),
+        el_records: free.el_acked_records(),
         profile: axis.profile.name.to_string(),
         el_count: axis.el_count as u64,
         el_shard_queues,
         el_ack_peak_us,
-        pb_bytes_per_msg: if free.report.stats.messages == 0 {
+        pb_bytes_per_msg: if free.stats.messages == 0 {
             0.0
         } else {
-            free.report.stats.bytes.piggyback as f64 / free.report.stats.messages as f64
+            free.stats.bytes.piggyback as f64 / free.stats.messages as f64
         },
-        pb_bytes_total: free.report.stats.bytes.piggyback,
+        pb_bytes_total: free.stats.bytes.piggyback,
     }
 }
 
@@ -221,9 +219,9 @@ fn run_compact_cell(w: &Arc<dyn Workload>, el_fault: bool) -> RegimeRow {
     let cfg = cluster_for(w.as_ref(), axis.profile.clone());
     let free = run_workload(w.as_ref(), &cfg, suite(), &FaultPlan::none());
     assert!(
-        free.report.completed,
+        free.completed,
         "{} under the compact suite (el{el_count}) did not complete fault-free",
-        free.label
+        w.label()
     );
     let plan = if el_fault {
         FaultPlan::kill_el_at(EL_FAULT_AT, 0)
@@ -232,15 +230,15 @@ fn run_compact_cell(w: &Arc<dyn Workload>, el_fault: bool) -> RegimeRow {
     };
     let faulted = run_workload(w.as_ref(), &cfg, suite(), &plan);
     assert!(
-        faulted.report.completed,
+        faulted.completed,
         "{} under the compact suite (el{el_count}) did not recover",
-        faulted.label
+        w.label()
     );
     if el_fault {
         assert!(
-            faulted.report.el_reshards() >= 1,
+            faulted.el_reshards() >= 1,
             "{}: EL failure injected but no re-shard happened",
-            faulted.label
+            w.label()
         );
     }
     row_from_runs(

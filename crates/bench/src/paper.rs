@@ -24,7 +24,7 @@ use vlog_sim::{Counter, EthernetParams, SimDuration};
 use vlog_vmpi::{ClusterConfig, FaultPlan, RankStats, RunReport};
 use vlog_workloads::netpipe::{self, NetpipePoint};
 use vlog_workloads::runner::faults;
-use vlog_workloads::{run_workload, Class, NasBench, NasConfig, WorkloadRun};
+use vlog_workloads::{mflops, run_workload, Class, NasBench, NasConfig, Workload};
 
 use crate::report::{self, md_table, Field, Record, Slot};
 use crate::{fmt3, run_many, Scale, Stack, SuiteKind};
@@ -48,11 +48,11 @@ pub fn netpipe_run(
 }
 
 /// Fault-free NAS run on `stack`, no checkpoint scheduler.
-fn nas_free(nas: &NasConfig, stack: Stack) -> WorkloadRun {
+fn nas_free(nas: &NasConfig, stack: Stack) -> RunReport {
     let mut cfg = stack.cluster(nas.np);
     cfg.event_limit = Some(NAS_EVENT_LIMIT);
     let run = run_workload(nas, &cfg, stack.suite(None), &FaultPlan::none());
-    assert!(run.report.completed, "{} on {}", run.label, stack.label());
+    assert!(run.completed, "{} on {}", nas.label(), stack.label());
     run
 }
 
@@ -68,21 +68,21 @@ pub fn nas_kill_rank0(
     kind: SuiteKind,
     ckpt: impl Fn(SimDuration) -> SimDuration,
     kill_frac: f64,
-) -> WorkloadRun {
+) -> RunReport {
     let mut cfg = ClusterConfig::new(nas.np);
     cfg.event_limit = Some(NAS_EVENT_LIMIT);
     cfg.detect_delay = SimDuration::from_millis(50);
     let mut probe_nas = nas.clone();
     probe_nas.checkpoints = false;
     let probe = run_workload(&probe_nas, &cfg, kind.build_with(None), &FaultPlan::none());
-    assert!(probe.report.completed, "{} probe incomplete", probe.label);
-    let t_app = probe.report.makespan;
+    assert!(probe.completed, "{} probe incomplete", nas.label());
+    let t_app = probe.makespan;
     let plan = FaultPlan::kill_at(t_app.mul_f64(kill_frac), 0);
     let run = run_workload(nas, &cfg, kind.build(ckpt(t_app)), &plan);
-    let what = format!("{} under {}", run.label, kind.label());
-    assert!(run.report.completed, "{what}: faulted run incomplete");
-    assert!(run.report.all_landed(&plan), "{what}: kill missed");
-    let collects = &run.report.rank_stats[0].recovery_collect;
+    let what = format!("{} under {}", nas.label(), kind.label());
+    assert!(run.completed, "{what}: faulted run incomplete");
+    assert!(run.all_landed(&plan), "{what}: kill missed");
+    let collects = &run.rank_stats[0].recovery_collect;
     assert!(!collects.is_empty(), "{what}: no recovery recorded");
     run
 }
@@ -99,8 +99,8 @@ fn nas_under_faults(nas: &NasConfig, kind: SuiteKind, per_minute: &[f64]) -> Vec
     cfg.event_limit = Some(NAS_EVENT_LIMIT);
     cfg.detect_delay = SimDuration::from_millis(250);
     let base = run_workload(nas, &cfg, kind.build(ckpt), &FaultPlan::none());
-    assert!(base.report.completed, "{} baseline", kind.label());
-    let base = base.report.makespan;
+    assert!(base.completed, "{} baseline", kind.label());
+    let base = base.makespan;
     let horizon = base.mul_f64(8.0);
     cfg.time_limit = Some(horizon);
     let under = |&f: &f64| {
@@ -110,7 +110,7 @@ fn nas_under_faults(nas: &NasConfig, kind: SuiteKind, per_minute: &[f64]) -> Vec
         // Planned to the horizon, so a run that ends sooner leaves kills
         // unfired: 13/24, 3/12, 12/22, 3/11 fire at quick scale.
         let plan = faults::periodic_per_minute(f, nas.np, horizon);
-        let run = run_workload(nas, &cfg, kind.build(ckpt), &plan).report;
+        let run = run_workload(nas, &cfg, kind.build(ckpt), &plan);
         let pct = 100.0 * run.makespan.as_secs_f64() / base.as_secs_f64();
         (pct, run.completed)
     };
@@ -214,11 +214,12 @@ fn run_cell((runner, stack, xs): &Cell) -> Vec<(f64, &'static str, f64)> {
         }
         Runner::NasFree(nas) => {
             let x = xs[0];
-            let run = nas_free(&nas.on(x), *stack);
+            let nas = nas.on(x);
+            let run = nas_free(&nas, *stack);
             let (send, recv) = run.pb_times();
             let busy = send.as_secs_f64() + recv.as_secs_f64();
-            let exec = x * run.report.makespan.as_secs_f64();
-            put(x, "mflops", run.mflops());
+            let exec = x * run.makespan.as_secs_f64();
+            put(x, "mflops", mflops(nas.total_flops(), run.makespan));
             put(x, "pb_percent", run.piggyback_percent());
             put(x, "pb_send_ms", send.as_millis_f64());
             put(x, "pb_recv_ms", recv.as_millis_f64());
@@ -226,15 +227,15 @@ fn run_cell((runner, stack, xs): &Cell) -> Vec<(f64, &'static str, f64)> {
             // Records that reached the EL coalesced behind a batch whose
             // ack was still outstanding: grows when the ack round trip
             // stretches.
-            let records = run.report.stats.counter(Counter::ElRecords);
-            let coalesced = records.saturating_sub(run.report.el_batches());
+            let records = run.stats.counter(Counter::ElRecords);
+            let coalesced = records.saturating_sub(run.el_batches());
             put(x, "el_records", records as f64);
             put(x, "el_coalesced", coalesced as f64);
         }
         Runner::NasKill(nas) => {
             let stretch = |t: SimDuration| t.mul_f64(0.3);
             let run = nas_kill_rank0(&nas.on(xs[0]), ft_kind(*stack), stretch, 0.55);
-            let collect = run.report.rank_stats[0].recovery_collect[0];
+            let collect = run.rank_stats[0].recovery_collect[0];
             put(xs[0], "collect_ms", collect.as_millis_f64());
         }
         Runner::NasFaults(nas, np) => {

@@ -309,11 +309,6 @@ impl Network {
         })
     }
 
-    /// The fabric profile.
-    pub fn profile(&self) -> &NetProfile {
-        &self.profile
-    }
-
     pub fn ensure_node(&mut self, node: usize) {
         let need = (node + 1) * self.profile.nics;
         while self.tx_free.len() < need {
@@ -520,7 +515,7 @@ mod tests {
     fn hetero_uplink_drains_service_ingress_faster() {
         let mut profile = NetProfile::hetero_uplink();
         profile.resolve_service_boundary(2); // nodes >= 2 are service nodes
-        let mut n = Network::new(profile);
+        let mut n = Network::new(profile.clone());
         let msg = 1_000_000u64;
         // rank -> service: receiver drains at gigabit, so back-to-back
         // records from two ranks queue far less at the service ingress
@@ -538,7 +533,7 @@ mod tests {
         );
         // rank -> rank stays pure FastE: byte-identical to the flat fabric
         // (fresh networks so neither side carries leftover occupancy).
-        let mut hetero_fresh = Network::new(n.profile().clone());
+        let mut hetero_fresh = Network::new(profile);
         let mut flat_fresh = net();
         assert_eq!(
             hetero_fresh.send(SimTime::ZERO, 0, 1, msg),

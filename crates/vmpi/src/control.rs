@@ -252,12 +252,7 @@ mod tests {
                 replayed: false,
             })
         };
-        let rts = DaemonMsg::Rts {
-            src: 0,
-            ssn: 0,
-            tag: 0,
-            len: 1 << 20,
-        };
+        let rts = DaemonMsg::Rts { src: 0, ssn: 0 };
         let cts = DaemonMsg::Cts { dst: 0, ssn: 0 };
         for (name, msg, bytes) in [
             ("rts", rts, (16, 16)),

@@ -666,8 +666,6 @@ impl Vdaemon {
             let rts = DaemonMsg::Rts {
                 src: self.core.rank,
                 ssn: send.ssn,
-                tag: send.tag,
-                len: send.payload.len(),
             };
             let target = topo(sim).daemon(send.dst);
             self.core.pending_rdv.insert((send.dst, send.ssn), send);
@@ -854,8 +852,7 @@ impl Vdaemon {
                     self.handle_app_msg(sim, m)
                 }
             }
-            DaemonMsg::Rts { src, ssn, tag, len } => {
-                let _ = (tag, len);
+            DaemonMsg::Rts { src, ssn } => {
                 // Clear-to-send immediately (receiver-side buffering).
                 let cost = self.core.profile.msg_cost(0);
                 let end = sim.charge_cpu(self.core.node, cost);

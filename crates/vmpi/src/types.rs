@@ -136,13 +136,9 @@ impl std::fmt::Debug for AppMsg {
 pub enum DaemonMsg {
     /// Eager data message.
     App(AppMsg),
-    /// Rendezvous request: "I have `len` bytes for you on `ssn`".
-    Rts {
-        src: Rank,
-        ssn: Ssn,
-        tag: Tag,
-        len: u64,
-    },
+    /// Rendezvous request: "I have a payload for you on `ssn`". The
+    /// size travels with the data that follows the clear-to-send.
+    Rts { src: Rank, ssn: Ssn },
     /// Clear-to-send for a rendezvous transfer.
     Cts { dst: Rank, ssn: Ssn },
 }

@@ -31,7 +31,7 @@ use std::sync::{Arc, OnceLock};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use vlog_sim::SimDuration;
-use vlog_vmpi::{app, Payload, RecvSelector, RunReport};
+use vlog_vmpi::{app, Payload, RecvSelector};
 
 use crate::workload::{ckpt_payload, mix_seed, restored_u64, Workload, WorkloadProgram};
 
@@ -434,29 +434,6 @@ impl Workload for BurstyConfig {
             }
         });
         spec.into()
-    }
-
-    fn metrics(&self, _report: &RunReport) -> Vec<(&'static str, f64)> {
-        let total_f = self.total_requests() as f64;
-        let clients = (self.np - self.servers) as u64;
-        let hot_share = if total_f > 0.0 {
-            self.total_requests_for(self.busiest_server()) as f64 / total_f
-        } else {
-            0.0
-        };
-        let mut metrics = vec![
-            ("requests", total_f),
-            (
-                "mean_burst",
-                total_f / (clients * self.rounds).max(1) as f64,
-            ),
-            ("hot_server_share", hot_share),
-        ];
-        if self.clients_per_rank > 1 {
-            metrics.push(("modeled_clients", self.modeled_clients() as f64));
-            metrics.push(("modeled_requests", self.modeled_requests() as f64));
-        }
-        metrics
     }
 }
 

@@ -12,7 +12,7 @@
 //! payload, pushing piggyback share and per-message management cost
 //! back up. Sweeping the tile size maps that trade-off.
 
-use vlog_vmpi::{app, Payload, RunReport};
+use vlog_vmpi::{app, Payload};
 
 use crate::workload::{ckpt_payload, restored_u64, Workload, WorkloadProgram};
 
@@ -117,13 +117,6 @@ impl Workload for FftPipeConfig {
             }
         });
         spec.into()
-    }
-
-    fn metrics(&self, _report: &RunReport) -> Vec<(&'static str, f64)> {
-        vec![
-            ("tiles", self.tiles as f64),
-            ("tile_pair_bytes", self.tile_pair_bytes() as f64),
-        ]
     }
 }
 

@@ -18,7 +18,7 @@ use std::sync::{Arc, OnceLock};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use vlog_vmpi::{app, Payload, RecvSelector, RunReport};
+use vlog_vmpi::{app, Payload, RecvSelector};
 
 use crate::workload::{ckpt_payload, mix_seed, restored_u64, Workload, WorkloadProgram};
 
@@ -127,18 +127,6 @@ impl HaloConfig {
             .max_by_key(|&r| (g[r].len(), std::cmp::Reverse(r)))
             .unwrap_or(0)
     }
-
-    /// `(edge count, max degree, min degree)` of the generated graph.
-    pub fn degree_stats(&self) -> (usize, usize, usize) {
-        let g = self.graph();
-        let degrees: Vec<usize> = g.iter().map(|l| l.len()).collect();
-        let edges = degrees.iter().sum::<usize>() / 2;
-        (
-            edges,
-            degrees.iter().copied().max().unwrap_or(0),
-            degrees.iter().copied().min().unwrap_or(0),
-        )
-    }
 }
 
 impl Workload for HaloConfig {
@@ -206,20 +194,22 @@ impl Workload for HaloConfig {
         });
         spec.into()
     }
-
-    fn metrics(&self, _report: &RunReport) -> Vec<(&'static str, f64)> {
-        let (edges, max_deg, min_deg) = self.degree_stats();
-        vec![
-            ("edges", edges as f64),
-            ("max_degree", max_deg as f64),
-            ("min_degree", min_deg as f64),
-        ]
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `(edge count, max degree, min degree)` of the generated graph.
+    fn degree_stats(cfg: &HaloConfig) -> (usize, usize, usize) {
+        let degrees: Vec<usize> = cfg.graph().iter().map(|l| l.len()).collect();
+        let edges = degrees.iter().sum::<usize>() / 2;
+        (
+            edges,
+            degrees.iter().copied().max().unwrap_or(0),
+            degrees.iter().copied().min().unwrap_or(0),
+        )
+    }
 
     #[test]
     fn graph_is_symmetric_connected_and_deterministic() {
@@ -242,7 +232,7 @@ mod tests {
 
     #[test]
     fn degrees_are_nonuniform() {
-        let (_edges, max_deg, min_deg) = HaloConfig::new(16, 4, 3).degree_stats();
+        let (_edges, max_deg, min_deg) = degree_stats(&HaloConfig::new(16, 4, 3));
         assert!(
             max_deg >= min_deg + 2,
             "hub construction should spread degrees: max={max_deg} min={min_deg}"
@@ -276,7 +266,7 @@ mod tests {
     fn shared_graph_reproduces_the_pinned_registry_entry() {
         let cfg = HaloConfig::new(32, 4, 12);
         assert_eq!(cfg.hub(), 0);
-        assert_eq!(cfg.degree_stats(), (68, 9, 2));
+        assert_eq!(degree_stats(&cfg), (68, 9, 2));
         // A clone reads the graph its parent drew.
         let clone = cfg.clone();
         assert!(Arc::ptr_eq(&cfg.graph, &clone.graph));

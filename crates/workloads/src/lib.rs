@@ -4,8 +4,9 @@
 //! [`Workload`] trait (label, geometry rules, flop/state accounting,
 //! program construction) plus the [`registry()`] enumerating all
 //! registered configurations. The generic [`run_workload`] runner
-//! executes any workload under any protocol suite and extracts the
-//! shared metrics as a [`WorkloadRun`].
+//! executes any workload under any protocol suite and returns the run's
+//! `RunReport`, on which every figure metric sits; [`mflops`] computes
+//! Figure 9's Mflop/s from a workload's flop count and a run's makespan.
 //!
 //! Families:
 //!
@@ -38,4 +39,4 @@ pub use halo::HaloConfig;
 pub use nas::{full_flops, full_iters, grid_n, mem_bytes, Class, NasBench, NasConfig};
 pub use netpipe::{NetpipeConfig, NetpipePoint};
 pub use registry::{net_axes, registry, NetAxis, RegistryScale, FAMILIES};
-pub use workload::{run_workload, Workload, WorkloadProgram, WorkloadRun};
+pub use workload::{mflops, run_workload, Workload, WorkloadProgram};

@@ -7,10 +7,10 @@
 //! ([`vlog_vmpi::Mpi::record`]); [`points`] reads the sweep off the
 //! run's report.
 //!
-//! [`NetpipeConfig`] is the [`Workload`] face of the benchmark; the
-//! lower-level [`program`] builder remains for harnesses that want the
-//! full per-size point sweep (Figure 6 tables and curves) rather than
-//! the summary metrics.
+//! [`NetpipeConfig`] is the [`Workload`] face of the benchmark, which
+//! the registry sweeps; the lower-level [`program`] builder, without
+//! checkpoint offers, serves the Figure 6 harnesses. Either way,
+//! [`points`] reads the sweep off the report.
 
 use std::collections::BTreeMap;
 
@@ -205,17 +205,6 @@ impl Workload for NetpipeConfig {
     fn program(&self) -> WorkloadProgram {
         let ckpt = self.checkpoints.then(|| self.state_bytes());
         build(self.max_bytes, self.rep_scale, ckpt).into()
-    }
-
-    fn metrics(&self, report: &RunReport) -> Vec<(&'static str, f64)> {
-        let pts = points(report);
-        let latency_1b = pts.first().map_or(0.0, |p| p.latency_us);
-        let peak = pts.iter().map(|p| p.mbps).fold(0.0, f64::max);
-        vec![
-            ("latency_1b_us", latency_1b),
-            ("peak_mbps", peak),
-            ("points", pts.len() as f64),
-        ]
     }
 }
 

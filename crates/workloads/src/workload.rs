@@ -4,9 +4,11 @@
 //! rank count, iteration/traffic parameters, checkpoint state size and
 //! flop accounting — and builds its program on demand. The generic
 //! [`run_workload`] runner executes any workload under any protocol
-//! suite and extracts the shared metric set ([`WorkloadRun`]): virtual
-//! makespan, Mflop/s where defined, piggyback share, piggyback
-//! send/receive management time, and the message-count/size histogram.
+//! suite and returns the run's [`RunReport`], which carries every
+//! figure metric: virtual makespan, piggyback share, piggyback
+//! send/receive management time and the message-count/size histogram.
+//! [`mflops`] turns a workload's [`Workload::total_flops`] and a
+//! report's makespan into Figure 9's Mflop/s.
 //!
 //! The point of the indirection is that nothing downstream — figure
 //! harnesses, the determinism suite, the `regimes` sweep bench —
@@ -17,7 +19,7 @@
 
 use std::sync::Arc;
 
-use vlog_sim::{MsgHistogram, SimDuration};
+use vlog_sim::SimDuration;
 use vlog_vmpi::{AppSpec, ClusterConfig, ClusterRun, FaultPlan, Mpi, Payload, RunReport, Suite};
 
 /// One runnable benchmark configuration.
@@ -77,12 +79,6 @@ pub trait Workload: Send + Sync {
     /// the program measures it records ([`Mpi::record`]), so it comes
     /// back on that run's [`RunReport`] and nowhere else.
     fn program(&self) -> WorkloadProgram;
-
-    /// Workload-specific scalar metrics of a finished run, in a fixed
-    /// order ([`WorkloadRun::extra`]). None by default.
-    fn metrics(&self, _report: &RunReport) -> Vec<(&'static str, f64)> {
-        Vec::new()
-    }
 }
 
 /// A built program.
@@ -97,62 +93,31 @@ impl From<AppSpec> for WorkloadProgram {
     }
 }
 
-/// Result of one workload run: the cluster report plus the shared
-/// metric set every harness consumes.
-pub struct WorkloadRun {
-    /// `Workload::family` of the workload that ran.
-    pub family: &'static str,
-    /// `Workload::label` of the workload that ran.
-    pub label: String,
-    /// The full cluster report (makespan, stats, per-rank protocol
-    /// statistics, completion flag).
-    pub report: RunReport,
-    /// Flop accounting for the Mflop/s metric (0 when undefined).
-    pub total_flops: f64,
-    /// Workload-specific extras ([`Workload::metrics`]).
-    pub extra: Vec<(&'static str, f64)>,
-}
-
-impl WorkloadRun {
-    /// Total Mflop/s (Megaflops) of the run — the Figure 9 metric.
-    ///
-    /// Returns 0.0 when the workload defines no flop count or the run
-    /// had zero virtual makespan: an empty run did zero useful work, it
-    /// did not do infinite work (the unguarded division used to return
-    /// inf, or NaN for 0/0).
-    pub fn mflops(&self) -> f64 {
-        let secs = self.report.makespan.as_secs_f64();
-        if secs == 0.0 || self.total_flops == 0.0 {
-            0.0
-        } else {
-            self.total_flops / secs / 1e6
-        }
-    }
-
-    /// Piggybacked bytes as % of total exchanged bytes (Figure 7).
-    pub fn piggyback_percent(&self) -> f64 {
-        self.report.piggyback_percent()
-    }
-
-    /// Summed piggyback-management times, split (send, receive)
-    /// (Figure 8).
-    pub fn pb_times(&self) -> (SimDuration, SimDuration) {
-        self.report.pb_times()
-    }
-
-    /// Message-count histogram over power-of-two wire-size buckets.
-    pub fn msg_histogram(&self) -> &MsgHistogram {
-        self.report.msg_histogram()
+/// Total Mflop/s (Megaflops) of a run — the Figure 9 metric.
+///
+/// Returns 0.0 when the workload defines no flop count or the run had
+/// zero virtual makespan: an empty run did zero useful work, not
+/// infinite work (and 0 flops in 0 s is not NaN).
+pub fn mflops(total_flops: f64, makespan: SimDuration) -> f64 {
+    let secs = makespan.as_secs_f64();
+    if secs == 0.0 || total_flops == 0.0 {
+        0.0
+    } else {
+        total_flops / secs / 1e6
     }
 }
 
-/// Runs a workload under a protocol suite and extracts its metrics.
+/// Runs a workload under a protocol suite and returns the run's report.
+///
+/// # Panics
+///
+/// If `cluster` does not have [`Workload::np`] ranks.
 pub fn run_workload(
     workload: &dyn Workload,
     cluster: &ClusterConfig,
     suite: Arc<dyn Suite>,
     faults: &FaultPlan,
-) -> WorkloadRun {
+) -> RunReport {
     assert_eq!(
         cluster.ranks,
         workload.np(),
@@ -161,15 +126,7 @@ pub fn run_workload(
         workload.label(),
         workload.np()
     );
-    let report = ClusterRun::build(cluster, suite, workload.program().spec, faults).run();
-    let extra = workload.metrics(&report);
-    WorkloadRun {
-        family: workload.family(),
-        label: workload.label(),
-        report,
-        total_flops: workload.total_flops(),
-        extra,
-    }
+    ClusterRun::build(cluster, suite, workload.program().spec, faults).run()
 }
 
 /// Shared helper: the `u64` cursor a checkpointed incarnation restored,
@@ -208,29 +165,8 @@ pub(crate) fn mix_seed(seed: u64, a: u64, b: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vlog_sim::Stats;
-
-    fn dummy_run(makespan: SimDuration, flops: f64) -> WorkloadRun {
-        WorkloadRun {
-            family: "test",
-            label: "test".into(),
-            report: RunReport {
-                suite: "none".into(),
-                makespan,
-                completed: true,
-                stats: Stats::new(),
-                rank_stats: Vec::new(),
-                events: 0,
-                stopped: None,
-                applied: Vec::new(),
-                fired: Vec::new(),
-                liveness: None,
-                recorded: Vec::new(),
-            },
-            total_flops: flops,
-            extra: Vec::new(),
-        }
-    }
+    use crate::BurstyConfig;
+    use vlog_vmpi::VdummySuite;
 
     #[test]
     fn ckpt_payload_pads_to_the_state_size() {
@@ -251,17 +187,25 @@ mod tests {
     fn mflops_is_zero_not_nan_for_empty_runs() {
         // Regression: flops / 0s used to return inf (and NaN for the
         // doubly-degenerate 0 flops / 0 s case).
-        let r = dummy_run(SimDuration::ZERO, 1e9);
-        assert_eq!(r.mflops(), 0.0);
-        let r = dummy_run(SimDuration::ZERO, 0.0);
-        assert_eq!(r.mflops(), 0.0);
-        let r = dummy_run(SimDuration::from_secs(2), 0.0);
-        assert_eq!(r.mflops(), 0.0);
+        assert_eq!(mflops(1e9, SimDuration::ZERO), 0.0);
+        assert_eq!(mflops(0.0, SimDuration::ZERO), 0.0);
+        assert_eq!(mflops(0.0, SimDuration::from_secs(2)), 0.0);
     }
 
     #[test]
     fn mflops_matches_the_figure9_formula() {
-        let r = dummy_run(SimDuration::from_secs(2), 4e9);
-        assert!((r.mflops() - 2000.0).abs() < 1e-9);
+        assert!((mflops(4e9, SimDuration::from_secs(2)) - 2000.0).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "cluster has 3 ranks but workload")]
+    fn a_cluster_of_the_wrong_size_is_rejected() {
+        let w = BurstyConfig::new(4, 2, 1);
+        let _ = run_workload(
+            &w,
+            &ClusterConfig::new(3),
+            Arc::new(VdummySuite),
+            &FaultPlan::none(),
+        );
     }
 }

@@ -6,11 +6,15 @@ use std::sync::Arc;
 
 use vlog_core::{CausalSuite, Technique};
 use vlog_sim::SimDuration;
-use vlog_vmpi::{ClusterConfig, FaultPlan, VdummySuite};
+use vlog_vmpi::{ClusterConfig, FaultPlan, RunReport, VdummySuite};
 use vlog_workloads::{
-    netpipe, run_workload, BurstyConfig, FftPipeConfig, HaloConfig, NetpipeConfig, Workload,
-    WorkloadRun,
+    mflops, netpipe, run_workload, BurstyConfig, FftPipeConfig, HaloConfig, NetpipeConfig, Workload,
 };
+
+/// Application messages each rank sent.
+fn sent(run: &RunReport) -> Vec<u64> {
+    run.rank_stats.iter().map(|s| s.app_msgs_sent).collect()
+}
 
 fn cluster(np: usize) -> ClusterConfig {
     let mut c = ClusterConfig::new(np);
@@ -33,9 +37,9 @@ fn every_new_family_completes_under_vdummy() {
             Arc::new(VdummySuite),
             &FaultPlan::none(),
         );
-        assert!(run.report.completed, "{} did not complete", run.label);
-        assert!(run.report.stats.messages > 0, "{}", run.label);
-        assert_eq!(run.report.stats.messages, run.msg_histogram().count());
+        assert!(run.completed, "{} did not complete", w.label());
+        assert!(run.stats.messages > 0, "{}", w.label());
+        assert_eq!(run.stats.messages, run.msg_histogram().count());
     }
 }
 
@@ -43,18 +47,17 @@ fn every_new_family_completes_under_vdummy() {
 fn bursty_service_serves_every_request() {
     let cfg = BurstyConfig::new(4, 6, 42);
     let run = run_workload(&cfg, &cluster(4), Arc::new(VdummySuite), &FaultPlan::none());
-    assert!(run.report.completed);
-    let reqs = run
-        .extra
-        .iter()
-        .find(|(k, _)| *k == "requests")
-        .map(|(_, v)| *v)
-        .unwrap();
-    assert_eq!(reqs, cfg.total_requests() as f64);
+    assert!(run.completed);
+    // Every request the arrival process draws is sent once by a client
+    // (ranks 1..) and answered once by the server (rank 0).
+    let reqs = cfg.total_requests();
+    let sent = sent(&run);
+    assert_eq!(sent[0], reqs, "replies");
+    assert_eq!(sent[1..].iter().sum::<u64>(), reqs, "requests");
     // Request + reply per served request, plus checkpoint/control
     // traffic: message count must be at least 2x the request count.
-    assert!(run.report.stats.messages as f64 >= 2.0 * reqs);
-    assert!(run.mflops() > 0.0);
+    assert!(run.stats.messages >= 2 * reqs);
+    assert!(mflops(cfg.total_flops(), run.makespan) > 0.0);
 }
 
 #[test]
@@ -66,16 +69,19 @@ fn halo_traffic_concentrates_on_hubs() {
         Arc::new(VdummySuite),
         &FaultPlan::none(),
     );
-    assert!(run.report.completed);
-    let get = |k: &str| {
-        run.extra
-            .iter()
-            .find(|(n, _)| *n == k)
-            .map(|(_, v)| *v)
-            .unwrap()
-    };
-    assert!(get("max_degree") > get("min_degree"));
-    assert!(get("edges") >= 12.0, "ring backbone alone has np edges");
+    assert!(run.completed);
+    // Each iteration sends one halo per neighbor, so a rank's sends
+    // follow its degree: the hub sends the most, a ring-only rank the
+    // fewest.
+    let sent = sent(&run);
+    let hub = cfg.hub();
+    let degree = |r: usize| cfg.graph()[r].len() as u64;
+    let leaf = (0..12).min_by_key(|&r| degree(r)).unwrap();
+    assert!(degree(hub) > degree(leaf));
+    assert!(sent[hub] > sent[leaf], "{sent:?}");
+    for (r, &n) in sent.iter().enumerate() {
+        assert!(n >= cfg.iters * degree(r), "rank {r} sent {n} halos");
+    }
 }
 
 #[test]
@@ -83,10 +89,10 @@ fn fft_tiling_multiplies_messages_and_shrinks_them() {
     let run_tiles = |tiles: u32| {
         let cfg = FftPipeConfig::new(4, 2, tiles);
         let run = run_workload(&cfg, &cluster(4), Arc::new(VdummySuite), &FaultPlan::none());
-        assert!(run.report.completed, "tiles={tiles}");
+        assert!(run.completed, "tiles={tiles}");
         (
-            run.report.stats.messages,
-            run.report.stats.bytes.payload as f64 / run.report.stats.messages as f64,
+            run.stats.messages,
+            run.stats.bytes.payload as f64 / run.stats.messages as f64,
         )
     };
     let (mono_msgs, mono_avg) = run_tiles(1);
@@ -117,24 +123,14 @@ fn new_families_survive_a_fault_under_causal_logging() {
         );
         let plan = FaultPlan::kill_at(SimDuration::from_millis(6), 1);
         let run = run_workload(w.as_ref(), &cfg, suite, &plan);
-        assert!(run.report.completed, "{} faulted run", run.label);
+        assert!(run.completed, "{} faulted run", w.label());
+        assert!(run.all_landed(&plan), "{}: {:?}", w.label(), run.fired);
+        let recoveries: usize = run.rank_stats.iter().map(|s| s.recovery_total.len()).sum();
+        assert!(recoveries >= 1, "{} never recovered", w.label());
         assert!(
-            run.report.all_landed(&plan),
-            "{}: {:?}",
-            run.label,
-            run.report.fired
-        );
-        let recoveries: usize = run
-            .report
-            .rank_stats
-            .iter()
-            .map(|s| s.recovery_total.len())
-            .sum();
-        assert!(recoveries >= 1, "{} never recovered", run.label);
-        assert!(
-            run.report.stats.bytes.piggyback > 0,
+            run.stats.bytes.piggyback > 0,
             "{} moved no piggyback under causal logging",
-            run.label
+            w.label()
         );
     }
 }
@@ -143,18 +139,17 @@ fn new_families_survive_a_fault_under_causal_logging() {
 fn netpipe_workload_reports_sweep_metrics() {
     let cfg = NetpipeConfig::new(1 << 12, 0.05);
     let run = run_workload(&cfg, &cluster(2), Arc::new(VdummySuite), &FaultPlan::none());
-    assert!(run.report.completed);
-    let get = |k: &str| {
-        run.extra
-            .iter()
-            .find(|(n, _)| *n == k)
-            .map(|(_, v)| *v)
-            .unwrap()
-    };
-    assert_eq!(get("points"), 13.0); // 1 B .. 4 KiB
-    assert!(get("latency_1b_us") > 0.0);
-    assert!(get("peak_mbps") > 0.0);
-    assert_eq!(run.mflops(), 0.0, "NetPIPE defines no Mflop/s");
+    assert!(run.completed);
+    let points = netpipe::points(&run);
+    assert_eq!(points.len(), 13); // 1 B .. 4 KiB
+    assert_eq!(points[0].bytes, 1);
+    assert!(points[0].latency_us > 0.0);
+    assert!(points.iter().all(|p| p.mbps > 0.0), "{points:?}");
+    assert_eq!(
+        mflops(cfg.total_flops(), run.makespan),
+        0.0,
+        "NetPIPE defines no Mflop/s"
+    );
 }
 
 /// NetPIPE's sweep is read off the report. Rank 0 is killed after it
@@ -175,15 +170,10 @@ fn netpipe_points_survive_a_rank0_kill() {
     let free = run_workload(&cfg, &cluster, suite(), &FaultPlan::none());
     let plan = FaultPlan::kill_at(SimDuration::from_millis(70), 0);
     let faulted = run_workload(&cfg, &cluster, suite(), &plan);
-    assert!(free.report.completed && faulted.report.completed);
-    assert!(
-        faulted.report.all_landed(&plan),
-        "{:?}",
-        faulted.report.fired
-    );
+    assert!(free.completed && faulted.completed);
+    assert!(faulted.all_landed(&plan), "{:?}", faulted.fired);
 
     let latencies: Vec<_> = faulted
-        .report
         .recorded
         .iter()
         .filter(|r| r.name == "latency_us")
@@ -193,17 +183,12 @@ fn netpipe_points_survive_a_rank0_kill() {
         latencies.len() > sizes.len(),
         "no size was measured twice, so the kill tested nothing"
     );
-    let bytes = |run: &WorkloadRun| -> Vec<u64> {
-        netpipe::points(&run.report)
-            .iter()
-            .map(|p| p.bytes)
-            .collect()
-    };
+    let bytes =
+        |run: &RunReport| -> Vec<u64> { netpipe::points(&run).iter().map(|p| p.bytes).collect() };
     assert_eq!(bytes(&free), sizes);
     assert_eq!(bytes(&faulted), sizes);
-    for point in netpipe::points(&faulted.report) {
+    for point in netpipe::points(&faulted) {
         let last = latencies.iter().rev().find(|r| r.key == point.bytes);
         assert_eq!(point.latency_us, last.unwrap().value, "{point:?}");
     }
-    assert_eq!(faulted.extra[2], ("points", sizes.len() as f64));
 }

@@ -52,30 +52,21 @@ fn main() {
         let mut cfg = ClusterConfig::new(np);
         cfg.detect_delay = SimDuration::from_millis(20);
         let clean = run_workload(&nas, &cfg, suite.clone(), &FaultPlan::none());
-        assert!(clean.report.completed);
+        assert!(clean.completed);
         let (faulted_time, recoveries) = if fault_tolerant {
-            let kill = clean.report.makespan.mul_f64(0.5);
+            let kill = clean.makespan.mul_f64(0.5);
             let run = run_workload(&nas, &cfg, suite.clone(), &FaultPlan::kill_at(kill, 0));
-            assert!(
-                run.report.completed,
-                "{}: faulted run failed",
-                run.report.suite
-            );
-            let rec: usize = run
-                .report
-                .rank_stats
-                .iter()
-                .map(|s| s.recovery_total.len())
-                .sum();
-            (format!("{}", run.report.makespan), rec.to_string())
+            assert!(run.completed, "{}: faulted run failed", run.suite);
+            let rec: usize = run.rank_stats.iter().map(|s| s.recovery_total.len()).sum();
+            (format!("{}", run.makespan), rec.to_string())
         } else {
             ("n/a (no FT)".into(), "-".into())
         };
         println!(
             "{:<32} {:>12} {:>9.2}% {:>12} {:>12}",
-            clean.report.suite,
-            format!("{}", clean.report.makespan),
-            clean.report.piggyback_percent(),
+            clean.suite,
+            format!("{}", clean.makespan),
+            clean.piggyback_percent(),
             faulted_time,
             recoveries,
         );
@@ -95,14 +86,14 @@ fn main() {
                 .with_checkpoints(SimDuration::from_millis(50)),
         );
         let run = run_workload(w.as_ref(), &cfg, suite, &FaultPlan::none());
-        assert!(run.report.completed, "{} did not complete", run.label);
+        assert!(run.completed, "{} did not complete", w.label());
         println!(
             "{:<16} {:<12} {:>12} {:>9.2}% {:>10} {:>11}B",
-            run.family,
-            run.label,
-            format!("{}", run.report.makespan),
+            w.family(),
+            w.label(),
+            format!("{}", run.makespan),
             run.piggyback_percent(),
-            run.report.stats.messages,
+            run.stats.messages,
             run.msg_histogram().max_bucket_bytes(),
         );
     }

@@ -31,8 +31,8 @@ fn main() {
             Arc::new(CausalSuite::new(Technique::Vcausal, el)),
             &FaultPlan::none(),
         );
-        assert!(probe.report.completed);
-        let t_app = probe.report.makespan;
+        assert!(probe.completed);
+        let t_app = probe.makespan;
         let suite =
             Arc::new(CausalSuite::new(Technique::Vcausal, el).with_checkpoints(t_app.mul_f64(0.3)));
         let run = run_workload(
@@ -41,8 +41,8 @@ fn main() {
             suite,
             &FaultPlan::kill_at(t_app.mul_f64(0.55), 0),
         );
-        assert!(run.report.completed);
-        let st = &run.report.rank_stats[0];
+        assert!(run.completed);
+        let st = &run.rank_stats[0];
         let el_label = if el {
             "WITH Event Logger"
         } else {
@@ -50,7 +50,7 @@ fn main() {
         };
         println!("=== {el_label} ===");
         println!("  fault-free application span : {t_app}");
-        println!("  faulted makespan            : {}", run.report.makespan);
+        println!("  faulted makespan            : {}", run.makespan);
         println!(
             "  determinant collection      : {} (the Figure 10 metric)",
             st.recovery_collect
@@ -73,7 +73,7 @@ fn main() {
         );
         println!(
             "  piggyback share of traffic  : {:.2}%",
-            run.report.piggyback_percent()
+            run.piggyback_percent()
         );
         println!();
     }

@@ -251,6 +251,17 @@ if grep -rnE 'Event::Pok[e]\b|fn on_pok[e]\b|\b(spawn_with_exi[t]|on_exi[t]|stag
     exit 1
 fi
 echo "    boundary gate: ok (no Event::Poke, fn on_poke, spawn_with_exit, on_exit, stage_stop, snapshot_version or enum Internal under crates/ tests/ examples/)"
+# A workload run is its RunReport (crates/workloads/src/workload.rs):
+# run_workload returns the report, the caller already holds the
+# workload's family, label and flop count, and a program's own
+# measurements come back as RunReport::recorded. So no result wrapper
+# and no per-workload metrics hook is left.
+# (The brackets keep this script out of a grep of the tree for the names.)
+if grep -rnE 'WorkloadRu[n]|fn metric[s]\b' crates tests examples; then
+    echo "a second result type around a workload run is back (lines above): return the RunReport, read family, label and total_flops off the workload, compute Mflop/s with vlog_workloads::mflops, and record what a program measures with Mpi::record" >&2
+    exit 1
+fi
+echo "    boundary gate: ok (no WorkloadRun or fn metrics under crates/ tests/ examples/)"
 
 echo "==> cargo build --release (RUSTFLAGS=-D warnings from here on)"
 cargo build --release --offline

@@ -21,7 +21,7 @@ use vlog_vmpi::{
 };
 use vlog_workloads::runner::faults;
 use vlog_workloads::{
-    net_axes, registry, run_workload, BurstyConfig, NetAxis, RegistryScale, Workload,
+    mflops, net_axes, registry, run_workload, BurstyConfig, NetAxis, RegistryScale, Workload,
 };
 
 const N: usize = 3;
@@ -326,36 +326,36 @@ fn registered_workloads_survive_faults_on_every_suite_deterministically() {
             &fault,
         );
         assert!(
-            run.report.completed,
+            run.completed,
             "{} under {} did not complete through the fault",
-            run.label,
+            w.label(),
             kind.label()
         );
         assert!(
-            run.report.all_landed(&fault),
+            run.all_landed(&fault),
             "{} under {}: the kill did not land: {:?}",
-            run.label,
+            w.label(),
             kind.label(),
-            run.report.fired
+            run.fired
         );
         assert!(
-            run.mflops().is_finite(),
+            mflops(w.total_flops(), run.makespan).is_finite(),
             "{} reported a non-finite Mflop/s",
-            run.label
+            w.label()
         );
         if kind.is_causal() {
             assert!(
-                run.report.stats.bytes.piggyback > 0,
+                run.stats.bytes.piggyback > 0,
                 "{} under {} moved no piggyback bytes",
-                run.label,
+                w.label(),
                 kind.label()
             );
         }
         format!(
-            "workload={} extra={:?} {}",
-            run.label,
-            run.extra,
-            run.report.fingerprint()
+            "workload={} recorded={:?} {}",
+            w.label(),
+            run.recorded,
+            run.fingerprint()
         )
     };
     let sequential = run_many(jobs.clone(), 1, runner);
@@ -402,33 +402,33 @@ fn large_registry_survives_hub_failures_on_every_suite_deterministically() {
             &plan,
         );
         assert!(
-            run.report.completed,
+            run.completed,
             "{} under {} did not recover from its hub failure (rank {})",
-            run.label,
+            w.label(),
             kind.label(),
             w.hub_rank()
         );
         assert!(
-            run.report.all_landed(&plan),
+            run.all_landed(&plan),
             "{} under {}: the hub failure did not land: {:?}",
-            run.label,
+            w.label(),
             kind.label(),
-            run.report.fired
+            run.fired
         );
         if kind.is_causal() {
             assert!(
-                run.report.stats.bytes.piggyback > 0,
+                run.stats.bytes.piggyback > 0,
                 "{} under {} moved no piggyback bytes",
-                run.label,
+                w.label(),
                 kind.label()
             );
         }
         format!(
-            "workload={} hub={} extra={:?} {}",
-            run.label,
+            "workload={} hub={} recorded={:?} {}",
+            w.label(),
             w.hub_rank(),
-            run.extra,
-            run.report.fingerprint()
+            run.recorded,
+            run.fingerprint()
         )
     };
     let sequential = run_many(jobs.clone(), 1, runner);
@@ -469,25 +469,25 @@ fn compact_aggregated_bursty_is_deterministic_across_thread_counts() {
         };
         let run = run_workload(w.as_ref(), &cfg, suite, &plan);
         assert!(
-            run.report.completed,
+            run.completed,
             "{} (fault={with_fault}) did not complete under the compact suite",
-            run.label
+            w.label()
         );
         assert!(
-            run.report.stats.bytes.piggyback > 0,
+            run.stats.bytes.piggyback > 0,
             "{} moved no piggyback bytes",
-            run.label
+            w.label()
         );
         assert!(
-            run.report.all_landed(&plan),
+            run.all_landed(&plan),
             "{}: the hub failure did not land: {:?}",
-            run.label,
-            run.report.fired
+            w.label(),
+            run.fired
         );
         format!(
-            "agg-compact fault={with_fault} extra={:?} {}",
-            run.extra,
-            run.report.fingerprint()
+            "agg-compact fault={with_fault} recorded={:?} {}",
+            run.recorded,
+            run.fingerprint()
         )
     };
     let sequential = run_many(jobs.clone(), 1, runner);
@@ -538,30 +538,30 @@ fn net_axes_are_deterministic_fault_free_and_through_el_failure() {
         };
         let run = run_workload(probe.as_ref(), &cfg, suite, &plan);
         assert!(
-            run.report.completed,
+            run.completed,
             "{} on {} (el_fault={el_fault}) did not complete",
-            run.label,
+            probe.label(),
             axis.label()
         );
         assert!(
-            run.report.all_landed(&plan),
+            run.all_landed(&plan),
             "{} on {}: the shard kill did not land: {:?}",
-            run.label,
+            probe.label(),
             axis.label(),
-            run.report.fired
+            run.fired
         );
         if el_fault && axis.el_count >= 2 {
             assert!(
-                run.report.el_reshards() >= 1,
+                run.el_reshards() >= 1,
                 "{} on {}: EL shard killed but no re-shard recorded",
-                run.label,
+                probe.label(),
                 axis.label()
             );
         }
         format!(
             "axis={} el_fault={el_fault} {}",
             axis.label(),
-            run.report.fingerprint()
+            run.fingerprint()
         )
     };
     let sequential = run_many(jobs.clone(), 1, runner);

@@ -227,8 +227,8 @@ fn sharding_relieves_the_lu_event_logger_bottleneck() {
         let mut cfg = ClusterConfig::new(16);
         cfg.event_limit = Some(200_000_000);
         let run = run_workload(&nas, &cfg, Arc::new(suite), &FaultPlan::none());
-        assert!(run.report.completed);
-        run.report.stats.bytes.piggyback
+        assert!(run.completed);
+        run.stats.bytes.piggyback
     };
     let one = run(1);
     let four = run(4);

@@ -48,20 +48,17 @@ fn stalled_restart_window_names_the_dangling_recovery_edge() {
     cfg.seeded_bugs.restart_window = true;
     let plan = FaultPlan::kill_at(SimDuration::from_millis(5), victim);
     let run = run_workload(&w, &cfg, causal_suite(), &plan);
-    assert!(run.report.all_landed(&plan), "{:?}", run.report.fired);
+    assert!(run.all_landed(&plan), "{:?}", run.fired);
     // The stall keeps its periodic timers running, so the calendar
     // never drains: the time limit ends the run, and the report says so
     // and carries the diagnosis.
     assert!(
-        !run.report.completed,
+        !run.completed,
         "buggy restart window unexpectedly recovered"
     );
-    assert_eq!(
-        run.report.stopped,
-        Some(StopReason::TimeLimit(FT8_TIME_LIMIT))
-    );
-    assert_eq!(run.report.makespan, FT8_TIME_LIMIT);
-    let live = run.report.liveness.as_ref().expect("liveness exported");
+    assert_eq!(run.stopped, Some(StopReason::TimeLimit(FT8_TIME_LIMIT)));
+    assert_eq!(run.makespan, FT8_TIME_LIMIT);
+    let live = run.liveness.as_ref().expect("liveness exported");
     assert!(
         !live.is_clean(),
         "stalled run reported a clean liveness log"
@@ -90,10 +87,10 @@ fn clean_restart_window_run_is_liveness_clean() {
     let cfg = ft8_cfg();
     let plan = FaultPlan::kill_at(SimDuration::from_millis(5), victim);
     let run = run_workload(&w, &cfg, causal_suite(), &plan);
-    assert!(run.report.completed, "clean FT.S/8 control did not recover");
-    assert!(run.report.all_landed(&plan), "{:?}", run.report.fired);
-    assert_eq!(run.report.stopped, None, "a limit cut a run that completed");
-    let live = run.report.liveness.as_ref().expect("liveness exported");
+    assert!(run.completed, "clean FT.S/8 control did not recover");
+    assert!(run.all_landed(&plan), "{:?}", run.fired);
+    assert_eq!(run.stopped, None, "a limit cut a run that completed");
+    let live = run.liveness.as_ref().expect("liveness exported");
     assert!(
         live.is_clean(),
         "clean faulted run has liveness findings (false positives):\n{}",
@@ -117,7 +114,7 @@ fn bursty_coordinated(storm_bug: bool) -> RunReport {
     cfg.export_liveness = true;
     cfg.seeded_bugs.marker_storm = storm_bug;
     let suite = Arc::new(CoordinatedSuite::new(SimDuration::from_millis(2)));
-    run_workload(&w, &cfg, suite, &FaultPlan::none()).report
+    run_workload(&w, &cfg, suite, &FaultPlan::none())
 }
 
 #[test]

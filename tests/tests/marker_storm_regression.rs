@@ -35,15 +35,15 @@ fn finished_ranks_close_each_snapshot_exactly_once() {
         Arc::new(CoordinatedSuite::new(SimDuration::from_millis(2))),
         &FaultPlan::none(),
     );
-    assert!(run.report.completed, "coordinated bursty did not complete");
+    assert!(run.completed, "coordinated bursty did not complete");
     // Marker traffic is bounded by snapshots x ranks^2; the storm was
     // two orders of magnitude above this.
-    let snapshots = run.report.makespan.as_secs_f64() / 2e-3;
+    let snapshots = run.makespan.as_secs_f64() / 2e-3;
     let bound = (snapshots as u64 + 8) * (w.np() * w.np()) as u64 * 4;
     assert!(
-        run.report.stats.messages < bound,
+        run.stats.messages < bound,
         "marker storm: {} messages for ~{:.0} snapshots on {} ranks",
-        run.report.stats.messages,
+        run.stats.messages,
         snapshots,
         w.np()
     );

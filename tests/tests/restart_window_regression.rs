@@ -36,12 +36,12 @@ fn run_ft8(suite: Arc<dyn Suite>, victim: usize) {
     let plan = FaultPlan::kill_at(SimDuration::from_millis(5), victim);
     let run = run_workload(&ft8, &cfg, suite, &plan);
     assert!(
-        run.report.completed,
+        run.completed,
         "FT.S/8 did not recover from killing rank {victim} under {}",
-        run.report.suite
+        run.suite
     );
-    assert!(run.report.all_landed(&plan), "{:?}", run.report.fired);
-    let rs = &run.report.rank_stats[victim];
+    assert!(run.all_landed(&plan), "{:?}", run.fired);
+    let rs = &run.rank_stats[victim];
     assert_eq!(
         rs.recovery_total.len(),
         1,
@@ -81,7 +81,7 @@ fn run_cg16_staggered(suite: impl Fn() -> Arc<dyn Suite>) {
     let mut cfg = ClusterConfig::new(16);
     cfg.detect_delay = SimDuration::from_millis(8);
     cfg.net = NetProfile::fast_ethernet_2005();
-    let clean = run_workload(&cg16, &cfg, suite(), &FaultPlan::none()).report;
+    let clean = run_workload(&cg16, &cfg, suite(), &FaultPlan::none());
     assert!(clean.completed, "fault-free CG.S/16 under {}", clean.suite);
     let mut plan = FaultPlan::none();
     for i in 0..KILLS {
@@ -91,7 +91,7 @@ fn run_cg16_staggered(suite: impl Fn() -> Arc<dyn Suite>) {
         plan = plan.then_kill(at, (3 * i) % 16);
     }
     cfg.time_limit = Some(SimDuration::from_secs(120));
-    let report = run_workload(&cg16, &cfg, suite(), &plan).report;
+    let report = run_workload(&cg16, &cfg, suite(), &plan);
     let recoveries: usize = report
         .rank_stats
         .iter()
