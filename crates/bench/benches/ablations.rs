@@ -17,7 +17,7 @@ use vlog_bench::{fmt3, md_table, Scale, Stack, SuiteKind};
 use vlog_core::{install_distributed_el, CausalSuite, Technique};
 use vlog_sim::{Counter, NodeId, Sim, SimDuration};
 use vlog_vmpi::{CkptScheduler, ClusterConfig, FaultPlan, RecoveryStyle, Suite, VProtocol};
-use vlog_workloads::{mflops, run_workload, Class, NasBench, NasConfig};
+use vlog_workloads::{mflops, run_workload, Class, NasBench, NasConfig, Workload};
 
 /// CausalSuite variant that co-locates the Event Logger with the
 /// checkpoint server on one stable node (stable_nodes[1]).

@@ -1,5 +1,6 @@
 //! Turns the dump of `scripts/prof/sampler.c` into a profile: self time
-//! by function, by source file and by crate, and inclusive time of the
+//! by layer and by file of the innermost frame under `crates/`, by
+//! function, by source file and by crate, and inclusive time of the
 //! functions under `crates/`.
 //!
 //! ```text
@@ -14,6 +15,11 @@
 //! inlined into two or three physical functions. Objects without line
 //! tables (libc, libm) resolve to the nearest exported symbol and are
 //! listed under the object's name.
+//!
+//! The layer table charges each sample to the innermost frame on its
+//! stack whose file is under `crates/`, through a fixed file → layer map
+//! (`layer_of`): time spent in inlined `core`/`alloc`/`std` code or in
+//! libc goes to the simulator code that called it.
 //!
 //! Objects are assumed position-independent (Rust's default, and every
 //! shared library): an address is looked up at its distance from the
@@ -242,6 +248,102 @@ fn rows(counts: &BTreeMap<String, u64>, total: usize, top: usize) -> Vec<Vec<Str
         .collect()
 }
 
+/// The layer a source file under `crates/` belongs to. The map is fixed
+/// and total over the crates it names: each crate has one layer, and the
+/// files that own another are listed ahead of it.
+fn layer_of(file: &str) -> Option<&'static str> {
+    let (krate, path) = file.strip_prefix("crates/")?.split_once('/')?;
+    let name = path.rsplit_once('/').map_or(path, |(_, name)| name);
+    Some(match (krate, name) {
+        ("sim", "calendar.rs") => "calendar",
+        ("sim", "net.rs") => "net",
+        ("sim", "stats.rs") => "stats",
+        ("sim", _) => "kernel",
+        ("vmpi", "api.rs" | "collectives.rs") => "workload program",
+        ("vmpi", "hooks.rs" | "vdummy.rs") => "protocol",
+        ("vmpi", _) => "daemon",
+        ("core", "codec.rs" | "piggyback.rs") => "codec",
+        ("core", _) => "protocol",
+        ("workloads", _) => "workload program",
+        ("bench" | "explore", _) => "sweep driver",
+        _ => return None,
+    })
+}
+
+/// What a sample with no frame under `crates/` is charged to.
+const NO_CRATES_FRAME: &str = "(no crates/ frame)";
+/// What a frame under a crate `layer_of` does not name is charged to.
+const NO_LAYER: &str = "(crates/ file with no layer)";
+
+/// Samples counted per row of each table.
+#[derive(Default)]
+struct Tallies {
+    by_function: BTreeMap<String, u64>,
+    by_file: BTreeMap<String, u64>,
+    by_crate: BTreeMap<String, u64>,
+    inclusive: BTreeMap<String, u64>,
+    /// By the layer of the innermost frame under `crates/`.
+    by_layer: BTreeMap<String, u64>,
+    /// By the file of the innermost frame under `crates/`.
+    by_crates_file: BTreeMap<String, u64>,
+}
+
+/// Every frame of every sample as (object, relative lookup address).
+fn locate_all(dump: &Dump) -> Vec<Vec<Option<(usize, u64)>>> {
+    dump.samples
+        .iter()
+        .map(|frames| {
+            frames
+                .iter()
+                .enumerate()
+                .map(|(depth, &addr)| dump.locate(lookup_addr(depth, addr)))
+                .collect()
+        })
+        .collect()
+}
+
+/// Counts every sample of `located` into each table. `resolved[object]`
+/// holds the inline chain of every address located in that object.
+fn tally(
+    located: &[Vec<Option<(usize, u64)>>],
+    resolved: &[BTreeMap<u64, Vec<Location>>],
+) -> Tallies {
+    let unmapped = [Location {
+        function: "(unmapped)".to_string(),
+        file: "(unmapped)".to_string(),
+    }];
+    let chain = |frame: &Option<(usize, u64)>| -> &[Location] {
+        match frame {
+            Some((object, addr)) => &resolved[*object][addr],
+            None => &unmapped,
+        }
+    };
+    let count = |table: &mut BTreeMap<String, u64>, key: &str| {
+        *table.entry(key.to_string()).or_insert(0) += 1;
+    };
+    let mut t = Tallies::default();
+    for frames in located {
+        let leaf = &chain(&frames[0])[0];
+        count(&mut t.by_crate, &crate_of(&leaf.file));
+        count(&mut t.by_file, &leaf.file);
+        count(&mut t.by_function, &leaf.function);
+        let mut in_crates = frames
+            .iter()
+            .flat_map(&chain)
+            .filter(|l| l.file.starts_with("crates/"))
+            .peekable();
+        let innermost = in_crates.peek().map(|l| l.file.as_str());
+        let layer = innermost.map_or(NO_CRATES_FRAME, |f| layer_of(f).unwrap_or(NO_LAYER));
+        count(&mut t.by_layer, layer);
+        count(&mut t.by_crates_file, innermost.unwrap_or(NO_CRATES_FRAME));
+        let on_stack: BTreeSet<&String> = in_crates.map(|l| &l.function).collect();
+        for function in on_stack {
+            count(&mut t.inclusive, function);
+        }
+    }
+    t
+}
+
 fn report(path: &str) -> Result<String, String> {
     let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let dump = parse_dump(&src)?;
@@ -251,19 +353,8 @@ fn report(path: &str) -> Result<String, String> {
         ));
     }
 
-    // Every frame as (object, relative lookup address), then one
-    // addr2line per object over its distinct addresses.
-    let located: Vec<Vec<Option<(usize, u64)>>> = dump
-        .samples
-        .iter()
-        .map(|frames| {
-            frames
-                .iter()
-                .enumerate()
-                .map(|(depth, &addr)| dump.locate(lookup_addr(depth, addr)))
-                .collect()
-        })
-        .collect();
+    // One addr2line per object over its distinct addresses.
+    let located = locate_all(&dump);
     let mut wanted: Vec<BTreeSet<u64>> = vec![BTreeSet::new(); dump.objects.len()];
     for &(object, addr) in located.iter().flatten().flatten() {
         wanted[object].insert(addr);
@@ -284,38 +375,7 @@ fn report(path: &str) -> Result<String, String> {
         }
         resolved.push(chains);
     }
-    let unmapped = [Location {
-        function: "(unmapped)".to_string(),
-        file: "(unmapped)".to_string(),
-    }];
-    let chain = |frame: &Option<(usize, u64)>| -> &[Location] {
-        match frame {
-            Some((object, addr)) => &resolved[*object][addr],
-            None => &unmapped,
-        }
-    };
-
-    let (mut by_function, mut by_file, mut by_crate, mut inclusive) = (
-        BTreeMap::new(),
-        BTreeMap::new(),
-        BTreeMap::new(),
-        BTreeMap::new(),
-    );
-    for frames in &located {
-        let leaf = &chain(&frames[0])[0];
-        *by_crate.entry(crate_of(&leaf.file)).or_insert(0) += 1;
-        *by_file.entry(leaf.file.clone()).or_insert(0) += 1;
-        *by_function.entry(leaf.function.clone()).or_insert(0) += 1;
-        let on_stack: BTreeSet<&String> = frames
-            .iter()
-            .flat_map(&chain)
-            .filter(|l| l.file.starts_with("crates/"))
-            .map(|l| &l.function)
-            .collect();
-        for function in on_stack {
-            *inclusive.entry(function.clone()).or_insert(0) += 1;
-        }
-    }
+    let t = tally(&located, &resolved);
 
     let total = dump.samples.len();
     let capped = dump
@@ -330,17 +390,29 @@ fn report(path: &str) -> Result<String, String> {
     );
     for (title, first, counts, top) in [
         (
+            "Self time by layer (each sample charged to its innermost frame under crates/)",
+            "layer",
+            &t.by_layer,
+            25,
+        ),
+        (
+            "Self time by the source file of the innermost frame under crates/",
+            "file",
+            &t.by_crates_file,
+            25,
+        ),
+        (
             "Self time by function (inlined code counts as its own function)",
             "function",
-            &by_function,
+            &t.by_function,
             40,
         ),
-        ("Self time by source file", "file", &by_file, 25),
-        ("Self time by crate or object", "crate", &by_crate, 25),
+        ("Self time by source file", "file", &t.by_file, 25),
+        ("Self time by crate or object", "crate", &t.by_crate, 25),
         (
             "Inclusive time of functions under crates/ (once per sample they are on the stack of)",
             "function",
-            &inclusive,
+            &t.inclusive,
             40,
         ),
     ] {
@@ -448,6 +520,102 @@ dispatch
         );
         assert_eq!(crate_of("benchmark/src/plan.rs"), "vlog-benchmark");
         assert_eq!(crate_of("vendor/rand/src/lib.rs"), "rand");
+    }
+
+    #[test]
+    fn a_sample_is_charged_to_its_innermost_crates_frame() {
+        let dump = parse_dump(
+            "\
+55d0c0a00000-55d0c0b00000 r-xp 00000000 fe:01 42   /repo/target/release/bin
+7f10ab000000-7f10ab200000 r-xp 00028000 fe:01 77   /usr/lib/libc.so.6
+# samples 6 dropped 0 depth 24
+0x55d0c0a10040
+0x7f10ab000010 0x55d0c0a20000
+0x55d0c0a30000
+0x55d0c0a40000 0x55d0c0a50000
+0x55d0c0a60000
+0x10
+",
+        )
+        .unwrap();
+        let at = |function: &str, file: &str| Location {
+            function: function.to_string(),
+            file: file.to_string(),
+        };
+        let bin = BTreeMap::from([
+            // Inlined std code inside the calendar: the calendar's.
+            (
+                0x1_0040,
+                vec![
+                    at("core::ptr::write", "library/core/src/ptr/mod.rs"),
+                    at("Calendar::schedule", "crates/sim/src/calendar.rs"),
+                ],
+            ),
+            // The caller of a libc frame (looked up one byte back).
+            (
+                0x1_ffff,
+                vec![at("SenderLog::insert", "crates/core/src/sender_log.rs")],
+            ),
+            // The innermost of two crates/ frames in one inline chain.
+            (
+                0x3_0000,
+                vec![
+                    at("encode", "crates/core/src/piggyback.rs"),
+                    at("CausalProtocol::on_send", "crates/core/src/causal.rs"),
+                ],
+            ),
+            // The benchmark's own code is not under crates/.
+            (0x4_0000, vec![at("measure", "benchmark/src/measure.rs")]),
+            (0x4_ffff, vec![at("run_many", "crates/bench/src/sweep.rs")]),
+            (
+                0x6_0000,
+                vec![at("new_thing", "crates/newcrate/src/lib.rs")],
+            ),
+        ]);
+        let libc = BTreeMap::from([(0x10, vec![at("malloc", "(libc.so.6)")])]);
+        let t = tally(&locate_all(&dump), &[bin, libc]);
+        let layers: Vec<(&str, u64)> = t.by_layer.iter().map(|(k, &n)| (k.as_str(), n)).collect();
+        assert_eq!(
+            layers,
+            [
+                (NO_LAYER, 1),
+                (NO_CRATES_FRAME, 1),
+                ("calendar", 1),
+                ("codec", 1),
+                ("protocol", 1),
+                ("sweep driver", 1),
+            ]
+        );
+        assert_eq!(t.by_crates_file["crates/core/src/sender_log.rs"], 1);
+        assert_eq!(t.by_crates_file["crates/core/src/piggyback.rs"], 1);
+        // Self time and inclusive time are unchanged by the layer table.
+        assert_eq!(t.by_crate["(libc.so.6)"], 1);
+        assert_eq!(t.inclusive["CausalProtocol::on_send"], 1);
+        assert_eq!(t.by_layer.values().sum::<u64>(), 6);
+    }
+
+    #[test]
+    fn the_layer_map_names_every_crate_and_its_split_files() {
+        for (file, layer) in [
+            ("crates/sim/src/calendar.rs", "calendar"),
+            ("crates/sim/src/kernel.rs", "kernel"),
+            ("crates/sim/src/exec.rs", "kernel"),
+            ("crates/sim/src/net.rs", "net"),
+            ("crates/sim/src/stats.rs", "stats"),
+            ("crates/vmpi/src/daemon.rs", "daemon"),
+            ("crates/vmpi/src/api.rs", "workload program"),
+            ("crates/vmpi/src/vdummy.rs", "protocol"),
+            ("crates/core/src/piggyback.rs", "codec"),
+            ("crates/core/src/codec.rs", "codec"),
+            ("crates/core/src/detseq.rs", "protocol"),
+            ("crates/workloads/src/nas/cg.rs", "workload program"),
+            ("crates/bench/src/sweep.rs", "sweep driver"),
+            ("crates/explore/src/lib.rs", "sweep driver"),
+        ] {
+            assert_eq!(layer_of(file), Some(layer), "{file}");
+        }
+        assert_eq!(layer_of("benchmark/src/plan.rs"), None);
+        assert_eq!(layer_of("library/core/src/ptr/mod.rs"), None);
     }
 
     #[test]

@@ -96,7 +96,25 @@ pub struct CoordinatedProtocol {
     /// distinct id, including ones older than the newest it has seen
     /// (a slow peer can be mid-phase on an earlier id and needs this
     /// rank's marker to close its channel).
-    closed_after_finish: std::collections::BTreeSet<u64>,
+    closed_after_finish: IdSet,
+}
+
+/// A set of snapshot ids, one bit per id. Ids are dense from 1, so the
+/// bits grow on demand to the highest id seen.
+#[derive(Debug, Default)]
+struct IdSet(Vec<u64>);
+
+impl IdSet {
+    /// Adds `id`; true when it was absent.
+    fn insert(&mut self, id: u64) -> bool {
+        let (word, bit) = ((id / 64) as usize, 1 << (id % 64));
+        if word >= self.0.len() {
+            self.0.resize(word + 1, 0);
+        }
+        let absent = self.0[word] & bit == 0;
+        self.0[word] |= bit;
+        absent
+    }
 }
 
 impl CoordinatedProtocol {
@@ -108,7 +126,7 @@ impl CoordinatedProtocol {
             early_markers: Vec::new(),
             phase: None,
             taken: 0,
-            closed_after_finish: std::collections::BTreeSet::new(),
+            closed_after_finish: IdSet::default(),
         }
     }
 
@@ -348,5 +366,18 @@ mod tests {
             let blob = CoordBlob { logs };
             assert_eq!(blob.wire_bytes(), bytes, "n = {n}");
         }
+    }
+
+    /// A finished rank closes its channels once per id, older ids
+    /// included.
+    #[test]
+    fn each_id_is_closed_once_in_any_order() {
+        let mut closed = IdSet::default();
+        let sent: Vec<u64> = [3, 1, 3, 2, 1]
+            .into_iter()
+            .filter(|&id| closed.insert(id))
+            .collect();
+        assert_eq!(sent, [3, 1, 2]);
+        assert!(closed.insert(200) && !closed.insert(200));
     }
 }

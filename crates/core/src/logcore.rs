@@ -398,7 +398,7 @@ impl LogCore {
         let entries: Vec<(Ssn, Tag, Payload)> = self
             .slog
             .entries_from(victim, from_ssn)
-            .map(|(ssn, e)| (ssn, e.tag, e.payload.clone()))
+            .map(|(ssn, e)| (ssn, e.tag, e.payload))
             .collect();
         let next = entries.last().map_or(from_ssn, |(ssn, _, _)| ssn + 1);
         self.slog.note_shipped(victim, recovery_id, next);

@@ -37,9 +37,22 @@
 //!
 //! The entry count and the payload bytes are maintained counters, so an
 //! image's size costs O(1).
+//!
+//! # A stored entry is 24 bytes
+//!
+//! A run holds `Logged` entries, not `(Ssn, LogEntry)` pairs (56 bytes):
+//! the ssn in 32 bits, the tag, the payload's synthetic length `pad`, and
+//! its real bytes behind an optional box. Workload payloads are
+//! synthetic, so their `Bytes` is empty, and an inline one would spend 32
+//! of every entry's bytes on nothing; a payload that carries real bytes
+//! pays one box for them instead. A channel's ssn is bounded by its
+//! sends, as in the causality stores' `PackedDet`, and an ssn past
+//! `u32::MAX` panics naming the field rather than being truncated.
+//! [`SenderLog::entries_from`] rebuilds each [`LogEntry`] on read.
 
 use std::sync::Arc;
 
+use bytes::Bytes;
 use vlog_vmpi::{Payload, Rank, Ssn, Tag};
 
 /// One logged message.
@@ -49,7 +62,51 @@ pub struct LogEntry {
     pub payload: Payload,
 }
 
-type Logged = (Ssn, LogEntry);
+/// One stored entry (module docs).
+#[derive(Debug, Clone)]
+struct Logged {
+    ssn: u32,
+    tag: Tag,
+    /// The payload's synthetic length.
+    pad: u64,
+    /// The payload's real bytes; `None` when it has none.
+    data: Option<Box<Bytes>>,
+}
+
+impl Logged {
+    fn new(ssn: Ssn, tag: Tag, payload: &Payload) -> Logged {
+        let Ok(narrow) = u32::try_from(ssn) else {
+            panic!(
+                "logged ssn {ssn} does not fit 32 bits: a channel's ssn is bounded by its sends"
+            );
+        };
+        Logged {
+            ssn: narrow,
+            tag,
+            pad: payload.pad,
+            data: (!payload.data.is_empty()).then(|| Box::new(payload.data.clone())),
+        }
+    }
+
+    fn ssn(&self) -> Ssn {
+        self.ssn.into()
+    }
+
+    /// The payload's wire length.
+    fn len(&self) -> u64 {
+        self.pad + self.data.as_ref().map_or(0, |data| data.len() as u64)
+    }
+
+    fn entry(&self) -> LogEntry {
+        LogEntry {
+            tag: self.tag,
+            payload: Payload {
+                data: self.data.as_deref().cloned().unwrap_or_default(),
+                pad: self.pad,
+            },
+        }
+    }
+}
 
 /// Entries at which a tail freezes while logging (module docs). Short
 /// runs keep what a partly pruned run pins, and the growth slack a run
@@ -82,7 +139,7 @@ impl DstLog {
 
     fn back(&self) -> Option<Ssn> {
         let last = self.tail.last().or_else(|| self.runs.last()?.last());
-        last.map(|(ssn, _)| *ssn)
+        last.map(Logged::ssn)
     }
 
     /// Searches only the last piece starting at or below `ssn`: a
@@ -90,15 +147,16 @@ impl DstLog {
     fn contains(&self, ssn: Ssn) -> bool {
         self.pieces()
             .rev()
-            .find(|piece| piece.first().is_some_and(|(s, _)| *s <= ssn))
-            .is_some_and(|piece| piece.binary_search_by_key(&ssn, |(s, _)| *s).is_ok())
+            .find(|piece| piece.first().is_some_and(|e| e.ssn() <= ssn))
+            .is_some_and(|piece| piece.binary_search_by_key(&ssn, Logged::ssn).is_ok())
     }
 
     /// Logs `ssn` unless present (module docs: appended in the fault-free
     /// case, rebuilt in recovery).
-    fn insert(&mut self, ssn: Ssn, entry: LogEntry) -> bool {
+    fn insert(&mut self, entry: Logged) -> bool {
+        let ssn = entry.ssn();
         if self.back().is_none_or(|back| ssn > back) {
-            self.tail.push((ssn, entry));
+            self.tail.push(entry);
             if self.tail.len() >= RUN {
                 self.freeze();
             }
@@ -108,7 +166,7 @@ impl DstLog {
             return false;
         }
         let mut all: Vec<Logged> = self.pieces().flatten().cloned().collect();
-        all.insert(all.partition_point(|(s, _)| *s < ssn), (ssn, entry));
+        all.insert(all.partition_point(|e| e.ssn() < ssn), entry);
         *self = DstLog {
             tail: all,
             ..DstLog::default()
@@ -122,12 +180,12 @@ impl DstLog {
         let mut dropped = (0, 0);
         let mut tally = |gone: &[Logged]| {
             dropped.0 += gone.len();
-            dropped.1 += gone.iter().map(|(_, e)| e.payload.len()).sum::<u64>();
+            dropped.1 += gone.iter().map(Logged::len).sum::<u64>();
         };
         let mut whole = 0;
         for run in &self.runs {
             let live = &run[self.skip..];
-            let k = live.partition_point(|(s, _)| *s < below);
+            let k = live.partition_point(|e| e.ssn() < below);
             tally(&live[..k]);
             if k < live.len() {
                 self.skip += k;
@@ -138,7 +196,7 @@ impl DstLog {
         }
         self.runs.drain(..whole);
         if self.runs.is_empty() {
-            let k = self.tail.partition_point(|(s, _)| *s < below);
+            let k = self.tail.partition_point(|e| e.ssn() < below);
             tally(&self.tail[..k]);
             self.tail.drain(..k);
         }
@@ -179,12 +237,12 @@ impl SenderLog {
 
     /// Logs a message; idempotent on (dst, ssn) so held-send re-gating and
     /// replay re-sends don't double-count.
+    ///
+    /// # Panics
+    ///
+    /// If `ssn` does not fit 32 bits (module docs).
     pub fn insert(&mut self, dst: Rank, ssn: Ssn, tag: Tag, payload: &Payload) -> bool {
-        let entry = LogEntry {
-            tag,
-            payload: payload.clone(),
-        };
-        if !self.per_dst[dst].insert(ssn, entry) {
+        if !self.per_dst[dst].insert(Logged::new(ssn, tag, payload)) {
             return false;
         }
         self.len += 1;
@@ -232,12 +290,13 @@ impl SenderLog {
     }
 
     /// Logged messages to `dst` with `ssn >= from`, ascending (the replay
-    /// stream for a recovering receiver).
-    pub fn entries_from(&self, dst: Rank, from: Ssn) -> impl Iterator<Item = (Ssn, &LogEntry)> {
+    /// stream for a recovering receiver), each rebuilt from its stored
+    /// entry.
+    pub fn entries_from(&self, dst: Rank, from: Ssn) -> impl Iterator<Item = (Ssn, LogEntry)> + '_ {
         self.per_dst[dst]
             .pieces()
-            .flat_map(move |piece| &piece[piece.partition_point(|(s, _)| *s < from)..])
-            .map(|(ssn, e)| (*ssn, e))
+            .flat_map(move |piece| &piece[piece.partition_point(|e| e.ssn() < from)..])
+            .map(|e| (e.ssn(), e.entry()))
     }
 
     /// Total payload bytes held (image sizing and memory metrics).
@@ -261,6 +320,34 @@ mod tests {
 
     fn payload(n: u64) -> Payload {
         Payload::synthetic(n)
+    }
+
+    #[test]
+    fn a_stored_entry_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Logged>(), 24);
+    }
+
+    #[test]
+    fn real_bytes_come_back_with_their_padding() {
+        let mut log = SenderLog::new(2);
+        let real = Payload {
+            data: Bytes::from(&b"abc"[..]),
+            pad: 5,
+        };
+        log.insert(1, 0, 2, &real);
+        log.insert(1, 1, 3, &payload(4));
+        assert_eq!(log.payload_bytes(), 12);
+        let got: Vec<(Ssn, Tag, Payload)> = log
+            .entries_from(1, 0)
+            .map(|(ssn, e)| (ssn, e.tag, e.payload))
+            .collect();
+        assert_eq!(got, [(0, 2, real), (1, 3, payload(4))]);
+    }
+
+    #[test]
+    #[should_panic(expected = "logged ssn 4294967296 does not fit 32 bits")]
+    fn an_ssn_past_u32_panics_naming_it() {
+        SenderLog::new(2).insert(1, u64::from(u32::MAX) + 1, 0, &payload(1));
     }
 
     #[test]

@@ -29,7 +29,7 @@ mod lu;
 mod mg;
 mod sp;
 
-use vlog_vmpi::{AppSpec, Mpi, Payload};
+use vlog_vmpi::{Mpi, Payload};
 
 use crate::workload::{Workload, WorkloadProgram};
 
@@ -145,36 +145,10 @@ impl NasConfig {
         ((full as f64 * self.iter_fraction).round() as u64).max(1)
     }
 
-    /// Total flops the executed portion represents (the Figure 9
-    /// numerator).
-    pub fn total_flops(&self) -> f64 {
-        full_flops(self.bench, self.class) * self.iters() as f64
-            / full_iters(self.bench, self.class) as f64
-    }
-
     /// Per-rank, per-outer-iteration flop charge.
     pub fn flops_per_rank_iter(&self) -> f64 {
         full_flops(self.bench, self.class)
             / (full_iters(self.bench, self.class) as f64 * self.np as f64)
-    }
-
-    /// Per-rank checkpoint state size (bytes): the benchmark's memory
-    /// footprint divided across ranks.
-    pub fn state_bytes(&self) -> u64 {
-        mem_bytes(self.bench, self.class) / self.np as u64
-    }
-
-    /// Builds the runnable program.
-    pub fn program(&self) -> AppSpec {
-        let cfg = self.clone();
-        match self.bench {
-            NasBench::CG => cg::program(cfg),
-            NasBench::MG => mg::program(cfg),
-            NasBench::FT => ft::program(cfg),
-            NasBench::LU => lu::program(cfg),
-            NasBench::BT => bt::program(cfg),
-            NasBench::SP => sp::program(cfg),
-        }
     }
 }
 
@@ -195,16 +169,30 @@ impl Workload for NasConfig {
         self.bench.valid_np(np)
     }
 
+    /// Per-rank checkpoint state size (bytes): the benchmark's memory
+    /// footprint divided across ranks.
     fn state_bytes(&self) -> u64 {
-        NasConfig::state_bytes(self)
+        mem_bytes(self.bench, self.class) / self.np as u64
     }
 
+    /// Total flops the executed portion represents (the Figure 9
+    /// numerator).
     fn total_flops(&self) -> f64 {
-        NasConfig::total_flops(self)
+        full_flops(self.bench, self.class) * self.iters() as f64
+            / full_iters(self.bench, self.class) as f64
     }
 
     fn program(&self) -> WorkloadProgram {
-        NasConfig::program(self).into()
+        let cfg = self.clone();
+        match self.bench {
+            NasBench::CG => cg::program(cfg),
+            NasBench::MG => mg::program(cfg),
+            NasBench::FT => ft::program(cfg),
+            NasBench::LU => lu::program(cfg),
+            NasBench::BT => bt::program(cfg),
+            NasBench::SP => sp::program(cfg),
+        }
+        .into()
     }
 }
 
@@ -389,15 +377,14 @@ mod tests {
 
     #[test]
     fn workload_trait_mirrors_the_config() {
-        use crate::workload::Workload;
         let cfg = NasConfig::new(NasBench::BT, Class::A, 9);
         assert_eq!(cfg.family(), "nas");
-        assert_eq!(Workload::label(&cfg), "BT.A/9");
-        assert_eq!(Workload::np(&cfg), 9);
-        assert!(Workload::valid_np(&cfg, 16));
-        assert!(!Workload::valid_np(&cfg, 8));
-        assert_eq!(Workload::state_bytes(&cfg), cfg.state_bytes());
-        assert!(Workload::total_flops(&cfg) > 0.0);
+        assert_eq!(cfg.label(), "BT.A/9");
+        assert_eq!(cfg.np(), 9);
+        assert!(cfg.valid_np(16));
+        assert!(!cfg.valid_np(8));
+        assert_eq!(cfg.state_bytes(), mem_bytes(NasBench::BT, Class::A) / 9);
+        assert!(cfg.total_flops() > 0.0);
     }
 
     #[test]

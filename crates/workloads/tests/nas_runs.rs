@@ -7,7 +7,7 @@ use std::sync::Arc;
 use vlog_core::{CausalSuite, Technique};
 use vlog_sim::SimDuration;
 use vlog_vmpi::{run_vdummy, ClusterConfig, FaultPlan, VdummySuite};
-use vlog_workloads::{mflops, netpipe, run_workload, Class, NasBench, NasConfig};
+use vlog_workloads::{mflops, netpipe, run_workload, Class, NasBench, NasConfig, Workload};
 
 fn cluster(np: usize) -> ClusterConfig {
     let mut c = ClusterConfig::new(np);

@@ -7,12 +7,16 @@
 # process, see its header), builds benchmark/ with line tables into its
 # own target directory, runs `--workload <workload> --seed 11 --seconds
 # <seconds> --trace 0` under the sampler and prints the report of
-# `prof_report` (crates/bench/src/bin): self time by inlined function, by
-# source file and by crate, and inclusive time of the functions under
-# crates/. The samples stay in target/profile/<workload>.samples.
+# `prof_report` (crates/bench/src/bin): self time by layer (calendar,
+# kernel, net, daemon, protocol, codec, stats, workload program, sweep
+# driver) and by file, each sample charged to its innermost frame under
+# crates/; self time by inlined function, by source file and by crate;
+# and inclusive time of the functions under crates/. The samples stay in
+# target/profile/<workload>.samples.
 #
 # Needs only `cc` and binutils' `addr2line`; without either it says so in
-# one line and exits 0, so a gate can call it unconditionally.
+# one line, prints no table (no layer rows either) and exits 0, so a gate
+# can call it unconditionally.
 #
 # Reading the numbers: this host ticks ITIMER_PROF at 250 Hz whatever
 # interval is asked for (about 3,750 samples per busy thread in 15 s, so a

@@ -386,14 +386,17 @@ profile=$(scripts/profile.sh kernel_floor 2 2>/dev/null)
 case "$profile" in
     "profile: skipped"*) echo "    $profile" ;;
     *)
-        for table in "Self time by function" "Self time by source file" \
+        for table in "Self time by layer" "Self time by the source file of the innermost frame" \
+            "Self time by function" "Self time by source file" \
             "Self time by crate" "Inclusive time of functions under crates/"; do
             grep -q "^## $table" <<<"$profile" || {
                 echo "scripts/profile.sh printed no \"$table\" table" >&2; exit 1; }
         done
         grep -q "^| crates/sim/src/kernel.rs |" <<<"$profile" || {
             echo "scripts/profile.sh resolved no sample to crates/sim/src/kernel.rs" >&2; exit 1; }
-        echo "    profile: ok ($(sed -n 's/^\([0-9]* samples\).*/\1/p' <<<"$profile"), four tables, kernel frames resolved)" ;;
+        grep -q "^| kernel |" <<<"$profile" || {
+            echo "scripts/profile.sh charged no sample to the kernel layer" >&2; exit 1; }
+        echo "    profile: ok ($(sed -n 's/^\([0-9]* samples\).*/\1/p' <<<"$profile"), six tables, kernel frames and layer resolved)" ;;
 esac
 
 echo "==> examples (smoke, quick scale)"

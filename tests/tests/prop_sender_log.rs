@@ -7,6 +7,10 @@
 //! absent-below-back inserts, prunes, range reads and replay markers must
 //! leave both with identical contents, counts and return values.
 //!
+//! Payloads mix synthetic lengths with real bytes, alone or with a
+//! synthetic tail, so entries that box their bytes go through every step
+//! alongside those that store a length only.
+//!
 //! A snapshot step takes a checkpoint image of a log with
 //! `SenderLog::snapshot`, and a restore step clones a log the way a
 //! restart clones its image. Every copy then goes on matching its own
@@ -82,8 +86,20 @@ impl Model {
 
 fn read(log: &SenderLog, dst: Rank, from: Ssn) -> Vec<(Ssn, Tag, Payload)> {
     log.entries_from(dst, from)
-        .map(|(ssn, e)| (ssn, e.tag, e.payload.clone()))
+        .map(|(ssn, e)| (ssn, e.tag, e.payload))
         .collect()
+}
+
+/// The payload logged at `step`: synthetic, real bytes, or real bytes
+/// with a synthetic tail.
+fn payload_at(step: usize) -> Payload {
+    let len = step as u64 % 97 + 1;
+    let real = || Payload::new(vec![step as u8; step % 5 + 1]);
+    match step % 3 {
+        0 => Payload::synthetic(len),
+        1 => real(),
+        _ => Payload { pad: len, ..real() },
+    }
 }
 
 /// Maps a script value in `0..48` onto `0..=top`.
@@ -113,7 +129,7 @@ proptest! {
             let side = (dst + step) % sides.len();
             let (log, model) = &mut sides[side];
             let next = model.next(dst);
-            let payload = Payload::synthetic(step as u64 % 97 + 1);
+            let payload = payload_at(step);
             let tag = step as Tag;
             match kind {
                 // Ascending: up to 48 in a row, so tails fill and freeze,

@@ -6,7 +6,8 @@
 //! what is left, then copies pointers. Freezing moves a tail's buffer
 //! behind an `Arc`, so a snapshot allocates a run header per destination
 //! and a pointer per run, and copies no entry. A deep copy of 100,000
-//! logged messages would allocate at least their 100,000 entries.
+//! logged messages would allocate at least their 100,000 stored entries,
+//! 24 bytes each (pinned in `sender_log`'s unit tests).
 //!
 //! The file is its own test binary with a single test, because the
 //! counting allocator is process-wide: nothing else may allocate on the
@@ -16,9 +17,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use vlog_core::sender_log::LogEntry;
 use vlog_core::SenderLog;
-use vlog_vmpi::{Payload, Ssn};
+use vlog_vmpi::Payload;
 
 struct Counting;
 
@@ -60,6 +60,8 @@ static GLOBAL: Counting = Counting;
 
 const DSTS: usize = 16;
 const ENTRIES: u64 = 100_000;
+/// Bytes of one stored log entry.
+const ENTRY_BYTES: u64 = 24;
 
 /// A log of `entries` sends spread round-robin over `DSTS` destinations.
 fn log_of(entries: u64) -> SenderLog {
@@ -87,7 +89,7 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
 #[test]
 fn snapshotting_a_long_log_allocates_under_one_percent_of_a_deep_copy() {
     let mut log = log_of(ENTRIES);
-    let deep = ENTRIES * std::mem::size_of::<(Ssn, LogEntry)>() as u64;
+    let deep = ENTRIES * ENTRY_BYTES;
     let (image, first) = counted(|| log.snapshot());
     println!("snapshot of {ENTRIES} entries: {first} bytes allocated (deep copy {deep})");
     assert!(
