@@ -7,7 +7,6 @@
 //! |-------------|---------------------------------------------------------|
 //! | `paper`     | Figs. 1, 3, 6a, 6b, 7, 8, 9, 10 and the paper's claims about them ([`paper`]): `BENCH_paper.json`, `REPORT.md` §0 |
 //! | `regimes`   | the scaled-regime grid: `BENCH_regimes.json`, `REPORT.md` §1–7 |
-//! | `ablations` | design-choice probes beyond the paper (stdout only)     |
 //!
 //! Those are the model numbers. How fast the simulator itself runs is
 //! measured in one place only, the `benchmark/` crate at the repository
@@ -219,7 +218,7 @@ impl Scale {
 }
 
 /// Formats a f64 with sensible precision for tables.
-pub fn fmt3(x: f64) -> String {
+pub(crate) fn fmt3(x: f64) -> String {
     if x == 0.0 {
         "0".into()
     } else if x.abs() >= 100.0 {

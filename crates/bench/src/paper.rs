@@ -35,7 +35,7 @@ const NAS_EVENT_LIMIT: u64 = 4_000_000_000;
 
 /// Runs the NetPIPE ping-pong ladder up to `max_bytes` on `stack` over
 /// `cfg`; returns the sweep and the cluster report.
-pub fn netpipe_run(
+fn netpipe_run(
     cfg: &ClusterConfig,
     stack: Stack,
     max_bytes: u64,
@@ -63,7 +63,7 @@ fn nas_free(nas: &NasConfig, stack: Stack) -> RunReport {
 /// on the checkpoint server's link, long after the applications ended),
 /// then reruns with checkpoints every `ckpt(t_app)` and rank 0 killed at
 /// `kill_frac * t_app`. Returns the faulted run.
-pub fn nas_kill_rank0(
+fn nas_kill_rank0(
     nas: &NasConfig,
     kind: SuiteKind,
     ckpt: impl Fn(SimDuration) -> SimDuration,

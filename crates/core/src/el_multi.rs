@@ -462,15 +462,14 @@ mod tests {
         for clock in 1..=5 {
             record(&mut rig, vec![det(0, clock)]);
         }
-        let (el, probe, client_node) = (rig.el, rig.probe, rig.client_node);
-        rig.sim.after(SimDuration::from_millis(10), move |sim| {
-            let query = ElMsg::Query {
-                victim: 0,
-                from: 2,
-                reply_to: probe,
-            };
-            control::send(sim, client_node, el, query);
-        });
+        rig.sim
+            .run_until(SimTime::ZERO + SimDuration::from_millis(10));
+        let query = ElMsg::Query {
+            victim: 0,
+            from: 2,
+            reply_to: rig.probe,
+        };
+        control::send(&mut rig.sim, rig.client_node, rig.el, query);
         rig.sim.run();
         let seen = rig.seen.lock().unwrap();
         assert_eq!(seen.resps.len(), 1);

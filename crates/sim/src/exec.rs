@@ -464,6 +464,7 @@ impl TaskSlot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::tests::{add_probe, probe_at};
     use crate::kernel::Sim;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::{Arc, Mutex};
@@ -472,17 +473,13 @@ mod tests {
         SimDuration::from_micros(n)
     }
 
-    fn complete(id: OpId) -> Event {
-        Event::closure(move |sim| sim.complete(id))
-    }
-
     #[test]
     fn op_cell_completes_before_wait() {
         let mut sim = Sim::new();
         let h = ExecHandle;
         sim.spawn(None, async move {
             let op = h.new_op();
-            h.stage(us(1), complete(op.id()));
+            h.stage(us(1), Event::Complete(op.id()));
             h.sleep(us(5)).await;
             // Completed at 1us while nobody waited: resolves on the spot.
             op.await;
@@ -500,7 +497,7 @@ mod tests {
         let r = resumed.clone();
         sim.spawn(None, async move {
             let op = h.new_op();
-            h.stage(us(5), complete(op.id()));
+            h.stage(us(5), Event::Complete(op.id()));
             op.await;
             *r.lock().unwrap() = Some(h.now().as_nanos());
         });
@@ -515,14 +512,8 @@ mod tests {
         let h = ExecHandle;
         sim.spawn(None, async move {
             let op = h.new_op();
-            let id = op.id();
-            h.stage(
-                us(1),
-                Event::closure(move |sim| {
-                    sim.complete(id);
-                    sim.complete(id);
-                }),
-            );
+            h.stage(us(1), Event::Complete(op.id()));
+            h.stage(us(1), Event::Complete(op.id()));
             op.await;
         });
         sim.run();
@@ -547,6 +538,11 @@ mod tests {
     #[test]
     fn task_context_calls_outside_a_poll_panic_by_name() {
         let h = ExecHandle;
+        let timer = || Event::Timer {
+            actor: 0,
+            gen: 0,
+            token: 0,
+        };
         type Call = Box<dyn Fn()>;
         let calls: [(&str, Call); 4] = [
             ("ExecHandle::new_op", Box::new(move || drop(h.new_op()))),
@@ -554,7 +550,7 @@ mod tests {
             ("ExecHandle::now", Box::new(move || _ = h.now())),
             (
                 "ExecHandle::stage",
-                Box::new(move || h.stage(us(1), Event::closure(|_| {}))),
+                Box::new(move || h.stage(us(1), timer())),
             ),
         ];
         for (name, call) in calls {
@@ -590,19 +586,13 @@ mod tests {
         let h = ExecHandle;
         let got = Arc::new(Mutex::new(Vec::new()));
         let g = got.clone();
+        let b_id = Arc::new(Mutex::new(None));
+        let tx = b_id.clone();
         let task = sim.spawn(None, async move {
             let (a, b) = (h.new_op(), h.new_op());
             let (ida, idb) = (a.id(), b.id());
             h.stage(us(2), Event::Complete(ida));
-            // B's value is parked at 1us; its event fires at 10us.
-            h.stage(
-                us(1),
-                Event::closure(move |sim| {
-                    let port = sim.port_mut(idb.task()).expect("task alive");
-                    port.ext::<OpValues<u32>>().park(idb, 7);
-                    sim.schedule(us(9), Event::Complete(idb));
-                }),
-            );
+            *tx.lock().unwrap() = Some(idb);
             a.await;
             g.lock().unwrap().push((h.now().as_nanos(), 0));
             b.await;
@@ -612,6 +602,12 @@ mod tests {
         sim.port_mut(task)
             .expect("just spawned")
             .install(OpValues::<u32>::default());
+        // B's value is parked at 1us; its event fires at 10us.
+        assert!(!sim.run_until(SimTime::from_nanos(1_000)));
+        let idb = b_id.lock().unwrap().expect("task polled");
+        let port = sim.port_mut(task).expect("task alive");
+        port.ext::<OpValues<u32>>().park(idb, 7);
+        sim.schedule(us(9), Event::Complete(idb));
         sim.run();
         assert_eq!(*got.lock().unwrap(), [(2_000, 0), (10_000, 7)]);
     }
@@ -627,7 +623,7 @@ mod tests {
             r.lock().unwrap().push("old");
         });
         let r = resumed.clone();
-        sim.after(us(5), move |sim| {
+        probe_at(&mut sim, us(5), move |sim| {
             sim.kill_task(old);
             assert!(sim.port_mut(old).is_none());
             // The successor takes the same slot, and its first op the
@@ -640,7 +636,8 @@ mod tests {
         });
         sim.run();
         assert_eq!(*resumed.lock().unwrap(), ["new"]);
-        // Kill closure, the dead sleep's completion, the live one's.
+        // The probe's kill timer, the dead sleep's completion, the live
+        // one's.
         assert_eq!(sim.events_processed(), 3);
         assert_eq!(sim.now().as_nanos(), 25_000);
     }
@@ -683,7 +680,8 @@ mod tests {
         });
         // An unrelated later event: the clock has moved past every poll
         // by the end of the run, so equality below is per poll.
-        sim.after(SimDuration::from_micros(40), |_| {});
+        let idle = add_probe(&mut sim, |_, _| {});
+        sim.set_timer(idle, SimDuration::from_micros(40), 0);
         let mut at_poll = Vec::new();
         for deadline_us in [0, 10, 15] {
             sim.run_until(SimTime::from_nanos(deadline_us * 1_000));
@@ -732,19 +730,25 @@ mod tests {
     type TickLog = Arc<Mutex<Vec<(u32, u64)>>>;
 
     /// A sim whose one task checks it is polled with its own port and
-    /// logs `tag` through a staged closure, every `step` microseconds.
+    /// logs `tag` through a timer it stages for a probe, every `step`
+    /// microseconds.
     fn ticking_sim(tag: u32, step: u64, log: &TickLog) -> Sim {
         let mut sim = Sim::new();
-        let (h, log) = (ExecHandle, log.clone());
+        let log = log.clone();
+        let logger = add_probe(&mut sim, move |sim, _| {
+            log.lock().unwrap().push((tag, sim.now().as_nanos()))
+        });
+        let h = ExecHandle;
         let task = sim.spawn(None, async move {
             for _ in 0..6 {
                 h.sleep(us(step)).await;
                 assert_eq!(with_task("test", |cx| *cx.ext::<u32>()), tag);
-                let l = log.clone();
-                h.stage(
-                    us(1),
-                    Event::closure(move |sim| l.lock().unwrap().push((tag, sim.now().as_nanos()))),
-                );
+                let tick = Event::Timer {
+                    actor: logger,
+                    gen: 0,
+                    token: 0,
+                };
+                h.stage(us(1), tick);
             }
         });
         sim.port_mut(task).expect("just spawned").install(tag);

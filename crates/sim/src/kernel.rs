@@ -9,6 +9,12 @@
 //! two runs of the same program under the same configuration produce
 //! bit-identical statistics.
 //!
+//! # Every event is data
+//!
+//! An [`Event`] names the operation, actor incarnation or channel it is
+//! for, and carries no code: work a service does later (a fault step, a
+//! rendezvous data send) is a timer of the actor that owns it.
+//!
 //! # The per-message path takes no locks
 //!
 //! The kernel owns the ready queue, the clock, the tasks and each task's
@@ -102,11 +108,9 @@ pub struct Delivery {
     pub body: Box<dyn Any + Send>,
 }
 
-/// An entry in the simulation calendar.
+/// An entry in the simulation calendar: data a trace, a schedule script
+/// or a crash check can read (module docs, "Every event is data").
 pub enum Event {
-    /// Arbitrary kernel-context work (fault injection, a rendezvous send
-    /// that completes its operation, ...).
-    Closure(Box<dyn FnOnce(&mut Sim) + Send>),
     /// A deferred [`Sim::complete`]: whatever result the operation carries
     /// was parked in the task's port when this was scheduled, and becomes
     /// the task's now.
@@ -134,13 +138,6 @@ pub enum Event {
         size: WireSize,
         body: Box<dyn Any + Send>,
     },
-}
-
-impl Event {
-    /// Convenience constructor for closure events.
-    pub fn closure(f: impl FnOnce(&mut Sim) + Send + 'static) -> Event {
-        Event::Closure(Box::new(f))
-    }
 }
 
 /// Message/timer-driven service running on a node.
@@ -414,11 +411,6 @@ impl Sim {
         );
         debug_assert!(time >= self.now, "scheduling into the past");
         self.calendar.schedule(time, event);
-    }
-
-    /// Schedules kernel-context work `delay` from now.
-    pub fn after(&mut self, delay: SimDuration, f: impl FnOnce(&mut Sim) + Send + 'static) {
-        self.schedule(delay, Event::closure(f));
     }
 
     /// Sets a timer for the current incarnation of an actor. If that
@@ -760,7 +752,6 @@ impl Sim {
 
     fn dispatch(&mut self, event: Event) {
         match event {
-            Event::Closure(f) => f(self),
             Event::Complete(op) => self.complete(op),
             Event::Send {
                 src_node,
@@ -855,10 +846,44 @@ fn no_run_state<S>() -> ! {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::exec::ExecHandle;
     use std::sync::{Arc, Mutex};
+
+    /// Kernel-context work for a test, as data: an actor alone on a node
+    /// of its own that runs its script whenever a timer of its pops. Its
+    /// timers count and order like any other event.
+    struct Probe(ProbeScript);
+    type ProbeScript = Box<dyn FnMut(&mut Sim, ActorId) + Send>;
+    impl Actor for Probe {
+        fn on_deliver(&mut self, _sim: &mut Sim, _me: ActorId, _msg: Delivery) {}
+        fn on_timer(&mut self, sim: &mut Sim, me: ActorId, _token: u64) {
+            (self.0)(sim, me)
+        }
+    }
+
+    /// Installs a [`Probe`] running `script` on each of its timers; the
+    /// caller sets or stages them.
+    pub(crate) fn add_probe(
+        sim: &mut Sim,
+        script: impl FnMut(&mut Sim, ActorId) + Send + 'static,
+    ) -> ActorId {
+        let node = sim.add_node();
+        sim.add_actor(node, Box::new(Probe(Box::new(script))))
+    }
+
+    /// Runs `action` once, `delay` from now, as the one timer of a new
+    /// [`Probe`].
+    pub(crate) fn probe_at(
+        sim: &mut Sim,
+        delay: SimDuration,
+        action: impl FnOnce(&mut Sim) + Send + 'static,
+    ) {
+        let mut action = Some(action);
+        let probe = add_probe(sim, move |sim, _| action.take().expect("one timer")(sim));
+        sim.set_timer(probe, delay, 0);
+    }
 
     struct Echo {
         got: Arc<Mutex<Vec<(NodeId, u64)>>>,
@@ -922,10 +947,12 @@ mod tests {
         let a = sim.add_actor(n0, Box::new(Echo { got: got.clone() }));
         sim.set_timer(a, SimDuration::from_micros(10), 1);
         sim.set_timer(a, SimDuration::from_micros(12), 2);
-        sim.after(SimDuration::from_micros(1), move |sim| sim.crash_node(0));
+        probe_at(&mut sim, SimDuration::from_micros(1), |sim| {
+            sim.crash_node(0)
+        });
         sim.run();
         assert!(got.lock().unwrap().is_empty());
-        // crash closure + two timers of the dead incarnation.
+        // The probe's crash timer + two timers of the dead incarnation.
         assert_eq!(sim.events_processed(), 3);
         assert_eq!(sim.now().as_nanos(), 12_000);
     }
@@ -945,15 +972,16 @@ mod tests {
         sim.set_timer(replaced, us(11), 2);
         sim.replace_actor(replaced, Box::new(Echo { got: got.clone() }));
         sim.set_timer(replaced, us(12), 3);
-        sim.after(us(1), move |sim| sim.crash_node(n0));
+        probe_at(&mut sim, us(1), move |sim| sim.crash_node(n0));
         sim.run();
         assert_eq!(&*got.lock().unwrap(), &[(usize::MAX, 3u64)]);
-        // The crash closure, the two dead timers and the live one.
+        // The probe's crash timer, the two dead timers and the live one.
         assert_eq!(sim.events_processed(), 4);
         assert_eq!(sim.now().as_nanos(), 12_000);
-        // "node-crashed" and the live timer's "timer-fired".
+        // "node-crashed" and the two live timers' "timer-fired": the
+        // probe's and the replacement's.
         let analysis = sim.causality().unwrap().analyze();
-        assert_eq!(analysis.produced_events, 2);
+        assert_eq!(analysis.produced_events, 3);
     }
 
     #[test]
@@ -962,7 +990,12 @@ mod tests {
         let mut sim = Sim::new();
         // A wrapped/saturated delay must be caught loudly, not silently
         // reorder the calendar.
-        sim.after(SimDuration::from_nanos(u64::MAX), |_| {});
+        let timer = Event::Timer {
+            actor: 0,
+            gen: 0,
+            token: 0,
+        };
+        sim.schedule(SimDuration::from_nanos(u64::MAX), timer);
     }
 
     #[test]
@@ -974,7 +1007,9 @@ mod tests {
         let a = sim.add_actor(n1, Box::new(Echo { got: got.clone() }));
         sim.send(n0, a, small(10), Box::new(1u64));
         // Crash the receiver before delivery.
-        sim.after(SimDuration::from_nanos(1), move |sim| sim.crash_node(1));
+        probe_at(&mut sim, SimDuration::from_nanos(1), |sim| {
+            sim.crash_node(1)
+        });
         sim.run();
         assert!(got.lock().unwrap().is_empty());
         assert_eq!(sim.stats().counter(Counter::NetDroppedDeadTarget), 1);
@@ -988,9 +1023,11 @@ mod tests {
         let n1 = sim.add_node();
         let got = Arc::new(Mutex::new(Vec::new()));
         let a = sim.add_actor(n1, Box::new(Echo { got: got.clone() }));
-        sim.after(SimDuration::from_micros(1), move |sim| sim.crash_node(1));
+        probe_at(&mut sim, SimDuration::from_micros(1), |sim| {
+            sim.crash_node(1)
+        });
         let got2 = got.clone();
-        sim.after(SimDuration::from_micros(2), move |sim| {
+        probe_at(&mut sim, SimDuration::from_micros(2), move |sim| {
             sim.replace_actor(a, Box::new(Echo { got: got2.clone() }));
             sim.send(0, a, small(10), Box::new(9u64));
         });
@@ -1020,7 +1057,8 @@ mod tests {
             h.sleep(SimDuration::from_micros(10)).await;
             *hit2.lock().unwrap() = true;
         });
-        sim.after(SimDuration::from_micros(5), move |sim| sim.kill_task(id));
+        assert!(!sim.run_until(SimTime::from_nanos(5_000)));
+        sim.kill_task(id);
         sim.run();
         assert!(!*hit.lock().unwrap());
         assert!(!sim.task_alive(id));
@@ -1123,22 +1161,31 @@ mod tests {
     fn staged_events_reach_the_calendar_before_its_next_pop() {
         let mut sim = Sim::new();
         let fired = Arc::new(Mutex::new(Vec::new()));
-        let mark = |fired: &Arc<Mutex<Vec<u64>>>| {
-            let fired = fired.clone();
-            Event::closure(move |sim| fired.lock().unwrap().push(sim.now().as_nanos()))
+        let log = fired.clone();
+        let marker = add_probe(&mut sim, move |sim, _| {
+            log.lock().unwrap().push(sim.now().as_nanos())
+        });
+        let mark = Event::Timer {
+            actor: marker,
+            gen: 0,
+            token: 0,
         };
         let us = SimDuration::from_micros;
         // (a) The task's only poll stages and finishes: nothing is
         // polled after it in that drain.
         let h = ExecHandle;
-        let ev = mark(&fired);
-        sim.spawn(None, async move { h.stage(us(1), ev) });
-        sim.after(us(5), |_| {});
+        sim.spawn(None, async move { h.stage(us(1), mark) });
+        let decoy = add_probe(&mut sim, |_, _| {});
+        sim.set_timer(decoy, us(5), 0);
         assert!(!sim.run_until(SimTime::from_nanos(3_000)));
         assert_eq!(*fired.lock().unwrap(), [1_000]);
         // (b) Paused at 3us with the decoy still pending at 5us.
-        let ev = mark(&fired);
-        sim.spawn(None, async move { h.stage(us(1), ev) });
+        let mark = Event::Timer {
+            actor: marker,
+            gen: 0,
+            token: 0,
+        };
+        sim.spawn(None, async move { h.stage(us(1), mark) });
         sim.run();
         assert_eq!(*fired.lock().unwrap(), [1_000, 4_000]);
         assert_eq!(sim.events_processed(), 3);
@@ -1159,7 +1206,7 @@ mod tests {
             r.lock().unwrap().push("old");
         });
         let r = resumed.clone();
-        sim.after(SimDuration::from_micros(5), move |sim| {
+        probe_at(&mut sim, SimDuration::from_micros(5), move |sim| {
             // The wake-up is queued, then its task dies, then a new
             // incarnation takes the same slot before anything is polled.
             sim.complete(op_id.lock().unwrap().expect("old was polled"));
@@ -1207,10 +1254,10 @@ mod tests {
             if deferred {
                 sim.send_at(at, n0, a, small(100), Box::new(42u64));
             } else {
-                sim.schedule_at(
-                    at,
-                    Event::closure(move |sim| sim.send(n0, a, small(100), Box::new(42u64))),
-                );
+                let sender = add_probe(&mut sim, move |sim, _| {
+                    sim.send(n0, a, small(100), Box::new(42u64))
+                });
+                sim.set_timer(sender, SimDuration::from_nanos(2_000), 0);
             }
             sim.run();
             assert_eq!(&*got.lock().unwrap(), &[(n0, 42u64)]);
@@ -1272,7 +1319,7 @@ mod tests {
             sim.install(start);
             sim.enable_causality();
             for us in 1..=3 {
-                sim.after(SimDuration::from_micros(us), move |sim| {
+                probe_at(&mut sim, SimDuration::from_micros(us), move |sim| {
                     *sim.ext::<u64>() += 1;
                     crate::event!(sim, "counted" { start = start, us = us });
                 });
@@ -1282,14 +1329,15 @@ mod tests {
         let recorded = |sim: &mut Sim| sim.causality().unwrap().analyze().produced_events;
         let (mut a, mut b) = (counting(10), counting(20));
         // Interleaved: each handler finds the state, and the log, of the
-        // run it is in.
+        // run it is in. Each count logs a "counted" after its probe's
+        // "timer-fired".
         a.run_until(SimTime::from_nanos(2_000));
         b.run();
         assert_eq!((*a.ext_ref::<u64>(), *b.ext_ref::<u64>()), (12, 23));
-        assert_eq!((recorded(&mut a), recorded(&mut b)), (2, 3));
+        assert_eq!((recorded(&mut a), recorded(&mut b)), (4, 6));
         a.run();
         assert_eq!(*a.ext_ref::<u64>(), 13);
-        assert_eq!((recorded(&mut a), recorded(&mut b)), (3, 3));
+        assert_eq!((recorded(&mut a), recorded(&mut b)), (6, 6));
     }
 
     #[test]
@@ -1307,10 +1355,10 @@ mod tests {
             event_limit: Some(10),
             ..SimConfig::default()
         });
-        fn rearm(sim: &mut Sim) {
-            sim.after(SimDuration::from_nanos(1), rearm);
-        }
-        sim.after(SimDuration::from_nanos(1), rearm);
+        let runaway = add_probe(&mut sim, |sim, me| {
+            sim.set_timer(me, SimDuration::from_nanos(1), 0)
+        });
+        sim.set_timer(runaway, SimDuration::from_nanos(1), 0);
         assert_eq!(sim.stop_reason(), None);
         // The cap is a stop, not a panic: the loop returns with the
         // runaway's next event still pending and says why.
@@ -1333,8 +1381,9 @@ mod tests {
             time_limit: Some(limit),
             ..SimConfig::default()
         });
+        let idle = add_probe(&mut sim, |_, _| {});
         for us in [10, 35, 36, 50] {
-            sim.after(SimDuration::from_micros(us), |_| {});
+            sim.set_timer(idle, SimDuration::from_micros(us), 0);
         }
         // A deadline before the limit is still a pause ...
         assert!(!sim.run_until(SimTime::from_nanos(20_000)));
@@ -1357,16 +1406,17 @@ mod tests {
             time_limit: Some(limit),
             ..SimConfig::default()
         });
-        drained.after(SimDuration::from_micros(10), |_| {});
+        let idle = add_probe(&mut drained, |_, _| {});
+        drained.set_timer(idle, SimDuration::from_micros(10), 0);
         drained.run();
         assert_eq!(drained.stop_reason(), None);
         assert_eq!(drained.now().as_nanos(), 10_000);
     }
 
     /// Only message deliveries are offered to the run's script: a timer
-    /// set by the kernel, one staged by a task, a closure, a deferred send
-    /// and a completion all pop before the one delivery here, none of them
-    /// takes a delivery index and none of them moves.
+    /// set by the kernel, one staged by a task, a probe's timer, a
+    /// deferred send and a completion all pop before the one delivery
+    /// here, none of them takes a delivery index and none of them moves.
     #[test]
     fn a_script_is_offered_deliveries_and_nothing_else() {
         let run = |script: Option<Vec<Decision>>| {
@@ -1380,7 +1430,7 @@ mod tests {
             let us = SimDuration::from_micros;
             sim.set_timer(a, us(1), 1);
             let fired = got.clone();
-            sim.after(us(3), move |sim| {
+            probe_at(&mut sim, us(3), move |sim| {
                 fired
                     .lock()
                     .unwrap()

@@ -33,8 +33,8 @@ pub enum Phase {
     /// Event-calendar operations: popping the next event, peeking the
     /// frontier, re-scheduling.
     Calendar,
-    /// Dispatching one popped event into its actor/closure/task
-    /// handler (includes all protocol hook work).
+    /// Dispatching one popped event into its actor or task handler, or
+    /// the send it defers (includes all protocol hook work).
     Dispatch,
     /// Network modelling: NIC contention, frame pipelining, delivery
     /// scheduling in [`crate::net`].

@@ -202,6 +202,7 @@ mod tests {
     use crate::daemon::HeldSend;
     use crate::types::RecvMsg;
     use std::sync::Mutex;
+    use vlog_sim::{SimDuration, SimTime};
 
     fn image(rank: Rank, version: u64, bytes: u64) -> Arc<Image> {
         Arc::new(Image {
@@ -267,17 +268,17 @@ mod tests {
                 reply_to: client,
             },
         );
-        sim.after(vlog_sim::SimDuration::from_millis(50), move |sim| {
-            send_req(
-                sim,
-                server,
-                CkptRequest::Fetch {
-                    rank: 0,
-                    version: None,
-                    reply_to: client,
-                },
-            );
-        });
+        // The stores are in before the request goes out.
+        sim.run_until(SimTime::ZERO + SimDuration::from_millis(50));
+        send_req(
+            &mut sim,
+            server,
+            CkptRequest::Fetch {
+                rank: 0,
+                version: None,
+                reply_to: client,
+            },
+        );
         sim.run();
         assert_eq!(&*got.lock().unwrap(), &["ack 0 v1", "fetch 0 v1"]);
     }
@@ -311,26 +312,26 @@ mod tests {
                 },
             );
         }
-        sim.after(vlog_sim::SimDuration::from_millis(50), move |sim| {
-            send_req(
-                sim,
-                server,
-                CkptRequest::Fetch {
-                    rank: 0,
-                    version: Some(2),
-                    reply_to: client,
-                },
-            );
-            send_req(
-                sim,
-                server,
-                CkptRequest::Fetch {
-                    rank: 0,
-                    version: Some(4),
-                    reply_to: client,
-                },
-            );
-        });
+        // The stores are in before the request goes out.
+        sim.run_until(SimTime::ZERO + SimDuration::from_millis(50));
+        send_req(
+            &mut sim,
+            server,
+            CkptRequest::Fetch {
+                rank: 0,
+                version: Some(2),
+                reply_to: client,
+            },
+        );
+        send_req(
+            &mut sim,
+            server,
+            CkptRequest::Fetch {
+                rank: 0,
+                version: Some(4),
+                reply_to: client,
+            },
+        );
         sim.run();
         let log = got.lock().unwrap();
         assert!(log.contains(&"fetch 0 none".to_string())); // v2 pruned
@@ -351,16 +352,16 @@ mod tests {
                 },
             );
         }
-        sim.after(vlog_sim::SimDuration::from_millis(50), move |sim| {
-            send_req(
-                sim,
-                server,
-                CkptRequest::QueryComplete {
-                    n: 2,
-                    reply_to: client,
-                },
-            );
-        });
+        // The stores are in before the request goes out.
+        sim.run_until(SimTime::ZERO + SimDuration::from_millis(50));
+        send_req(
+            &mut sim,
+            server,
+            CkptRequest::QueryComplete {
+                n: 2,
+                reply_to: client,
+            },
+        );
         sim.run();
         assert!(got.lock().unwrap().contains(&"complete v1".to_string()));
     }

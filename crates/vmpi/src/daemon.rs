@@ -38,7 +38,7 @@ use bytes::Bytes;
 use vlog_sim::causality::Edge;
 use vlog_sim::{
     Actor, ActorId, Counter, Delivery, Event, ExecHandle, NodeId, OpId, Sim, SimDuration, SimTime,
-    TaskId,
+    TaskId, WireSize,
 };
 
 use crate::api::Mpi;
@@ -59,6 +59,8 @@ pub const TOKEN_PIPE: u64 = 0;
 pub const TOKEN_BOOT: u64 = 1;
 /// Timer token: the program finished (staged by its last poll).
 const TOKEN_FINISHED: u64 = 2;
+/// Timer token: the oldest rendezvous data send's CPU time is over.
+const TOKEN_RDV_DATA: u64 = 3;
 /// Timer tokens at or above this value belong to the protocol.
 pub const PROTO_TIMER_BASE: u64 = 1_000;
 
@@ -175,6 +177,8 @@ pub struct DaemonCore {
     channels: Channels,
     reorder: Vec<BTreeMap<Ssn, AppMsg>>,
     pending_rdv: BTreeMap<(Rank, Ssn), HeldSend>,
+    /// Rendezvous data waiting for its CPU end, one timer each.
+    rdv_data: VecDeque<(ActorId, WireSize, Box<DaemonMsg>, OpId)>,
     posted: VecDeque<PostedRecv>,
 
     ckpt_counter: u64,
@@ -272,9 +276,7 @@ impl DaemonCore {
             piggyback: PiggybackBlob::empty(),
             replayed: true,
         };
-        let target = topo(sim).daemon(dst);
-        let size = msg.wire_size();
-        sim.send_at(end, self.node, target, size, Box::new(DaemonMsg::App(msg)));
+        self.send_app(sim, end, msg, None);
     }
 
     /// Queues a replay-ordered delivery (bypasses the protocol hooks).
@@ -342,6 +344,24 @@ impl DaemonCore {
 
     // ---- internal helpers -------------------------------------------
 
+    /// Sends `msg` once the CPU work ending at `end` is over. A rendezvous
+    /// send's data waits in `rdv_data` for a timer of this incarnation,
+    /// which sends it and completes `done` (an `OpId` in `Event::Send`
+    /// would grow every calendar slot). The queue is FIFO: a node's CPU
+    /// ends never decrease, and timers of one instant pop in filing order.
+    /// A crash drops the timer, so a dead daemon's data never leaves.
+    fn send_app(&mut self, sim: &mut Sim, end: SimTime, msg: AppMsg, done: Option<OpId>) {
+        let target = topo(sim).daemon(msg.dst);
+        let (size, body) = (msg.wire_size(), Box::new(DaemonMsg::App(msg)));
+        match done {
+            None => sim.send_at(end, self.node, target, size, body),
+            Some(done) => {
+                self.rdv_data.push_back((target, size, body, done));
+                sim.set_timer(self.me, end.saturating_since(sim.now()), TOKEN_RDV_DATA);
+            }
+        }
+    }
+
     /// Spawns a program incarnation. Its wake-ups — one per pipe write,
     /// and the finish notice its last poll stages — are timers on this
     /// daemon incarnation, so a killed program's die with it.
@@ -406,9 +426,7 @@ impl DaemonCore {
             port.checkpointed.park(done, taken_at.is_some());
         }
         match taken_at {
-            Some(at) => {
-                sim.schedule_at(at, Event::Complete(done));
-            }
+            Some(at) => sim.schedule_at(at, Event::Complete(done)),
             None => sim.complete(done),
         }
     }
@@ -474,6 +492,7 @@ impl Vdaemon {
                 channels: Channels::new(n),
                 reorder: (0..n).map(|_| BTreeMap::new()).collect(),
                 pending_rdv: BTreeMap::new(),
+                rdv_data: VecDeque::new(),
                 posted: VecDeque::new(),
                 ckpt_counter: 0,
                 pending_image: None,
@@ -611,7 +630,7 @@ impl Vdaemon {
                     tag,
                     payload,
                     done,
-                } => self.handle_app_send(sim, dst, tag, payload, Some(done)),
+                } => self.handle_app_send(sim, dst, tag, payload, done),
                 AppRequest::Recv { sel, done } => self.handle_app_recv(sim, sel, done),
                 AppRequest::Checkpoint { state, done } => {
                     self.handle_checkpoint_point(sim, state, done)
@@ -626,7 +645,7 @@ impl Vdaemon {
         dst: Rank,
         tag: Tag,
         payload: Payload,
-        done: Option<OpId>,
+        done: OpId,
     ) {
         let ssn = self.core.channels.next_ssn[dst];
         self.core.channels.next_ssn[dst] = ssn + 1;
@@ -635,13 +654,10 @@ impl Vdaemon {
             proto.on_send_accept(ctx, dst, tag, ssn, &payload)
         });
         // Eager sends complete for the application at acceptance.
-        let done = match done {
-            Some(done) if eager => {
-                sim.complete(done);
-                None
-            }
-            rendezvous => rendezvous,
-        };
+        if eager {
+            sim.complete(done);
+        }
+        let done = (!eager).then_some(done);
         let send = HeldSend {
             dst,
             tag,
@@ -703,25 +719,7 @@ impl Vdaemon {
             piggyback: pb,
             replayed: false,
         };
-        let target = topo(sim).daemon(dst);
-        let src_node = self.core.node;
-        let size = msg.wire_size();
-        let body = Box::new(DaemonMsg::App(msg));
-        match done {
-            None => sim.send_at(end, src_node, target, size, body),
-            // A rendezvous send completes for the application when the
-            // data leaves. A closure, because an `OpId` carried in
-            // `Event::Send` would grow every calendar slot.
-            Some(done) => {
-                sim.schedule_at(
-                    end,
-                    Event::closure(move |sim| {
-                        sim.send(src_node, target, size, body);
-                        sim.complete(done);
-                    }),
-                );
-            }
-        }
+        self.core.send_app(sim, end, msg, done);
     }
 
     fn handle_app_recv(&mut self, sim: &mut Sim, sel: RecvSelector, done: OpId) {
@@ -941,24 +939,23 @@ impl Actor for Vdaemon {
             TOKEN_PIPE => self.drain_pipe(sim),
             TOKEN_BOOT => self.boot(sim),
             TOKEN_FINISHED => self.app_finished(sim),
+            TOKEN_RDV_DATA => {
+                let (target, size, body, done) = self.core.rdv_data.pop_front().expect("filed");
+                sim.send(self.core.node, target, size, body);
+                sim.complete(done);
+                // No `pump`: every handler ends with it, so nothing waits.
+                return;
+            }
             proto => self.hook(sim, |p, ctx| p.on_timer(ctx, proto - PROTO_TIMER_BASE)),
         }
         self.pump(sim);
     }
 
     fn on_deliver(&mut self, sim: &mut Sim, _me: ActorId, msg: Delivery) {
-        let body = msg.body;
-        let body = match body.downcast::<DaemonMsg>() {
-            Ok(dm) => {
-                self.handle_daemon_msg(sim, *dm);
-                self.pump(sim);
-                return;
-            }
-            Err(b) => b,
-        };
-        let body = match body.downcast::<CkptReply>() {
-            Ok(reply) => {
-                match *reply {
+        match msg.body.downcast::<DaemonMsg>() {
+            Ok(dm) => self.handle_daemon_msg(sim, *dm),
+            Err(body) => match body.downcast::<CkptReply>() {
+                Ok(reply) => match *reply {
                     CkptReply::FetchResp { image, .. } => {
                         if self.core.recovering && self.core.app_task.is_none() {
                             self.finish_restart(sim, image);
@@ -971,17 +968,14 @@ impl Actor for Vdaemon {
                         });
                     }
                     CkptReply::CompleteResp { .. } => {}
-                }
-                self.pump(sim);
-                return;
-            }
-            Err(b) => b,
-        };
-        // Anything else is protocol control (EL acks and responses,
-        // scheduler commands, markers, reclaim traffic ...): the body is
-        // the protocol's own type, and a protocol ignores what it does
-        // not know.
-        self.hook(sim, |proto, ctx| proto.on_control(ctx, body));
+                },
+                // Anything else is protocol control (EL acks and
+                // responses, scheduler commands, markers, reclaim traffic
+                // ...): the body is the protocol's own type, and a
+                // protocol ignores what it does not know.
+                Err(body) => self.hook(sim, |proto, ctx| proto.on_control(ctx, body)),
+            },
+        }
         self.pump(sim);
     }
 }
@@ -1041,5 +1035,96 @@ mod tests {
         let produced = verdict(&mut sim).produced_events;
         daemon.handle_app_msg(&mut sim, from_rank_1(2));
         assert_eq!(verdict(&mut sim).produced_events, produced);
+    }
+
+    type Seen = Arc<std::sync::Mutex<Vec<(SimTime, &'static str, Ssn)>>>;
+
+    /// Logs what reaches it: application data (by ssn) and probes.
+    struct Recorder(Seen);
+    impl Actor for Recorder {
+        fn on_deliver(&mut self, sim: &mut Sim, _me: ActorId, msg: Delivery) {
+            let seen = match msg.body.downcast::<DaemonMsg>() {
+                Ok(dm) => match *dm {
+                    DaemonMsg::App(m) => ("app", m.ssn),
+                    _ => ("control", 0),
+                },
+                Err(_) => ("probe", 0),
+            };
+            self.0.lock().unwrap().push((sim.now(), seen.0, seen.1));
+        }
+    }
+
+    /// Rank 0's node crashes after its daemon charged a rendezvous
+    /// payload to the CPU and before that work ends: the data timer pops
+    /// and counts, but the data never reaches the wire and the killed
+    /// program's send never completes.
+    #[test]
+    fn a_crashed_daemons_rendezvous_data_does_not_leave() {
+        let probe = WireSize::payload(1_000);
+        let idle_latency = {
+            let mut sim = Sim::new();
+            let (a, b) = (sim.add_node(), sim.add_node());
+            let sink = sim.add_actor(b, Box::new(Recorder(Seen::default())));
+            sim.send(a, sink, probe, Box::new(0u64));
+            sim.run();
+            sim.now().saturating_since(SimTime::ZERO)
+        };
+        let mut sim = Sim::new();
+        let (n0, n1, n2) = (sim.add_node(), sim.add_node(), sim.add_node());
+        let state = ClusterState::with_ranks(vec![0, 1], vec![n0, n1]);
+        let profile = Arc::new(StackProfile::vdaemon());
+        let mut daemon = Vdaemon::new(
+            0,
+            &state.topo,
+            profile.clone(),
+            app(|_| async {}),
+            Box::new(Vdummy),
+            BootMode::Fresh,
+        );
+        sim.install(state);
+        // The sending program, suspended on its rendezvous send.
+        let (op_id, resumed) = (Arc::new(std::sync::Mutex::new(None)), Seen::default());
+        let (tx, r) = (op_id.clone(), resumed.clone());
+        let task = sim.spawn(Some(n0), async move {
+            let op = ExecHandle.new_op();
+            *tx.lock().unwrap() = Some(op.id());
+            op.await;
+            r.lock().unwrap().push((SimTime::ZERO, "resumed", 0));
+        });
+        sim.run_until(SimTime::ZERO);
+        let payload = Payload::synthetic(8 * profile.eager_threshold);
+        let send = HeldSend {
+            dst: 1,
+            tag: 0,
+            payload,
+            ssn: 0,
+            done: Some(op_id.lock().unwrap().expect("polled")),
+        };
+        daemon.core.pending_rdv.insert((1, 0), send);
+        assert_eq!(sim.add_actor(n0, Box::new(daemon)), 0);
+        let seen = Seen::default();
+        assert_eq!(sim.add_actor(n1, Box::new(Recorder(seen.clone()))), 1);
+        // Rank 1 clears the send; its CTS arrives well within 1 ms, and
+        // the payload's CPU work (1.5 ns a byte) outlasts it.
+        let cts = DaemonMsg::Cts { dst: 1, ssn: 0 };
+        sim.send(n1, 0, cts.wire_size(), Box::new(cts));
+        assert!(!sim.run_until(SimTime::ZERO + SimDuration::from_millis(1)));
+        assert_eq!(sim.events_processed(), 1);
+        // A zero charge reads when the node's CPU frees: the data's end.
+        let end = sim.charge_cpu(n0, SimDuration::ZERO);
+        assert!(end > sim.now());
+        sim.crash_node(n0);
+        let booked = (sim.stats().messages, sim.stats().bytes.total());
+        sim.run_until(end);
+        // The CTS and the data timer, which popped at `end` and counted.
+        assert_eq!(sim.events_processed(), 2);
+        assert_eq!((sim.stats().messages, sim.stats().bytes.total()), booked);
+        // Rank 1's NIC is idle: a probe sent now crosses uncontended.
+        sim.send(n2, 1, probe, Box::new(0u64));
+        sim.run();
+        assert_eq!(*seen.lock().unwrap(), [(end + idle_latency, "probe", 0)]);
+        assert_eq!(sim.events_processed(), 3);
+        assert!(resumed.lock().unwrap().is_empty());
+        assert!(!sim.task_alive(task));
     }
 }

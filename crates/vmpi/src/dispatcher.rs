@@ -5,7 +5,8 @@
 //! fault (node disconnection) and relaunching crashed MPI process
 //! instances."*
 //!
-//! The dispatcher runs on a stable node. Fault injection notifies it of a
+//! The dispatcher runs on a stable node, so the fault module's crash and
+//! detection steps are its timers. Fault injection notifies it of a
 //! crash after the configured detection delay; it then either restarts
 //! the failed rank ([`RecoveryStyle::SingleRank`], message logging) or
 //! rolls the whole job back to the last complete global snapshot
@@ -17,6 +18,7 @@ use crate::ckpt::{CkptReply, CkptRequest};
 use crate::cluster::{launch_rank, topo, ClusterState};
 use crate::control;
 use crate::daemon::BootMode;
+use crate::fault;
 use crate::hooks::RecoveryStyle;
 use crate::types::Rank;
 
@@ -40,7 +42,6 @@ impl control::Body for DispatcherMsg {
 pub struct Dispatcher {
     style: RecoveryStyle,
     stop_on_completion: bool,
-    stopped: bool,
 }
 
 impl Dispatcher {
@@ -48,7 +49,6 @@ impl Dispatcher {
         Dispatcher {
             style,
             stop_on_completion,
-            stopped: false,
         }
     }
 
@@ -99,28 +99,25 @@ impl Dispatcher {
 }
 
 impl Actor for Dispatcher {
+    fn on_timer(&mut self, sim: &mut Sim, _me: ActorId, token: u64) {
+        fault::step(sim, token);
+    }
+
     fn on_deliver(&mut self, sim: &mut Sim, _me: ActorId, msg: Delivery) {
-        let body = msg.body;
-        let body = match body.downcast::<DispatcherMsg>() {
-            Ok(m) => {
-                match *m {
-                    DispatcherMsg::Done { rank } => {
-                        let state = ClusterState::of(sim);
-                        state.done.insert(rank);
-                        if state.completed() && self.stop_on_completion && !self.stopped {
-                            self.stopped = true;
-                            sim.stop();
-                        }
-                    }
-                    DispatcherMsg::Fault { rank } => self.handle_fault(sim, rank),
+        match msg.body.downcast::<DispatcherMsg>().map(|m| *m) {
+            Ok(DispatcherMsg::Done { rank }) => {
+                let state = ClusterState::of(sim);
+                state.done.insert(rank);
+                // A second stop (after a rollback) changes nothing.
+                if state.completed() && self.stop_on_completion {
+                    sim.stop();
                 }
-                return;
             }
-            Err(b) => b,
-        };
-        if let Ok(reply) = body.downcast::<CkptReply>() {
-            if let CkptReply::CompleteResp { version } = *reply {
-                self.rollback_all(sim, version);
+            Ok(DispatcherMsg::Fault { rank }) => self.handle_fault(sim, rank),
+            Err(body) => {
+                if let Ok(CkptReply::CompleteResp { version }) = body.downcast().map(|r| *r) {
+                    self.rollback_all(sim, version);
+                }
             }
         }
     }

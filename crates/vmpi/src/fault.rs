@@ -5,7 +5,8 @@
 //! `n`-th crossing of a protocol-phase boundary ([`ProtoPhase`], so a
 //! schedule explorer can enumerate fault timings structurally instead of
 //! sampling instants), and Event Logger shards at fixed instants. This
-//! module is the one place any of them takes effect, in two steps:
+//! module is the one place any of them takes effect, in two steps, both
+//! timers of the dispatcher (on a stable node no fault crashes):
 //! a *crash step* appends a [`Fired`] to the run's [`FaultTable`] (in
 //! its [`ClusterState`]) and crashes the target's node, and one
 //! detection delay later a *detection step* tells the dispatcher of a
@@ -134,11 +135,13 @@ pub struct Fired {
 }
 
 /// The fault state of one run: the phase kills still armed, how often
-/// each rank has crossed each boundary so far, and what fired.
+/// each rank has crossed each boundary so far, the faults struck so far
+/// (a step's timer names one by its index) and what fired.
 #[derive(Debug, Default)]
 pub struct FaultTable {
     armed: Vec<PhaseFault>,
     crossings: BTreeMap<(Rank, ProtoPhase), u64>,
+    struck: Vec<Fault>,
     pub(crate) fired: Vec<Fired>,
 }
 
@@ -183,11 +186,25 @@ pub(crate) fn crossed(sim: &mut Sim, rank: Rank, phase: ProtoPhase) {
 }
 
 /// Schedules `fault`'s crash step `delay` from now and its detection
-/// step one detection delay after that.
+/// step one detection delay after that: two dispatcher timers, each
+/// token `index << 1 | step` with `index` into the struck faults.
 fn strike(sim: &mut Sim, fault: Fault, delay: SimDuration) {
-    let detect = delay + ClusterState::of(sim).detect_delay;
-    sim.after(delay, move |sim| crash(sim, fault));
-    sim.after(detect, move |sim| detected(sim, fault));
+    let state = ClusterState::of(sim);
+    let detect = delay + state.detect_delay;
+    let (dispatcher, _) = state.topo.dispatcher().expect("dispatcher registered");
+    let token = (state.faults.struck.len() as u64) << 1;
+    state.faults.struck.push(fault);
+    sim.set_timer(dispatcher, delay, token);
+    sim.set_timer(dispatcher, detect, token | 1);
+}
+
+/// Runs the fault step a dispatcher timer names (see [`strike`]).
+pub(crate) fn step(sim: &mut Sim, token: u64) {
+    let fault = ClusterState::of(sim).faults.struck[(token >> 1) as usize];
+    match token & 1 {
+        0 => crash(sim, fault),
+        _ => detected(sim, fault),
+    }
 }
 
 /// The crash step. A shard never comes back, so one already down is
@@ -247,19 +264,53 @@ fn detected(sim: &mut Sim, fault: Fault) {
 mod tests {
     use std::sync::Arc;
 
+    use vlog_sim::{Actor, ActorId, Delivery, NodeId};
+
     use super::*;
+    use crate::dispatcher::Dispatcher;
+    use crate::hooks::{RecoveryStyle, Suite, VProtocol};
+    use crate::vdummy::Vdummy;
     use crate::{app, run_cluster, ClusterConfig, RunReport, VdummySuite};
 
-    /// Two Vdummy ranks that only wait: rank 0 for 1 ms, rank 1 for
-    /// 10 ms; a killed rank restarts its wait from scratch.
-    fn idle_pair(plan: &FaultPlan) -> RunReport {
+    /// Two ranks that only wait: rank 0 for 1 ms, rank 1 for 10 ms; a
+    /// killed rank restarts its wait from scratch.
+    fn idle_ranks(suite: Arc<dyn Suite>, plan: &FaultPlan) -> RunReport {
         let mut cfg = ClusterConfig::new(2);
         cfg.detect_delay = SimDuration::from_millis(1);
         let program = app(|mpi| async move {
             let ms = if mpi.rank() == 0 { 1 } else { 10 };
             mpi.elapse(SimDuration::from_millis(ms)).await;
         });
-        run_cluster(&cfg, Arc::new(VdummySuite), program, plan)
+        run_cluster(&cfg, suite, program, plan)
+    }
+
+    /// [`idle_ranks`] under Vdummy.
+    fn idle_pair(plan: &FaultPlan) -> RunReport {
+        idle_ranks(Arc::new(VdummySuite), plan)
+    }
+
+    struct Idle;
+    impl Actor for Idle {
+        fn on_deliver(&mut self, _: &mut Sim, _: ActorId, _: Delivery) {}
+    }
+
+    /// Vdummy ranks and an Event Logger of two idle shards, the second
+    /// alone on a node of its own.
+    struct TwoShards;
+    impl Suite for TwoShards {
+        fn name(&self) -> String {
+            "two-shards".into()
+        }
+
+        fn install(&self, sim: &mut Sim, stable_nodes: &[NodeId]) {
+            let nodes = [stable_nodes[0], sim.add_node()];
+            let els = nodes.map(|node| (sim.add_actor(node, Box::new(Idle)), node));
+            ClusterState::of(sim).topo.set_els(els.to_vec());
+        }
+
+        fn make_protocol(&self, _rank: Rank, _n: usize) -> Box<dyn VProtocol> {
+            Box::new(Vdummy)
+        }
     }
 
     #[test]
@@ -294,6 +345,43 @@ mod tests {
         assert!(idle_pair(&first).all_landed(&first));
     }
 
+    /// A timed rank kill and an EL kill at one instant: both crash steps
+    /// run then, in arming order (the EL kill first), and both detection
+    /// steps one detection delay later — the re-shard, and the rank's
+    /// restart, whose 10 ms wait sets the makespan. Pinned.
+    #[test]
+    fn a_rank_kill_and_an_el_kill_step_at_their_instants_in_arming_order() {
+        let ms = SimDuration::from_millis;
+        let plan = FaultPlan::kill_at(ms(2), 1).then_kill_el_at(ms(2), 1);
+        let report = idle_ranks(Arc::new(TwoShards), &plan);
+        assert!(report.completed && report.all_landed(&plan));
+        let at = SimTime::ZERO + ms(2);
+        assert_eq!(
+            report.fired,
+            [
+                Fired {
+                    fault: Fault::El(ms(2), 1),
+                    at,
+                    incarnation: 0,
+                    noop: false,
+                },
+                Fired {
+                    fault: Fault::Rank(ms(2), 1),
+                    at,
+                    incarnation: 1,
+                    noop: false,
+                },
+            ]
+        );
+        let count = |c| report.stats.counter(c);
+        assert_eq!(count(Counter::ElShardCrashes), 1);
+        assert_eq!(count(Counter::ElReshards), 1);
+        assert_eq!(count(Counter::DispatcherFaults), 1);
+        // Rank 1 restarts a little after 3 ms and waits its 10 ms again.
+        assert_eq!(report.makespan, SimDuration::from_nanos(13_187_640));
+        assert_eq!(report.events, 20);
+    }
+
     #[test]
     fn a_fault_the_run_outlives_is_missing_from_fired() {
         let plan = FaultPlan::kill_at(SimDuration::from_secs(1), 1);
@@ -326,6 +414,11 @@ mod tests {
         let shipped = ProtoPhase::DeterminantShipped;
         let mut sim = Sim::new();
         let mut state = ClusterState::default();
+        // A struck kill's steps are timers of the dispatcher.
+        let stable = sim.add_node();
+        let style = RecoveryStyle::SingleRank;
+        let dispatcher = sim.add_actor(stable, Box::new(Dispatcher::new(style, false)));
+        state.topo.set_dispatcher(dispatcher, stable);
         state.faults.armed = vec![PhaseFault {
             phase: shipped,
             rank: 1,

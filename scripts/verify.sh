@@ -124,21 +124,29 @@ if find crates/vmpi/src crates/core/src -name '*.rs' -print0 | xargs -0 awk "$lo
 fi
 echo "    boundary gate: ok (local_send( under crates/vmpi/src and crates/core/src only in fault::detected)"
 # The same decision has no second home: a deferred send is Sim::send_at
-# (one Event::Send, decided when it pops), the wire booking is the
-# kernel's private net_book, and control.rs hands its body to the kernel
-# without a closure of its own.
+# (one Event::Send, decided when it pops) and the wire booking is the
+# kernel's private net_book.
 # (The brackets keep this script out of its own grep.)
 if {
     grep -rnE 'net_sen[d](_at)?\(|NetSen[d]' crates tests examples
     grep -rn 'net_boo[k](' crates tests examples | grep -v '^crates/sim/src/kernel\.rs:'
-    awk "$non_test"' { print FILENAME ":" FNR ": " $0 }' crates/vmpi/src/control.rs |
-        grep -vE '^[^ ]+ +//' | grep -E 'Event::[cC]losur[e]'
     true # the verdict is the last grep's, not the group's (pipefail)
 } | grep .; then
     echo "a second way out of a node is back (lines above): send through Sim::send or Sim::send_at, and let control.rs size and box a body for them" >&2
     exit 1
 fi
-echo "    boundary gate: ok (no net_send(, net_send_at( or NetSend under crates/ tests/ examples/; net_book( only in kernel.rs; no Event::closure in control.rs's non-test code)"
+echo "    boundary gate: ok (no net_send(, net_send_at( or NetSend under crates/ tests/ examples/; net_book( only in kernel.rs)"
+# Every kernel event is data (crates/sim/src/kernel.rs, "Every event is
+# data"): a completion, a timer of one actor incarnation, a delivery or a
+# deferred send. Work a service does later is a timer of the actor that
+# owns it — the fault steps are the dispatcher's, a rendezvous data send
+# its daemon's — so no event carries code and no call files any.
+# (The brackets keep this script out of a grep of the tree for the names.)
+if grep -rnE 'Event::[cC]losur[e]\b|fn afte[r]\(' crates tests examples; then
+    echo "an event that carries code is back (lines above): make the work a timer of the actor that owns it, and keep what it needs in that actor" >&2
+    exit 1
+fi
+echo "    boundary gate: ok (no Event::Closure, Event::closure or fn after( under crates/ tests/ examples/)"
 # A metric is named by its typed id (crates/sim/src/stats.rs: Counter,
 # Gauge, Timer), whose name() is the one place a name is spelled, so a
 # misspelt or wrong-kind metric fails to compile. Stats::get(&str) stays
